@@ -7,7 +7,7 @@
 
 use crate::agent::{TabularAgent, TabularTransition};
 use crate::policy::ExplorationPolicy;
-use crate::qtable::QTable;
+use crate::qtable::{first_max, QTable};
 use crate::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +23,9 @@ pub struct DoubleQAgent<S> {
     policy: ExplorationPolicy,
     rng: StdRng,
     step: u64,
+    /// Reused buffer for the two tables' summed row, which action
+    /// selection ranks.
+    combined: Vec<f64>,
 }
 
 impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
@@ -48,21 +51,19 @@ impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
             policy,
             rng: StdRng::seed_from_u64(seed),
             step: 0,
+            combined: Vec::with_capacity(n_actions),
         }
-    }
-
-    /// The combined (summed) Q-row used for action selection.
-    fn combined_row(&mut self, state: &S) -> Vec<f64> {
-        let a = self.qa.row(state).clone();
-        let b = self.qb.row(state).clone();
-        a.iter().zip(&b).map(|(x, y)| x + y).collect()
     }
 }
 
 impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
     fn select_action(&mut self, state: &S) -> usize {
-        let row = self.combined_row(state);
-        let action = self.policy.choose(&row, self.step, &mut self.rng);
+        // Select over the summed rows of both tables.
+        let (a, b) = (self.qa.row(state), self.qb.row(state));
+        self.combined.clear();
+        self.combined
+            .extend(a.iter().zip(b.iter()).map(|(x, y)| x + y));
+        let action = self.policy.choose(&self.combined, self.step, &mut self.rng);
         self.step += 1;
         action
     }
@@ -96,13 +97,7 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
                 let row: Vec<f64> = (0..n)
                     .map(|i| a.map_or(0.0, |r| r[i]) + b.map_or(0.0, |r| r[i]))
                     .collect();
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
+                first_max(&row)
             }
         }
     }

@@ -13,6 +13,8 @@
 //!   paper's "improve the learning strategy" direction);
 //! * [`policy`] — ε-greedy and softmax exploration over Q-values, with
 //!   [`schedule::Schedule`]d hyper-parameters;
+//! * [`qtable`] — the flat-arena Q-table every agent learns into, and
+//!   [`fxhash`], the fixed hasher behind it;
 //! * [`train`](mod@crate::train) — the continuing-exploration training
 //!   loop with the paper's stop conditions (step cap, cumulative-reward
 //!   target, environment termination);
@@ -41,6 +43,7 @@
 
 pub mod agent;
 pub mod double_q;
+pub mod fxhash;
 pub mod policy;
 pub mod qlambda;
 pub mod qlearning;

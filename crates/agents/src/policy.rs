@@ -57,16 +57,16 @@ impl ExplorationPolicy {
     }
 }
 
-/// The greedy action with uniform tie-breaking among maxima.
+/// The greedy action with uniform tie-breaking among maxima: one
+/// `gen_range(0..ties)` draw picks the k-th maximum in index order.
 pub fn greedy_with_random_ties<R: Rng + ?Sized>(q_row: &[f64], rng: &mut R) -> usize {
     let max = q_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let ties: Vec<usize> = q_row
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| v == max)
-        .map(|(i, _)| i)
-        .collect();
-    ties[rng.gen_range(0..ties.len())]
+    let ties = q_row.iter().filter(|&&v| v == max).count();
+    let k = rng.gen_range(0..ties);
+    (0..q_row.len())
+        .filter(|&i| q_row[i] == max)
+        .nth(k)
+        .expect("k indexes one of the maxima")
 }
 
 /// Samples from `softmax(q / t)` using the numerically stable shift.

@@ -14,7 +14,6 @@ use crate::qtable::QTable;
 use crate::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A Watkins Q(λ) agent.
@@ -27,10 +26,13 @@ pub struct QLambdaAgent<S> {
     policy: ExplorationPolicy,
     rng: StdRng,
     step: u64,
-    traces: HashMap<(S, usize), f64>,
+    /// Live eligibility traces as `(Q-table cell, e)`. Decay and the floor
+    /// keep them few (at most ~23 with γλ = 0.665), so a linear scan beats
+    /// hashing.
+    traces: Vec<(usize, f64)>,
     /// Whether the most recent action was greedy w.r.t. the current Q.
     last_was_greedy: bool,
-    /// Traces below this are dropped to keep the map small.
+    /// Traces below this are dropped to keep the list short.
     trace_floor: f64,
 }
 
@@ -63,7 +65,7 @@ impl<S: Eq + Hash + Clone> QLambdaAgent<S> {
             policy,
             rng: StdRng::seed_from_u64(seed),
             step: 0,
-            traces: HashMap::new(),
+            traces: Vec::new(),
             last_was_greedy: true,
             trace_floor: 1e-4,
         }
@@ -82,8 +84,8 @@ impl<S: Eq + Hash + Clone> QLambdaAgent<S> {
 
 impl<S: Eq + Hash + Clone> TabularAgent<S> for QLambdaAgent<S> {
     fn select_action(&mut self, state: &S) -> usize {
-        let row = self.q.row(state).clone();
-        let action = self.policy.choose(&row, self.step, &mut self.rng);
+        let row = self.q.row(state);
+        let action = self.policy.choose(row, self.step, &mut self.rng);
         let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         self.last_was_greedy = row[action] == max;
         self.step += 1;
@@ -96,25 +98,25 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for QLambdaAgent<S> {
         } else {
             self.gamma * self.q.max_value(&t.next_state)
         };
-        let delta = t.reward + bootstrap - self.q.value(&t.state, t.action);
+        let cell = self.q.cell(&t.state, t.action);
+        let values = self.q.cells_mut();
+        let delta = t.reward + bootstrap - values[cell];
         let alpha = self.alpha.value(self.step);
 
         // Replacing traces: the visited pair's trace snaps to 1.
-        self.traces.insert((t.state.clone(), t.action), 1.0);
+        match self.traces.iter_mut().find(|(c, _)| *c == cell) {
+            Some((_, e)) => *e = 1.0,
+            None => self.traces.push((cell, 1.0)),
+        }
 
+        // Each trace owns a distinct cell, so the sweep order is free.
         let decay = self.gamma * self.lambda;
         let floor = self.trace_floor;
-        let mut dead = Vec::new();
-        for ((s, a), e) in self.traces.iter_mut() {
-            self.q.update(s, *a, 0.0, |old, _| old + alpha * delta * *e);
+        self.traces.retain_mut(|(cell, e)| {
+            values[*cell] += alpha * delta * *e;
             *e *= decay;
-            if *e < floor {
-                dead.push((s.clone(), *a));
-            }
-        }
-        for k in dead {
-            self.traces.remove(&k);
-        }
+            *e >= floor
+        });
 
         // Watkins: exploratory actions cut the traces; so does episode end.
         if t.terminal || !self.last_was_greedy {
@@ -222,7 +224,7 @@ mod tests {
             });
         }
         // gamma*lambda = 0.45: traces decay below 1e-4 within ~11 steps, so
-        // the map stays small.
+        // the list stays short.
         assert!(a.active_traces() < 15, "{} traces", a.active_traces());
     }
 

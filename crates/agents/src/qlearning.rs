@@ -13,7 +13,7 @@
 
 use crate::agent::{TabularAgent, TabularTransition};
 use crate::policy::{greedy_with_random_ties, ExplorationPolicy};
-use crate::qtable::QTable;
+use crate::qtable::{first_max, QTable};
 use crate::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,8 +146,8 @@ impl<S: Eq + Hash + Clone> QLearningAgent<S> {
 
 impl<S: Eq + Hash + Clone> TabularAgent<S> for QLearningAgent<S> {
     fn select_action(&mut self, state: &S) -> usize {
-        let row = self.q.row(state).clone();
-        let action = self.policy.choose(&row, self.step, &mut self.rng);
+        let row = self.q.row(state);
+        let action = self.policy.choose(row, self.step, &mut self.rng);
         self.step += 1;
         action
     }
@@ -166,20 +166,9 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for QLearningAgent<S> {
     }
 
     fn greedy_action(&self, state: &S) -> usize {
-        match self.q.row_ref(state) {
-            Some(row) => {
-                // Deterministic greedy (lowest index wins ties) for
-                // reproducible evaluation.
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-            None => 0,
-        }
+        // Deterministic greedy (lowest index wins ties) for reproducible
+        // evaluation.
+        self.q.row_ref(state).map_or(0, first_max)
     }
 }
 
@@ -187,8 +176,7 @@ impl<S: Eq + Hash + Clone> QLearningAgent<S> {
     /// Like [`TabularAgent::greedy_action`] but with random tie-breaking —
     /// occasionally useful when evaluating stochastic policies.
     pub fn greedy_action_random_ties(&mut self, state: &S) -> usize {
-        let row = self.q.row(state).clone();
-        greedy_with_random_ties(&row, &mut self.rng)
+        greedy_with_random_ties(self.q.row(state), &mut self.rng)
     }
 }
 

@@ -1,10 +1,15 @@
 //! The tabular action-value store.
 
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 use std::hash::Hash;
 
-/// A Q-table: maps states to per-action value vectors, created lazily with a
+/// A Q-table: maps states to per-action value rows, created lazily with a
 /// configurable optimistic/neutral initial value.
+///
+/// Rows live back to back in one flat arena, addressed through a map from
+/// state to dense row id, so visiting a new state appends `n_actions`
+/// values instead of allocating a row of its own. Row ids are assigned in
+/// visit order and never move.
 ///
 /// ```
 /// use ax_agents::qtable::QTable;
@@ -19,7 +24,9 @@ use std::hash::Hash;
 pub struct QTable<S> {
     n_actions: usize,
     initial: f64,
-    values: HashMap<S, Vec<f64>>,
+    ids: FxHashMap<S, u32>,
+    /// Row `r` occupies `values[r * n_actions..(r + 1) * n_actions]`.
+    values: Vec<f64>,
 }
 
 impl<S: Eq + Hash + Clone> QTable<S> {
@@ -34,7 +41,8 @@ impl<S: Eq + Hash + Clone> QTable<S> {
         Self {
             n_actions,
             initial,
-            values: HashMap::new(),
+            ids: FxHashMap::default(),
+            values: Vec::new(),
         }
     }
 
@@ -45,20 +53,46 @@ impl<S: Eq + Hash + Clone> QTable<S> {
 
     /// Number of states visited so far.
     pub fn n_states(&self) -> usize {
-        self.values.len()
+        self.ids.len()
+    }
+
+    /// The dense id of `state`'s row, appending an initialised row on the
+    /// first visit.
+    fn row_id(&mut self, state: &S) -> usize {
+        if let Some(&id) = self.ids.get(state) {
+            return id as usize;
+        }
+        let id = self.ids.len();
+        let id32 = u32::try_from(id).expect("Q-table row ids fit in u32");
+        self.ids.insert(state.clone(), id32);
+        self.values
+            .resize(self.values.len() + self.n_actions, self.initial);
+        id
+    }
+
+    /// The arena index of `(state, action)`, initialising the row lazily.
+    /// Stable for the table's lifetime: [`QTable::cells_mut`]`()[i]` is
+    /// that entry however many states are visited later.
+    pub(crate) fn cell(&mut self, state: &S, action: usize) -> usize {
+        assert!(action < self.n_actions, "action {action} out of range");
+        self.row_id(state) * self.n_actions + action
+    }
+
+    /// Every entry of every visited state, indexed by [`QTable::cell`].
+    pub(crate) fn cells_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 
     /// The action values of `state` (initialising lazily).
-    pub fn row(&mut self, state: &S) -> &mut Vec<f64> {
-        let (n, init) = (self.n_actions, self.initial);
-        self.values
-            .entry(state.clone())
-            .or_insert_with(|| vec![init; n])
+    pub fn row(&mut self, state: &S) -> &mut [f64] {
+        let start = self.row_id(state) * self.n_actions;
+        &mut self.values[start..start + self.n_actions]
     }
 
     /// The action values of `state` without inserting; `None` if unvisited.
     pub fn row_ref(&self, state: &S) -> Option<&[f64]> {
-        self.values.get(state).map(|v| v.as_slice())
+        let start = *self.ids.get(state)? as usize * self.n_actions;
+        Some(&self.values[start..start + self.n_actions])
     }
 
     /// The value of `(state, action)`.
@@ -68,32 +102,19 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     /// Panics if `action` is out of range.
     pub fn value(&self, state: &S, action: usize) -> f64 {
         assert!(action < self.n_actions, "action {action} out of range");
-        self.values
-            .get(state)
-            .map_or(self.initial, |row| row[action])
+        self.row_ref(state).map_or(self.initial, |row| row[action])
     }
 
     /// Greatest action value at `state`.
     pub fn max_value(&self, state: &S) -> f64 {
-        self.values.get(state).map_or(self.initial, |row| {
+        self.row_ref(state).map_or(self.initial, |row| {
             row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         })
     }
 
     /// Lowest-index action attaining the maximum value at `state`.
     pub fn best_action(&self, state: &S) -> usize {
-        match self.values.get(state) {
-            None => 0,
-            Some(row) => {
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-        }
+        self.row_ref(state).map_or(0, first_max)
     }
 
     /// Applies `f(old_value, target)` to `(state, action)`.
@@ -108,9 +129,8 @@ impl<S: Eq + Hash + Clone> QTable<S> {
         target: f64,
         f: impl FnOnce(f64, f64) -> f64,
     ) {
-        assert!(action < self.n_actions, "action {action} out of range");
-        let row = self.row(state);
-        row[action] = f(row[action], target);
+        let cell = self.cell(state, action);
+        self.values[cell] = f(self.values[cell], target);
     }
 
     /// Directly sets `(state, action)`.
@@ -119,9 +139,21 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     ///
     /// Panics if `action` is out of range.
     pub fn set(&mut self, state: &S, action: usize, value: f64) {
-        assert!(action < self.n_actions, "action {action} out of range");
-        self.row(state)[action] = value;
+        let cell = self.cell(state, action);
+        self.values[cell] = value;
     }
+}
+
+/// The lowest index attaining the row's maximum (deterministic greedy
+/// choice for reproducible evaluation).
+pub(crate) fn first_max(row: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -137,6 +169,28 @@ mod tests {
         assert_eq!(q.n_states(), 1);
         assert_eq!(q.row_ref(&7).unwrap(), &[2.5; 4]);
         assert!(q.row_ref(&8).is_none());
+    }
+
+    #[test]
+    fn row_ids_survive_arena_growth() {
+        let mut q: QTable<u32> = QTable::new(3, 0.5);
+        let first = q.cell(&10, 2);
+        q.set(&10, 2, 9.0);
+        // Grow the arena well past its first allocation.
+        for s in 0..1_000u32 {
+            q.update(&(s + 100), s as usize % 3, 1.0, |old, t| old + t);
+        }
+        assert_eq!(q.cell(&10, 2), first, "row id moved");
+        assert_eq!(q.cells_mut()[first], 9.0);
+        assert_eq!(q.row_ref(&10).unwrap(), &[0.5, 0.5, 9.0]);
+        assert_eq!(q.row_ref(&100).unwrap(), &[1.5, 0.5, 0.5]);
+        assert_eq!(q.n_states(), 1_001);
+        // Reading unvisited states neither allocates nor changes them.
+        assert!(q.row_ref(&5_000).is_none());
+        assert_eq!(q.value(&5_000, 1), 0.5);
+        assert_eq!(q.max_value(&5_000), 0.5);
+        assert_eq!(q.best_action(&5_000), 0);
+        assert_eq!(q.n_states(), 1_001);
     }
 
     #[test]

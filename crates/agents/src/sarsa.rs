@@ -75,8 +75,8 @@ impl<S: Eq + Hash + Clone> SarsaAgent<S> {
 
 impl<S: Eq + Hash + Clone> TabularAgent<S> for SarsaAgent<S> {
     fn select_action(&mut self, state: &S) -> usize {
-        let row = self.q.row(state).clone();
-        let action = self.policy.choose(&row, self.step, &mut self.rng);
+        let row = self.q.row(state);
+        let action = self.policy.choose(row, self.step, &mut self.rng);
         // The successor action is now known: complete the pending update.
         self.flush_pending(Some(action));
         self.step += 1;
@@ -163,11 +163,10 @@ impl<S: Eq + Hash + Clone> ExpectedSarsaAgent<S> {
 
 impl<S: Eq + Hash + Clone> TabularAgent<S> for ExpectedSarsaAgent<S> {
     fn select_action(&mut self, state: &S) -> usize {
-        let row = self.q.row(state).clone();
         let policy = ExplorationPolicy::EpsilonGreedy {
             epsilon: self.epsilon,
         };
-        let action = policy.choose(&row, self.step, &mut self.rng);
+        let action = policy.choose(self.q.row(state), self.step, &mut self.rng);
         self.step += 1;
         action
     }

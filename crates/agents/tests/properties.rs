@@ -1,15 +1,50 @@
 //! Property-based tests for agents, schedules and search primitives.
 
 use ax_agents::agent::{TabularAgent, TabularTransition};
+use ax_agents::policy::greedy_with_random_ties;
 use ax_agents::qlearning::QLearningBuilder;
 use ax_agents::qtable::QTable;
 use ax_agents::schedule::Schedule;
 use ax_agents::search::{random_search, SearchSpace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+
+/// The tie-break as first written: collect every maximum, then draw one.
+/// The allocation-free [`greedy_with_random_ties`] must agree with it.
+fn greedy_collect_then_draw(q_row: &[f64], rng: &mut StdRng) -> usize {
+    let max = q_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let ties: Vec<usize> = q_row
+        .iter()
+        .enumerate()
+        .filter(|(_, &v)| v == max)
+        .map(|(i, _)| i)
+        .collect();
+    ties[rng.gen_range(0..ties.len())]
+}
 
 proptest! {
+    /// The tie-break picks the same action as the collect-then-draw
+    /// reference and leaves the RNG in the same state, so agent
+    /// trajectories do not change.
+    #[test]
+    fn tie_break_matches_collect_then_draw(
+        levels in prop::collection::vec(0usize..4, 1..24),
+        seed in 0u64..1_000_000,
+    ) {
+        // Four value levels force ties on most rows; -0.0 and 0.0 tie too.
+        let row: Vec<f64> = levels.iter().map(|&l| [-1.0, -0.0, 0.0, 2.0][l]).collect();
+        let mut fast = StdRng::seed_from_u64(seed);
+        let mut reference = fast.clone();
+        for _ in 0..4 {
+            prop_assert_eq!(
+                greedy_with_random_ties(&row, &mut fast),
+                greedy_collect_then_draw(&row, &mut reference)
+            );
+        }
+        prop_assert_eq!(fast, reference);
+    }
+
     /// Linear schedules stay within [min(start, end), max(start, end)] and
     /// are monotone in the step.
     #[test]

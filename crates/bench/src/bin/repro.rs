@@ -378,12 +378,17 @@ fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
 
 /// The `run` subcommand: load, (optionally) shrink, execute and report a
 /// checked-in campaign spec.
-fn run_spec_file(args: &Args) {
+///
+/// # Errors
+///
+/// A spec that fails to parse or validate, with or without the command
+/// line's `--policy`.
+fn run_spec_file(args: &Args) -> Result<(), String> {
     let path = args.spec.as_ref().expect("validated in parse_args");
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path}: {e}"));
     let mut spec =
-        ExperimentSpec::from_json_str(&text).unwrap_or_else(|e| panic!("bad spec {path}: {e}"));
+        ExperimentSpec::from_json_str(&text).map_err(|e| format!("bad spec {path}: {e}"))?;
     if args.smoke {
         spec.explore.max_steps = spec.explore.max_steps.min(150);
         spec.seeds.count = spec.seeds.count.min(2);
@@ -394,7 +399,7 @@ fn run_spec_file(args: &Args) {
     if let Some(policy) = &args.policy {
         spec.policy = policy.clone();
         spec.validate()
-            .unwrap_or_else(|e| panic!("--policy does not fit {path}: {e}"));
+            .map_err(|e| format!("--policy does not fit {path}: {e}"))?;
     }
     if let Some(threads) = spec.parallelism {
         // The in-tree rayon shim sizes its pool from AX_THREADS; honour the
@@ -497,6 +502,7 @@ fn run_spec_file(args: &Args) {
         }
         eprintln!("saved {} cached designs to {path}", cache.len());
     }
+    Ok(())
 }
 
 fn explore_opts(steps: u64, seed: u64, reward: f64) -> ExploreOptions {
@@ -572,7 +578,10 @@ fn main() -> ExitCode {
                 );
             }
             "run" => {
-                run_spec_file(&args);
+                if let Err(e) = run_spec_file(&args) {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
             }
             "serve" => {
                 let config = ax_serve::ServeConfig {

@@ -2,9 +2,9 @@
 
 use super::EvalMetrics;
 use crate::config::AxConfig;
-use std::collections::hash_map::DefaultHasher;
+use ax_agents::fxhash::{FxHashMap, FxHasher};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
@@ -20,12 +20,14 @@ struct ScopedConfig {
 
 /// One lock-guarded slice of the table: the memo map, a FIFO ring of
 /// insertion order (consulted only when the shard carries a capacity
-/// bound) and the keys being computed right now.
+/// bound) and the keys being computed right now. Both maps hash with the
+/// fixed [`FxHasher`]: keys are bounded design coordinates, never client
+/// strings.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<ScopedConfig, EvalMetrics>,
+    map: FxHashMap<ScopedConfig, EvalMetrics>,
     order: VecDeque<ScopedConfig>,
-    in_flight: HashMap<ScopedConfig, Arc<Flight>>,
+    in_flight: FxHashMap<ScopedConfig, Arc<Flight>>,
 }
 
 /// One key's computation in progress: waiters block until the leader
@@ -214,10 +216,12 @@ impl SharedCache {
         }
     }
 
+    /// The shard holding `key`, picked by the top 32 bits of its Fx hash
+    /// scaled onto the shard count: the shard maps bucket by the low bits,
+    /// and the Fx multiply mixes the high bits best.
     fn shard(&self, key: &ScopedConfig) -> &RwLock<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        let high = BuildHasherDefault::<FxHasher>::default().hash_one(key) >> 32;
+        &self.shards[((high * self.shards.len() as u64) >> 32) as usize]
     }
 
     /// Looks up a configuration in a scope.
@@ -1237,6 +1241,34 @@ mod tests {
             assert_eq!(waiter, Ok(metrics(4.0)));
             assert!(leader.join().is_err());
         });
+    }
+
+    #[test]
+    fn matmul_designs_spread_over_every_shard() {
+        use crate::backend::Evaluator;
+        use ax_operators::OperatorLibrary;
+        use ax_workloads::matmul::MatMul;
+        let dims = Evaluator::new(&MatMul::new(4), &OperatorLibrary::evoapprox(), 11)
+            .unwrap()
+            .dims();
+        let configs = AxConfig::enumerate(dims);
+        assert_eq!(configs.len(), 576);
+        let cache = SharedCache::new();
+        let scope = cache.scope("matmul-4", 11);
+        for c in &configs {
+            cache.insert(scope, *c, metrics(0.0));
+        }
+        let sizes: Vec<usize> = cache
+            .shards
+            .iter()
+            .map(|s| s.read().unwrap().map.len())
+            .collect();
+        assert_eq!(sizes.len(), 16);
+        let mean = configs.len() / sizes.len();
+        assert!(
+            sizes.iter().all(|&n| n > 0 && n <= 2 * mean),
+            "uneven shards {sizes:?}"
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use super::cache::{CacheScope, SharedCache};
 use super::{EvalBackend, EvalMetrics};
 use crate::config::{AxConfig, SpaceDims};
+use ax_agents::fxhash::FxHashMap;
 use ax_operators::metrics::{mae, signed_mean_error};
 use ax_operators::OperatorLibrary;
 use ax_telemetry::Telemetry;
@@ -11,7 +12,6 @@ use ax_vm::exec::{run_from_image, Binding, ExecScratch};
 use ax_vm::instrument::VarMask;
 use ax_vm::VmError;
 use ax_workloads::{PreparedWorkload, Workload};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which execution engine [`Evaluator`]s spawned from an [`EvalContext`]
@@ -156,7 +156,7 @@ impl EvalContext {
                 scratch: ExecScratch::new(),
             },
             ctx: self.clone(),
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             hits: 0,
             shared_hits: 0,
         }
@@ -250,7 +250,7 @@ impl EvalContext {
 #[derive(Debug)]
 pub struct Evaluator {
     ctx: EvalContext,
-    cache: HashMap<AxConfig, EvalMetrics>,
+    cache: FxHashMap<AxConfig, EvalMetrics>,
     hits: u64,
     shared_hits: u64,
     runner: Runner,

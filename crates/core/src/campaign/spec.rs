@@ -882,6 +882,16 @@ impl ExperimentSpec {
         if self.explore.max_steps == 0 {
             return Err(SpecError("need at least one exploration step".into()));
         }
+        check_learning_parameters(&self.explore)?;
+        for kind in &self.agents {
+            if let AgentKind::QLambda { lambda } = *kind {
+                if !(0.0..=1.0).contains(&lambda) {
+                    return Err(SpecError(format!(
+                        "agents: q-lambda must lie in [0, 1], got {lambda}"
+                    )));
+                }
+            }
+        }
         if self.budget == Some(0) {
             return Err(SpecError(
                 "a zero budget cannot run anything: every cell's share would be zero".into(),
@@ -1226,6 +1236,52 @@ fn schedule_from_json(v: &Json) -> Result<Schedule, JsonError> {
     ))
 }
 
+/// Checks the exploration parameters the agents, schedules and reward
+/// assert on, so an out-of-range value fails validation with its field's
+/// name instead of panicking inside a run.
+fn check_learning_parameters(o: &ExploreOptions) -> Result<(), SpecError> {
+    if !(0.0..=1.0).contains(&o.gamma) {
+        return Err(SpecError(format!(
+            "explore.gamma must lie in [0, 1], got {}",
+            o.gamma
+        )));
+    }
+    if !(o.max_reward.is_finite() && o.max_reward > 0.0) {
+        return Err(SpecError(format!(
+            "explore.max_reward must be positive and finite, got {}",
+            o.max_reward
+        )));
+    }
+    for (field, v) in [
+        ("power_frac", o.rule.power_frac),
+        ("time_frac", o.rule.time_frac),
+        ("acc_frac", o.rule.acc_frac),
+    ] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(SpecError(format!(
+                "explore.rule.{field} must be non-negative and finite, got {v}"
+            )));
+        }
+    }
+    for (field, schedule) in [("alpha", o.alpha), ("epsilon", o.epsilon)] {
+        match schedule {
+            Schedule::Linear { steps: 0, .. } => {
+                return Err(SpecError(format!(
+                    "explore.{field}: a linear schedule needs steps >= 1"
+                )));
+            }
+            Schedule::Exponential { decay, .. } if !(decay > 0.0 && decay < 1.0) => {
+                return Err(SpecError(format!(
+                    "explore.{field}: an exponential schedule's decay must lie in (0, 1), \
+                     got {decay}"
+                )));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 fn explore_options_to_json(o: &ExploreOptions) -> Json {
     Json::obj(vec![
         ("max_steps", Json::u64(o.max_steps)),
@@ -1505,6 +1561,66 @@ mod tests {
             .budget(0);
         assert!(zero_budget.validate().is_err());
         assert!(ExperimentSpec::from_json_str("{\"name\": \"empty\"}").is_err());
+    }
+
+    /// Each learning parameter the agents, schedules or reward would panic
+    /// on is a typed error naming its field.
+    #[test]
+    fn validation_names_each_bad_learning_parameter() {
+        let parse = |agent: &str, explore: &str| {
+            ExperimentSpec::from_json_str(&format!(
+                r#"{{"name": "x", "benchmarks": [{{"kind": "matmul", "size": 4}}],
+                    "agents": [{agent}], "explore": {{{explore}}}}}"#
+            ))
+        };
+        for (agent, explore, field) in [
+            (r#""q-learning""#, r#""gamma": 1.5"#, "explore.gamma"),
+            (
+                r#""q-learning""#,
+                r#""max_reward": 0"#,
+                "explore.max_reward",
+            ),
+            (
+                r#""q-learning""#,
+                r#""rule": {"acc_frac": -0.1}"#,
+                "explore.rule.acc_frac",
+            ),
+            (
+                r#""q-learning""#,
+                r#""epsilon": {"linear": {"start": 1, "end": 0, "steps": 0}}"#,
+                "explore.epsilon",
+            ),
+            (
+                r#""q-learning""#,
+                r#""alpha": {"exponential": {"start": 1, "end": 0, "decay": 1.2}}"#,
+                "explore.alpha",
+            ),
+            (r#"{"q-lambda": 1.5}"#, "", "q-lambda"),
+        ] {
+            let err = parse(agent, explore).unwrap_err();
+            assert!(err.0.contains(field), "{explore} {agent}: {err}");
+        }
+        // Boundary values validate: gamma 0 and 1, lambda 0 and 1, a zero
+        // fraction.
+        parse(
+            r#"{"q-lambda": 1}, {"q-lambda": 0}"#,
+            r#""gamma": 1, "rule": {"power_frac": 0}"#,
+        )
+        .unwrap();
+        parse(r#""sarsa""#, r#""gamma": 0"#).unwrap();
+        // Non-finite values reach validation through the builder API.
+        let infinite_reward = ExperimentSpec::new("x")
+            .benchmark(BenchmarkSpec::MatMul(4))
+            .agent(AgentKind::QLearning)
+            .explore(ExploreOptions {
+                max_reward: f64::INFINITY,
+                ..Default::default()
+            });
+        assert!(infinite_reward
+            .validate()
+            .unwrap_err()
+            .0
+            .contains("max_reward"));
     }
 
     #[test]

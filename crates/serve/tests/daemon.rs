@@ -281,6 +281,34 @@ fn server_budget_caps_aggregate_spend_across_jobs() {
     shutdown(addr, handle);
 }
 
+/// An out-of-range learning parameter is a 400 at submission, not a job
+/// whose panicking thread never releases its slot: on a one-slot daemon
+/// the next valid job still runs to completion.
+#[test]
+fn bad_learning_parameters_are_rejected_before_they_take_a_slot() {
+    let (addr, handle) = boot(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let bad = r#"{"name": "bad-gamma", "benchmarks": [{"kind": "dot", "size": 8}],
+        "agents": ["q-learning"], "explore": {"max_steps": 50, "gamma": 1.5}}"#;
+    let (status, body) = request(addr, "POST", "/campaigns", bad);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("explore.gamma"), "{body}");
+    let good = quick_spec("after-bad", BenchmarkSpec::Dot(8), BackendSpec::Exact);
+    let (status, body) = request(addr, "POST", "/campaigns", &good.to_json_string());
+    assert_eq!(status, 200, "{body}");
+    let id = Json::parse(&body)
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    let doc = await_terminal(addr, id);
+    assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "completed");
+    shutdown(addr, handle);
+}
+
 /// The HTTP surface rejects what it should without falling over.
 #[test]
 fn bad_requests_get_json_errors() {

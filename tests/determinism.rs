@@ -481,3 +481,66 @@ fn shared_cache_persistence_round_trips_through_disk() {
     );
     let _ = std::fs::remove_file(path);
 }
+
+/// FNV-1a, 64-bit: a digest of report bytes with no per-process seed, so
+/// a recorded value compares across builds.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn campaign_reports_match_their_golden_digests() {
+    use axdse_suite::ax_dse::campaign::BudgetPolicy;
+    use axdse_suite::ax_workloads::dot::DotProduct;
+    // Every other pin here compares two runs of one build, so a changed
+    // RNG draw order, tie-break or floating-point operation order in an
+    // agent would pass them all. These digests were recorded once: any
+    // such change moves a report byte and fails this test.
+    let lib = OperatorLibrary::evoapprox();
+    let (matmul, dot) = (MatMul::new(4), DotProduct::new(8));
+    let agents = [
+        AgentKind::QLearning,
+        AgentKind::Sarsa,
+        AgentKind::ExpectedSarsa,
+        AgentKind::DoubleQ,
+        AgentKind::QLambda { lambda: 0.7 },
+    ];
+    let grid = || {
+        Campaign::new("golden", &lib)
+            .benchmark(&matmul)
+            .benchmark(&dot)
+            .agents(&agents)
+            .seeds(SeedRange::new(0, 2))
+            .options(ExploreOptions {
+                max_steps: 300,
+                ..Default::default()
+            })
+            // Budgeted schedules pause runs where the shared budget runs
+            // dry, which depends on thread interleaving unless sequential.
+            .sequential(true)
+    };
+    let uniform = grid().run().unwrap();
+    assert_eq!(uniform.budget.spent, 2958);
+    assert_eq!(
+        fnv1a64(uniform.to_json_string().as_bytes()),
+        0xa7fd_f9c8_6f5e_28b7,
+        "scalarised grid report drifted"
+    );
+    // ASHA under about 40% of the unbounded grid's 2,958 designs.
+    let asha = grid()
+        .budget(1_200)
+        .policy(BudgetPolicy::AsyncHalving {
+            rungs: 3,
+            keep_fraction: 0.5,
+        })
+        .run()
+        .unwrap();
+    assert_eq!(asha.budget.spent, 1192);
+    assert_eq!(
+        fnv1a64(asha.to_json_string().as_bytes()),
+        0x96a6_de56_e780_7ed1,
+        "budgeted asha report drifted"
+    );
+}
