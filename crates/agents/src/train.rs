@@ -93,8 +93,12 @@ pub struct StepRecord {
 /// Full record of a training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainLog {
-    /// Every step, in order.
+    /// Every step, in order — empty for an unrecorded session (see
+    /// [`TrainSession::start_unrecorded`]).
     pub steps: Vec<StepRecord>,
+    /// Cumulative reward after the last step (0 before any), recorded or
+    /// not.
+    pub cumulative_reward: f64,
     /// Why the run stopped.
     pub stop_reason: StopReason,
 }
@@ -112,7 +116,7 @@ impl TrainLog {
 
     /// Final cumulative reward.
     pub fn total_reward(&self) -> f64 {
-        self.steps.last().map_or(0.0, |s| s.cumulative_reward)
+        self.cumulative_reward
     }
 
     /// Mean reward over consecutive bins of `bin` steps — the series of the
@@ -190,10 +194,17 @@ where
 /// bit-identical to one uninterrupted call. This is what lets round-based
 /// budget schedulers (successive halving) pause whole explorations between
 /// rounds without losing learned state.
+///
+/// A session records a [`StepRecord`] per step unless opened with
+/// [`TrainSession::start_unrecorded`], which keeps only the step count,
+/// cumulative reward and stop reason: the agent sees the same transitions
+/// either way, so both take identical trajectories.
 #[derive(Debug)]
 pub struct TrainSession<O> {
     obs: O,
-    steps: Vec<StepRecord>,
+    /// Every step so far; `None` for an unrecorded session.
+    records: Option<Vec<StepRecord>>,
+    steps: u64,
     cumulative: f64,
     last_stop: Option<StopReason>,
     needs_reset: bool,
@@ -207,11 +218,36 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
         E: Env<Obs = O, Action = usize>,
         A: TabularAgent<O> + ?Sized,
     {
+        Self::open(env, agent, opts, Some(Vec::new()))
+    }
+
+    /// [`TrainSession::start`] without the per-step [`StepRecord`]s: the
+    /// session keeps O(1) state however long it runs, and
+    /// [`TrainSession::into_log`] yields a log with no `steps`.
+    pub fn start_unrecorded<E, A>(env: &mut E, agent: &mut A, opts: &TrainOptions) -> Self
+    where
+        E: Env<Obs = O, Action = usize>,
+        A: TabularAgent<O> + ?Sized,
+    {
+        Self::open(env, agent, opts, None)
+    }
+
+    fn open<E, A>(
+        env: &mut E,
+        agent: &mut A,
+        opts: &TrainOptions,
+        records: Option<Vec<StepRecord>>,
+    ) -> Self
+    where
+        E: Env<Obs = O, Action = usize>,
+        A: TabularAgent<O> + ?Sized,
+    {
         let obs = env.reset(Some(opts.seed));
         agent.begin_episode();
         Self {
             obs,
-            steps: Vec::new(),
+            records,
+            steps: 0,
             cumulative: 0.0,
             last_stop: None,
             needs_reset: false,
@@ -220,7 +256,7 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
 
     /// Steps taken so far, across all resumes.
     pub fn steps_taken(&self) -> u64 {
-        self.steps.len() as u64
+        self.steps
     }
 
     /// Cumulative reward so far.
@@ -287,14 +323,17 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
                 next_state: s.obs.clone(),
                 terminal: s.terminated,
             });
-            self.steps.push(StepRecord {
-                step,
-                action,
-                reward: s.reward,
-                cumulative_reward: self.cumulative,
-                terminated: s.terminated,
-                truncated: s.truncated,
-            });
+            self.steps += 1;
+            if let Some(records) = &mut self.records {
+                records.push(StepRecord {
+                    step,
+                    action,
+                    reward: s.reward,
+                    cumulative_reward: self.cumulative,
+                    terminated: s.terminated,
+                    truncated: s.truncated,
+                });
+            }
             // Advance the session state before testing the stop rules so a
             // later resume continues exactly where this one paused.
             if s.terminated || s.truncated {
@@ -322,10 +361,12 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
         stop_reason
     }
 
-    /// Closes the session into the [`TrainLog`] of everything run so far.
+    /// Closes the session into the [`TrainLog`] of everything run so far
+    /// (with no `steps` if the session was unrecorded).
     pub fn into_log(self) -> TrainLog {
         TrainLog {
-            steps: self.steps,
+            steps: self.records.unwrap_or_default(),
+            cumulative_reward: self.cumulative,
             stop_reason: self.last_stop.unwrap_or(StopReason::MaxSteps),
         }
     }
@@ -504,6 +545,45 @@ mod tests {
         }
         assert!(resumes > 5, "the pause signal must actually fragment");
         assert_eq!(session.into_log(), reference);
+    }
+
+    #[test]
+    fn unrecorded_session_matches_recorded_run() {
+        let reference = {
+            let mut env = TimeLimit::new(LineWorld::new(6), 30);
+            let mut agent = QLearningBuilder::new(2).seed(11).build();
+            let log = train(&mut env, &mut agent, &TrainOptions::new(400).seed(7));
+            (log, agent)
+        };
+        // The same run without records, paused every 29 steps: same
+        // count, reward, stop reason and learned values, but no steps.
+        let mut env = TimeLimit::new(LineWorld::new(6), 30);
+        let mut agent = QLearningBuilder::new(2).seed(11).build();
+        let opts = TrainOptions::new(400).seed(7);
+        let mut session = TrainSession::start_unrecorded(&mut env, &mut agent, &opts);
+        while !session.is_complete(&opts) {
+            let mut polls = 0u64;
+            session.resume(&mut env, &mut agent, &opts, || {
+                polls += 1;
+                polls >= 29
+            });
+        }
+        assert_eq!(session.steps_taken(), reference.0.len() as u64);
+        assert_eq!(session.total_reward(), reference.0.total_reward());
+        let log = session.into_log();
+        assert!(log.steps.is_empty(), "an unrecorded session keeps no steps");
+        assert_eq!(log.total_reward(), reference.0.total_reward());
+        assert_eq!(log.stop_reason, reference.0.stop_reason);
+        assert_eq!(agent.global_step(), reference.1.global_step());
+        for s in 0..6usize {
+            for a in 0..2 {
+                assert_eq!(
+                    agent.q_table().value(&s, a),
+                    reference.1.q_table().value(&s, a),
+                    "Q({s}, {a})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Everything the paper's evaluation section reports is computed here:
 //!
-//! * [`MetricSummary`] — the min / solution / max rows of Table III;
+//! * [`MetricSummary`] — the min / solution / max rows of Table III,
+//!   folded step by step through [`MetricRange`];
 //! * [`FigureSeries`] + [`linear_trend`] — the per-step Δpower / Δtime /
 //!   Δaccuracy curves and trend lines of Figures 2 and 3;
 //! * [`reward_curve`] — the 100-step mean-reward series of Figure 4;
@@ -37,16 +38,46 @@ impl MetricSummary {
     /// Panics if the series is empty.
     pub fn from_series(series: &[f64]) -> Self {
         assert!(!series.is_empty(), "cannot summarise an empty series");
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
+        let mut range = MetricRange::EMPTY;
         for &v in series {
-            min = min.min(v);
-            max = max.max(v);
+            range.push(v);
         }
-        Self {
-            min,
-            solution: *series.last().unwrap(),
-            max,
+        range.summary(*series.last().unwrap())
+    }
+}
+
+/// The running min / max of one exploration metric: the fixed-size fold a
+/// [`MetricSummary`] is read from, so a run can summarise its steps
+/// without keeping them.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MetricRange {
+    /// Minimum observed value (`+∞` before the first).
+    pub min: f64,
+    /// Maximum observed value (`−∞` before the first).
+    pub max: f64,
+}
+
+impl MetricRange {
+    /// The range of no observations.
+    pub const EMPTY: Self = Self {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// Folds one observation in (`f64::min`/`f64::max`: a NaN never
+    /// displaces a number).
+    pub fn push(&mut self, v: f64) {
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// The Table III block of this range with `solution` as the value of
+    /// the final configuration.
+    pub fn summary(self, solution: f64) -> MetricSummary {
+        MetricSummary {
+            min: self.min,
+            solution,
+            max: self.max,
         }
     }
 }

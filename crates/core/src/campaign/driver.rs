@@ -1012,7 +1012,8 @@ impl<'a> Campaign<'a> {
         // One resumable run per grid point, benchmark-major / agent /
         // seed — the order every report slice below relies on. Starting a
         // run evaluates nothing, so building the whole grid up front is
-        // free.
+        // free; runs keep no per-step record, only the fixed-size fold the
+        // schedulers and the report read.
         let mut slots: Vec<RunSlot<P::Backend>> = Vec::with_capacity(total_runs as usize);
         for (b, ctx) in contexts.iter().enumerate() {
             for (a, &kind) in self.agents.iter().enumerate() {
@@ -1031,7 +1032,12 @@ impl<'a> Campaign<'a> {
                         index: slots.len(),
                         kind,
                         seed,
-                        run: ResumableExploration::start(backend, ctx.benchmark(), &run_opts, kind),
+                        run: ResumableExploration::start_unrecorded(
+                            backend,
+                            ctx.benchmark(),
+                            &run_opts,
+                            kind,
+                        ),
                         notified: false,
                     });
                 }
@@ -1324,7 +1330,7 @@ impl<'a> Campaign<'a> {
     /// each run continues until its cell budget or the global budget runs
     /// dry, or it finishes naturally. A run that has never stepped always
     /// takes its first step (the cooperative overshoot contract, at most
-    /// one step per run), so traces are never empty. Fires the
+    /// one step per run), so every run has a last step. Fires the
     /// budget-exhausted and run-complete observer hooks.
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
@@ -1830,7 +1836,7 @@ fn portfolio_entry<B: EvalBackend>(
     outcome: &ExplorationOutcome<B>,
 ) -> PortfolioEntry {
     let th = outcome.thresholds;
-    let m = outcome.trace.last().expect("non-empty trace").metrics;
+    let m = outcome.last_step.metrics;
     let feasible =
         m.delta_acc <= th.acc_th && m.delta_power >= th.power_th && m.delta_time >= th.time_th;
     let score = crate::search_adapter::solution_score(

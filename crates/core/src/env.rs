@@ -9,10 +9,18 @@
 //! ([`DseState`]); the continuous Δ observations are recorded per step in
 //! the environment's [`StepTrace`] (they are functions of the configuration,
 //! so the tabular state loses no information).
+//!
+//! Every step is also folded into a fixed-size [`RunSummary`] — what a
+//! Table III summary and a campaign scheduler read — so an environment
+//! that keeps no per-step trace ([`DseEnv::set_recording`]) still
+//! summarises its whole run.
 
+use crate::analysis::MetricRange;
 use crate::backend::{EvalBackend, EvalMetrics, Evaluator};
 use crate::config::{AxConfig, SpaceDims};
+use crate::pareto::DesignObjectives;
 use crate::reward::{reward, RewardParams};
+use crate::search_adapter::solution_score;
 use ax_gym::env::{Env, Step};
 use ax_gym::space::Space;
 use ax_operators::{AdderId, MulId};
@@ -66,6 +74,57 @@ pub struct StepTrace {
     pub terminated: bool,
 }
 
+/// The fixed-size fold of every step an environment has taken, across all
+/// episodes: everything a Table III summary and a campaign scheduler read
+/// of a run, kept in O(1) space whether or not the per-step trace is.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RunSummary {
+    /// Steps taken.
+    pub steps: u64,
+    /// The latest step (`None` before the first) — its configuration is the
+    /// exploration's solution.
+    pub last: Option<StepTrace>,
+    /// Running min / max of Δpower.
+    pub power: MetricRange,
+    /// Running min / max of Δtime.
+    pub time: MetricRange,
+    /// Running min / max of Δaccuracy.
+    pub accuracy: MetricRange,
+    /// The best visited design under
+    /// [`crate::search_adapter::solution_score`]; a later design displaces
+    /// it only with a strictly greater score.
+    pub best: DesignObjectives,
+}
+
+impl RunSummary {
+    /// The summary of no steps.
+    fn empty() -> Self {
+        Self {
+            steps: 0,
+            last: None,
+            power: MetricRange::EMPTY,
+            time: MetricRange::EMPTY,
+            accuracy: MetricRange::EMPTY,
+            best: DesignObjectives::none(),
+        }
+    }
+
+    /// Folds one step, whose design scores `score`, in.
+    fn push(&mut self, step: StepTrace, score: f64) {
+        let m = &step.metrics;
+        self.steps += 1;
+        self.power.push(m.delta_power);
+        self.time.push(m.delta_time);
+        self.accuracy.push(m.delta_acc);
+        self.best.fold(DesignObjectives {
+            score,
+            qor_error: m.delta_acc,
+            op_cost: m.power,
+        });
+        self.last = Some(step);
+    }
+}
+
 /// The approximate-computing design-space exploration environment.
 ///
 /// Generic over the [`EvalBackend`] scoring configurations: the default is
@@ -75,7 +134,9 @@ pub struct DseEnv<B: EvalBackend = Evaluator> {
     evaluator: B,
     params: RewardParams,
     config: AxConfig,
-    trace: Vec<StepTrace>,
+    summary: RunSummary,
+    /// Every step in order; `None` when recording is off.
+    trace: Option<Vec<StepTrace>>,
     batch_neighborhood: bool,
     /// Reused neighbourhood buffer for the batched step path.
     neighborhood: Vec<AxConfig>,
@@ -88,9 +149,21 @@ impl<B: EvalBackend> DseEnv<B> {
             evaluator,
             params,
             config: AxConfig::precise(),
-            trace: Vec::new(),
+            summary: RunSummary::empty(),
+            trace: Some(Vec::new()),
             batch_neighborhood: false,
             neighborhood: Vec::new(),
+        }
+    }
+
+    /// Keeps (the default) or drops the per-step [`StepTrace`] record. The
+    /// [`RunSummary`] is folded either way, so a run that only needs its
+    /// summary — every campaign run — keeps O(1) state per run. Switching
+    /// recording off discards the steps recorded so far; switching it on
+    /// records from the next step.
+    pub fn set_recording(&mut self, on: bool) {
+        if on != self.trace.is_some() {
+            self.trace = on.then(Vec::new);
         }
     }
 
@@ -154,9 +227,15 @@ impl<B: EvalBackend> DseEnv<B> {
         self.params
     }
 
-    /// The full step trace across all episodes of this environment.
+    /// The full step trace across all episodes of this environment (empty
+    /// when recording is off, see [`DseEnv::set_recording`]).
     pub fn trace(&self) -> &[StepTrace] {
-        &self.trace
+        self.trace.as_deref().unwrap_or_default()
+    }
+
+    /// The fold of every step taken so far, recorded or not.
+    pub fn summary(&self) -> &RunSummary {
+        &self.summary
     }
 
     /// The underlying evaluation backend.
@@ -164,9 +243,10 @@ impl<B: EvalBackend> DseEnv<B> {
         &self.evaluator
     }
 
-    /// Consumes the environment, returning backend and trace.
+    /// Consumes the environment, returning backend and trace (empty when
+    /// recording is off).
     pub fn into_parts(self) -> (B, Vec<StepTrace>) {
-        (self.evaluator, self.trace)
+        (self.evaluator, self.trace.unwrap_or_default())
     }
 
     fn apply(&self, action: usize) -> AxConfig {
@@ -207,8 +287,8 @@ impl<B: EvalBackend> Env for DseEnv<B> {
     fn reset(&mut self, _seed: Option<u64>) -> DseState {
         // Inputs are fixed at construction (the paper explores one benchmark
         // instance); reset only returns to the precise configuration. The
-        // trace deliberately persists across episodes — it is the global
-        // exploration record behind Figures 2-4.
+        // trace and run summary deliberately persist across episodes — they
+        // are the global exploration record behind Figures 2-4 and Table III.
         self.config = AxConfig::precise();
         self.config.into()
     }
@@ -236,13 +316,23 @@ impl<B: EvalBackend> Env for DseEnv<B> {
         };
         let (r, terminate) = reward(&next, self.dims(), &metrics, &self.params);
         self.config = next;
-        self.trace.push(StepTrace {
-            step: self.trace.len() as u64,
+        let step = StepTrace {
+            step: self.summary.steps,
             config: next,
             metrics,
             reward: r,
             terminated: terminate,
-        });
+        };
+        let score = solution_score(
+            &metrics,
+            &self.params.thresholds,
+            self.evaluator.precise_power(),
+            self.evaluator.precise_time(),
+        );
+        self.summary.push(step, score);
+        if let Some(trace) = &mut self.trace {
+            trace.push(step);
+        }
         Step {
             obs: next.into(),
             reward: r,
@@ -340,6 +430,62 @@ mod tests {
         e.step(&2);
         assert_eq!(e.trace().len(), 2);
         assert_eq!(e.trace()[1].step, 1);
+    }
+
+    #[test]
+    fn summary_folds_every_step_recorded_or_not() {
+        use crate::analysis::{FigureSeries, MetricSummary};
+        let (mut recorded, mut bare) = (env(), env());
+        bare.set_recording(false);
+        for e in [&mut recorded, &mut bare] {
+            e.reset(None);
+            for a in [3, 12, 7, 13, 12, 1, 14, 9, 15] {
+                e.step(&a);
+            }
+            e.reset(None);
+            e.step(&13);
+        }
+        assert!(bare.trace().is_empty());
+        assert_eq!(bare.summary(), recorded.summary());
+        let (trace, s) = (recorded.trace(), recorded.summary());
+        assert_eq!(s.steps, trace.len() as u64);
+        assert_eq!(s.last, trace.last().copied());
+        let series = FigureSeries::from_trace(trace);
+        let last = trace.last().unwrap().metrics;
+        assert_eq!(
+            s.power.summary(last.delta_power),
+            MetricSummary::from_series(&series.power)
+        );
+        assert_eq!(
+            s.accuracy.summary(last.delta_acc),
+            MetricSummary::from_series(&series.accuracy)
+        );
+    }
+
+    #[test]
+    fn run_summary_keeps_the_earliest_of_equally_scored_designs() {
+        let step = |i: u64, power: f64| StepTrace {
+            step: i,
+            config: AxConfig::precise(),
+            metrics: EvalMetrics {
+                delta_acc: 3.0,
+                delta_power: -power,
+                delta_time: 0.0,
+                signed_error: 0.0,
+                power,
+                time_ns: 1.0,
+            },
+            reward: -1.0,
+            terminated: false,
+        };
+        let mut s = RunSummary::empty();
+        s.push(step(0, 10.0), -2.0);
+        s.push(step(1, 5.0), -2.0);
+        assert_eq!(s.best.op_cost, 10.0, "a tie must not displace the best");
+        s.push(step(2, 7.0), -1.0);
+        assert_eq!(s.best.op_cost, 7.0);
+        assert_eq!((s.steps, s.last.map(|t| t.step)), (3, Some(2)));
+        assert_eq!((s.power.min, s.power.max), (-10.0, -5.0));
     }
 
     #[test]

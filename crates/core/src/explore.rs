@@ -4,15 +4,17 @@
 //! calibrates the thresholds from the precise run, trains an agent under
 //! the paper's stop rules (terminate flag, cumulative-reward target `R`,
 //! 10 000 step cap, plus an optional cooperative stop signal — see
-//! [`explore_backend_with_stop`]) and post-processes the trace into an
-//! [`ExplorationSummary`]. The entry points are the [`crate::campaign`]
-//! layer's [`crate::campaign::Campaign`] driver and its single-run
+//! [`explore_backend_with_stop`]) and reads the environment's fold of its
+//! steps ([`crate::env::RunSummary`]) into an [`ExplorationSummary`]. The
+//! entry points are the [`crate::campaign`] layer's
+//! [`crate::campaign::Campaign`] driver and its single-run
 //! [`crate::campaign::explore`]; the legacy free-function wrappers
 //! (`explore_qlearning` and friends) were removed in 0.2.
 
 use crate::analysis::{FigureSeries, MetricSummary};
 use crate::backend::{EvalBackend, Evaluator};
 use crate::env::{DseEnv, DseState, StepTrace};
+use crate::pareto::DesignObjectives;
 use crate::reward::RewardParams;
 use crate::thresholds::{ThresholdRule, Thresholds};
 use ax_agents::agent::TabularAgent;
@@ -115,10 +117,18 @@ pub struct ExplorationSummary {
 /// while [`explore_backend`] threads any backend through unchanged.
 #[derive(Debug)]
 pub struct ExplorationOutcome<B: EvalBackend = Evaluator> {
-    /// Per-step environment trace (configuration, Δs, reward).
+    /// Per-step environment trace (configuration, Δs, reward). Single
+    /// explorations ([`explore_backend`] and friends) keep every step;
+    /// campaign runs ([`ResumableExploration::start_unrecorded`]) leave it
+    /// empty — read [`ExplorationOutcome::last_step`] and the summary
+    /// instead.
     pub trace: Vec<StepTrace>,
-    /// Per-step agent log (actions, cumulative reward, stop reason).
+    /// Per-step agent log (actions, cumulative reward, stop reason). Its
+    /// `steps` are empty for campaign runs, like `trace`; its cumulative
+    /// reward and stop reason are always set.
     pub log: TrainLog,
+    /// The exploration's last step: its configuration is the solution.
+    pub last_step: StepTrace,
     /// Why the exploration stopped.
     pub stop_reason: StopReason,
     /// The calibrated thresholds in force.
@@ -132,7 +142,8 @@ pub struct ExplorationOutcome<B: EvalBackend = Evaluator> {
 }
 
 impl<B: EvalBackend> ExplorationOutcome<B> {
-    /// The per-step Δ series for Figures 2 and 3.
+    /// The per-step Δ series for Figures 2 and 3 (empty for a campaign
+    /// run, which keeps no trace).
     pub fn figure_series(&self) -> FigureSeries {
         FigureSeries::from_trace(&self.trace)
     }
@@ -260,6 +271,13 @@ fn build_agent(
 /// so the run can stop at a step boundary and continue later with all
 /// learned state intact.
 ///
+/// [`ResumableExploration::start`] keeps every step for figures and
+/// tables; [`ResumableExploration::start_unrecorded`] — what the campaign
+/// driver runs — keeps only the environment's fixed-size
+/// [`crate::env::RunSummary`], from which the best design, the summary and
+/// the last step are read either way, so both take the same trajectory
+/// and report the same summary.
+///
 /// This is the primitive every budget scheduler is built on — the
 /// synchronous round loop (successive halving, Hyperband brackets) and
 /// the asynchronous rung queue (ASHA) alike: each pass resumes the
@@ -276,28 +294,52 @@ pub struct ResumableExploration<B: EvalBackend> {
     train_opts: TrainOptions,
     thresholds: Thresholds,
     benchmark: String,
-    /// Trace entries already folded into `best` (scoring cursor).
-    scored_steps: usize,
-    /// Running best design over `trace[..scored_steps]`: the legacy
-    /// scalar score plus the per-objective coordinates of that design.
-    best: crate::pareto::DesignObjectives,
 }
 
 impl<B: EvalBackend> ResumableExploration<B> {
     /// Opens an exploration: calibrates thresholds from the backend's
     /// precise run, builds environment and agent and seeds the first
-    /// episode. No design is evaluated yet.
+    /// episode. No design is evaluated yet. The run records every step
+    /// (the outcome's `trace` and `log`).
     pub fn start(backend: B, benchmark: &str, opts: &ExploreOptions, kind: AgentKind) -> Self {
+        Self::open(backend, benchmark, opts, kind, true)
+    }
+
+    /// [`ResumableExploration::start`] keeping no per-step record: the run
+    /// holds O(1) state however many steps it takes, and its outcome has
+    /// an empty `trace` and `log.steps` but the same summary, last step,
+    /// stop reason and cumulative reward.
+    pub fn start_unrecorded(
+        backend: B,
+        benchmark: &str,
+        opts: &ExploreOptions,
+        kind: AgentKind,
+    ) -> Self {
+        Self::open(backend, benchmark, opts, kind, false)
+    }
+
+    fn open(
+        backend: B,
+        benchmark: &str,
+        opts: &ExploreOptions,
+        kind: AgentKind,
+        record: bool,
+    ) -> Self {
         let thresholds = opts.rule.calibrate(&backend);
         let params = RewardParams::new(opts.max_reward, thresholds);
         let mut env = DseEnv::new(backend, params);
         env.set_neighborhood_batching(opts.batch_neighborhood);
+        env.set_recording(record);
         let mut agent = build_agent(kind, env.action_count(), opts);
         let train_opts = TrainOptions::new(opts.max_steps)
             .seed(opts.input_seed)
             .reward_target(opts.max_reward)
             .stop_on_terminate();
-        let session = TrainSession::start(&mut env, &mut agent, &train_opts);
+        let session = if record {
+            TrainSession::start(&mut env, &mut agent, &train_opts)
+        } else {
+            TrainSession::start_unrecorded(&mut env, &mut agent, &train_opts)
+        };
         Self {
             env,
             agent,
@@ -305,8 +347,6 @@ impl<B: EvalBackend> ResumableExploration<B> {
             train_opts,
             thresholds,
             benchmark: benchmark.to_owned(),
-            scored_steps: 0,
-            best: crate::pareto::DesignObjectives::none(),
         }
     }
 
@@ -348,12 +388,10 @@ impl<B: EvalBackend> ResumableExploration<B> {
     /// cell that finds any useful approximation. `NEG_INFINITY` before
     /// the first step.
     ///
-    /// Scoring is incremental: each call folds only the trace suffix
-    /// since the previous call, so round-based schedulers pay
-    /// O(total steps) over a run's whole lifetime, not per round.
-    pub fn best_score(&mut self) -> f64 {
-        self.fold_scores();
-        self.best.score
+    /// The environment folds every step into its run summary as it takes
+    /// it, so this is a field read however often a scheduler asks.
+    pub fn best_score(&self) -> f64 {
+        self.best_objectives().score
     }
 
     /// The per-objective coordinates of the same best design
@@ -362,32 +400,8 @@ impl<B: EvalBackend> ResumableExploration<B> {
     /// when the scalar strictly improves, so the scalar fold — and with
     /// it every scalarised campaign — is bit-identical to the
     /// pre-objective-vector behaviour.
-    pub fn best_objectives(&mut self) -> crate::pareto::DesignObjectives {
-        self.fold_scores();
-        self.best
-    }
-
-    fn fold_scores(&mut self) {
-        let (power, time) = (
-            self.env.evaluator().precise_power(),
-            self.env.evaluator().precise_time(),
-        );
-        let trace = self.env.trace();
-        for t in &trace[self.scored_steps..] {
-            let score =
-                crate::search_adapter::solution_score(&t.metrics, &self.thresholds, power, time);
-            // `if score > best` matches the old `f64::max` fold exactly
-            // for every non-NaN score (and NaN scores never displace a
-            // finite best under either formulation).
-            if score > self.best.score {
-                self.best = crate::pareto::DesignObjectives {
-                    score,
-                    qor_error: t.metrics.delta_acc,
-                    op_cost: t.metrics.power,
-                };
-            }
-        }
-        self.scored_steps = trace.len();
+    pub fn best_objectives(&self) -> DesignObjectives {
+        self.env.summary().best
     }
 
     /// The benchmark label.
@@ -421,18 +435,18 @@ impl<B: EvalBackend> ResumableExploration<B> {
         } = self;
         let log = session.into_log();
         let stop_reason = log.stop_reason;
+        let run = *env.summary();
+        let last = run.last.expect("exploration took no steps");
         let (evaluator, trace) = env.into_parts();
-        assert!(!trace.is_empty(), "exploration took no steps");
 
-        let series = FigureSeries::from_trace(&trace);
-        let last = trace.last().unwrap();
+        let m = &last.metrics;
         let add_width = evaluator.program().add_width();
         let mul_width = evaluator.program().mul_width();
         let summary = ExplorationSummary {
             benchmark,
-            power: MetricSummary::from_series(&series.power),
-            time: MetricSummary::from_series(&series.time),
-            accuracy: MetricSummary::from_series(&series.accuracy),
+            power: run.power.summary(m.delta_power),
+            time: run.time.summary(m.delta_time),
+            accuracy: run.accuracy.summary(m.delta_acc),
             adder_name: lib
                 .adder(add_width, last.config.adder)
                 .spec
@@ -443,13 +457,14 @@ impl<B: EvalBackend> ResumableExploration<B> {
                 .spec
                 .name()
                 .to_owned(),
-            steps: trace.len() as u64,
+            steps: run.steps,
         };
 
         ExplorationOutcome {
             distinct_configs: evaluator.distinct_evaluations(),
             trace,
             log,
+            last_step: last,
             stop_reason,
             thresholds,
             summary,
@@ -616,6 +631,128 @@ mod tests {
         assert_eq!(out.stop_reason, reference.stop_reason);
     }
 
+    const KINDS: [AgentKind; 5] = [
+        AgentKind::QLearning,
+        AgentKind::Sarsa,
+        AgentKind::ExpectedSarsa,
+        AgentKind::DoubleQ,
+        AgentKind::QLambda { lambda: 0.7 },
+    ];
+
+    /// Runs `run` to completion — in one resume, or paused every `slice`
+    /// steps with the best design read at each pause, as the ASHA
+    /// scheduler does — and returns its outcome and best design.
+    fn drive<B: EvalBackend>(
+        mut run: ResumableExploration<B>,
+        slice: Option<u64>,
+        lib: &OperatorLibrary,
+    ) -> (ExplorationOutcome<B>, DesignObjectives) {
+        let mut best = DesignObjectives::none();
+        while !run.is_complete() {
+            let mut polls = 0u64;
+            run.resume(|| {
+                polls += 1;
+                slice.is_some_and(|k| polls >= k)
+            });
+            best.fold(run.best_objectives());
+        }
+        assert_eq!(best, run.best_objectives());
+        (run.finish(lib), best)
+    }
+
+    #[test]
+    fn unrecorded_runs_match_recorded_runs() {
+        let l = lib();
+        let workloads: [&dyn Workload; 2] = [&DotProduct::new(8), &MatMul::new(4)];
+        for wl in workloads {
+            let ctx = EvalContext::new(wl, std::sync::Arc::new(l.clone()), 42).unwrap();
+            for kind in KINDS {
+                for seed in 0..3 {
+                    let opts = ExploreOptions {
+                        max_steps: 240,
+                        seed,
+                        ..Default::default()
+                    };
+                    let start = |record: bool| {
+                        let b = ctx.benchmark();
+                        if record {
+                            ResumableExploration::start(ctx.evaluator(), b, &opts, kind)
+                        } else {
+                            ResumableExploration::start_unrecorded(ctx.evaluator(), b, &opts, kind)
+                        }
+                    };
+                    let (reference, ref_best) = drive(start(true), None, &l);
+                    let what = format!("{} {} seed {seed}", wl.name(), kind.name());
+
+                    // The recorded run's fold is what re-scanning its trace
+                    // gives: Table III rows, last step, best design.
+                    let trace = &reference.trace;
+                    assert_eq!(trace.len(), reference.log.len(), "{what}");
+                    assert_eq!(reference.summary.steps, trace.len() as u64, "{what}");
+                    assert_eq!(Some(&reference.last_step), trace.last(), "{what}");
+                    let series = FigureSeries::from_trace(trace);
+                    assert_eq!(
+                        reference.summary.power,
+                        MetricSummary::from_series(&series.power)
+                    );
+                    assert_eq!(
+                        reference.summary.time,
+                        MetricSummary::from_series(&series.time)
+                    );
+                    assert_eq!(
+                        reference.summary.accuracy,
+                        MetricSummary::from_series(&series.accuracy)
+                    );
+                    let (power, time) = (
+                        reference.evaluator.precise_power(),
+                        reference.evaluator.precise_time(),
+                    );
+                    let mut rescanned = DesignObjectives::none();
+                    for t in trace {
+                        rescanned.fold(DesignObjectives {
+                            score: crate::search_adapter::solution_score(
+                                &t.metrics,
+                                &reference.thresholds,
+                                power,
+                                time,
+                            ),
+                            qor_error: t.metrics.delta_acc,
+                            op_cost: t.metrics.power,
+                        });
+                    }
+                    assert_eq!(ref_best, rescanned, "{what}");
+                    assert_eq!(
+                        reference.log.total_reward(),
+                        reference.log.steps.last().unwrap().cumulative_reward
+                    );
+
+                    for (record, slice) in [(true, Some(17)), (false, None), (false, Some(17))] {
+                        let (out, best) = drive(start(record), slice, &l);
+                        let what = format!("{what} record {record} slice {slice:?}");
+                        assert_eq!(out.summary, reference.summary, "{what}");
+                        assert_eq!(best, ref_best, "{what}");
+                        assert_eq!(out.last_step, reference.last_step, "{what}");
+                        assert_eq!(out.stop_reason, reference.stop_reason, "{what}");
+                        assert_eq!(out.log.stop_reason, reference.stop_reason, "{what}");
+                        assert_eq!(
+                            out.log.total_reward(),
+                            reference.log.total_reward(),
+                            "{what}"
+                        );
+                        assert_eq!(out.distinct_configs, reference.distinct_configs);
+                        if record {
+                            assert_eq!(out.trace, reference.trace, "{what}");
+                            assert_eq!(out.log, reference.log, "{what}");
+                        } else {
+                            assert!(out.trace.is_empty(), "{what}: kept a trace");
+                            assert!(out.log.steps.is_empty(), "{what}: kept step records");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn best_objectives_track_the_best_scalar_design() {
         let l = lib();
@@ -648,15 +785,8 @@ mod tests {
 
     #[test]
     fn every_agent_kind_explores() {
-        use crate::explore::AgentKind;
         let l = lib();
-        for kind in [
-            AgentKind::QLearning,
-            AgentKind::Sarsa,
-            AgentKind::ExpectedSarsa,
-            AgentKind::DoubleQ,
-            AgentKind::QLambda { lambda: 0.7 },
-        ] {
+        for kind in KINDS {
             let o = explore_exact(&DotProduct::new(8), &l, &quick_opts(120), kind);
             assert!(!o.trace.is_empty(), "{}", kind.name());
             assert_eq!(o.trace.len(), o.log.len(), "{}", kind.name());

@@ -104,7 +104,7 @@ pub fn summarize_outcomes<B: EvalBackend>(
         .iter()
         .filter(|o| {
             let th = o.thresholds;
-            let m = o.trace.last().expect("non-empty trace").metrics;
+            let m = o.last_step.metrics;
             m.delta_acc <= th.acc_th && m.delta_power >= th.power_th && m.delta_time >= th.time_th
         })
         .count() as f64

@@ -119,6 +119,11 @@ impl Job {
         *self.outcome.lock().expect("job outcome lock") = Some(Err(message.into()));
     }
 
+    /// `true` once a report or a failure is stored.
+    pub(crate) fn has_outcome(&self) -> bool {
+        self.outcome.lock().expect("job outcome lock").is_some()
+    }
+
     /// The stored report text, once completed (also present for a
     /// cancelled job that got far enough to produce a partial report).
     pub fn report(&self) -> Option<String> {

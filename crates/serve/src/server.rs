@@ -298,13 +298,35 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
     )
 }
 
+/// Releases a job's scheduler slot when dropped — on return and on
+/// unwind alike — so a campaign that panics cannot keep its slot (under
+/// `--workers 1`, every later job would stay queued). A job still without
+/// an outcome when its guard drops ended in a panic and is marked failed.
+struct SlotGuard<'a> {
+    state: &'a ServerState,
+    job: &'a Job,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        // Campaign code holds neither the job's outcome lock nor the
+        // scheduler's, so a campaign panic cannot poison them and this
+        // drop cannot panic in turn.
+        if !self.job.has_outcome() {
+            self.job.set_error("campaign panicked");
+            self.state.telemetry.counter_add("serve.jobs_failed", 1);
+        }
+        self.state.scheduler.finish(self.job.ticket());
+    }
+}
+
 /// The job worker: wait for admission, run the campaign under the job's
 /// control handle with the ticket and server budgets stacked in, store
 /// the report bytes, release the slot, persist the cache.
 fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
+    let slot = SlotGuard { state, job };
     if !state.scheduler.acquire(job.ticket()) {
         job.set_error("cancelled while queued");
-        state.scheduler.finish(job.ticket());
         return;
     }
     let opts = RunSpecOptions {
@@ -335,7 +357,7 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
             state.telemetry.counter_add("serve.jobs_failed", 1);
         }
     }
-    state.scheduler.finish(job.ticket());
+    drop(slot);
     if let Some(max_scopes) = state.config.cache_max_scopes {
         state.cache.prune_oldest(max_scopes, None);
     }
@@ -415,4 +437,78 @@ fn metrics(state: &Arc<ServerState>) -> Response {
         ),
     ]);
     Response::json(200, doc.pretty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn submit_job(state: &ServerState, spec: &ExperimentSpec) -> Arc<Job> {
+        let ticket = state.scheduler.submit(0, spec.budget);
+        let job = Arc::new(Job::new(spec.clone(), ticket, 0, 64));
+        state
+            .jobs
+            .write()
+            .expect("jobs lock")
+            .insert(job.id(), Arc::clone(&job));
+        job
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_frees_its_slot() {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let state = Arc::clone(&server.state);
+        let spec = ExperimentSpec::from_json_str(
+            r#"{"name": "tiny", "benchmarks": [{"kind": "dot", "size": 8}],
+                "agents": ["q-learning"], "explore": {"max_steps": 50}}"#,
+        )
+        .expect("valid spec");
+        let doomed = submit_job(&state, &spec);
+        let next = submit_job(&state, &spec);
+
+        // The first job holds the only slot and panics mid-campaign.
+        let crashed = {
+            let (state, job) = (Arc::clone(&state), Arc::clone(&doomed));
+            std::thread::spawn(move || {
+                assert!(state.scheduler.acquire(job.ticket()));
+                let _slot = SlotGuard {
+                    state: &state,
+                    job: &job,
+                };
+                panic!("campaign panicked on purpose");
+            })
+            .join()
+        };
+        assert!(crashed.is_err());
+        let phase = state.scheduler.phase(doomed.id());
+        assert_eq!(doomed.state(phase), JobState::Failed);
+        assert_eq!(doomed.error().as_deref(), Some("campaign panicked"));
+
+        // The next job takes the freed slot and completes; a leaked slot
+        // would block it in `acquire`, so wait with a deadline.
+        let (done, finished) = mpsc::channel();
+        let runner = {
+            let (state, job) = (Arc::clone(&state), Arc::clone(&next));
+            std::thread::spawn(move || {
+                run_job(&state, &job);
+                done.send(()).expect("test waits");
+            })
+        };
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the next job must not wait on the panicked job's slot");
+        runner.join().expect("the next job runs without panicking");
+        assert_eq!(
+            next.state(state.scheduler.phase(next.id())),
+            JobState::Completed
+        );
+        assert_eq!(state.scheduler.counts(), (0, 0, 0, 2));
+    }
 }

@@ -844,15 +844,9 @@ impl CompiledProgram {
     }
 
     /// Cumulative [`BatchStats`] over every `run_batch` call on this
-    /// program since construction (or the last
-    /// [`CompiledProgram::reset_batch_stats`]).
+    /// program since construction.
     pub fn batch_stats(&self) -> BatchStats {
         self.batch
-    }
-
-    /// Zeroes the cumulative [`BatchStats`].
-    pub fn reset_batch_stats(&mut self) {
-        self.batch = BatchStats::default();
     }
 
     /// Factored execution of one mask-sharing group of designs — the
