@@ -136,10 +136,9 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for QLambdaAgent<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::Env;
+    use crate::toy::LineWorld;
     use crate::train::{train, TrainOptions};
-    use ax_gym::env::Env;
-    use ax_gym::toy::LineWorld;
-    use ax_gym::wrappers::TimeLimit;
 
     fn agent(lambda: f64) -> QLambdaAgent<usize> {
         QLambdaAgent::new(
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn solves_line_world() {
-        let mut env = TimeLimit::new(LineWorld::new(6), 50);
+        let mut env = LineWorld::new(6, 50);
         let mut a = agent(0.8);
         train(&mut env, &mut a, &TrainOptions::new(4_000).seed(3));
         for s in 0..5usize {
@@ -172,7 +171,7 @@ mod tests {
     fn traces_propagate_credit_faster_than_plain_q() {
         // After a single successful episode, Q(λ) has non-zero values at
         // states far from the goal; plain Q-learning only at the last state.
-        let mut env = LineWorld::new(6);
+        let mut env = LineWorld::new(6, u64::MAX);
         let mut a = agent(0.9);
         let mut obs = env.reset(None);
         a.begin_episode();

@@ -4,10 +4,8 @@
 //! [`Schedule`] covers the three shapes used by the experiments (constant,
 //! linear decay, exponential decay).
 
-use serde::{Deserialize, Serialize};
-
 /// A scalar hyper-parameter as a function of the training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Schedule {
     /// The same value at every step.
     Constant(f64),

@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A combinatorial search problem.
 pub trait SearchSpace {
@@ -40,7 +39,7 @@ pub trait SearchSpace {
 }
 
 /// Result of one optimisation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome<P> {
     /// The best candidate found.
     pub best_point: P,
@@ -149,7 +148,7 @@ pub fn hill_climb<S: SearchSpace>(
 }
 
 /// Parameters of [`simulated_annealing`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealingOptions {
     /// Evaluation budget.
     pub budget: u64,
@@ -201,7 +200,7 @@ pub fn simulated_annealing<S: SearchSpace>(
 }
 
 /// Parameters of [`genetic_algorithm`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneticOptions {
     /// Population size (≥ 2).
     pub population: usize,

@@ -9,12 +9,11 @@
 //! the paper's Figures 2–4.
 
 use crate::agent::{TabularAgent, TabularTransition};
-use ax_gym::env::Env;
-use serde::{Deserialize, Serialize};
+use crate::env::Env;
 use std::hash::Hash;
 
 /// Options for [`train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOptions {
     /// Hard cap on total steps (the paper uses 10 000).
     pub max_steps: u64,
@@ -60,7 +59,7 @@ impl TrainOptions {
 }
 
 /// Why a training run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The step cap was reached.
     MaxSteps,
@@ -74,7 +73,7 @@ pub enum StopReason {
 }
 
 /// One recorded training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
     /// Global step index (0-based).
     pub step: u64,
@@ -91,7 +90,7 @@ pub struct StepRecord {
 }
 
 /// Full record of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainLog {
     /// Every step, in order — empty for an unrecorded session (see
     /// [`TrainSession::start_unrecorded`]).
@@ -379,12 +378,11 @@ mod tests {
     use crate::qlearning::QLearningBuilder;
     use crate::sarsa::{ExpectedSarsaAgent, SarsaAgent};
     use crate::schedule::Schedule;
-    use ax_gym::toy::{LineWorld, TwoArmedBandit};
-    use ax_gym::wrappers::TimeLimit;
+    use crate::toy::{LineWorld, TwoArmedBandit};
 
     #[test]
     fn qlearning_solves_line_world() {
-        let mut env = TimeLimit::new(LineWorld::new(7), 60);
+        let mut env = LineWorld::new(7, 60);
         let mut agent = QLearningBuilder::new(2).gamma(0.9).seed(3).build();
         let log = train(&mut env, &mut agent, &TrainOptions::new(6_000).seed(5));
         assert_eq!(log.len(), 6_000);
@@ -397,7 +395,7 @@ mod tests {
 
     #[test]
     fn sarsa_solves_line_world() {
-        let mut env = TimeLimit::new(LineWorld::new(5), 40);
+        let mut env = LineWorld::new(5, 40);
         let mut agent: SarsaAgent<usize> = SarsaAgent::new(
             2,
             Schedule::Constant(0.2),
@@ -419,7 +417,7 @@ mod tests {
 
     #[test]
     fn expected_sarsa_solves_line_world() {
-        let mut env = TimeLimit::new(LineWorld::new(5), 40);
+        let mut env = LineWorld::new(5, 40);
         let mut agent: ExpectedSarsaAgent<usize> = ExpectedSarsaAgent::new(
             2,
             Schedule::Constant(0.2),
@@ -447,7 +445,7 @@ mod tests {
 
     #[test]
     fn reward_target_stops_early() {
-        let mut env = TimeLimit::new(LineWorld::new(3), 10);
+        let mut env = LineWorld::new(3, 10);
         let mut agent = QLearningBuilder::new(2).seed(0).build();
         let log = train(
             &mut env,
@@ -461,7 +459,7 @@ mod tests {
 
     #[test]
     fn stop_on_terminate_halts_at_first_goal() {
-        let mut env = LineWorld::new(3);
+        let mut env = LineWorld::new(3, u64::MAX);
         let mut agent = QLearningBuilder::new(2).seed(0).build();
         let log = train(
             &mut env,
@@ -474,7 +472,7 @@ mod tests {
 
     #[test]
     fn mean_reward_bins_shapes() {
-        let mut env = TimeLimit::new(LineWorld::new(3), 10);
+        let mut env = LineWorld::new(3, 10);
         let mut agent = QLearningBuilder::new(2).seed(0).build();
         let log = train(&mut env, &mut agent, &TrainOptions::new(250).seed(1));
         let bins = log.mean_reward_bins(100);
@@ -486,7 +484,7 @@ mod tests {
 
     #[test]
     fn log_cumulative_is_prefix_sum() {
-        let mut env = TimeLimit::new(LineWorld::new(4), 20);
+        let mut env = LineWorld::new(4, 20);
         let mut agent = QLearningBuilder::new(2).seed(9).build();
         let log = train(&mut env, &mut agent, &TrainOptions::new(500).seed(1));
         let mut acc = 0.0;
@@ -499,7 +497,7 @@ mod tests {
     #[test]
     fn training_is_seed_reproducible() {
         let run = || {
-            let mut env = TimeLimit::new(LineWorld::new(6), 30);
+            let mut env = LineWorld::new(6, 30);
             let mut agent = QLearningBuilder::new(2).seed(42).build();
             train(&mut env, &mut agent, &TrainOptions::new(1_000).seed(7))
         };
@@ -509,7 +507,7 @@ mod tests {
     #[test]
     fn never_firing_stop_signal_matches_plain_train() {
         let run = |stop: bool| {
-            let mut env = TimeLimit::new(LineWorld::new(6), 30);
+            let mut env = LineWorld::new(6, 30);
             let mut agent = QLearningBuilder::new(2).seed(42).build();
             let opts = TrainOptions::new(500).seed(7);
             if stop {
@@ -525,12 +523,12 @@ mod tests {
     fn resumed_session_matches_uninterrupted_run() {
         // One uninterrupted run...
         let reference = {
-            let mut env = TimeLimit::new(LineWorld::new(6), 30);
+            let mut env = LineWorld::new(6, 30);
             let mut agent = QLearningBuilder::new(2).seed(11).build();
             train(&mut env, &mut agent, &TrainOptions::new(400).seed(7))
         };
         // ...must equal the same run paused every 37 steps and resumed.
-        let mut env = TimeLimit::new(LineWorld::new(6), 30);
+        let mut env = LineWorld::new(6, 30);
         let mut agent = QLearningBuilder::new(2).seed(11).build();
         let opts = TrainOptions::new(400).seed(7);
         let mut session = TrainSession::start(&mut env, &mut agent, &opts);
@@ -550,14 +548,14 @@ mod tests {
     #[test]
     fn unrecorded_session_matches_recorded_run() {
         let reference = {
-            let mut env = TimeLimit::new(LineWorld::new(6), 30);
+            let mut env = LineWorld::new(6, 30);
             let mut agent = QLearningBuilder::new(2).seed(11).build();
             let log = train(&mut env, &mut agent, &TrainOptions::new(400).seed(7));
             (log, agent)
         };
         // The same run without records, paused every 29 steps: same
         // count, reward, stop reason and learned values, but no steps.
-        let mut env = TimeLimit::new(LineWorld::new(6), 30);
+        let mut env = LineWorld::new(6, 30);
         let mut agent = QLearningBuilder::new(2).seed(11).build();
         let opts = TrainOptions::new(400).seed(7);
         let mut session = TrainSession::start_unrecorded(&mut env, &mut agent, &opts);
@@ -588,7 +586,7 @@ mod tests {
 
     #[test]
     fn session_reports_progress_and_completion() {
-        let mut env = TimeLimit::new(LineWorld::new(3), 10);
+        let mut env = LineWorld::new(3, 10);
         let mut agent = QLearningBuilder::new(2).seed(0).build();
         let opts = TrainOptions::new(50).seed(1);
         let mut session = TrainSession::start(&mut env, &mut agent, &opts);
@@ -612,7 +610,7 @@ mod tests {
 
     #[test]
     fn stop_signal_ends_run_after_at_least_one_step() {
-        let mut env = TimeLimit::new(LineWorld::new(6), 30);
+        let mut env = LineWorld::new(6, 30);
         let mut agent = QLearningBuilder::new(2).seed(1).build();
         // A signal that is true from the start still permits one step: the
         // stop is checked only after a transition has been recorded.
@@ -626,7 +624,7 @@ mod tests {
         assert_eq!(log.stop_reason, StopReason::Stopped);
 
         // A counting signal stops the run exactly where it fires.
-        let mut env = TimeLimit::new(LineWorld::new(6), 30);
+        let mut env = LineWorld::new(6, 30);
         let mut agent = QLearningBuilder::new(2).seed(1).build();
         let mut polls = 0u64;
         let log = train_with_stop(

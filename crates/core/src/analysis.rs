@@ -13,14 +13,13 @@
 use crate::config::AxConfig;
 use crate::env::StepTrace;
 use crate::evaluator::EvalMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Min / solution / max of one exploration metric (one Table III block).
 ///
 /// "Solution" is the value at the **last** exploration step, following the
 /// paper ("the approximation run of the last step"); min and max are the
 /// extremes observed anywhere during the exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSummary {
     /// Minimum observed value.
     pub min: f64,
@@ -49,7 +48,7 @@ impl MetricSummary {
 /// The running min / max of one exploration metric: the fixed-size fold a
 /// [`MetricSummary`] is read from, so a run can summarise its steps
 /// without keeping them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricRange {
     /// Minimum observed value (`+∞` before the first).
     pub min: f64,
@@ -83,7 +82,7 @@ impl MetricRange {
 }
 
 /// The per-step series of one exploration (Figures 2 and 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureSeries {
     /// Δpower per step.
     pub power: Vec<f64>,

@@ -34,11 +34,10 @@ pub use exact::{EvalContext, Evaluator, ExecEngine};
 
 use crate::config::{AxConfig, SpaceDims};
 use ax_vm::VmError;
-use serde::{Deserialize, Serialize};
 
 /// The observed quality/cost of one configuration, relative to the precise
 /// run (the Δ terms of the paper's Equation 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalMetrics {
     /// Accuracy degradation: MAE between precise and approximate outputs.
     pub delta_acc: f64,

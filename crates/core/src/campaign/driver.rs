@@ -16,7 +16,6 @@ use ax_telemetry::{Event, EventKind, MetricsSnapshot, Telemetry, SOURCE_COORDINA
 use ax_vm::VmError;
 use ax_workloads::Workload;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Progress hooks of a running campaign.
@@ -145,7 +144,7 @@ where
 }
 
 /// One (benchmark, agent) cell of a campaign report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellReport {
     /// Benchmark name.
     pub benchmark: String,
@@ -168,7 +167,7 @@ pub struct CellReport {
 }
 
 /// Budget accounting of a finished campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetReport {
     /// The global cap, if one was set.
     pub cap: Option<u64>,
@@ -198,7 +197,7 @@ impl BudgetReport {
 }
 
 /// One cell's allocation state at the end of a scheduler round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellAllocation {
     /// Benchmark name.
     pub benchmark: String,
@@ -225,7 +224,7 @@ pub struct CellAllocation {
 /// Hyperband one per round of every bracket — recording grants, spend,
 /// the ranking signal and which cells survived. Unbounded single-round
 /// campaigns have nothing to allocate and record none.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AllocationReport {
     /// Round index within the bracket (0-based). For asynchronous halving
     /// this is the rung index.
@@ -244,7 +243,7 @@ impl AllocationReport {
 }
 
 /// One cell on the campaign's final non-dominated front.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParetoPoint {
     /// Grid cell index (benchmark-major).
     pub cell: usize,
@@ -269,7 +268,7 @@ pub struct ParetoPoint {
 /// Always computed — scalarised campaigns report it too (the ranking
 /// field records which ordering actually drove survival decisions), so
 /// every report exposes the front without re-running the campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParetoReport {
     /// The ranking that drove scheduler survival decisions.
     pub ranking: Ranking,
@@ -347,10 +346,9 @@ impl CampaignReport {
     /// The report as a machine-readable JSON document: per-cell sweep
     /// statistics, per-benchmark portfolio rankings, the
     /// budget accounting and every per-round/rung/bracket
-    /// [`AllocationReport`]. Serialised over [`crate::json::Json`]
-    /// (the workspace's serde is an offline no-op shim), so the output is
-    /// plain text any JSON consumer can read — `repro run --report-json
-    /// FILE` writes exactly this document.
+    /// [`AllocationReport`]. Serialised over [`crate::json::Json`], so
+    /// the output is plain text any JSON consumer can read — `repro run
+    /// --report-json FILE` writes exactly this document.
     ///
     /// ```
     /// use ax_dse::campaign::{Campaign, SeedRange};

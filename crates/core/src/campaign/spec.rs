@@ -4,9 +4,9 @@
 //! agent roster, seed range, backend choice, stop/budget rules — as plain
 //! data, so whole experiments become checked-in JSON files (see
 //! `examples/campaign_matmul.json`) executed by `repro run <spec.json>`.
-//! The JSON mapping is hand-written over [`crate::json`] because the
-//! workspace's serde is an offline no-op shim; every field is optional in
-//! the file and falls back to the same defaults the builder uses.
+//! The JSON mapping is hand-written over [`crate::json`]; every field is
+//! optional in the file and falls back to the same defaults the builder
+//! uses.
 
 use crate::explore::{AgentKind, ExploreOptions};
 use crate::json::{Json, JsonError};
@@ -16,11 +16,10 @@ use ax_agents::schedule::Schedule;
 use ax_operators::OperatorLibrary;
 use ax_workloads::{conv2d::Conv2d, dct::Dct8, dot::DotProduct, fir::Fir, matmul::MatMul};
 use ax_workloads::{sobel::Sobel, Workload};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contiguous range of agent seeds: `start, start+1, …, start+count-1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedRange {
     /// First agent seed.
     pub start: u64,
@@ -53,7 +52,7 @@ impl Default for SeedRange {
 
 /// A benchmark named by kind and size — the serialisable counterpart of
 /// the concrete [`Workload`] constructors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchmarkSpec {
     /// `size × size` matrix multiplication (paper Table III).
     MatMul(usize),
@@ -91,6 +90,15 @@ impl BenchmarkSpec {
             | BenchmarkSpec::Conv2d(n)
             | BenchmarkSpec::Sobel(n)
             | BenchmarkSpec::Dct8(n) => n,
+        }
+    }
+
+    /// The smallest size the workload's constructor accepts: a 3×3
+    /// stencil needs a 3×3 image, every other kind one element.
+    fn min_size(&self) -> usize {
+        match self {
+            BenchmarkSpec::Conv2d(_) | BenchmarkSpec::Sobel(_) => 3,
+            _ => 1,
         }
     }
 
@@ -135,7 +143,7 @@ impl BenchmarkSpec {
 }
 
 /// The evaluation backend a campaign scores designs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendSpec {
     /// The exact [`crate::backend::Evaluator`] on its default threaded-code
     /// engine ([`crate::backend::ExecEngine::Compiled`]).
@@ -173,7 +181,7 @@ impl BackendSpec {
 
 /// The pre-characterised operator library a campaign scores designs
 /// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LibrarySpec {
     /// The six-per-class EvoApprox selection (the paper's library).
     #[default]
@@ -213,7 +221,7 @@ impl LibrarySpec {
 
 /// One Hyperband bracket: a synchronous successive-halving configuration
 /// `(rounds, keep_fraction)` run as one stage of the outer loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HalvingBracket {
     /// Grant/rank rounds of this bracket (≥ 1).
     pub rounds: u32,
@@ -246,7 +254,7 @@ impl HalvingBracket {
 /// waiting for slow peers, and [`BudgetPolicy::Hyperband`] sweeps whole
 /// bracket configurations so the (rounds, keep) choice itself need not be
 /// hand-tuned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum BudgetPolicy {
     /// Every cell gets an equal share of the global cap (the whole cap
     /// when unbounded). With a budget generous enough that no share binds,
@@ -692,7 +700,7 @@ impl From<JsonError> for SpecError {
 /// let text = spec.to_json_string();
 /// assert_eq!(ExperimentSpec::from_json_str(&text).unwrap(), spec);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Human-readable campaign name.
     pub name: String,
@@ -868,6 +876,16 @@ impl ExperimentSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.benchmarks.is_empty() {
             return Err(SpecError("need at least one benchmark".into()));
+        }
+        for (i, b) in self.benchmarks.iter().enumerate() {
+            if b.size() < b.min_size() {
+                return Err(SpecError(format!(
+                    "benchmarks[{i}].size: a {} benchmark needs size >= {}, got {}",
+                    b.kind(),
+                    b.min_size(),
+                    b.size()
+                )));
+            }
         }
         if self.agents.is_empty() {
             return Err(SpecError("need at least one agent".into()));
@@ -1299,7 +1317,6 @@ fn explore_options_to_json(o: &ExploreOptions) -> Json {
         ("alpha", schedule_to_json(o.alpha)),
         ("gamma", Json::f64(o.gamma)),
         ("epsilon", schedule_to_json(o.epsilon)),
-        ("batch_neighborhood", Json::Bool(o.batch_neighborhood)),
     ])
 }
 
@@ -1338,8 +1355,15 @@ fn explore_options_from_json(v: &Json) -> Result<ExploreOptions, JsonError> {
     if let Some(x) = v.get("epsilon") {
         o.epsilon = schedule_from_json(x)?;
     }
+    // Every spec written before the option's removal carries `false`.
     if let Some(x) = v.get("batch_neighborhood") {
-        o.batch_neighborhood = x.as_bool()?;
+        if x.as_bool()? {
+            return Err(JsonError(
+                "explore.batch_neighborhood was removed; drop the field (each step \
+                 evaluates only the chosen design)"
+                    .into(),
+            ));
+        }
     }
     Ok(o)
 }
@@ -1377,7 +1401,6 @@ mod tests {
                     end: 0.01,
                     decay: 0.995,
                 },
-                batch_neighborhood: true,
                 ..Default::default()
             })
             .backend(BackendSpec::ExactInterpreted)
@@ -1412,6 +1435,44 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("was removed"), "{err}");
         assert!(err.0.contains("use \"exact\""), "{err}");
+    }
+
+    #[test]
+    fn removed_batch_neighborhood_is_rejected_when_on_and_accepted_when_off() {
+        let spec = |on: bool| {
+            ExperimentSpec::from_json_str(&format!(
+                r#"{{"name": "old", "benchmarks": [{{"kind": "dot", "size": 8}}],
+                    "agents": ["q-learning"], "explore": {{"batch_neighborhood": {on}}}}}"#
+            ))
+        };
+        let err = spec(true).unwrap_err();
+        assert!(err.0.contains("batch_neighborhood was removed"), "{err}");
+        assert_eq!(spec(false).unwrap().explore, ExploreOptions::default());
+    }
+
+    #[test]
+    fn undersized_benchmarks_are_rejected_with_the_field_named() {
+        let kinds = [
+            (BenchmarkSpec::MatMul as fn(usize) -> BenchmarkSpec, 1),
+            (BenchmarkSpec::Fir, 1),
+            (BenchmarkSpec::Dot, 1),
+            (BenchmarkSpec::Conv2d, 3),
+            (BenchmarkSpec::Sobel, 3),
+            (BenchmarkSpec::Dct8, 1),
+        ];
+        for (bench, min) in kinds {
+            let spec = |size| {
+                ExperimentSpec::new("sizes")
+                    .benchmark(BenchmarkSpec::Dot(8))
+                    .benchmark(bench(size))
+                    .agent(AgentKind::QLearning)
+            };
+            let err = spec(min - 1).validate().unwrap_err();
+            assert!(err.0.starts_with("benchmarks[1].size"), "{err}");
+            spec(min).validate().unwrap();
+            // The minimum really is what the constructor accepts.
+            spec(min).benchmarks[1].build();
+        }
     }
 
     #[test]

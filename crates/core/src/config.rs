@@ -3,13 +3,12 @@
 use ax_operators::{AdderId, MulId};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One point of the design space: which adder, which multiplier, and which
 /// variables are approximated (a bit per approximable variable, the paper's
 /// `variables_approx` boolean vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AxConfig {
     /// Selected adder (index into the width class, increasing MRED).
     pub adder: AdderId,
@@ -21,7 +20,7 @@ pub struct AxConfig {
 
 /// Dimensions of a configuration space: number of adders, multipliers and
 /// approximable variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpaceDims {
     /// Adders in the applicable width class.
     pub n_add: usize,

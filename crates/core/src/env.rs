@@ -21,14 +21,12 @@ use crate::config::{AxConfig, SpaceDims};
 use crate::pareto::DesignObjectives;
 use crate::reward::{reward, RewardParams};
 use crate::search_adapter::solution_score;
-use ax_gym::env::{Env, Step};
-use ax_gym::space::Space;
+use ax_agents::env::{Env, Step};
 use ax_operators::{AdderId, MulId};
-use serde::{Deserialize, Serialize};
 
 /// The hashable observation: the discrete configuration part of the paper's
 /// Equation 1 state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DseState {
     /// Selected adder index.
     pub adder: usize,
@@ -49,7 +47,7 @@ impl From<AxConfig> for DseState {
 }
 
 /// A decoded environment action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DseAction {
     /// Select adder `i` of the width class.
     SetAdder(usize),
@@ -60,7 +58,7 @@ pub enum DseAction {
 }
 
 /// One recorded environment step (configuration, observations, reward).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepTrace {
     /// Global step index (0-based).
     pub step: u64,
@@ -77,7 +75,7 @@ pub struct StepTrace {
 /// The fixed-size fold of every step an environment has taken, across all
 /// episodes: everything a Table III summary and a campaign scheduler read
 /// of a run, kept in O(1) space whether or not the per-step trace is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Steps taken.
     pub steps: u64,
@@ -137,9 +135,6 @@ pub struct DseEnv<B: EvalBackend = Evaluator> {
     summary: RunSummary,
     /// Every step in order; `None` when recording is off.
     trace: Option<Vec<StepTrace>>,
-    batch_neighborhood: bool,
-    /// Reused neighbourhood buffer for the batched step path.
-    neighborhood: Vec<AxConfig>,
 }
 
 impl<B: EvalBackend> DseEnv<B> {
@@ -151,8 +146,6 @@ impl<B: EvalBackend> DseEnv<B> {
             config: AxConfig::precise(),
             summary: RunSummary::empty(),
             trace: Some(Vec::new()),
-            batch_neighborhood: false,
-            neighborhood: Vec::new(),
         }
     }
 
@@ -165,28 +158,6 @@ impl<B: EvalBackend> DseEnv<B> {
         if on != self.trace.is_some() {
             self.trace = on.then(Vec::new);
         }
-    }
-
-    /// Enables or disables whole-neighbourhood batching: when on, each
-    /// step evaluates every action's successor configuration through
-    /// [`EvalBackend::evaluate_batch`] and reads the chosen action's
-    /// metrics from the batch. With a history-independent backend (the
-    /// exact [`Evaluator`]) trajectories are identical to the unbatched
-    /// path — evaluation is deterministic and the agent only observes the
-    /// chosen action — and the batch amortises execution buffers across
-    /// the neighbourhood. A history-dependent backend may answer the
-    /// extra speculative queries differently than it would have later, so
-    /// there batching trades exact trajectory equality for scoring the
-    /// whole frontier at once.
-    pub fn set_neighborhood_batching(&mut self, on: bool) {
-        self.batch_neighborhood = on;
-    }
-
-    /// Builder-style variant of [`DseEnv::set_neighborhood_batching`].
-    #[must_use]
-    pub fn with_neighborhood_batching(mut self, on: bool) -> Self {
-        self.set_neighborhood_batching(on);
-        self
     }
 
     /// The configuration-space dimensions.
@@ -264,26 +235,6 @@ impl<B: EvalBackend> Env for DseEnv<B> {
     type Obs = DseState;
     type Action = usize;
 
-    fn observation_space(&self) -> Space {
-        let d = self.dims();
-        Space::Tuple(vec![
-            Space::Discrete { n: d.n_add },
-            Space::Discrete { n: d.n_mul },
-            Space::MultiBinary {
-                n: d.n_vars as usize,
-            },
-            // The Δacc / Δpower / Δtime observations of Equation 1
-            // (practically unbounded; finite bounds keep sampling total).
-            Space::uniform_box(3, -1e18, 1e18),
-        ])
-    }
-
-    fn action_space(&self) -> Space {
-        Space::Discrete {
-            n: self.action_count(),
-        }
-    }
-
     fn reset(&mut self, _seed: Option<u64>) -> DseState {
         // Inputs are fixed at construction (the paper explores one benchmark
         // instance); reset only returns to the precise configuration. The
@@ -295,25 +246,10 @@ impl<B: EvalBackend> Env for DseEnv<B> {
 
     fn step(&mut self, action: &usize) -> Step<DseState> {
         let next = self.apply(*action);
-        let metrics = if self.batch_neighborhood {
-            // Evaluate the full action neighbourhood in one batch; the
-            // chosen action's metrics come out of the same batch (for a
-            // history-independent backend, identical to the unbatched
-            // path).
-            let mut neighborhood = std::mem::take(&mut self.neighborhood);
-            neighborhood.clear();
-            neighborhood.extend((0..self.action_count()).map(|a| self.apply(a)));
-            let batch = self
-                .evaluator
-                .evaluate_batch(&neighborhood)
-                .expect("validated workload evaluation cannot fail");
-            self.neighborhood = neighborhood;
-            batch[*action]
-        } else {
-            self.evaluator
-                .evaluate(&next)
-                .expect("validated workload evaluation cannot fail")
-        };
+        let metrics = self
+            .evaluator
+            .evaluate(&next)
+            .expect("validated workload evaluation cannot fail");
         let (r, terminate) = reward(&next, self.dims(), &metrics, &self.params);
         self.config = next;
         let step = StepTrace {
@@ -486,20 +422,6 @@ mod tests {
         assert_eq!(s.best.op_cost, 7.0);
         assert_eq!((s.steps, s.last.map(|t| t.step)), (3, Some(2)));
         assert_eq!((s.power.min, s.power.max), (-10.0, -5.0));
-    }
-
-    #[test]
-    fn spaces_describe_the_setup() {
-        let e = env();
-        assert_eq!(e.action_space(), Space::Discrete { n: 16 });
-        match e.observation_space() {
-            Space::Tuple(parts) => {
-                assert_eq!(parts.len(), 4);
-                assert_eq!(parts[0], Space::Discrete { n: 6 });
-                assert_eq!(parts[2], Space::MultiBinary { n: 4 });
-            }
-            other => panic!("unexpected space {other}"),
-        }
     }
 
     #[test]

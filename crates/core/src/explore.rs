@@ -26,10 +26,9 @@ use ax_agents::sarsa::{ExpectedSarsaAgent, SarsaAgent};
 use ax_agents::schedule::Schedule;
 use ax_agents::train::{StopReason, TrainLog, TrainOptions, TrainSession};
 use ax_operators::OperatorLibrary;
-use serde::{Deserialize, Serialize};
 
 /// Options of one exploration run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExploreOptions {
     /// Step cap (paper: 10 000, "selected upon trial and error").
     pub max_steps: u64,
@@ -48,16 +47,6 @@ pub struct ExploreOptions {
     pub gamma: f64,
     /// ε-greedy exploration schedule.
     pub epsilon: Schedule,
-    /// Evaluate the whole action neighbourhood of each visited state
-    /// through [`EvalBackend::evaluate_batch`] instead of one design per
-    /// step. With a history-independent backend (the exact
-    /// [`Evaluator`]) trajectories are identical either way — the agent
-    /// only observes the chosen action and evaluation is deterministic —
-    /// while the batch amortises execution buffers. History-dependent
-    /// backends may answer differently when shown whole neighbourhoods,
-    /// trading trajectory equality for scoring the entire frontier at
-    /// once.
-    pub batch_neighborhood: bool,
 }
 
 impl Default for ExploreOptions {
@@ -86,13 +75,12 @@ impl Default for ExploreOptions {
                 end: 0.0,
                 decay: 0.99,
             },
-            batch_neighborhood: false,
         }
     }
 }
 
 /// One Table III block: the summary of an exploration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationSummary {
     /// Benchmark name.
     pub benchmark: String,
@@ -153,7 +141,7 @@ impl<B: EvalBackend> ExplorationOutcome<B> {
 ///
 /// The paper uses [`AgentKind::QLearning`]; the others are the ablation
 /// agents for its "improve the learning strategy" future-work direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AgentKind {
     /// Tabular Q-learning (the paper's agent).
     QLearning,
@@ -328,7 +316,6 @@ impl<B: EvalBackend> ResumableExploration<B> {
         let thresholds = opts.rule.calibrate(&backend);
         let params = RewardParams::new(opts.max_reward, thresholds);
         let mut env = DseEnv::new(backend, params);
-        env.set_neighborhood_batching(opts.batch_neighborhood);
         env.set_recording(record);
         let mut agent = build_agent(kind, env.action_count(), opts);
         let train_opts = TrainOptions::new(opts.max_steps)

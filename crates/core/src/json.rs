@@ -1,17 +1,12 @@
 //! A minimal, dependency-free JSON document model.
 //!
-//! The workspace's `serde` is an offline no-op shim (see
-//! `crates/shims/serde`), so anything that must actually cross a process
-//! boundary — campaign [`crate::campaign::ExperimentSpec`] files, the
-//! persistent [`crate::backend::SharedCache`] table, the bench bins'
-//! `BENCH_*.json` records — serialises through this module instead.
-//! [`Json`] is a plain document tree with a recursive-descent parser and a
-//! deterministic pretty-printer; numbers keep their raw source token so
-//! `u64` values round-trip without `f64` precision loss.
-//!
-//! When crates.io access lands and the serde shim is swapped for the real
-//! crate, the hand-written `to_json`/`from_json` conversions can migrate to
-//! derives without changing any on-disk format.
+//! Everything that crosses a process boundary — campaign
+//! [`crate::campaign::ExperimentSpec`] files, the persistent
+//! [`crate::backend::SharedCache`] table, the bench bins' `BENCH_*.json`
+//! records — serialises through this module. [`Json`] is a plain document
+//! tree with a recursive-descent parser and a deterministic pretty-printer;
+//! numbers keep their raw source token so `u64` values round-trip without
+//! `f64` precision loss.
 
 use std::fmt;
 
@@ -160,11 +155,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Fails on malformed input or trailing garbage.
+    /// Fails on malformed input, trailing garbage, or arrays and objects
+    /// nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -256,9 +253,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap a request body of a
+/// few megabytes of `[` would overflow the stack; the documents this
+/// workspace writes nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -303,8 +308,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => err(format!(
                 "unexpected {:?} at byte {}",
@@ -312,6 +317,22 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -521,6 +542,16 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -21,10 +21,8 @@
 //! Determinism: every sort is stable and keyed with `total_cmp`, so rank
 //! orders are reproducible bit-for-bit across runs and platforms.
 
-use serde::{Deserialize, Serialize};
-
 /// One campaign-level objective, always minimised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Accuracy degradation of the best design found (Δaccuracy — the
     /// paper's QoR error).
@@ -62,7 +60,7 @@ impl Objective {
 /// When `reference` is `None` the campaign derives a deterministic
 /// coordinate from the worst observed value (see
 /// [`resolve_reference`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveDecl {
     /// The quantity to minimise.
     pub kind: Objective,
@@ -92,7 +90,7 @@ impl ObjectiveDecl {
 }
 
 /// How schedulers order cells when deciding survival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Ranking {
     /// Today's behaviour: rank by the scalar solution score, descending.
     /// Byte-identical to the pre-objective-vector campaigns.
@@ -125,7 +123,7 @@ impl Ranking {
 /// Per-objective values of the best design a run (or cell) has found,
 /// tracked alongside the legacy scalar so scalarised campaigns stay
 /// bit-identical while Pareto campaigns get real coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignObjectives {
     /// The legacy scalar solution score of the best design (maximised).
     pub score: f64,

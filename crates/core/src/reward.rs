@@ -19,10 +19,9 @@
 use crate::config::{AxConfig, SpaceDims};
 use crate::evaluator::EvalMetrics;
 use crate::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the reward function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardParams {
     /// The paper's `R`: the terminal bonus, the magnitude of the accuracy
     /// penalty, and (as `max_cumulative`) the exploration stop target.

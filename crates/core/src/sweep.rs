@@ -23,10 +23,9 @@
 use crate::backend::EvalBackend;
 use crate::explore::{AgentKind, ExplorationOutcome, ExplorationSummary};
 use ax_agents::train::StopReason;
-use serde::{Deserialize, Serialize};
 
 /// Mean / standard deviation / extremes of one sweep statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepStat {
     /// Sample mean.
     pub mean: f64,
@@ -63,7 +62,7 @@ impl SweepStat {
 }
 
 /// Aggregated result of a multi-seed sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSummary {
     /// Benchmark name.
     pub benchmark: String,
@@ -131,7 +130,7 @@ pub fn summarize_outcomes<B: EvalBackend>(
 }
 
 /// One run's result within a portfolio race.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PortfolioEntry {
     /// The learning algorithm.
     pub kind: AgentKind,
@@ -157,7 +156,7 @@ pub struct PortfolioEntry {
 }
 
 /// Result of racing several agents on one benchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// Benchmark name.
     pub benchmark: String,

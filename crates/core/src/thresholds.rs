@@ -9,10 +9,9 @@
 //! [`Thresholds`] from a benchmark's precise run.
 
 use crate::evaluator::EvalBackend;
-use serde::{Deserialize, Serialize};
 
 /// Absolute thresholds used by the reward function (Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Tolerable accuracy loss `acc_th` (MAE units).
     pub acc_th: f64,
@@ -23,7 +22,7 @@ pub struct Thresholds {
 }
 
 /// Relative threshold rule, calibrated against the precise run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdRule {
     /// Required power saving as a fraction of precise power (paper: 0.5).
     pub power_frac: f64,

@@ -29,7 +29,6 @@ pub use pass_b::pass_b;
 pub use trunc::{set_mid, set_one, trunc};
 
 use crate::width::BitWidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Exact addition: the reference against which every family is measured.
@@ -47,7 +46,7 @@ pub fn precise(a: u64, b: u64, width: BitWidth) -> u64 {
 ///
 /// `AdderKind` is a plain data description; [`AdderModel`] pairs it with a
 /// width and evaluates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdderKind {
     /// Exact ripple-carry adder.
     Precise,
@@ -111,7 +110,7 @@ impl fmt::Display for AdderKind {
 /// let sum = adder.add(0b1010_1111, 0b0101_0101);
 /// assert!(sum <= 0x1FF);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdderModel {
     kind: AdderKind,
     width: BitWidth,

@@ -9,10 +9,9 @@ use crate::adders::AdderModel;
 use crate::metrics::ErrorStats;
 use crate::multipliers::MulModel;
 use crate::width::BitWidth;
-use serde::{Deserialize, Serialize};
 
 /// How to sweep the operator's input space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CharacterizeMode {
     /// Evaluate every input pair. Only tractable at 8 bits.
     Exhaustive,
@@ -40,7 +39,7 @@ impl CharacterizeMode {
 }
 
 /// Aggregated error metrics of one operator over a characterisation sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorProfile {
     /// Mean relative error distance, percent.
     pub mred_pct: f64,

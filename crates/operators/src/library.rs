@@ -15,19 +15,18 @@ use crate::adders::{AdderKind, AdderModel};
 use crate::multipliers::{MulKind, MulModel, Po2Mode};
 use crate::spec::OperatorSpec;
 use crate::width::BitWidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of an adder within its width class, in increasing-MRED order.
 ///
 /// `AdderId(0)` is always the exact adder of the class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AdderId(pub usize);
 
 /// Index of a multiplier within its width class, in increasing-MRED order.
 ///
 /// `MulId(0)` is always the exact multiplier of the class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MulId(pub usize);
 
 impl fmt::Display for AdderId {

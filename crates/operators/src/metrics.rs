@@ -12,8 +12,6 @@
 //! * **WCE** — worst-case absolute error;
 //! * **WCRE** — worst-case relative error distance.
 
-use serde::{Deserialize, Serialize};
-
 /// One-pass accumulator for operator error statistics.
 ///
 /// Feed it `(exact, approx)` pairs with [`ErrorStats::record`] and read the
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.error_rate(), 0.5);
 /// assert_eq!(stats.wce(), 10);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorStats {
     samples: u64,
     errors: u64,

@@ -37,7 +37,6 @@ pub use po2::{po2_compensated, po2_floor, po2_nearest};
 pub use trunc::{trunc_pp, trunc_result};
 
 use crate::width::BitWidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Exact multiplication: the reference for all families.
@@ -52,7 +51,7 @@ pub fn precise(a: u64, b: u64, width: BitWidth) -> u64 {
 }
 
 /// Rounding mode for the power-of-two multiplier family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Po2Mode {
     /// Round each operand down to `2^floor(log2 x)`.
     Floor,
@@ -64,7 +63,7 @@ pub enum Po2Mode {
 }
 
 /// The circuit family and parameters of an approximate multiplier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MulKind {
     /// Exact multiplier.
     Precise,
@@ -126,7 +125,7 @@ impl fmt::Display for MulKind {
 /// // DRUM keeps the top-4 significant bits of each operand: small rel. error.
 /// assert!((p as f64 - 40_000.0).abs() / 40_000.0 < 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MulModel {
     kind: MulKind,
     width: BitWidth,

@@ -1,7 +1,6 @@
 //! Pre-characterisation metadata attached to each library operator.
 
 use crate::width::BitWidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Published characterisation record of one library operator.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(spec.name(), "00M");
 /// assert_eq!(spec.power_mw(), 0.0046);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
     name: String,
     width: BitWidth,

@@ -1,6 +1,5 @@
 //! Operand bit widths supported by the operator models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bit width of an operator's operands.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(BitWidth::W16.mask(), 0xFFFF);
 /// assert_eq!(BitWidth::W32.max_value(), u32::MAX as u64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BitWidth {
     /// 8-bit operands.
     W8,

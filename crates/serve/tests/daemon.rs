@@ -290,11 +290,18 @@ fn bad_learning_parameters_are_rejected_before_they_take_a_slot() {
         workers: 1,
         ..ServeConfig::default()
     });
-    let bad = r#"{"name": "bad-gamma", "benchmarks": [{"kind": "dot", "size": 8}],
+    let bad_gamma = r#"{"name": "bad-gamma", "benchmarks": [{"kind": "dot", "size": 8}],
         "agents": ["q-learning"], "explore": {"max_steps": 50, "gamma": 1.5}}"#;
-    let (status, body) = request(addr, "POST", "/campaigns", bad);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("explore.gamma"), "{body}");
+    let undersized = r#"{"name": "tiny-sobel", "benchmarks": [{"kind": "sobel", "size": 2}],
+        "agents": ["q-learning"], "explore": {"max_steps": 50}}"#;
+    for (bad, field) in [
+        (bad_gamma, "explore.gamma"),
+        (undersized, "benchmarks[0].size"),
+    ] {
+        let (status, body) = request(addr, "POST", "/campaigns", bad);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(field), "{body}");
+    }
     let good = quick_spec("after-bad", BenchmarkSpec::Dot(8), BackendSpec::Exact);
     let (status, body) = request(addr, "POST", "/campaigns", &good.to_json_string());
     assert_eq!(status, 200, "{body}");
@@ -323,6 +330,17 @@ fn bad_requests_get_json_errors() {
     let (status, body) = request(addr, "POST", "/campaigns", tiered);
     assert_eq!(status, 400, "the removed tiered backend is a spec error");
     assert!(body.contains("was removed"), "{body}");
+    let batched = r#"{"name": "old", "benchmarks": [{"kind": "dot", "size": 8}],
+        "agents": ["q-learning"], "explore": {"batch_neighborhood": true}}"#;
+    let (status, body) = request(addr, "POST", "/campaigns", batched);
+    assert_eq!(
+        status, 400,
+        "the removed neighbourhood batching is a spec error"
+    );
+    assert!(body.contains("was removed"), "{body}");
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let (status, body) = request(addr, "POST", "/campaigns", &"[".repeat(1_000_000));
+    assert_eq!(status, 400, "{body}");
     let (status, _) = request(addr, "GET", "/campaigns/99", "");
     assert_eq!(status, 404);
     let (status, _) = request(addr, "GET", "/campaigns/banana", "");

@@ -4,7 +4,7 @@
 //! ring buffer and a JSONL file writer).
 //!
 //! The crate sits below every other `ax-*` crate and has no dependencies,
-//! so any layer — the VM's batch kernel, the campaign driver, the CLI —
+//! so any layer — the evaluator, the campaign driver, the CLI —
 //! can report through the same [`Telemetry`] handle. The handle is
 //! designed around one invariant: **disabled telemetry costs one branch**.
 //! [`Telemetry::disabled`] carries no allocation and every reporting

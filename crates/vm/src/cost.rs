@@ -13,10 +13,8 @@
 //! at specialisation time and calls the same helper, which is what makes
 //! the two engines' profiles bit-identical: one formula, one term order.
 
-use serde::{Deserialize, Serialize};
-
 /// Power/time constants of one operator, captured from its spec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCost {
     /// Power per operation, milliwatts.
     pub power_mw: f64,
@@ -25,7 +23,7 @@ pub struct OpCost {
 }
 
 /// Aggregated arithmetic activity and cost of one program execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ArithProfile {
     /// Additions executed in total.
     pub adds_total: u64,

@@ -55,28 +55,7 @@ impl<'lib> Binding<'lib> {
         adder: AdderId,
         mul: MulId,
     ) -> Result<Self, VmError> {
-        Self::for_widths(lib, program.add_width(), program.mul_width(), adder, mul)
-    }
-
-    /// Binds by width class directly, without a program in hand — the entry
-    /// point batch engines use when only the widths of a compiled skeleton
-    /// are known.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::UnsupportedWidth`] if the library carries no
-    /// operators at the given widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of range for its (non-empty) width class.
-    pub fn for_widths(
-        lib: &'lib OperatorLibrary,
-        add_width: BitWidth,
-        mul_width: BitWidth,
-        adder: AdderId,
-        mul: MulId,
-    ) -> Result<Self, VmError> {
+        let (add_width, mul_width) = (program.add_width(), program.mul_width());
         let adders = lib.adders(add_width);
         if adders.is_empty() {
             return Err(VmError::UnsupportedWidth {
@@ -150,10 +129,10 @@ pub struct ExecOutcome {
 ///
 /// Evaluating thousands of designs against the same program (a DSE sweep)
 /// would pay a memory-image and instruction-flag allocation per design if
-/// each run allocated afresh. The batch hot path — [`Executor::initial_memory`]
+/// each run allocated afresh. The sweep hot path — [`Executor::initial_memory`]
 /// once, then [`run_from_image`] per design — clears and refills one scratch
 /// instead, so the buffers are allocated once per thread and amortised
-/// across the batch. [`Executor`] owns one internally for the same reason.
+/// across the sweep. [`Executor`] owns one internally for the same reason.
 #[derive(Debug, Clone, Default)]
 pub struct ExecScratch {
     pub(crate) mem: Vec<i64>,
@@ -164,14 +143,6 @@ impl ExecScratch {
     /// Empty buffers; they grow to the program's size on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Computes the per-instruction approximation flags for `mask` into
-    /// this scratch. Callers stepping through designs that share one mask
-    /// call this once and then [`run_from_image_prepared`] per design,
-    /// skipping the per-design flag recomputation.
-    pub fn prepare_flags(&mut self, program: &Program, mask: &VarMask) {
-        instruction_flags_into(program, mask, &mut self.flags);
     }
 }
 
@@ -283,40 +254,12 @@ pub fn run_from_image(
     mask: &VarMask,
     scratch: &mut ExecScratch,
 ) -> Result<ExecOutcome, VmError> {
-    scratch.prepare_flags(program, mask);
-    run_from_image_prepared(program, image, binding, scratch)
-}
-
-/// Like [`run_from_image`], but reuses the instruction flags already in
-/// `scratch` (from a previous [`ExecScratch::prepare_flags`] over the same
-/// program) instead of recomputing them — the batch path for consecutive
-/// designs that share one variable selection.
-///
-/// # Errors
-///
-/// Returns [`VmError::OperandOverflow`] if a multiplication operand's
-/// magnitude exceeds the multiplier width.
-///
-/// # Panics
-///
-/// Panics if `image` does not match the program's cell count or the scratch
-/// flags were prepared for a different program.
-pub fn run_from_image_prepared(
-    program: &Program,
-    image: &[i64],
-    binding: &Binding<'_>,
-    scratch: &mut ExecScratch,
-) -> Result<ExecOutcome, VmError> {
     assert_eq!(
         image.len(),
         program.total_cells() as usize,
         "memory image size does not match the program"
     );
-    assert_eq!(
-        scratch.flags.len(),
-        program.instrs().len(),
-        "instruction flags not prepared for this program"
-    );
+    instruction_flags_into(program, mask, &mut scratch.flags);
     {
         let mem = &mut scratch.mem;
         mem.clear();

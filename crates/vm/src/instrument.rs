@@ -9,7 +9,6 @@
 //! approximate/precise decision — the "automatic code instrumentation".
 
 use crate::ir::{Program, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A selection of program variables for approximation.
@@ -38,7 +37,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VarMask {
     bits: u64,
     len: u32,
@@ -159,7 +158,7 @@ impl VarMask {
         m
     }
 
-    /// Replaces the whole selection in place — the batch-evaluation path
+    /// Replaces the whole selection in place — the interpreter engine
     /// reuses one mask across many configurations instead of rebuilding
     /// the variable table per design.
     ///
@@ -200,7 +199,7 @@ pub fn instruction_flags(program: &Program, mask: &VarMask) -> Vec<bool> {
 }
 
 /// Buffer-reusing variant of [`instruction_flags`]: clears and refills
-/// `flags` instead of allocating a fresh vector, so batch evaluators can
+/// `flags` instead of allocating a fresh vector, so evaluators can
 /// amortise the allocation across thousands of designs.
 pub fn instruction_flags_into(program: &Program, mask: &VarMask, flags: &mut Vec<bool>) {
     let selected = mask.selected_vars();

@@ -13,12 +13,11 @@
 
 use crate::error::VmError;
 use ax_operators::BitWidth;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a program variable (index into the variable table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub(crate) u32);
 
 impl VarId {
@@ -40,7 +39,7 @@ impl fmt::Display for VarId {
 }
 
 /// A static storage location: one element of one variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Slot {
     /// The variable owning the element.
     pub var: VarId,
@@ -49,7 +48,7 @@ pub struct Slot {
 }
 
 /// Role of a variable in the program interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarRole {
     /// Filled by the caller before execution.
     Input,
@@ -60,7 +59,7 @@ pub enum VarRole {
 }
 
 /// Declaration record of one program variable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VarDecl {
     name: String,
     len: u32,
@@ -97,7 +96,7 @@ impl VarDecl {
 }
 
 /// One straight-line instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// `dst <- value`
     Const {
@@ -160,7 +159,7 @@ impl Instr {
 }
 
 /// Aggregate instruction statistics of a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgramStats {
     /// Total instructions.
     pub instructions: usize,
@@ -173,7 +172,7 @@ pub struct ProgramStats {
 }
 
 /// An immutable, validated kernel program.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     name: String,
     add_width: BitWidth,

@@ -24,7 +24,7 @@
 //!   [`compile::CompiledProgram`] (offsets resolved, approximate/precise
 //!   choice baked per instruction, profile computed analytically at compile
 //!   time) — bit-identical to the interpreter, several times faster on DSE
-//!   sweeps, with a batch API over shared skeletons.
+//!   sweeps.
 //!
 //! # Arithmetic semantics
 //!
@@ -75,7 +75,7 @@ pub mod exec;
 pub mod instrument;
 pub mod ir;
 
-pub use compile::{BatchStats, CompiledProgram, CompiledSkeleton};
+pub use compile::{CompiledProgram, CompiledSkeleton};
 pub use cost::ArithProfile;
 pub use error::VmError;
 pub use exec::{Binding, ExecOutcome, Executor};

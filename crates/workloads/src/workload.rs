@@ -1,12 +1,10 @@
 //! The workload contract shared by all benchmarks.
 
-use ax_operators::{AdderId, MulId, OperatorLibrary};
-use ax_vm::compile::{BatchStats, CompiledSkeleton};
-use ax_vm::exec::{run_from_image_prepared, Binding, ExecOutcome, ExecScratch, Executor};
+use ax_operators::OperatorLibrary;
+use ax_vm::exec::{Binding, ExecOutcome, Executor};
 use ax_vm::instrument::VarMask;
 use ax_vm::ir::Program;
 use ax_vm::VmError;
-use std::sync::Arc;
 
 /// A benchmark kernel: a program plus a seeded input generator.
 ///
@@ -82,97 +80,6 @@ impl PreparedWorkload {
     pub fn run(&self, binding: &Binding<'_>, mask: &VarMask) -> Result<ExecOutcome, VmError> {
         self.executor()?.run(binding, mask)
     }
-
-    /// Evaluates a batch of configurations `(adder, multiplier, variable
-    /// bits)` against this prepared workload through the threaded-code
-    /// engine: the program is compiled to an offset-resolved
-    /// [`CompiledSkeleton`] once, each design is specialised from it in
-    /// place, and the inputs are bound once for the whole slice — the
-    /// sweep/portfolio hot path.
-    ///
-    /// Results keep the order of `configs` and are bit-identical to
-    /// [`PreparedWorkload::run_batch_interpreted`] (the interpreter
-    /// reference path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates binding and execution errors; evaluation stops at the
-    /// first failing configuration.
-    pub fn run_batch(
-        &self,
-        lib: &OperatorLibrary,
-        configs: &[(AdderId, MulId, u64)],
-    ) -> Result<Vec<ExecOutcome>, VmError> {
-        let image = self.executor()?.initial_memory()?;
-        let skeleton = Arc::new(CompiledSkeleton::new(&self.program));
-        let Some(&(adder, mul, bits)) = configs.first() else {
-            return Ok(Vec::new());
-        };
-        let binding = Binding::new(lib, &self.program, adder, mul)?;
-        let mut compiled = skeleton.compile(&binding, bits);
-        compiled.run_batch(lib, &image, configs)
-    }
-
-    /// [`PreparedWorkload::run_batch`], additionally reporting the batch
-    /// kernel's [`BatchStats`] (signature-cache hits, dedup collapses,
-    /// kernel invocations, stage timings) for telemetry consumers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates binding and execution errors; evaluation stops at the
-    /// first failing configuration.
-    pub fn run_batch_stats(
-        &self,
-        lib: &OperatorLibrary,
-        configs: &[(AdderId, MulId, u64)],
-    ) -> Result<(Vec<ExecOutcome>, BatchStats), VmError> {
-        let image = self.executor()?.initial_memory()?;
-        let skeleton = Arc::new(CompiledSkeleton::new(&self.program));
-        let Some(&(adder, mul, bits)) = configs.first() else {
-            return Ok((Vec::new(), BatchStats::default()));
-        };
-        let binding = Binding::new(lib, &self.program, adder, mul)?;
-        let mut compiled = skeleton.compile(&binding, bits);
-        let outcomes = compiled.run_batch(lib, &image, configs)?;
-        Ok((outcomes, compiled.batch_stats()))
-    }
-
-    /// The interpreter reference implementation of
-    /// [`PreparedWorkload::run_batch`]: same contract, same results, but
-    /// every design runs through the instrumented interpreter loop.
-    /// Consecutive configurations sharing a variable selection reuse the
-    /// computed instruction flags instead of rederiving them per design.
-    ///
-    /// # Errors
-    ///
-    /// Propagates binding and execution errors; evaluation stops at the
-    /// first failing configuration.
-    pub fn run_batch_interpreted(
-        &self,
-        lib: &OperatorLibrary,
-        configs: &[(AdderId, MulId, u64)],
-    ) -> Result<Vec<ExecOutcome>, VmError> {
-        let image = self.executor()?.initial_memory()?;
-        let mut scratch = ExecScratch::new();
-        let mut mask = VarMask::none(&self.program);
-        let mut last_bits = None;
-        let mut outcomes = Vec::with_capacity(configs.len());
-        for &(adder, mul, bits) in configs {
-            let binding = Binding::new(lib, &self.program, adder, mul)?;
-            if last_bits != Some(bits) {
-                mask.set_raw_bits(bits);
-                scratch.prepare_flags(&self.program, &mask);
-                last_bits = Some(bits);
-            }
-            outcomes.push(run_from_image_prepared(
-                &self.program,
-                &image,
-                &binding,
-                &mut scratch,
-            )?);
-        }
-        Ok(outcomes)
-    }
 }
 
 #[cfg(test)]
@@ -194,55 +101,5 @@ mod tests {
         let wl = MatMul::new(3);
         assert_ne!(wl.inputs(1), wl.inputs(2));
         assert_eq!(wl.inputs(5), wl.inputs(5));
-    }
-
-    #[test]
-    fn run_batch_matches_individual_runs() {
-        let prepared = MatMul::new(3).prepare(9).unwrap();
-        let lib = OperatorLibrary::evoapprox();
-        let configs = [
-            (AdderId(0), MulId(0), 0u64),
-            (AdderId(3), MulId(3), 0b101),
-            (AdderId(5), MulId(5), 0b1111),
-            (AdderId(3), MulId(3), 0b101), // repeat: scratch reuse is clean
-        ];
-        let batch = prepared.run_batch(&lib, &configs).unwrap();
-        assert_eq!(batch.len(), configs.len());
-        for (&(a, m, bits), out) in configs.iter().zip(&batch) {
-            let binding = Binding::new(&lib, &prepared.program, a, m).unwrap();
-            let mask = VarMask::with_bits(&prepared.program, bits);
-            assert_eq!(*out, prepared.run(&binding, &mask).unwrap());
-        }
-    }
-
-    #[test]
-    fn compiled_and_interpreted_batches_are_bit_identical() {
-        let prepared = MatMul::new(3).prepare(9).unwrap();
-        let lib = OperatorLibrary::evoapprox();
-        // Mask-major order (the rewrite-skipping fast path) and a
-        // mask-alternating tail (the worst case) in one batch.
-        let mut configs = Vec::new();
-        for bits in [0u64, 0b101, 0b1111] {
-            for a in 0..6 {
-                configs.push((AdderId(a), MulId(5 - a), bits));
-            }
-        }
-        configs.push((AdderId(2), MulId(2), 0b10));
-        configs.push((AdderId(2), MulId(2), 0b01));
-        assert_eq!(
-            prepared.run_batch(&lib, &configs).unwrap(),
-            prepared.run_batch_interpreted(&lib, &configs).unwrap()
-        );
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let prepared = MatMul::new(3).prepare(9).unwrap();
-        let lib = OperatorLibrary::evoapprox();
-        assert!(prepared.run_batch(&lib, &[]).unwrap().is_empty());
-        assert!(prepared
-            .run_batch_interpreted(&lib, &[])
-            .unwrap()
-            .is_empty());
     }
 }

@@ -7,7 +7,6 @@
 
 pub use ax_agents;
 pub use ax_dse;
-pub use ax_gym;
 pub use ax_operators;
 pub use ax_telemetry;
 pub use ax_vm;

@@ -274,7 +274,7 @@ proptest! {
             .run()
             .unwrap();
         prop_assert!(report.budget.spent <= budget);
-        // 4 runs, non-batched stepping: at most one distinct design per
+        // 4 runs, one design per step: at most one distinct design per
         // run beyond the cap.
         prop_assert!(
             report.budget.overshoot <= 4,

@@ -78,34 +78,6 @@ fn monte_carlo_characterisation_is_deterministic() {
 }
 
 #[test]
-fn neighborhood_batching_preserves_trajectories() {
-    // Evaluating the whole action neighbourhood per step through
-    // `evaluate_batch` must not change what the agent observes: identical
-    // trajectories, logs and summaries — only the evaluation pattern
-    // differs. (ROADMAP follow-up: batch whole action-neighbourhoods
-    // through the env step loop.)
-    let lib = OperatorLibrary::evoapprox();
-    let plain = ExploreOptions {
-        max_steps: 300,
-        ..Default::default()
-    };
-    let batched = ExploreOptions {
-        batch_neighborhood: true,
-        ..plain
-    };
-    for wl in [MatMul::new(4), MatMul::new(6)] {
-        let a = explore_exact(&wl, &lib, &plain, AgentKind::QLearning);
-        let b = explore_exact(&wl, &lib, &batched, AgentKind::QLearning);
-        assert_eq!(a.trace, b.trace, "{}", wl.name());
-        assert_eq!(a.log, b.log, "{}", wl.name());
-        assert_eq!(a.summary, b.summary, "{}", wl.name());
-        // The batched run speculatively evaluates whole neighbourhoods,
-        // so it knows at least as many distinct designs.
-        assert!(b.distinct_configs >= a.distinct_configs, "{}", wl.name());
-    }
-}
-
-#[test]
 fn class_keyed_shared_cache_sweep_matches_uncached_sweep() {
     // Seeds sharing one class-keyed cache answer most designs from class
     // representatives other runs executed; every run must still trace

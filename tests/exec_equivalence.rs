@@ -3,20 +3,21 @@
 //! The threaded-code engine (`CompiledProgram`, the default
 //! `ExecEngine::Compiled`) is a performance substrate only: every result
 //! it produces must be bit-identical to the interpreter reference, from
-//! raw workload batches up through backend metrics and whole campaigns.
+//! single workload designs up through backend metrics and whole campaigns.
 //! These tests pin that contract at each layer.
 
 use axdse_suite::ax_dse::config::AxConfig;
 use axdse_suite::ax_dse::{EvalContext, ExecEngine};
 use axdse_suite::ax_operators::{AdderId, MulId, OperatorLibrary};
-use axdse_suite::ax_vm::VarMask;
+use axdse_suite::ax_vm::exec::ExecScratch;
+use axdse_suite::ax_vm::{Binding, CompiledSkeleton, ExecOutcome, VarMask};
 use axdse_suite::ax_workloads::conv2d::Conv2d;
 use axdse_suite::ax_workloads::dct::Dct8;
 use axdse_suite::ax_workloads::dot::DotProduct;
 use axdse_suite::ax_workloads::fir::Fir;
 use axdse_suite::ax_workloads::matmul::MatMul;
 use axdse_suite::ax_workloads::sobel::Sobel;
-use axdse_suite::ax_workloads::Workload;
+use axdse_suite::ax_workloads::{PreparedWorkload, Workload};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -34,8 +35,34 @@ fn workload_for(ix: usize) -> Box<dyn Workload> {
 
 const N_WORKLOADS: usize = 6;
 
+/// Runs `configs` one design at a time through both engines: one compiled
+/// program re-specialised in place from design to design (as the exact
+/// backend's `Evaluator` does), and the interpreter. Returns the compiled
+/// and the interpreted outcomes, in `configs` order.
+fn run_on_both_engines(
+    prepared: &PreparedWorkload,
+    lib: &OperatorLibrary,
+    configs: &[(AdderId, MulId, u64)],
+) -> (Vec<ExecOutcome>, Vec<ExecOutcome>) {
+    let program = &prepared.program;
+    let image = prepared.executor().unwrap().initial_memory().unwrap();
+    let skeleton = Arc::new(CompiledSkeleton::new(program));
+    let mut compiled = None;
+    let mut scratch = ExecScratch::new();
+    let (mut fast, mut reference) = (Vec::new(), Vec::new());
+    for &(adder, mul, bits) in configs {
+        let binding = Binding::new(lib, program, adder, mul).unwrap();
+        let engine = compiled.get_or_insert_with(|| skeleton.compile(&binding, bits));
+        engine.specialize(&binding, bits);
+        fast.push(engine.run(&image, &mut scratch).unwrap());
+        let mask = VarMask::with_bits(program, bits);
+        reference.push(prepared.run(&binding, &mask).unwrap());
+    }
+    (fast, reference)
+}
+
 #[test]
-fn batched_engine_matches_interpreter_on_every_workload() {
+fn compiled_engine_matches_interpreter_on_every_workload() {
     let lib = OperatorLibrary::evoapprox();
     for ix in 0..N_WORKLOADS {
         let wl = workload_for(ix);
@@ -46,8 +73,8 @@ fn batched_engine_matches_interpreter_on_every_workload() {
         let n_mul = lib.multipliers(prepared.program.mul_width()).len();
         let bit_patterns = [0, 1 & full, full / 2 + 1, full];
 
-        // Mask-major order: long runs of equal selection bits, so the
-        // batcher forms large groups and its dedup/factoring paths fire.
+        // Mask-major order: long runs of equal selection bits, so most
+        // re-specialisations only swap operators.
         let mut mask_major = Vec::new();
         for bits in bit_patterns {
             for a in 0..n_add {
@@ -56,8 +83,8 @@ fn batched_engine_matches_interpreter_on_every_workload() {
                 }
             }
         }
-        // Operator-major order: selection bits alternate, so every group
-        // degenerates to a singleton and the batcher must regroup.
+        // Operator-major order: selection bits alternate, so every design
+        // rewrites the opcode vector.
         let mut op_major = Vec::new();
         for a in 0..n_add {
             for m in 0..n_mul {
@@ -67,8 +94,7 @@ fn batched_engine_matches_interpreter_on_every_workload() {
             }
         }
         for configs in [&mask_major, &op_major] {
-            let compiled = prepared.run_batch(&lib, configs).unwrap();
-            let interpreted = prepared.run_batch_interpreted(&lib, configs).unwrap();
+            let (compiled, interpreted) = run_on_both_engines(&prepared, &lib, configs);
             assert_eq!(compiled, interpreted, "workload {}", wl.name());
         }
     }
@@ -196,11 +222,11 @@ proptest! {
         }
     }
 
-    /// Arbitrary config slices through `run_batch` and
-    /// `run_batch_interpreted` are byte-identical on every workload —
-    /// outputs and arithmetic profiles both.
+    /// Arbitrary design sequences run design by design through both
+    /// engines are byte-identical on every workload — outputs and
+    /// arithmetic profiles both.
     #[test]
-    fn compiled_batches_match_interpreter(
+    fn compiled_designs_match_interpreter(
         wl_ix in 0usize..N_WORKLOADS,
         input_seed in 0u64..4,
         raw in prop::collection::vec((0usize..16, 0usize..16, 0u64..u64::MAX), 1..12),
@@ -221,8 +247,7 @@ proptest! {
                 )
             })
             .collect();
-        let compiled = prepared.run_batch(&lib, &configs).unwrap();
-        let interpreted = prepared.run_batch_interpreted(&lib, &configs).unwrap();
+        let (compiled, interpreted) = run_on_both_engines(&prepared, &lib, &configs);
         prop_assert_eq!(compiled, interpreted, "workload {}", wl.name());
     }
 }
