@@ -46,8 +46,8 @@
 use ax_bench::{ablations, figures, tables, OutputDir};
 use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
-    run_spec_traced, BudgetPolicy, Campaign, CampaignReport, ExperimentSpec, JsonlSink, Observer,
-    SeedRange, Telemetry,
+    run_spec_traced, BudgetPolicy, Campaign, CampaignReport, Event, EventKind, ExperimentSpec,
+    JsonlSink, Observer, SeedRange, Telemetry,
 };
 use ax_dse::explore::AgentKind;
 use ax_dse::explore::ExploreOptions;
@@ -244,30 +244,28 @@ fn parse_args() -> Result<Args, String> {
 struct PrintObserver;
 
 impl Observer for PrintObserver {
-    fn on_campaign_start(&self, name: &str, total_runs: u64) {
-        eprintln!("campaign `{name}`: {total_runs} runs");
+    fn on_event(&self, event: &Event) {
+        match &event.kind {
+            EventKind::CampaignStart { name, total_runs } => {
+                eprintln!("campaign `{name}`: {total_runs} runs");
+            }
+            EventKind::BenchmarkReady { benchmark } => eprintln!("  prepared {benchmark}"),
+            EventKind::RunComplete {
+                benchmark,
+                agent,
+                seed,
+                stop,
+                steps,
+            } => eprintln!("  {benchmark} / {agent} / seed {seed}: {stop} after {steps} steps"),
+            EventKind::BudgetExhausted { cap } => {
+                eprintln!("  global evaluation budget exhausted at {cap} designs");
+            }
+            _ => {}
+        }
     }
 
-    fn on_benchmark_ready(&self, benchmark: &str) {
-        eprintln!("  prepared {benchmark}");
-    }
-
-    fn on_run_complete(
-        &self,
-        benchmark: &str,
-        agent: AgentKind,
-        seed: u64,
-        stop: ax_agents::train::StopReason,
-        steps: u64,
-    ) {
-        eprintln!(
-            "  {benchmark} / {} / seed {seed}: {stop:?} after {steps} steps",
-            agent.name()
-        );
-    }
-
-    fn on_budget_exhausted(&self, spent: u64) {
-        eprintln!("  global evaluation budget exhausted at {spent} designs");
+    fn wants_events(&self) -> bool {
+        true
     }
 }
 

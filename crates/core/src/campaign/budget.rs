@@ -227,23 +227,26 @@ impl CellLedger {
     }
 }
 
-/// Per-rung score records of an asynchronous-halving (ASHA) scheduler.
+/// Per-rung score records of the campaign's rung engine, for every
+/// budget policy.
 ///
 /// A *rung* is one budget quantum of a cell's lifetime. When a cell
 /// finishes a rung (its grant runs dry, or all its runs complete) the
 /// scheduler [`RungLedger::record`]s the cell's best-design solution score
 /// on that rung, then asks [`RungLedger::newly_promotable`] which cells
 /// now rank in the top `keep_fraction` of everything that rung has seen
-/// **so far** — no barrier, so the first cell to report on a rung always
-/// promotes immediately, and a cell parked below the cut can still be
-/// promoted later once enough slower peers have reported to grow the
-/// keep-count. Promotion is sticky: a promoted cell stays promoted even
-/// if later arrivals push its score below the cut (you cannot un-spend a
-/// grant), which is exactly ASHA's optimistic-promotion contract.
+/// **so far**. Without a barrier (ASHA) the first cell to report on a
+/// rung always promotes immediately, and a cell parked below the cut can
+/// still be promoted later once enough slower peers have reported to
+/// grow the keep-count. Promotion is sticky: a promoted cell stays
+/// promoted even if later arrivals push its score below the cut (you
+/// cannot un-spend a grant), which is exactly ASHA's optimistic-promotion
+/// contract. With a barrier the scheduler asks once every live cell has
+/// recorded, and eliminates the rest.
 ///
 /// Ranking is deterministic: scores sort descending and ties resolve to
-/// the earlier-recorded cell, so the async schedule replays identically
-/// run to run. Cells recorded with [`RungLedger::record_vector`] rank by
+/// the earlier-recorded cell, so every schedule replays identically run
+/// to run. Cells recorded with [`RungLedger::record_vector`] rank by
 /// non-dominated order over their objective vectors instead (see
 /// [`crate::pareto::rank_order`]) — the Pareto campaign path.
 #[derive(Debug)]
@@ -330,31 +333,38 @@ impl RungLedger {
             .map(|&(_, s)| s)
     }
 
+    /// Record indices of `rung`, best first. Scalar rungs sort by score
+    /// descending (the stable sort keeps earlier arrivals ahead on ties);
+    /// vector rungs use non-dominated order with the same arrival-index
+    /// tie-break baked into `rank_order`.
+    fn order(&self, rung: usize) -> Vec<usize> {
+        let r = &self.rungs[rung];
+        if r.points.iter().all(|p| !p.is_empty()) {
+            crate::pareto::rank_order(&r.points)
+        } else {
+            let mut order: Vec<usize> = (0..r.records.len()).collect();
+            order.sort_by(|&a, &b| r.records[b].1.total_cmp(&r.records[a].1));
+            order
+        }
+    }
+
+    /// Every cell recorded on `rung`, best first.
+    pub(crate) fn ranked(&self, rung: usize) -> Vec<usize> {
+        let records = &self.rungs[rung].records;
+        self.order(rung).into_iter().map(|i| records[i].0).collect()
+    }
+
     /// Cells newly ranked into the top `keep_fraction` of `rung`'s records
     /// (best first), marked promoted as a side effect. The keep-count is
     /// `ceil(keep_fraction × recorded)` clamped to at least one, so the
     /// first arrival always promotes; as more cells record, the count
     /// grows and previously parked cells can surface here on later calls.
     pub fn newly_promotable(&mut self, rung: usize) -> Vec<usize> {
+        let order = self.order(rung);
+        let keep = (order.len() as f64 * self.keep_fraction).ceil() as usize;
         let r = &mut self.rungs[rung];
-        let n = r.records.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let keep = ((n as f64 * self.keep_fraction).ceil() as usize).clamp(1, n);
-        // Rank record indices best-first. Scalar rungs sort by score
-        // descending (the stable sort keeps earlier arrivals ahead on
-        // ties); vector rungs use non-dominated order with the same
-        // arrival-index tie-break baked into `rank_order`.
-        let order: Vec<usize> = if r.points.iter().all(|p| !p.is_empty()) {
-            crate::pareto::rank_order(&r.points)
-        } else {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| r.records[b].1.total_cmp(&r.records[a].1));
-            order
-        };
         let mut fresh = Vec::new();
-        for &i in order.iter().take(keep) {
+        for &i in order.iter().take(keep.max(1)) {
             if !r.promoted[i] {
                 r.promoted[i] = true;
                 fresh.push(r.records[i].0);

@@ -18,42 +18,20 @@ use ax_workloads::Workload;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Progress hooks of a running campaign.
+/// Progress hooks of a running campaign: it reports every transition as a
+/// typed [`Event`].
 ///
-/// Implementations must be `Sync`: run-level hooks fire on rayon worker
-/// threads. Every method has a no-op default, so observers implement only
-/// what they care about; [`NullObserver`] is the do-nothing instance.
+/// Implementations must be `Sync`: run events fire on rayon worker
+/// threads. Both methods have defaults, so an observer implements only
+/// what it cares about; [`NullObserver`] is the do-nothing instance.
 pub trait Observer: Sync {
-    /// The campaign is about to execute `total_runs` explorations.
-    fn on_campaign_start(&self, _name: &str, _total_runs: u64) {}
-
-    /// A benchmark's context (precise reference, shared cache scope) is
-    /// prepared.
-    fn on_benchmark_ready(&self, _benchmark: &str) {}
-
-    /// One exploration finished (called from worker threads).
-    fn on_run_complete(
-        &self,
-        _benchmark: &str,
-        _agent: AgentKind,
-        _seed: u64,
-        _stop: StopReason,
-        _steps: u64,
-    ) {
-    }
-
-    /// The global evaluation budget was exhausted (fires once).
-    fn on_budget_exhausted(&self, _spent: u64) {}
-
-    /// The campaign finished and its report is final.
-    fn on_campaign_complete(&self, _report: &CampaignReport) {}
-
-    /// A typed scheduler or run transition (see [`EventKind`]): budget
-    /// grants, rung records, promotions, parks, eliminations, bracket
-    /// revivals, run pauses — every transition the coarse-grained hooks
-    /// above cannot express. Fires for every event the campaign's
-    /// [`Telemetry`] handle records, and (when
-    /// [`Observer::wants_events`] opts in) even with telemetry disabled.
+    /// A typed campaign, scheduler or run transition (see [`EventKind`]):
+    /// the campaign starting and completing, benchmarks ready, budget
+    /// grants and exhaustion, rung records, promotions, parks,
+    /// eliminations, bracket revivals, and runs pausing and completing.
+    /// Fires for every event the campaign's [`Telemetry`] handle records,
+    /// and (when [`Observer::wants_events`] opts in) even with telemetry
+    /// disabled.
     fn on_event(&self, _event: &Event) {}
 
     /// Opt-in for [`Observer::on_event`] when the campaign runs without an
@@ -917,24 +895,13 @@ impl<'a> Campaign<'a> {
 
     /// Runs the campaign through an arbitrary [`BackendProvider`].
     ///
-    /// Execution is rung-based: the global [`EvalBudget`] is split into
-    /// per-cell sub-budgets by the configured [`BudgetPolicy`] (a
-    /// [`CellLedger`]), every run charges its cell's budget *and* the
-    /// global one, and explorations pause cooperatively at step boundaries
-    /// when either is exhausted. Single-round policies grant everything up
-    /// front; [`BudgetPolicy::SuccessiveHalving`] grants round by round,
-    /// ranking the surviving cells by their best design's solution score
-    /// after each round and reallocating the unspent budget of eliminated
-    /// (or naturally finished) cells to the survivors;
-    /// [`BudgetPolicy::AsyncHalving`] drops the round barrier entirely,
-    /// promoting each cell up its rung ladder as soon as it ranks in the
-    /// top `keep_fraction` of its rung's records so far (a [`RungLedger`]);
-    /// and [`BudgetPolicy::Hyperband`] sweeps whole halving brackets,
-    /// rolling each bracket's unspent budget forward. The runs themselves
-    /// are [`ResumableExploration`]s — pausing at rung boundaries instead
-    /// of round boundaries changes nothing about a run's trajectory, so
-    /// every schedule preserves the per-run bit-identical resume
-    /// guarantee.
+    /// The global [`EvalBudget`] is split into per-cell sub-budgets (a
+    /// [`CellLedger`]); every run charges its cell's budget *and* the
+    /// global one, and pauses cooperatively at a step boundary when either
+    /// runs dry. The [`BudgetPolicy`] is a plan of rung ladders that one
+    /// engine runs, granting each rung and ranking cells on a
+    /// [`RungLedger`]. The runs are [`ResumableExploration`]s, so pausing
+    /// at a rung boundary changes nothing about a run's trajectory.
     ///
     /// # Errors
     ///
@@ -974,7 +941,6 @@ impl<'a> Campaign<'a> {
             .unwrap_or_else(|e| panic!("{e}"));
 
         let total_runs = n_cells as u64 * self.seeds.count;
-        self.observer.on_campaign_start(&self.name, total_runs);
         self.emit(SOURCE_COORDINATOR, || EventKind::CampaignStart {
             name: self.name.clone(),
             total_runs,
@@ -997,7 +963,6 @@ impl<'a> Campaign<'a> {
                     Arc::clone(&cache),
                 )?
                 .with_telemetry(&self.telemetry);
-                self.observer.on_benchmark_ready(ctx.benchmark());
                 self.emit(SOURCE_COORDINATOR, || EventKind::BenchmarkReady {
                     benchmark: ctx.benchmark().to_owned(),
                 });
@@ -1042,105 +1007,13 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let mut alive = vec![true; n_cells];
         let mut cell_best = vec![DesignObjectives::none(); n_cells];
-        let mut allocations: Vec<AllocationReport> = Vec::new();
-        match &self.policy {
-            BudgetPolicy::AsyncHalving {
-                rungs,
-                keep_fraction,
-            } => self.run_asha(
-                &mut slots,
-                &ledger,
-                &global,
-                &contexts,
-                *rungs as usize,
-                *keep_fraction,
-                &mut alive,
-                &mut cell_best,
-                &mut allocations,
-            ),
-            BudgetPolicy::Hyperband { brackets } => {
-                for (b, bracket) in brackets.iter().enumerate() {
-                    if self.interrupted() {
-                        break;
-                    }
-                    self.telemetry.counter_add("sched.brackets", 1);
-                    self.emit(SOURCE_COORDINATOR, || EventKind::BracketStart {
-                        bracket: b as u64,
-                    });
-                    // Every bracket re-opens the whole grid: cells
-                    // eliminated under an earlier bracket's schedule get
-                    // another chance under this one.
-                    for (c, a) in alive.iter_mut().enumerate() {
-                        if !*a {
-                            self.emit(SOURCE_COORDINATOR, || EventKind::CellRevived {
-                                cell: c as u64,
-                                bracket: b as u64,
-                            });
-                        }
-                        *a = true;
-                    }
-                    let future_rounds: u32 = brackets[b + 1..].iter().map(|br| br.rounds).sum();
-                    self.run_rounds(
-                        &mut slots,
-                        &ledger,
-                        &global,
-                        &contexts,
-                        bracket.rounds as usize,
-                        bracket.keep_fraction,
-                        b as u32,
-                        future_rounds,
-                        &mut alive,
-                        &mut cell_best,
-                        &mut allocations,
-                    );
-                }
-            }
-            policy => {
-                let (rounds, keep_fraction) = match policy {
-                    BudgetPolicy::SuccessiveHalving {
-                        rounds,
-                        keep_fraction,
-                    } => (*rounds as usize, *keep_fraction),
-                    _ => (1, 1.0),
-                };
-                self.run_rounds(
-                    &mut slots,
-                    &ledger,
-                    &global,
-                    &contexts,
-                    rounds,
-                    keep_fraction,
-                    0,
-                    0,
-                    &mut alive,
-                    &mut cell_best,
-                    &mut allocations,
-                );
-            }
-        }
+        let allocations = self.run_plan(&mut slots, &ledger, &global, &contexts, &mut cell_best);
 
         // Close out runs the scheduler never finished (budget-stopped,
         // eliminated or parked): every run notifies exactly once.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if !slot.notified {
-                slot.notified = true;
-                self.observer.on_run_complete(
-                    slot.run.benchmark(),
-                    slot.kind,
-                    slot.seed,
-                    slot.run.stop_reason(),
-                    slot.run.steps_taken(),
-                );
-                self.emit(i as u32 + 1, || EventKind::RunComplete {
-                    benchmark: slot.run.benchmark().to_owned(),
-                    agent: slot.kind.name().to_owned(),
-                    seed: slot.seed,
-                    stop: format!("{:?}", slot.run.stop_reason()),
-                    steps: slot.run.steps_taken(),
-                });
-            }
+        for slot in slots.iter().filter(|s| !s.notified) {
+            self.emit(slot.source(), || slot.completion());
         }
         let outcomes: Vec<ExplorationOutcome<MeteredBackend<P::Backend>>> =
             slots.into_iter().map(|s| s.run.finish(self.lib)).collect();
@@ -1182,7 +1055,7 @@ impl<'a> Campaign<'a> {
                     summary,
                     evaluations,
                     stopped_runs: stopped,
-                    // The rounds loop accumulated the lifetime maximum; no
+                    // The rung engine accumulated the lifetime best; no
                     // run advances after its last resume.
                     best_score: cell_best[b * self.agents.len() + a].score,
                 });
@@ -1281,7 +1154,7 @@ impl<'a> Campaign<'a> {
             }
         });
 
-        let report = CampaignReport {
+        Ok(CampaignReport {
             name: self.name.clone(),
             cells,
             portfolios,
@@ -1294,9 +1167,7 @@ impl<'a> Campaign<'a> {
             allocations,
             pareto: pareto_summary,
             telemetry,
-        };
-        self.observer.on_campaign_complete(&report);
-        Ok(report)
+        })
     }
 
     /// The objective vector of one cell, in declaration order (all
@@ -1328,8 +1199,8 @@ impl<'a> Campaign<'a> {
     /// each run continues until its cell budget or the global budget runs
     /// dry, or it finishes naturally. A run that has never stepped always
     /// takes its first step (the cooperative overshoot contract, at most
-    /// one step per run), so every run has a last step. Fires the
-    /// budget-exhausted and run-complete observer hooks.
+    /// one step per run), so every run has a last step. Emits the
+    /// budget-exhausted, run-paused and run-complete events.
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
@@ -1350,9 +1221,6 @@ impl<'a> Campaign<'a> {
             observer.on_event(&event);
         };
         let resume_one = |slot: &mut RunSlot<B>| {
-            // The event `source` is the run's grid index + 1 — a
-            // schedule-independent logical id (never a thread id).
-            let source = slot.index as u32 + 1;
             if !runnable(slot.cell) || slot.run.is_complete() {
                 return;
             }
@@ -1372,52 +1240,28 @@ impl<'a> Campaign<'a> {
                 telemetry.counter_add("campaign.run_resumes", 1);
                 slot.run.resume(halted);
             }
+            if !wants_events {
+                return;
+            }
             if global.trip() {
-                observer.on_budget_exhausted(global.spent());
-                if wants_events {
-                    emit(
-                        SOURCE_COORDINATOR,
-                        EventKind::BudgetExhausted {
-                            // The clamped value: schedule-independent, unlike
-                            // the raw overshooting counter the observer hook
-                            // reports.
-                            cap: global.cap().unwrap_or(0),
-                        },
-                    );
-                }
+                // The clamped cap: schedule-independent, unlike the raw
+                // overshooting counter.
+                let cap = global.cap().unwrap_or(0);
+                emit(SOURCE_COORDINATOR, EventKind::BudgetExhausted { cap });
             }
-            if slot.run.is_complete() && !slot.notified {
-                slot.notified = true;
-                observer.on_run_complete(
-                    slot.run.benchmark(),
-                    slot.kind,
-                    slot.seed,
-                    slot.run.stop_reason(),
-                    slot.run.steps_taken(),
-                );
-                if wants_events {
-                    emit(
-                        source,
-                        EventKind::RunComplete {
-                            benchmark: slot.run.benchmark().to_owned(),
-                            agent: slot.kind.name().to_owned(),
-                            seed: slot.seed,
-                            stop: format!("{:?}", slot.run.stop_reason()),
-                            steps: slot.run.steps_taken(),
-                        },
-                    );
+            // A run completes at most once, inside a pass.
+            slot.notified = slot.run.is_complete();
+            let kind = if slot.notified {
+                slot.completion()
+            } else {
+                EventKind::RunPaused {
+                    benchmark: slot.run.benchmark().to_owned(),
+                    agent: slot.kind.name().to_owned(),
+                    seed: slot.seed,
+                    steps: slot.run.steps_taken(),
                 }
-            } else if !slot.run.is_complete() && wants_events {
-                emit(
-                    source,
-                    EventKind::RunPaused {
-                        benchmark: slot.run.benchmark().to_owned(),
-                        agent: slot.kind.name().to_owned(),
-                        seed: slot.seed,
-                        steps: slot.run.steps_taken(),
-                    },
-                );
-            }
+            };
+            emit(slot.source(), kind);
         };
         if self.sequential {
             for slot in slots.iter_mut() {
@@ -1428,402 +1272,413 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// The synchronous round-based scheduler: Uniform and Weighted run it
-    /// for one round, successive halving for `rounds`, and Hyperband once
-    /// per bracket (`bracket` tags the reports; `future_rounds` counts the
-    /// rounds still owed to later brackets, so each round's pool is the
-    /// remaining budget over *all* remaining rounds and a bracket's
-    /// unspent budget rolls forward automatically).
-    #[allow(clippy::too_many_arguments)]
-    fn run_rounds<B: EvalBackend + Send>(
+    /// The rung engine: runs every ladder of the policy's [`Plan`], in
+    /// order, and returns one [`AllocationReport`] per rung (none for
+    /// an unbounded campaign).
+    ///
+    /// Each pass over a ladder (1) grants the rung's share of the
+    /// remaining budget, split over the rungs still owed, to the live
+    /// cells with runs to resume, (2) resumes every running cell, and
+    /// (3) records each running cell on its rung in a [`RungLedger`].
+    /// Then (4) a ladder with a barrier ranks the rung, which every live
+    /// cell reported on in the same pass: it keeps the top
+    /// `keep_fraction`, eliminates the rest and grants the next rung.
+    /// Without a barrier (ASHA) only the first rung is granted: each cell
+    /// parks on its rung and is promoted as soon as it ranks, with a
+    /// quantum from the unallocated budget, so fast cells can be rungs
+    /// ahead of slow ones.
+    fn run_plan<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
         ledger: &CellLedger,
         global: &Arc<EvalBudget>,
         contexts: &[EvalContext],
-        rounds: usize,
-        keep_fraction: f64,
-        bracket: u32,
-        future_rounds: u32,
-        alive: &mut [bool],
         cell_best: &mut [DesignObjectives],
-        allocations: &mut Vec<AllocationReport>,
-    ) {
+    ) -> Vec<AllocationReport> {
+        let plan = Plan::new(&self.policy);
         let n_cells = ledger.len();
-        for round in 0..rounds {
-            self.telemetry.counter_add("sched.rounds", 1);
-            // Grant this round's allocations (bounded campaigns only).
-            // Successive halving draws each round from what the previous
-            // rounds left unspent, and grants only to surviving cells that
-            // still have runs to resume — eliminated and naturally
-            // finished cells stop drawing, so their share funds the
-            // survivors instead of stranding in a grant nobody uses.
-            let alive_cells: Vec<usize> = (0..n_cells).filter(|&c| alive[c]).collect();
-            let mut granted = vec![0u64; n_cells];
-            if global.cap().is_some() {
-                let mut incomplete = vec![false; n_cells];
-                for slot in slots.iter() {
-                    if !slot.run.is_complete() {
-                        incomplete[slot.cell] = true;
-                    }
-                }
-                let targets: Vec<usize> = match &self.policy {
-                    // Weighted is single-round: the shares map onto the
-                    // whole grid (every run is still fresh in round 0).
-                    BudgetPolicy::Weighted(_) => alive_cells.clone(),
-                    _ => alive_cells
-                        .iter()
-                        .copied()
-                        .filter(|&c| incomplete[c])
-                        .collect(),
-                };
-                if !targets.is_empty() {
-                    let pool = ledger.remaining_global().unwrap_or(0);
-                    let round_pool = pool / ((rounds - round) as u64 + u64::from(future_rounds));
-                    let grants = match &self.policy {
-                        BudgetPolicy::Weighted(shares) => {
-                            CellLedger::split_weighted(round_pool, shares)
-                        }
-                        _ => CellLedger::split_even(round_pool, targets.len()),
-                    };
-                    for (&cell, &units) in targets.iter().zip(&grants) {
-                        ledger.grant(cell, units);
-                        granted[cell] = units;
-                        self.telemetry.counter_add("sched.grants", 1);
-                        self.emit(SOURCE_COORDINATOR, || EventKind::BudgetGrant {
-                            cell: cell as u64,
-                            round: round as u64,
-                            bracket: u64::from(bracket),
-                            units,
-                        });
-                    }
-                }
-            }
-
-            {
-                let alive_ref: &[bool] = alive;
-                self.resume_runnable(slots, ledger, global, &|c| alive_ref[c]);
-            }
-
-            // Rank the surviving cells — by their best design's solution
-            // score (scalarised) or by non-dominated order over their
-            // objective vectors (Pareto) — and keep the top
-            // `keep_fraction` (never after the final round; at least one
-            // cell always survives). The campaign-lifetime bests
-            // accumulate across rounds and feed the final cell reports
-            // too.
-            for slot in slots.iter_mut() {
-                cell_best[slot.cell].fold(slot.run.best_objectives());
-            }
-            if round + 1 < rounds {
-                let mut ranked = alive_cells.clone();
-                match self.ranking {
-                    Ranking::Scalarised => {
-                        // Stable sort: ties keep the earlier (lower-index)
-                        // cell.
-                        ranked.sort_by(|&a, &b| cell_best[b].score.total_cmp(&cell_best[a].score));
-                    }
-                    Ranking::Pareto => {
-                        let points: Vec<Vec<f64>> = alive_cells
-                            .iter()
-                            .map(|&c| self.objective_point(&cell_best[c], ledger.cell(c).spent()))
-                            .collect();
-                        ranked = pareto::rank_order(&points)
-                            .into_iter()
-                            .map(|i| alive_cells[i])
-                            .collect();
-                        self.emit(SOURCE_COORDINATOR, || {
-                            let fronts = pareto::non_dominated_ranks(&points);
-                            EventKind::ParetoFront {
-                                front_size: fronts.iter().filter(|&&r| r == 0).count() as u64,
-                                hypervolume: pareto::hypervolume(
-                                    &points,
-                                    &self.resolve_references(&points),
-                                ),
-                            }
-                        });
-                    }
-                }
-                let keep =
-                    ((ranked.len() as f64 * keep_fraction).ceil() as usize).clamp(1, ranked.len());
-                for &cell in &ranked[keep..] {
-                    alive[cell] = false;
-                    self.telemetry.counter_add("sched.eliminations", 1);
-                    self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
-                        cell: cell as u64,
-                        round: round as u64,
-                        bracket: u64::from(bracket),
-                    });
-                }
-            }
-
-            // Record the round. Unbounded single-round campaigns have
-            // nothing to allocate and skip the report.
-            if global.cap().is_some() || rounds > 1 {
-                allocations.push(AllocationReport {
-                    round: round as u32,
-                    bracket,
-                    cells: (0..n_cells)
-                        .map(|c| {
-                            let ctx = &contexts[c / self.agents.len()];
-                            CellAllocation {
-                                benchmark: ctx.benchmark().to_owned(),
-                                input_seed: (!self.input_seeds.is_empty())
-                                    .then(|| ctx.input_seed()),
-                                agent: self.agents[c % self.agents.len()],
-                                granted: granted[c],
-                                spent: ledger.cell(c).spent(),
-                                best_score: cell_best[c].score,
-                                survived: alive[c],
-                            }
-                        })
-                        .collect(),
-                });
-            }
-
-            // A cancel or an exhausted server-wide budget ends the
-            // schedule here: later rounds would only grant budget no run
-            // can spend.
-            if self.interrupted() {
-                break;
-            }
-        }
-    }
-
-    /// The asynchronous-halving (ASHA) scheduler: a rung-based work queue
-    /// with no round barrier. Every cell climbs a ladder of `rungs` budget
-    /// quanta; when a cell exhausts its rung grant (or finishes naturally)
-    /// its best score is recorded on the rung's [`RungLedger`], and it is
-    /// promoted — granted the next rung's quantum and resumed — as soon as
-    /// it ranks in the top `keep_fraction` of everything its rung has seen
-    /// *so far*. Fast cells can be several rungs ahead of slow ones inside
-    /// the same resume pass; cells that never rank stay parked, and their
-    /// unspent share funds later promotions through the shared remaining
-    /// pool. With a single rung this degenerates to the Uniform grant
-    /// byte-identically.
-    #[allow(clippy::too_many_arguments)]
-    fn run_asha<B: EvalBackend + Send>(
-        &self,
-        slots: &mut [RunSlot<B>],
-        ledger: &CellLedger,
-        global: &Arc<EvalBudget>,
-        contexts: &[EvalContext],
-        rungs: usize,
-        keep_fraction: f64,
-        alive: &mut [bool],
-        cell_best: &mut [DesignObjectives],
-        allocations: &mut Vec<AllocationReport>,
-    ) {
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Phase {
-            /// Admitted to its current rung with a grant; resumable.
-            Running,
-            /// At a rung boundary, waiting to rank high enough to promote.
-            Parked,
-            /// Every run of the cell finished naturally.
-            Done,
-        }
-        let n_cells = ledger.len();
-        let mut rung_ledger = RungLedger::new(rungs, keep_fraction);
         let mut phase = vec![Phase::Running; n_cells];
-        let mut rung = vec![0usize; n_cells];
-        let mut granted = vec![vec![0u64; rungs]; n_cells];
-        let mut spent_at = vec![vec![None::<u64>; rungs]; n_cells];
-        let mut score_at = vec![vec![None::<f64>; rungs]; n_cells];
-        let mut survived = vec![vec![false; rungs]; n_cells];
-
-        // Admit the whole grid to rung 0: one rung's worth of the cap,
-        // split evenly. With a single rung this is exactly the Uniform
-        // grant — which is what makes `asha` with one rung degenerate to
-        // the uniform path byte-identically.
-        let pool = ledger.remaining_global().unwrap_or(0) / rungs as u64;
-        for (c, units) in CellLedger::split_even(pool, n_cells)
-            .into_iter()
-            .enumerate()
-        {
-            ledger.grant(c, units);
-            granted[c][0] = units;
-            self.telemetry.counter_add("sched.grants", 1);
-            self.emit(SOURCE_COORDINATOR, || EventKind::BudgetGrant {
-                cell: c as u64,
-                round: 0,
-                bracket: 0,
-                units,
-            });
+        let mut resumable = vec![false; n_cells];
+        for slot in slots.iter() {
+            resumable[slot.cell] |= !slot.run.is_complete();
         }
-        // Promotion quanta assume the keep fraction thins each rung
-        // geometrically (the classic ASHA shape); the global cap stays the
-        // hard ceiling regardless, since every run charges it too.
-        let expected = |r: usize| -> u64 {
-            ((n_cells as f64) * keep_fraction.powi(r as i32))
-                .ceil()
-                .max(1.0) as u64
-        };
-
-        loop {
-            {
-                let phase_ref = &phase;
-                if !slots
-                    .iter()
-                    .any(|s| phase_ref[s.cell] == Phase::Running && !s.run.is_complete())
+        let mut allocations = Vec::new();
+        for (b, ladder) in plan.ladders.iter().enumerate() {
+            let bracket = b as u64;
+            if plan.brackets {
+                if self.interrupted() {
+                    break;
+                }
+                self.telemetry.counter_add("sched.brackets", 1);
+                self.emit(SOURCE_COORDINATOR, || EventKind::BracketStart { bracket });
+                // Every bracket re-opens the whole grid: cells eliminated
+                // under an earlier bracket's schedule get another chance
+                // under this one.
+                for (c, p) in phase.iter_mut().enumerate() {
+                    if *p == Phase::Out {
+                        self.emit(SOURCE_COORDINATOR, || EventKind::CellRevived {
+                            cell: c as u64,
+                            bracket,
+                        });
+                    }
+                    *p = Phase::Running;
+                }
+            }
+            let rungs = ladder.rungs;
+            let owed_later: usize = plan.ladders[b + 1..].iter().map(|l| l.rungs).sum();
+            let mut rung_ledger = RungLedger::new(rungs, ladder.keep_fraction);
+            let mut rung = vec![0usize; n_cells];
+            let mut table = vec![vec![RungCell::default(); n_cells]; rungs];
+            for pass in 0.. {
+                // 1. Grant. Each rung draws from what earlier rungs left
+                // unspent, and only cells with runs to resume draw, so
+                // eliminated and finished cells fund the rest. Without a
+                // barrier, later rungs are funded by promotions instead.
+                if ladder.barrier {
+                    self.telemetry.counter_add("sched.rounds", 1);
+                }
+                if (ladder.barrier || pass == 0) && global.cap().is_some() {
+                    // Weighted shares map onto the whole grid.
+                    let targets: Vec<usize> = (0..n_cells)
+                        .filter(|&c| {
+                            phase[c] == Phase::Running && (plan.shares.is_some() || resumable[c])
+                        })
+                        .collect();
+                    if !targets.is_empty() {
+                        let owed = (rungs - pass + owed_later) as u64;
+                        let pool = ledger.remaining_global().unwrap_or(0) / owed;
+                        let grants = match plan.shares {
+                            Some(shares) => CellLedger::split_weighted(pool, shares),
+                            None => CellLedger::split_even(pool, targets.len()),
+                        };
+                        for (&c, &units) in targets.iter().zip(&grants) {
+                            ledger.grant(c, units);
+                            table[pass][c].granted = units;
+                            self.telemetry.counter_add("sched.grants", 1);
+                            self.emit(SOURCE_COORDINATOR, || EventKind::BudgetGrant {
+                                cell: c as u64,
+                                round: pass as u64,
+                                bracket,
+                                units,
+                            });
+                        }
+                    }
+                }
+                if !ladder.barrier
+                    && !(0..n_cells).any(|c| phase[c] == Phase::Running && resumable[c])
                 {
                     break;
                 }
-                self.resume_runnable(slots, ledger, global, &|c| phase_ref[c] == Phase::Running);
-            }
-            for slot in slots.iter_mut() {
-                cell_best[slot.cell].fold(slot.run.best_objectives());
-            }
-            // After a resume pass every incomplete run of a running cell
-            // is budget-paused, so each running cell sits at its rung
-            // boundary: record it (cell-index order — deterministic).
-            let mut cell_done = vec![true; n_cells];
-            for slot in slots.iter() {
-                if !slot.run.is_complete() {
-                    cell_done[slot.cell] = false;
+
+                // 2. Resume.
+                self.resume_runnable(slots, ledger, global, &|c| phase[c] == Phase::Running);
+                resumable.fill(false);
+                for slot in slots.iter() {
+                    cell_best[slot.cell].fold(slot.run.best_objectives());
+                    resumable[slot.cell] |= !slot.run.is_complete();
                 }
-            }
-            for c in 0..n_cells {
-                if phase[c] != Phase::Running {
+
+                // 3. Record every running cell on its rung, in cell order.
+                // After a pass each such cell has spent its grant or
+                // finished all its runs.
+                let running: Vec<usize> = (0..n_cells)
+                    .filter(|&c| phase[c] == Phase::Running)
+                    .collect();
+                let points: Vec<Vec<f64>> = running
+                    .iter()
+                    .map(|&c| match self.ranking {
+                        Ranking::Scalarised => Vec::new(),
+                        Ranking::Pareto => {
+                            self.objective_point(&cell_best[c], ledger.cell(c).spent())
+                        }
+                    })
+                    .collect();
+                for (&c, point) in running.iter().zip(&points) {
+                    let (r, score, spent) = (rung[c], cell_best[c].score, ledger.cell(c).spent());
+                    rung_ledger.record_vector(r, c, score, point.clone());
+                    table[r][c].spent = Some(spent);
+                    table[r][c].score = Some(score);
+                    if ladder.barrier {
+                        continue;
+                    }
+                    self.telemetry.counter_add("rung.records", 1);
+                    self.emit(SOURCE_COORDINATOR, || EventKind::RungRecorded {
+                        cell: c as u64,
+                        rung: r as u64,
+                        score,
+                    });
+                    if resumable[c] {
+                        phase[c] = Phase::Parked;
+                        self.telemetry.counter_add("rung.parks", 1);
+                        self.emit(SOURCE_COORDINATOR, || EventKind::CellParked {
+                            cell: c as u64,
+                            rung: r as u64,
+                        });
+                    } else {
+                        // Finishing all runs naturally clears the rung.
+                        table[r][c].survived = true;
+                        phase[c] = Phase::Done;
+                    }
+                }
+
+                // 4. Rank behind the barrier, never after the final rung
+                // (at least one cell always survives).
+                if ladder.barrier {
+                    if pass + 1 < rungs {
+                        if self.ranking == Ranking::Pareto {
+                            self.emit(SOURCE_COORDINATOR, || {
+                                let fronts = pareto::non_dominated_ranks(&points);
+                                EventKind::ParetoFront {
+                                    front_size: fronts.iter().filter(|&&r| r == 0).count() as u64,
+                                    hypervolume: pareto::hypervolume(
+                                        &points,
+                                        &self.resolve_references(&points),
+                                    ),
+                                }
+                            });
+                        }
+                        let ranked = rung_ledger.ranked(pass);
+                        let kept = rung_ledger.newly_promotable(pass).len();
+                        for &c in &ranked[..kept] {
+                            rung[c] = pass + 1;
+                        }
+                        for &c in &ranked[kept..] {
+                            phase[c] = Phase::Out;
+                            self.telemetry.counter_add("sched.eliminations", 1);
+                            self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
+                                cell: c as u64,
+                                round: pass as u64,
+                                bracket,
+                            });
+                        }
+                    }
+                    for (c, cell) in table[pass].iter_mut().enumerate() {
+                        cell.survived = phase[c] == Phase::Running;
+                    }
+                    // A cancel or an exhausted server-wide budget ends the
+                    // schedule: later rungs would only grant budget no run
+                    // can spend, so they are not reported either.
+                    if pass + 1 == rungs || self.interrupted() {
+                        table.truncate(pass + 1);
+                        break;
+                    }
                     continue;
                 }
-                match self.ranking {
-                    // The scalar path records through the original entry
-                    // point, so scalarised ASHA stays byte-identical.
-                    Ranking::Scalarised => rung_ledger.record(rung[c], c, cell_best[c].score),
-                    Ranking::Pareto => rung_ledger.record_vector(
-                        rung[c],
-                        c,
-                        cell_best[c].score,
-                        self.objective_point(&cell_best[c], ledger.cell(c).spent()),
-                    ),
+                // Promote without a barrier: every rung but the last
+                // promotes whoever now ranks in its top keep fraction,
+                // the cell that just parked or one that a slow peer's
+                // arrival pushed over the growing cut. Quanta come from
+                // the budget no cell holds yet, so all grants together
+                // never exceed the cap and cell budgets bind before the
+                // global one, which keeps the schedule deterministic on
+                // many threads. A promotion that pool cannot fund is not
+                // taken: the cell stays parked. The quanta assume the
+                // keep fraction thins each rung geometrically.
+                let outstanding: u64 = (0..n_cells)
+                    .map(|c| {
+                        let b = ledger.cell(c);
+                        b.cap().unwrap_or(0).saturating_sub(b.spent())
+                    })
+                    .sum();
+                let mut unallocated = ledger
+                    .remaining_global()
+                    .unwrap_or(0)
+                    .saturating_sub(outstanding);
+                for r in 0..rungs - 1 {
+                    let pool = unallocated / (rungs - (r + 1)) as u64;
+                    let expected = (n_cells as f64 * ladder.keep_fraction.powi(r as i32 + 1))
+                        .ceil()
+                        .max(1.0) as u64;
+                    for c in rung_ledger.newly_promotable(r) {
+                        table[r][c].survived = true;
+                        if phase[c] == Phase::Parked && rung[c] == r {
+                            let units = (pool / expected).min(unallocated);
+                            if units == 0 {
+                                continue;
+                            }
+                            unallocated -= units;
+                            rung[c] = r + 1;
+                            ledger.grant(c, units);
+                            table[r + 1][c].granted += units;
+                            phase[c] = Phase::Running;
+                            self.telemetry.counter_add("rung.promotions", 1);
+                            self.emit(SOURCE_COORDINATOR, || EventKind::RungPromoted {
+                                cell: c as u64,
+                                rung: (r + 1) as u64,
+                                units,
+                            });
+                        }
+                    }
                 }
-                self.telemetry.counter_add("rung.records", 1);
-                self.emit(SOURCE_COORDINATOR, || EventKind::RungRecorded {
-                    cell: c as u64,
-                    rung: rung[c] as u64,
-                    score: cell_best[c].score,
-                });
-                spent_at[c][rung[c]] = Some(ledger.cell(c).spent());
-                score_at[c][rung[c]] = Some(cell_best[c].score);
-                if cell_done[c] {
-                    // Finishing all runs naturally clears the rung.
-                    survived[c][rung[c]] = true;
-                    phase[c] = Phase::Done;
-                } else {
-                    phase[c] = Phase::Parked;
-                    self.telemetry.counter_add("rung.parks", 1);
-                    self.emit(SOURCE_COORDINATOR, || EventKind::CellParked {
-                        cell: c as u64,
-                        rung: rung[c] as u64,
-                    });
+                if global.exhausted() || self.interrupted() {
+                    break;
                 }
             }
-            // Asynchronous promotions: every rung but the last promotes
-            // whoever now ranks in its top keep fraction — the cell that
-            // just parked, or one parked passes ago that a slow peer's
-            // arrival finally pushed over the growing cut. Promotion
-            // quanta are drawn from the *unallocated* budget — what the
-            // cap has left after every outstanding (granted-but-unspent)
-            // cell share — so the aggregate of all grants can never
-            // exceed the cap: cell budgets always bind before the shared
-            // global one, keeping the schedule deterministic even when
-            // the resume passes run on many threads. A promotion the
-            // unallocated pool cannot fund at all is simply not taken:
-            // the cell stays parked instead of climbing rungs on zero
-            // budget and re-recording its stale score above.
-            let outstanding: u64 = (0..n_cells)
-                .map(|c| {
-                    let b = ledger.cell(c);
-                    b.cap().unwrap_or(0).saturating_sub(b.spent())
-                })
-                .sum();
-            let mut unallocated = ledger
-                .remaining_global()
-                .unwrap_or(0)
-                .saturating_sub(outstanding);
-            for r in 0..rungs.saturating_sub(1) {
-                let pool = unallocated / (rungs - (r + 1)) as u64;
-                for c in rung_ledger.newly_promotable(r) {
-                    survived[c][r] = true;
-                    if phase[c] == Phase::Parked && rung[c] == r {
-                        let units = (pool / expected(r + 1)).min(unallocated);
-                        if units == 0 {
-                            continue;
-                        }
-                        unallocated -= units;
-                        rung[c] = r + 1;
-                        ledger.grant(c, units);
-                        granted[c][r + 1] += units;
-                        phase[c] = Phase::Running;
-                        self.telemetry.counter_add("rung.promotions", 1);
-                        self.emit(SOURCE_COORDINATOR, || EventKind::RungPromoted {
+
+            if !ladder.barrier {
+                // A cell parked below the final rung was never promoted:
+                // eliminated. One recorded on the final rung climbed the
+                // whole ladder and survives, like every cell of a
+                // barrier ladder's final rung.
+                for c in 0..n_cells {
+                    let last = &mut table[rungs - 1][c];
+                    last.survived |= last.score.is_some();
+                    if phase[c] == Phase::Parked && rung[c] + 1 < rungs {
+                        phase[c] = Phase::Out;
+                        self.telemetry.counter_add("sched.eliminations", 1);
+                        self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
                             cell: c as u64,
-                            rung: (r + 1) as u64,
-                            units,
+                            round: rung[c] as u64,
+                            bracket,
                         });
                     }
                 }
             }
-            if global.exhausted() || self.interrupted() {
-                break;
+            // An unbounded campaign has nothing to allocate. A cell that
+            // never reported on a rung shows where it stands at the end.
+            if global.cap().is_some() {
+                allocations.extend(table.iter().enumerate().map(|(r, row)| {
+                    AllocationReport {
+                        round: r as u32,
+                        bracket: b as u32,
+                        cells: row
+                            .iter()
+                            .enumerate()
+                            .map(|(c, cell)| {
+                                let ctx = &contexts[c / self.agents.len()];
+                                CellAllocation {
+                                    benchmark: ctx.benchmark().to_owned(),
+                                    input_seed: (!self.input_seeds.is_empty())
+                                        .then(|| ctx.input_seed()),
+                                    agent: self.agents[c % self.agents.len()],
+                                    granted: cell.granted,
+                                    spent: cell.spent.unwrap_or_else(|| ledger.cell(c).spent()),
+                                    best_score: cell.score.unwrap_or(cell_best[c].score),
+                                    survived: cell.survived,
+                                }
+                            })
+                            .collect(),
+                    }
+                }));
             }
         }
-
-        // A cell parked below the final rung was never promoted —
-        // eliminated, in sync-halving terms. Parked *on* the final rung
-        // just ran its ladder's budget dry: it climbed the whole ladder,
-        // so it survives the schedule (mirroring sync halving, which
-        // never eliminates after the last round — and the Uniform path,
-        // whose single round marks every cell survived).
-        for c in 0..n_cells {
-            if rung_ledger.score(rungs - 1, c).is_some() {
-                survived[c][rungs - 1] = true;
-            }
-            alive[c] = !(phase[c] == Phase::Parked && rung[c] + 1 < rungs);
-            if !alive[c] {
-                self.telemetry.counter_add("sched.eliminations", 1);
-                self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
-                    cell: c as u64,
-                    round: rung[c] as u64,
-                    bracket: 0,
-                });
-            }
-        }
-        for r in 0..rungs {
-            allocations.push(AllocationReport {
-                round: r as u32,
-                bracket: 0,
-                cells: (0..n_cells)
-                    .map(|c| {
-                        let ctx = &contexts[c / self.agents.len()];
-                        CellAllocation {
-                            benchmark: ctx.benchmark().to_owned(),
-                            input_seed: (!self.input_seeds.is_empty()).then(|| ctx.input_seed()),
-                            agent: self.agents[c % self.agents.len()],
-                            granted: granted[c][r],
-                            spent: spent_at[c][r].unwrap_or_else(|| ledger.cell(c).spent()),
-                            best_score: score_at[c][r].unwrap_or(cell_best[c].score),
-                            survived: survived[c][r],
-                        }
-                    })
-                    .collect(),
-            });
-        }
+        allocations
     }
+}
+
+/// A [`BudgetPolicy`] lowered to the rung engine: the ladders it runs, in
+/// order, and how their grants split.
+struct Plan<'p> {
+    ladders: Vec<Ladder>,
+    /// Weighted shares of each grant, one per cell (`None` splits evenly).
+    shares: Option<&'p [f64]>,
+    /// Hyperband: every ladder is a bracket that re-opens the whole grid.
+    brackets: bool,
+}
+
+/// A ladder of `rungs` budget rungs keeping the top `keep_fraction` of
+/// each rung's cells.
+struct Ladder {
+    rungs: usize,
+    keep_fraction: f64,
+    /// Rank each rung once every live cell has reported on it (sync
+    /// halving), instead of promoting each cell on arrival (ASHA).
+    barrier: bool,
+}
+
+impl<'p> Plan<'p> {
+    fn new(policy: &'p BudgetPolicy) -> Self {
+        let ladder = |rungs: u32, keep_fraction, barrier| Ladder {
+            rungs: rungs as usize,
+            keep_fraction,
+            barrier,
+        };
+        // A single rung is never ranked, so its keep fraction is moot.
+        let mut plan = Self {
+            ladders: vec![ladder(1, 0.5, true)],
+            shares: None,
+            brackets: false,
+        };
+        match policy {
+            BudgetPolicy::Uniform => {}
+            BudgetPolicy::Weighted(shares) => plan.shares = Some(shares),
+            BudgetPolicy::SuccessiveHalving {
+                rounds,
+                keep_fraction,
+            } => {
+                plan.ladders = vec![ladder(*rounds, *keep_fraction, true)];
+            }
+            BudgetPolicy::AsyncHalving {
+                rungs,
+                keep_fraction,
+            } => {
+                plan.ladders = vec![ladder(*rungs, *keep_fraction, false)];
+            }
+            BudgetPolicy::Hyperband { brackets } => {
+                plan.ladders = brackets
+                    .iter()
+                    .map(|b| ladder(b.rounds, b.keep_fraction, true))
+                    .collect();
+                plan.brackets = true;
+            }
+        }
+        plan
+    }
+}
+
+/// Where a cell stands on its ladder.
+#[derive(Clone, Copy, PartialEq)]
+enum Phase {
+    /// Admitted to its rung; its runs resume.
+    Running,
+    /// Waiting at a rung boundary to rank high enough to promote (ASHA).
+    Parked,
+    /// Every run of the cell finished naturally (ASHA).
+    Done,
+    /// Eliminated.
+    Out,
+}
+
+/// One (rung, cell) entry of a ladder's allocation table.
+#[derive(Clone, Default)]
+struct RungCell {
+    granted: u64,
+    /// The cell's spend and best score when it reported on the rung.
+    spent: Option<u64>,
+    score: Option<f64>,
+    survived: bool,
 }
 
 /// One grid point of a running campaign: the cell it charges, its
 /// identity, and the pausable exploration itself.
 struct RunSlot<B: EvalBackend + Send> {
     cell: usize,
-    /// Grid index (benchmark-major), fixed at construction: the run's
-    /// telemetry event source is `index + 1`.
+    /// Grid index (benchmark-major), fixed at construction.
     index: usize,
     kind: AgentKind,
     seed: u64,
     run: ResumableExploration<MeteredBackend<B>>,
+    /// Its [`EventKind::RunComplete`] was emitted.
     notified: bool,
+}
+
+impl<B: EvalBackend + Send> RunSlot<B> {
+    /// The run's event source: its grid index + 1, a schedule-independent
+    /// logical id (never a thread id).
+    fn source(&self) -> u32 {
+        self.index as u32 + 1
+    }
+
+    /// The run's [`EventKind::RunComplete`], in whatever state it stopped.
+    fn completion(&self) -> EventKind {
+        EventKind::RunComplete {
+            benchmark: self.run.benchmark().to_owned(),
+            agent: self.kind.name().to_owned(),
+            seed: self.seed,
+            stop: format!("{:?}", self.run.stop_reason()),
+            steps: self.run.steps_taken(),
+        }
+    }
 }
 
 /// Builds one portfolio entry from a finished run, with the same
@@ -2341,25 +2196,26 @@ mod tests {
             completes: AtomicU64,
         }
         impl Observer for Counting {
-            fn on_campaign_start(&self, _name: &str, total: u64) {
-                self.starts.fetch_add(total, Ordering::Relaxed);
+            fn on_event(&self, event: &Event) {
+                match &event.kind {
+                    EventKind::CampaignStart { total_runs, .. } => {
+                        self.starts.fetch_add(*total_runs, Ordering::Relaxed);
+                    }
+                    EventKind::BenchmarkReady { .. } => {
+                        self.benches.fetch_add(1, Ordering::Relaxed);
+                    }
+                    EventKind::RunComplete { .. } => {
+                        self.runs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    EventKind::CampaignComplete { .. } => {
+                        self.completes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    _ => {}
+                }
             }
-            fn on_benchmark_ready(&self, _benchmark: &str) {
-                self.benches.fetch_add(1, Ordering::Relaxed);
-            }
-            fn on_run_complete(
-                &self,
-                _benchmark: &str,
-                _agent: AgentKind,
-                _seed: u64,
-                _stop: StopReason,
-                _steps: u64,
-            ) {
-                self.runs.fetch_add(1, Ordering::Relaxed);
-            }
-            fn on_campaign_complete(&self, report: &CampaignReport) {
-                self.completes
-                    .fetch_add(report.cells.len() as u64, Ordering::Relaxed);
+
+            fn wants_events(&self) -> bool {
+                true
             }
         }
         let l = lib();
@@ -2376,7 +2232,7 @@ mod tests {
         assert_eq!(counting.starts.load(Ordering::Relaxed), 4);
         assert_eq!(counting.benches.load(Ordering::Relaxed), 1);
         assert_eq!(counting.runs.load(Ordering::Relaxed), 4);
-        assert_eq!(counting.completes.load(Ordering::Relaxed), 2);
+        assert_eq!(counting.completes.load(Ordering::Relaxed), 1);
     }
 
     #[test]

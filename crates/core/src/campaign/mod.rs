@@ -9,17 +9,21 @@
 //! [`Campaign`] driver executes any such grid through any
 //! [`BackendProvider`], shares one design [`crate::backend::SharedCache`]
 //! across every run, enforces an optional global [`EvalBudget`]
-//! cooperatively across rayon workers, streams progress through
-//! [`Observer`] hooks and returns a structured [`CampaignReport`].
+//! cooperatively across rayon workers, streams typed events to an
+//! [`Observer`] and returns a structured [`CampaignReport`].
 //!
 //! Budgets are divided across (benchmark, agent) cells by a
-//! [`BudgetPolicy`]: even shares, weighted shares, a successive-halving
-//! scheduler that runs the grid in rounds, an asynchronous (ASHA)
-//! scheduler that promotes cells rung by rung without a round barrier,
-//! or a Hyperband outer loop sweeping whole bracket configurations
-//! ([`CellLedger`], [`RungLedger`], per-round/rung/bracket
-//! [`AllocationReport`]s). See `docs/spec_reference.md` for the complete
-//! JSON schema of every spec field and policy form.
+//! [`BudgetPolicy`], which the driver lowers to a plan of rung ladders
+//! run by one engine. Each pass grants a rung's share to the live cells
+//! ([`CellLedger`]), resumes their runs and records each cell on its
+//! rung ([`RungLedger`]). A ladder with a barrier then ranks the whole
+//! rung and eliminates the losers; one without a barrier promotes each
+//! cell as soon as it ranks. Uniform and weighted shares are a single
+//! rung, successive halving is one ladder with a barrier, ASHA one
+//! without, and Hyperband a sequence of barrier ladders, one per
+//! bracket. Every rung is reported as an [`AllocationReport`]. See
+//! `docs/spec_reference.md` for the complete JSON schema of every spec
+//! field and policy form.
 //!
 //! Every exploration entry point routes through this driver — a 1×1×N
 //! campaign is a seed sweep, a 1×M×1 campaign is a portfolio race — and

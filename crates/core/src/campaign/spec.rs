@@ -18,6 +18,11 @@ use ax_workloads::{conv2d::Conv2d, dct::Dct8, dot::DotProduct, fir::Fir, matmul:
 use ax_workloads::{sobel::Sobel, Workload};
 use std::fmt;
 
+/// The most runs one campaign grid may hold. A campaign builds every run
+/// up front, so [`ExperimentSpec::validate`] bounds the grid before a
+/// huge seed count can exhaust memory.
+const MAX_RUNS: u64 = 1 << 14;
+
 /// A contiguous range of agent seeds: `start, start+1, …, start+count-1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedRange {
@@ -867,8 +872,9 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Fails on an empty benchmark list, empty agent roster, empty seed
-    /// range, zero budget, zero parallelism, zero exploration steps, or a
-    /// budget policy that does not fit the campaign shape (see
+    /// range, a seed range whose end overflows `u64`, a grid of more than
+    /// 16,384 runs, zero budget, zero parallelism, zero exploration
+    /// steps, or a budget policy that does not fit the campaign shape (see
     /// [`BudgetPolicy::check`]) — an empty seed range or a zero budget
     /// would otherwise make the budget-share scheduler divide the cap over
     /// zero runs, and a degenerate halving policy would divide by zero
@@ -896,6 +902,25 @@ impl ExperimentSpec {
                  zero runs to divide its budget share over"
                     .into(),
             ));
+        }
+        if self.seeds.start.checked_add(self.seeds.count).is_none() {
+            return Err(SpecError(format!(
+                "seeds: start {} + count {} overflows u64",
+                self.seeds.start, self.seeds.count
+            )));
+        }
+        let runs = [
+            self.benchmarks.len(),
+            self.input_seeds.len().max(1),
+            self.agents.len(),
+        ]
+        .into_iter()
+        .try_fold(self.seeds.count, |n, k| n.checked_mul(k as u64));
+        if runs.is_none_or(|n| n > MAX_RUNS) {
+            return Err(SpecError(format!(
+                "seeds: {} seed(s) per cell take the grid past its {MAX_RUNS}-run limit",
+                self.seeds.count
+            )));
         }
         if self.explore.max_steps == 0 {
             return Err(SpecError("need at least one exploration step".into()));
@@ -1473,6 +1498,29 @@ mod tests {
             // The minimum really is what the constructor accepts.
             spec(min).benchmarks[1].build();
         }
+    }
+
+    #[test]
+    fn oversized_or_overflowing_seed_ranges_are_rejected_naming_seeds() {
+        let spec = |seeds| {
+            ExperimentSpec::new("grid")
+                .benchmark(BenchmarkSpec::Dot(8))
+                .benchmark(BenchmarkSpec::MatMul(4))
+                .agent(AgentKind::QLearning)
+                .seeds(seeds)
+        };
+        for seeds in [
+            SeedRange::new(0, 1 << 40),
+            SeedRange::new(0, u64::MAX),
+            SeedRange::new(u64::MAX, 2),
+            SeedRange::new(u64::MAX, 1),
+            SeedRange::new(0, MAX_RUNS / 2 + 1),
+        ] {
+            let err = spec(seeds).validate().unwrap_err();
+            assert!(err.0.starts_with("seeds:"), "{seeds:?}: {err}");
+        }
+        spec(SeedRange::new(u64::MAX - 2, 2)).validate().unwrap();
+        spec(SeedRange::new(0, MAX_RUNS / 2)).validate().unwrap();
     }
 
     #[test]

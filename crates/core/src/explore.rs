@@ -266,15 +266,14 @@ fn build_agent(
 /// the last step are read either way, so both take the same trajectory
 /// and report the same summary.
 ///
-/// This is the primitive every budget scheduler is built on — the
-/// synchronous round loop (successive halving, Hyperband brackets) and
-/// the asynchronous rung queue (ASHA) alike: each pass resumes the
-/// surviving runs against their replenished budgets, and eliminated or
-/// parked runs are simply not resumed. A single `start` + `resume` +
-/// `finish` is bit-identical to [`explore_backend_with_stop`]; splitting
-/// the same exploration over several resumes — at round boundaries, rung
-/// boundaries, or anywhere else — changes nothing but where it pauses
-/// (see [`ax_agents::train::TrainSession`]).
+/// This is the primitive the campaign's rung engine is built on, for
+/// every budget policy: each pass resumes the running cells' runs
+/// against their replenished budgets, and eliminated or parked runs are
+/// simply not resumed. A single `start` + `resume` + `finish` is
+/// bit-identical to [`explore_backend_with_stop`]; splitting the same
+/// exploration over several resumes — at rung boundaries or anywhere
+/// else — changes nothing but where it pauses (see
+/// [`ax_agents::train::TrainSession`]).
 pub struct ResumableExploration<B: EvalBackend> {
     env: DseEnv<B>,
     agent: Box<dyn TabularAgent<DseState> + Send>,

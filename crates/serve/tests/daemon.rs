@@ -294,9 +294,24 @@ fn bad_learning_parameters_are_rejected_before_they_take_a_slot() {
         "agents": ["q-learning"], "explore": {"max_steps": 50, "gamma": 1.5}}"#;
     let undersized = r#"{"name": "tiny-sobel", "benchmarks": [{"kind": "sobel", "size": 2}],
         "agents": ["q-learning"], "explore": {"max_steps": 50}}"#;
+    // Grids too large to allocate, or whose seed range wraps: each used
+    // to abort (or panic) the whole daemon once a worker started it.
+    let seeds = |start: u64, count: u64| {
+        format!(
+            r#"{{"name": "huge", "benchmarks": [{{"kind": "dot", "size": 8}}],
+            "agents": ["q-learning"], "explore": {{"max_steps": 50}},
+            "seeds": {{"start": {start}, "count": {count}}}}}"#
+        )
+    };
+    let oversized = seeds(0, 1 << 40);
+    let overflowing = seeds(0, u64::MAX);
+    let wrapping = seeds(u64::MAX, 2);
     for (bad, field) in [
         (bad_gamma, "explore.gamma"),
         (undersized, "benchmarks[0].size"),
+        (&oversized, "seeds"),
+        (&overflowing, "seeds"),
+        (&wrapping, "seeds"),
     ] {
         let (status, body) = request(addr, "POST", "/campaigns", bad);
         assert_eq!(status, 400, "{body}");

@@ -11,31 +11,31 @@
 //! [`Observer`]. The same file runs from the CLI: `repro run
 //! examples/campaign_matmul.json`.
 
-use ax_agents::train::StopReason;
-use ax_dse::campaign::{run_spec, ExperimentSpec, Observer};
-use ax_dse::explore::AgentKind;
+use ax_dse::campaign::{run_spec, Event, EventKind, ExperimentSpec, Observer};
 use ax_operators::OperatorLibrary;
 
 /// Prints one line per finished exploration.
 struct Progress;
 
 impl Observer for Progress {
-    fn on_run_complete(
-        &self,
-        benchmark: &str,
-        agent: AgentKind,
-        seed: u64,
-        stop: StopReason,
-        steps: u64,
-    ) {
-        println!(
-            "  {benchmark:12} {:16} seed {seed}: {stop:?} after {steps} steps",
-            agent.name()
-        );
+    fn on_event(&self, event: &Event) {
+        match &event.kind {
+            EventKind::RunComplete {
+                benchmark,
+                agent,
+                seed,
+                stop,
+                steps,
+            } => println!("  {benchmark:12} {agent:16} seed {seed}: {stop} after {steps} steps"),
+            EventKind::BudgetExhausted { cap } => {
+                println!("  global budget exhausted after {cap} distinct designs");
+            }
+            _ => {}
+        }
     }
 
-    fn on_budget_exhausted(&self, spent: u64) {
-        println!("  global budget exhausted after {spent} distinct designs");
+    fn wants_events(&self) -> bool {
+        true
     }
 }
 

@@ -5,7 +5,7 @@
 //! sweep stays under the cap.
 
 use axdse_suite::ax_dse::campaign::{
-    BudgetPolicy, Campaign, CampaignReport, HalvingBracket, SeedRange,
+    BudgetPolicy, Campaign, CampaignReport, HalvingBracket, Ranking, SeedRange,
 };
 use axdse_suite::ax_dse::explore::{AgentKind, ExploreOptions};
 use axdse_suite::ax_operators::OperatorLibrary;
@@ -187,16 +187,17 @@ fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
     assert_eq!(asha.allocations.len(), 2, "one report per rung");
 }
 
-/// Pinned-seed degeneration: with a single rung there is nothing to
-/// promote, so ASHA's rung-0 admission (one even split of the whole cap)
-/// and single resume pass are exactly the Uniform policy's — the reports
-/// must be byte-identical.
+/// Pinned-seed degeneration: each pair names one schedule twice. A
+/// one-rung ASHA ladder and a one-round halving are the Uniform policy's
+/// single rung, equal weighted shares are its even split, and a
+/// one-bracket Hyperband is that bracket's halving. The reports must be
+/// byte-identical under either ranking.
 #[test]
 fn asha_with_a_single_rung_degenerates_to_the_uniform_path_byte_identically() {
     let l = lib();
     let (matmul, fir) = (MatMul::new(4), Fir::new(40));
     let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-    let run = |policy: BudgetPolicy| {
+    let run = |policy: &BudgetPolicy, ranking: Ranking| {
         Campaign::new("asha-degenerate", &l)
             .benchmark(&matmul)
             .benchmark(&fir)
@@ -204,44 +205,48 @@ fn asha_with_a_single_rung_degenerates_to_the_uniform_path_byte_identically() {
             .seeds(SeedRange::new(0, 2))
             .options(opts(400))
             .budget(200)
-            .policy(policy)
+            .policy(policy.clone())
+            .ranking(ranking)
             .sequential(true)
             .run()
             .unwrap()
+            .to_json_string()
     };
-    let uniform = run(BudgetPolicy::Uniform);
-    let asha = run(BudgetPolicy::AsyncHalving {
-        rungs: 1,
+    let halving = BudgetPolicy::SuccessiveHalving {
+        rounds: 3,
         keep_fraction: 0.5,
-    });
-    assert_eq!(uniform.cells.len(), asha.cells.len());
-    for (a, b) in uniform.cells.iter().zip(&asha.cells) {
-        assert_eq!(a.summary, b.summary, "{}/{}", a.benchmark, a.agent.name());
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.best_score, b.best_score);
-        assert_eq!(a.stopped_runs, b.stopped_runs);
-    }
-    for (pa, pb) in uniform.portfolios.iter().zip(&asha.portfolios) {
-        assert_eq!(pa.best, pb.best);
-        for (ea, eb) in pa.entries.iter().zip(&pb.entries) {
-            assert_eq!(ea.score, eb.score);
-            assert_eq!(ea.summary, eb.summary);
-            assert_eq!(ea.stop_reason, eb.stop_reason);
+    };
+    let pairs = [
+        (
+            BudgetPolicy::AsyncHalving {
+                rungs: 1,
+                keep_fraction: 0.5,
+            },
+            BudgetPolicy::Uniform,
+        ),
+        (
+            BudgetPolicy::SuccessiveHalving {
+                rounds: 1,
+                keep_fraction: 0.5,
+            },
+            BudgetPolicy::Uniform,
+        ),
+        (BudgetPolicy::Weighted(vec![2.5; 4]), BudgetPolicy::Uniform),
+        (
+            BudgetPolicy::Hyperband {
+                brackets: vec![HalvingBracket::new(3, 0.5)],
+            },
+            halving,
+        ),
+    ];
+    for ranking in [Ranking::Scalarised, Ranking::Pareto] {
+        for (degenerate, general) in &pairs {
+            assert_eq!(
+                run(degenerate, ranking),
+                run(general, ranking),
+                "{degenerate:?} must equal {general:?} under {ranking:?}"
+            );
         }
-    }
-    assert_eq!(uniform.budget.spent, asha.budget.spent);
-    assert_eq!(uniform.budget.overshoot, asha.budget.overshoot);
-    // Both record one allocation round with identical grants.
-    assert_eq!(uniform.allocations.len(), 1);
-    assert_eq!(asha.allocations.len(), 1);
-    for (ca, cb) in uniform.allocations[0]
-        .cells
-        .iter()
-        .zip(&asha.allocations[0].cells)
-    {
-        assert_eq!(ca.granted, cb.granted);
-        assert_eq!(ca.spent, cb.spent);
-        assert_eq!(ca.survived, cb.survived);
     }
 }
 

@@ -462,14 +462,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// FNV-1a over a traced run's canonical event stream: each event's JSON
+/// line followed by a newline, in `(source, seq)` order.
+fn event_digest(telemetry: &axdse_suite::ax_dse::campaign::Telemetry) -> u64 {
+    let lines: String = telemetry
+        .events()
+        .iter()
+        .map(|e| e.to_json_line() + "\n")
+        .collect();
+    fnv1a64(lines.as_bytes())
+}
+
 #[test]
 fn campaign_reports_match_their_golden_digests() {
-    use axdse_suite::ax_dse::campaign::BudgetPolicy;
+    use axdse_suite::ax_dse::campaign::{BudgetPolicy, HalvingBracket, Ranking, Telemetry};
     use axdse_suite::ax_workloads::dot::DotProduct;
     // Every other pin here compares two runs of one build, so a changed
     // RNG draw order, tie-break or floating-point operation order in an
     // agent would pass them all. These digests were recorded once: any
-    // such change moves a report byte and fails this test.
+    // such change moves a report byte and fails this test. Each budget
+    // policy is pinned under each ranking it can use, with its report
+    // and the event stream of a traced run, so a drifted schedule fails
+    // too.
     let lib = OperatorLibrary::evoapprox();
     let (matmul, dot) = (MatMul::new(4), DotProduct::new(8));
     let agents = [
@@ -500,19 +514,122 @@ fn campaign_reports_match_their_golden_digests() {
         0xa7fd_f9c8_6f5e_28b7,
         "scalarised grid report drifted"
     );
-    // ASHA under about 40% of the unbounded grid's 2,958 designs.
-    let asha = grid()
-        .budget(1_200)
-        .policy(BudgetPolicy::AsyncHalving {
-            rungs: 3,
-            keep_fraction: 0.5,
-        })
-        .run()
-        .unwrap();
-    assert_eq!(asha.budget.spent, 1192);
+    let traced = Telemetry::new();
+    grid().telemetry(&traced).run().unwrap();
     assert_eq!(
-        fnv1a64(asha.to_json_string().as_bytes()),
-        0x96a6_de56_e780_7ed1,
-        "budgeted asha report drifted"
+        event_digest(&traced),
+        0x9659_e744_3069_e355,
+        "scalarised grid event stream drifted"
     );
+
+    // Every budgeted policy under about 40% of the unbounded grid's 2,958
+    // designs: (label, policy, ranking, spent, report digest, event digest).
+    let halving = BudgetPolicy::SuccessiveHalving {
+        rounds: 3,
+        keep_fraction: 0.5,
+    };
+    let asha = BudgetPolicy::AsyncHalving {
+        rungs: 3,
+        keep_fraction: 0.5,
+    };
+    let hyperband = BudgetPolicy::Hyperband {
+        brackets: vec![
+            HalvingBracket::new(3, 0.5),
+            HalvingBracket::new(2, 0.5),
+            HalvingBracket::new(1, 0.5),
+        ],
+    };
+    let weighted = BudgetPolicy::Weighted((1..=10).map(f64::from).collect());
+    let scalar = Ranking::Scalarised;
+    let pinned: [(&str, BudgetPolicy, Ranking, u64, u64, u64); 8] = [
+        (
+            "uniform",
+            BudgetPolicy::Uniform,
+            scalar,
+            1200,
+            0x9548_b926_3803_b08f,
+            0x3098_a742_63a2_4fa0,
+        ),
+        (
+            "weighted",
+            weighted,
+            scalar,
+            1200,
+            0x5b1f_07b4_3457_751a,
+            0xeb0f_7c7b_59ba_32d0,
+        ),
+        (
+            "halving",
+            halving.clone(),
+            scalar,
+            1193,
+            0x3eaf_da53_e4a3_a9fc,
+            0xd6d6_d05d_dce5_b6b2,
+        ),
+        (
+            "hyperband",
+            hyperband.clone(),
+            scalar,
+            1200,
+            0x5b50_e6ab_7404_9568,
+            0x15d6_a4a3_8028_f073,
+        ),
+        (
+            "asha",
+            asha.clone(),
+            scalar,
+            1192,
+            0x96a6_de56_e780_7ed1,
+            0x9280_d02e_267e_e431,
+        ),
+        (
+            "pareto halving",
+            halving,
+            Ranking::Pareto,
+            1193,
+            0xb908_ed94_1ea3_da3d,
+            0x23fc_e18c_cdcc_13fe,
+        ),
+        (
+            "pareto asha",
+            asha,
+            Ranking::Pareto,
+            1192,
+            0x18d4_18e3_418e_92ca,
+            0x1416_893f_1f47_680e,
+        ),
+        (
+            "pareto hyperband",
+            hyperband,
+            Ranking::Pareto,
+            1200,
+            0x1f89_1f0f_ab0a_de9b,
+            0xecb2_1ea3_83e2_c618,
+        ),
+    ];
+    for (label, policy, ranking, spent, report_digest, events_digest) in pinned {
+        let run = |telemetry: &Telemetry| {
+            grid()
+                .budget(1_200)
+                .policy(policy.clone())
+                .ranking(ranking)
+                .telemetry(telemetry)
+                .run()
+                .unwrap()
+        };
+        let report = run(&Telemetry::disabled());
+        assert_eq!(report.budget.spent, spent, "{label} spend drifted");
+        assert_eq!(
+            fnv1a64(report.to_json_string().as_bytes()),
+            report_digest,
+            "{label} report drifted"
+        );
+        let traced = Telemetry::new();
+        run(&traced);
+        assert_eq!(
+            event_digest(&traced),
+            events_digest,
+            "{label} event stream drifted"
+        );
+    }
 }
