@@ -17,8 +17,7 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The Fx word hasher. Its high bits are the best mixed, because the
 /// multiply carries upwards only: maps index buckets by the low bits and
-/// still spread well, but a second-level split (such as a cache shard)
-/// should take the high bits.
+/// still spread well, but a second-level split should take the high bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,

@@ -23,13 +23,14 @@
 //!                         shared design cache; --server-budget N caps
 //!                         evaluations across ALL jobs; --max-job-budget N
 //!                         clamps each job; --cache-scopes N prunes the oldest
-//!                         cache scopes past N; --smoke shrinks every
-//!                         submitted spec for CI)
+//!                         cache scopes past N, in memory and in the file;
+//!                         --smoke shrinks every submitted spec for CI)
 //!   run SPEC.json         execute a checked-in campaign spec end-to-end
 //!                         (--smoke shrinks it for CI; --cache FILE persists the
 //!                         design cache across processes — concurrent writers
-//!                         merge on save; --cache-cap N bounds the cache and its
-//!                         file; --policy P / --budget N override the spec's
+//!                         merge on save; --cache-cap N bounds the saved file
+//!                         to N designs by dropping least-recently-used whole
+//!                         scopes; --policy P / --budget N override the spec's
 //!                         budget policy: uniform | weighted:S1,S2,… |
 //!                         halving:ROUNDS,KEEP | asha:RUNGS,KEEP |
 //!                         hyperband:R1,K1;R2,K2;… — --report-json FILE
@@ -407,33 +408,19 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         }
     }
     if args.cache_cap.is_some() && args.cache.is_none() {
-        panic!("--cache-cap only bounds a persistent cache; pass --cache FILE too");
+        return Err("--cache-cap bounds a saved cache file; pass --cache FILE too".into());
     }
-    // With --cache-cap the cache (and therefore the saved file) is bounded
-    // by the shard capacity; entries past the bound evict FIFO. Shards
-    // hold whole entries, so the effective bound is the largest
-    // shards x per-shard product at or under the requested cap.
-    let bounds = args.cache_cap.map(|cap| {
-        let cap = cap.max(1);
-        let shards = cap.min(16);
-        (shards, (cap / shards).max(1))
-    });
-    let cache = args.cache.as_ref().map(|p| {
-        if std::path::Path::new(p).exists() {
-            let cache = match bounds {
-                Some((shards, per_shard)) => SharedCache::load_bounded(p, shards, per_shard),
-                None => SharedCache::load(p),
+    let cache = match &args.cache {
+        None => None,
+        Some(p) => match SharedCache::load(p) {
+            Ok(cache) => {
+                eprintln!("loaded {} cached designs from {p}", cache.len());
+                Some(cache)
             }
-            .unwrap_or_else(|e| panic!("cannot load {p}: {e}"));
-            eprintln!("loaded {} cached designs from {p}", cache.len());
-            cache
-        } else {
-            match bounds {
-                Some((shards, per_shard)) => SharedCache::with_capacity(shards, per_shard),
-                None => SharedCache::new(),
-            }
-        }
-    });
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Some(SharedCache::new()),
+            Err(e) => return Err(format!("cannot load cache {p}: {e}")),
+        },
+    };
     // Build the operator library the spec names (defaults to the
     // six-per-class EvoApprox selection; `evoapprox-extended` widens it).
     let lib = spec.library.build();
@@ -488,13 +475,14 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         );
     }
     if let (Some(path), Some(cache)) = (&args.cache, &cache) {
-        // Concurrent `repro run --cache` processes race on the file:
-        // `save_merged` re-merges whatever landed on disk since we loaded
-        // and writes the union under one advisory lock (atomic
-        // temp-file + rename), so nobody's designs are silently dropped.
+        // Concurrent `repro run --cache` processes race on the file: `save`
+        // re-merges whatever landed on disk since we loaded and writes the
+        // union under one advisory lock (atomic temp-file + rename), so
+        // nobody's designs are silently dropped. --cache-cap then bounds
+        // the union by dropping least-recently-used whole scopes.
         let merged = cache
-            .save_merged(path)
-            .unwrap_or_else(|e| panic!("cannot save {path}: {e}"));
+            .save(path, usize::MAX, args.cache_cap)
+            .map_err(|e| format!("cannot save cache {path}: {e}"))?;
         if merged > 0 {
             eprintln!("re-merged {merged} on-disk designs from {path} before saving");
         }
@@ -528,7 +516,9 @@ fn main() -> ExitCode {
                  [--metrics METRICS.json]\n       \
                  repro serve [--addr HOST:PORT] [--workers N] [--cache FILE]\n               \
                  [--server-budget N] [--max-job-budget N] [--cache-scopes N]\n               \
-                 [--smoke]"
+                 [--smoke]\n\n\
+                 --cache-cap N bounds the saved --cache file to N designs by dropping\n\
+                 least-recently-used whole scopes."
             );
             eprintln!(
                 "commands: table1 table2 table3 fig2 fig3 fig4 ablation-explorers \

@@ -1,10 +1,12 @@
-//! The sharded concurrent design cache shared between evaluators.
+//! The concurrent design cache shared between evaluators.
 
 use super::EvalMetrics;
 use crate::config::AxConfig;
-use ax_agents::fxhash::{FxHashMap, FxHasher};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault};
+use crate::json::{Json, JsonError};
+use ax_agents::fxhash::FxHashMap;
+use std::collections::HashMap;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
@@ -18,16 +20,35 @@ struct ScopedConfig {
     config: AxConfig,
 }
 
-/// One lock-guarded slice of the table: the memo map, a FIFO ring of
-/// insertion order (consulted only when the shard carries a capacity
-/// bound) and the keys being computed right now. Both maps hash with the
-/// fixed [`FxHasher`]: keys are bounded design coordinates, never client
-/// strings.
+/// The memo map and the keys being computed right now. Both maps hash
+/// with the fixed Fx hasher: keys are bounded design coordinates, never
+/// client strings.
 #[derive(Debug, Default)]
-struct Shard {
+struct Table {
     map: FxHashMap<ScopedConfig, EvalMetrics>,
-    order: VecDeque<ScopedConfig>,
     in_flight: FxHashMap<ScopedConfig, Arc<Flight>>,
+}
+
+/// The interned scopes and a logical last-use stamp per scope id ever
+/// issued (0 = never used), driving oldest-first pruning. A scope's id is
+/// its stamp slot's index, so ids are never reused: a scope re-interned
+/// after [`SharedCache::prune_oldest`] cannot collide with a survivor.
+/// Slots are atomics so a stamp costs a read lock, not a write lock.
+#[derive(Debug, Default)]
+struct Scopes {
+    ids: HashMap<(String, u64), CacheScope>,
+    stamps: Vec<AtomicU64>,
+}
+
+impl Scopes {
+    /// The id of `key`, interning it as never used if it is new.
+    fn intern(&mut self, key: (String, u64)) -> CacheScope {
+        let next = CacheScope(self.stamps.len() as u32);
+        *self.ids.entry(key).or_insert_with(|| {
+            self.stamps.push(AtomicU64::new(0));
+            next
+        })
+    }
 }
 
 /// One key's computation in progress: waiters block until the leader
@@ -71,15 +92,15 @@ impl Drop for Leader<'_> {
             self.cache.touch(self.key.scope);
         }
         let flight = {
-            let mut shard = self
+            let mut table = self
                 .cache
-                .shard(&self.key)
+                .table
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
             if let Some(metrics) = self.outcome {
-                self.cache.insert_locked(&mut shard, self.key, metrics);
+                table.map.insert(self.key, metrics);
             }
-            shard.in_flight.remove(&self.key)
+            table.in_flight.remove(&self.key)
         };
         if let Some(flight) = flight {
             flight.land(self.outcome);
@@ -87,37 +108,26 @@ impl Drop for Leader<'_> {
     }
 }
 
-/// A sharded concurrent design cache shared between evaluators.
+/// A concurrent design cache shared between evaluators: one `RwLock` over
+/// one map.
 ///
 /// Entries are keyed by `(benchmark, input_seed)` scope plus configuration,
 /// so explorations of different benchmarks (or different input seeds of the
 /// same benchmark) never collide while concurrent runs of the *same*
-/// benchmark share memoised designs. Shards bound lock contention: a lookup
-/// takes one `RwLock` read on 1/Nth of the table.
+/// benchmark share memoised designs. A lookup takes one read lock.
 ///
 /// [`SharedCache::get_or_insert_with`] is single-flight: the first lookup
 /// of a key is its only miss and computes the metrics, while concurrent
 /// lookups of the same key wait for that result and count as hits — so
 /// hit, miss and execution counts do not depend on thread scheduling.
 ///
-/// [`SharedCache::with_capacity`] additionally bounds memory: each shard
-/// holds at most `max_entries_per_shard` designs and evicts its oldest
-/// entry (FIFO) when full. Eviction costs recomputation only, never
-/// correctness — evaluation is deterministic.
-#[derive(Debug)]
+/// Nothing is evicted while a campaign runs. Memory and files are bounded
+/// by dropping whole least-recently-used scopes, on demand
+/// ([`SharedCache::prune_oldest`]) or when saving ([`SharedCache::save`]).
+#[derive(Debug, Default)]
 pub struct SharedCache {
-    shards: Vec<RwLock<Shard>>,
-    /// Per-shard entry bound; `None` = unbounded.
-    shard_capacity: Option<usize>,
-    scopes: RwLock<HashMap<(String, u64), CacheScope>>,
-    /// Monotonic scope-id source — never reused, so a scope re-interned
-    /// after [`SharedCache::prune_oldest`] cannot collide with a survivor.
-    next_scope: AtomicU64,
-    /// Logical last-use stamp per scope id (intern or insert), driving
-    /// oldest-first scope pruning. Purely relative — no wall clock. Slots
-    /// are atomics so a stamp costs a read lock, not a write lock; only
-    /// interning a brand-new scope grows the table.
-    touches: RwLock<Vec<AtomicU64>>,
+    table: RwLock<Table>,
+    scopes: RwLock<Scopes>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -125,59 +135,13 @@ pub struct SharedCache {
 }
 
 impl SharedCache {
-    /// Default shard count: enough to keep a machine's worth of worker
-    /// threads from serialising on one lock.
-    const DEFAULT_SHARDS: usize = 16;
+    /// Age after which a writer assumes a `.lock` file was left behind by
+    /// a crashed process and steals it.
+    pub const LOCK_STALE_SECS: u64 = 10;
 
-    /// A cache with the default shard count, ready to share via `Arc`.
+    /// An empty cache, ready to share via `Arc`.
     pub fn new() -> Arc<Self> {
-        Self::with_shards(Self::DEFAULT_SHARDS)
-    }
-
-    /// A cache with an explicit shard count (power of two recommended).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(shards: usize) -> Arc<Self> {
-        Self::build(shards, None)
-    }
-
-    /// A size-bounded cache: `shards` shards of at most
-    /// `max_entries_per_shard` designs each, oldest-first (FIFO) eviction.
-    ///
-    /// The total bound is `shards × max_entries_per_shard`; the cache never
-    /// holds more entries than that ([`SharedCache::capacity`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `max_entries_per_shard` is zero.
-    pub fn with_capacity(shards: usize, max_entries_per_shard: usize) -> Arc<Self> {
-        assert!(
-            max_entries_per_shard > 0,
-            "shard capacity must be at least one entry"
-        );
-        Self::build(shards, Some(max_entries_per_shard))
-    }
-
-    fn build(shards: usize, shard_capacity: Option<usize>) -> Arc<Self> {
-        assert!(shards > 0, "cache needs at least one shard");
-        Arc::new(Self {
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
-            shard_capacity,
-            scopes: RwLock::new(HashMap::new()),
-            next_scope: AtomicU64::new(0),
-            touches: RwLock::new(Vec::new()),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        })
-    }
-
-    /// The maximum number of entries this cache will hold, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.shard_capacity.map(|c| c * self.shards.len())
+        Arc::default()
     }
 
     /// Interns a `(benchmark, input_seed)` pair, returning its scope id.
@@ -187,41 +151,40 @@ impl SharedCache {
     /// for pruning recency.
     pub fn scope(&self, benchmark: &str, input_seed: u64) -> CacheScope {
         let key = (benchmark.to_owned(), input_seed);
-        if let Some(&s) = self.scopes.read().expect("scope table poisoned").get(&key) {
-            self.touch(s);
-            return s;
-        }
-        let mut scopes = self.scopes.write().expect("scope table poisoned");
-        let scope = *scopes
-            .entry(key)
-            .or_insert_with(|| CacheScope(self.next_scope.fetch_add(1, Ordering::Relaxed) as u32));
-        drop(scopes);
-        {
-            let mut touches = self.touches.write().expect("touch table poisoned");
-            while touches.len() <= scope.0 as usize {
-                touches.push(AtomicU64::new(0));
-            }
-        }
+        let found = self.scope_table().ids.get(&key).copied();
+        let scope = found.unwrap_or_else(|| {
+            self.scopes
+                .write()
+                .expect("scope table poisoned")
+                .intern(key)
+        });
         self.touch(scope);
         scope
     }
 
-    /// Stamps `scope` as just-used for [`SharedCache::prune_oldest`]'s
-    /// oldest-first ordering.
-    fn touch(&self, scope: CacheScope) {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let touches = self.touches.read().expect("touch table poisoned");
-        if let Some(slot) = touches.get(scope.0 as usize) {
-            slot.store(stamp, Ordering::Relaxed);
-        }
+    /// The live id of a scope, without counting a use.
+    fn find_scope(&self, benchmark: &str, input_seed: u64) -> Option<CacheScope> {
+        let key = (benchmark.to_owned(), input_seed);
+        self.scope_table().ids.get(&key).copied()
     }
 
-    /// The shard holding `key`, picked by the top 32 bits of its Fx hash
-    /// scaled onto the shard count: the shard maps bucket by the low bits,
-    /// and the Fx multiply mixes the high bits best.
-    fn shard(&self, key: &ScopedConfig) -> &RwLock<Shard> {
-        let high = BuildHasherDefault::<FxHasher>::default().hash_one(key) >> 32;
-        &self.shards[((high * self.shards.len() as u64) >> 32) as usize]
+    fn scope_table(&self) -> std::sync::RwLockReadGuard<'_, Scopes> {
+        self.scopes.read().expect("scope table poisoned")
+    }
+
+    fn table(&self) -> std::sync::RwLockReadGuard<'_, Table> {
+        self.table.read().expect("cache table poisoned")
+    }
+
+    /// Stamps `scope` as just-used for [`SharedCache::prune_oldest`]'s
+    /// oldest-first ordering. Runs inside [`Leader`]'s `Drop`, so it must
+    /// not panic: a stamp store is valid whatever a poisoning thread left.
+    fn touch(&self, scope: CacheScope) {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let scopes = self.scopes.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = scopes.stamps.get(scope.0 as usize) {
+            slot.store(stamp, Ordering::Relaxed);
+        }
     }
 
     /// Looks up a configuration in a scope.
@@ -230,31 +193,22 @@ impl SharedCache {
             scope,
             config: *config,
         };
-        let found = self
-            .shard(&key)
-            .read()
-            .expect("cache shard poisoned")
-            .map
-            .get(&key)
-            .copied();
-        match found {
-            Some(m) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(m)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.table().map.get(&key).copied();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Looks up a configuration in a scope, computing and inserting it with
     /// `compute` on a miss. Single-flight: while one caller computes a key,
     /// concurrent callers of the same key wait for its result and count as
     /// hits; if `compute` fails, the error goes to its caller and one of
-    /// the waiters retries with its own `compute`. A hit costs one shard
-    /// read lock.
+    /// the waiters retries with its own `compute`. A hit costs one read
+    /// lock.
     ///
     /// # Errors
     ///
@@ -271,23 +225,17 @@ impl SharedCache {
             Lead,
         }
         let key = ScopedConfig { scope, config };
-        let shard = self.shard(&key);
         loop {
-            let cached = shard
-                .read()
-                .expect("cache shard poisoned")
-                .map
-                .get(&key)
-                .copied();
+            let cached = self.table().map.get(&key).copied();
             let lookup = match cached {
                 Some(m) => Lookup::Hit(m),
                 None => {
-                    let mut guard = shard.write().expect("cache shard poisoned");
-                    match (guard.map.get(&key), guard.in_flight.get(&key)) {
+                    let mut table = self.table.write().expect("cache table poisoned");
+                    match (table.map.get(&key), table.in_flight.get(&key)) {
                         (Some(&m), _) => Lookup::Hit(m),
                         (None, Some(flight)) => Lookup::Wait(Arc::clone(flight)),
                         (None, None) => {
-                            guard.in_flight.insert(key, Arc::default());
+                            table.in_flight.insert(key, Arc::default());
                             Lookup::Lead
                         }
                     }
@@ -321,87 +269,45 @@ impl SharedCache {
         }
     }
 
-    /// Inserts a configuration's metrics into a scope, evicting the shard's
-    /// oldest entry first if the cache is bounded and the shard is full.
-    /// Racing inserts of the same key are benign: evaluation is
-    /// deterministic, so both writers carry identical metrics.
+    /// Inserts a configuration's metrics into a scope. Racing inserts of
+    /// the same key are benign: evaluation is deterministic, so both
+    /// writers carry identical metrics.
     pub fn insert(&self, scope: CacheScope, config: AxConfig, metrics: EvalMetrics) {
         self.touch(scope);
-        let key = ScopedConfig { scope, config };
-        let mut shard = self.shard(&key).write().expect("cache shard poisoned");
-        self.insert_locked(&mut shard, key, metrics);
-    }
-
-    /// [`SharedCache::insert`]'s body, called with the key's shard locked.
-    fn insert_locked(&self, shard: &mut Shard, key: ScopedConfig, metrics: EvalMetrics) {
-        if let Some(slot) = shard.map.get_mut(&key) {
-            *slot = metrics;
-            return;
-        }
-        if let Some(cap) = self.shard_capacity {
-            while shard.map.len() >= cap {
-                let oldest = shard
-                    .order
-                    .pop_front()
-                    .expect("bounded shard must track insertion order");
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.map.insert(key, metrics);
-        if self.shard_capacity.is_some() {
-            shard.order.push_back(key);
-        }
+        self.table
+            .write()
+            .expect("cache table poisoned")
+            .map
+            .insert(ScopedConfig { scope, config }, metrics);
     }
 
     /// All cached designs of one `(benchmark, input_seed)` scope. Returns an
     /// empty vector for unknown scopes; the iteration order is unspecified
     /// (callers needing determinism sort by configuration).
     pub fn snapshot(&self, benchmark: &str, input_seed: u64) -> Vec<(AxConfig, EvalMetrics)> {
-        let key = (benchmark.to_owned(), input_seed);
-        let Some(&scope) = self.scopes.read().expect("scope table poisoned").get(&key) else {
+        let Some(scope) = self.find_scope(benchmark, input_seed) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().expect("cache shard poisoned");
-            out.extend(
-                shard
-                    .map
-                    .iter()
-                    .filter(|(k, _)| k.scope == scope)
-                    .map(|(k, m)| (k.config, *m)),
-            );
-        }
-        out
+        self.table()
+            .map
+            .iter()
+            .filter(|(k, _)| k.scope == scope)
+            .map(|(k, m)| (k.config, *m))
+            .collect()
     }
 
     /// Entries of one `(benchmark, input_seed)` scope — the per-benchmark
     /// counterpart of [`SharedCache::len`]. Returns 0 for unknown scopes.
     pub fn scope_len(&self, benchmark: &str, input_seed: u64) -> usize {
-        let key = (benchmark.to_owned(), input_seed);
-        let Some(&scope) = self.scopes.read().expect("scope table poisoned").get(&key) else {
+        let Some(scope) = self.find_scope(benchmark, input_seed) else {
             return 0;
         };
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("cache shard poisoned")
-                    .map
-                    .keys()
-                    .filter(|k| k.scope == scope)
-                    .count()
-            })
-            .sum()
+        self.table().map.keys().filter(|k| k.scope == scope).count()
     }
 
-    /// Total entries across all shards and scopes.
+    /// Total entries across all scopes.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").map.len())
-            .sum()
+        self.table().map.len()
     }
 
     /// `true` if no design has been cached yet.
@@ -419,309 +325,234 @@ impl SharedCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted to respect the capacity bound (or dropped by
-    /// [`SharedCache::prune_oldest`]) since construction.
+    /// Entries dropped by [`SharedCache::prune_oldest`] (and so by a
+    /// bounded [`SharedCache::save`]) since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
     /// Number of interned `(benchmark, input_seed)` scopes.
     pub fn scope_count(&self) -> usize {
-        self.scopes.read().expect("scope table poisoned").len()
+        self.scope_table().ids.len()
     }
 
-    /// Age/size-based scope pruning for long-lived caches (the `ax-serve`
-    /// daemon's periodic housekeeping): drops whole least-recently-used
-    /// scopes — recency being the last intern or insert, a logical clock,
-    /// never wall time — until at most `max_scopes` scopes remain **and**
-    /// the total entry count is within `max_entries` (when given).
-    /// Returns the number of entries dropped; dropped entries count as
+    /// Age/size-based scope pruning for long-lived caches: drops whole
+    /// least-recently-used scopes — recency being the last intern or
+    /// insert, a logical clock, never wall time — until at most
+    /// `max_scopes` scopes remain **and** the total entry count is within
+    /// `max_entries` (when given). Entries whose scope is no longer
+    /// interned go too: a campaign still running when an earlier prune
+    /// retired its scope keeps inserting under the retired id. Returns
+    /// the number of entries dropped; dropped entries count as
     /// [`SharedCache::evictions`]. Pruning costs recomputation only,
     /// never correctness.
     ///
     /// A pruned scope's id is retired, not recycled: re-interning the same
     /// `(benchmark, input_seed)` later yields a fresh empty scope.
     pub fn prune_oldest(&self, max_scopes: usize, max_entries: Option<usize>) -> usize {
-        // Lock order everywhere: scopes before touches before shards.
+        // Lock order everywhere: scopes before table.
         let mut scopes = self.scopes.write().expect("scope table poisoned");
-        let mut ranked: Vec<((String, u64), CacheScope, u64)> = {
-            let touches = self.touches.read().expect("touch table poisoned");
-            scopes
-                .iter()
-                .map(|(k, &s)| {
-                    let stamp = touches
-                        .get(s.0 as usize)
-                        .map_or(0, |t| t.load(Ordering::Relaxed));
-                    (k.clone(), s, stamp)
-                })
-                .collect()
-        };
-        // Oldest stamp first; ties resolve to the lower (earlier) scope id.
-        ranked.sort_by_key(|&(_, s, stamp)| (stamp, s.0));
-        let mut sizes: Vec<usize> = Vec::with_capacity(ranked.len());
-        for (_, scope, _) in &ranked {
-            let count: usize = self
-                .shards
-                .iter()
-                .map(|sh| {
-                    sh.read()
-                        .expect("cache shard poisoned")
-                        .map
-                        .keys()
-                        .filter(|k| k.scope == *scope)
-                        .count()
-                })
-                .sum();
-            sizes.push(count);
+        let mut table = self.table.write().expect("cache table poisoned");
+        let mut sizes = vec![0usize; scopes.stamps.len()];
+        for key in table.map.keys() {
+            if let Some(size) = sizes.get_mut(key.scope.0 as usize) {
+                *size += 1;
+            }
         }
-        let mut remaining_scopes = ranked.len();
-        let mut remaining_entries: usize = sizes.iter().sum();
-        let mut removed = 0usize;
-        for ((key, scope, _), size) in ranked.into_iter().zip(sizes) {
-            let over_scopes = remaining_scopes > max_scopes;
-            let over_entries = max_entries.is_some_and(|m| remaining_entries > m);
-            if !(over_scopes || over_entries) {
+        let stamp = |s: &CacheScope| scopes.stamps[s.0 as usize].load(Ordering::Relaxed);
+        // Newest first; ties resolve to the higher (later) scope id. Keep
+        // the longest newest run that fits both bounds.
+        let mut newest_first: Vec<CacheScope> = scopes.ids.values().copied().collect();
+        newest_first.sort_by_key(|s| std::cmp::Reverse((stamp(s), s.0)));
+        let mut live = vec![false; scopes.stamps.len()];
+        let mut entries = 0usize;
+        for (kept, scope) in newest_first.into_iter().enumerate() {
+            entries += sizes[scope.0 as usize];
+            if kept >= max_scopes || max_entries.is_some_and(|m| entries > m) {
                 break;
             }
-            scopes.remove(&key);
-            for sh in &self.shards {
-                let mut sh = sh.write().expect("cache shard poisoned");
-                sh.map.retain(|k, _| k.scope != scope);
-                sh.order.retain(|k| k.scope != scope);
-            }
-            remaining_scopes -= 1;
-            remaining_entries -= size;
-            removed += size;
+            live[scope.0 as usize] = true;
         }
+        let is_live = |s: CacheScope| live.get(s.0 as usize).copied().unwrap_or(false);
+        scopes.ids.retain(|_, s| is_live(*s));
+        let before = table.map.len();
+        table.map.retain(|k, _| is_live(k.scope));
+        let removed = before - table.map.len();
         self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
         removed
     }
 
-    /// Serialises the whole memo table (every scope, every design) as JSON
-    /// to `path`, so a later process can [`SharedCache::load`] it and skip
-    /// re-evaluating designs this one already paid for. Output is
-    /// deterministic: scopes sort by `(benchmark, input_seed)`, entries by
-    /// configuration.
+    /// Persists the cache to `path` so a later process can
+    /// [`SharedCache::load`] it and skip re-evaluating designs this one
+    /// already paid for. Under the file's lock, it merges what is on disk
+    /// into this cache ([`SharedCache::merge_from`]), prunes the union to
+    /// `max_scopes` and `max_entries` ([`SharedCache::prune_oldest`];
+    /// merged-in scopes do not count as used, so the scopes this process
+    /// used since it loaded survive) and writes the result. Returns the
+    /// number of entries read from disk (0 when the file did not exist).
     ///
-    /// Safe against simultaneous writers: the write goes to a temp file in
-    /// the same directory, followed by an atomic rename, with a `.lock`
-    /// sibling file serialising writers across processes — a reader or a
-    /// concurrent saver never observes a half-written file. A lock left
-    /// behind by a crashed process is stolen after
-    /// [`SharedCache::LOCK_STALE_SECS`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; waiting longer than ~30s for the lock
-    /// fails with [`std::io::ErrorKind::TimedOut`].
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let _lock = SaveLock::acquire(path)?;
-        self.save_locked(path)
-    }
-
-    /// [`SharedCache::merge_from`] + [`SharedCache::save`] under **one**
-    /// file lock: merges whatever is on disk into this cache, then writes
-    /// the union back atomically. This closes the merge-then-save race two
-    /// plain `save` callers still have (each save is atomic, but a write
-    /// landing between another writer's merge and save would be lost) —
-    /// the daemon's persistence path.
-    ///
-    /// Returns the number of entries merged in from disk (0 when the file
-    /// did not exist yet).
+    /// Concurrent writers, in this process or others, never drop each
+    /// other's designs and never tear the file: a `.lock` sibling file
+    /// serialises them, and the write goes to a temp file in the same
+    /// directory followed by an atomic rename. A lock left behind by a
+    /// crashed process is stolen after [`SharedCache::LOCK_STALE_SECS`].
+    /// Output is deterministic: scopes sort by `(benchmark, input_seed)`,
+    /// entries by configuration.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors, including malformed on-disk caches
-    /// ([`std::io::ErrorKind::InvalidData`]).
-    pub fn save_merged(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
+    /// ([`io::ErrorKind::InvalidData`]); waiting longer than ~30s for the
+    /// lock fails with [`io::ErrorKind::TimedOut`].
+    pub fn save(
+        &self,
+        path: impl AsRef<Path>,
+        max_scopes: usize,
+        max_entries: Option<usize>,
+    ) -> io::Result<usize> {
         let path = path.as_ref();
         let _lock = SaveLock::acquire(path)?;
-        let merged = if path.exists() {
-            self.merge_from(path)?
-        } else {
-            0
+        let merged = match self.merge_from(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            merged => merged?,
         };
-        self.save_locked(path)?;
-        Ok(merged)
-    }
-
-    /// The body of [`SharedCache::save`], called with the lock held: build
-    /// the deterministic document, write it next to `path`, rename over.
-    fn save_locked(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use crate::json::Json;
-        let mut scopes: Vec<((String, u64), CacheScope)> = self
-            .scopes
-            .read()
-            .expect("scope table poisoned")
-            .iter()
-            .map(|(k, &s)| (k.clone(), s))
+        self.prune_oldest(max_scopes, max_entries);
+        let mut keys: Vec<(String, u64)> = self.scope_table().ids.keys().cloned().collect();
+        keys.sort_unstable();
+        let scope_nodes = keys
+            .into_iter()
+            .map(|(benchmark, input_seed)| {
+                let mut entries = self.snapshot(&benchmark, input_seed);
+                entries.sort_by_key(|(c, _)| (c.adder.0, c.mul.0, c.vars));
+                let entry_nodes = entries
+                    .into_iter()
+                    .map(|(c, m)| {
+                        Json::obj(vec![
+                            ("adder", Json::u64(c.adder.0 as u64)),
+                            ("mul", Json::u64(c.mul.0 as u64)),
+                            ("vars", Json::u64(c.vars)),
+                            ("delta_acc", Json::f64(m.delta_acc)),
+                            ("delta_power", Json::f64(m.delta_power)),
+                            ("delta_time", Json::f64(m.delta_time)),
+                            ("signed_error", Json::f64(m.signed_error)),
+                            ("power", Json::f64(m.power)),
+                            ("time_ns", Json::f64(m.time_ns)),
+                        ])
+                    })
+                    .collect();
+                Json::obj(vec![
+                    ("benchmark", Json::str(benchmark)),
+                    ("input_seed", Json::u64(input_seed)),
+                    ("entries", Json::Arr(entry_nodes)),
+                ])
+            })
             .collect();
-        scopes.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let mut scope_nodes = Vec::with_capacity(scopes.len());
-        for ((benchmark, input_seed), _) in scopes {
-            let mut entries = self.snapshot(&benchmark, input_seed);
-            entries.sort_by_key(|(c, _)| (c.adder.0, c.mul.0, c.vars));
-            let entry_nodes = entries
-                .into_iter()
-                .map(|(c, m)| {
-                    Json::obj(vec![
-                        ("adder", Json::u64(c.adder.0 as u64)),
-                        ("mul", Json::u64(c.mul.0 as u64)),
-                        ("vars", Json::u64(c.vars)),
-                        ("delta_acc", Json::f64(m.delta_acc)),
-                        ("delta_power", Json::f64(m.delta_power)),
-                        ("delta_time", Json::f64(m.delta_time)),
-                        ("signed_error", Json::f64(m.signed_error)),
-                        ("power", Json::f64(m.power)),
-                        ("time_ns", Json::f64(m.time_ns)),
-                    ])
-                })
-                .collect();
-            scope_nodes.push(Json::obj(vec![
-                ("benchmark", Json::str(benchmark)),
-                ("input_seed", Json::u64(input_seed)),
-                ("entries", Json::Arr(entry_nodes)),
-            ]));
-        }
         let doc = Json::obj(vec![("scopes", Json::Arr(scope_nodes))]);
-        let tmp = path.with_file_name(format!(
-            "{}.tmp.{}",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "cache".into()),
-            std::process::id()
-        ));
+        let tmp = sibling(path, &format!("tmp.{}", std::process::id()));
         if let Err(e) =
             std::fs::write(&tmp, doc.pretty()).and_then(|()| std::fs::rename(&tmp, path))
         {
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
-        Ok(())
+        Ok(merged)
     }
 
     /// Loads a cache previously written by [`SharedCache::save`] into a
-    /// fresh unbounded cache.
+    /// fresh cache.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; malformed files surface as
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Arc<Self>> {
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn load(path: impl AsRef<Path>) -> io::Result<Arc<Self>> {
         let cache = Self::new();
         cache.merge_from(path)?;
         Ok(cache)
     }
 
-    /// Loads a cache file into a fresh **bounded** cache
-    /// ([`SharedCache::with_capacity`]), so oversized files shrink to the
-    /// bound on load and stay bounded when saved again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; malformed files surface as
-    /// [`std::io::ErrorKind::InvalidData`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `max_entries_per_shard` is zero.
-    pub fn load_bounded(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-        max_entries_per_shard: usize,
-    ) -> std::io::Result<Arc<Self>> {
-        let cache = Self::with_capacity(shards, max_entries_per_shard);
-        cache.merge_from(path)?;
-        Ok(cache)
-    }
-
     /// Merges a cache file written by [`SharedCache::save`] into this
-    /// cache and returns the number of entries read.
+    /// cache and returns the number of entries read. Merged scopes do not
+    /// count as used for pruning recency; a malformed file merges nothing.
     ///
     /// The merge is a union keyed by `(benchmark, input_seed)` scope and
     /// configuration, file entries winning conflicts (last-writer-wins per
     /// design — harmless, because evaluation is deterministic and any two
-    /// writers carry identical metrics for the same key). This is what
-    /// keeps concurrent `repro run --cache` writers from silently dropping
-    /// each other's work: merge the file again right before saving and the
-    /// written union contains both processes' designs, whichever saved
-    /// first. On a bounded cache ([`SharedCache::with_capacity`]) merged
-    /// entries respect the capacity via the normal FIFO eviction, so the
-    /// re-saved file stays bounded by `shard_capacity` too.
+    /// writers carry identical metrics for the same key).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; malformed files surface as
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn merge_from(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-        use crate::json::Json;
-        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn merge_from(&self, path: impl AsRef<Path>) -> io::Result<usize> {
         let text = std::fs::read_to_string(path)?;
-        let doc = Json::parse(&text).map_err(|e| invalid(e.to_string()))?;
-        let cache = self;
-        let mut merged = 0usize;
-        let scopes = doc
-            .get("scopes")
-            .ok_or_else(|| invalid("cache file needs a `scopes` array".into()))?
-            .as_arr()
-            .map_err(|e| invalid(e.to_string()))?;
-        for scope_node in scopes {
-            let field = |key: &str| {
-                scope_node
-                    .get(key)
-                    .ok_or_else(|| invalid(format!("cache scope needs `{key}`")))
-            };
-            let benchmark = field("benchmark")?
-                .as_str()
-                .map_err(|e| invalid(e.to_string()))?;
-            let input_seed = field("input_seed")?
-                .as_u64()
-                .map_err(|e| invalid(e.to_string()))?;
-            let scope = cache.scope(benchmark, input_seed);
-            for entry in field("entries")?
-                .as_arr()
-                .map_err(|e| invalid(e.to_string()))?
-            {
-                let num = |key: &str| {
-                    entry
-                        .get(key)
-                        .ok_or_else(|| invalid(format!("cache entry needs `{key}`")))
-                };
-                let config = AxConfig {
-                    adder: ax_operators::AdderId(
-                        num("adder")?
-                            .as_usize()
-                            .map_err(|e| invalid(e.to_string()))?,
-                    ),
-                    mul: ax_operators::MulId(
-                        num("mul")?.as_usize().map_err(|e| invalid(e.to_string()))?,
-                    ),
-                    vars: num("vars")?.as_u64().map_err(|e| invalid(e.to_string()))?,
-                };
-                let f = |key: &str| -> std::io::Result<f64> {
-                    num(key)?.as_f64().map_err(|e| invalid(e.to_string()))
-                };
-                let metrics = EvalMetrics {
-                    delta_acc: f("delta_acc")?,
-                    delta_power: f("delta_power")?,
-                    delta_time: f("delta_time")?,
-                    signed_error: f("signed_error")?,
-                    power: f("power")?,
-                    time_ns: f("time_ns")?,
-                };
-                cache.insert(scope, config, metrics);
-                merged += 1;
-            }
+        let parsed =
+            parse_cache_file(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let mut scopes = self.scopes.write().expect("scope table poisoned");
+        let mut table = self.table.write().expect("cache table poisoned");
+        let mut merged = 0;
+        for (key, entries) in parsed {
+            let scope = scopes.intern(key);
+            merged += entries.len();
+            table.map.extend(
+                entries
+                    .into_iter()
+                    .map(|(config, metrics)| (ScopedConfig { scope, config }, metrics)),
+            );
         }
         Ok(merged)
     }
 }
 
-impl SharedCache {
-    /// Age after which a writer assumes a `.lock` file was left behind by
-    /// a crashed process and steals it.
-    pub const LOCK_STALE_SECS: u64 = 10;
+/// Every scope of a cache file, with its entries.
+type CacheFile = Vec<((String, u64), Vec<(AxConfig, EvalMetrics)>)>;
+
+fn parse_cache_file(text: &str) -> Result<CacheFile, JsonError> {
+    fn field<'a>(node: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
+        node.get(key)
+            .ok_or_else(|| JsonError(format!("cache file needs `{key}`")))
+    }
+    let doc = Json::parse(text)?;
+    field(&doc, "scopes")?
+        .as_arr()?
+        .iter()
+        .map(|scope| {
+            let key = (
+                field(scope, "benchmark")?.as_str()?.to_owned(),
+                field(scope, "input_seed")?.as_u64()?,
+            );
+            let entries = field(scope, "entries")?
+                .as_arr()?
+                .iter()
+                .map(|entry| {
+                    let f = |key: &str| field(entry, key)?.as_f64();
+                    let config = AxConfig {
+                        adder: ax_operators::AdderId(field(entry, "adder")?.as_usize()?),
+                        mul: ax_operators::MulId(field(entry, "mul")?.as_usize()?),
+                        vars: field(entry, "vars")?.as_u64()?,
+                    };
+                    let metrics = EvalMetrics {
+                        delta_acc: f("delta_acc")?,
+                        delta_power: f("delta_power")?,
+                        delta_time: f("delta_time")?,
+                        signed_error: f("signed_error")?,
+                        power: f("power")?,
+                        time_ns: f("time_ns")?,
+                    };
+                    Ok((config, metrics))
+                })
+                .collect::<Result<_, JsonError>>()?;
+            Ok((key, entries))
+        })
+        .collect()
+}
+
+/// `<file>.<suffix>` next to `target`.
+fn sibling(target: &Path, suffix: &str) -> std::path::PathBuf {
+    let name = target
+        .file_name()
+        .map_or_else(|| "cache".into(), |n| n.to_string_lossy());
+    target.with_file_name(format!("{name}.{suffix}"))
 }
 
 /// An exclusive advisory lock on a cache file, held for the duration of a
@@ -737,15 +568,9 @@ impl SaveLock {
     const POLL: std::time::Duration = std::time::Duration::from_millis(5);
     const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
-    fn acquire(target: &std::path::Path) -> std::io::Result<Self> {
+    fn acquire(target: &Path) -> io::Result<Self> {
         use std::io::Write;
-        let path = target.with_file_name(format!(
-            "{}.lock",
-            target
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "cache".into())
-        ));
+        let path = sibling(target, "lock");
         let start = std::time::Instant::now();
         loop {
             match std::fs::OpenOptions::new()
@@ -758,7 +583,7 @@ impl SaveLock {
                     let _ = write!(file, "{}", std::process::id());
                     return Ok(Self { path });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     let stale = std::fs::metadata(&path)
                         .and_then(|m| m.modified())
                         .ok()
@@ -771,8 +596,8 @@ impl SaveLock {
                         continue;
                     }
                     if start.elapsed() > Self::TIMEOUT {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
                             format!("timed out waiting for cache lock {}", path.display()),
                         ));
                     }
@@ -814,13 +639,22 @@ mod tests {
         }
     }
 
+    /// A per-process temp path with nothing at it: `save` merges whatever
+    /// it finds, so a file a crashed earlier run left behind must not
+    /// leak into the test.
+    fn fresh_path(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("ax_dse_{name}_{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
     /// Blocks until `n` callers hold `config`'s in-flight computation —
     /// each waiter clones the flight before it sleeps on it.
     fn await_waiters(cache: &SharedCache, scope: CacheScope, config: AxConfig, n: usize) {
         let key = ScopedConfig { scope, config };
         let waiters = || {
-            let shard = cache.shard(&key).read().unwrap();
-            shard
+            cache
+                .table()
                 .in_flight
                 .get(&key)
                 .map_or(0, |f| Arc::strong_count(f) - 1)
@@ -828,71 +662,6 @@ mod tests {
         while waiters() < n {
             std::thread::yield_now();
         }
-    }
-
-    #[test]
-    fn bounded_cache_never_exceeds_capacity() {
-        let cache = SharedCache::with_capacity(4, 8);
-        let scope = cache.scope("bench", 0);
-        assert_eq!(cache.capacity(), Some(32));
-        for i in 0..10_000u64 {
-            cache.insert(scope, config(i), metrics(i as f64));
-            assert!(
-                cache.len() <= 32,
-                "cache grew to {} past its bound at insert {i}",
-                cache.len()
-            );
-        }
-        assert!(
-            cache.evictions() > 0,
-            "the bound must have forced evictions"
-        );
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn eviction_is_fifo_within_a_shard() {
-        // One shard makes the global order the shard order: after
-        // overfilling, the oldest inserts are gone and the newest remain.
-        let cache = SharedCache::with_capacity(1, 4);
-        let scope = cache.scope("bench", 0);
-        for i in 0..6u64 {
-            cache.insert(scope, config(i), metrics(i as f64));
-        }
-        assert_eq!(cache.len(), 4);
-        assert!(cache.get(scope, &config(0)).is_none(), "oldest evicted");
-        assert!(
-            cache.get(scope, &config(1)).is_none(),
-            "second-oldest evicted"
-        );
-        for i in 2..6u64 {
-            assert!(cache.get(scope, &config(i)).is_some(), "entry {i} retained");
-        }
-    }
-
-    #[test]
-    fn reinsert_of_existing_key_does_not_evict() {
-        let cache = SharedCache::with_capacity(1, 2);
-        let scope = cache.scope("bench", 0);
-        cache.insert(scope, config(0), metrics(0.0));
-        cache.insert(scope, config(1), metrics(1.0));
-        cache.insert(scope, config(0), metrics(0.0));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 0);
-        assert!(cache.get(scope, &config(1)).is_some());
-    }
-
-    #[test]
-    fn unbounded_cache_reports_no_capacity() {
-        let cache = SharedCache::new();
-        assert_eq!(cache.capacity(), None);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn zero_shard_capacity_rejected() {
-        let _ = SharedCache::with_capacity(4, 0);
     }
 
     #[test]
@@ -919,8 +688,8 @@ mod tests {
             cache.insert(a, config(i), metrics(i as f64 * 0.25));
         }
         cache.insert(b, config(99), metrics(-3.5));
-        let path = std::env::temp_dir().join("ax_dse_cache_roundtrip.json");
-        cache.save(&path).unwrap();
+        let path = fresh_path("cache_roundtrip");
+        cache.save(&path, usize::MAX, None).unwrap();
         let loaded = SharedCache::load(&path).unwrap();
         assert_eq!(loaded.len(), cache.len());
         let scope = loaded.scope("bench-a", 1);
@@ -934,8 +703,8 @@ mod tests {
         let scope_b = loaded.scope("bench-b", 7);
         assert_eq!(loaded.get(scope_b, &config(99)), Some(metrics(-3.5)));
         // Saving the loaded cache reproduces the identical file.
-        let path2 = std::env::temp_dir().join("ax_dse_cache_roundtrip2.json");
-        loaded.save(&path2).unwrap();
+        let path2 = fresh_path("cache_roundtrip2");
+        loaded.save(&path2, usize::MAX, None).unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
             std::fs::read_to_string(&path2).unwrap()
@@ -949,13 +718,13 @@ mod tests {
         // Two processes load the same (empty) state, cache disjoint work
         // and save to the same file; whoever merges before saving keeps
         // both sides' designs instead of silently dropping the other's.
-        let path = std::env::temp_dir().join("ax_dse_cache_merge.json");
+        let path = fresh_path("cache_merge");
         let writer_a = SharedCache::new();
         let a_scope = writer_a.scope("bench-a", 1);
         for i in 0..10u64 {
             writer_a.insert(a_scope, config(i), metrics(i as f64));
         }
-        writer_a.save(&path).unwrap();
+        writer_a.save(&path, usize::MAX, None).unwrap();
 
         // Writer B worked concurrently on another benchmark plus one
         // overlapping design; it merges the file before saving.
@@ -968,7 +737,7 @@ mod tests {
         writer_b.insert(overlap, config(3), metrics(3.0));
         let merged = writer_b.merge_from(&path).unwrap();
         assert_eq!(merged, 10);
-        writer_b.save(&path).unwrap();
+        writer_b.save(&path, usize::MAX, None).unwrap();
 
         let union = SharedCache::load(&path).unwrap();
         assert_eq!(union.len(), 15, "10 from A + 5 from B, overlap deduped");
@@ -982,11 +751,11 @@ mod tests {
 
     #[test]
     fn merge_from_is_last_writer_wins_per_design() {
-        let path = std::env::temp_dir().join("ax_dse_cache_lww.json");
+        let path = fresh_path("cache_lww");
         let disk = SharedCache::new();
         let scope = disk.scope("bench", 0);
         disk.insert(scope, config(1), metrics(42.0));
-        disk.save(&path).unwrap();
+        disk.save(&path, usize::MAX, None).unwrap();
         let mem = SharedCache::new();
         let m_scope = mem.scope("bench", 0);
         mem.insert(m_scope, config(1), metrics(-1.0));
@@ -997,32 +766,21 @@ mod tests {
     }
 
     #[test]
-    fn bounded_load_and_save_keep_the_file_bounded() {
-        // An unbounded writer produced an oversized file; loading it into
-        // a bounded cache shrinks it to the capacity, and the re-saved
-        // file respects the shard_capacity bound.
-        let path = std::env::temp_dir().join("ax_dse_cache_bounded.json");
-        let big = SharedCache::new();
-        let scope = big.scope("bench", 0);
-        for i in 0..100u64 {
-            big.insert(scope, config(i), metrics(i as f64));
-        }
-        big.save(&path).unwrap();
-        let bounded = SharedCache::load_bounded(&path, 4, 8).unwrap();
-        assert!(bounded.len() <= 32, "load respects the bound");
-        assert!(bounded.evictions() > 0);
-        bounded.save(&path).unwrap();
-        let reloaded = SharedCache::load(&path).unwrap();
-        assert!(reloaded.len() <= 32, "the on-disk file is bounded too");
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn load_rejects_malformed_files() {
-        let path = std::env::temp_dir().join("ax_dse_cache_bad.json");
+        let path = fresh_path("cache_bad");
         std::fs::write(&path, "{\"scopes\": [{\"benchmark\": 3}]}").unwrap();
         let err = SharedCache::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A file that goes bad after its first scope merges nothing.
+        std::fs::write(
+            &path,
+            "{\"scopes\": [{\"benchmark\": \"a\", \"input_seed\": 0, \"entries\": []}, 7]}",
+        )
+        .unwrap();
+        let cache = SharedCache::new();
+        let err = cache.merge_from(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(cache.scope_count(), 0);
         let _ = std::fs::remove_file(path);
     }
 
@@ -1083,8 +841,56 @@ mod tests {
     }
 
     #[test]
+    fn prune_sweeps_entries_left_under_a_retired_scope() {
+        // A campaign keeps inserting under the scope id it interned, even
+        // after a prune (another job finishing) retired that id.
+        let cache = SharedCache::new();
+        let scope = cache.scope("bench", 0);
+        assert_eq!(cache.prune_oldest(0, None), 0);
+        cache.insert(scope, config(1), metrics(1.0));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.prune_oldest(0, None), 1, "the orphan is swept");
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.evictions(), 1);
+    }
+
+    #[test]
+    fn save_prunes_the_merged_union_least_recently_used_first() {
+        let path = fresh_path("cache_bounded_save");
+        let cache = SharedCache::new();
+        let a = cache.scope("bench-a", 0);
+        cache.insert(a, config(1), metrics(1.0));
+        cache.save(&path, usize::MAX, None).unwrap();
+        // Another process adds bench-c to the file meanwhile.
+        let other = SharedCache::new();
+        let c = other.scope("bench-c", 0);
+        other.insert(c, config(3), metrics(3.0));
+        assert_eq!(other.save(&path, usize::MAX, None).unwrap(), 1);
+        // This process then works on bench-b only. The merge brings
+        // bench-c back without making it recent, and bench-a is older
+        // than bench-b: only the scope used since the last save survives.
+        let b = cache.scope("bench-b", 0);
+        cache.insert(b, config(2), metrics(2.0));
+        assert_eq!(cache.save(&path, 1, None).unwrap(), 2);
+        assert_eq!(cache.scope_count(), 1);
+        assert_eq!(cache.scope_len("bench-b", 0), 1);
+        assert_eq!(cache.evictions(), 2);
+        let saved = SharedCache::load(&path).unwrap();
+        assert_eq!(saved.scope_count(), 1);
+        assert_eq!(
+            saved.snapshot("bench-b", 0),
+            vec![(config(2), metrics(2.0))]
+        );
+        // The entry bound drops whole scopes too.
+        cache.save(&path, usize::MAX, Some(0)).unwrap();
+        assert!(SharedCache::load(&path).unwrap().is_empty());
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
     fn save_waits_for_a_held_lock() {
         let dir = std::env::temp_dir().join(format!("ax_dse_cache_lock_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         let lock_path = dir.join("cache.json.lock");
@@ -1095,7 +901,7 @@ mod tests {
         let saver = {
             let cache = Arc::clone(&cache);
             let path = path.clone();
-            std::thread::spawn(move || cache.save(&path))
+            std::thread::spawn(move || cache.save(&path, usize::MAX, None))
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(!saver.is_finished(), "save must block on a fresh lock");
@@ -1108,22 +914,44 @@ mod tests {
 
     #[test]
     fn concurrent_saves_never_corrupt_the_file() {
+        use std::sync::atomic::AtomicBool;
         let dir =
             std::env::temp_dir().join(format!("ax_dse_cache_concurrent_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
+        let saving = AtomicBool::new(true);
         std::thread::scope(|s| {
-            for w in 0..8u64 {
-                let path = path.clone();
-                s.spawn(move || {
-                    let cache = SharedCache::new();
-                    let scope = cache.scope(&format!("bench-{w}"), w);
-                    for i in 0..20u64 {
-                        cache.insert(scope, config(i), metrics(w as f64));
+            // A reader loads the file in a loop while the writers save:
+            // the atomic rename means it never sees a torn file.
+            let reader = s.spawn(|| {
+                while saving.load(Ordering::SeqCst) {
+                    match SharedCache::load(&path) {
+                        Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                            panic!("a concurrent load saw a torn file: {e}")
+                        }
+                        _ => {}
                     }
-                    cache.save_merged(&path).unwrap();
-                });
+                }
+            });
+            let writers: Vec<_> = (0..8u64)
+                .map(|w| {
+                    let path = &path;
+                    s.spawn(move || {
+                        let cache = SharedCache::new();
+                        let scope = cache.scope(&format!("bench-{w}"), w);
+                        for i in 0..20u64 {
+                            cache.insert(scope, config(i), metrics(w as f64));
+                        }
+                        cache.save(path, usize::MAX, None).unwrap();
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().unwrap();
             }
+            saving.store(false, Ordering::SeqCst);
+            reader.join().unwrap();
         });
         // Every writer merged under the lock before saving, so the final
         // file holds the full union and parses cleanly.
@@ -1136,22 +964,23 @@ mod tests {
     }
 
     #[test]
-    fn save_merged_unions_with_the_on_disk_state() {
-        let dir =
-            std::env::temp_dir().join(format!("ax_dse_cache_save_merged_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
+    fn save_unions_with_the_on_disk_state() {
+        let path = fresh_path("cache_save_union");
         let first = SharedCache::new();
         let fs_scope = first.scope("bench-a", 0);
         first.insert(fs_scope, config(1), metrics(1.0));
-        assert_eq!(first.save_merged(&path).unwrap(), 0, "no file to merge");
+        assert_eq!(first.save(&path, usize::MAX, None).unwrap(), 0, "no file");
         let second = SharedCache::new();
         let sc = second.scope("bench-b", 0);
         second.insert(sc, config(2), metrics(2.0));
-        assert_eq!(second.save_merged(&path).unwrap(), 1, "merged A's entry");
+        assert_eq!(
+            second.save(&path, usize::MAX, None).unwrap(),
+            1,
+            "merged A's entry"
+        );
         let union = SharedCache::load(&path).unwrap();
         assert_eq!(union.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1241,34 +1070,6 @@ mod tests {
             assert_eq!(waiter, Ok(metrics(4.0)));
             assert!(leader.join().is_err());
         });
-    }
-
-    #[test]
-    fn matmul_designs_spread_over_every_shard() {
-        use crate::backend::Evaluator;
-        use ax_operators::OperatorLibrary;
-        use ax_workloads::matmul::MatMul;
-        let dims = Evaluator::new(&MatMul::new(4), &OperatorLibrary::evoapprox(), 11)
-            .unwrap()
-            .dims();
-        let configs = AxConfig::enumerate(dims);
-        assert_eq!(configs.len(), 576);
-        let cache = SharedCache::new();
-        let scope = cache.scope("matmul-4", 11);
-        for c in &configs {
-            cache.insert(scope, *c, metrics(0.0));
-        }
-        let sizes: Vec<usize> = cache
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap().map.len())
-            .collect();
-        assert_eq!(sizes.len(), 16);
-        let mean = configs.len() / sizes.len();
-        assert!(
-            sizes.iter().all(|&n| n > 0 && n <= 2 * mean),
-            "uneven shards {sizes:?}"
-        );
     }
 
     #[test]

@@ -729,27 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_shared_cache_still_serves_evaluators() {
-        // A tightly bounded cache evicts aggressively yet never changes
-        // results — classes just get re-executed after eviction.
-        let lib = Arc::new(OperatorLibrary::evoapprox());
-        let wl = MatMul::new(4);
-        let cache = SharedCache::with_capacity(2, 8);
-        let ctx = EvalContext::with_cache(&wl, Arc::clone(&lib), 11, Arc::clone(&cache)).unwrap();
-        let mut reference = EvalContext::new(&wl, lib, 11).unwrap().evaluator();
-        let mut bounded = ctx.evaluator();
-        for c in AxConfig::enumerate(ctx.evaluator().dims()) {
-            assert_eq!(
-                bounded.evaluate(&c).unwrap(),
-                reference.evaluate(&c).unwrap(),
-                "{c}"
-            );
-            assert!(cache.len() <= cache.capacity().unwrap());
-        }
-        assert!(cache.evictions() > 0);
-    }
-
-    #[test]
     fn eval_context_handles_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EvalContext>();

@@ -17,8 +17,8 @@
 //! * [`Evaluator`] ([`exact`]) is the exact backend: it runs the
 //!   instrumented program, keeps a per-run memo table, and reuses
 //!   execution buffers across designs.
-//! * [`SharedCache`] ([`cache`]) is a sharded, single-flight concurrent memo
-//!   table keyed by `(benchmark, input_seed)` scope and *execution class*:
+//! * [`SharedCache`] ([`cache`]) is a single-flight concurrent memo table
+//!   keyed by `(benchmark, input_seed)` scope and *execution class*:
 //!   designs that run the same instructions approximately with the same
 //!   operators share one entry ([`EvalContext::class_representative`]).
 //!   Concurrent explorations of the same benchmark (multi-seed sweeps,

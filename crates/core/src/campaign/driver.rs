@@ -948,7 +948,7 @@ impl<'a> Campaign<'a> {
 
         let global = EvalBudget::new(self.budget);
         let lib = Arc::new(self.lib.clone());
-        let cache = self.cache.clone().unwrap_or_else(SharedCache::new);
+        let cache = self.cache.clone().unwrap_or_default();
 
         // One context per (benchmark, input seed) pair, benchmark-major —
         // with the implicit single-seed default this is exactly the old

@@ -30,15 +30,17 @@ pub struct ServeConfig {
     /// Concurrent job slots (the [`GlobalScheduler`] admission cap).
     pub workers: usize,
     /// Persist the shared design cache to this file (loaded at startup,
-    /// atomically merged+saved after every finished job and at shutdown).
+    /// atomically merged, pruned and saved after every finished job and at
+    /// shutdown).
     pub cache_path: Option<String>,
     /// Server-wide evaluation budget across *all* jobs (`None` =
     /// unbounded, counting only).
     pub server_budget: Option<u64>,
     /// Hard per-job budget cap clamping every submission.
     pub max_job_budget: Option<u64>,
-    /// Keep at most this many `(benchmark, input_seed)` cache scopes,
-    /// pruning least-recently-used ones after each finished job.
+    /// Keep at most this many `(benchmark, input_seed)` cache scopes, in
+    /// memory and in the cache file, pruning least-recently-used ones after
+    /// each finished job.
     pub cache_max_scopes: Option<usize>,
     /// Shrink every submitted spec like `repro run --smoke` (CI).
     pub smoke: bool,
@@ -146,7 +148,8 @@ impl Server {
             let _ = handle.join();
         }
         if let Some(path) = &self.state.config.cache_path {
-            self.state.cache.save_merged(path)?;
+            let max_scopes = self.state.config.cache_max_scopes.unwrap_or(usize::MAX);
+            self.state.cache.save(path, max_scopes, None)?;
         }
         Ok(())
     }
@@ -358,13 +361,15 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
         }
     }
     drop(slot);
-    if let Some(max_scopes) = state.config.cache_max_scopes {
-        state.cache.prune_oldest(max_scopes, None);
-    }
+    // With a file, the bound applies to the union `save` merges from disk,
+    // so memory and file both stay within it.
     if let Some(path) = &state.config.cache_path {
-        if let Err(e) = state.cache.save_merged(path) {
+        let max_scopes = state.config.cache_max_scopes.unwrap_or(usize::MAX);
+        if let Err(e) = state.cache.save(path, max_scopes, None) {
             eprintln!("serve: cannot persist cache to {path}: {e}");
         }
+    } else if let Some(max_scopes) = state.config.cache_max_scopes {
+        state.cache.prune_oldest(max_scopes, None);
     }
 }
 

@@ -1,8 +1,9 @@
 //! End-to-end daemon tests over a real ephemeral-port listener: report
 //! byte-parity with local runs, concurrent submission over one shared
-//! cache, cooperative cancellation with budget accounting, and the
-//! server-wide budget ceiling.
+//! cache, cooperative cancellation with budget accounting, the
+//! server-wide budget ceiling, and the cache scope bound on disk.
 
+use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
     run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, NullObserver, SeedRange,
 };
@@ -363,4 +364,72 @@ fn bad_requests_get_json_errors() {
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "{\"ok\": true}"));
     shutdown(addr, handle);
+}
+
+/// Polls the cache file until it holds `benchmark`'s scope: a job's
+/// status turns `completed` before its worker saves the cache.
+fn await_saved(path: &std::path::Path, benchmark: &str, input_seed: u64) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        if let Ok(saved) = SharedCache::load(path) {
+            if saved.scope_len(benchmark, input_seed) > 0 {
+                return;
+            }
+        }
+        assert!(
+            Instant::now() < deadline,
+            "`{benchmark}` never reached {path:?}"
+        );
+        std::thread::sleep(Duration::from_millis(30));
+    }
+}
+
+/// `--cache-scopes` bounds the cache file as well as memory: each
+/// finished job merges the file, prunes the union and saves it, so the
+/// scope the job just used survives and the merge cannot bring a pruned
+/// scope back.
+#[test]
+fn the_scope_bound_holds_in_memory_and_on_disk() {
+    let path =
+        std::env::temp_dir().join(format!("ax_serve_scope_bound_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle) = boot(ServeConfig {
+        workers: 1,
+        cache_path: Some(path.to_string_lossy().into_owned()),
+        cache_max_scopes: Some(1),
+        ..ServeConfig::default()
+    });
+    let input_seed = ExploreOptions::default().input_seed;
+    let mut scopes = Vec::new();
+    for (name, benchmark) in [
+        ("first", BenchmarkSpec::Dot(8)),
+        ("second", BenchmarkSpec::Fir(16)),
+    ] {
+        let spec = quick_spec(name, benchmark, BackendSpec::Exact);
+        let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
+        assert_eq!(status, 200, "submit failed: {body}");
+        let id = Json::parse(&body)
+            .unwrap()
+            .get("id")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        let doc = await_terminal(addr, id);
+        assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "completed");
+        let scope = benchmark.build().name();
+        await_saved(&path, &scope, input_seed);
+        scopes.push(scope);
+    }
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let metrics = Json::parse(&metrics).unwrap();
+    let cache = metrics.get("cache").unwrap();
+    assert_eq!(cache.get("scopes").unwrap().as_u64().unwrap(), 1);
+    shutdown(addr, handle);
+    let saved = SharedCache::load(&path).unwrap();
+    assert_eq!(saved.scope_count(), 1, "the file keeps one scope");
+    assert!(
+        saved.scope_len(&scopes[1], input_seed) > 0,
+        "the newest one"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -436,8 +436,14 @@ fn shared_cache_persistence_round_trips_through_disk() {
     )
     .unwrap();
     let first = axdse_suite::ax_dse::campaign::explore(&ctx, &opts, AgentKind::QLearning);
-    let path = std::env::temp_dir().join("ax_dse_determinism_cache.json");
-    cache.save(&path).unwrap();
+    // `save` merges whatever the path holds: start from a fresh
+    // per-process file.
+    let path = std::env::temp_dir().join(format!(
+        "ax_dse_determinism_cache_{}.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    cache.save(&path, usize::MAX, None).unwrap();
 
     let loaded = SharedCache::load(&path).unwrap();
     assert_eq!(loaded.len(), cache.len());

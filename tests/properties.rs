@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests.
 
-use axdse_suite::ax_dse::campaign::GlobalScheduler;
+use axdse_suite::ax_dse::backend::SharedCache;
+use axdse_suite::ax_dse::campaign::{ExperimentSpec, GlobalScheduler};
 use axdse_suite::ax_dse::config::{AxConfig, SpaceDims};
 use axdse_suite::ax_dse::pareto::{dominates, hypervolume, non_dominated_ranks, rank_order};
 use axdse_suite::ax_dse::reward::{reward, RewardParams};
@@ -10,6 +11,7 @@ use axdse_suite::ax_dse::Evaluator;
 use axdse_suite::ax_operators::{AdderId, MulId, OperatorLibrary};
 use axdse_suite::ax_workloads::dot::DotProduct;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 const DIMS: SpaceDims = SpaceDims {
     n_add: 6,
@@ -233,5 +235,122 @@ proptest! {
         prop_assert_eq!(m.delta_acc, 0.0);
         prop_assert_eq!(m.delta_power, 0.0);
         prop_assert_eq!(m.delta_time, 0.0);
+    }
+}
+
+/// The checked-in campaign specs, as mutation seeds.
+const EXAMPLE_SPECS: [&str; 4] = [
+    include_str!("../examples/campaign_matmul.json"),
+    include_str!("../examples/campaign_halving.json"),
+    include_str!("../examples/campaign_asha.json"),
+    include_str!("../examples/campaign_pareto.json"),
+];
+
+/// A byte to splice in: half arbitrary, half JSON structure, so mutants
+/// get past the tokenizer into the schema checks.
+fn arb_byte() -> impl Strategy<Value = u8> {
+    const JSON: &[u8] = b"{}[]\",:-.0123456789eE \\ntrufalse";
+    prop_oneof![0u8..=255, (0..JSON.len()).prop_map(|i| JSON[i])]
+}
+
+/// One to four `(op, position, byte)` edits; see [`mutate`].
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    prop::collection::vec((0u8..4, 0usize..1 << 16, arb_byte()), 1..5)
+}
+
+/// Applies overwrite / insert / delete / truncate edits at positions
+/// taken modulo the current length.
+fn mutate(mut bytes: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
+    for &(op, pos, byte) in edits {
+        let len = bytes.len();
+        match op {
+            0 if len > 0 => bytes[pos % len] = byte,
+            1 => bytes.insert(pos % (len + 1), byte),
+            2 if len > 0 => {
+                bytes.remove(pos % len);
+            }
+            3 => bytes.truncate(pos % (len + 1)),
+            _ => {}
+        }
+    }
+    bytes
+}
+
+/// A saved two-scope cache file.
+fn saved_cache_file() -> &'static [u8] {
+    static FILE: OnceLock<Vec<u8>> = OnceLock::new();
+    FILE.get_or_init(|| {
+        let cache = SharedCache::new();
+        for (benchmark, input_seed) in [("matmul-4", 11u64), ("fir-16", 42)] {
+            let scope = cache.scope(benchmark, input_seed);
+            for vars in 0..4u64 {
+                let config = AxConfig {
+                    adder: AdderId(1),
+                    mul: MulId(2),
+                    vars,
+                };
+                let tag = vars as f64 - 1.5;
+                let metrics = EvalMetrics {
+                    delta_acc: tag,
+                    delta_power: tag * 1e-3,
+                    delta_time: -tag,
+                    signed_error: tag,
+                    power: 1.0 + tag,
+                    time_ns: 12.5,
+                };
+                cache.insert(scope, config, metrics);
+            }
+        }
+        let path = temp_path("saved_cache");
+        let _ = std::fs::remove_file(&path);
+        cache.save(&path, usize::MAX, None).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    })
+}
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ax_prop_{tag}_{}.json", std::process::id()))
+}
+
+/// Merges `bytes` from a file into a fresh cache: `Ok`, or an
+/// `InvalidData` error, never a panic or another error kind.
+fn merge_bytes(tag: &str, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let path = temp_path(tag);
+    std::fs::write(&path, bytes).unwrap();
+    let merged = SharedCache::new().merge_from(&path);
+    let _ = std::fs::remove_file(&path);
+    if let Err(e) = merged {
+        prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes in a cache file are a typed error, never a panic.
+    #[test]
+    fn arbitrary_cache_files_merge_or_fail_cleanly(
+        bytes in prop::collection::vec(0u8..=255, 0..512),
+    ) {
+        merge_bytes("arbitrary_cache", &bytes)?;
+    }
+
+    /// So is any byte-level mutation of a saved cache file.
+    #[test]
+    fn mutated_cache_files_merge_or_fail_cleanly(edits in arb_edits()) {
+        merge_bytes("mutated_cache", &mutate(saved_cache_file().to_vec(), &edits))?;
+    }
+
+    /// Mutated campaign specs parse or return a `SpecError`; a mutant
+    /// that still parses also validates without panicking.
+    #[test]
+    fn mutated_specs_parse_or_fail_cleanly(which in 0usize..4, edits in arb_edits()) {
+        let bytes = mutate(EXAMPLE_SPECS[which].as_bytes().to_vec(), &edits);
+        if let Ok(spec) = ExperimentSpec::from_json_str(&String::from_utf8_lossy(&bytes)) {
+            let _ = spec.validate();
+        }
     }
 }
