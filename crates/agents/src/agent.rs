@@ -2,46 +2,47 @@
 
 /// One observed transition, as consumed by [`TabularAgent::observe`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct TabularTransition<S> {
+pub struct TabularTransition {
     /// State the action was taken from.
-    pub state: S,
+    pub state: usize,
     /// The executed action index.
     pub action: usize,
     /// Reward received.
     pub reward: f64,
     /// Resulting state.
-    pub next_state: S,
+    pub next_state: usize,
     /// `true` if `next_state` is terminal (no bootstrapping across it).
     pub terminal: bool,
 }
 
-/// A learning agent over discrete actions and hashable states.
+/// A learning agent over discrete actions and discrete states.
 ///
-/// The training loop drives the agent through
+/// States are dense ordinals (`0, 1, 2, …`): the agents index their
+/// Q-tables by them directly (see [`crate::qtable::QTable`]). The training loop drives the agent through
 /// [`select_action`](TabularAgent::select_action) /
 /// [`observe`](TabularAgent::observe) pairs;
 /// [`begin_episode`](TabularAgent::begin_episode) separates episodes so
 /// on-policy agents can flush pending updates.
-pub trait TabularAgent<S> {
+pub trait TabularAgent {
     /// Chooses the next action for `state` (exploration included).
-    fn select_action(&mut self, state: &S) -> usize;
+    fn select_action(&mut self, state: usize) -> usize;
 
     /// Learns from one transition.
-    fn observe(&mut self, transition: TabularTransition<S>);
+    fn observe(&mut self, transition: TabularTransition);
 
     /// Signals the start of a new episode.
     fn begin_episode(&mut self) {}
 
     /// The greedy (exploitation-only) action for `state`.
-    fn greedy_action(&self, state: &S) -> usize;
+    fn greedy_action(&self, state: usize) -> usize;
 }
 
-impl<S, T: TabularAgent<S> + ?Sized> TabularAgent<S> for Box<T> {
-    fn select_action(&mut self, state: &S) -> usize {
+impl<T: TabularAgent + ?Sized> TabularAgent for Box<T> {
+    fn select_action(&mut self, state: usize) -> usize {
         (**self).select_action(state)
     }
 
-    fn observe(&mut self, transition: TabularTransition<S>) {
+    fn observe(&mut self, transition: TabularTransition) {
         (**self).observe(transition)
     }
 
@@ -49,17 +50,17 @@ impl<S, T: TabularAgent<S> + ?Sized> TabularAgent<S> for Box<T> {
         (**self).begin_episode()
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         (**self).greedy_action(state)
     }
 }
 
-impl<S, T: TabularAgent<S> + ?Sized> TabularAgent<S> for &mut T {
-    fn select_action(&mut self, state: &S) -> usize {
+impl<T: TabularAgent + ?Sized> TabularAgent for &mut T {
+    fn select_action(&mut self, state: usize) -> usize {
         (**self).select_action(state)
     }
 
-    fn observe(&mut self, transition: TabularTransition<S>) {
+    fn observe(&mut self, transition: TabularTransition) {
         (**self).observe(transition)
     }
 
@@ -67,7 +68,7 @@ impl<S, T: TabularAgent<S> + ?Sized> TabularAgent<S> for &mut T {
         (**self).begin_episode()
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         (**self).greedy_action(state)
     }
 }
@@ -82,22 +83,22 @@ mod tests {
         observed: usize,
     }
 
-    impl TabularAgent<u32> for Null {
-        fn select_action(&mut self, _s: &u32) -> usize {
+    impl TabularAgent for Null {
+        fn select_action(&mut self, _s: usize) -> usize {
             0
         }
-        fn observe(&mut self, _t: TabularTransition<u32>) {
+        fn observe(&mut self, _t: TabularTransition) {
             self.observed += 1;
         }
-        fn greedy_action(&self, _s: &u32) -> usize {
+        fn greedy_action(&self, _s: usize) -> usize {
             0
         }
     }
 
     #[test]
     fn trait_is_object_safe() {
-        let mut boxed: Box<dyn TabularAgent<u32>> = Box::new(Null { observed: 0 });
-        assert_eq!(boxed.select_action(&1), 0);
+        let mut boxed: Box<dyn TabularAgent> = Box::new(Null { observed: 0 });
+        assert_eq!(boxed.select_action(1), 0);
         boxed.observe(TabularTransition {
             state: 1,
             action: 0,
@@ -106,6 +107,6 @@ mod tests {
             terminal: false,
         });
         boxed.begin_episode();
-        assert_eq!(boxed.greedy_action(&2), 0);
+        assert_eq!(boxed.greedy_action(2), 0);
     }
 }

@@ -6,21 +6,20 @@
 //! fair coin to decide which table learns on each step.
 
 use crate::agent::{TabularAgent, TabularTransition};
-use crate::policy::ExplorationPolicy;
+use crate::policy::{ExplorationPolicy, PreparedPolicy};
 use crate::qtable::{first_max, QTable};
-use crate::schedule::Schedule;
+use crate::schedule::{PreparedSchedule, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::hash::Hash;
 
 /// A double Q-learning agent.
 #[derive(Debug, Clone)]
-pub struct DoubleQAgent<S> {
-    qa: QTable<S>,
-    qb: QTable<S>,
-    alpha: Schedule,
+pub struct DoubleQAgent {
+    qa: QTable,
+    qb: QTable,
+    alpha: PreparedSchedule,
     gamma: f64,
-    policy: ExplorationPolicy,
+    policy: PreparedPolicy,
     rng: StdRng,
     step: u64,
     /// Reused buffer for the two tables' summed row, which action
@@ -28,12 +27,13 @@ pub struct DoubleQAgent<S> {
     combined: Vec<f64>,
 }
 
-impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
+impl DoubleQAgent {
     /// A double Q-learning agent with the given hyper-parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `n_actions` is zero or `gamma` lies outside `[0, 1]`.
+    /// Panics if `n_actions` is zero, `gamma` lies outside `[0, 1]` or a
+    /// schedule is malformed.
     pub fn new(
         n_actions: usize,
         alpha: Schedule,
@@ -46,9 +46,9 @@ impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
         Self {
             qa: QTable::new(n_actions, 0.0),
             qb: QTable::new(n_actions, 0.0),
-            alpha,
+            alpha: alpha.prepare(),
             gamma,
-            policy,
+            policy: policy.prepare(),
             rng: StdRng::seed_from_u64(seed),
             step: 0,
             combined: Vec::with_capacity(n_actions),
@@ -56,8 +56,8 @@ impl<S: Eq + Hash + Clone> DoubleQAgent<S> {
     }
 }
 
-impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
-    fn select_action(&mut self, state: &S) -> usize {
+impl TabularAgent for DoubleQAgent {
+    fn select_action(&mut self, state: usize) -> usize {
         // Select over the summed rows of both tables.
         let (a, b) = (self.qa.row(state), self.qb.row(state));
         self.combined.clear();
@@ -68,7 +68,7 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
         action
     }
 
-    fn observe(&mut self, t: TabularTransition<S>) {
+    fn observe(&mut self, t: TabularTransition) {
         let alpha = self.alpha.value(self.step);
         let update_a: bool = self.rng.gen();
         let (selector, evaluator) = if update_a {
@@ -79,16 +79,16 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
         let bootstrap = if t.terminal {
             0.0
         } else {
-            let a_star = selector.best_action(&t.next_state);
-            self.gamma * evaluator.value(&t.next_state, a_star)
+            let a_star = selector.best_action(t.next_state);
+            self.gamma * evaluator.value(t.next_state, a_star)
         };
         let target = t.reward + bootstrap;
-        selector.update(&t.state, t.action, target, |old, tgt| {
+        selector.update(t.state, t.action, target, |old, tgt| {
             old + alpha * (tgt - old)
         });
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         // Greedy over the summed tables, deterministic tie-breaking.
         match (self.qa.row_ref(state), self.qb.row_ref(state)) {
             (None, None) => 0,
@@ -107,7 +107,7 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for DoubleQAgent<S> {
 mod tests {
     use super::*;
 
-    fn agent() -> DoubleQAgent<u8> {
+    fn agent() -> DoubleQAgent {
         DoubleQAgent::new(
             2,
             Schedule::Constant(0.5),
@@ -132,13 +132,13 @@ mod tests {
             });
         }
         // Both tables approach 4; the greedy action is 1.
-        assert_eq!(a.greedy_action(&0), 1);
+        assert_eq!(a.greedy_action(0), 1);
     }
 
     #[test]
     fn greedy_on_unvisited_state_is_zero() {
         let a = agent();
-        assert_eq!(a.greedy_action(&77), 0);
+        assert_eq!(a.greedy_action(77), 0);
     }
 
     #[test]
@@ -146,13 +146,13 @@ mod tests {
         let run = || {
             let mut a = agent();
             let mut actions = Vec::new();
-            for s in 0..20u8 {
-                actions.push(a.select_action(&s));
+            for s in 0..20 {
+                actions.push(a.select_action(s));
                 a.observe(TabularTransition {
                     state: s,
-                    action: actions[s as usize],
+                    action: actions[s],
                     reward: 1.0,
-                    next_state: s.wrapping_add(1),
+                    next_state: s + 1,
                     terminal: s % 5 == 4,
                 });
             }

@@ -2,12 +2,14 @@
 //!
 //! The Firefox/rustc "Fx" hash: each machine word is folded in with one
 //! rotate, xor and multiply, in place of the standard library's SipHash
-//! rounds. The keys the RL step hashes — Q-table states and design
-//! configurations — are a few bounded integers each, so that is a handful
-//! of instructions per lookup. It carries no per-process seed, so a key
-//! hashes the same in every run, and it offers no protection against
-//! adversarial keys: use it only for keys the program itself derives,
-//! never for client-supplied strings.
+//! rounds. It keys the shared design cache (`ax_dse::SharedCache`), whose
+//! keys — a scope id and an execution-class configuration — are a few
+//! bounded integers each, so that is a handful of instructions per lookup.
+//! The RL step itself hashes nothing: Q-table rows and an evaluator's
+//! local memo are indexed by design ordinal. The hasher carries no
+//! per-process seed, so a key hashes the same in every run, and it offers
+//! no protection against adversarial keys: use it only for keys the
+//! program itself derives, never for client-supplied strings.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

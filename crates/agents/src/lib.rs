@@ -13,17 +13,19 @@
 //!   paper's "improve the learning strategy" direction);
 //! * [`policy`] — ε-greedy and softmax exploration over Q-values, with
 //!   [`schedule::Schedule`]d hyper-parameters;
-//! * [`qtable`] — the flat-arena Q-table every agent learns into, and
-//!   [`fxhash`], the fixed hasher behind it;
+//! * [`qtable`] — the flat-arena Q-table every agent learns into, its rows
+//!   indexed by state ordinal;
 //! * [`env`](mod@crate::env) — the Gymnasium-style `reset`/`step`
-//!   contract agents train on;
+//!   contract agents train on, with states numbered `0, 1, 2, …`;
 //! * [`train`](mod@crate::train) — the continuing-exploration training
 //!   loop with the paper's stop conditions (step cap, cumulative-reward
 //!   target, environment termination);
 //! * [`search`] — generic combinatorial optimisers over a [`search::SearchSpace`]:
 //!   random search, hill climbing, simulated annealing and a genetic
 //!   algorithm — the prior-art DSE approaches (the paper's \[3\], \[4\])
-//!   that RL-based exploration is positioned against.
+//!   that RL-based exploration is positioned against;
+//! * [`fxhash`] — a fixed word hasher for maps keyed by small integers the
+//!   program derives itself.
 //!
 //! ```
 //! use ax_agents::agent::TabularAgent;
@@ -55,7 +57,7 @@
 //! let log = train(&mut Chain(0), &mut agent, &TrainOptions::new(4_000).seed(7));
 //! assert_eq!(log.len(), 4_000);
 //! // After training, the greedy policy walks right from the start state.
-//! assert_eq!(agent.greedy_action(&0usize), 1);
+//! assert_eq!(agent.greedy_action(0), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Action-selection policies over Q-value rows.
 
-use crate::schedule::Schedule;
+use crate::schedule::{PreparedSchedule, Schedule};
 use rand::Rng;
 
 /// An exploration policy mapping a Q-value row to an action.
@@ -33,25 +33,68 @@ impl ExplorationPolicy {
         }
     }
 
+    /// The policy with its schedule prepared once (see
+    /// [`Schedule::prepare`]), as every agent holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed schedule.
+    pub fn prepare(&self) -> PreparedPolicy {
+        match self {
+            ExplorationPolicy::EpsilonGreedy { epsilon } => {
+                PreparedPolicy::EpsilonGreedy(epsilon.prepare())
+            }
+            ExplorationPolicy::Softmax { temperature } => {
+                PreparedPolicy::Softmax(temperature.prepare())
+            }
+        }
+    }
+}
+
+/// An [`ExplorationPolicy`] with its schedule prepared (see
+/// [`crate::schedule::PreparedSchedule`]); it chooses exactly the actions
+/// the policy does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PreparedPolicy {
+    /// ε-greedy with the prepared ε schedule.
+    EpsilonGreedy(PreparedSchedule),
+    /// Softmax with the prepared temperature schedule.
+    Softmax(PreparedSchedule),
+}
+
+impl PreparedPolicy {
     /// Chooses an action for the given Q-row at training step `step`.
     ///
     /// # Panics
     ///
     /// Panics if `q_row` is empty.
     pub fn choose<R: Rng + ?Sized>(&self, q_row: &[f64], step: u64, rng: &mut R) -> usize {
+        self.choose_flagged(q_row, step, rng).0
+    }
+
+    /// [`PreparedPolicy::choose`], also saying whether the action came from
+    /// the greedy branch: `true` means it attains the row's maximum, while
+    /// `false` (an exploratory draw, or any softmax sample) leaves that
+    /// open.
+    pub(crate) fn choose_flagged<R: Rng + ?Sized>(
+        &self,
+        q_row: &[f64],
+        step: u64,
+        rng: &mut R,
+    ) -> (usize, bool) {
         assert!(!q_row.is_empty(), "cannot choose from an empty action set");
         match self {
-            ExplorationPolicy::EpsilonGreedy { epsilon } => {
+            PreparedPolicy::EpsilonGreedy(epsilon) => {
                 let eps = epsilon.value(step).clamp(0.0, 1.0);
                 if rng.gen_bool(eps) {
-                    rng.gen_range(0..q_row.len())
+                    (rng.gen_range(0..q_row.len()), false)
                 } else {
-                    greedy_with_random_ties(q_row, rng)
+                    (greedy_with_random_ties(q_row, rng), true)
                 }
             }
-            ExplorationPolicy::Softmax { temperature } => {
+            PreparedPolicy::Softmax(temperature) => {
                 let t = temperature.value(step).max(1e-6);
-                softmax_sample(q_row, t, rng)
+                (softmax_sample(q_row, t, rng), false)
             }
         }
     }
@@ -59,13 +102,34 @@ impl ExplorationPolicy {
 
 /// The greedy action with uniform tie-breaking among maxima: one
 /// `gen_range(0..ties)` draw picks the k-th maximum in index order.
+///
+/// One pass finds the maximum, the number of entries equal to it and the
+/// first of them; the row is walked again only when the draw picks a later
+/// one. NaN entries compare false and are never chosen, and `-0.0` ties
+/// `0.0`, as in a fold over `f64::max` followed by an `==` count.
+///
+/// # Panics
+///
+/// Panics if no entry is comparable (an empty or all-NaN row).
 pub fn greedy_with_random_ties<R: Rng + ?Sized>(q_row: &[f64], rng: &mut R) -> usize {
-    let max = q_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let ties = q_row.iter().filter(|&&v| v == max).count();
+    let (mut max, mut ties, mut first) = (f64::NEG_INFINITY, 0usize, 0usize);
+    for (i, &v) in q_row.iter().enumerate() {
+        if v > max {
+            (max, ties, first) = (v, 1, i);
+        } else if v == max {
+            if ties == 0 {
+                first = i;
+            }
+            ties += 1;
+        }
+    }
     let k = rng.gen_range(0..ties);
-    (0..q_row.len())
+    if k == 0 {
+        return first;
+    }
+    (first + 1..q_row.len())
         .filter(|&i| q_row[i] == max)
-        .nth(k)
+        .nth(k - 1)
         .expect("k indexes one of the maxima")
 }
 
@@ -101,7 +165,7 @@ mod tests {
         };
         let mut r = rng();
         for _ in 0..100 {
-            assert_eq!(p.choose(&[0.0, 3.0, 1.0], 0, &mut r), 1);
+            assert_eq!(p.prepare().choose(&[0.0, 3.0, 1.0], 0, &mut r), 1);
         }
     }
 
@@ -113,7 +177,7 @@ mod tests {
         let mut r = rng();
         let mut counts = [0usize; 3];
         for _ in 0..3_000 {
-            counts[p.choose(&[0.0, 3.0, 1.0], 0, &mut r)] += 1;
+            counts[p.prepare().choose(&[0.0, 3.0, 1.0], 0, &mut r)] += 1;
         }
         for c in counts {
             assert!(
@@ -135,7 +199,7 @@ mod tests {
         let mut r = rng();
         // At step >= 10, epsilon is 0: always greedy.
         for _ in 0..50 {
-            assert_eq!(p.choose(&[5.0, 0.0], 10, &mut r), 0);
+            assert_eq!(p.prepare().choose(&[5.0, 0.0], 10, &mut r), 0);
         }
     }
 
@@ -151,6 +215,22 @@ mod tests {
     }
 
     #[test]
+    fn greedy_never_picks_nan_and_ties_negative_infinity() {
+        let mut r = rng();
+        let mut counts = [0usize; 4];
+        for _ in 0..1_000 {
+            counts[greedy_with_random_ties(
+                &[f64::NAN, f64::NEG_INFINITY, f64::NAN, f64::NEG_INFINITY],
+                &mut r,
+            )] += 1;
+            let zero = greedy_with_random_ties(&[f64::NAN, -0.0, 0.0, f64::NAN], &mut r);
+            assert!(zero == 1 || zero == 2, "picked {zero}");
+        }
+        assert_eq!(counts[0] + counts[2], 0, "{counts:?}");
+        assert!(counts[1] > 350 && counts[3] > 350, "{counts:?}");
+    }
+
+    #[test]
     fn softmax_prefers_higher_values() {
         let p = ExplorationPolicy::Softmax {
             temperature: Schedule::Constant(0.5),
@@ -158,7 +238,7 @@ mod tests {
         let mut r = rng();
         let mut counts = [0usize; 2];
         for _ in 0..2_000 {
-            counts[p.choose(&[0.0, 2.0], 0, &mut r)] += 1;
+            counts[p.prepare().choose(&[0.0, 2.0], 0, &mut r)] += 1;
         }
         assert!(counts[1] > counts[0] * 3, "{counts:?}");
     }
@@ -171,7 +251,7 @@ mod tests {
         let mut r = rng();
         let mut counts = [0usize; 2];
         for _ in 0..2_000 {
-            counts[p.choose(&[0.0, 2.0], 0, &mut r)] += 1;
+            counts[p.prepare().choose(&[0.0, 2.0], 0, &mut r)] += 1;
         }
         let ratio = counts[1] as f64 / counts[0] as f64;
         assert!((0.7..1.4).contains(&ratio), "{counts:?}");
@@ -183,6 +263,6 @@ mod tests {
         let p = ExplorationPolicy::EpsilonGreedy {
             epsilon: Schedule::Constant(0.0),
         };
-        p.choose(&[], 0, &mut rng());
+        p.prepare().choose(&[], 0, &mut rng());
     }
 }

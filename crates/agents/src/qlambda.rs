@@ -9,21 +9,21 @@
 //! actions, keeping the target policy greedy.
 
 use crate::agent::{TabularAgent, TabularTransition};
-use crate::policy::ExplorationPolicy;
+use crate::policy::{ExplorationPolicy, PreparedPolicy};
 use crate::qtable::QTable;
-use crate::schedule::Schedule;
+use crate::schedule::{PreparedSchedule, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::hash::Hash;
 
 /// A Watkins Q(λ) agent.
 #[derive(Debug, Clone)]
-pub struct QLambdaAgent<S> {
-    q: QTable<S>,
-    alpha: Schedule,
+pub struct QLambdaAgent {
+    q: QTable,
+    alpha: PreparedSchedule,
     gamma: f64,
-    lambda: f64,
-    policy: ExplorationPolicy,
+    /// γλ, the factor every trace decays by per step.
+    trace_decay: f64,
+    policy: PreparedPolicy,
     rng: StdRng,
     step: u64,
     /// Live eligibility traces as `(Q-table cell, e)`. Decay and the floor
@@ -36,13 +36,13 @@ pub struct QLambdaAgent<S> {
     trace_floor: f64,
 }
 
-impl<S: Eq + Hash + Clone> QLambdaAgent<S> {
+impl QLambdaAgent {
     /// A Q(λ) agent.
     ///
     /// # Panics
     ///
-    /// Panics if `n_actions` is zero, or `gamma`/`lambda` lie outside
-    /// `[0, 1]`.
+    /// Panics if `n_actions` is zero, `gamma`/`lambda` lie outside
+    /// `[0, 1]` or a schedule is malformed.
     pub fn new(
         n_actions: usize,
         alpha: Schedule,
@@ -59,10 +59,10 @@ impl<S: Eq + Hash + Clone> QLambdaAgent<S> {
         );
         Self {
             q: QTable::new(n_actions, 0.0),
-            alpha,
+            alpha: alpha.prepare(),
             gamma,
-            lambda,
-            policy,
+            trace_decay: gamma * lambda,
+            policy: policy.prepare(),
             rng: StdRng::seed_from_u64(seed),
             step: 0,
             traces: Vec::new(),
@@ -72,7 +72,7 @@ impl<S: Eq + Hash + Clone> QLambdaAgent<S> {
     }
 
     /// Read access to the learned Q-table.
-    pub fn q_table(&self) -> &QTable<S> {
+    pub fn q_table(&self) -> &QTable {
         &self.q
     }
 
@@ -82,45 +82,49 @@ impl<S: Eq + Hash + Clone> QLambdaAgent<S> {
     }
 }
 
-impl<S: Eq + Hash + Clone> TabularAgent<S> for QLambdaAgent<S> {
-    fn select_action(&mut self, state: &S) -> usize {
+impl TabularAgent for QLambdaAgent {
+    fn select_action(&mut self, state: usize) -> usize {
         let row = self.q.row(state);
-        let action = self.policy.choose(row, self.step, &mut self.rng);
-        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        self.last_was_greedy = row[action] == max;
+        let (action, greedy) = self.policy.choose_flagged(row, self.step, &mut self.rng);
+        // A greedy-branch action attains the maximum; an exploratory one
+        // may still tie it.
+        self.last_was_greedy =
+            greedy || row[action] == row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         self.step += 1;
         action
     }
 
-    fn observe(&mut self, t: TabularTransition<S>) {
+    fn observe(&mut self, t: TabularTransition) {
         let bootstrap = if t.terminal {
             0.0
         } else {
-            self.gamma * self.q.max_value(&t.next_state)
+            self.gamma * self.q.max_value(t.next_state)
         };
-        let cell = self.q.cell(&t.state, t.action);
+        let cell = self.q.cell(t.state, t.action);
         let values = self.q.cells_mut();
         let delta = t.reward + bootstrap - values[cell];
-        let alpha = self.alpha.value(self.step);
-
-        // Replacing traces: the visited pair's trace snaps to 1.
-        match self.traces.iter_mut().find(|(c, _)| *c == cell) {
-            Some((_, e)) => *e = 1.0,
-            None => self.traces.push((cell, 1.0)),
-        }
-
-        // Each trace owns a distinct cell, so the sweep order is free.
-        let decay = self.gamma * self.lambda;
-        let floor = self.trace_floor;
-        self.traces.retain_mut(|(cell, e)| {
-            values[*cell] += alpha * delta * *e;
-            *e *= decay;
-            *e >= floor
-        });
-
+        let alpha_delta = self.alpha.value(self.step) * delta;
         // Watkins: exploratory actions cut the traces; so does episode end.
-        if t.terminal || !self.last_was_greedy {
-            self.traces.clear();
+        let cut = t.terminal || !self.last_was_greedy;
+
+        // Replacing traces: the visited pair's trace snaps to 1. Each
+        // trace owns a distinct cell, so the sweep order is free, and a
+        // new trace can be swept after the others.
+        let (decay, floor) = (self.trace_decay, self.trace_floor);
+        let mut traced = false;
+        self.traces.retain_mut(|(c, e)| {
+            if *c == cell {
+                (*e, traced) = (1.0, true);
+            }
+            values[*c] += alpha_delta * *e;
+            *e *= decay;
+            !cut && *e >= floor
+        });
+        if !traced {
+            values[cell] += alpha_delta;
+            if !cut && decay >= floor {
+                self.traces.push((cell, decay));
+            }
         }
     }
 
@@ -128,7 +132,7 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for QLambdaAgent<S> {
         self.traces.clear();
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         self.q.best_action(state)
     }
 }
@@ -140,7 +144,7 @@ mod tests {
     use crate::toy::LineWorld;
     use crate::train::{train, TrainOptions};
 
-    fn agent(lambda: f64) -> QLambdaAgent<usize> {
+    fn agent(lambda: f64) -> QLambdaAgent {
         QLambdaAgent::new(
             2,
             Schedule::Constant(0.2),
@@ -162,8 +166,8 @@ mod tests {
         let mut env = LineWorld::new(6, 50);
         let mut a = agent(0.8);
         train(&mut env, &mut a, &TrainOptions::new(4_000).seed(3));
-        for s in 0..5usize {
-            assert_eq!(a.greedy_action(&s), 1, "state {s}");
+        for s in 0..5 {
+            assert_eq!(a.greedy_action(s), 1, "state {s}");
         }
     }
 
@@ -192,7 +196,7 @@ mod tests {
         }
         // Credit reached the start state in one episode.
         assert!(
-            a.q_table().value(&0, 1) > 0.0,
+            a.q_table().value(0, 1) > 0.0,
             "trace did not reach the start"
         );
     }
@@ -201,7 +205,7 @@ mod tests {
     fn terminal_clears_traces() {
         let mut a = agent(0.9);
         a.observe(TabularTransition {
-            state: 0usize,
+            state: 0,
             action: 1,
             reward: 1.0,
             next_state: 1,
@@ -213,7 +217,7 @@ mod tests {
     #[test]
     fn tiny_traces_are_pruned() {
         let mut a = agent(0.5);
-        for s in 0..30usize {
+        for s in 0..30 {
             a.observe(TabularTransition {
                 state: s,
                 action: 0,
@@ -230,7 +234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lambda")]
     fn rejects_bad_lambda() {
-        QLambdaAgent::<usize>::new(
+        QLambdaAgent::new(
             2,
             Schedule::Constant(0.1),
             0.9,

@@ -12,12 +12,11 @@
 //! accumulated reward while considering the last state").
 
 use crate::agent::{TabularAgent, TabularTransition};
-use crate::policy::{greedy_with_random_ties, ExplorationPolicy};
+use crate::policy::{greedy_with_random_ties, ExplorationPolicy, PreparedPolicy};
 use crate::qtable::{first_max, QTable};
-use crate::schedule::Schedule;
+use crate::schedule::{PreparedSchedule, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::hash::Hash;
 
 /// Configures and builds a [`QLearningAgent`].
 #[derive(Debug, Clone)]
@@ -87,12 +86,16 @@ impl QLearningBuilder {
     }
 
     /// Builds the agent.
-    pub fn build<S: Eq + Hash + Clone>(self) -> QLearningAgent<S> {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed α or exploration schedule.
+    pub fn build(self) -> QLearningAgent {
         QLearningAgent {
             q: QTable::new(self.n_actions, self.initial_q),
-            alpha: self.alpha,
+            alpha: self.alpha.prepare(),
             gamma: self.gamma,
-            policy: self.policy,
+            policy: self.policy.prepare(),
             rng: StdRng::seed_from_u64(self.seed),
             step: 0,
         }
@@ -105,24 +108,24 @@ impl QLearningBuilder {
 /// use ax_agents::qlearning::{QLearningAgent, QLearningBuilder};
 /// use ax_agents::agent::{TabularAgent, TabularTransition};
 ///
-/// let mut agent: QLearningAgent<u32> = QLearningBuilder::new(2).seed(5).build();
-/// let a = agent.select_action(&0);
+/// let mut agent: QLearningAgent = QLearningBuilder::new(2).seed(5).build();
+/// let a = agent.select_action(0);
 /// agent.observe(TabularTransition {
 ///     state: 0, action: a, reward: 1.0, next_state: 1, terminal: true,
 /// });
-/// assert!(agent.q_table().value(&0, a) > 0.0);
+/// assert!(agent.q_table().value(0, a) > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct QLearningAgent<S> {
-    q: QTable<S>,
-    alpha: Schedule,
+pub struct QLearningAgent {
+    q: QTable,
+    alpha: PreparedSchedule,
     gamma: f64,
-    policy: ExplorationPolicy,
+    policy: PreparedPolicy,
     rng: StdRng,
     step: u64,
 }
 
-impl<S: Eq + Hash + Clone> QLearningAgent<S> {
+impl QLearningAgent {
     /// Starts configuring an agent over `n_actions` actions — an alias of
     /// [`QLearningBuilder::new`].
     ///
@@ -134,7 +137,7 @@ impl<S: Eq + Hash + Clone> QLearningAgent<S> {
     }
 
     /// Read access to the learned Q-table.
-    pub fn q_table(&self) -> &QTable<S> {
+    pub fn q_table(&self) -> &QTable {
         &self.q
     }
 
@@ -144,38 +147,38 @@ impl<S: Eq + Hash + Clone> QLearningAgent<S> {
     }
 }
 
-impl<S: Eq + Hash + Clone> TabularAgent<S> for QLearningAgent<S> {
-    fn select_action(&mut self, state: &S) -> usize {
+impl TabularAgent for QLearningAgent {
+    fn select_action(&mut self, state: usize) -> usize {
         let row = self.q.row(state);
         let action = self.policy.choose(row, self.step, &mut self.rng);
         self.step += 1;
         action
     }
 
-    fn observe(&mut self, t: TabularTransition<S>) {
+    fn observe(&mut self, t: TabularTransition) {
         let bootstrap = if t.terminal {
             0.0
         } else {
-            self.gamma * self.q.max_value(&t.next_state)
+            self.gamma * self.q.max_value(t.next_state)
         };
         let target = t.reward + bootstrap;
         let alpha = self.alpha.value(self.step);
-        self.q.update(&t.state, t.action, target, |old, tgt| {
+        self.q.update(t.state, t.action, target, |old, tgt| {
             old + alpha * (tgt - old)
         });
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         // Deterministic greedy (lowest index wins ties) for reproducible
         // evaluation.
         self.q.row_ref(state).map_or(0, first_max)
     }
 }
 
-impl<S: Eq + Hash + Clone> QLearningAgent<S> {
+impl QLearningAgent {
     /// Like [`TabularAgent::greedy_action`] but with random tie-breaking —
     /// occasionally useful when evaluating stochastic policies.
-    pub fn greedy_action_random_ties(&mut self, state: &S) -> usize {
+    pub fn greedy_action_random_ties(&mut self, state: usize) -> usize {
         greedy_with_random_ties(self.q.row(state), &mut self.rng)
     }
 }
@@ -186,7 +189,7 @@ mod tests {
 
     #[test]
     fn single_terminal_update_moves_towards_reward() {
-        let mut agent: QLearningAgent<u8> = QLearningBuilder::new(2)
+        let mut agent = QLearningBuilder::new(2)
             .alpha(Schedule::Constant(0.5))
             .build();
         agent.observe(TabularTransition {
@@ -196,12 +199,12 @@ mod tests {
             next_state: 1,
             terminal: true,
         });
-        assert_eq!(agent.q_table().value(&0, 1), 5.0);
+        assert_eq!(agent.q_table().value(0, 1), 5.0);
     }
 
     #[test]
     fn bootstrap_uses_max_next_value() {
-        let mut agent: QLearningAgent<u8> = QLearningBuilder::new(2)
+        let mut agent = QLearningBuilder::new(2)
             .alpha(Schedule::Constant(1.0))
             .gamma(0.5)
             .build();
@@ -221,12 +224,12 @@ mod tests {
             next_state: 1,
             terminal: false,
         });
-        assert_eq!(agent.q_table().value(&0, 1), 4.0);
+        assert_eq!(agent.q_table().value(0, 1), 4.0);
     }
 
     #[test]
     fn terminal_transition_ignores_next_state() {
-        let mut agent: QLearningAgent<u8> = QLearningBuilder::new(2)
+        let mut agent = QLearningBuilder::new(2)
             .alpha(Schedule::Constant(1.0))
             .gamma(0.9)
             .build();
@@ -244,12 +247,12 @@ mod tests {
             next_state: 1,
             terminal: true, // terminal: the 100-valued successor is ignored
         });
-        assert_eq!(agent.q_table().value(&0, 0), 1.0);
+        assert_eq!(agent.q_table().value(0, 0), 1.0);
     }
 
     #[test]
     fn greedy_action_is_deterministic() {
-        let mut agent: QLearningAgent<u8> = QLearningBuilder::new(3)
+        let mut agent = QLearningBuilder::new(3)
             .alpha(Schedule::Constant(1.0))
             .build();
         agent.observe(TabularTransition {
@@ -260,9 +263,9 @@ mod tests {
             terminal: true,
         });
         for _ in 0..10 {
-            assert_eq!(agent.greedy_action(&5), 2);
+            assert_eq!(agent.greedy_action(5), 2);
         }
-        assert_eq!(agent.greedy_action(&42), 0); // unvisited -> first action
+        assert_eq!(agent.greedy_action(42), 0); // unvisited -> first action
     }
 
     #[test]
@@ -277,16 +280,16 @@ mod tests {
         };
         let mut a = mk();
         let mut b = mk();
-        for s in 0..50u8 {
-            assert_eq!(a.select_action(&s), b.select_action(&s));
+        for s in 0..50 {
+            assert_eq!(a.select_action(s), b.select_action(s));
         }
     }
 
     #[test]
     fn step_counter_advances_on_selection_only() {
-        let mut agent: QLearningAgent<u8> = QLearningBuilder::new(2).build();
+        let mut agent = QLearningBuilder::new(2).build();
         assert_eq!(agent.global_step(), 0);
-        agent.select_action(&0);
+        agent.select_action(0);
         assert_eq!(agent.global_step(), 1);
         agent.observe(TabularTransition {
             state: 0,

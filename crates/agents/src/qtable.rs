@@ -1,35 +1,40 @@
 //! The tabular action-value store.
 
-use crate::fxhash::FxHashMap;
-use std::hash::Hash;
-
 /// A Q-table: maps states to per-action value rows, created lazily with a
 /// configurable optimistic/neutral initial value.
 ///
-/// Rows live back to back in one flat arena, addressed through a map from
-/// state to dense row id, so visiting a new state appends `n_actions`
-/// values instead of allocating a row of its own. Row ids are assigned in
-/// visit order and never move.
+/// States are dense ordinals (`0, 1, 2, …`), as an environment that
+/// numbers its finite state space hands them out. Rows live back to back
+/// in one flat arena, addressed through a slot vector indexed by state, so
+/// a lookup is two array reads and visiting a new state appends
+/// `n_actions` values instead of allocating a row of its own. Row ids are
+/// assigned in visit order and never move; the slot vector grows to the
+/// largest state seen.
 ///
 /// ```
 /// use ax_agents::qtable::QTable;
 ///
-/// let mut q: QTable<&str> = QTable::new(3, 0.0);
-/// q.update(&"s", 1, 0.5, |old, target| old + 0.1 * (target - old));
-/// assert!(q.value(&"s", 1) > 0.0);
-/// assert_eq!(q.value(&"s", 0), 0.0);
-/// assert_eq!(q.best_action(&"s"), 1);
+/// let mut q = QTable::new(3, 0.0);
+/// q.update(4, 1, 0.5, |old, target| old + 0.1 * (target - old));
+/// assert!(q.value(4, 1) > 0.0);
+/// assert_eq!(q.value(4, 0), 0.0);
+/// assert_eq!(q.best_action(4), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct QTable<S> {
+pub struct QTable {
     n_actions: usize,
     initial: f64,
-    ids: FxHashMap<S, u32>,
+    /// `slots[s]` is state `s`'s row id, or [`VACANT`] before its first
+    /// visit.
+    slots: Vec<u32>,
     /// Row `r` occupies `values[r * n_actions..(r + 1) * n_actions]`.
     values: Vec<f64>,
 }
 
-impl<S: Eq + Hash + Clone> QTable<S> {
+/// The slot of a state with no row yet.
+const VACANT: u32 = u32::MAX;
+
+impl QTable {
     /// A table over `n_actions` actions with entries initialised to
     /// `initial`.
     ///
@@ -41,7 +46,7 @@ impl<S: Eq + Hash + Clone> QTable<S> {
         Self {
             n_actions,
             initial,
-            ids: FxHashMap::default(),
+            slots: Vec::new(),
             values: Vec::new(),
         }
     }
@@ -53,18 +58,32 @@ impl<S: Eq + Hash + Clone> QTable<S> {
 
     /// Number of states visited so far.
     pub fn n_states(&self) -> usize {
-        self.ids.len()
+        self.values.len() / self.n_actions
     }
 
-    /// The dense id of `state`'s row, appending an initialised row on the
-    /// first visit.
-    fn row_id(&mut self, state: &S) -> usize {
-        if let Some(&id) = self.ids.get(state) {
-            return id as usize;
+    /// The row id of `state`, or `None` before its first visit.
+    fn row_of(&self, state: usize) -> Option<usize> {
+        match self.slots.get(state) {
+            Some(&id) if id != VACANT => Some(id as usize),
+            _ => None,
         }
-        let id = self.ids.len();
-        let id32 = u32::try_from(id).expect("Q-table row ids fit in u32");
-        self.ids.insert(state.clone(), id32);
+    }
+
+    /// The row id of `state`, appending an initialised row on the first
+    /// visit.
+    fn row_id(&mut self, state: usize) -> usize {
+        if let Some(id) = self.row_of(state) {
+            return id;
+        }
+        let id = self.n_states();
+        let id32 = u32::try_from(id)
+            .ok()
+            .filter(|&id| id != VACANT)
+            .expect("Q-table row ids fit in u32");
+        if state >= self.slots.len() {
+            self.slots.resize(state + 1, VACANT);
+        }
+        self.slots[state] = id32;
         self.values
             .resize(self.values.len() + self.n_actions, self.initial);
         id
@@ -73,7 +92,7 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     /// The arena index of `(state, action)`, initialising the row lazily.
     /// Stable for the table's lifetime: [`QTable::cells_mut`]`()[i]` is
     /// that entry however many states are visited later.
-    pub(crate) fn cell(&mut self, state: &S, action: usize) -> usize {
+    pub(crate) fn cell(&mut self, state: usize, action: usize) -> usize {
         assert!(action < self.n_actions, "action {action} out of range");
         self.row_id(state) * self.n_actions + action
     }
@@ -84,14 +103,14 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     }
 
     /// The action values of `state` (initialising lazily).
-    pub fn row(&mut self, state: &S) -> &mut [f64] {
+    pub fn row(&mut self, state: usize) -> &mut [f64] {
         let start = self.row_id(state) * self.n_actions;
         &mut self.values[start..start + self.n_actions]
     }
 
     /// The action values of `state` without inserting; `None` if unvisited.
-    pub fn row_ref(&self, state: &S) -> Option<&[f64]> {
-        let start = *self.ids.get(state)? as usize * self.n_actions;
+    pub fn row_ref(&self, state: usize) -> Option<&[f64]> {
+        let start = self.row_of(state)? * self.n_actions;
         Some(&self.values[start..start + self.n_actions])
     }
 
@@ -100,20 +119,20 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     /// # Panics
     ///
     /// Panics if `action` is out of range.
-    pub fn value(&self, state: &S, action: usize) -> f64 {
+    pub fn value(&self, state: usize, action: usize) -> f64 {
         assert!(action < self.n_actions, "action {action} out of range");
         self.row_ref(state).map_or(self.initial, |row| row[action])
     }
 
     /// Greatest action value at `state`.
-    pub fn max_value(&self, state: &S) -> f64 {
+    pub fn max_value(&self, state: usize) -> f64 {
         self.row_ref(state).map_or(self.initial, |row| {
             row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         })
     }
 
     /// Lowest-index action attaining the maximum value at `state`.
-    pub fn best_action(&self, state: &S) -> usize {
+    pub fn best_action(&self, state: usize) -> usize {
         self.row_ref(state).map_or(0, first_max)
     }
 
@@ -124,7 +143,7 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     /// Panics if `action` is out of range.
     pub fn update(
         &mut self,
-        state: &S,
+        state: usize,
         action: usize,
         target: f64,
         f: impl FnOnce(f64, f64) -> f64,
@@ -138,7 +157,7 @@ impl<S: Eq + Hash + Clone> QTable<S> {
     /// # Panics
     ///
     /// Panics if `action` is out of range.
-    pub fn set(&mut self, state: &S, action: usize, value: f64) {
+    pub fn set(&mut self, state: usize, action: usize, value: f64) {
         let cell = self.cell(state, action);
         self.values[cell] = value;
     }
@@ -162,73 +181,83 @@ mod tests {
 
     #[test]
     fn lazy_initialisation() {
-        let mut q: QTable<u32> = QTable::new(4, 2.5);
-        assert_eq!(q.value(&7, 3), 2.5);
+        let mut q = QTable::new(4, 2.5);
+        assert_eq!(q.value(7, 3), 2.5);
         assert_eq!(q.n_states(), 0);
-        q.row(&7);
+        q.row(7);
         assert_eq!(q.n_states(), 1);
-        assert_eq!(q.row_ref(&7).unwrap(), &[2.5; 4]);
-        assert!(q.row_ref(&8).is_none());
+        assert_eq!(q.row_ref(7).unwrap(), &[2.5; 4]);
+        assert!(q.row_ref(8).is_none());
+        assert!(q.row_ref(3).is_none(), "a slot below a visited state");
     }
 
     #[test]
     fn row_ids_survive_arena_growth() {
-        let mut q: QTable<u32> = QTable::new(3, 0.5);
-        let first = q.cell(&10, 2);
-        q.set(&10, 2, 9.0);
+        let mut q = QTable::new(3, 0.5);
+        let first = q.cell(10, 2);
+        q.set(10, 2, 9.0);
         // Grow the arena well past its first allocation.
-        for s in 0..1_000u32 {
-            q.update(&(s + 100), s as usize % 3, 1.0, |old, t| old + t);
+        for s in 0..1_000 {
+            q.update(s + 100, s % 3, 1.0, |old, t| old + t);
         }
-        assert_eq!(q.cell(&10, 2), first, "row id moved");
+        assert_eq!(q.cell(10, 2), first, "row id moved");
         assert_eq!(q.cells_mut()[first], 9.0);
-        assert_eq!(q.row_ref(&10).unwrap(), &[0.5, 0.5, 9.0]);
-        assert_eq!(q.row_ref(&100).unwrap(), &[1.5, 0.5, 0.5]);
+        assert_eq!(q.row_ref(10).unwrap(), &[0.5, 0.5, 9.0]);
+        assert_eq!(q.row_ref(100).unwrap(), &[1.5, 0.5, 0.5]);
         assert_eq!(q.n_states(), 1_001);
         // Reading unvisited states neither allocates nor changes them.
-        assert!(q.row_ref(&5_000).is_none());
-        assert_eq!(q.value(&5_000, 1), 0.5);
-        assert_eq!(q.max_value(&5_000), 0.5);
-        assert_eq!(q.best_action(&5_000), 0);
+        assert!(q.row_ref(5_000).is_none());
+        assert_eq!(q.value(5_000, 1), 0.5);
+        assert_eq!(q.max_value(5_000), 0.5);
+        assert_eq!(q.best_action(5_000), 0);
         assert_eq!(q.n_states(), 1_001);
+    }
+
+    #[test]
+    fn rows_are_appended_in_visit_order() {
+        let mut q = QTable::new(2, 0.0);
+        for (visit, state) in [9, 2, 40, 0].into_iter().enumerate() {
+            assert_eq!(q.cell(state, 1), visit * 2 + 1);
+        }
+        assert_eq!(q.cell(2, 0), 2, "a revisit keeps its row");
     }
 
     #[test]
     fn best_action_breaks_ties_low() {
-        let mut q: QTable<u32> = QTable::new(3, 0.0);
-        q.set(&1, 0, 5.0);
-        q.set(&1, 2, 5.0);
-        assert_eq!(q.best_action(&1), 0);
-        q.set(&1, 2, 6.0);
-        assert_eq!(q.best_action(&1), 2);
-        assert_eq!(q.best_action(&99), 0); // unvisited
+        let mut q = QTable::new(3, 0.0);
+        q.set(1, 0, 5.0);
+        q.set(1, 2, 5.0);
+        assert_eq!(q.best_action(1), 0);
+        q.set(1, 2, 6.0);
+        assert_eq!(q.best_action(1), 2);
+        assert_eq!(q.best_action(99), 0); // unvisited
     }
 
     #[test]
     fn max_value_defaults_to_initial() {
-        let q: QTable<u32> = QTable::new(2, -1.0);
-        assert_eq!(q.max_value(&5), -1.0);
+        let q = QTable::new(2, -1.0);
+        assert_eq!(q.max_value(5), -1.0);
     }
 
     #[test]
     fn update_applies_learning_rule() {
-        let mut q: QTable<u32> = QTable::new(2, 0.0);
-        q.update(&3, 1, 10.0, |old, t| old + 0.5 * (t - old));
-        assert_eq!(q.value(&3, 1), 5.0);
-        q.update(&3, 1, 10.0, |old, t| old + 0.5 * (t - old));
-        assert_eq!(q.value(&3, 1), 7.5);
+        let mut q = QTable::new(2, 0.0);
+        q.update(3, 1, 10.0, |old, t| old + 0.5 * (t - old));
+        assert_eq!(q.value(3, 1), 5.0);
+        q.update(3, 1, 10.0, |old, t| old + 0.5 * (t - old));
+        assert_eq!(q.value(3, 1), 7.5);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn value_rejects_bad_action() {
-        let q: QTable<u32> = QTable::new(2, 0.0);
-        q.value(&0, 2);
+        let q = QTable::new(2, 0.0);
+        q.value(0, 2);
     }
 
     #[test]
     #[should_panic(expected = "at least one action")]
     fn zero_actions_rejected() {
-        let _: QTable<u32> = QTable::new(0, 0.0);
+        let _ = QTable::new(0, 0.0);
     }
 }

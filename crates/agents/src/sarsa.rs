@@ -7,32 +7,32 @@
 //! variance while staying on-policy.
 
 use crate::agent::{TabularAgent, TabularTransition};
-use crate::policy::ExplorationPolicy;
+use crate::policy::{ExplorationPolicy, PreparedPolicy};
 use crate::qtable::QTable;
-use crate::schedule::Schedule;
+use crate::schedule::{PreparedSchedule, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::hash::Hash;
 
 /// Classic SARSA(0).
 #[derive(Debug, Clone)]
-pub struct SarsaAgent<S> {
-    q: QTable<S>,
-    alpha: Schedule,
+pub struct SarsaAgent {
+    q: QTable,
+    alpha: PreparedSchedule,
     gamma: f64,
-    policy: ExplorationPolicy,
+    policy: PreparedPolicy,
     rng: StdRng,
     step: u64,
     /// Transition awaiting its successor action.
-    pending: Option<TabularTransition<S>>,
+    pending: Option<TabularTransition>,
 }
 
-impl<S: Eq + Hash + Clone> SarsaAgent<S> {
+impl SarsaAgent {
     /// A SARSA agent with the given hyper-parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `n_actions` is zero or `gamma` lies outside `[0, 1]`.
+    /// Panics if `n_actions` is zero, `gamma` lies outside `[0, 1]` or a
+    /// schedule is malformed.
     pub fn new(
         n_actions: usize,
         alpha: Schedule,
@@ -44,9 +44,9 @@ impl<S: Eq + Hash + Clone> SarsaAgent<S> {
         assert!((0.0..=1.0).contains(&gamma), "gamma {gamma} outside [0, 1]");
         Self {
             q: QTable::new(n_actions, 0.0),
-            alpha,
+            alpha: alpha.prepare(),
             gamma,
-            policy,
+            policy: policy.prepare(),
             rng: StdRng::seed_from_u64(seed),
             step: 0,
             pending: None,
@@ -54,7 +54,7 @@ impl<S: Eq + Hash + Clone> SarsaAgent<S> {
     }
 
     /// Read access to the learned Q-table.
-    pub fn q_table(&self) -> &QTable<S> {
+    pub fn q_table(&self) -> &QTable {
         &self.q
     }
 
@@ -62,19 +62,19 @@ impl<S: Eq + Hash + Clone> SarsaAgent<S> {
         if let Some(t) = self.pending.take() {
             let bootstrap = match (t.terminal, next_action) {
                 (true, _) | (false, None) => 0.0,
-                (false, Some(a)) => self.gamma * self.q.value(&t.next_state, a),
+                (false, Some(a)) => self.gamma * self.q.value(t.next_state, a),
             };
             let target = t.reward + bootstrap;
             let alpha = self.alpha.value(self.step);
-            self.q.update(&t.state, t.action, target, |old, tgt| {
+            self.q.update(t.state, t.action, target, |old, tgt| {
                 old + alpha * (tgt - old)
             });
         }
     }
 }
 
-impl<S: Eq + Hash + Clone> TabularAgent<S> for SarsaAgent<S> {
-    fn select_action(&mut self, state: &S) -> usize {
+impl TabularAgent for SarsaAgent {
+    fn select_action(&mut self, state: usize) -> usize {
         let row = self.q.row(state);
         let action = self.policy.choose(row, self.step, &mut self.rng);
         // The successor action is now known: complete the pending update.
@@ -83,7 +83,7 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for SarsaAgent<S> {
         action
     }
 
-    fn observe(&mut self, t: TabularTransition<S>) {
+    fn observe(&mut self, t: TabularTransition) {
         if t.terminal {
             // No successor action will exist; update immediately.
             self.pending = Some(t);
@@ -99,7 +99,7 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for SarsaAgent<S> {
         self.flush_pending(None);
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         self.q.best_action(state)
     }
 }
@@ -107,21 +107,24 @@ impl<S: Eq + Hash + Clone> TabularAgent<S> for SarsaAgent<S> {
 /// Expected SARSA: bootstraps with the ε-greedy expectation over the next
 /// state's Q-row.
 #[derive(Debug, Clone)]
-pub struct ExpectedSarsaAgent<S> {
-    q: QTable<S>,
-    alpha: Schedule,
+pub struct ExpectedSarsaAgent {
+    q: QTable,
+    alpha: PreparedSchedule,
     gamma: f64,
-    epsilon: Schedule,
+    /// The ε-greedy behaviour policy; its ε also weighs the target.
+    policy: PreparedPolicy,
+    epsilon: PreparedSchedule,
     rng: StdRng,
     step: u64,
 }
 
-impl<S: Eq + Hash + Clone> ExpectedSarsaAgent<S> {
+impl ExpectedSarsaAgent {
     /// An Expected SARSA agent with ε-greedy behaviour and target policy.
     ///
     /// # Panics
     ///
-    /// Panics if `n_actions` is zero or `gamma` lies outside `[0, 1]`.
+    /// Panics if `n_actions` is zero, `gamma` lies outside `[0, 1]` or a
+    /// schedule is malformed.
     pub fn new(
         n_actions: usize,
         alpha: Schedule,
@@ -131,10 +134,12 @@ impl<S: Eq + Hash + Clone> ExpectedSarsaAgent<S> {
     ) -> Self {
         assert!(n_actions > 0, "agent needs at least one action");
         assert!((0.0..=1.0).contains(&gamma), "gamma {gamma} outside [0, 1]");
+        let epsilon = epsilon.prepare();
         Self {
             q: QTable::new(n_actions, 0.0),
-            alpha,
+            alpha: alpha.prepare(),
             gamma,
+            policy: PreparedPolicy::EpsilonGreedy(epsilon),
             epsilon,
             rng: StdRng::seed_from_u64(seed),
             step: 0,
@@ -142,12 +147,12 @@ impl<S: Eq + Hash + Clone> ExpectedSarsaAgent<S> {
     }
 
     /// Read access to the learned Q-table.
-    pub fn q_table(&self) -> &QTable<S> {
+    pub fn q_table(&self) -> &QTable {
         &self.q
     }
 
     /// Expected value of the ε-greedy policy at `state`.
-    fn expected_value(&self, state: &S) -> f64 {
+    fn expected_value(&self, state: usize) -> f64 {
         match self.q.row_ref(state) {
             None => 0.0,
             Some(row) => {
@@ -161,30 +166,29 @@ impl<S: Eq + Hash + Clone> ExpectedSarsaAgent<S> {
     }
 }
 
-impl<S: Eq + Hash + Clone> TabularAgent<S> for ExpectedSarsaAgent<S> {
-    fn select_action(&mut self, state: &S) -> usize {
-        let policy = ExplorationPolicy::EpsilonGreedy {
-            epsilon: self.epsilon,
-        };
-        let action = policy.choose(self.q.row(state), self.step, &mut self.rng);
+impl TabularAgent for ExpectedSarsaAgent {
+    fn select_action(&mut self, state: usize) -> usize {
+        let action = self
+            .policy
+            .choose(self.q.row(state), self.step, &mut self.rng);
         self.step += 1;
         action
     }
 
-    fn observe(&mut self, t: TabularTransition<S>) {
+    fn observe(&mut self, t: TabularTransition) {
         let bootstrap = if t.terminal {
             0.0
         } else {
-            self.gamma * self.expected_value(&t.next_state)
+            self.gamma * self.expected_value(t.next_state)
         };
         let target = t.reward + bootstrap;
         let alpha = self.alpha.value(self.step);
-        self.q.update(&t.state, t.action, target, |old, tgt| {
+        self.q.update(t.state, t.action, target, |old, tgt| {
             old + alpha * (tgt - old)
         });
     }
 
-    fn greedy_action(&self, state: &S) -> usize {
+    fn greedy_action(&self, state: usize) -> usize {
         self.q.best_action(state)
     }
 }
@@ -201,8 +205,7 @@ mod tests {
 
     #[test]
     fn sarsa_defers_update_until_next_action() {
-        let mut agent: SarsaAgent<u8> =
-            SarsaAgent::new(2, Schedule::Constant(1.0), 0.5, policy(), 3);
+        let mut agent = SarsaAgent::new(2, Schedule::Constant(1.0), 0.5, policy(), 3);
         agent.observe(TabularTransition {
             state: 0,
             action: 0,
@@ -211,16 +214,15 @@ mod tests {
             terminal: false,
         });
         // Not yet updated: the successor action is unknown.
-        assert_eq!(agent.q_table().value(&0, 0), 0.0);
-        let _a = agent.select_action(&1);
+        assert_eq!(agent.q_table().value(0, 0), 0.0);
+        let _a = agent.select_action(1);
         // Now updated: target = 2 + 0.5 * Q(1, a') = 2 (row still zero).
-        assert_eq!(agent.q_table().value(&0, 0), 2.0);
+        assert_eq!(agent.q_table().value(0, 0), 2.0);
     }
 
     #[test]
     fn sarsa_terminal_updates_immediately() {
-        let mut agent: SarsaAgent<u8> =
-            SarsaAgent::new(2, Schedule::Constant(0.5), 0.9, policy(), 3);
+        let mut agent = SarsaAgent::new(2, Schedule::Constant(0.5), 0.9, policy(), 3);
         agent.observe(TabularTransition {
             state: 4,
             action: 1,
@@ -228,13 +230,12 @@ mod tests {
             next_state: 5,
             terminal: true,
         });
-        assert_eq!(agent.q_table().value(&4, 1), 3.0);
+        assert_eq!(agent.q_table().value(4, 1), 3.0);
     }
 
     #[test]
     fn sarsa_begin_episode_flushes_truncated_transition() {
-        let mut agent: SarsaAgent<u8> =
-            SarsaAgent::new(2, Schedule::Constant(1.0), 0.9, policy(), 3);
+        let mut agent = SarsaAgent::new(2, Schedule::Constant(1.0), 0.9, policy(), 3);
         agent.observe(TabularTransition {
             state: 0,
             action: 1,
@@ -244,12 +245,12 @@ mod tests {
         });
         agent.begin_episode();
         // Reward-only update applied.
-        assert_eq!(agent.q_table().value(&0, 1), 4.0);
+        assert_eq!(agent.q_table().value(0, 1), 4.0);
     }
 
     #[test]
     fn expected_sarsa_uses_expectation() {
-        let mut agent: ExpectedSarsaAgent<u8> =
+        let mut agent =
             ExpectedSarsaAgent::new(2, Schedule::Constant(1.0), 1.0, Schedule::Constant(0.5), 3);
         // Prime state 1 with q = [0, 8]: expectation = 0.5*8 + 0.5*avg(0,8) = 6.
         agent.observe(TabularTransition {
@@ -266,12 +267,12 @@ mod tests {
             next_state: 1,
             terminal: false,
         });
-        assert!((agent.q_table().value(&0, 0) - 6.0).abs() < 1e-12);
+        assert!((agent.q_table().value(0, 0) - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn expected_sarsa_terminal_ignores_next() {
-        let mut agent: ExpectedSarsaAgent<u8> =
+        let mut agent =
             ExpectedSarsaAgent::new(2, Schedule::Constant(1.0), 1.0, Schedule::Constant(0.0), 3);
         agent.observe(TabularTransition {
             state: 0,
@@ -280,6 +281,6 @@ mod tests {
             next_state: 1,
             terminal: true,
         });
-        assert_eq!(agent.q_table().value(&0, 0), 7.0);
+        assert_eq!(agent.q_table().value(0, 0), 7.0);
     }
 }

@@ -58,7 +58,7 @@ impl Env for LineWorld {
     }
 }
 
-/// A two-armed Bernoulli bandit: single state, actions `{0, 1}` with win
+/// A two-armed Bernoulli bandit: single state `0`, actions `{0, 1}` with win
 /// probabilities `p0` and `p1`, one step per episode. An agent that learns
 /// must end up preferring the better arm.
 #[derive(Debug, Clone)]
@@ -78,19 +78,20 @@ impl TwoArmedBandit {
 }
 
 impl Env for TwoArmedBandit {
-    type Obs = ();
+    type Obs = usize;
     type Action = usize;
 
-    fn reset(&mut self, seed: Option<u64>) {
+    fn reset(&mut self, seed: Option<u64>) -> usize {
         if let Some(s) = seed {
             self.rng = StdRng::seed_from_u64(s);
         }
+        0
     }
 
-    fn step(&mut self, action: &usize) -> Step<()> {
+    fn step(&mut self, action: &usize) -> Step<usize> {
         let win = self.rng.gen_bool(self.p[*action]);
         Step {
-            obs: (),
+            obs: 0,
             reward: if win { 1.0 } else { 0.0 },
             terminated: true,
             truncated: false,

@@ -10,7 +10,6 @@
 
 use crate::agent::{TabularAgent, TabularTransition};
 use crate::env::Env;
-use std::hash::Hash;
 
 /// Options for [`train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,9 +146,8 @@ impl TrainLog {
 /// Episodes restart transparently; see [`TrainOptions`] for the stop rules.
 pub fn train<E, A>(env: &mut E, agent: &mut A, opts: &TrainOptions) -> TrainLog
 where
-    E: Env<Action = usize>,
-    E::Obs: Eq + Hash + Clone,
-    A: TabularAgent<E::Obs>,
+    E: Env<Obs = usize, Action = usize>,
+    A: TabularAgent,
 {
     train_with_stop(env, agent, opts, || false)
 }
@@ -170,9 +168,8 @@ pub fn train_with_stop<E, A, S>(
     should_stop: S,
 ) -> TrainLog
 where
-    E: Env<Action = usize>,
-    E::Obs: Eq + Hash + Clone,
-    A: TabularAgent<E::Obs>,
+    E: Env<Obs = usize, Action = usize>,
+    A: TabularAgent,
     S: FnMut() -> bool,
 {
     let mut session = TrainSession::start(env, agent, opts);
@@ -199,8 +196,8 @@ where
 /// cumulative reward and stop reason: the agent sees the same transitions
 /// either way, so both take identical trajectories.
 #[derive(Debug)]
-pub struct TrainSession<O> {
-    obs: O,
+pub struct TrainSession {
+    obs: usize,
     /// Every step so far; `None` for an unrecorded session.
     records: Option<Vec<StepRecord>>,
     steps: u64,
@@ -209,13 +206,13 @@ pub struct TrainSession<O> {
     needs_reset: bool,
 }
 
-impl<O: Eq + Hash + Clone> TrainSession<O> {
+impl TrainSession {
     /// Opens a session: resets `env` with the options' seed and signals
     /// the agent's first episode. No step is taken yet.
     pub fn start<E, A>(env: &mut E, agent: &mut A, opts: &TrainOptions) -> Self
     where
-        E: Env<Obs = O, Action = usize>,
-        A: TabularAgent<O> + ?Sized,
+        E: Env<Obs = usize, Action = usize>,
+        A: TabularAgent + ?Sized,
     {
         Self::open(env, agent, opts, Some(Vec::new()))
     }
@@ -225,8 +222,8 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
     /// [`TrainSession::into_log`] yields a log with no `steps`.
     pub fn start_unrecorded<E, A>(env: &mut E, agent: &mut A, opts: &TrainOptions) -> Self
     where
-        E: Env<Obs = O, Action = usize>,
-        A: TabularAgent<O> + ?Sized,
+        E: Env<Obs = usize, Action = usize>,
+        A: TabularAgent + ?Sized,
     {
         Self::open(env, agent, opts, None)
     }
@@ -238,8 +235,8 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
         records: Option<Vec<StepRecord>>,
     ) -> Self
     where
-        E: Env<Obs = O, Action = usize>,
-        A: TabularAgent<O> + ?Sized,
+        E: Env<Obs = usize, Action = usize>,
+        A: TabularAgent + ?Sized,
     {
         let obs = env.reset(Some(opts.seed));
         agent.begin_episode();
@@ -292,8 +289,8 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
         mut should_stop: S,
     ) -> StopReason
     where
-        E: Env<Obs = O, Action = usize>,
-        A: TabularAgent<O> + ?Sized,
+        E: Env<Obs = usize, Action = usize>,
+        A: TabularAgent + ?Sized,
         S: FnMut() -> bool,
     {
         if self.is_complete(opts) {
@@ -312,14 +309,14 @@ impl<O: Eq + Hash + Clone> TrainSession<O> {
                 agent.begin_episode();
                 self.needs_reset = false;
             }
-            let action = agent.select_action(&self.obs);
+            let action = agent.select_action(self.obs);
             let s = env.step(&action);
             self.cumulative += s.reward;
             agent.observe(TabularTransition {
-                state: self.obs.clone(),
+                state: self.obs,
                 action,
                 reward: s.reward,
-                next_state: s.obs.clone(),
+                next_state: s.obs,
                 terminal: s.terminated,
             });
             self.steps += 1;
@@ -387,8 +384,8 @@ mod tests {
         let log = train(&mut env, &mut agent, &TrainOptions::new(6_000).seed(5));
         assert_eq!(log.len(), 6_000);
         // The greedy policy must walk right from every interior state.
-        for s in 0..6usize {
-            assert_eq!(agent.greedy_action(&s), 1, "state {s}");
+        for s in 0..6 {
+            assert_eq!(agent.greedy_action(s), 1, "state {s}");
         }
         assert!(log.episodes() > 50, "episodes: {}", log.episodes());
     }
@@ -396,7 +393,7 @@ mod tests {
     #[test]
     fn sarsa_solves_line_world() {
         let mut env = LineWorld::new(5, 40);
-        let mut agent: SarsaAgent<usize> = SarsaAgent::new(
+        let mut agent = SarsaAgent::new(
             2,
             Schedule::Constant(0.2),
             0.9,
@@ -410,15 +407,15 @@ mod tests {
             3,
         );
         train(&mut env, &mut agent, &TrainOptions::new(5_000).seed(5));
-        for s in 0..4usize {
-            assert_eq!(agent.greedy_action(&s), 1, "state {s}");
+        for s in 0..4 {
+            assert_eq!(agent.greedy_action(s), 1, "state {s}");
         }
     }
 
     #[test]
     fn expected_sarsa_solves_line_world() {
         let mut env = LineWorld::new(5, 40);
-        let mut agent: ExpectedSarsaAgent<usize> = ExpectedSarsaAgent::new(
+        let mut agent = ExpectedSarsaAgent::new(
             2,
             Schedule::Constant(0.2),
             0.9,
@@ -430,8 +427,8 @@ mod tests {
             3,
         );
         train(&mut env, &mut agent, &TrainOptions::new(5_000).seed(5));
-        for s in 0..4usize {
-            assert_eq!(agent.greedy_action(&s), 1, "state {s}");
+        for s in 0..4 {
+            assert_eq!(agent.greedy_action(s), 1, "state {s}");
         }
     }
 
@@ -440,7 +437,7 @@ mod tests {
         let mut env = TwoArmedBandit::new(0.2, 0.8);
         let mut agent = QLearningBuilder::new(2).seed(1).build();
         train(&mut env, &mut agent, &TrainOptions::new(3_000).seed(2));
-        assert_eq!(agent.greedy_action(&()), 1);
+        assert_eq!(agent.greedy_action(0), 1);
     }
 
     #[test]
@@ -573,11 +570,11 @@ mod tests {
         assert_eq!(log.total_reward(), reference.0.total_reward());
         assert_eq!(log.stop_reason, reference.0.stop_reason);
         assert_eq!(agent.global_step(), reference.1.global_step());
-        for s in 0..6usize {
+        for s in 0..6 {
             for a in 0..2 {
                 assert_eq!(
-                    agent.q_table().value(&s, a),
-                    reference.1.q_table().value(&s, a),
+                    agent.q_table().value(s, a),
+                    reference.1.q_table().value(s, a),
                     "Q({s}, {a})"
                 );
             }

@@ -4,7 +4,7 @@ use ax_agents::agent::{TabularAgent, TabularTransition};
 use ax_agents::policy::greedy_with_random_ties;
 use ax_agents::qlearning::QLearningBuilder;
 use ax_agents::qtable::QTable;
-use ax_agents::schedule::Schedule;
+use ax_agents::schedule::{powi, Schedule};
 use ax_agents::search::{random_search, SearchSpace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,11 +29,22 @@ proptest! {
     /// trajectories do not change.
     #[test]
     fn tie_break_matches_collect_then_draw(
-        levels in prop::collection::vec(0usize..4, 1..24),
+        levels in prop::collection::vec(0usize..6, 1..24),
+        only_nan_and_infinity in 0u8..2,
+        comparable in 0usize..24,
         seed in 0u64..1_000_000,
     ) {
-        // Four value levels force ties on most rows; -0.0 and 0.0 tie too.
-        let row: Vec<f64> = levels.iter().map(|&l| [-1.0, -0.0, 0.0, 2.0][l]).collect();
+        // Few value levels force ties on most rows; -0.0 and 0.0 tie too.
+        // NaN never attains the maximum, and −∞ is the maximum of a row
+        // holding nothing else but NaN, as half the rows do. One entry is
+        // kept comparable: an all-NaN row has no maximum to draw from.
+        const LEVELS: [f64; 6] = [f64::NAN, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 2.0];
+        let palette = if only_nan_and_infinity == 1 { 2 } else { LEVELS.len() };
+        let mut row: Vec<f64> = levels.iter().map(|&l| LEVELS[l % palette]).collect();
+        let keep = comparable % row.len();
+        if row[keep].is_nan() {
+            row[keep] = f64::NEG_INFINITY;
+        }
         let mut fast = StdRng::seed_from_u64(seed);
         let mut reference = fast.clone();
         for _ in 0..4 {
@@ -89,6 +100,37 @@ proptest! {
         prop_assert!((far - end).abs() < 1e-3);
     }
 
+    /// The shared power and the prepared exponential schedule are
+    /// `f64::powi` and its closed form bit for bit, for any decay in
+    /// (0, 1) and any step, through the `i32::MAX` clamp.
+    #[test]
+    fn prepared_exponential_schedule_is_powi_bit_for_bit(
+        decay in f64::MIN_POSITIVE..1.0,
+        near_one in 0.999f64..1.0,
+        start in -10.0f64..10.0,
+        end in -10.0f64..10.0,
+        below_clamp in prop::collection::vec(0u64..=i32::MAX as u64, 8),
+        any_step in prop::collection::vec(0u64..=u64::MAX, 8),
+    ) {
+        let clamp = i32::MAX as u64;
+        for decay in [decay, near_one] {
+            let prepared = Schedule::Exponential { start, end, decay }.prepare();
+            let edges = [0, 1, clamp - 1, clamp, clamp + 1, u64::MAX];
+            for &step in below_clamp.iter().chain(&any_step).chain(&edges) {
+                let power = decay.powi(step.min(clamp) as i32);
+                prop_assert_eq!(powi(decay, step).to_bits(), power.to_bits(), "{}^{}", decay, step);
+                let want = end + (start - end) * power;
+                prop_assert_eq!(
+                    prepared.value(step).to_bits(),
+                    want.to_bits(),
+                    "{}^{}",
+                    decay,
+                    step
+                );
+            }
+        }
+    }
+
     /// Q-table updates move values toward the target without overshoot for
     /// learning rates in (0, 1].
     #[test]
@@ -97,9 +139,9 @@ proptest! {
         target in -50.0f64..50.0,
         alpha in 0.01f64..1.0,
     ) {
-        let mut q: QTable<u8> = QTable::new(2, initial);
-        q.update(&0, 0, target, |old, t| old + alpha * (t - old));
-        let v = q.value(&0, 0);
+        let mut q = QTable::new(2, initial);
+        q.update(0, 0, target, |old, t| old + alpha * (t - old));
+        let v = q.value(0, 0);
         let before = (target - initial).abs();
         let after = (target - v).abs();
         prop_assert!(after <= before + 1e-12);
@@ -115,7 +157,7 @@ proptest! {
     fn q_learning_converges_on_bandit(reward in -5.0f64..5.0) {
         let mut agent = QLearningBuilder::new(1)
             .alpha(Schedule::Constant(0.5))
-            .build::<u8>();
+            .build();
         for _ in 0..64 {
             agent.observe(TabularTransition {
                 state: 0,
@@ -125,7 +167,7 @@ proptest! {
                 terminal: true,
             });
         }
-        prop_assert!((agent.q_table().value(&0, 0) - reward).abs() < 1e-3);
+        prop_assert!((agent.q_table().value(0, 0) - reward).abs() < 1e-3);
     }
 
     /// Random search over a quadratic bowl finds points near the optimum

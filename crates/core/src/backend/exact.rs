@@ -3,7 +3,6 @@
 use super::cache::{CacheScope, SharedCache};
 use super::{EvalBackend, EvalMetrics};
 use crate::config::{AxConfig, SpaceDims};
-use ax_agents::fxhash::FxHashMap;
 use ax_operators::metrics::{mae, signed_mean_error};
 use ax_operators::OperatorLibrary;
 use ax_telemetry::Telemetry;
@@ -70,7 +69,9 @@ impl EvalContext {
     /// # Errors
     ///
     /// Fails if the workload cannot be built, the library lacks operators
-    /// at the workload's widths, or the precise run fails.
+    /// at the workload's widths, the design space holds more than
+    /// [`SpaceDims::MAX_DESIGNS`] designs
+    /// ([`VmError::DesignSpaceTooLarge`]), or the precise run fails.
     pub fn new(
         workload: &dyn Workload,
         lib: Arc<OperatorLibrary>,
@@ -116,7 +117,22 @@ impl EvalContext {
                 width_bits: prepared.program.mul_width().bits(),
             });
         }
-        let n_vars = VarMask::none(&prepared.program).len();
+        // Checked before anything builds a `VarMask`, which panics past 64
+        // variables.
+        let n_vars = prepared.program.approximable_vars().len();
+        let dims = SpaceDims {
+            n_add,
+            n_mul,
+            n_vars: u32::try_from(n_vars).unwrap_or(u32::MAX),
+        };
+        if !dims.within_design_cap() {
+            return Err(VmError::DesignSpaceTooLarge {
+                adders: n_add,
+                multipliers: n_mul,
+                variables: n_vars,
+                max_designs: SpaceDims::MAX_DESIGNS,
+            });
+        }
         let skeleton = Arc::new(CompiledSkeleton::new(&prepared.program));
         let base_image = prepared.executor()?.initial_memory()?;
         let reference = prepared.run_precise(&lib)?;
@@ -130,11 +146,7 @@ impl EvalContext {
             input_seed,
             prepared: Arc::new(prepared),
             lib,
-            dims: SpaceDims {
-                n_add,
-                n_mul,
-                n_vars,
-            },
+            dims,
             base_image: Arc::new(base_image),
             skeleton,
             engine: ExecEngine::default(),
@@ -156,7 +168,8 @@ impl EvalContext {
                 scratch: ExecScratch::new(),
             },
             ctx: self.clone(),
-            cache: FxHashMap::default(),
+            slots: Vec::new(),
+            memo: Vec::new(),
             hits: 0,
             shared_hits: 0,
         }
@@ -242,19 +255,29 @@ impl EvalContext {
 /// memoising by configuration.
 ///
 /// The local memo is keyed by the raw configuration, so budget metering
-/// ([`EvalBackend::distinct_evaluations`]) counts designs, not classes.
-/// Behind it, the shared cache is keyed by execution class
-/// ([`EvalContext::class_representative`]): designs that flag the same
-/// instructions with the same operators share one entry and one
-/// execution.
+/// ([`EvalBackend::distinct_evaluations`]) counts designs, not classes. It
+/// is a list of the designs in the order they were first evaluated,
+/// indexed through a slot per design ordinal ([`SpaceDims::ordinal`]), so
+/// a hit is two array reads and no hash. Behind it, the shared cache is
+/// keyed by execution class ([`EvalContext::class_representative`]):
+/// designs that flag the same instructions with the same operators share
+/// one entry and one execution.
 #[derive(Debug)]
 pub struct Evaluator {
     ctx: EvalContext,
-    cache: FxHashMap<AxConfig, EvalMetrics>,
+    /// `slots[ordinal]` indexes `memo`, or is [`VACANT`] for a design not
+    /// evaluated yet. Grown to the largest ordinal evaluated; the space cap
+    /// keeps every index below `u16::MAX`.
+    slots: Vec<u16>,
+    /// Every evaluated design with its metrics, in first-evaluation order.
+    memo: Vec<(AxConfig, EvalMetrics)>,
     hits: u64,
     shared_hits: u64,
     runner: Runner,
 }
+
+/// The memo slot of a design not evaluated yet.
+const VACANT: u16 = u16::MAX;
 
 /// An evaluator's execution state: scratch buffers and engine
 /// specialisations reused across designs, plus the execution count.
@@ -344,9 +367,9 @@ impl Evaluator {
     }
 
     /// All evaluated configurations with their metrics (for Pareto
-    /// analysis), in unspecified order.
+    /// analysis), in the order they were first evaluated.
     pub fn evaluated(&self) -> Vec<(AxConfig, EvalMetrics)> {
-        self.cache.iter().map(|(c, m)| (*c, *m)).collect()
+        self.memo.clone()
     }
 
     /// Resolves a design the local memo missed. Without a shared cache the
@@ -395,7 +418,7 @@ impl EvalBackend for Evaluator {
     }
 
     fn distinct_evaluations(&self) -> u64 {
-        self.cache.len() as u64
+        self.memo.len() as u64
     }
 
     fn telemetry_counters(&self) -> Vec<(&'static str, u64)> {
@@ -428,12 +451,18 @@ impl EvalBackend for Evaluator {
             config.is_valid(self.ctx.dims),
             "configuration {config} outside the space"
         );
-        if let Some(m) = self.cache.get(config) {
-            self.hits += 1;
-            return Ok(*m);
+        let ordinal = self.ctx.dims.ordinal(config);
+        match self.slots.get(ordinal) {
+            Some(&slot) if slot != VACANT => {
+                self.hits += 1;
+                return Ok(self.memo[slot as usize].1);
+            }
+            Some(_) => {}
+            None => self.slots.resize(ordinal + 1, VACANT),
         }
         let metrics = self.resolve(config)?;
-        self.cache.insert(*config, metrics);
+        self.slots[ordinal] = self.memo.len() as u16;
+        self.memo.push((*config, metrics));
         Ok(metrics)
     }
 }
@@ -726,6 +755,95 @@ mod tests {
         assert_eq!(cache.len(), 49);
         assert_eq!(cache.misses(), 49);
         assert_eq!(cache.hits(), 4 * configs.len() as u64 - 49);
+    }
+
+    /// A program with `n` approximable variables: `n - 1` inputs summed
+    /// into one output.
+    struct Wide(usize);
+
+    impl Workload for Wide {
+        fn name(&self) -> String {
+            format!("wide-{}", self.0)
+        }
+
+        fn build(&self) -> Result<ax_vm::Program, VmError> {
+            use ax_operators::BitWidth;
+            let mut pb = ax_vm::ir::ProgramBuilder::new(self.name(), BitWidth::W8, BitWidth::W8);
+            let xs: Vec<_> = (1..self.0).map(|i| pb.input(&format!("x{i}"), 1)).collect();
+            let y = pb.output("y", 1);
+            pb.copy(y.at(0), xs[0].at(0));
+            for x in &xs[1..] {
+                pb.add(y.at(0), y.at(0), x.at(0));
+            }
+            pb.build()
+        }
+
+        fn inputs(&self, _seed: u64) -> Vec<(String, Vec<i64>)> {
+            (1..self.0).map(|i| (format!("x{i}"), vec![1])).collect()
+        }
+    }
+
+    fn wide_context(n_vars: usize) -> Result<EvalContext, VmError> {
+        EvalContext::new(&Wide(n_vars), Arc::new(OperatorLibrary::evoapprox()), 1)
+    }
+
+    fn too_large(variables: usize) -> VmError {
+        VmError::DesignSpaceTooLarge {
+            adders: 6,
+            multipliers: 6,
+            variables,
+            max_designs: 65_535,
+        }
+    }
+
+    #[test]
+    fn a_ten_variable_space_is_within_the_cap() {
+        // 6 adders × 6 multipliers × 2^10 = 36,864 designs.
+        let ctx = wide_context(10).unwrap();
+        let mut ev = ctx.evaluator();
+        assert_eq!(ev.dims().cardinality(), 36_864);
+        let last = AxConfig {
+            adder: AdderId(5),
+            mul: MulId(5),
+            vars: (1 << 10) - 1,
+        };
+        assert_eq!(ev.dims().ordinal(&last), 36_863);
+        ev.evaluate(&last).unwrap();
+        assert_eq!(ev.evaluated()[0].0, last);
+    }
+
+    #[test]
+    fn an_eleven_variable_space_is_a_typed_error() {
+        // 73,728 designs: past the 65,535-design cap.
+        let err = wide_context(11).unwrap_err();
+        assert_eq!(err, too_large(11));
+        assert!(err.to_string().contains("2^11"), "{err}");
+    }
+
+    #[test]
+    fn more_than_64_variables_is_a_typed_error_not_a_panic() {
+        assert_eq!(wide_context(65).unwrap_err(), too_large(65));
+    }
+
+    #[test]
+    fn evaluated_lists_designs_in_first_evaluation_order() {
+        let mut ev = evaluator();
+        let designs = [(3, 1, 0b10), (0, 0, 0), (5, 5, 0b1111), (1, 4, 0b1)];
+        for &(a, m, vars) in designs.iter().chain(&designs) {
+            ev.evaluate(&AxConfig {
+                adder: AdderId(a),
+                mul: MulId(m),
+                vars,
+            })
+            .unwrap();
+        }
+        let order: Vec<_> = ev
+            .evaluated()
+            .iter()
+            .map(|(c, _)| (c.adder.0, c.mul.0, c.vars))
+            .collect();
+        assert_eq!(order, designs);
+        assert_eq!((ev.distinct_evaluations(), ev.cache_hits()), (4, 4));
     }
 
     #[test]

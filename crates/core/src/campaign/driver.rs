@@ -10,6 +10,7 @@ use crate::explore::{
 use crate::json::Json;
 use crate::pareto::{self, DesignObjectives, Objective, ObjectiveDecl, Ranking};
 use crate::sweep::{summarize_outcomes, PortfolioEntry, PortfolioOutcome, SweepSummary};
+use ax_agents::schedule::powi;
 use ax_agents::train::StopReason;
 use ax_operators::OperatorLibrary;
 use ax_telemetry::{Event, EventKind, MetricsSnapshot, Telemetry, SOURCE_COORDINATOR};
@@ -1486,7 +1487,7 @@ impl<'a> Campaign<'a> {
                     .saturating_sub(outstanding);
                 for r in 0..rungs - 1 {
                     let pool = unallocated / (rungs - (r + 1)) as u64;
-                    let expected = (n_cells as f64 * ladder.keep_fraction.powi(r as i32 + 1))
+                    let expected = (n_cells as f64 * powi(ladder.keep_fraction, r as u64 + 1))
                         .ceil()
                         .max(1.0) as u64;
                     for c in rung_ledger.newly_promotable(r) {

@@ -31,9 +31,37 @@ pub struct SpaceDims {
 }
 
 impl SpaceDims {
+    /// The most designs a space may hold. Every design then has an ordinal
+    /// below `u16::MAX` ([`SpaceDims::ordinal`]), which the Q-table and an
+    /// evaluator's local memo index directly. It is 16× the largest space a
+    /// campaign spec can reach (Sobel on `evoapprox-extended`,
+    /// 8 × 8 × 2^6 = 4,096 designs); `EvalContext` rejects larger spaces.
+    pub const MAX_DESIGNS: usize = 65_535;
+
     /// Total number of configurations (`n_add · n_mul · 2^n_vars`).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `n_vars` is 128 or more.
     pub fn cardinality(&self) -> u128 {
         (self.n_add as u128) * (self.n_mul as u128) * (1u128 << self.n_vars)
+    }
+
+    /// `true` if the space holds at most [`SpaceDims::MAX_DESIGNS`]
+    /// designs.
+    pub fn within_design_cap(&self) -> bool {
+        // 2^17 designs exceed the cap whatever the operator counts.
+        self.n_vars <= 16 && self.cardinality() <= Self::MAX_DESIGNS as u128
+    }
+
+    /// The dense index of a design of this space,
+    /// `((adder · n_mul + mul) << n_vars) | vars`: adder-major, like
+    /// [`AxConfig::enumerate`], and below [`SpaceDims::cardinality`].
+    ///
+    /// Meaningful only for a valid design ([`AxConfig::is_valid`]) of a
+    /// space [within the cap](SpaceDims::within_design_cap).
+    pub fn ordinal(&self, config: &AxConfig) -> usize {
+        ((config.adder.0 * self.n_mul + config.mul.0) << self.n_vars) | config.vars as usize
     }
 
     /// Number of environment actions (`n_add + n_mul + n_vars`).
@@ -264,5 +292,27 @@ mod tests {
         let set: std::collections::HashSet<_> = all.iter().collect();
         assert_eq!(set.len(), 576);
         assert!(all.iter().all(|c| c.is_valid(DIMS)));
+    }
+
+    #[test]
+    fn ordinals_number_the_enumeration() {
+        for (i, c) in AxConfig::enumerate(DIMS).iter().enumerate() {
+            assert_eq!(DIMS.ordinal(c), i, "{c}");
+        }
+    }
+
+    #[test]
+    fn design_cap_counts_designs_not_variables() {
+        let dims = |n_add, n_mul, n_vars| SpaceDims {
+            n_add,
+            n_mul,
+            n_vars,
+        };
+        assert!(dims(6, 6, 10).within_design_cap()); // 36,864
+        assert!(!dims(6, 6, 11).within_design_cap()); // 73,728
+        assert!(dims(1, 1, 15).within_design_cap());
+        assert!(!dims(1, 1, 16).within_design_cap()); // 65,536
+        assert!(!dims(1, 1, 64).within_design_cap());
+        assert!(!dims(2, 2, 200).within_design_cap());
     }
 }

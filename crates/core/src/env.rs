@@ -5,10 +5,11 @@
 //! variable), deploys the corresponding approximate application through the
 //! instrumented interpreter, computes (Δacc, Δpower, Δtime) against the
 //! precise run and returns the Algorithm 1 reward. The observation handed
-//! to the tabular agent is the discrete configuration part of the state
-//! ([`DseState`]); the continuous Δ observations are recorded per step in
-//! the environment's [`StepTrace`] (they are functions of the configuration,
-//! so the tabular state loses no information).
+//! to the tabular agent is the discrete configuration part of the state,
+//! numbered by its design ordinal ([`SpaceDims::ordinal`]), which the
+//! agent's Q-table indexes directly; the continuous Δ observations are
+//! recorded per step in the environment's [`StepTrace`] (they are functions
+//! of the configuration, so the tabular state loses no information).
 //!
 //! Every step is also folded into a fixed-size [`RunSummary`] — what a
 //! Table III summary and a campaign scheduler read — so an environment
@@ -23,28 +24,6 @@ use crate::reward::{reward, RewardParams};
 use crate::search_adapter::solution_score;
 use ax_agents::env::{Env, Step};
 use ax_operators::{AdderId, MulId};
-
-/// The hashable observation: the discrete configuration part of the paper's
-/// Equation 1 state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DseState {
-    /// Selected adder index.
-    pub adder: usize,
-    /// Selected multiplier index.
-    pub mul: usize,
-    /// Variable-selection bits.
-    pub vars: u64,
-}
-
-impl From<AxConfig> for DseState {
-    fn from(c: AxConfig) -> Self {
-        Self {
-            adder: c.adder.0,
-            mul: c.mul.0,
-            vars: c.vars,
-        }
-    }
-}
 
 /// A decoded environment action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +118,22 @@ pub struct DseEnv<B: EvalBackend = Evaluator> {
 
 impl<B: EvalBackend> DseEnv<B> {
     /// Wraps an evaluation backend with reward parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend's space holds more than
+    /// [`SpaceDims::MAX_DESIGNS`] designs: observations are design
+    /// ordinals.
     pub fn new(evaluator: B, params: RewardParams) -> Self {
+        let dims = evaluator.dims();
+        assert!(
+            dims.within_design_cap(),
+            "a space of {} × {} × 2^{} designs exceeds the {}-design cap",
+            dims.n_add,
+            dims.n_mul,
+            dims.n_vars,
+            SpaceDims::MAX_DESIGNS
+        );
         Self {
             evaluator,
             params,
@@ -232,19 +226,20 @@ impl<B: EvalBackend> DseEnv<B> {
 }
 
 impl<B: EvalBackend> Env for DseEnv<B> {
-    type Obs = DseState;
+    /// The current design's ordinal ([`SpaceDims::ordinal`]).
+    type Obs = usize;
     type Action = usize;
 
-    fn reset(&mut self, _seed: Option<u64>) -> DseState {
+    fn reset(&mut self, _seed: Option<u64>) -> usize {
         // Inputs are fixed at construction (the paper explores one benchmark
         // instance); reset only returns to the precise configuration. The
         // trace and run summary deliberately persist across episodes — they
         // are the global exploration record behind Figures 2-4 and Table III.
         self.config = AxConfig::precise();
-        self.config.into()
+        self.dims().ordinal(&self.config)
     }
 
-    fn step(&mut self, action: &usize) -> Step<DseState> {
+    fn step(&mut self, action: &usize) -> Step<usize> {
         let next = self.apply(*action);
         let metrics = self
             .evaluator
@@ -270,7 +265,7 @@ impl<B: EvalBackend> Env for DseEnv<B> {
             trace.push(step);
         }
         Step {
-            obs: next.into(),
+            obs: self.dims().ordinal(&next),
             reward: r,
             terminated: terminate,
             truncated: false,
@@ -313,15 +308,7 @@ mod tests {
     #[test]
     fn reset_returns_precise_state() {
         let mut e = env();
-        let s = e.reset(None);
-        assert_eq!(
-            s,
-            DseState {
-                adder: 0,
-                mul: 0,
-                vars: 0
-            }
-        );
+        assert_eq!(e.reset(None), 0);
         assert_eq!(e.config(), AxConfig::precise());
     }
 
@@ -329,12 +316,15 @@ mod tests {
     fn step_applies_action_and_traces() {
         let mut e = env();
         e.reset(None);
-        let s = e.step(&3); // SetAdder(3)
-        assert_eq!(s.obs.adder, 3);
+        let s = e.step(&3); // SetAdder(3): (3 · 6 + 0) << 4
+        assert_eq!(s.obs, 288);
         let s = e.step(&12); // ToggleVar(0)
-        assert_eq!(s.obs.vars, 1);
+        assert_eq!(s.obs, 289);
         assert_eq!(e.trace().len(), 2);
         assert_eq!(e.trace()[1].config.vars, 1);
+        let s = e.step(&7); // SetMultiplier(1)
+        assert_eq!(s.obs, e.dims().ordinal(&e.config()));
+        assert_eq!(s.obs, ((3 * 6 + 1) << 4) | 1);
     }
 
     #[test]
@@ -343,7 +333,7 @@ mod tests {
         e.reset(None);
         e.step(&14);
         let s = e.step(&14);
-        assert_eq!(s.obs.vars, 0);
+        assert_eq!(s.obs, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::analysis::{FigureSeries, MetricSummary};
 use crate::backend::{EvalBackend, Evaluator};
-use crate::env::{DseEnv, DseState, StepTrace};
+use crate::env::{DseEnv, StepTrace};
 use crate::pareto::DesignObjectives;
 use crate::reward::RewardParams;
 use crate::thresholds::{ThresholdRule, Thresholds};
@@ -223,7 +223,7 @@ fn build_agent(
     kind: AgentKind,
     n_actions: usize,
     opts: &ExploreOptions,
-) -> Box<dyn TabularAgent<DseState> + Send> {
+) -> Box<dyn TabularAgent + Send> {
     let policy = ExplorationPolicy::EpsilonGreedy {
         epsilon: opts.epsilon,
     };
@@ -276,8 +276,8 @@ fn build_agent(
 /// [`ax_agents::train::TrainSession`]).
 pub struct ResumableExploration<B: EvalBackend> {
     env: DseEnv<B>,
-    agent: Box<dyn TabularAgent<DseState> + Send>,
-    session: TrainSession<DseState>,
+    agent: Box<dyn TabularAgent + Send>,
+    session: TrainSession,
     train_opts: TrainOptions,
     thresholds: Thresholds,
     benchmark: String,

@@ -73,7 +73,7 @@ pub use campaign::{
     ExperimentSpec, MetricsSnapshot, Observer, SeedRange, Telemetry,
 };
 pub use config::AxConfig;
-pub use env::{DseEnv, DseState, StepTrace};
+pub use env::{DseEnv, StepTrace};
 pub use explore::{
     explore_backend, explore_backend_with_stop, ExplorationOutcome, ExplorationSummary,
     ExploreOptions, ResumableExploration,

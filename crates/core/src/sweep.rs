@@ -48,7 +48,7 @@ impl SweepStat {
         let var = if values.len() < 2 {
             0.0
         } else {
-            values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)
+            values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0)
         };
         let min = values.iter().copied().fold(f64::INFINITY, f64::min);
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);

@@ -62,6 +62,18 @@ pub enum VmError {
         /// The variable's name.
         name: String,
     },
+    /// The design space (adders × multipliers × variable selections) is
+    /// larger than the exploration supports.
+    DesignSpaceTooLarge {
+        /// Adders at the program's addition width.
+        adders: usize,
+        /// Multipliers at the program's multiplication width.
+        multipliers: usize,
+        /// Approximable variables of the program.
+        variables: usize,
+        /// The most designs a space may hold.
+        max_designs: usize,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -90,6 +102,16 @@ impl fmt::Display for VmError {
             VmError::EmptyVariable { name } => {
                 write!(f, "variable `{name}` has zero length")
             }
+            VmError::DesignSpaceTooLarge {
+                adders,
+                multipliers,
+                variables,
+                max_designs,
+            } => write!(
+                f,
+                "design space of {adders} adders × {multipliers} multipliers × 2^{variables} \
+                 variable selections exceeds {max_designs} designs"
+            ),
         }
     }
 }
@@ -129,6 +151,12 @@ mod tests {
             },
             VmError::NoOutputs,
             VmError::EmptyVariable { name: "z".into() },
+            VmError::DesignSpaceTooLarge {
+                adders: 6,
+                multipliers: 6,
+                variables: 11,
+                max_designs: 65_535,
+            },
         ];
         for e in cases {
             let msg = e.to_string();

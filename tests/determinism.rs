@@ -639,3 +639,46 @@ fn campaign_reports_match_their_golden_digests() {
         );
     }
 }
+
+#[test]
+fn campaign_schedule_shapes_match_their_golden_digest() {
+    use axdse_suite::ax_agents::Schedule;
+    // Every campaign above runs the default schedules: an exponential ε
+    // and a constant α. This one pins the other two shapes an agent
+    // evaluates per step, a linear ε and an exponential α, through all
+    // five agents. Recorded once, like the digests above.
+    let lib = OperatorLibrary::evoapprox();
+    let matmul = MatMul::new(4);
+    let report = Campaign::new("golden-schedules", &lib)
+        .benchmark(&matmul)
+        .agents(&[
+            AgentKind::QLearning,
+            AgentKind::Sarsa,
+            AgentKind::ExpectedSarsa,
+            AgentKind::DoubleQ,
+            AgentKind::QLambda { lambda: 0.7 },
+        ])
+        .seeds(SeedRange::new(0, 2))
+        .options(ExploreOptions {
+            max_steps: 300,
+            epsilon: Schedule::Linear {
+                start: 0.5,
+                end: 0.02,
+                steps: 200,
+            },
+            alpha: Schedule::Exponential {
+                start: 0.6,
+                end: 0.1,
+                decay: 0.995,
+            },
+            ..Default::default()
+        })
+        .sequential(true)
+        .run()
+        .unwrap();
+    assert_eq!(
+        fnv1a64(report.to_json_string().as_bytes()),
+        0x271d_7eb8_54c8_08e6,
+        "schedule-shape grid report drifted"
+    );
+}
