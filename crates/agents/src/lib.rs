@@ -1,25 +1,21 @@
-//! Tabular reinforcement-learning agents and classic search baselines.
+//! The tabular reinforcement-learning agent and classic search baselines.
 //!
 //! The reproduced paper drives its design-space exploration with **tabular
 //! Q-learning**; this crate provides that agent plus the surrounding
 //! machinery and the alternatives used for ablation studies:
 //!
-//! * [`qlearning::QLearningAgent`] — the paper's learner (off-policy TD
-//!   control);
-//! * [`sarsa::SarsaAgent`] / [`sarsa::ExpectedSarsaAgent`] — on-policy
-//!   alternatives;
-//! * [`double_q::DoubleQAgent`] — double Q-learning (overestimation control);
-//! * [`qlambda::QLambdaAgent`] — Watkins Q(λ) with eligibility traces (the
-//!   paper's "improve the learning strategy" direction);
-//! * [`policy`] — ε-greedy and softmax exploration over Q-values, with
-//!   [`schedule::Schedule`]d hyper-parameters;
-//! * [`qtable`] — the flat-arena Q-table every agent learns into, its rows
+//! * [`agent::Agent`] — one ε-greedy agent whose [`agent::AgentKind`]
+//!   picks its update rule: Q-learning (the paper's learner), SARSA,
+//!   Expected SARSA, double Q-learning or Watkins Q(λ) with eligibility
+//!   traces (the paper's "improve the learning strategy" direction), with
+//!   [`schedule::Schedule`]d learning and exploration rates;
+//! * [`qtable`] — the flat-arena Q-table the agent learns into, its rows
 //!   indexed by state ordinal;
 //! * [`env`](mod@crate::env) — the Gymnasium-style `reset`/`step`
 //!   contract agents train on, with states numbered `0, 1, 2, …`;
-//! * [`train`](mod@crate::train) — the continuing-exploration training
-//!   loop with the paper's stop conditions (step cap, cumulative-reward
-//!   target, environment termination);
+//! * [`train`] — the pausable continuing-exploration loop with the paper's
+//!   stop conditions (step cap, cumulative-reward target, environment
+//!   termination);
 //! * [`search`] — generic combinatorial optimisers over a [`search::SearchSpace`]:
 //!   random search, hill climbing, simulated annealing and a genetic
 //!   algorithm — the prior-art DSE approaches (the paper's \[3\], \[4\])
@@ -28,10 +24,10 @@
 //!   program derives itself.
 //!
 //! ```
-//! use ax_agents::agent::TabularAgent;
+//! use ax_agents::agent::{Agent, AgentKind};
 //! use ax_agents::env::{Env, Step};
-//! use ax_agents::qlearning::QLearningBuilder;
-//! use ax_agents::train::{train, TrainOptions};
+//! use ax_agents::schedule::Schedule;
+//! use ax_agents::train::{TrainOptions, TrainSession};
 //!
 //! /// A six-cell chain walk: action 1 steps right, 0 left; reaching the
 //! /// right end pays 1 and ends the episode.
@@ -53,33 +49,30 @@
 //!     }
 //! }
 //!
-//! let mut agent = QLearningBuilder::new(2).gamma(0.9).seed(1).build();
-//! let log = train(&mut Chain(0), &mut agent, &TrainOptions::new(4_000).seed(7));
-//! assert_eq!(log.len(), 4_000);
+//! let epsilon = Schedule::Linear { start: 1.0, end: 0.05, steps: 3_000 };
+//! let mut agent = Agent::new(AgentKind::QLearning, 2, Schedule::Constant(0.1), 0.9, epsilon, 1);
+//! let (mut env, opts) = (Chain(0), TrainOptions::new(4_000).seed(7));
+//! let mut session = TrainSession::start(&mut env, &mut agent, &opts);
+//! session.resume(&mut env, &mut agent, &opts, || false);
+//! assert_eq!(session.steps_taken(), 4_000);
 //! // After training, the greedy policy walks right from the start state.
-//! assert_eq!(agent.greedy_action(0), 1);
+//! assert_eq!(agent.q_table().best_action(0), 1);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod agent;
-pub mod double_q;
 pub mod env;
 pub mod fxhash;
-pub mod policy;
-pub mod qlambda;
-pub mod qlearning;
 pub mod qtable;
-pub mod sarsa;
 pub mod schedule;
 pub mod search;
 #[cfg(test)]
 mod toy;
 pub mod train;
 
-pub use agent::{TabularAgent, TabularTransition};
-pub use qlearning::QLearningAgent;
+pub use agent::{Agent, AgentKind, Transition};
 pub use qtable::QTable;
 pub use schedule::Schedule;
-pub use train::{train, StepRecord, TrainLog, TrainOptions, TrainSession};
+pub use train::{TrainOptions, TrainSession};

@@ -1,7 +1,7 @@
 //! The tabular action-value store.
 
-/// A Q-table: maps states to per-action value rows, created lazily with a
-/// configurable optimistic/neutral initial value.
+/// A Q-table: maps states to per-action value rows, created lazily with
+/// every value 0.
 ///
 /// States are dense ordinals (`0, 1, 2, …`), as an environment that
 /// numbers its finite state space hands them out. Rows live back to back
@@ -14,7 +14,7 @@
 /// ```
 /// use ax_agents::qtable::QTable;
 ///
-/// let mut q = QTable::new(3, 0.0);
+/// let mut q = QTable::new(3);
 /// q.update(4, 1, 0.5, |old, target| old + 0.1 * (target - old));
 /// assert!(q.value(4, 1) > 0.0);
 /// assert_eq!(q.value(4, 0), 0.0);
@@ -23,7 +23,6 @@
 #[derive(Debug, Clone)]
 pub struct QTable {
     n_actions: usize,
-    initial: f64,
     /// `slots[s]` is state `s`'s row id, or [`VACANT`] before its first
     /// visit.
     slots: Vec<u32>,
@@ -35,17 +34,15 @@ pub struct QTable {
 const VACANT: u32 = u32::MAX;
 
 impl QTable {
-    /// A table over `n_actions` actions with entries initialised to
-    /// `initial`.
+    /// A table over `n_actions` actions.
     ///
     /// # Panics
     ///
     /// Panics if `n_actions` is zero.
-    pub fn new(n_actions: usize, initial: f64) -> Self {
+    pub fn new(n_actions: usize) -> Self {
         assert!(n_actions > 0, "Q-table needs at least one action");
         Self {
             n_actions,
-            initial,
             slots: Vec::new(),
             values: Vec::new(),
         }
@@ -84,8 +81,7 @@ impl QTable {
             self.slots.resize(state + 1, VACANT);
         }
         self.slots[state] = id32;
-        self.values
-            .resize(self.values.len() + self.n_actions, self.initial);
+        self.values.resize(self.values.len() + self.n_actions, 0.0);
         id
     }
 
@@ -121,12 +117,12 @@ impl QTable {
     /// Panics if `action` is out of range.
     pub fn value(&self, state: usize, action: usize) -> f64 {
         assert!(action < self.n_actions, "action {action} out of range");
-        self.row_ref(state).map_or(self.initial, |row| row[action])
+        self.row_ref(state).map_or(0.0, |row| row[action])
     }
 
     /// Greatest action value at `state`.
     pub fn max_value(&self, state: usize) -> f64 {
-        self.row_ref(state).map_or(self.initial, |row| {
+        self.row_ref(state).map_or(0.0, |row| {
             row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         })
     }
@@ -181,19 +177,19 @@ mod tests {
 
     #[test]
     fn lazy_initialisation() {
-        let mut q = QTable::new(4, 2.5);
-        assert_eq!(q.value(7, 3), 2.5);
+        let mut q = QTable::new(4);
+        assert_eq!(q.value(7, 3), 0.0);
         assert_eq!(q.n_states(), 0);
         q.row(7);
         assert_eq!(q.n_states(), 1);
-        assert_eq!(q.row_ref(7).unwrap(), &[2.5; 4]);
+        assert_eq!(q.row_ref(7).unwrap(), &[0.0; 4]);
         assert!(q.row_ref(8).is_none());
         assert!(q.row_ref(3).is_none(), "a slot below a visited state");
     }
 
     #[test]
     fn row_ids_survive_arena_growth() {
-        let mut q = QTable::new(3, 0.5);
+        let mut q = QTable::new(3);
         let first = q.cell(10, 2);
         q.set(10, 2, 9.0);
         // Grow the arena well past its first allocation.
@@ -202,20 +198,20 @@ mod tests {
         }
         assert_eq!(q.cell(10, 2), first, "row id moved");
         assert_eq!(q.cells_mut()[first], 9.0);
-        assert_eq!(q.row_ref(10).unwrap(), &[0.5, 0.5, 9.0]);
-        assert_eq!(q.row_ref(100).unwrap(), &[1.5, 0.5, 0.5]);
+        assert_eq!(q.row_ref(10).unwrap(), &[0.0, 0.0, 9.0]);
+        assert_eq!(q.row_ref(100).unwrap(), &[1.0, 0.0, 0.0]);
         assert_eq!(q.n_states(), 1_001);
         // Reading unvisited states neither allocates nor changes them.
         assert!(q.row_ref(5_000).is_none());
-        assert_eq!(q.value(5_000, 1), 0.5);
-        assert_eq!(q.max_value(5_000), 0.5);
+        assert_eq!(q.value(5_000, 1), 0.0);
+        assert_eq!(q.max_value(5_000), 0.0);
         assert_eq!(q.best_action(5_000), 0);
         assert_eq!(q.n_states(), 1_001);
     }
 
     #[test]
     fn rows_are_appended_in_visit_order() {
-        let mut q = QTable::new(2, 0.0);
+        let mut q = QTable::new(2);
         for (visit, state) in [9, 2, 40, 0].into_iter().enumerate() {
             assert_eq!(q.cell(state, 1), visit * 2 + 1);
         }
@@ -224,7 +220,7 @@ mod tests {
 
     #[test]
     fn best_action_breaks_ties_low() {
-        let mut q = QTable::new(3, 0.0);
+        let mut q = QTable::new(3);
         q.set(1, 0, 5.0);
         q.set(1, 2, 5.0);
         assert_eq!(q.best_action(1), 0);
@@ -234,14 +230,8 @@ mod tests {
     }
 
     #[test]
-    fn max_value_defaults_to_initial() {
-        let q = QTable::new(2, -1.0);
-        assert_eq!(q.max_value(5), -1.0);
-    }
-
-    #[test]
     fn update_applies_learning_rule() {
-        let mut q = QTable::new(2, 0.0);
+        let mut q = QTable::new(2);
         q.update(3, 1, 10.0, |old, t| old + 0.5 * (t - old));
         assert_eq!(q.value(3, 1), 5.0);
         q.update(3, 1, 10.0, |old, t| old + 0.5 * (t - old));
@@ -251,13 +241,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn value_rejects_bad_action() {
-        let q = QTable::new(2, 0.0);
+        let q = QTable::new(2);
         q.value(0, 2);
     }
 
     #[test]
     #[should_panic(expected = "at least one action")]
     fn zero_actions_rejected() {
-        let _ = QTable::new(0, 0.0);
+        let _ = QTable::new(0);
     }
 }

@@ -1,8 +1,6 @@
 //! Property-based tests for agents, schedules and search primitives.
 
-use ax_agents::agent::{TabularAgent, TabularTransition};
-use ax_agents::policy::greedy_with_random_ties;
-use ax_agents::qlearning::QLearningBuilder;
+use ax_agents::agent::{greedy_with_random_ties, Agent, AgentKind, Transition};
 use ax_agents::qtable::QTable;
 use ax_agents::schedule::{powi, Schedule};
 use ax_agents::search::{random_search, SearchSpace};
@@ -139,7 +137,8 @@ proptest! {
         target in -50.0f64..50.0,
         alpha in 0.01f64..1.0,
     ) {
-        let mut q = QTable::new(2, initial);
+        let mut q = QTable::new(2);
+        q.set(0, 0, initial);
         q.update(0, 0, target, |old, t| old + alpha * (t - old));
         let v = q.value(0, 0);
         let before = (target - initial).abs();
@@ -155,11 +154,10 @@ proptest! {
     /// converges to the reward.
     #[test]
     fn q_learning_converges_on_bandit(reward in -5.0f64..5.0) {
-        let mut agent = QLearningBuilder::new(1)
-            .alpha(Schedule::Constant(0.5))
-            .build();
+        let (alpha, epsilon) = (Schedule::Constant(0.5), Schedule::Constant(0.1));
+        let mut agent = Agent::new(AgentKind::QLearning, 1, alpha, 0.95, epsilon, 0);
         for _ in 0..64 {
-            agent.observe(TabularTransition {
+            agent.observe(Transition {
                 state: 0,
                 action: 0,
                 reward,

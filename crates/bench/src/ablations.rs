@@ -14,8 +14,8 @@ use ax_agents::search::{
     genetic_algorithm, hill_climb, random_search, simulated_annealing, AnnealingOptions,
     GeneticOptions,
 };
-use ax_dse::analysis::hypervolume_2d;
 use ax_dse::explore::{AgentKind, ExploreOptions};
+use ax_dse::pareto::hypervolume;
 use ax_dse::report::{ascii_table, fmt_metric};
 use ax_dse::search_adapter::DseSearchSpace;
 use ax_dse::thresholds::ThresholdRule;
@@ -37,19 +37,21 @@ pub struct ExplorerResult {
     pub hypervolume: f64,
 }
 
+/// The area the feasible designs' normalised (Δpower, Δtime) gains
+/// dominate over (0, 0), measured on the negated gains.
 fn feasible_hypervolume(evaluator: &Evaluator, acc_th: f64) -> f64 {
-    let pts: Vec<(f64, f64)> = evaluator
+    let pts: Vec<Vec<f64>> = evaluator
         .evaluated()
         .iter()
         .filter(|(_, m)| m.delta_acc <= acc_th)
         .map(|(_, m)| {
-            (
-                m.delta_power / evaluator.precise_power(),
-                m.delta_time / evaluator.precise_time(),
-            )
+            vec![
+                -m.delta_power / evaluator.precise_power(),
+                -m.delta_time / evaluator.precise_time(),
+            ]
         })
         .collect();
-    hypervolume_2d(&pts, (0.0, 0.0))
+    hypervolume(&pts, &[-0.0, -0.0])
 }
 
 /// Compares Q-learning with the classic baselines on one workload at an
@@ -212,7 +214,7 @@ pub fn agent_comparison(
             ..Default::default()
         };
         let o = crate::explore_one(workload, &lib, &opts, kind);
-        results.push((kind.name(), o.log.total_reward(), o.summary.steps));
+        results.push((kind.name(), o.total_reward, o.summary.steps));
     }
     let headers = ["agent", "final cumulative reward", "stop step"];
     let rows: Vec<Vec<String>> = results
@@ -267,7 +269,7 @@ pub fn epsilon_ablation(
             ..Default::default()
         };
         let outcome = crate::explore_one(workload, &lib, &opts, AgentKind::QLearning);
-        let final_cum = outcome.log.total_reward();
+        let final_cum = outcome.total_reward;
         results.push((name.to_owned(), final_cum));
     }
     let headers = ["epsilon schedule", "final cumulative reward"];

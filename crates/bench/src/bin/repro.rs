@@ -380,25 +380,33 @@ fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
 ///
 /// # Errors
 ///
-/// A spec that fails to parse or validate, with or without the command
-/// line's `--policy`.
+/// An unreadable spec file; a spec that fails to parse or validate, as
+/// written or after any of the command line's `--smoke`, `--budget` and
+/// `--policy` overrides; a campaign that cannot run; an output file that
+/// cannot be written; and `--front-json` on a campaign with an empty
+/// Pareto front.
 fn run_spec_file(args: &Args) -> Result<(), String> {
     let path = args.spec.as_ref().expect("validated in parse_args");
     let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path}: {e}"));
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path}: {e}"))?;
     let mut spec =
         ExperimentSpec::from_json_str(&text).map_err(|e| format!("bad spec {path}: {e}"))?;
+    let revalidate = |spec: &ExperimentSpec, flag: &str| {
+        spec.validate()
+            .map_err(|e| format!("{flag} does not fit {path}: {e}"))
+    };
     if args.smoke {
         spec.explore.max_steps = spec.explore.max_steps.min(150);
         spec.seeds.count = spec.seeds.count.min(2);
+        revalidate(&spec, "--smoke")?;
     }
     if let Some(budget) = args.budget {
         spec.budget = Some(budget);
+        revalidate(&spec, "--budget")?;
     }
     if let Some(policy) = &args.policy {
         spec.policy = policy.clone();
-        spec.validate()
-            .map_err(|e| format!("--policy does not fit {path}: {e}"))?;
+        revalidate(&spec, "--policy")?;
     }
     if let Some(threads) = spec.parallelism {
         // The in-tree rayon shim sizes its pool from AX_THREADS; honour the
@@ -409,6 +417,22 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
     }
     if args.cache_cap.is_some() && args.cache.is_none() {
         return Err("--cache-cap bounds a saved cache file; pass --cache FILE too".into());
+    }
+    // The outputs written after the campaign: fail now, not after it, when
+    // one names a directory that does not exist.
+    for path in [&args.metrics, &args.report_json, &args.front_json]
+        .into_iter()
+        .flatten()
+    {
+        match std::path::Path::new(path).parent() {
+            Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => {
+                return Err(format!(
+                    "cannot write {path}: no directory {}",
+                    dir.display()
+                ));
+            }
+            _ => {}
+        }
     }
     let cache = match &args.cache {
         None => None,
@@ -430,7 +454,7 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         let t = Telemetry::new();
         if let Some(path) = &args.trace {
             let sink = JsonlSink::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {path}: {e}"));
+                .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
             t.add_sink(Box::new(sink));
         }
         t
@@ -438,7 +462,7 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         Telemetry::disabled()
     };
     let report = run_spec_traced(&lib, &spec, cache.clone(), &PrintObserver, &telemetry)
-        .unwrap_or_else(|e| panic!("campaign failed: {e}"));
+        .map_err(|e| format!("campaign failed: {e}"))?;
     print_campaign_report(&report, &args.out);
     telemetry.flush();
     if let Some(path) = &args.trace {
@@ -450,24 +474,23 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
     if let Some(path) = &args.metrics {
         let snapshot = telemetry.snapshot().expect("telemetry is enabled");
         std::fs::write(path, snapshot.to_json_string())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote metrics snapshot to {path}");
     }
     if let Some(path) = &args.report_json {
         std::fs::write(path, report.to_json_string())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote machine-readable report to {path}");
     }
     if let Some(path) = &args.front_json {
-        assert!(
-            !report.pareto.front.is_empty(),
-            "campaign finished with an empty Pareto front"
-        );
+        if report.pareto.front.is_empty() {
+            return Err("campaign finished with an empty Pareto front".into());
+        }
         let doc = report.to_json();
         let front = doc
             .get("pareto")
             .expect("reports always carry a pareto section");
-        std::fs::write(path, front.pretty()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, front.pretty()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!(
             "wrote Pareto front ({} member(s), hypervolume {:.4}) to {path}",
             report.pareto.front.len(),

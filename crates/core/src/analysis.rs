@@ -6,13 +6,11 @@
 //!   folded step by step through [`MetricRange`];
 //! * [`FigureSeries`] + [`linear_trend`] — the per-step Δpower / Δtime /
 //!   Δaccuracy curves and trend lines of Figures 2 and 3;
-//! * [`reward_curve`] — the 100-step mean-reward series of Figure 4;
-//! * [`pareto_front`] / [`hypervolume_2d`] — the multi-objective quality
-//!   measures used by the explorer-comparison ablation.
+//! * [`reward_curve`] — the 100-step mean-reward series of Figure 4.
+//!
+//! Pareto fronts and hypervolumes come from [`crate::pareto`].
 
-use crate::config::AxConfig;
 use crate::env::StepTrace;
-use crate::evaluator::EvalMetrics;
 
 /// Min / solution / max of one exploration metric (one Table III block).
 ///
@@ -151,61 +149,11 @@ pub fn reward_curve(trace: &[StepTrace], bin: usize) -> Vec<f64> {
         .collect()
 }
 
-/// `true` if `a` dominates `b` in the (maximise Δpower, maximise Δtime,
-/// minimise Δacc) ordering.
-fn dominates(a: &EvalMetrics, b: &EvalMetrics) -> bool {
-    let ge = a.delta_power >= b.delta_power
-        && a.delta_time >= b.delta_time
-        && a.delta_acc <= b.delta_acc;
-    let strict =
-        a.delta_power > b.delta_power || a.delta_time > b.delta_time || a.delta_acc < b.delta_acc;
-    ge && strict
-}
-
-/// The non-dominated subset of evaluated configurations under the paper's
-/// three objectives (maximise power/time reductions, minimise accuracy
-/// degradation).
-pub fn pareto_front(points: &[(AxConfig, EvalMetrics)]) -> Vec<(AxConfig, EvalMetrics)> {
-    points
-        .iter()
-        .filter(|(_, m)| !points.iter().any(|(_, other)| dominates(other, m)))
-        .copied()
-        .collect()
-}
-
-/// 2-D hypervolume (area dominated between `reference` and the front) for a
-/// **maximisation** problem. Points at or below the reference in either
-/// coordinate contribute nothing.
-pub fn hypervolume_2d(points: &[(f64, f64)], reference: (f64, f64)) -> f64 {
-    let mut front: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|(x, y)| *x > reference.0 && *y > reference.1)
-        .copied()
-        .collect();
-    if front.is_empty() {
-        return 0.0;
-    }
-    // Sort by x descending; sweep keeping the best y seen so far.
-    front.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-    let mut hv = 0.0;
-    let mut prev_y = reference.1;
-    let mut prev_x = front[0].0;
-    for &(x, y) in &front {
-        if y > prev_y {
-            // The slab between this x and the previous x is covered up to
-            // prev_y; account it before raising the ceiling.
-            hv += (prev_x - x) * (prev_y - reference.1);
-            prev_x = x;
-            prev_y = y;
-        }
-    }
-    hv += (prev_x - reference.0) * (prev_y - reference.1);
-    hv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AxConfig;
+    use crate::evaluator::EvalMetrics;
     use ax_operators::{AdderId, MulId};
 
     fn m(power: f64, time: f64, acc: f64) -> EvalMetrics {
@@ -291,51 +239,5 @@ mod tests {
             .collect();
         let curve = reward_curve(&trace, 100);
         assert_eq!(curve, vec![-1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn pareto_front_filters_dominated() {
-        let points = vec![
-            (cfg(0), m(10.0, 10.0, 1.0)), // dominated by the next point
-            (cfg(1), m(20.0, 20.0, 0.5)),
-            (cfg(2), m(30.0, 5.0, 2.0)), // trade-off: keeps its place
-            (cfg(3), m(5.0, 30.0, 0.1)), // trade-off
-        ];
-        let front = pareto_front(&points);
-        let ids: Vec<u64> = front.iter().map(|(c, _)| c.vars).collect();
-        assert!(!ids.contains(&0));
-        assert_eq!(front.len(), 3);
-    }
-
-    #[test]
-    fn pareto_keeps_duplicates_of_equal_points() {
-        let points = vec![(cfg(0), m(1.0, 1.0, 1.0)), (cfg(1), m(1.0, 1.0, 1.0))];
-        assert_eq!(pareto_front(&points).len(), 2);
-    }
-
-    #[test]
-    fn hypervolume_rectangle() {
-        // A single point (2, 3) over reference (0, 0): area 6.
-        assert!((hypervolume_2d(&[(2.0, 3.0)], (0.0, 0.0)) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hypervolume_union_of_rectangles() {
-        // Points (3,1) and (1,3): union area = 3 + 3 - 1 = 5.
-        let hv = hypervolume_2d(&[(3.0, 1.0), (1.0, 3.0)], (0.0, 0.0));
-        assert!((hv - 5.0).abs() < 1e-12, "{hv}");
-    }
-
-    #[test]
-    fn hypervolume_dominated_point_adds_nothing() {
-        let base = hypervolume_2d(&[(3.0, 3.0)], (0.0, 0.0));
-        let more = hypervolume_2d(&[(3.0, 3.0), (2.0, 2.0)], (0.0, 0.0));
-        assert!((base - more).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hypervolume_empty_or_below_reference() {
-        assert_eq!(hypervolume_2d(&[], (0.0, 0.0)), 0.0);
-        assert_eq!(hypervolume_2d(&[(-1.0, 5.0)], (0.0, 0.0)), 0.0);
     }
 }

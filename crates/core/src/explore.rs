@@ -3,9 +3,9 @@
 //! [`explore_backend`] builds the [`DseEnv`] over any evaluation backend,
 //! calibrates the thresholds from the precise run, trains an agent under
 //! the paper's stop rules (terminate flag, cumulative-reward target `R`,
-//! 10 000 step cap, plus an optional cooperative stop signal — see
-//! [`explore_backend_with_stop`]) and reads the environment's fold of its
-//! steps ([`crate::env::RunSummary`]) into an [`ExplorationSummary`]. The
+//! 10 000 step cap; a [`ResumableExploration`] also pauses on a
+//! cooperative stop signal) and reads the environment's fold of its steps
+//! ([`crate::env::RunSummary`]) into an [`ExplorationSummary`]. The
 //! entry points are the [`crate::campaign`] layer's
 //! [`crate::campaign::Campaign`] driver and its single-run
 //! [`crate::campaign::explore`]; the legacy free-function wrappers
@@ -17,14 +17,10 @@ use crate::env::{DseEnv, StepTrace};
 use crate::pareto::DesignObjectives;
 use crate::reward::RewardParams;
 use crate::thresholds::{ThresholdRule, Thresholds};
-use ax_agents::agent::TabularAgent;
-use ax_agents::double_q::DoubleQAgent;
-use ax_agents::policy::ExplorationPolicy;
-use ax_agents::qlambda::QLambdaAgent;
-use ax_agents::qlearning::QLearningBuilder;
-use ax_agents::sarsa::{ExpectedSarsaAgent, SarsaAgent};
+use ax_agents::agent::Agent;
+pub use ax_agents::agent::AgentKind;
 use ax_agents::schedule::Schedule;
-use ax_agents::train::{StopReason, TrainLog, TrainOptions, TrainSession};
+use ax_agents::train::{StopReason, TrainOptions, TrainSession};
 use ax_operators::OperatorLibrary;
 
 /// Options of one exploration run.
@@ -111,10 +107,8 @@ pub struct ExplorationOutcome<B: EvalBackend = Evaluator> {
     /// empty — read [`ExplorationOutcome::last_step`] and the summary
     /// instead.
     pub trace: Vec<StepTrace>,
-    /// Per-step agent log (actions, cumulative reward, stop reason). Its
-    /// `steps` are empty for campaign runs, like `trace`; its cumulative
-    /// reward and stop reason are always set.
-    pub log: TrainLog,
+    /// Cumulative reward over every step.
+    pub total_reward: f64,
     /// The exploration's last step: its configuration is the solution.
     pub last_step: StepTrace,
     /// Why the exploration stopped.
@@ -137,40 +131,6 @@ impl<B: EvalBackend> ExplorationOutcome<B> {
     }
 }
 
-/// The learning algorithm driving an exploration.
-///
-/// The paper uses [`AgentKind::QLearning`]; the others are the ablation
-/// agents for its "improve the learning strategy" future-work direction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AgentKind {
-    /// Tabular Q-learning (the paper's agent).
-    QLearning,
-    /// On-policy SARSA(0).
-    Sarsa,
-    /// Expected SARSA.
-    ExpectedSarsa,
-    /// Double Q-learning.
-    DoubleQ,
-    /// Watkins Q(λ) with the given trace decay.
-    QLambda {
-        /// Trace decay λ ∈ [0, 1].
-        lambda: f64,
-    },
-}
-
-impl AgentKind {
-    /// Short display name for tables.
-    pub fn name(&self) -> String {
-        match self {
-            AgentKind::QLearning => "q-learning".into(),
-            AgentKind::Sarsa => "sarsa".into(),
-            AgentKind::ExpectedSarsa => "expected-sarsa".into(),
-            AgentKind::DoubleQ => "double-q".into(),
-            AgentKind::QLambda { lambda } => format!("q-lambda({lambda})"),
-        }
-    }
-}
-
 /// Runs an exploration through an arbitrary [`EvalBackend`].
 ///
 /// This is the backend-polymorphic core of every exploration entry point:
@@ -189,70 +149,9 @@ pub fn explore_backend<B: EvalBackend>(
     opts: &ExploreOptions,
     kind: AgentKind,
 ) -> ExplorationOutcome<B> {
-    explore_backend_with_stop(backend, lib, benchmark, opts, kind, || false)
-}
-
-/// [`explore_backend`] with a cooperative stop signal.
-///
-/// `should_stop` is polled after every environment step (see
-/// [`ax_agents::train::train_with_stop`]); when it fires, the exploration
-/// ends with [`StopReason::Stopped`]. This is the seam the campaign driver
-/// threads its evaluation budgets through: every concurrent run polls the
-/// shared budget and stands down at its next step boundary once the
-/// campaign-wide spend reaches the cap. A signal that never fires yields
-/// output bit-identical to [`explore_backend`].
-///
-/// # Panics
-///
-/// Panics if the exploration takes no steps (`max_steps == 0`).
-pub fn explore_backend_with_stop<B: EvalBackend, S: FnMut() -> bool>(
-    backend: B,
-    lib: &OperatorLibrary,
-    benchmark: &str,
-    opts: &ExploreOptions,
-    kind: AgentKind,
-    should_stop: S,
-) -> ExplorationOutcome<B> {
     let mut run = ResumableExploration::start(backend, benchmark, opts, kind);
-    run.resume(should_stop);
+    run.resume(|| false);
     run.finish(lib)
-}
-
-/// Builds the boxed learning agent of an exploration.
-fn build_agent(
-    kind: AgentKind,
-    n_actions: usize,
-    opts: &ExploreOptions,
-) -> Box<dyn TabularAgent + Send> {
-    let policy = ExplorationPolicy::EpsilonGreedy {
-        epsilon: opts.epsilon,
-    };
-    match kind {
-        AgentKind::QLearning => Box::new(
-            QLearningBuilder::new(n_actions)
-                .alpha(opts.alpha)
-                .gamma(opts.gamma)
-                .policy(policy)
-                .seed(opts.seed)
-                .build(),
-        ),
-        AgentKind::Sarsa => Box::new(SarsaAgent::new(
-            n_actions, opts.alpha, opts.gamma, policy, opts.seed,
-        )),
-        AgentKind::ExpectedSarsa => Box::new(ExpectedSarsaAgent::new(
-            n_actions,
-            opts.alpha,
-            opts.gamma,
-            opts.epsilon,
-            opts.seed,
-        )),
-        AgentKind::DoubleQ => Box::new(DoubleQAgent::new(
-            n_actions, opts.alpha, opts.gamma, policy, opts.seed,
-        )),
-        AgentKind::QLambda { lambda } => Box::new(QLambdaAgent::new(
-            n_actions, opts.alpha, opts.gamma, lambda, policy, opts.seed,
-        )),
-    }
 }
 
 /// A pausable exploration: environment, agent and training session bundled
@@ -269,14 +168,13 @@ fn build_agent(
 /// This is the primitive the campaign's rung engine is built on, for
 /// every budget policy: each pass resumes the running cells' runs
 /// against their replenished budgets, and eliminated or parked runs are
-/// simply not resumed. A single `start` + `resume` + `finish` is
-/// bit-identical to [`explore_backend_with_stop`]; splitting the same
-/// exploration over several resumes — at rung boundaries or anywhere
-/// else — changes nothing but where it pauses (see
-/// [`ax_agents::train::TrainSession`]).
+/// simply not resumed. A single `start` + `resume` + `finish` is what
+/// [`explore_backend`] runs; splitting the same exploration over several
+/// resumes — at rung boundaries or anywhere else — changes nothing but
+/// where it pauses (see [`ax_agents::train::TrainSession`]).
 pub struct ResumableExploration<B: EvalBackend> {
     env: DseEnv<B>,
-    agent: Box<dyn TabularAgent + Send>,
+    agent: Agent,
     session: TrainSession,
     train_opts: TrainOptions,
     thresholds: Thresholds,
@@ -287,15 +185,15 @@ impl<B: EvalBackend> ResumableExploration<B> {
     /// Opens an exploration: calibrates thresholds from the backend's
     /// precise run, builds environment and agent and seeds the first
     /// episode. No design is evaluated yet. The run records every step
-    /// (the outcome's `trace` and `log`).
+    /// (the outcome's `trace`).
     pub fn start(backend: B, benchmark: &str, opts: &ExploreOptions, kind: AgentKind) -> Self {
         Self::open(backend, benchmark, opts, kind, true)
     }
 
     /// [`ResumableExploration::start`] keeping no per-step record: the run
     /// holds O(1) state however many steps it takes, and its outcome has
-    /// an empty `trace` and `log.steps` but the same summary, last step,
-    /// stop reason and cumulative reward.
+    /// an empty `trace` but the same summary, last step, stop reason and
+    /// cumulative reward.
     pub fn start_unrecorded(
         backend: B,
         benchmark: &str,
@@ -316,16 +214,19 @@ impl<B: EvalBackend> ResumableExploration<B> {
         let params = RewardParams::new(opts.max_reward, thresholds);
         let mut env = DseEnv::new(backend, params);
         env.set_recording(record);
-        let mut agent = build_agent(kind, env.action_count(), opts);
+        let mut agent = Agent::new(
+            kind,
+            env.action_count(),
+            opts.alpha,
+            opts.gamma,
+            opts.epsilon,
+            opts.seed,
+        );
         let train_opts = TrainOptions::new(opts.max_steps)
             .seed(opts.input_seed)
             .reward_target(opts.max_reward)
             .stop_on_terminate();
-        let session = if record {
-            TrainSession::start(&mut env, &mut agent, &train_opts)
-        } else {
-            TrainSession::start_unrecorded(&mut env, &mut agent, &train_opts)
-        };
+        let session = TrainSession::start(&mut env, &mut agent, &train_opts);
         Self {
             env,
             agent,
@@ -419,8 +320,6 @@ impl<B: EvalBackend> ResumableExploration<B> {
             benchmark,
             ..
         } = self;
-        let log = session.into_log();
-        let stop_reason = log.stop_reason;
         let run = *env.summary();
         let last = run.last.expect("exploration took no steps");
         let (evaluator, trace) = env.into_parts();
@@ -449,9 +348,9 @@ impl<B: EvalBackend> ResumableExploration<B> {
         ExplorationOutcome {
             distinct_configs: evaluator.distinct_evaluations(),
             trace,
-            log,
+            total_reward: session.total_reward(),
             last_step: last,
-            stop_reason,
+            stop_reason: session.stop_reason(),
             thresholds,
             summary,
             evaluator,
@@ -499,8 +398,9 @@ mod tests {
             &quick_opts(400),
             AgentKind::QLearning,
         );
-        assert_eq!(outcome.trace.len(), outcome.log.len());
         assert_eq!(outcome.summary.steps, outcome.trace.len() as u64);
+        let rewards = outcome.trace.iter().fold(0.0, |acc, t| acc + t.reward);
+        assert_eq!(outcome.total_reward, rewards);
         assert!(outcome.summary.power.min <= outcome.summary.power.solution);
         assert!(outcome.summary.power.solution <= outcome.summary.power.max);
         assert!(outcome.distinct_configs >= 1);
@@ -612,7 +512,7 @@ mod tests {
         assert!(resumes > 3, "the pause signal must actually fragment");
         let out = run.finish(&l);
         assert_eq!(out.trace, reference.trace);
-        assert_eq!(out.log, reference.log);
+        assert_eq!(out.total_reward, reference.total_reward);
         assert_eq!(out.summary, reference.summary);
         assert_eq!(out.stop_reason, reference.stop_reason);
     }
@@ -673,7 +573,6 @@ mod tests {
                     // The recorded run's fold is what re-scanning its trace
                     // gives: Table III rows, last step, best design.
                     let trace = &reference.trace;
-                    assert_eq!(trace.len(), reference.log.len(), "{what}");
                     assert_eq!(reference.summary.steps, trace.len() as u64, "{what}");
                     assert_eq!(Some(&reference.last_step), trace.last(), "{what}");
                     let series = FigureSeries::from_trace(trace);
@@ -708,8 +607,9 @@ mod tests {
                     }
                     assert_eq!(ref_best, rescanned, "{what}");
                     assert_eq!(
-                        reference.log.total_reward(),
-                        reference.log.steps.last().unwrap().cumulative_reward
+                        reference.total_reward,
+                        trace.iter().fold(0.0, |acc, t| acc + t.reward),
+                        "{what}"
                     );
 
                     for (record, slice) in [(true, Some(17)), (false, None), (false, Some(17))] {
@@ -719,19 +619,12 @@ mod tests {
                         assert_eq!(best, ref_best, "{what}");
                         assert_eq!(out.last_step, reference.last_step, "{what}");
                         assert_eq!(out.stop_reason, reference.stop_reason, "{what}");
-                        assert_eq!(out.log.stop_reason, reference.stop_reason, "{what}");
-                        assert_eq!(
-                            out.log.total_reward(),
-                            reference.log.total_reward(),
-                            "{what}"
-                        );
+                        assert_eq!(out.total_reward, reference.total_reward, "{what}");
                         assert_eq!(out.distinct_configs, reference.distinct_configs);
                         if record {
                             assert_eq!(out.trace, reference.trace, "{what}");
-                            assert_eq!(out.log, reference.log, "{what}");
                         } else {
                             assert!(out.trace.is_empty(), "{what}: kept a trace");
-                            assert!(out.log.steps.is_empty(), "{what}: kept step records");
                         }
                     }
                 }
@@ -775,7 +668,7 @@ mod tests {
         for kind in KINDS {
             let o = explore_exact(&DotProduct::new(8), &l, &quick_opts(120), kind);
             assert!(!o.trace.is_empty(), "{}", kind.name());
-            assert_eq!(o.trace.len(), o.log.len(), "{}", kind.name());
+            assert_eq!(o.summary.steps, o.trace.len() as u64, "{}", kind.name());
         }
     }
 

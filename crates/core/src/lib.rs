@@ -75,8 +75,7 @@ pub use campaign::{
 pub use config::AxConfig;
 pub use env::{DseEnv, StepTrace};
 pub use explore::{
-    explore_backend, explore_backend_with_stop, ExplorationOutcome, ExplorationSummary,
-    ExploreOptions, ResumableExploration,
+    explore_backend, ExplorationOutcome, ExplorationSummary, ExploreOptions, ResumableExploration,
 };
 pub use pareto::{DesignObjectives, Objective, ObjectiveDecl, Ranking};
 pub use reward::RewardParams;

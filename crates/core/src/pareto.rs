@@ -13,10 +13,9 @@
 //! quality against a reference point for reports and telemetry.
 //!
 //! Everything here is orientation-consistent: **smaller is better** in
-//! every coordinate, and the reference point is the worst corner. (The
-//! per-trace [`crate::analysis::pareto_front`] helper predates this
-//! module and keeps its maximise-deltas orientation; the campaign layer
-//! speaks only this module's minimise form.)
+//! every coordinate, and the reference point is the worst corner. A gain
+//! to maximise (Δpower, Δtime) enters negated, with its reference negated
+//! too.
 //!
 //! Determinism: every sort is stable and keyed with `total_cmp`, so rank
 //! orders are reproducible bit-for-bit across runs and platforms.
@@ -354,6 +353,18 @@ mod tests {
             vec![5.0, 5.0], // dominated by everything
         ];
         assert_eq!(non_dominated_ranks(&pts), vec![0, 0, 1, 2]);
+        // Three objectives, two of them negated gains: a point beaten on
+        // all three leaves the front, trade-offs keep their place.
+        let pts = vec![
+            vec![-10.0, -10.0, 1.0],
+            vec![-20.0, -20.0, 0.5],
+            vec![-30.0, -5.0, 2.0],
+            vec![-5.0, -30.0, 0.1],
+        ];
+        assert_eq!(non_dominated_ranks(&pts), vec![1, 0, 0, 0]);
+        // Equal points never dominate each other: both stay on the front.
+        let twins = vec![vec![1.0, 1.0, 1.0], vec![1.0, 1.0, 1.0]];
+        assert_eq!(non_dominated_ranks(&twins), vec![0, 0]);
     }
 
     #[test]
@@ -385,6 +396,9 @@ mod tests {
         // Union of two overlapping boxes: 2*3 + 3*2 - 2*2 = 8.
         let hv = hypervolume(&[vec![2.0, 1.0], vec![1.0, 2.0]], &r);
         assert!((hv - 8.0).abs() < 1e-12);
+        // A dominated point adds nothing.
+        let hv = hypervolume(&[vec![1.0, 1.0], vec![2.0, 2.0]], &r);
+        assert!((hv - 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -400,7 +414,9 @@ mod tests {
     fn hypervolume_ignores_points_outside_the_box() {
         let r = [1.0, 1.0];
         assert_eq!(hypervolume(&[vec![1.0, 0.0]], &r), 0.0);
+        assert_eq!(hypervolume(&[vec![2.0, -5.0]], &r), 0.0);
         assert_eq!(hypervolume(&[vec![f64::INFINITY, 0.0]], &r), 0.0);
+        assert_eq!(hypervolume(&[vec![f64::NAN, 0.0]], &r), 0.0);
         assert_eq!(hypervolume(&[], &r), 0.0);
     }
 

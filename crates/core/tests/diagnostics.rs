@@ -130,7 +130,7 @@ fn stop_steps_by_hyperparams() {
                 name,
                 o.stop_reason,
                 o.summary.steps,
-                o.log.total_reward(),
+                o.total_reward,
                 o.summary.adder_name,
                 o.summary.mul_name,
             );

@@ -13,9 +13,9 @@ use ax_agents::search::{
     genetic_algorithm, hill_climb, random_search, simulated_annealing, AnnealingOptions,
     GeneticOptions,
 };
-use ax_dse::analysis::{hypervolume_2d, pareto_front};
 use ax_dse::backend::EvalContext;
 use ax_dse::explore::{AgentKind, ExploreOptions};
+use ax_dse::pareto::{hypervolume, non_dominated_ranks};
 use ax_dse::report::ascii_table;
 use ax_dse::search_adapter::DseSearchSpace;
 use ax_dse::thresholds::ThresholdRule;
@@ -42,9 +42,20 @@ fn main() {
         outcome.evaluator.precise_time(),
     );
 
-    // Pareto front over everything Q-learning evaluated.
+    // Pareto front over everything Q-learning evaluated: maximise the
+    // Δpower and Δtime gains (negated), minimise the accuracy loss.
     let evaluated = outcome.evaluator.evaluated();
-    let front = pareto_front(&evaluated);
+    let objectives: Vec<Vec<f64>> = evaluated
+        .iter()
+        .map(|(_, m)| vec![-m.delta_power, -m.delta_time, m.delta_acc])
+        .collect();
+    let ranks = non_dominated_ranks(&objectives);
+    let front: Vec<_> = evaluated
+        .iter()
+        .zip(&ranks)
+        .filter(|(_, &rank)| rank == 0)
+        .map(|(point, _)| point)
+        .collect();
     println!(
         "Q-learning evaluated {} distinct configurations; Pareto front has {} points",
         evaluated.len(),
@@ -77,19 +88,21 @@ fn main() {
     );
 
     // --- Baselines on the identical scalarised problem ---
-    let hypervolume = |ev: &Evaluator| -> f64 {
-        let pts: Vec<(f64, f64)> = ev
+    // The area the feasible normalised gains dominate over (0, 0),
+    // measured on the negated gains.
+    let feasible_hypervolume = |ev: &Evaluator| -> f64 {
+        let pts: Vec<Vec<f64>> = ev
             .evaluated()
             .iter()
             .filter(|(_, m)| m.delta_acc <= acc_th)
-            .map(|(_, m)| (m.delta_power / pp, m.delta_time / pt))
+            .map(|(_, m)| vec![-m.delta_power / pp, -m.delta_time / pt])
             .collect();
-        hypervolume_2d(&pts, (0.0, 0.0))
+        hypervolume(&pts, &[-0.0, -0.0])
     };
 
     let mut rows = vec![vec![
         "q-learning".to_string(),
-        format!("{:.4}", hypervolume(&outcome.evaluator)),
+        format!("{:.4}", feasible_hypervolume(&outcome.evaluator)),
         outcome.trace.len().to_string(),
     ]];
     type Runner<'a> = (&'a str, Box<dyn Fn(&mut DseSearchSpace<'_>) -> u64>);
@@ -142,7 +155,7 @@ fn main() {
         };
         rows.push(vec![
             name.to_string(),
-            format!("{:.4}", hypervolume(&ev)),
+            format!("{:.4}", feasible_hypervolume(&ev)),
             evals.to_string(),
         ]);
     }

@@ -133,7 +133,7 @@ fn paper_benchmark_explorations_are_consistent() {
                 s.benchmark
             );
         }
-        assert_eq!(o.trace.len(), o.log.len(), "{}", s.benchmark);
+        assert_eq!(s.steps, o.trace.len() as u64, "{}", s.benchmark);
         assert!(o.distinct_configs > 0 && o.distinct_configs <= o.trace.len() as u64);
         assert!(!s.adder_name.is_empty() && !s.mul_name.is_empty());
     }

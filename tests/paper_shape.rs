@@ -140,7 +140,7 @@ fn fir100_struggles_within_short_budget() {
     };
     let o = explore_qlearning(&Fir::new(100), &lib(), &opts);
     assert_eq!(o.stop_reason, StopReason::MaxSteps);
-    assert!(o.log.total_reward() < 100.0);
+    assert!(o.total_reward < 100.0);
 }
 
 /// Both FIR solutions in the paper use gentle operators (adders 0GN/067 at

@@ -49,7 +49,7 @@ fn replay_and_check(workload: &dyn Workload, steps: u64) {
         cumulative += t.reward;
     }
     assert!(
-        (outcome.log.total_reward() - cumulative).abs() < 1e-9,
+        (outcome.total_reward - cumulative).abs() < 1e-9,
         "cumulative reward bookkeeping diverged"
     );
 
@@ -111,7 +111,7 @@ fn reward_target_stop_is_tight() {
     };
     let o = explore_qlearning(&DotProduct::new(6), &lib, &opts);
     if o.stop_reason == axdse_suite::ax_agents::train::StopReason::RewardTarget {
-        let total = o.log.total_reward();
+        let total = o.total_reward;
         assert!(
             total >= 10.0 && total <= 10.0 + opts.max_reward,
             "total {total}"
