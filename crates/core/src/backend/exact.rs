@@ -1,4 +1,5 @@
-//! The exact, interpreter-backed evaluation backend.
+//! The exact evaluation backend: designs run on the compiled engine by
+//! default, with the interpreter kept as the reference.
 
 use super::cache::{CacheScope, SharedCache};
 use super::{EvalBackend, EvalMetrics};
@@ -6,11 +7,11 @@ use crate::config::{AxConfig, SpaceDims};
 use ax_operators::metrics::{mae, signed_mean_error};
 use ax_operators::OperatorLibrary;
 use ax_telemetry::Telemetry;
-use ax_vm::compile::{CompiledProgram, CompiledSkeleton};
-use ax_vm::exec::{run_from_image, Binding, ExecScratch};
+use ax_vm::compile::CompiledSkeleton;
+use ax_vm::exec::{run_from_image, Binding, ExecScratch, Executor};
 use ax_vm::instrument::VarMask;
-use ax_vm::VmError;
-use ax_workloads::{PreparedWorkload, Workload};
+use ax_vm::{Program, VmError};
+use ax_workloads::Workload;
 use std::sync::Arc;
 
 /// Which execution engine [`Evaluator`]s spawned from an [`EvalContext`]
@@ -32,17 +33,19 @@ pub enum ExecEngine {
 /// A cheap-to-clone, `Send + Sync` handle for spawning evaluators of one
 /// prepared benchmark.
 ///
-/// The context owns the prepared workload, the precise reference outputs
-/// and the operator library behind `Arc`s, plus (optionally) a
-/// [`SharedCache`] scope. Cloning it and calling [`EvalContext::evaluator`]
-/// on each worker thread is how sweeps fan out: every evaluator shares the
-/// preparation work and the design cache, while keeping its own scratch
-/// buffers and local memo table.
+/// The context owns the benchmark's program, its compiled skeleton, the
+/// precise reference outputs and the operator library behind `Arc`s, plus
+/// (optionally) a [`SharedCache`] scope. Cloning it and calling
+/// [`EvalContext::evaluator`] on each worker thread is how sweeps fan out:
+/// every evaluator shares the preparation work and the design cache, while
+/// keeping its own scratch buffers and local memo table. A context for
+/// another input seed of the same benchmark
+/// ([`EvalContext::for_input_seed`]) shares the program and skeleton too.
 #[derive(Debug, Clone)]
 pub struct EvalContext {
     benchmark: String,
     input_seed: u64,
-    prepared: Arc<PreparedWorkload>,
+    program: Arc<Program>,
     lib: Arc<OperatorLibrary>,
     dims: SpaceDims,
     /// Initial interpreter memory (inputs bound, temps zeroed), resolved
@@ -50,7 +53,8 @@ pub struct EvalContext {
     /// instead of re-binding (and re-cloning) every input vector.
     base_image: Arc<Vec<i64>>,
     /// The program's offset-resolved threaded-code skeleton, built once per
-    /// context and shared by every spawned evaluator's compiled engine.
+    /// benchmark and shared by every spawned evaluator's compiled engine,
+    /// with the table of opcode vectors it specialises on demand.
     skeleton: Arc<CompiledSkeleton>,
     engine: ExecEngine,
     precise_outputs: Arc<Vec<f64>>,
@@ -102,24 +106,24 @@ impl EvalContext {
         cache: Option<Arc<SharedCache>>,
     ) -> Result<Self, VmError> {
         let benchmark = workload.name();
-        let prepared = workload.prepare(input_seed)?;
-        let n_add = lib.adders(prepared.program.add_width()).len();
-        let n_mul = lib.multipliers(prepared.program.mul_width()).len();
+        let program = workload.build()?;
+        let n_add = lib.adders(program.add_width()).len();
+        let n_mul = lib.multipliers(program.mul_width()).len();
         if n_add == 0 {
             return Err(VmError::UnsupportedWidth {
                 what: "adder",
-                width_bits: prepared.program.add_width().bits(),
+                width_bits: program.add_width().bits(),
             });
         }
         if n_mul == 0 {
             return Err(VmError::UnsupportedWidth {
                 what: "multiplier",
-                width_bits: prepared.program.mul_width().bits(),
+                width_bits: program.mul_width().bits(),
             });
         }
         // Checked before anything builds a `VarMask`, which panics past 64
         // variables.
-        let n_vars = prepared.program.approximable_vars().len();
+        let n_vars = program.approximable_vars().len();
         let dims = SpaceDims {
             n_add,
             n_mul,
@@ -133,10 +137,8 @@ impl EvalContext {
                 max_designs: SpaceDims::MAX_DESIGNS,
             });
         }
-        let skeleton = Arc::new(CompiledSkeleton::new(&prepared.program));
-        let base_image = prepared.executor()?.initial_memory()?;
-        let reference = prepared.run_precise(&lib)?;
-        let precise_outputs: Vec<f64> = reference.outputs.iter().map(|&v| v as f64).collect();
+        let skeleton = Arc::new(CompiledSkeleton::new(&program));
+        let reference = Reference::run(&program, &lib, &workload.inputs(input_seed))?;
         let shared = cache.map(|c| {
             let scope = c.scope(&benchmark, input_seed);
             (c, scope)
@@ -144,17 +146,57 @@ impl EvalContext {
         Ok(Self {
             benchmark,
             input_seed,
-            prepared: Arc::new(prepared),
+            program: Arc::new(program),
             lib,
             dims,
-            base_image: Arc::new(base_image),
+            base_image: reference.base_image,
             skeleton,
             engine: ExecEngine::default(),
-            precise_outputs: Arc::new(precise_outputs),
-            precise_power: reference.profile.power_mw,
-            precise_time: reference.profile.time_ns,
+            precise_outputs: reference.outputs,
+            precise_power: reference.power,
+            precise_time: reference.time,
             shared,
             telemetry: Telemetry::disabled(),
+        })
+    }
+
+    /// This context for the inputs `workload` generates from `input_seed`:
+    /// new inputs, precise reference and cache scope, sharing everything
+    /// else — program, compiled skeleton and its specialisations, library,
+    /// engine, telemetry and the shared cache. `workload` must be the
+    /// benchmark this context was built from; a workload builds the same
+    /// program for every seed, so the program is not rebuilt.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the inputs do not fit the program or the precise run fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workload` is not the benchmark this context was built
+    /// from.
+    pub fn for_input_seed(
+        &self,
+        workload: &dyn Workload,
+        input_seed: u64,
+    ) -> Result<Self, VmError> {
+        assert_eq!(
+            workload.name(),
+            self.benchmark,
+            "a context derives only contexts of its own benchmark"
+        );
+        let reference = Reference::run(&self.program, &self.lib, &workload.inputs(input_seed))?;
+        Ok(Self {
+            input_seed,
+            base_image: reference.base_image,
+            precise_outputs: reference.outputs,
+            precise_power: reference.power,
+            precise_time: reference.time,
+            shared: self
+                .shared
+                .as_ref()
+                .map(|(c, _)| (Arc::clone(c), c.scope(&self.benchmark, input_seed))),
+            ..self.clone()
         })
     }
 
@@ -162,8 +204,7 @@ impl EvalContext {
     pub fn evaluator(&self) -> Evaluator {
         Evaluator {
             runner: Runner {
-                mask: VarMask::none(&self.prepared.program),
-                compiled: None,
+                mask: VarMask::none(&self.program),
                 executions: 0,
                 scratch: ExecScratch::new(),
             },
@@ -250,8 +291,45 @@ impl EvalContext {
     }
 }
 
+/// One input seed's base memory image and precise reference run.
+struct Reference {
+    base_image: Arc<Vec<i64>>,
+    outputs: Arc<Vec<f64>>,
+    power: f64,
+    time: f64,
+}
+
+impl Reference {
+    /// Binds `inputs` to `program` once and runs the precise design on the
+    /// interpreter from the resulting image.
+    fn run(
+        program: &Program,
+        lib: &OperatorLibrary,
+        inputs: &[(String, Vec<i64>)],
+    ) -> Result<Self, VmError> {
+        let mut executor = Executor::new(program);
+        for (name, values) in inputs {
+            executor = executor.with_input(name, values)?;
+        }
+        let base_image = executor.initial_memory()?;
+        let outcome = run_from_image(
+            program,
+            &base_image,
+            &Binding::precise(lib, program)?,
+            &VarMask::none(program),
+            &mut ExecScratch::new(),
+        )?;
+        Ok(Self {
+            base_image: Arc::new(base_image),
+            outputs: Arc::new(outcome.outputs.iter().map(|&v| v as f64).collect()),
+            power: outcome.profile.power_mw,
+            time: outcome.profile.time_ns,
+        })
+    }
+}
+
 /// The exact evaluation backend: runs configurations of one benchmark
-/// through the instrumented program against the precise reference,
+/// on the context's execution engine against the precise reference,
 /// memoising by configuration.
 ///
 /// The local memo is keyed by the raw configuration, so budget metering
@@ -279,42 +357,33 @@ pub struct Evaluator {
 /// The memo slot of a design not evaluated yet.
 const VACANT: u16 = u16::MAX;
 
-/// An evaluator's execution state: scratch buffers and engine
-/// specialisations reused across designs, plus the execution count.
+/// An evaluator's execution state: scratch buffers reused across designs,
+/// plus the execution count. The compiled engine keeps no per-evaluator
+/// state: each design's opcode vector comes from the context's shared
+/// skeleton table.
 #[derive(Debug)]
 struct Runner {
     executions: u64,
     scratch: ExecScratch,
-    /// Reused selection mask — rebuilding the variable table per design
-    /// would be an allocation on the hot path.
+    /// Reused selection mask for the interpreter — rebuilding the variable
+    /// table per design would be an allocation on the hot path.
     mask: VarMask,
-    /// The compiled engine's specialised program, lazily built from the
-    /// context's shared skeleton and re-specialised in place per design
-    /// (operator swaps are O(1); mask changes rewrite the opcodes without
-    /// allocating). `None` until the first compiled execution.
-    compiled: Option<CompiledProgram>,
 }
 
 impl Runner {
     fn execute(&mut self, ctx: &EvalContext, config: &AxConfig) -> Result<EvalMetrics, VmError> {
         // One branch when telemetry is disabled — the hot path stays free.
         let started = ctx.telemetry.enabled().then(std::time::Instant::now);
-        let binding = Binding::new(&ctx.lib, &ctx.prepared.program, config.adder, config.mul)?;
+        let binding = Binding::new(&ctx.lib, &ctx.program, config.adder, config.mul)?;
         let outcome = match ctx.engine {
-            ExecEngine::Compiled => {
-                let compiled = match &mut self.compiled {
-                    Some(c) => {
-                        c.specialize(&binding, config.vars);
-                        c
-                    }
-                    none => none.insert(ctx.skeleton.compile(&binding, config.vars)),
-                };
-                compiled.run(&ctx.base_image, &mut self.scratch)?
-            }
+            ExecEngine::Compiled => ctx
+                .skeleton
+                .compile(&binding, config.vars)
+                .run(&ctx.base_image, &mut self.scratch)?,
             ExecEngine::Interpreter => {
                 self.mask.set_raw_bits(config.vars);
                 run_from_image(
-                    &ctx.prepared.program,
+                    &ctx.program,
                     &ctx.base_image,
                     &binding,
                     &self.mask,
@@ -396,8 +465,8 @@ impl EvalBackend for Evaluator {
         self.ctx.dims
     }
 
-    fn program(&self) -> &ax_vm::Program {
-        &self.ctx.prepared.program
+    fn program(&self) -> &Program {
+        &self.ctx.program
     }
 
     fn precise_power(&self) -> f64 {
@@ -476,7 +545,7 @@ impl Evaluator {
     }
 
     /// See [`EvalBackend::program`].
-    pub fn program(&self) -> &ax_vm::Program {
+    pub fn program(&self) -> &Program {
         EvalBackend::program(self)
     }
 
@@ -778,8 +847,15 @@ mod tests {
             pb.build()
         }
 
-        fn inputs(&self, _seed: u64) -> Vec<(String, Vec<i64>)> {
-            (1..self.0).map(|i| (format!("x{i}"), vec![1])).collect()
+        fn inputs(&self, seed: u64) -> Vec<(String, Vec<i64>)> {
+            (1..self.0)
+                .map(|i| {
+                    (
+                        format!("x{i}"),
+                        vec![(i as i64 * 37 + seed as i64 * 11) % 100],
+                    )
+                })
+                .collect()
         }
     }
 
@@ -810,6 +886,85 @@ mod tests {
         assert_eq!(ev.dims().ordinal(&last), 36_863);
         ev.evaluate(&last).unwrap();
         assert_eq!(ev.evaluated()[0].0, last);
+    }
+
+    #[test]
+    fn every_wide_design_matches_the_interpreter_through_a_bounded_table() {
+        use ax_vm::compile::MAX_SPECIALISATIONS;
+        // Wide(10)'s eight additions each touch `y` and their own input:
+        // eight flag classes, so 256 class masks share a 16-entry table.
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let wl = Wide(10);
+        let uncached = EvalContext::new(&wl, Arc::clone(&lib), 1).unwrap();
+        let cached = EvalContext::with_cache(&wl, lib, 1, SharedCache::new()).unwrap();
+        let mut reference = uncached
+            .clone()
+            .with_engine(ExecEngine::Interpreter)
+            .evaluator();
+        let mut evaluators = [uncached.evaluator(), cached.evaluator()];
+        for config in AxConfig::enumerate(uncached.dims) {
+            let expected = reference.evaluate(&config).unwrap();
+            for ev in &mut evaluators {
+                assert_eq!(ev.evaluate(&config).unwrap(), expected, "{config}");
+            }
+            for ctx in [&uncached, &cached] {
+                assert!(ctx.skeleton.specialisations() <= MAX_SPECIALISATIONS);
+            }
+        }
+        assert_eq!(uncached.skeleton.specialisations(), MAX_SPECIALISATIONS);
+        assert_eq!(evaluators[0].executions(), 36_864);
+        // The cached context executes each execution class once: the
+        // empty selection plus 255 non-empty class masks × 6 adders.
+        assert_eq!(evaluators[1].executions(), 1 + 255 * 6);
+    }
+
+    fn metric_bits(m: &EvalMetrics) -> [u64; 6] {
+        [
+            m.delta_acc,
+            m.delta_power,
+            m.delta_time,
+            m.signed_error,
+            m.power,
+            m.time_ns,
+        ]
+        .map(f64::to_bits)
+    }
+
+    #[test]
+    fn a_context_derived_for_another_input_seed_matches_a_fresh_one() {
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let wl = MatMul::new(4);
+        let cache = SharedCache::new();
+        let base = EvalContext::with_cache(&wl, Arc::clone(&lib), 1, Arc::clone(&cache)).unwrap();
+        let derived = base.for_input_seed(&wl, 2).unwrap();
+        let fresh = EvalContext::new(&wl, lib, 2).unwrap();
+        assert!(Arc::ptr_eq(&derived.program, &base.program));
+        assert!(Arc::ptr_eq(&derived.skeleton, &base.skeleton));
+        assert_eq!(derived.input_seed(), 2);
+        assert_eq!(derived.base_image, fresh.base_image);
+        assert_eq!(derived.precise_outputs, fresh.precise_outputs);
+        assert_eq!(
+            (
+                derived.precise_power.to_bits(),
+                derived.precise_time.to_bits()
+            ),
+            (fresh.precise_power.to_bits(), fresh.precise_time.to_bits())
+        );
+        let (mut d, mut f) = (derived.evaluator(), fresh.evaluator());
+        for config in AxConfig::enumerate(fresh.dims) {
+            let (got, want) = (d.evaluate(&config).unwrap(), f.evaluate(&config).unwrap());
+            assert_eq!(metric_bits(&got), metric_bits(&want), "{config}");
+        }
+        // The derived context caches under its own scope, not the base's.
+        assert_eq!(cache.scope_len(wl.name().as_str(), 2), 49);
+        assert_eq!(cache.scope_len(wl.name().as_str(), 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own benchmark")]
+    fn a_context_derives_no_context_of_another_benchmark() {
+        let ctx = evaluator().ctx;
+        let _ = ctx.for_input_seed(&DotProduct::new(6), 2);
     }
 
     #[test]

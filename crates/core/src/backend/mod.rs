@@ -1,5 +1,5 @@
-//! Evaluation backends: the [`EvalBackend`] abstraction and its exact,
-//! interpreter-backed implementation.
+//! Evaluation backends: the [`EvalBackend`] abstraction and its exact
+//! implementation, which runs designs on the compiled engine by default.
 //!
 //! Evaluating a configuration means executing the instrumented benchmark and
 //! comparing it to the precise reference: accuracy degradation (MAE,
@@ -15,7 +15,8 @@
 //!   search adapter and sweeps program against — the seam where wrappers
 //!   (budget metering, timing) or remote evaluation services slot in.
 //! * [`Evaluator`] ([`exact`]) is the exact backend: it runs the
-//!   instrumented program, keeps a per-run memo table, and reuses
+//!   instrumented program on the compiled engine (or, on request, the
+//!   reference interpreter), keeps a per-run memo table, and reuses
 //!   execution buffers across designs.
 //! * [`SharedCache`] ([`cache`]) is a single-flight concurrent memo table
 //!   keyed by `(benchmark, input_seed)` scope and *execution class*:

@@ -592,10 +592,10 @@ impl CampaignReport {
     }
 }
 
-/// One exploration against a prepared [`EvalContext`] — the campaign's
-/// single-run primitive, shared by the driver and the deprecated
-/// `explore_*` wrappers. Runs with the context's exact evaluator; use
-/// [`explore_backend`] directly for other backends.
+/// One exploration against a prepared [`EvalContext`] — the single-run
+/// primitive behind the examples, benches and tests that explore one
+/// benchmark outside a campaign. Runs with the context's exact evaluator;
+/// use [`explore_backend`] directly for other backends.
 pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> ExplorationOutcome {
     explore_backend(ctx.evaluator(), ctx.library(), ctx.benchmark(), opts, kind)
 }
@@ -606,12 +606,11 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 /// executed concurrently over per-benchmark shared-cache contexts, with an
 /// optional **global evaluation budget** enforced cooperatively across all
 /// rayon workers, any [`BackendProvider`] supplying the evaluation
-/// backends, and [`Observer`] hooks for progress streaming. It subsumes
-/// the legacy sweep/portfolio/explore entry points (now thin deprecated
-/// wrappers): a 1-benchmark × 1-agent × N-seed campaign *is*
-/// `sweep_seeds_parallel`, a 1 × M × 1 campaign *is* `race_portfolio`,
-/// and the multi-benchmark × multi-agent × budgeted case is the scenario
-/// none of the free functions could express.
+/// backends, and [`Observer`] hooks for progress streaming. It is the one
+/// entry point for sweeps and races: a 1-benchmark × 1-agent × N-seed
+/// campaign is a seed sweep, a 1 × M × 1 campaign is a portfolio race,
+/// and the multi-benchmark × multi-agent × budgeted case is the grid
+/// neither of those can express.
 ///
 /// ```
 /// use ax_dse::campaign::Campaign;
@@ -953,17 +952,24 @@ impl<'a> Campaign<'a> {
 
         // One context per (benchmark, input seed) pair, benchmark-major —
         // with the implicit single-seed default this is exactly the old
-        // one-context-per-benchmark loop.
-        let mut contexts = Vec::with_capacity(self.benchmarks.len() * input_seeds.len());
+        // one-context-per-benchmark loop. Each benchmark's program and
+        // compiled skeleton are built once, by its first context; the
+        // contexts of its other input seeds derive from that one.
+        let mut contexts: Vec<EvalContext> =
+            Vec::with_capacity(self.benchmarks.len() * input_seeds.len());
         for workload in &self.benchmarks {
+            let first = contexts.len();
             for &iseed in &input_seeds {
-                let ctx = EvalContext::with_cache(
-                    *workload,
-                    Arc::clone(&lib),
-                    iseed,
-                    Arc::clone(&cache),
-                )?
-                .with_telemetry(&self.telemetry);
+                let ctx = match contexts.get(first) {
+                    Some(base) => base.for_input_seed(*workload, iseed)?,
+                    None => EvalContext::with_cache(
+                        *workload,
+                        Arc::clone(&lib),
+                        iseed,
+                        Arc::clone(&cache),
+                    )?
+                    .with_telemetry(&self.telemetry),
+                };
                 self.emit(SOURCE_COORDINATOR, || EventKind::BenchmarkReady {
                     benchmark: ctx.benchmark().to_owned(),
                 });

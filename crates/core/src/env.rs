@@ -2,9 +2,9 @@
 //!
 //! [`DseEnv`] is the Gymnasium-style environment of the paper: at each step
 //! it receives an action (change adder / change multiplier / toggle one
-//! variable), deploys the corresponding approximate application through the
-//! instrumented interpreter, computes (Δacc, Δpower, Δtime) against the
-//! precise run and returns the Algorithm 1 reward. The observation handed
+//! variable), deploys the corresponding approximate application on the
+//! exact backend's execution engine, computes (Δacc, Δpower, Δtime)
+//! against the precise run and returns the Algorithm 1 reward. The observation handed
 //! to the tabular agent is the discrete configuration part of the state,
 //! numbered by its design ordinal ([`SpaceDims::ordinal`]), which the
 //! agent's Q-table indexes directly; the continuous Δ observations are
@@ -105,7 +105,7 @@ impl RunSummary {
 /// The approximate-computing design-space exploration environment.
 ///
 /// Generic over the [`EvalBackend`] scoring configurations: the default is
-/// the exact interpreter-backed [`Evaluator`], but any backend (a timing
+/// the exact [`Evaluator`] (compiled engine), but any backend (a timing
 /// wrapper, a remote service) slots in without touching the environment.
 pub struct DseEnv<B: EvalBackend = Evaluator> {
     evaluator: B,

@@ -13,39 +13,44 @@
 //!    is resolved to its flat `usize` memory offset, every arithmetic
 //!    instruction carries the bitmask of approximable variables it touches
 //!    (so the per-design approximate/precise decision is a single `AND`),
-//!    and output ranges are precomputed.
-//! 2. [`CompiledProgram`] — the skeleton **specialised to one
-//!    `(Binding, VarMask)` design**: each instruction is rewritten into an
-//!    exact or approximate opcode (no `flags[pc]` branch at run time;
+//!    and output ranges are precomputed. The skeleton also keeps a small
+//!    table of **specialised opcode vectors**, one per canonical class mask
+//!    (see [`CompiledSkeleton::class_representative`]): every selection of
+//!    one class flags exactly the same instructions, so they share one
+//!    opcode vector, built on first use and `Arc`-shared by every
+//!    [`CompiledProgram`] on every thread that runs the program.
+//! 2. [`CompiledProgram`] — one `(Binding, VarMask)` design: the table's
+//!    opcode vector for the selection (each instruction an exact or
+//!    approximate opcode, so there is no `flags[pc]` branch at run time;
 //!    precise additions and multiplications compile to raw two's-complement
-//!    arithmetic, bypassing the operator-model `match` entirely), and the
-//!    run's [`ArithProfile`] is computed **analytically at compile time**
-//!    from the static approximate/precise operation counts and the
-//!    binding's precomputed [`OpCost`] pairs — the run loop is just loads,
-//!    operator-model calls, and stores.
+//!    arithmetic, bypassing the operator models entirely), the binding's
+//!    two operator models, and the run's [`ArithProfile`], computed
+//!    **analytically** from the static approximate/precise operation counts
+//!    and the binding's precomputed [`OpCost`](crate::cost::OpCost) pairs.
 //!
-//! Re-specialising is asymmetric by design: changing the variable selection
-//! rewrites the opcode vector in place (one linear pass, no allocation),
-//! while changing only the operator binding is O(1) — the approximate
-//! models live in the [`CompiledProgram`] header, not in each opcode, so a
-//! sweep iterating operators in the inner loop pays nothing per design
-//! beyond the profile refresh.
+//! A run resolves both operator models once, through `with_add_kernel!` and
+//! `with_mul_kernel!`: each (adder kind, multiplier kind) pair monomorphises
+//! its own loop with both kernels inlined, so the loop is just loads, inline
+//! arithmetic and stores. Building a [`CompiledProgram`] is a table lookup,
+//! not a pass over the program: changing operators or selection allocates
+//! nothing once the selection's class has been specialised.
 //!
 //! Equivalence with the interpreter is bit-exact, for outputs *and*
 //! profiles: the precise opcodes are algebraically identical to the
 //! interpreter's precise model path (see `exact_add`/`exact_mul` notes),
-//! and both engines derive power/time through the single
+//! the approximate kernels embed the models exactly as the interpreter
+//! does, and both engines derive power/time through the single
 //! [`ArithProfile::from_counts`] formula.
 
-use crate::cost::{ArithCounts, ArithProfile, OpCost};
+use crate::cost::{ArithCounts, ArithProfile};
 use crate::error::VmError;
 #[allow(unused_imports)] // doc links
 use crate::exec::sliced_add;
 use crate::exec::{Binding, ExecOutcome, ExecScratch};
 use crate::ir::{Instr, Program};
-use ax_operators::signed::mul_signed;
 use ax_operators::{AdderId, AdderModel, BitWidth, MulId, MulModel};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One instruction with operand offsets resolved and its touched-variable
 /// bitmask attached — everything about the instruction that does not depend
@@ -80,11 +85,28 @@ enum SkelOp {
     },
 }
 
-/// The design-independent compiled form of one [`Program`]: offsets
-/// resolved, touched-variable masks attached, output ranges precomputed.
-/// Built once per program and shared (via `Arc`) by every
-/// [`CompiledProgram`] specialised from it.
+/// Most specialised opcode vectors one skeleton keeps; past it the oldest
+/// is evicted first. MatMul, FIR, Conv2d, DCT and Dot have two flag
+/// classes (four canonical masks) and Sobel four (16), so every shipped
+/// workload's whole set stays resident; a program with more classes
+/// rebuilds an evicted vector on its next use.
+pub const MAX_SPECIALISATIONS: usize = 16;
+
+/// One specialised opcode vector with its static operation counts.
 #[derive(Debug, Clone)]
+struct Specialisation {
+    /// The canonical class mask it was specialised to.
+    class_bits: u64,
+    ops: Arc<[CompiledOp]>,
+    counts: ArithCounts,
+}
+
+/// The design-independent compiled form of one [`Program`]: offsets
+/// resolved, touched-variable masks attached, output ranges precomputed,
+/// plus the table of opcode vectors specialised so far. Built once per
+/// program and shared (via `Arc`) by every [`CompiledProgram`] compiled
+/// from it.
+#[derive(Debug)]
 pub struct CompiledSkeleton {
     ops: Vec<SkelOp>,
     /// `(base, len)` of each output variable, in declaration order.
@@ -100,6 +122,9 @@ pub struct CompiledSkeleton {
     /// every class identically flag every instruction identically, which
     /// [`CompiledSkeleton::class_representative`] exploits.
     flag_classes: Vec<FlagClass>,
+    /// Opcode vectors by canonical class mask, oldest first, at most
+    /// [`MAX_SPECIALISATIONS`] of them.
+    specialisations: Mutex<VecDeque<Specialisation>>,
 }
 
 /// One flag class: the touched-variable mask its instructions share, and
@@ -214,23 +239,14 @@ impl CompiledSkeleton {
             adds_total,
             muls_total,
             flag_classes,
+            specialisations: Mutex::new(VecDeque::with_capacity(MAX_SPECIALISATIONS)),
         }
     }
 
-    /// The canonical member of the design `(adder, mul, bits)`'s execution
-    /// class: the selection becomes every flag-class variable minus the
-    /// classes `bits` misses, and an operator axis no approximated
-    /// instruction uses collapses to index 0. The representative flags
-    /// exactly the instructions `bits` flags and keeps every operator an
-    /// approximate instruction runs, so both engines return bit-identical
-    /// outcomes for a design and its representative; the mapping is idempotent, and an empty selection
-    /// maps to the precise design `(0, 0, 0)`.
-    pub fn class_representative(
-        &self,
-        adder: AdderId,
-        mul: MulId,
-        bits: u64,
-    ) -> (AdderId, MulId, u64) {
+    /// The canonical class mask of the selection `bits` — every flag-class
+    /// variable minus the classes `bits` misses — and whether the classes
+    /// it hits hold additions and multiplications.
+    fn classify(&self, bits: u64) -> (u64, bool, bool) {
         let (mut all, mut missed) = (0u64, 0u64);
         let (mut adds, mut muls) = (false, false);
         for class in &self.flag_classes {
@@ -242,17 +258,133 @@ impl CompiledSkeleton {
                 muls |= class.muls;
             }
         }
+        (all & !missed, adds, muls)
+    }
+
+    /// The canonical member of the design `(adder, mul, bits)`'s execution
+    /// class: the selection becomes its canonical class mask, and an
+    /// operator axis no approximated instruction uses collapses to index 0.
+    /// The representative flags exactly the instructions `bits` flags and
+    /// keeps every operator an approximate instruction runs, so both
+    /// engines return bit-identical outcomes for a design and its
+    /// representative; the mapping is idempotent, and an empty selection
+    /// maps to the precise design `(0, 0, 0)`.
+    pub fn class_representative(
+        &self,
+        adder: AdderId,
+        mul: MulId,
+        bits: u64,
+    ) -> (AdderId, MulId, u64) {
+        let (class_bits, adds, muls) = self.classify(bits);
         (
             if adds { adder } else { AdderId(0) },
             if muls { mul } else { MulId(0) },
-            all & !missed,
+            class_bits,
         )
+    }
+
+    /// Number of specialised opcode vectors the table holds (at most
+    /// [`MAX_SPECIALISATIONS`]).
+    pub fn specialisations(&self) -> usize {
+        self.table().len()
     }
 
     /// Specialises this skeleton to one design. See
     /// [`CompiledProgram::compile`].
     pub fn compile(self: &Arc<Self>, binding: &Binding<'_>, mask_bits: u64) -> CompiledProgram {
         CompiledProgram::compile(self, binding, mask_bits)
+    }
+
+    /// The table, whose entries stay consistent even if a holder panicked:
+    /// an entry is only ever pushed whole.
+    fn table(&self) -> std::sync::MutexGuard<'_, VecDeque<Specialisation>> {
+        self.specialisations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The opcode vector of the selection `mask_bits`'s class: from the
+    /// table, or specialised under the lock and inserted, evicting the
+    /// oldest entry of a full table.
+    fn specialisation(&self, mask_bits: u64) -> Specialisation {
+        let (class_bits, _, _) = self.classify(mask_bits);
+        let mut table = self.table();
+        if let Some(hit) = table.iter().find(|s| s.class_bits == class_bits) {
+            return hit.clone();
+        }
+        let built = self.specialise(class_bits);
+        if table.len() == MAX_SPECIALISATIONS {
+            table.pop_front();
+        }
+        table.push_back(built.clone());
+        built
+    }
+
+    /// One pass over the skeleton: each arithmetic instruction becomes its
+    /// exact or approximate opcode under the selection `bits`.
+    fn specialise(&self, bits: u64) -> Specialisation {
+        let (mut adds_approx, mut muls_approx) = (0u64, 0u64);
+        let ops = self
+            .ops
+            .iter()
+            .map(|op| match *op {
+                SkelOp::Const { dst, value } => CompiledOp::Const {
+                    dst: dst as u32,
+                    value,
+                },
+                SkelOp::Copy { dst, src } => CompiledOp::Copy {
+                    dst: dst as u32,
+                    src: src as u32,
+                },
+                SkelOp::Add { dst, a, b, touched } => {
+                    let (dst, a, b) = (dst as u32, a as u32, b as u32);
+                    if touched & bits != 0 {
+                        adds_approx += 1;
+                        CompiledOp::AddApprox { dst, a, b }
+                    } else {
+                        CompiledOp::AddExact { dst, a, b }
+                    }
+                }
+                SkelOp::Mul {
+                    dst,
+                    a,
+                    b,
+                    shift,
+                    pc,
+                    touched,
+                } => {
+                    let (dst, a, b) = (dst as u32, a as u32, b as u32);
+                    if touched & bits != 0 {
+                        muls_approx += 1;
+                        CompiledOp::MulApprox {
+                            dst,
+                            a,
+                            b,
+                            shift,
+                            pc,
+                        }
+                    } else {
+                        CompiledOp::MulExact {
+                            dst,
+                            a,
+                            b,
+                            shift,
+                            pc,
+                        }
+                    }
+                }
+            })
+            .collect();
+        Specialisation {
+            class_bits: bits,
+            ops,
+            counts: ArithCounts {
+                adds_total: self.adds_total,
+                adds_approx,
+                muls_total: self.muls_total,
+                muls_approx,
+            },
+        }
     }
 }
 
@@ -359,31 +491,94 @@ macro_rules! with_add_kernel {
     }};
 }
 
-/// A `(Program, Binding, VarMask)` triple compiled to threaded code, ready
-/// to run against any input image of the program.
+/// The multiplier twin of [`with_add_kernel!`]: resolves a [`MulModel`] to
+/// a fully inlined signed-multiply closure bound to `$mul`, so the
+/// multiplier-kind `match` runs once per run instead of once per multiply.
+/// The embedding is the interpreter's sign-magnitude one (see
+/// [`signed`]); `MulKind::Precise` shortcuts to `wrapping_mul`, which the
+/// exactness notes prove equal to the precise sign-magnitude product.
+macro_rules! with_mul_kernel {
+    ($model:expr, $w:expr, |$mul:ident| $body:expr) => {{
+        use ax_operators::multipliers as mul_kernel;
+        use ax_operators::multipliers::Po2Mode;
+        use ax_operators::MulKind as K;
+        let w = $w;
+        match $model.kind() {
+            K::Precise => {
+                let $mul = |x: i64, y: i64| x.wrapping_mul(y);
+                $body
+            }
+            K::TruncResult { cut_bits } => {
+                let $mul = move |x: i64, y: i64| {
+                    signed(x, y, |a, b| mul_kernel::trunc_result(a, b, w, cut_bits))
+                };
+                $body
+            }
+            K::TruncPp { cut_columns } => {
+                let $mul = move |x: i64, y: i64| {
+                    signed(x, y, |a, b| mul_kernel::trunc_pp(a, b, w, cut_columns))
+                };
+                $body
+            }
+            K::BrokenArray { rows } => {
+                let $mul = move |x: i64, y: i64| {
+                    signed(x, y, |a, b| mul_kernel::broken_array(a, b, w, rows))
+                };
+                $body
+            }
+            K::Mitchell => {
+                let $mul = move |x: i64, y: i64| signed(x, y, |a, b| mul_kernel::mitchell(a, b, w));
+                $body
+            }
+            K::LogIter { iterations } => {
+                let $mul = move |x: i64, y: i64| {
+                    signed(x, y, |a, b| mul_kernel::log_iter(a, b, w, iterations))
+                };
+                $body
+            }
+            K::Drum { k } => {
+                let $mul = move |x: i64, y: i64| signed(x, y, |a, b| mul_kernel::drum(a, b, w, k));
+                $body
+            }
+            K::Po2(Po2Mode::Floor) => {
+                let $mul =
+                    move |x: i64, y: i64| signed(x, y, |a, b| mul_kernel::po2_floor(a, b, w));
+                $body
+            }
+            K::Po2(Po2Mode::Nearest) => {
+                let $mul =
+                    move |x: i64, y: i64| signed(x, y, |a, b| mul_kernel::po2_nearest(a, b, w));
+                $body
+            }
+            K::Po2(Po2Mode::Compensated) => {
+                let $mul =
+                    move |x: i64, y: i64| signed(x, y, |a, b| mul_kernel::po2_compensated(a, b, w));
+                $body
+            }
+        }
+    }};
+}
+
+/// One design compiled to threaded code, ready to run against any input
+/// image of the program.
 ///
-/// The approximate models and the multiplier's overflow bound live in this
-/// header (one `Copy` each — operator models are plain value types), the
-/// per-instruction choice lives in the opcode variants, and the whole run's
-/// cost profile is a precomputed constant.
+/// It holds the skeleton table's opcode vector for the design's selection
+/// (shared, never rewritten), the two operator models (one `Copy` each —
+/// operator models are plain value types), and the whole run's cost
+/// profile as a precomputed constant.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     skeleton: Arc<CompiledSkeleton>,
-    ops: Vec<CompiledOp>,
-    mask_bits: u64,
+    ops: Arc<[CompiledOp]>,
     add_model: AdderModel,
     mul_model: MulModel,
-    add_costs: [OpCost; 2],
-    mul_costs: [OpCost; 2],
-    /// Operand-magnitude bound of the multiplier width (overflow mask).
-    mul_mask: u64,
-    mul_width_bits: u32,
-    counts: ArithCounts,
     profile: ArithProfile,
 }
 
 impl CompiledProgram {
-    /// Specialises `skeleton` to the design `(binding, mask_bits)`.
+    /// Specialises `skeleton` to the design `(binding, mask_bits)`: the
+    /// selection's opcode vector comes from the skeleton's table (built on
+    /// the class's first use), so compiling is a lookup plus the profile.
     ///
     /// `mask_bits` is the raw variable selection
     /// ([`crate::instrument::VarMask::raw_bits`]) over the program's
@@ -393,111 +588,14 @@ impl CompiledProgram {
         binding: &Binding<'_>,
         mask_bits: u64,
     ) -> Self {
-        let mut compiled = Self {
+        let Specialisation { ops, counts, .. } = skeleton.specialisation(mask_bits);
+        Self {
             skeleton: Arc::clone(skeleton),
-            ops: Vec::with_capacity(skeleton.ops.len()),
-            mask_bits: 0,
+            ops,
             add_model: binding.adder().model,
             mul_model: binding.mul().model,
-            add_costs: *binding.add_costs(),
-            mul_costs: *binding.mul_costs(),
-            mul_mask: skeleton.mul_width.mask(),
-            mul_width_bits: skeleton.mul_width.bits(),
-            counts: ArithCounts::default(),
-            profile: ArithProfile::default(),
-        };
-        compiled.select_impl(mask_bits, true);
-        compiled
-    }
-
-    /// Re-specialises to a new operator binding, keeping the variable
-    /// selection: O(1) — swaps the models and refreshes the analytic
-    /// profile, without touching the opcode vector.
-    fn rebind(&mut self, binding: &Binding<'_>) {
-        self.add_model = binding.adder().model;
-        self.mul_model = binding.mul().model;
-        self.add_costs = *binding.add_costs();
-        self.mul_costs = *binding.mul_costs();
-        self.profile = ArithProfile::from_counts(self.counts, &self.add_costs, &self.mul_costs);
-    }
-
-    /// Re-specialises to a new variable selection, keeping the binding:
-    /// rewrites the opcode vector in place (one pass, allocation-free). A
-    /// no-op when `mask_bits` is unchanged.
-    fn select(&mut self, mask_bits: u64) {
-        if mask_bits != self.mask_bits {
-            self.select_impl(mask_bits, false);
+            profile: ArithProfile::from_counts(counts, binding.add_costs(), binding.mul_costs()),
         }
-    }
-
-    /// Re-specialises to a whole new design in place: swapping operators
-    /// is O(1), and the opcode vector is rewritten only when `mask_bits`
-    /// changes.
-    pub fn specialize(&mut self, binding: &Binding<'_>, mask_bits: u64) {
-        self.rebind(binding);
-        self.select(mask_bits);
-    }
-
-    fn select_impl(&mut self, mask_bits: u64, force: bool) {
-        debug_assert!(force || mask_bits != self.mask_bits);
-        let skeleton = &self.skeleton;
-        let (mut adds_approx, mut muls_approx) = (0u64, 0u64);
-        self.ops.clear();
-        self.ops.extend(skeleton.ops.iter().map(|op| match *op {
-            SkelOp::Const { dst, value } => CompiledOp::Const {
-                dst: dst as u32,
-                value,
-            },
-            SkelOp::Copy { dst, src } => CompiledOp::Copy {
-                dst: dst as u32,
-                src: src as u32,
-            },
-            SkelOp::Add { dst, a, b, touched } => {
-                let (dst, a, b) = (dst as u32, a as u32, b as u32);
-                if touched & mask_bits != 0 {
-                    adds_approx += 1;
-                    CompiledOp::AddApprox { dst, a, b }
-                } else {
-                    CompiledOp::AddExact { dst, a, b }
-                }
-            }
-            SkelOp::Mul {
-                dst,
-                a,
-                b,
-                shift,
-                pc,
-                touched,
-            } => {
-                let (dst, a, b) = (dst as u32, a as u32, b as u32);
-                if touched & mask_bits != 0 {
-                    muls_approx += 1;
-                    CompiledOp::MulApprox {
-                        dst,
-                        a,
-                        b,
-                        shift,
-                        pc,
-                    }
-                } else {
-                    CompiledOp::MulExact {
-                        dst,
-                        a,
-                        b,
-                        shift,
-                        pc,
-                    }
-                }
-            }
-        }));
-        self.mask_bits = mask_bits;
-        self.counts = ArithCounts {
-            adds_total: skeleton.adds_total,
-            adds_approx,
-            muls_total: skeleton.muls_total,
-            muls_approx,
-        };
-        self.profile = ArithProfile::from_counts(self.counts, &self.add_costs, &self.mul_costs);
     }
 
     /// The design's run profile, computed analytically at compile time —
@@ -519,19 +617,28 @@ impl CompiledProgram {
     ///
     /// Panics if `image` does not match the program's cell count.
     pub fn run(&self, image: &[i64], scratch: &mut ExecScratch) -> Result<ExecOutcome, VmError> {
+        let skeleton = &*self.skeleton;
         assert_eq!(
             image.len(),
-            self.skeleton.total_cells,
+            skeleton.total_cells,
             "memory image size does not match the program"
         );
         let mem = &mut scratch.mem;
         mem.clear();
         mem.extend_from_slice(image);
 
-        self.exec_ops(mem)?;
+        with_add_kernel!(self.add_model, skeleton.add_width, |add| {
+            with_mul_kernel!(self.mul_model, skeleton.mul_width, |mul| exec_ops(
+                &self.ops,
+                skeleton.mul_width,
+                mem,
+                add,
+                mul
+            ))
+        })?;
 
-        let mut outputs = Vec::with_capacity(self.skeleton.output_cells);
-        for &(base, len) in &self.skeleton.outputs {
+        let mut outputs = Vec::with_capacity(skeleton.output_cells);
+        for &(base, len) in &skeleton.outputs {
             outputs.extend_from_slice(&mem[base..base + len]);
         }
         Ok(ExecOutcome {
@@ -539,69 +646,67 @@ impl CompiledProgram {
             profile: self.profile,
         })
     }
+}
 
-    /// The execution loop behind [`CompiledProgram::run`]: dispatches once
-    /// on the adder kind (see [`with_add_kernel!`]) and runs the
-    /// monomorphised loop.
-    fn exec_ops(&self, mem: &mut [i64]) -> Result<(), VmError> {
-        with_add_kernel!(self.add_model, self.skeleton.add_width, |add| self
-            .exec_ops_with(mem, add))
-    }
-
-    /// The monomorphised loop behind [`CompiledProgram::exec_ops`]: pure
-    /// loads, arithmetic, and stores against `mem`, with `add` the fully
-    /// resolved approximate-add kernel.
-    fn exec_ops_with(&self, mem: &mut [i64], add: impl Fn(i64, i64) -> i64) -> Result<(), VmError> {
-        for op in &self.ops {
-            match *op {
-                CompiledOp::Const { dst, value } => mem[dst as usize] = value,
-                CompiledOp::Copy { dst, src } => mem[dst as usize] = mem[src as usize],
-                CompiledOp::AddExact { dst, a, b } => {
-                    mem[dst as usize] = mem[a as usize].wrapping_add(mem[b as usize]);
-                }
-                CompiledOp::AddApprox { dst, a, b } => {
-                    mem[dst as usize] = add(mem[a as usize], mem[b as usize]);
-                }
-                CompiledOp::MulExact {
-                    dst,
-                    a,
-                    b,
-                    shift,
-                    pc,
-                } => {
-                    let (x, y) = (mem[a as usize], mem[b as usize]);
-                    self.check_mul_operands(x, y, pc)?;
-                    mem[dst as usize] = x.wrapping_mul(y) >> shift;
-                }
-                CompiledOp::MulApprox {
-                    dst,
-                    a,
-                    b,
-                    shift,
-                    pc,
-                } => {
-                    let (x, y) = (mem[a as usize], mem[b as usize]);
-                    self.check_mul_operands(x, y, pc)?;
-                    mem[dst as usize] = mul_signed(&self.mul_model, x, y) >> shift;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn check_mul_operands(&self, x: i64, y: i64, pc: u32) -> Result<(), VmError> {
+/// The monomorphised loop behind [`CompiledProgram::run`]: pure loads,
+/// arithmetic, and stores against `mem`, with `add` and `mul` the fully
+/// resolved approximate kernels.
+#[inline(always)]
+fn exec_ops(
+    ops: &[CompiledOp],
+    mul_width: BitWidth,
+    mem: &mut [i64],
+    add: impl Fn(i64, i64) -> i64,
+    mul: impl Fn(i64, i64) -> i64,
+) -> Result<(), VmError> {
+    let mul_mask = mul_width.mask();
+    let check = |x: i64, y: i64, pc: u32| -> Result<(), VmError> {
         for v in [x, y] {
-            if v.unsigned_abs() > self.mul_mask {
+            if v.unsigned_abs() > mul_mask {
                 return Err(VmError::OperandOverflow {
                     pc: pc as usize,
                     value: v,
-                    width_bits: self.mul_width_bits,
+                    width_bits: mul_width.bits(),
                 });
             }
         }
         Ok(())
+    };
+    for op in ops {
+        match *op {
+            CompiledOp::Const { dst, value } => mem[dst as usize] = value,
+            CompiledOp::Copy { dst, src } => mem[dst as usize] = mem[src as usize],
+            CompiledOp::AddExact { dst, a, b } => {
+                mem[dst as usize] = mem[a as usize].wrapping_add(mem[b as usize]);
+            }
+            CompiledOp::AddApprox { dst, a, b } => {
+                mem[dst as usize] = add(mem[a as usize], mem[b as usize]);
+            }
+            CompiledOp::MulExact {
+                dst,
+                a,
+                b,
+                shift,
+                pc,
+            } => {
+                let (x, y) = (mem[a as usize], mem[b as usize]);
+                check(x, y, pc)?;
+                mem[dst as usize] = x.wrapping_mul(y) >> shift;
+            }
+            CompiledOp::MulApprox {
+                dst,
+                a,
+                b,
+                shift,
+                pc,
+            } => {
+                let (x, y) = (mem[a as usize], mem[b as usize]);
+                check(x, y, pc)?;
+                mem[dst as usize] = mul(x, y) >> shift;
+            }
+        }
     }
+    Ok(())
 }
 
 /// The sliced-ALU embedding of [`sliced_add`], generic over the low-part
@@ -616,6 +721,20 @@ fn sliced(a: i64, b: i64, width: BitWidth, low_add: impl Fn(u64, u64) -> u64) ->
     let carry = (low >> bits) as i64;
     let high = (a >> bits).wrapping_add(b >> bits).wrapping_add(carry);
     (high << bits) | (low & mask) as i64
+}
+
+/// The sign-magnitude embedding of
+/// [`ax_operators::signed::mul_signed`], generic over the magnitude kernel
+/// so each [`ax_operators::MulKind`] monomorphises into an inline sequence.
+/// The sign is applied without a branch: `s` is all ones when the operand
+/// signs differ, and `(p ^ s) - s` is then `-p` (and `p` otherwise), which
+/// is exactly the interpreter's conditional negation.
+#[inline(always)]
+fn signed(x: i64, y: i64, magnitude: impl Fn(u64, u64) -> u64) -> i64 {
+    let mag = magnitude(x.unsigned_abs(), y.unsigned_abs());
+    debug_assert!(mag <= i64::MAX as u64, "magnitude product overflows i64");
+    let s = (x ^ y) >> 63;
+    ((mag as i64) ^ s).wrapping_sub(s)
 }
 
 /// Notes on exactness (checked by the `compiled_matches_interpreter_*`
@@ -638,7 +757,8 @@ mod tests {
     use crate::exec::{run_from_image, Executor};
     use crate::instrument::VarMask;
     use crate::ir::ProgramBuilder;
-    use ax_operators::OperatorLibrary;
+    use ax_operators::multipliers::Po2Mode;
+    use ax_operators::{MulKind, OperatorLibrary, OperatorSpec};
 
     fn lib() -> OperatorLibrary {
         OperatorLibrary::evoapprox()
@@ -682,10 +802,9 @@ mod tests {
         for adder in 0..6 {
             for mul in 0..6 {
                 let binding = Binding::new(&lib, &prog, AdderId(adder), MulId(mul)).unwrap();
-                let mut compiled = skeleton.compile(&binding, 0);
                 for bits in 0..(1u64 << mask.len()) {
                     mask.set_raw_bits(bits);
-                    compiled.select(bits);
+                    let compiled = skeleton.compile(&binding, bits);
                     let reference =
                         run_from_image(&prog, &img, &binding, &mask, &mut scratch).unwrap();
                     let got = compiled.run(&img, &mut compiled_scratch).unwrap();
@@ -697,25 +816,23 @@ mod tests {
     }
 
     #[test]
-    fn rebind_matches_fresh_compile() {
+    fn one_opcode_vector_per_class_mask() {
+        // dot3's flag classes: {x, y, p} holds the muls, {acc, p} the adds,
+        // so its 16 selections fall into four canonical class masks.
         let prog = dot3();
         let lib = lib();
-        let img = image(&prog, &[100, 101, 102], &[55, 66, 77]);
         let skeleton = Arc::new(CompiledSkeleton::new(&prog));
-        let b0 = Binding::new(&lib, &prog, AdderId(0), MulId(0)).unwrap();
+        let b0 = Binding::precise(&lib, &prog).unwrap();
         let b5 = Binding::new(&lib, &prog, AdderId(5), MulId(5)).unwrap();
-        let bits = 0b1011;
-
-        let mut reused = skeleton.compile(&b0, bits);
-        reused.rebind(&b5);
-        let fresh = skeleton.compile(&b5, bits);
-
-        let mut s = ExecScratch::new();
-        assert_eq!(
-            reused.run(&img, &mut s).unwrap(),
-            fresh.run(&img, &mut s).unwrap()
-        );
-        assert_eq!(reused.profile(), fresh.profile());
+        for bits in 0..16u64 {
+            let (_, _, class_bits) = skeleton.class_representative(AdderId(0), MulId(0), bits);
+            let design = skeleton.compile(&b5, bits);
+            assert!(Arc::ptr_eq(
+                &design.ops,
+                &skeleton.compile(&b0, class_bits).ops
+            ));
+        }
+        assert_eq!(skeleton.specialisations(), 4);
     }
 
     #[test]
@@ -748,6 +865,126 @@ mod tests {
             skeleton.class_representative(AdderId(4), MulId(3), 0),
             (AdderId(0), MulId(0), 0)
         );
+    }
+
+    /// Every [`MulKind`] at `width`, with parameters valid there.
+    fn every_mul_kind(width: BitWidth) -> Vec<MulKind> {
+        let wide = width == BitWidth::W32;
+        vec![
+            MulKind::Precise,
+            MulKind::TruncResult {
+                cut_bits: if wide { 20 } else { 4 },
+            },
+            MulKind::TruncPp {
+                cut_columns: if wide { 12 } else { 4 },
+            },
+            MulKind::BrokenArray {
+                rows: if wide { 10 } else { 3 },
+            },
+            MulKind::Mitchell,
+            MulKind::LogIter { iterations: 2 },
+            MulKind::Drum {
+                k: if wide { 6 } else { 4 },
+            },
+            MulKind::Po2(Po2Mode::Floor),
+            MulKind::Po2(Po2Mode::Nearest),
+            MulKind::Po2(Po2Mode::Compensated),
+        ]
+    }
+
+    /// Multiplies each operand pair through every multiplier kind on both
+    /// engines, with every multiplication approximated, and checks that
+    /// outputs and profiles agree.
+    fn check_signed_products(mul_width: BitWidth, pairs: &[(i64, i64)]) {
+        let add_width = if mul_width == BitWidth::W8 {
+            BitWidth::W8
+        } else {
+            BitWidth::W16
+        };
+        let n = pairs.len() as u32;
+        let mut pb = ProgramBuilder::new("products", add_width, mul_width);
+        let x = pb.input("x", n);
+        let y = pb.input("y", n);
+        let z = pb.output("z", n);
+        for k in 0..n {
+            pb.mul(z.at(k), x.at(k), y.at(k), 0);
+        }
+        let prog = pb.build().unwrap();
+        let (xs, ys): (Vec<i64>, Vec<i64>) = pairs.iter().copied().unzip();
+        let img = image(&prog, &xs, &ys);
+        let kinds = every_mul_kind(mul_width);
+        let mut builder = OperatorLibrary::builder().adder(
+            OperatorSpec::new("exact", add_width, 0.0, 0.1, 1.0),
+            AdderModel::precise(add_width),
+        );
+        for (i, &kind) in kinds.iter().enumerate() {
+            builder = builder.multiplier(
+                OperatorSpec::new(format!("m{i}"), mul_width, i as f64, 1.0, 1.0),
+                MulModel::new(kind, mul_width),
+            );
+        }
+        let lib = builder.build();
+        let skeleton = Arc::new(CompiledSkeleton::new(&prog));
+        let all = VarMask::all(&prog);
+        for (m, &kind) in kinds.iter().enumerate() {
+            let binding = Binding::new(&lib, &prog, AdderId(0), MulId(m)).unwrap();
+            assert_eq!(binding.mul().model.kind(), kind);
+            let got = skeleton
+                .compile(&binding, all.raw_bits())
+                .run(&img, &mut ExecScratch::new())
+                .unwrap();
+            let reference =
+                run_from_image(&prog, &img, &binding, &all, &mut ExecScratch::new()).unwrap();
+            assert_eq!(got.profile.muls_approx, u64::from(n));
+            assert_eq!(got, reference, "{kind} on {mul_width}");
+        }
+    }
+
+    #[test]
+    fn every_multiplier_kind_matches_the_interpreter_on_every_signed_8_bit_pair() {
+        // Every magnitude pair up to 255 under all four sign combinations.
+        let pairs: Vec<(i64, i64)> = (-255..=255)
+            .flat_map(|x| (-255..=255).map(move |y| (x, y)))
+            .collect();
+        check_signed_products(BitWidth::W8, &pairs);
+    }
+
+    #[test]
+    fn every_multiplier_kind_matches_the_interpreter_on_signed_32_bit_samples() {
+        let magnitudes = [
+            0i64,
+            1,
+            2,
+            3,
+            255,
+            256,
+            12_345,
+            (1 << 15) - 1,
+            1 << 15,
+            (1 << 15) + 1,
+            65_535,
+            (1 << 20) + 3,
+            987_654_321,
+            (1 << 31) - 1,
+            1 << 31,
+        ];
+        let operands: Vec<i64> = magnitudes
+            .iter()
+            .flat_map(|&v| [v, -v])
+            .skip(1) // -0
+            .collect();
+        // Every sign combination of every pair whose exact product is at
+        // most 2^61: the compensated power-of-two multiplier can scale a
+        // product by up to 2.25, and every kind's product must fit an i64.
+        let pairs: Vec<(i64, i64)> = operands
+            .iter()
+            .flat_map(|&x| operands.iter().map(move |&y| (x, y)))
+            .filter(|&(x, y)| {
+                u128::from(x.unsigned_abs()) * u128::from(y.unsigned_abs()) <= 1 << 61
+            })
+            .collect();
+        assert!(pairs.contains(&(-(1 << 31), 1 << 15)));
+        check_signed_products(BitWidth::W32, &pairs);
     }
 
     #[test]

@@ -8,7 +8,11 @@
 
 use axdse_suite::ax_dse::config::AxConfig;
 use axdse_suite::ax_dse::{EvalContext, ExecEngine};
-use axdse_suite::ax_operators::{AdderId, MulId, OperatorLibrary};
+use axdse_suite::ax_operators::multipliers::Po2Mode;
+use axdse_suite::ax_operators::{
+    AdderId, AdderKind, AdderModel, BitWidth, MulId, MulKind, MulModel, OperatorLibrary,
+    OperatorSpec,
+};
 use axdse_suite::ax_vm::exec::ExecScratch;
 use axdse_suite::ax_vm::{Binding, CompiledSkeleton, ExecOutcome, VarMask};
 use axdse_suite::ax_workloads::conv2d::Conv2d;
@@ -35,10 +39,57 @@ fn workload_for(ix: usize) -> Box<dyn Workload> {
 
 const N_WORKLOADS: usize = 6;
 
-/// Runs `configs` one design at a time through both engines: one compiled
-/// program re-specialised in place from design to design (as the exact
-/// backend's `Evaluator` does), and the interpreter. Returns the compiled
-/// and the interpreted outcomes, in `configs` order.
+/// The operator libraries the engines are compared on: the paper's
+/// selection, the extended one (SetMid and CarryCut adders, LogIter,
+/// BrokenArray and TruncPp multipliers), and the paper's selection plus
+/// the two kinds no shipped library carries, so every adder and multiplier
+/// kind meets both engines.
+fn library_for(ix: usize) -> OperatorLibrary {
+    match ix {
+        0 => OperatorLibrary::evoapprox(),
+        1 => OperatorLibrary::evoapprox_extended(),
+        _ => {
+            let base = OperatorLibrary::evoapprox();
+            let mut builder = OperatorLibrary::builder();
+            for width in [BitWidth::W8, BitWidth::W16] {
+                for e in base.adders(width) {
+                    builder = builder.adder(e.spec.clone(), e.model);
+                }
+            }
+            for width in [BitWidth::W8, BitWidth::W32] {
+                for e in base.multipliers(width) {
+                    builder = builder.multiplier(e.spec.clone(), e.model);
+                }
+            }
+            builder
+                .adder(
+                    OperatorSpec::new("PB3", BitWidth::W8, 3.5, 0.011, 0.26),
+                    AdderModel::new(AdderKind::PassB { approx_bits: 3 }, BitWidth::W8),
+                )
+                .adder(
+                    OperatorSpec::new("PB6", BitWidth::W16, 0.1, 0.04, 0.8),
+                    AdderModel::new(AdderKind::PassB { approx_bits: 6 }, BitWidth::W16),
+                )
+                .multiplier(
+                    OperatorSpec::new("PO2F", BitWidth::W8, 30.0, 0.003, 0.1),
+                    MulModel::new(MulKind::Po2(Po2Mode::Floor), BitWidth::W8),
+                )
+                .multiplier(
+                    OperatorSpec::new("PO2F", BitWidth::W32, 30.0, 0.4, 1.6),
+                    MulModel::new(MulKind::Po2(Po2Mode::Floor), BitWidth::W32),
+                )
+                .build()
+        }
+    }
+}
+
+const N_LIBRARIES: usize = 3;
+
+/// Runs `configs` one design at a time through both engines: a compiled
+/// program per design, each taking its opcode vector from the skeleton's
+/// shared table of class-mask specialisations (as the exact backend's
+/// `Evaluator` does), and the interpreter. Returns the compiled and the
+/// interpreted outcomes, in `configs` order.
 fn run_on_both_engines(
     prepared: &PreparedWorkload,
     lib: &OperatorLibrary,
@@ -47,13 +98,11 @@ fn run_on_both_engines(
     let program = &prepared.program;
     let image = prepared.executor().unwrap().initial_memory().unwrap();
     let skeleton = Arc::new(CompiledSkeleton::new(program));
-    let mut compiled = None;
     let mut scratch = ExecScratch::new();
     let (mut fast, mut reference) = (Vec::new(), Vec::new());
     for &(adder, mul, bits) in configs {
         let binding = Binding::new(lib, program, adder, mul).unwrap();
-        let engine = compiled.get_or_insert_with(|| skeleton.compile(&binding, bits));
-        engine.specialize(&binding, bits);
+        let engine = skeleton.compile(&binding, bits);
         fast.push(engine.run(&image, &mut scratch).unwrap());
         let mask = VarMask::with_bits(program, bits);
         reference.push(prepared.run(&binding, &mask).unwrap());
@@ -63,39 +112,46 @@ fn run_on_both_engines(
 
 #[test]
 fn compiled_engine_matches_interpreter_on_every_workload() {
-    let lib = OperatorLibrary::evoapprox();
-    for ix in 0..N_WORKLOADS {
-        let wl = workload_for(ix);
-        let prepared = wl.prepare(7).unwrap();
-        let n_vars = VarMask::none(&prepared.program).len();
-        let full = (1u64 << n_vars.min(63)) - 1;
-        let n_add = lib.adders(prepared.program.add_width()).len();
-        let n_mul = lib.multipliers(prepared.program.mul_width()).len();
-        let bit_patterns = [0, 1 & full, full / 2 + 1, full];
+    for lib_ix in 0..N_LIBRARIES {
+        let lib = library_for(lib_ix);
+        for ix in 0..N_WORKLOADS {
+            let wl = workload_for(ix);
+            let prepared = wl.prepare(7).unwrap();
+            let n_vars = VarMask::none(&prepared.program).len();
+            let full = (1u64 << n_vars.min(63)) - 1;
+            let n_add = lib.adders(prepared.program.add_width()).len();
+            let n_mul = lib.multipliers(prepared.program.mul_width()).len();
+            let bit_patterns = [0, 1 & full, full / 2 + 1, full];
 
-        // Mask-major order: long runs of equal selection bits, so most
-        // re-specialisations only swap operators.
-        let mut mask_major = Vec::new();
-        for bits in bit_patterns {
+            // Mask-major order: long runs of equal selection bits, so most
+            // designs reuse the opcode vector the design before fetched.
+            let mut mask_major = Vec::new();
+            for bits in bit_patterns {
+                for a in 0..n_add {
+                    for m in 0..n_mul {
+                        mask_major.push((AdderId(a), MulId(m), bits));
+                    }
+                }
+            }
+            // Operator-major order: selection bits alternate, so every
+            // design switches to another class's opcode vector.
+            let mut op_major = Vec::new();
             for a in 0..n_add {
                 for m in 0..n_mul {
-                    mask_major.push((AdderId(a), MulId(m), bits));
+                    for bits in bit_patterns {
+                        op_major.push((AdderId(a), MulId(m), bits));
+                    }
                 }
             }
-        }
-        // Operator-major order: selection bits alternate, so every design
-        // rewrites the opcode vector.
-        let mut op_major = Vec::new();
-        for a in 0..n_add {
-            for m in 0..n_mul {
-                for bits in bit_patterns {
-                    op_major.push((AdderId(a), MulId(m), bits));
-                }
+            for configs in [&mask_major, &op_major] {
+                let (compiled, interpreted) = run_on_both_engines(&prepared, &lib, configs);
+                assert_eq!(
+                    compiled,
+                    interpreted,
+                    "workload {}, library {lib_ix}",
+                    wl.name()
+                );
             }
-        }
-        for configs in [&mask_major, &op_major] {
-            let (compiled, interpreted) = run_on_both_engines(&prepared, &lib, configs);
-            assert_eq!(compiled, interpreted, "workload {}", wl.name());
         }
     }
 }
@@ -223,15 +279,16 @@ proptest! {
     }
 
     /// Arbitrary design sequences run design by design through both
-    /// engines are byte-identical on every workload — outputs and
-    /// arithmetic profiles both.
+    /// engines are byte-identical on every workload and every library —
+    /// outputs and arithmetic profiles both.
     #[test]
     fn compiled_designs_match_interpreter(
         wl_ix in 0usize..N_WORKLOADS,
+        lib_ix in 0usize..N_LIBRARIES,
         input_seed in 0u64..4,
         raw in prop::collection::vec((0usize..16, 0usize..16, 0u64..u64::MAX), 1..12),
     ) {
-        let lib = OperatorLibrary::evoapprox();
+        let lib = library_for(lib_ix);
         let wl = workload_for(wl_ix);
         let prepared = wl.prepare(input_seed).unwrap();
         let n_vars = VarMask::none(&prepared.program).len();
@@ -248,6 +305,6 @@ proptest! {
             })
             .collect();
         let (compiled, interpreted) = run_on_both_engines(&prepared, &lib, &configs);
-        prop_assert_eq!(compiled, interpreted, "workload {}", wl.name());
+        prop_assert_eq!(compiled, interpreted, "workload {}, library {}", wl.name(), lib_ix);
     }
 }
