@@ -19,9 +19,7 @@
 //! * [`search`] — generic combinatorial optimisers over a [`search::SearchSpace`]:
 //!   random search, hill climbing, simulated annealing and a genetic
 //!   algorithm — the prior-art DSE approaches (the paper's \[3\], \[4\])
-//!   that RL-based exploration is positioned against;
-//! * [`fxhash`] — a fixed word hasher for maps keyed by small integers the
-//!   program derives itself.
+//!   that RL-based exploration is positioned against.
 //!
 //! ```
 //! use ax_agents::agent::{Agent, AgentKind};
@@ -64,7 +62,6 @@
 
 pub mod agent;
 pub mod env;
-pub mod fxhash;
 pub mod qtable;
 pub mod schedule;
 pub mod search;

@@ -28,7 +28,9 @@
 //!   run SPEC.json         execute a checked-in campaign spec end-to-end
 //!                         (--smoke shrinks it for CI; --cache FILE persists the
 //!                         design cache across processes — concurrent writers
-//!                         merge on save; --cache-cap N bounds the saved file
+//!                         merge on save, and scopes a file holds without a
+//!                         fingerprint are skipped and counted on stderr;
+//!                         --cache-cap N bounds the saved file
 //!                         to N designs by dropping least-recently-used whole
 //!                         scopes; --policy P / --budget N override the spec's
 //!                         budget policy: uniform | weighted:S1,S2,… |
@@ -439,6 +441,13 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         Some(p) => match SharedCache::load(p) {
             Ok(cache) => {
                 eprintln!("loaded {} cached designs from {p}", cache.len());
+                let skipped = cache.skipped_scopes();
+                if skipped > 0 {
+                    eprintln!(
+                        "skipped {skipped} cache scope(s) without a fingerprint in {p} \
+                         (saved before scopes were keyed by program and library)"
+                    );
+                }
                 Some(cache)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Some(SharedCache::new()),

@@ -20,9 +20,9 @@ use ax_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// One exploration through the campaign layer's single-run primitive —
-/// the harness-internal replacement for the deprecated `explore_qlearning`
-/// / `explore_with_agent` free functions.
+/// One exploration of `workload` by one agent, on a fresh uncached
+/// context, through the campaign layer's single-run primitive
+/// ([`ax_dse::campaign::explore`]).
 pub(crate) fn explore_one(
     workload: &dyn Workload,
     lib: &OperatorLibrary,

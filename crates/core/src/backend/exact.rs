@@ -1,17 +1,19 @@
 //! The exact evaluation backend: designs run on the compiled engine by
 //! default, with the interpreter kept as the reference.
 
-use super::cache::{CacheScope, SharedCache};
+use super::cache::{ClassMap, ScopeTable, SharedCache};
 use super::{EvalBackend, EvalMetrics};
 use crate::config::{AxConfig, SpaceDims};
 use ax_operators::metrics::{mae, signed_mean_error};
-use ax_operators::OperatorLibrary;
+use ax_operators::{OperatorLibrary, OperatorSpec};
 use ax_telemetry::Telemetry;
 use ax_vm::compile::CompiledSkeleton;
 use ax_vm::exec::{run_from_image, Binding, ExecScratch, Executor};
 use ax_vm::instrument::VarMask;
-use ax_vm::{Program, VmError};
+use ax_vm::{Fingerprint, Program, VmError};
 use ax_workloads::Workload;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which execution engine [`Evaluator`]s spawned from an [`EvalContext`]
@@ -35,12 +37,14 @@ pub enum ExecEngine {
 ///
 /// The context owns the benchmark's program, its compiled skeleton, the
 /// precise reference outputs and the operator library behind `Arc`s, plus
-/// (optionally) a [`SharedCache`] scope. Cloning it and calling
-/// [`EvalContext::evaluator`] on each worker thread is how sweeps fan out:
-/// every evaluator shares the preparation work and the design cache, while
-/// keeping its own scratch buffers and local memo table. A context for
-/// another input seed of the same benchmark
-/// ([`EvalContext::for_input_seed`]) shares the program and skeleton too.
+/// (optionally) a [`SharedCache`] scope: the scope's table of outcome
+/// slots, laid out by a map from design ordinal to execution class.
+/// Cloning it and calling [`EvalContext::evaluator`] on each worker thread
+/// is how sweeps fan out: every evaluator shares the preparation work and
+/// the design cache, while keeping its own scratch buffers and local memo
+/// table. A context for another input seed of the same benchmark
+/// ([`EvalContext::for_input_seed`]) shares the program, skeleton and
+/// class map too.
 #[derive(Debug, Clone)]
 pub struct EvalContext {
     benchmark: String,
@@ -60,10 +64,83 @@ pub struct EvalContext {
     precise_outputs: Arc<Vec<f64>>,
     precise_power: f64,
     precise_time: f64,
-    shared: Option<(Arc<SharedCache>, CacheScope)>,
+    /// The digest of the program and of the library's operators at its
+    /// widths, before the base image is folded in ([`fingerprint`]).
+    identity: Fingerprint,
+    shared: Option<SharedScope>,
     /// Telemetry handle spawned evaluators report through. Disabled by
     /// default: the hot path then pays exactly one branch per execution.
     telemetry: Telemetry,
+}
+
+/// A context's cache scope: the cache, the scope's table, and the classes
+/// this context's evaluators resolved.
+#[derive(Debug, Clone)]
+struct SharedScope {
+    cache: Arc<SharedCache>,
+    table: Arc<ScopeTable>,
+    /// Bit `c` is set once an evaluator of this context resolved a design
+    /// of class `c` — through the cache, whoever computed it.
+    resolved: Arc<[AtomicU64]>,
+}
+
+impl SharedScope {
+    fn new(cache: Arc<SharedCache>, table: Arc<ScopeTable>) -> Self {
+        let resolved = (0..table.class_count().div_ceil(64))
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        Self {
+            cache,
+            table,
+            resolved,
+        }
+    }
+
+    /// Marks class `class` resolved. A class already marked costs one
+    /// load and no write.
+    #[inline]
+    fn mark(&self, class: usize) {
+        let (word, bit) = (&self.resolved[class / 64], 1u64 << (class % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The digest of what fixes a design's outcome apart from the inputs: the
+/// program as `skeleton` runs it, and the model and costs of every operator
+/// `lib` holds at the program's widths, in id order.
+fn identity(skeleton: &CompiledSkeleton, lib: &OperatorLibrary, program: &Program) -> Fingerprint {
+    fn operator(fp: &mut Fingerprint, model: &impl Hash, spec: &OperatorSpec) {
+        model.hash(fp);
+        fp.write_u64(spec.power_mw().to_bits());
+        fp.write_u64(spec.time_ns().to_bits());
+    }
+    let adders = lib.adders(program.add_width());
+    let muls = lib.multipliers(program.mul_width());
+    let mut fp = Fingerprint::new();
+    fp.write_u64(skeleton.fingerprint());
+    fp.write_usize(adders.len());
+    fp.write_usize(muls.len());
+    for entry in adders {
+        operator(&mut fp, &entry.model, &entry.spec);
+    }
+    for entry in muls {
+        operator(&mut fp, &entry.model, &entry.spec);
+    }
+    fp
+}
+
+/// The digest of everything that fixes a design's outcome in a context
+/// besides the design: `identity` (the program as the compiled engine runs
+/// it, and the model and power/time costs of every operator the library
+/// holds at the program's widths) with the base memory image `image`, so
+/// the inputs, folded in. The engine is left out: both give bit-identical
+/// outcomes. With the benchmark name and input seed it keys the context's
+/// cache scope; it has no per-process seed, so a saved cache file keeps it.
+fn fingerprint(mut identity: Fingerprint, image: &[i64]) -> u64 {
+    identity.words(image);
+    identity.finish()
 }
 
 impl EvalContext {
@@ -138,10 +215,13 @@ impl EvalContext {
             });
         }
         let skeleton = Arc::new(CompiledSkeleton::new(&program));
+        let identity = identity(&skeleton, &lib, &program);
         let reference = Reference::run(&program, &lib, &workload.inputs(input_seed))?;
-        let shared = cache.map(|c| {
-            let scope = c.scope(&benchmark, input_seed);
-            (c, scope)
+        let fingerprint = fingerprint(identity, &reference.base_image);
+        let shared = cache.map(|cache| {
+            let classes = || Arc::new(ClassMap::new(&skeleton, dims));
+            let table = cache.intern(&benchmark, input_seed, fingerprint, classes);
+            SharedScope::new(cache, table)
         });
         Ok(Self {
             benchmark,
@@ -155,17 +235,20 @@ impl EvalContext {
             precise_outputs: reference.outputs,
             precise_power: reference.power,
             precise_time: reference.time,
+            identity,
             shared,
             telemetry: Telemetry::disabled(),
         })
     }
 
     /// This context for the inputs `workload` generates from `input_seed`:
-    /// new inputs, precise reference and cache scope, sharing everything
-    /// else — program, compiled skeleton and its specialisations, library,
-    /// engine, telemetry and the shared cache. `workload` must be the
-    /// benchmark this context was built from; a workload builds the same
-    /// program for every seed, so the program is not rebuilt.
+    /// new inputs, precise reference, fingerprint and cache scope, sharing
+    /// everything else — program, compiled skeleton and its
+    /// specialisations, class map, library, engine, telemetry and the
+    /// shared cache. `workload` must be the benchmark this context was
+    /// built from; a workload builds the same program for every seed, so
+    /// the program is not rebuilt, and only the new base image is hashed
+    /// into the fingerprint.
     ///
     /// # Errors
     ///
@@ -186,16 +269,21 @@ impl EvalContext {
             "a context derives only contexts of its own benchmark"
         );
         let reference = Reference::run(&self.program, &self.lib, &workload.inputs(input_seed))?;
+        let fingerprint = fingerprint(self.identity, &reference.base_image);
+        let shared = self.shared.as_ref().map(|shared| {
+            let classes = || Arc::clone(shared.table.class_map());
+            let table = shared
+                .cache
+                .intern(&self.benchmark, input_seed, fingerprint, classes);
+            SharedScope::new(Arc::clone(&shared.cache), table)
+        });
         Ok(Self {
             input_seed,
             base_image: reference.base_image,
             precise_outputs: reference.outputs,
             precise_power: reference.power,
             precise_time: reference.time,
-            shared: self
-                .shared
-                .as_ref()
-                .map(|(c, _)| (Arc::clone(c), c.scope(&self.benchmark, input_seed))),
+            shared,
             ..self.clone()
         })
     }
@@ -217,10 +305,10 @@ impl EvalContext {
     }
 
     /// The canonical member of `config`'s execution class (see
-    /// [`CompiledSkeleton::class_representative`]): the key the shared
-    /// cache stores and the design executed on a shared-cache miss. A
-    /// design and its representative evaluate to identical metrics on
-    /// either engine.
+    /// [`CompiledSkeleton::class_representative`]): the design executed on
+    /// a shared-cache miss, and the one a saved cache file lists for the
+    /// class. A design and its representative evaluate to identical metrics
+    /// on either engine.
     pub fn class_representative(&self, config: &AxConfig) -> AxConfig {
         let (adder, mul, vars) =
             self.skeleton
@@ -274,7 +362,21 @@ impl EvalContext {
 
     /// The shared cache, if this context carries one.
     pub fn shared_cache(&self) -> Option<&Arc<SharedCache>> {
-        self.shared.as_ref().map(|(c, _)| c)
+        self.shared.as_ref().map(|s| &s.cache)
+    }
+
+    /// Distinct execution classes this context's evaluators resolved
+    /// through the shared cache (executed, or answered by it), over every
+    /// evaluator spawned from this context or its clones. 0 without a
+    /// cache. Unlike the scope's size, it does not count classes other
+    /// contexts put in the cache.
+    pub(crate) fn resolved_classes(&self) -> u64 {
+        self.shared.as_ref().map_or(0, |s| {
+            s.resolved
+                .iter()
+                .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
+                .sum()
+        })
     }
 
     /// Derives the Δ metrics of one executed design from its outcome.
@@ -336,10 +438,12 @@ impl Reference {
 /// ([`EvalBackend::distinct_evaluations`]) counts designs, not classes. It
 /// is a list of the designs in the order they were first evaluated,
 /// indexed through a slot per design ordinal ([`SpaceDims::ordinal`]), so
-/// a hit is two array reads and no hash. Behind it, the shared cache is
-/// keyed by execution class ([`EvalContext::class_representative`]):
-/// designs that flag the same instructions with the same operators share
-/// one entry and one execution.
+/// a hit is two array reads and no hash. Behind it, the shared cache holds
+/// one outcome slot per execution class
+/// ([`EvalContext::class_representative`]): designs that flag the same
+/// instructions with the same operators share one slot and one execution,
+/// and a design reaches its slot through the context's ordinal-to-class
+/// map, with no lock and no hash.
 #[derive(Debug)]
 pub struct Evaluator {
     ctx: EvalContext,
@@ -441,22 +545,24 @@ impl Evaluator {
         self.memo.clone()
     }
 
-    /// Resolves a design the local memo missed. Without a shared cache the
-    /// design itself executes; with one, its execution class is looked up
-    /// there and the class representative executes only on the class's
-    /// first lookup.
-    fn resolve(&mut self, config: &AxConfig) -> Result<EvalMetrics, VmError> {
-        let Some((cache, scope)) = &self.ctx.shared else {
+    /// Resolves the design `config`, of ordinal `ordinal`, that the local
+    /// memo missed. Without a shared cache the design itself executes; with
+    /// one, its execution class's slot answers, and the class
+    /// representative executes only on the class's first lookup.
+    fn resolve(&mut self, ordinal: usize, config: &AxConfig) -> Result<EvalMetrics, VmError> {
+        let Some(shared) = &self.ctx.shared else {
             return self.runner.execute(&self.ctx, config);
         };
-        let rep = self.ctx.class_representative(config);
-        let executions = self.runner.executions;
-        let metrics =
-            cache.get_or_insert_with(*scope, rep, || self.runner.execute(&self.ctx, &rep))?;
-        if self.runner.executions == executions {
+        let class = shared.table.class(ordinal);
+        shared.mark(class);
+        let (runner, ctx) = (&mut self.runner, &self.ctx);
+        let (outcome, computed) = shared
+            .cache
+            .lookup(&shared.table, class, |rep| runner.execute(ctx, rep));
+        if !computed {
             self.shared_hits += 1;
         }
-        Ok(metrics)
+        outcome.clone()
     }
 }
 
@@ -529,7 +635,7 @@ impl EvalBackend for Evaluator {
             Some(_) => {}
             None => self.slots.resize(ordinal + 1, VACANT),
         }
-        let metrics = self.resolve(config)?;
+        let metrics = self.resolve(ordinal, config)?;
         self.slots[ordinal] = self.memo.len() as u16;
         self.memo.push((*config, metrics));
         Ok(metrics)
@@ -958,6 +1064,119 @@ mod tests {
         // The derived context caches under its own scope, not the base's.
         assert_eq!(cache.scope_len(wl.name().as_str(), 2), 49);
         assert_eq!(cache.scope_len(wl.name().as_str(), 1), 0);
+    }
+
+    #[test]
+    fn the_class_map_sends_every_design_to_its_representative() {
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let workloads: [(&dyn Workload, usize); 3] = [
+            (&MatMul::new(4), 49),
+            (&DotProduct::new(6), 49),
+            (&Wide(10), 1 + 255 * 6),
+        ];
+        for (wl, classes) in workloads {
+            let ctx = EvalContext::with_cache(wl, Arc::clone(&lib), 1, SharedCache::new()).unwrap();
+            let table = &ctx.shared.as_ref().unwrap().table;
+            assert_eq!(table.class_count(), classes, "{}", wl.name());
+            for config in AxConfig::enumerate(ctx.dims) {
+                let class = table.class(ctx.dims.ordinal(&config));
+                let rep = ctx.class_representative(&config);
+                assert_eq!(table.class(ctx.dims.ordinal(&rep)), class, "{config}");
+            }
+            assert_eq!(table.class(0), 0, "the precise design's class comes first");
+        }
+    }
+
+    /// `lib` with one multiplier's power changed at `width`.
+    fn with_repriced_multiplier(
+        lib: &OperatorLibrary,
+        width: ax_operators::BitWidth,
+    ) -> OperatorLibrary {
+        use ax_operators::{BitWidth, OperatorSpec};
+        let mut builder = OperatorLibrary::builder();
+        for w in [BitWidth::W8, BitWidth::W16] {
+            for e in lib.adders(w) {
+                builder = builder.adder(e.spec.clone(), e.model);
+            }
+        }
+        for w in [BitWidth::W8, BitWidth::W32] {
+            for (i, e) in lib.multipliers(w).iter().enumerate() {
+                let s = &e.spec;
+                let power = s.power_mw() * if w == width && i == 2 { 1.5 } else { 1.0 };
+                let spec = OperatorSpec::new(s.name(), w, s.mred_pct(), power, s.time_ns());
+                builder = builder.multiplier(spec, e.model);
+            }
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn the_fingerprint_keys_program_library_and_inputs() {
+        use ax_operators::BitWidth;
+        let wl = MatMul::new(4);
+        let evo = Arc::new(OperatorLibrary::evoapprox());
+        let of = |ctx: &EvalContext| fingerprint(ctx.identity, &ctx.base_image);
+        let fp = |wl: &dyn Workload, lib: &OperatorLibrary, seed| {
+            of(&EvalContext::new(wl, Arc::new(lib.clone()), seed).unwrap())
+        };
+        let base = fp(&wl, &evo, 1);
+        assert_eq!(base, fp(&wl, &evo, 1), "a rebuilt context");
+        assert_ne!(base, fp(&wl, &evo, 2), "other inputs");
+        assert_ne!(base, fp(&MatMul::new(5), &evo, 1), "another program");
+        assert_ne!(base, fp(&wl, &OperatorLibrary::evoapprox_extended(), 1));
+        assert_ne!(
+            base,
+            fp(&wl, &with_repriced_multiplier(&evo, BitWidth::W8), 1)
+        );
+        // MatMul multiplies at 8 bits: the 32-bit class does not matter.
+        assert_eq!(
+            base,
+            fp(&wl, &with_repriced_multiplier(&evo, BitWidth::W32), 1)
+        );
+        // Neither does the engine, nor the way the context was prepared: a
+        // derived context re-hashes only its own base image.
+        let ctx = EvalContext::new(&wl, Arc::clone(&evo), 1).unwrap();
+        assert_eq!(of(&ctx.clone().with_engine(ExecEngine::Interpreter)), base);
+        let cached = EvalContext::with_cache(&wl, evo, 1, SharedCache::new()).unwrap();
+        assert_eq!(of(&cached), base);
+        assert_eq!(of(&ctx.for_input_seed(&wl, 1).unwrap()), base);
+        assert_eq!(
+            of(&cached.for_input_seed(&wl, 2).unwrap()),
+            fp(&wl, &OperatorLibrary::evoapprox(), 2)
+        );
+    }
+
+    #[test]
+    fn resolved_classes_count_only_this_contexts_lookups() {
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let wl = MatMul::new(4);
+        let cache = SharedCache::new();
+        let filler = EvalContext::with_cache(&wl, Arc::clone(&lib), 1, Arc::clone(&cache)).unwrap();
+        let mut ev = filler.evaluator();
+        for config in AxConfig::enumerate(filler.dims) {
+            ev.evaluate(&config).unwrap();
+        }
+        assert_eq!(filler.resolved_classes(), 49);
+        // A second context of the same scope finds every class cached, but
+        // counts only the two classes its own evaluators asked for.
+        let ctx = EvalContext::with_cache(&wl, Arc::clone(&lib), 1, Arc::clone(&cache)).unwrap();
+        let designs = [(0, 0, 0), (3, 2, 0b0001), (5, 2, 0b0010)];
+        for evaluator in [ctx.evaluator(), ctx.clone().evaluator()].iter_mut() {
+            for &(a, m, vars) in &designs {
+                let config = AxConfig {
+                    adder: AdderId(a),
+                    mul: MulId(m),
+                    vars,
+                };
+                evaluator.evaluate(&config).unwrap();
+            }
+            assert_eq!(evaluator.executions(), 0);
+        }
+        assert_eq!(ctx.resolved_classes(), 2);
+        assert_eq!(cache.scope_len(&wl.name(), 1), 49);
+        // A derived context starts from none.
+        assert_eq!(ctx.for_input_seed(&wl, 1).unwrap().resolved_classes(), 0);
+        assert_eq!(evaluator().ctx.resolved_classes(), 0, "no cache, no count");
     }
 
     #[test]

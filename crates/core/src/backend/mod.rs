@@ -18,12 +18,15 @@
 //!   instrumented program on the compiled engine (or, on request, the
 //!   reference interpreter), keeps a per-run memo table, and reuses
 //!   execution buffers across designs.
-//! * [`SharedCache`] ([`cache`]) is a single-flight concurrent memo table
-//!   keyed by `(benchmark, input_seed)` scope and *execution class*:
-//!   designs that run the same instructions approximately with the same
-//!   operators share one entry ([`EvalContext::class_representative`]).
-//!   Concurrent explorations of the same benchmark (multi-seed sweeps,
-//!   agent portfolios) share it, so a class executed by one run is free for
+//! * [`SharedCache`] ([`cache`]) is a single-flight concurrent table of
+//!   outcomes, one slot per *execution class* per scope: designs that run
+//!   the same instructions approximately with the same operators share one
+//!   slot ([`EvalContext::class_representative`]). A scope is keyed by
+//!   benchmark, input seed and a fingerprint of the program, the operator
+//!   library and the inputs, so campaigns on different libraries never
+//!   read each other's outcomes. Concurrent
+//!   explorations of the same benchmark (multi-seed sweeps, agent
+//!   portfolios) share it, so a class executed by one run is free for
 //!   every other. Sharing never changes results — evaluation is
 //!   deterministic — only cost.
 

@@ -1078,7 +1078,7 @@ impl<'a> Campaign<'a> {
                 input_seed: explicit_seeds.then(|| ctx.input_seed()),
                 entries,
                 best,
-                shared_distinct: cache.scope_len(ctx.benchmark(), ctx.input_seed()) as u64,
+                shared_distinct: ctx.resolved_classes(),
             });
         }
 

@@ -94,8 +94,8 @@ pub fn run_spec_traced(
 #[derive(Default)]
 pub struct RunSpecOptions<'a> {
     /// Pre-loaded design cache shared across runs (and, in a daemon,
-    /// across jobs — each `(benchmark, input_seed)` pair is its own
-    /// scope).
+    /// across jobs — each benchmark, input seed and program-and-library
+    /// fingerprint is its own scope).
     pub cache: Option<Arc<SharedCache>>,
     /// Progress observer; defaults to no observation.
     pub observer: Option<&'a dyn Observer>,

@@ -8,7 +8,7 @@ use std::fmt;
 /// One point of the design space: which adder, which multiplier, and which
 /// variables are approximated (a bit per approximable variable, the paper's
 /// `variables_approx` boolean vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AxConfig {
     /// Selected adder (index into the width class, increasing MRED).
     pub adder: AdderId,

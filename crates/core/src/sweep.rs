@@ -169,8 +169,10 @@ pub struct PortfolioOutcome {
     pub entries: Vec<PortfolioEntry>,
     /// Index into `entries` of the best score (ties: first).
     pub best: usize,
-    /// Distinct designs of this benchmark held by the shared cache —
-    /// agents racing the same benchmark pay for each design once.
+    /// Distinct execution classes this portfolio's runs resolved through
+    /// the shared cache — agents racing the same benchmark pay for each
+    /// class once. Classes other campaigns left in the cache do not count,
+    /// so the value does not depend on what else used the cache.
     pub shared_distinct: u64,
 }
 

@@ -38,9 +38,9 @@ pub struct ServeConfig {
     pub server_budget: Option<u64>,
     /// Hard per-job budget cap clamping every submission.
     pub max_job_budget: Option<u64>,
-    /// Keep at most this many `(benchmark, input_seed)` cache scopes, in
-    /// memory and in the cache file, pruning least-recently-used ones after
-    /// each finished job.
+    /// Keep at most this many cache scopes (one per benchmark, input seed
+    /// and program-and-library fingerprint), in memory and in the cache
+    /// file, pruning least-recently-used ones after each finished job.
     pub cache_max_scopes: Option<usize>,
     /// Shrink every submitted spec like `repro run --smoke` (CI).
     pub smoke: bool,

@@ -5,7 +5,7 @@
 
 use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
-    run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, NullObserver, SeedRange,
+    run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, LibrarySpec, NullObserver, SeedRange,
 };
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
@@ -85,9 +85,9 @@ fn quick_spec(name: &str, benchmark: BenchmarkSpec, backend: BackendSpec) -> Exp
         .backend(backend)
 }
 
-/// Three concurrent campaigns over disjoint `(benchmark, input_seed)`
-/// cache scopes, all sharing the daemon's one cache, must each return a
-/// report byte-identical to a plain local `run_spec`.
+/// Three concurrent campaigns over disjoint cache scopes, all sharing the
+/// daemon's one cache, must each return a report byte-identical to a plain
+/// local `run_spec`.
 #[test]
 fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
     let specs = [
@@ -160,6 +160,90 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
     assert!(events.lines().count() > 0);
     assert!(events.lines().all(|l| Json::parse(l).is_ok()));
     shutdown(addr, handle);
+}
+
+/// Runs `specs` on one daemon one after another, each on the cache the
+/// earlier ones filled, and checks every served report is byte-identical
+/// to the spec's local run on a fresh cache. Returns the cache's
+/// `/metrics` section.
+fn serve_in_turn_and_match_local_runs(specs: &[ExperimentSpec]) -> Json {
+    let (addr, handle) = boot(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for spec in specs {
+        let local = run_spec(&spec.library.build(), spec, None, &NullObserver)
+            .expect("local run")
+            .to_json_string();
+        let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
+        assert_eq!(status, 200, "submit failed: {body}");
+        let id = Json::parse(&body)
+            .unwrap()
+            .get("id")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        let doc = await_terminal(addr, id);
+        assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "completed");
+        let (status, served) = request(addr, "GET", &format!("/campaigns/{id}/report"), "");
+        assert_eq!(status, 200);
+        assert_eq!(
+            served, local,
+            "served `{}` differs from its local run",
+            spec.name
+        );
+    }
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    shutdown(addr, handle);
+    Json::parse(&metrics).unwrap().get("cache").unwrap().clone()
+}
+
+/// A second job on a benchmark an earlier job already cached reports
+/// only the classes its own runs resolved (`shared_distinct`), so it
+/// matches its local run.
+#[test]
+fn a_job_on_an_already_cached_benchmark_matches_its_local_run() {
+    let first = ExperimentSpec::new("x")
+        .benchmark(BenchmarkSpec::MatMul(4))
+        .agent(AgentKind::QLearning)
+        .seeds(SeedRange::new(0, 2))
+        .explore(ExploreOptions {
+            max_steps: 300,
+            ..Default::default()
+        });
+    let second = ExperimentSpec::new("y")
+        .benchmark(BenchmarkSpec::MatMul(4))
+        .agent(AgentKind::Sarsa)
+        .seeds(SeedRange::new(5, 1))
+        .explore(ExploreOptions {
+            max_steps: 40,
+            ..Default::default()
+        });
+    let cache = serve_in_turn_and_match_local_runs(&[first, second]);
+    assert_eq!(cache.get("scopes").unwrap().as_u64().unwrap(), 1);
+}
+
+/// Tenants on different operator libraries share the daemon's cache but
+/// never each other's outcomes: each library is its own scope.
+#[test]
+fn tenants_on_different_libraries_match_their_local_runs() {
+    let spec = |name: &str, library| {
+        ExperimentSpec::new(name)
+            .library(library)
+            .benchmark(BenchmarkSpec::MatMul(4))
+            .agent(AgentKind::QLearning)
+            .seeds(SeedRange::new(0, 1))
+            .explore(ExploreOptions {
+                max_steps: 400,
+                ..Default::default()
+            })
+    };
+    let cache = serve_in_turn_and_match_local_runs(&[
+        spec("default", LibrarySpec::EvoApprox),
+        spec("extended", LibrarySpec::EvoApproxExtended),
+        spec("default-again", LibrarySpec::EvoApprox),
+    ]);
+    assert_eq!(cache.get("scopes").unwrap().as_u64().unwrap(), 2);
 }
 
 /// DELETE mid-run cancels cooperatively: the job ends `cancelled`, keeps

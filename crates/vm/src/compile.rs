@@ -47,9 +47,11 @@ use crate::error::VmError;
 #[allow(unused_imports)] // doc links
 use crate::exec::sliced_add;
 use crate::exec::{Binding, ExecOutcome, ExecScratch};
+use crate::fingerprint::Fingerprint;
 use crate::ir::{Instr, Program};
 use ax_operators::{AdderId, AdderModel, BitWidth, MulId, MulModel};
 use std::collections::VecDeque;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One instruction with operand offsets resolved and its touched-variable
@@ -83,6 +85,31 @@ enum SkelOp {
         pc: u32,
         touched: u64,
     },
+}
+
+impl SkelOp {
+    /// Folds the instruction into `fp` as three words: its operand offsets
+    /// (each below 2^32, the IR's cell space), then its shift and opcode,
+    /// then its touched-variable mask or constant.
+    #[inline]
+    fn fold_into(&self, fp: &mut Fingerprint) {
+        let (opcode, dst, a, b, shift, last) = match *self {
+            SkelOp::Const { dst, value } => (0, dst, 0, 0, 0, value as u64),
+            SkelOp::Copy { dst, src } => (1, dst, src, 0, 0, 0),
+            SkelOp::Add { dst, a, b, touched } => (2, dst, a, b, 0, touched),
+            SkelOp::Mul {
+                dst,
+                a,
+                b,
+                shift,
+                touched,
+                ..
+            } => (3, dst, a, b, shift, touched),
+        };
+        fp.write_u64((dst as u64) << 32 | a as u64);
+        fp.write_u64((b as u64) << 32 | u64::from(shift) << 8 | opcode);
+        fp.write_u64(last);
+    }
 }
 
 /// Most specialised opcode vectors one skeleton keeps; past it the oldest
@@ -125,6 +152,23 @@ pub struct CompiledSkeleton {
     /// Opcode vectors by canonical class mask, oldest first, at most
     /// [`MAX_SPECIALISATIONS`] of them.
     specialisations: Mutex<VecDeque<Specialisation>>,
+    /// Digest of everything above that a run depends on; see
+    /// [`CompiledSkeleton::fingerprint`].
+    fingerprint: u64,
+}
+
+/// What a variable selection does to a program: its canonical class mask
+/// (see [`CompiledSkeleton::class_representative`]), and whether the flag
+/// classes it hits hold additions and multiplications. Two selections with
+/// equal classes flag exactly the same instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectionClass {
+    /// Every flag-class variable minus the classes the selection misses.
+    pub bits: u64,
+    /// `true` if the selection approximates some addition.
+    pub adds: bool,
+    /// `true` if the selection approximates some multiplication.
+    pub muls: bool,
 }
 
 /// One flag class: the touched-variable mask its instructions share, and
@@ -157,43 +201,48 @@ impl CompiledSkeleton {
         }
 
         let (mut adds_total, mut muls_total) = (0u64, 0u64);
+        let mut fp = Fingerprint::new();
         let ops: Vec<SkelOp> = program
             .instrs()
             .iter()
             .enumerate()
-            .map(|(pc, instr)| match *instr {
-                Instr::Const { dst, value } => SkelOp::Const {
-                    dst: program.offset(dst),
-                    value,
-                },
-                Instr::Copy { dst, src } => SkelOp::Copy {
-                    dst: program.offset(dst),
-                    src: program.offset(src),
-                },
-                Instr::Add { dst, a, b } => {
-                    adds_total += 1;
-                    SkelOp::Add {
+            .map(|(pc, instr)| {
+                let op = match *instr {
+                    Instr::Const { dst, value } => SkelOp::Const {
                         dst: program.offset(dst),
-                        a: program.offset(a),
-                        b: program.offset(b),
-                        touched: var_bit[dst.var.index()]
-                            | var_bit[a.var.index()]
-                            | var_bit[b.var.index()],
-                    }
-                }
-                Instr::Mul { dst, a, b, shift } => {
-                    muls_total += 1;
-                    SkelOp::Mul {
+                        value,
+                    },
+                    Instr::Copy { dst, src } => SkelOp::Copy {
                         dst: program.offset(dst),
-                        a: program.offset(a),
-                        b: program.offset(b),
-                        shift,
-                        pc: pc as u32,
-                        touched: var_bit[dst.var.index()]
-                            | var_bit[a.var.index()]
-                            | var_bit[b.var.index()],
+                        src: program.offset(src),
+                    },
+                    Instr::Add { dst, a, b } => {
+                        adds_total += 1;
+                        SkelOp::Add {
+                            dst: program.offset(dst),
+                            a: program.offset(a),
+                            b: program.offset(b),
+                            touched: var_bit[dst.var.index()]
+                                | var_bit[a.var.index()]
+                                | var_bit[b.var.index()],
+                        }
                     }
-                }
+                    Instr::Mul { dst, a, b, shift } => {
+                        muls_total += 1;
+                        SkelOp::Mul {
+                            dst: program.offset(dst),
+                            a: program.offset(a),
+                            b: program.offset(b),
+                            shift,
+                            pc: pc as u32,
+                            touched: var_bit[dst.var.index()]
+                                | var_bit[a.var.index()]
+                                | var_bit[b.var.index()],
+                        }
+                    }
+                };
+                op.fold_into(&mut fp);
+                op
             })
             .collect();
 
@@ -203,6 +252,15 @@ impl CompiledSkeleton {
             .map(|id| (program.offset(id.at(0)), program.var(id).len() as usize))
             .collect();
         let output_cells = outputs.iter().map(|&(_, len)| len).sum();
+        fp.write_usize(ops.len());
+        for &(base, len) in &outputs {
+            fp.write_usize(base);
+            fp.write_usize(len);
+        }
+        fp.write_u32(program.total_cells());
+        fp.write_u32(program.add_width().bits());
+        fp.write_u32(program.mul_width().bits());
+        fp.write_usize(approximable.len());
 
         let mut flag_classes: Vec<FlagClass> = Vec::new();
         for op in &ops {
@@ -240,13 +298,24 @@ impl CompiledSkeleton {
             muls_total,
             flag_classes,
             specialisations: Mutex::new(VecDeque::with_capacity(MAX_SPECIALISATIONS)),
+            fingerprint: fp.finish(),
         }
     }
 
-    /// The canonical class mask of the selection `bits` — every flag-class
-    /// variable minus the classes `bits` misses — and whether the classes
-    /// it hits hold additions and multiplications.
-    fn classify(&self, bits: u64) -> (u64, bool, bool) {
+    /// A digest of the program as this skeleton runs it: every resolved
+    /// instruction with its touched-variable mask, the output ranges, the
+    /// memory size, both operator widths and the number of approximable
+    /// variables. Two programs with equal fingerprints run every design
+    /// alike on equal memory images. The digest has no per-process seed
+    /// ([`Fingerprint`]), so it can key data saved to disk.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The class of the selection `bits`: its canonical class mask — every
+    /// flag-class variable minus the classes `bits` misses — and whether
+    /// the classes it hits hold additions and multiplications.
+    pub fn classify(&self, bits: u64) -> SelectionClass {
         let (mut all, mut missed) = (0u64, 0u64);
         let (mut adds, mut muls) = (false, false);
         for class in &self.flag_classes {
@@ -258,7 +327,11 @@ impl CompiledSkeleton {
                 muls |= class.muls;
             }
         }
-        (all & !missed, adds, muls)
+        SelectionClass {
+            bits: all & !missed,
+            adds,
+            muls,
+        }
     }
 
     /// The canonical member of the design `(adder, mul, bits)`'s execution
@@ -275,11 +348,11 @@ impl CompiledSkeleton {
         mul: MulId,
         bits: u64,
     ) -> (AdderId, MulId, u64) {
-        let (class_bits, adds, muls) = self.classify(bits);
+        let class = self.classify(bits);
         (
-            if adds { adder } else { AdderId(0) },
-            if muls { mul } else { MulId(0) },
-            class_bits,
+            if class.adds { adder } else { AdderId(0) },
+            if class.muls { mul } else { MulId(0) },
+            class.bits,
         )
     }
 
@@ -307,7 +380,7 @@ impl CompiledSkeleton {
     /// table, or specialised under the lock and inserted, evicting the
     /// oldest entry of a full table.
     fn specialisation(&self, mask_bits: u64) -> Specialisation {
-        let (class_bits, _, _) = self.classify(mask_bits);
+        let class_bits = self.classify(mask_bits).bits;
         let mut table = self.table();
         if let Some(hit) = table.iter().find(|s| s.class_bits == class_bits) {
             return hit.clone();
@@ -788,6 +861,42 @@ mod tests {
             .unwrap()
             .initial_memory()
             .unwrap()
+    }
+
+    #[test]
+    fn the_fingerprint_follows_what_a_run_depends_on() {
+        let fp = |prog: &Program| CompiledSkeleton::new(prog).fingerprint();
+        assert_eq!(fp(&dot3()), fp(&dot3()), "a rebuilt program");
+        // One variant per ingredient: a shift, a constant, an operand, the
+        // operator width and the selectable variables.
+        let variant = |shift: u32, init: i64, swap: bool, width: BitWidth, approx_p: bool| {
+            let mut pb = ProgramBuilder::new("dot3", width, BitWidth::W8);
+            let x = pb.input("x", 3);
+            let y = pb.input("y", 3);
+            let p = pb.temp("p", 1);
+            if !approx_p {
+                pb.not_approximable(p);
+            }
+            let acc = pb.output("acc", 1);
+            pb.konst(acc.at(0), init);
+            for i in 0..3 {
+                let (a, b) = if swap && i == 2 { (y, x) } else { (x, y) };
+                pb.mul(p.at(0), a.at(i), b.at(i), shift);
+                pb.add(acc.at(0), acc.at(0), p.at(0));
+            }
+            pb.build().unwrap()
+        };
+        let base = fp(&variant(0, 0, false, BitWidth::W8, true));
+        assert_eq!(base, fp(&dot3()));
+        for other in [
+            variant(1, 0, false, BitWidth::W8, true),
+            variant(0, 1, false, BitWidth::W8, true),
+            variant(0, 0, true, BitWidth::W8, true),
+            variant(0, 0, false, BitWidth::W16, true),
+            variant(0, 0, false, BitWidth::W8, false),
+        ] {
+            assert_ne!(fp(&other), base);
+        }
     }
 
     #[test]

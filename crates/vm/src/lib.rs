@@ -24,7 +24,10 @@
 //!   [`compile::CompiledProgram`] (offsets resolved, approximate/precise
 //!   choice baked per instruction, profile computed analytically at compile
 //!   time) — bit-identical to the interpreter, several times faster on DSE
-//!   sweeps.
+//!   sweeps;
+//! * [`fingerprint`] — a seedless 64-bit content digest, which keys cached
+//!   evaluation outcomes by the program, operators and inputs that produced
+//!   them.
 //!
 //! # Arithmetic semantics
 //!
@@ -72,12 +75,14 @@ pub mod compile;
 pub mod cost;
 pub mod error;
 pub mod exec;
+pub mod fingerprint;
 pub mod instrument;
 pub mod ir;
 
-pub use compile::{CompiledProgram, CompiledSkeleton};
+pub use compile::{CompiledProgram, CompiledSkeleton, SelectionClass};
 pub use cost::ArithProfile;
 pub use error::VmError;
 pub use exec::{Binding, ExecOutcome, Executor};
+pub use fingerprint::Fingerprint;
 pub use instrument::VarMask;
 pub use ir::{Program, ProgramBuilder, Slot, VarId};

@@ -7,11 +7,14 @@ use axdse_suite::ax_dse::pareto::{dominates, hypervolume, non_dominated_ranks, r
 use axdse_suite::ax_dse::reward::{reward, RewardParams};
 use axdse_suite::ax_dse::thresholds::Thresholds;
 use axdse_suite::ax_dse::EvalMetrics;
-use axdse_suite::ax_dse::Evaluator;
+use axdse_suite::ax_dse::{EvalContext, Evaluator};
 use axdse_suite::ax_operators::{AdderId, MulId, OperatorLibrary};
 use axdse_suite::ax_workloads::dot::DotProduct;
+use axdse_suite::ax_workloads::fir::Fir;
+use axdse_suite::ax_workloads::matmul::MatMul;
+use axdse_suite::ax_workloads::Workload;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const DIMS: SpaceDims = SpaceDims {
     n_add: 6,
@@ -276,29 +279,26 @@ fn mutate(mut bytes: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
     bytes
 }
 
-/// A saved two-scope cache file.
+/// A saved two-scope cache file, filled by evaluating four designs of
+/// each benchmark.
 fn saved_cache_file() -> &'static [u8] {
     static FILE: OnceLock<Vec<u8>> = OnceLock::new();
     FILE.get_or_init(|| {
         let cache = SharedCache::new();
-        for (benchmark, input_seed) in [("matmul-4", 11u64), ("fir-16", 42)] {
-            let scope = cache.scope(benchmark, input_seed);
+        let lib = Arc::new(OperatorLibrary::evoapprox());
+        let benchmarks: [(&dyn Workload, u64); 2] = [(&MatMul::new(4), 11), (&Fir::new(16), 42)];
+        for (workload, input_seed) in benchmarks {
+            let ctx =
+                EvalContext::with_cache(workload, Arc::clone(&lib), input_seed, Arc::clone(&cache))
+                    .unwrap();
+            let mut evaluator = ctx.evaluator();
             for vars in 0..4u64 {
                 let config = AxConfig {
                     adder: AdderId(1),
                     mul: MulId(2),
                     vars,
                 };
-                let tag = vars as f64 - 1.5;
-                let metrics = EvalMetrics {
-                    delta_acc: tag,
-                    delta_power: tag * 1e-3,
-                    delta_time: -tag,
-                    signed_error: tag,
-                    power: 1.0 + tag,
-                    time_ns: 12.5,
-                };
-                cache.insert(scope, config, metrics);
+                evaluator.evaluate(&config).unwrap();
             }
         }
         let path = temp_path("saved_cache");
