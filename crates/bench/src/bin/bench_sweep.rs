@@ -28,8 +28,8 @@
 //! and the recovered-front fraction — the hypervolume-vs-evals trajectory
 //! of the multi-objective scheduler.
 
-use ax_bench::append_bench_record;
-use ax_dse::campaign::{BudgetPolicy, Campaign, SeedRange};
+use ax_bench::{append_bench_record, run_or_exit};
+use ax_dse::campaign::{BenchmarkSpec, BudgetPolicy, CampaignReport, ExperimentSpec, SeedRange};
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
 
@@ -91,8 +91,7 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(1);
         });
-        let lib = ax_operators::OperatorLibrary::evoapprox();
-        append_policy_record(&cfg.out, policy_text, policy, &lib, cfg.steps, cfg.seeds);
+        append_policy_record(&cfg.out, policy_text, policy, cfg.steps, cfg.seeds);
     }
     if cfg.pareto {
         append_pareto_record(&cfg.out, cfg.steps, cfg.seeds);
@@ -107,61 +106,43 @@ fn main() {
 /// against the exhaustive run's resolved reference point, so they are
 /// directly comparable).
 fn append_pareto_record(out: &str, steps: u64, seeds: u64) {
-    use ax_dse::campaign::{Objective, ObjectiveDecl, Ranking};
+    use ax_dse::campaign::{LibrarySpec, Objective, ObjectiveDecl, Ranking};
     use ax_dse::pareto::hypervolume;
 
     // The widened library: two extra variants per operator family keep
-    // the MatMul×FIR fronts from degenerating to two points.
-    let lib = ax_operators::OperatorLibrary::evoapprox_extended();
-    let (matmul, fir) = (
-        ax_workloads::matmul::MatMul::new(10),
-        ax_workloads::fir::Fir::new(100),
-    );
-    // Four agent kinds per benchmark: enough cell diversity for a
-    // non-degenerate (>2-point) front over the widened library.
-    let agents = [
-        AgentKind::QLearning,
-        AgentKind::Sarsa,
-        AgentKind::ExpectedSarsa,
-        AgentKind::DoubleQ,
-    ];
-    let opts = ExploreOptions {
-        max_steps: steps,
-        ..Default::default()
-    };
-    let objectives = vec![
-        ObjectiveDecl::new(Objective::QorError),
-        ObjectiveDecl::new(Objective::OpCost),
-    ];
-    let campaign = |budget: Option<u64>, policy: Option<BudgetPolicy>, ranking: Ranking| {
-        let mut c = Campaign::new("bench-pareto", &lib)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, seeds.min(2)))
-            .options(opts)
-            .objectives(objectives.clone())
-            .ranking(ranking)
-            .sequential(true);
-        if let Some(b) = budget {
-            c = c.budget(b);
-        }
-        if let Some(p) = policy {
-            c = c.policy(p);
-        }
-        c.run().expect("pareto campaign must run")
-    };
+    // the MatMul×FIR fronts from degenerating to two points. Four agent
+    // kinds per benchmark: enough cell diversity for a non-degenerate
+    // (>2-point) front over the widened library.
+    let grid = ExperimentSpec::new("bench-pareto")
+        .benchmark(BenchmarkSpec::MatMul(10))
+        .benchmark(BenchmarkSpec::Fir(100))
+        .library(LibrarySpec::EvoApproxExtended)
+        .agent(AgentKind::QLearning)
+        .agent(AgentKind::Sarsa)
+        .agent(AgentKind::ExpectedSarsa)
+        .agent(AgentKind::DoubleQ)
+        .seeds(SeedRange::new(0, seeds.min(2)))
+        .explore(ExploreOptions {
+            max_steps: steps,
+            ..Default::default()
+        })
+        .objectives(vec![
+            ObjectiveDecl::new(Objective::QorError),
+            ObjectiveDecl::new(Objective::OpCost),
+        ])
+        .parallelism(1);
 
-    let exhaustive = campaign(None, None, Ranking::Scalarised);
+    let exhaustive = run_or_exit(&grid);
     let exhaustive_evals = exhaustive.budget.spent;
     let budget = (exhaustive_evals * 70 / 100).max(1);
-    let policed = campaign(
-        Some(budget),
-        Some(BudgetPolicy::SuccessiveHalving {
-            rounds: 2,
-            keep_fraction: 0.5,
-        }),
-        Ranking::Pareto,
+    let policed = run_or_exit(
+        &grid
+            .budget(budget)
+            .policy(BudgetPolicy::SuccessiveHalving {
+                rounds: 2,
+                keep_fraction: 0.5,
+            })
+            .ranking(Ranking::Pareto),
     );
     let pareto_evals = policed.budget.charged();
 
@@ -179,7 +160,7 @@ fn append_pareto_record(out: &str, steps: u64, seeds: u64) {
                 .any(|q| q.cell == p.cell && q.values == p.values)
         })
         .count();
-    let front_points = |report: &ax_dse::campaign::CampaignReport| -> Vec<Vec<f64>> {
+    let front_points = |report: &CampaignReport| -> Vec<Vec<f64>> {
         report
             .pareto
             .front
@@ -251,36 +232,21 @@ fn append_policy_record(
     out: &str,
     policy_text: &str,
     policy: BudgetPolicy,
-    lib: &ax_operators::OperatorLibrary,
     steps: u64,
     seeds: u64,
 ) {
-    let (matmul, fir) = (
-        ax_workloads::matmul::MatMul::new(10),
-        ax_workloads::fir::Fir::new(100),
-    );
-    let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-    let opts = ExploreOptions {
-        max_steps: steps,
-        ..Default::default()
-    };
-    let campaign = |budget: Option<u64>, policy: Option<BudgetPolicy>| {
-        let mut c = Campaign::new("bench-policy", lib)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, seeds.min(2)))
-            .options(opts)
-            .sequential(true);
-        if let Some(b) = budget {
-            c = c.budget(b);
-        }
-        if let Some(p) = policy {
-            c = c.policy(p);
-        }
-        c.run().expect("policy campaign must run")
-    };
-    let best_of = |report: &ax_dse::campaign::CampaignReport| {
+    let grid = ExperimentSpec::new("bench-policy")
+        .benchmark(BenchmarkSpec::MatMul(10))
+        .benchmark(BenchmarkSpec::Fir(100))
+        .agent(AgentKind::QLearning)
+        .agent(AgentKind::Sarsa)
+        .seeds(SeedRange::new(0, seeds.min(2)))
+        .explore(ExploreOptions {
+            max_steps: steps,
+            ..Default::default()
+        })
+        .parallelism(1);
+    let best_of = |report: &CampaignReport| {
         report
             .cells
             .iter()
@@ -288,10 +254,11 @@ fn append_policy_record(
             .fold(f64::NEG_INFINITY, f64::max)
     };
 
-    let exhaustive = campaign(None, None);
+    let exhaustive = run_or_exit(&grid);
     let exhaustive_evals = exhaustive.budget.spent;
     let budget = (exhaustive_evals * 55 / 100).max(1);
-    let policed = campaign(Some(budget), Some(policy.clone()));
+    let budgeted = |policy: BudgetPolicy| run_or_exit(&grid.clone().budget(budget).policy(policy));
+    let policed = budgeted(policy.clone());
     let policy_evals = policed.budget.charged();
 
     // An async policy is only worth recording against its synchronous
@@ -300,13 +267,10 @@ fn append_policy_record(
         BudgetPolicy::AsyncHalving {
             rungs,
             keep_fraction,
-        } => Some(campaign(
-            Some(budget),
-            Some(BudgetPolicy::SuccessiveHalving {
-                rounds: *rungs,
-                keep_fraction: *keep_fraction,
-            }),
-        )),
+        } => Some(budgeted(BudgetPolicy::SuccessiveHalving {
+            rounds: *rungs,
+            keep_fraction: *keep_fraction,
+        })),
         _ => None,
     };
 

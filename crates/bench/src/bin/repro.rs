@@ -46,20 +46,17 @@
 //!   all                   everything above
 //! ```
 
-use ax_bench::{ablations, figures, tables, OutputDir};
+use ax_bench::{ablations, figures, run_or_exit, tables, OutputDir};
 use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
-    run_spec_traced, BudgetPolicy, Campaign, CampaignReport, Event, EventKind, ExperimentSpec,
-    JsonlSink, Observer, SeedRange, Telemetry,
+    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, Event, EventKind, ExperimentSpec,
+    JsonlSink, Observer, RunSpecOptions, SeedRange, Telemetry,
 };
 use ax_dse::explore::AgentKind;
 use ax_dse::explore::ExploreOptions;
 use ax_dse::report::ascii_table;
-use ax_operators::OperatorLibrary;
-use ax_workloads::fir::Fir;
 use ax_workloads::matmul::MatMul;
 use ax_workloads::sobel::Sobel;
-use ax_workloads::Workload;
 use std::process::ExitCode;
 
 struct Args {
@@ -441,22 +438,13 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         Some(p) => match SharedCache::load(p) {
             Ok(cache) => {
                 eprintln!("loaded {} cached designs from {p}", cache.len());
-                let skipped = cache.skipped_scopes();
-                if skipped > 0 {
-                    eprintln!(
-                        "skipped {skipped} cache scope(s) without a fingerprint in {p} \
-                         (saved before scopes were keyed by program and library)"
-                    );
-                }
+                warn_skipped_scopes(cache.skipped_scopes(), p);
                 Some(cache)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Some(SharedCache::new()),
             Err(e) => return Err(format!("cannot load cache {p}: {e}")),
         },
     };
-    // Build the operator library the spec names (defaults to the
-    // six-per-class EvoApprox selection; `evoapprox-extended` widens it).
-    let lib = spec.library.build();
     // --trace/--metrics turn telemetry on; otherwise the campaign runs
     // with the zero-overhead disabled handle.
     let telemetry = if args.trace.is_some() || args.metrics.is_some() {
@@ -470,8 +458,13 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
     } else {
         Telemetry::disabled()
     };
-    let report = run_spec_traced(&lib, &spec, cache.clone(), &PrintObserver, &telemetry)
-        .map_err(|e| format!("campaign failed: {e}"))?;
+    let opts = RunSpecOptions {
+        cache: cache.clone(),
+        observer: Some(&PrintObserver),
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    let report = run_spec(&spec, opts).map_err(|e| format!("campaign failed: {e}"))?;
     print_campaign_report(&report, &args.out);
     telemetry.flush();
     if let Some(path) = &args.trace {
@@ -521,6 +514,47 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         eprintln!("saved {} cached designs to {path}", cache.len());
     }
     Ok(())
+}
+
+/// Says how many scopes of the cache file at `path` were skipped for want
+/// of a fingerprint, if any.
+fn warn_skipped_scopes(skipped: u64, path: &str) {
+    if skipped > 0 {
+        eprintln!(
+            "skipped {skipped} cache scope(s) without a fingerprint in {path} \
+             (saved before scopes were keyed by program and library)"
+        );
+    }
+}
+
+/// The `serve` subcommand: bind, report what the cache file held, and
+/// serve until `POST /shutdown`.
+///
+/// # Errors
+///
+/// An address that cannot be bound, a cache file that cannot be loaded,
+/// and an accept loop or final cache save that fails.
+fn serve(args: &Args) -> Result<(), String> {
+    let config = ax_serve::ServeConfig {
+        addr: args.addr.clone(),
+        workers: args.workers,
+        cache_path: args.cache.clone(),
+        server_budget: args.server_budget,
+        max_job_budget: args.max_job_budget,
+        cache_max_scopes: args.cache_scopes,
+        smoke: args.smoke,
+        ..Default::default()
+    };
+    let server = ax_serve::Server::bind(config).map_err(|e| e.to_string())?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    if let Some(path) = &args.cache {
+        warn_skipped_scopes(server.skipped_cache_scopes(), path);
+    }
+    // Both streams: stderr for humans, stdout for scripts that parse the
+    // ephemeral port.
+    eprintln!("serving campaigns on http://{addr} (POST /shutdown to stop)");
+    println!("listening http://{addr}");
+    server.run().map_err(|e| format!("serve failed: {e}"))
 }
 
 fn explore_opts(steps: u64, seed: u64, reward: f64) -> ExploreOptions {
@@ -604,39 +638,20 @@ fn main() -> ExitCode {
                 }
             }
             "serve" => {
-                let config = ax_serve::ServeConfig {
-                    addr: args.addr.clone(),
-                    workers: args.workers,
-                    cache_path: args.cache.clone(),
-                    server_budget: args.server_budget,
-                    max_job_budget: args.max_job_budget,
-                    cache_max_scopes: args.cache_scopes,
-                    smoke: args.smoke,
-                    ..Default::default()
-                };
-                let server =
-                    ax_serve::Server::bind(config).unwrap_or_else(|e| panic!("cannot bind: {e}"));
-                let addr = server.local_addr().expect("bound listener has an address");
-                // Both streams: stderr for humans, stdout for scripts that
-                // parse the ephemeral port.
-                eprintln!("serving campaigns on http://{addr} (POST /shutdown to stop)");
-                println!("listening http://{addr}");
-                server.run().unwrap_or_else(|e| panic!("serve failed: {e}"));
+                if let Err(e) = serve(&args) {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
             }
             "sweep" => {
-                let lib = OperatorLibrary::evoapprox();
                 let mut rows = Vec::new();
-                let benches: Vec<Box<dyn Workload>> =
-                    vec![Box::new(MatMul::new(10)), Box::new(Fir::new(100))];
-                for wl in &benches {
-                    let sweep_opts = explore_opts(args.steps.min(3_000), 0, args.reward);
-                    let report = Campaign::new("sweep", &lib)
-                        .benchmark(wl.as_ref())
+                for bench in [BenchmarkSpec::MatMul(10), BenchmarkSpec::Fir(100)] {
+                    let spec = ExperimentSpec::new("sweep")
+                        .benchmark(bench)
                         .agent(AgentKind::QLearning)
                         .seeds(SeedRange::new(0, 10))
-                        .options(sweep_opts)
-                        .run()
-                        .expect("sweep must run");
+                        .explore(explore_opts(args.steps.min(3_000), 0, args.reward));
+                    let report = run_or_exit(&spec);
                     let s = report.cells.into_iter().next().expect("one cell").summary;
                     rows.push(vec![
                         s.benchmark.clone(),
@@ -676,26 +691,18 @@ fn main() -> ExitCode {
                 );
             }
             "portfolio" => {
-                let lib = OperatorLibrary::evoapprox();
-                let kinds = [
-                    AgentKind::QLearning,
-                    AgentKind::Sarsa,
-                    AgentKind::ExpectedSarsa,
-                    AgentKind::DoubleQ,
-                    AgentKind::QLambda { lambda: 0.7 },
-                ];
                 let mut rows = Vec::new();
-                let benches: Vec<Box<dyn Workload>> =
-                    vec![Box::new(MatMul::new(10)), Box::new(Fir::new(100))];
-                for wl in &benches {
-                    let race_opts = explore_opts(args.steps.min(3_000), args.seed, args.reward);
-                    let report = Campaign::new("portfolio", &lib)
-                        .benchmark(wl.as_ref())
-                        .agents(&kinds)
-                        .seeds(SeedRange::single(race_opts.seed))
-                        .options(race_opts)
-                        .run()
-                        .expect("portfolio must run");
+                for bench in [BenchmarkSpec::MatMul(10), BenchmarkSpec::Fir(100)] {
+                    let spec = ExperimentSpec::new("portfolio")
+                        .benchmark(bench)
+                        .agent(AgentKind::QLearning)
+                        .agent(AgentKind::Sarsa)
+                        .agent(AgentKind::ExpectedSarsa)
+                        .agent(AgentKind::DoubleQ)
+                        .agent(AgentKind::QLambda { lambda: 0.7 })
+                        .seeds(SeedRange::single(args.seed))
+                        .explore(explore_opts(args.steps.min(3_000), args.seed, args.reward));
+                    let report = run_or_exit(&spec);
                     let p = report.portfolios.into_iter().next().expect("one benchmark");
                     for (i, e) in p.entries.iter().enumerate() {
                         rows.push(vec![

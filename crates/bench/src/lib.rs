@@ -14,6 +14,7 @@ pub mod figures;
 pub mod tables;
 
 use ax_dse::backend::EvalContext;
+use ax_dse::campaign::{run_spec, CampaignReport, ExperimentSpec, RunSpecOptions};
 use ax_dse::explore::{AgentKind, ExplorationOutcome, ExploreOptions};
 use ax_operators::OperatorLibrary;
 use ax_workloads::Workload;
@@ -32,6 +33,16 @@ pub(crate) fn explore_one(
     let ctx = EvalContext::new(workload, Arc::new(lib.clone()), opts.input_seed)
         .expect("benchmark must prepare");
     ax_dse::campaign::explore(&ctx, opts, kind)
+}
+
+/// Runs `spec` with nothing attached, or exits the process with status 1
+/// and `error: …` on stderr when it cannot run — a spec that does not
+/// validate (e.g. `--steps 0`) or a benchmark that cannot be prepared.
+pub fn run_or_exit(spec: &ExperimentSpec) -> CampaignReport {
+    run_spec(spec, RunSpecOptions::default()).unwrap_or_else(|e| {
+        eprintln!("error: {} campaign failed: {e}", spec.name);
+        std::process::exit(1)
+    })
 }
 
 /// Appends one benchmark record to a `BENCH_*.json` perf-trajectory file.

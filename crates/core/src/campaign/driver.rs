@@ -3,7 +3,8 @@
 use crate::backend::{EvalBackend, EvalContext, Evaluator, SharedCache};
 use crate::campaign::budget::{CellLedger, EvalBudget, MeteredBackend, RungLedger};
 use crate::campaign::control::CampaignControl;
-use crate::campaign::spec::{BudgetPolicy, ExperimentSpec, SeedRange};
+use crate::campaign::run::{RunSpecError, RunSpecOptions};
+use crate::campaign::spec::{BackendSpec, BudgetPolicy, ExperimentSpec};
 use crate::explore::{
     explore_backend, AgentKind, ExplorationOutcome, ExploreOptions, ResumableExploration,
 };
@@ -330,21 +331,16 @@ impl CampaignReport {
     /// --report-json FILE` writes exactly this document.
     ///
     /// ```
-    /// use ax_dse::campaign::{Campaign, SeedRange};
+    /// use ax_dse::campaign::{run_spec, BenchmarkSpec, ExperimentSpec, SeedRange};
     /// use ax_dse::explore::{AgentKind, ExploreOptions};
-    /// use ax_operators::OperatorLibrary;
-    /// use ax_workloads::dot::DotProduct;
     ///
-    /// let lib = OperatorLibrary::evoapprox();
-    /// let wl = DotProduct::new(8);
-    /// let report = Campaign::new("machine-readable", &lib)
-    ///     .benchmark(&wl)
+    /// let spec = ExperimentSpec::new("machine-readable")
+    ///     .benchmark(BenchmarkSpec::Dot(8))
     ///     .agent(AgentKind::QLearning)
     ///     .seeds(SeedRange::new(0, 2))
-    ///     .options(ExploreOptions { max_steps: 100, ..Default::default() })
-    ///     .budget(400)
-    ///     .run()
-    ///     .unwrap();
+    ///     .explore(ExploreOptions { max_steps: 100, ..Default::default() })
+    ///     .budget(400);
+    /// let report = run_spec(&spec, Default::default()).unwrap();
     /// let doc = report.to_json();
     /// assert_eq!(doc.get("name").unwrap().as_str().unwrap(), "machine-readable");
     /// assert_eq!(doc.get("cells").unwrap().as_arr().unwrap().len(), 1);
@@ -600,7 +596,7 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
     explore_backend(ctx.evaluator(), ctx.library(), ctx.benchmark(), opts, kind)
 }
 
-/// A declaratively configured experiment over one polymorphic driver.
+/// The driver of one [`ExperimentSpec`].
 ///
 /// A campaign is a grid — benchmarks × agent roster × seed range —
 /// executed concurrently over per-benchmark shared-cache contexts, with an
@@ -608,90 +604,47 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 /// rayon workers, any [`BackendProvider`] supplying the evaluation
 /// backends, and [`Observer`] hooks for progress streaming. It is the one
 /// entry point for sweeps and races: a 1-benchmark × 1-agent × N-seed
-/// campaign is a seed sweep, a 1 × M × 1 campaign is a portfolio race,
-/// and the multi-benchmark × multi-agent × budgeted case is the grid
-/// neither of those can express.
+/// spec is a seed sweep, a 1 × M × 1 spec is a portfolio race, and the
+/// multi-benchmark × multi-agent × budgeted case is the grid neither of
+/// those can express.
+///
+/// The spec is the whole configuration; a `Campaign` adds only what a run
+/// attaches (cache, observer, telemetry, control, stacked budgets).
+/// [`run_spec`](crate::campaign::run_spec) builds the spec's library and
+/// benchmarks itself; `from_spec` serves callers that already hold them.
 ///
 /// ```
-/// use ax_dse::campaign::Campaign;
+/// use ax_dse::campaign::{BenchmarkSpec, Campaign, ExperimentSpec, SeedRange};
 /// use ax_dse::explore::{AgentKind, ExploreOptions};
-/// use ax_dse::campaign::SeedRange;
-/// use ax_operators::OperatorLibrary;
-/// use ax_workloads::dot::DotProduct;
 ///
-/// let lib = OperatorLibrary::evoapprox();
-/// let wl = DotProduct::new(8);
-/// let report = Campaign::new("quick", &lib)
-///     .benchmark(&wl)
+/// let spec = ExperimentSpec::new("quick")
+///     .benchmark(BenchmarkSpec::Dot(8))
 ///     .agent(AgentKind::QLearning)
 ///     .seeds(SeedRange::new(0, 2))
-///     .options(ExploreOptions { max_steps: 120, ..Default::default() })
-///     .run()
-///     .unwrap();
+///     .explore(ExploreOptions { max_steps: 120, ..Default::default() });
+/// let (lib, workloads) = (spec.library.build(), spec.build_workloads());
+/// let report = Campaign::from_spec(&lib, &spec, &workloads).run().unwrap();
 /// assert_eq!(report.cells.len(), 1);
 /// assert_eq!(report.cells[0].summary.seeds, 2);
 /// ```
 pub struct Campaign<'a> {
-    name: String,
-    lib: &'a OperatorLibrary,
-    benchmarks: Vec<&'a dyn Workload>,
-    agents: Vec<AgentKind>,
-    seeds: SeedRange,
-    /// Explicit benchmark input seeds — a grid axis like benchmarks and
-    /// agents. Empty means the single implicit seed from
-    /// `opts.input_seed` (the pre-multi-seed behaviour, byte-identical).
-    input_seeds: Vec<u64>,
-    opts: ExploreOptions,
-    budget: Option<u64>,
-    policy: BudgetPolicy,
-    objectives: Vec<ObjectiveDecl>,
-    ranking: Ranking,
-    sequential: bool,
-    cache: Option<Arc<SharedCache>>,
-    observer: &'a dyn Observer,
-    telemetry: Telemetry,
-    /// The backend a spec asked for, when built via [`Campaign::from_spec`]
-    /// — [`Campaign::run`] picks the matching exact engine.
-    spec_backend: Option<crate::campaign::spec::BackendSpec>,
-    control: Option<CampaignControl>,
-    extra_budgets: Vec<Arc<EvalBudget>>,
+    pub(super) lib: &'a OperatorLibrary,
+    pub(super) spec: &'a ExperimentSpec,
+    /// The spec's benchmarks, built in its order.
+    pub(super) workloads: &'a [Box<dyn Workload>],
+    pub(super) opts: RunSpecOptions<'a>,
 }
 
 impl<'a> Campaign<'a> {
-    /// An empty campaign over `lib`; add benchmarks and agents before
-    /// running.
-    pub fn new(name: impl Into<String>, lib: &'a OperatorLibrary) -> Self {
-        Self {
-            name: name.into(),
-            lib,
-            benchmarks: Vec::new(),
-            agents: Vec::new(),
-            seeds: SeedRange::default(),
-            input_seeds: Vec::new(),
-            opts: ExploreOptions::default(),
-            budget: None,
-            policy: BudgetPolicy::Uniform,
-            objectives: ObjectiveDecl::default_set(),
-            ranking: Ranking::Scalarised,
-            sequential: false,
-            cache: None,
-            observer: &NullObserver,
-            telemetry: Telemetry::disabled(),
-            spec_backend: None,
-            control: None,
-            extra_budgets: Vec::new(),
-        }
-    }
-
-    /// A campaign configured from a validated [`ExperimentSpec`] and the
-    /// workloads built from it ([`ExperimentSpec::build_workloads`]).
+    /// A campaign running `spec` over `lib` and the workloads built from
+    /// it ([`ExperimentSpec::build_workloads`]), with nothing attached.
     ///
     /// # Panics
     ///
     /// Panics if `workloads` does not match the spec's benchmark list.
     pub fn from_spec(
         lib: &'a OperatorLibrary,
-        spec: &ExperimentSpec,
+        spec: &'a ExperimentSpec,
         workloads: &'a [Box<dyn Workload>],
     ) -> Self {
         assert_eq!(
@@ -699,109 +652,12 @@ impl<'a> Campaign<'a> {
             spec.benchmarks.len(),
             "workloads must be built from the spec's benchmark list"
         );
-        let mut campaign = Self::new(spec.name.clone(), lib)
-            .agents(&spec.agents)
-            .seeds(spec.seeds);
-        campaign.spec_backend = Some(spec.backend);
-        campaign = campaign
-            .options(spec.explore)
-            .policy(spec.policy.clone())
-            .objectives(spec.objectives.clone())
-            .ranking(spec.ranking)
-            .sequential(spec.parallelism == Some(1));
-        campaign.input_seeds = spec.input_seeds.clone();
-        campaign.budget = spec.budget;
-        for wl in workloads {
-            campaign = campaign.benchmark(wl.as_ref());
+        Self {
+            lib,
+            spec,
+            workloads,
+            opts: RunSpecOptions::default(),
         }
-        campaign
-    }
-
-    /// Adds a benchmark.
-    #[must_use]
-    pub fn benchmark(mut self, workload: &'a dyn Workload) -> Self {
-        self.benchmarks.push(workload);
-        self
-    }
-
-    /// Adds an agent to the roster.
-    #[must_use]
-    pub fn agent(mut self, kind: AgentKind) -> Self {
-        self.agents.push(kind);
-        self
-    }
-
-    /// Adds several agents.
-    #[must_use]
-    pub fn agents(mut self, kinds: &[AgentKind]) -> Self {
-        self.agents.extend_from_slice(kinds);
-        self
-    }
-
-    /// Sets the seed range (default: the single seed 0).
-    #[must_use]
-    pub fn seeds(mut self, seeds: SeedRange) -> Self {
-        self.seeds = seeds;
-        self
-    }
-
-    /// Adds an explicit benchmark input seed — a grid axis like
-    /// benchmarks and agents, so each added seed multiplies the cell
-    /// count. With no explicit seed the campaign uses the single
-    /// implicit `opts.input_seed` (byte-identical to pre-axis
-    /// campaigns) and reports omit the `input_seed` labels.
-    #[must_use]
-    pub fn input_seed(mut self, input_seed: u64) -> Self {
-        self.input_seeds.push(input_seed);
-        self
-    }
-
-    /// Sets the objective vector survival rankings and reports use
-    /// (default: QoR error, op cost, evaluation count).
-    #[must_use]
-    pub fn objectives(mut self, objectives: Vec<ObjectiveDecl>) -> Self {
-        self.objectives = objectives;
-        self
-    }
-
-    /// Sets how schedulers order cells for survival (default:
-    /// [`Ranking::Scalarised`] — byte-identical to pre-multi-objective
-    /// campaigns; [`Ranking::Pareto`] switches halving/ASHA/Hyperband
-    /// eliminations to non-dominated sorting with crowding tie-breaks).
-    #[must_use]
-    pub fn ranking(mut self, ranking: Ranking) -> Self {
-        self.ranking = ranking;
-        self
-    }
-
-    /// Sets the base exploration options (`seed` is overridden per run).
-    #[must_use]
-    pub fn options(mut self, opts: ExploreOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Caps the campaign at `budget` distinct design evaluations across
-    /// **all** runs (see [`EvalBudget`] for the cooperative contract).
-    #[must_use]
-    pub fn budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Sets how the budget is divided across (benchmark, agent) cells
-    /// (default: [`BudgetPolicy::Uniform`] even shares).
-    #[must_use]
-    pub fn policy(mut self, policy: BudgetPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Forces sequential execution (run after run, no rayon fan-out).
-    #[must_use]
-    pub fn sequential(mut self, sequential: bool) -> Self {
-        self.sequential = sequential;
-        self
     }
 
     /// Shares (and fills) the given design cache instead of a fresh one —
@@ -809,14 +665,14 @@ impl<'a> Campaign<'a> {
     /// same spec skip re-evaluation across processes.
     #[must_use]
     pub fn shared_cache(mut self, cache: Arc<SharedCache>) -> Self {
-        self.cache = Some(cache);
+        self.opts.cache = Some(cache);
         self
     }
 
     /// Streams progress through `observer`.
     #[must_use]
     pub fn observe(mut self, observer: &'a dyn Observer) -> Self {
-        self.observer = observer;
+        self.opts.observer = Some(observer);
         self
     }
 
@@ -827,7 +683,7 @@ impl<'a> Campaign<'a> {
     /// campaign without telemetry.
     #[must_use]
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
+        self.opts.telemetry = telemetry.clone();
         self
     }
 
@@ -838,7 +694,7 @@ impl<'a> Campaign<'a> {
     /// resumed. The default is an always-running handle.
     #[must_use]
     pub fn control(mut self, control: &CampaignControl) -> Self {
-        self.control = Some(control.clone());
+        self.opts.control = Some(control.clone());
         self
     }
 
@@ -849,15 +705,20 @@ impl<'a> Campaign<'a> {
     /// extra budget pauses runs exactly like global-budget exhaustion.
     #[must_use]
     pub fn extra_budget(mut self, budget: Arc<EvalBudget>) -> Self {
-        self.extra_budgets.push(budget);
+        self.opts.extra_budgets.push(budget);
         self
+    }
+
+    /// The attached observer, or the do-nothing one.
+    fn observer(&self) -> &'a dyn Observer {
+        self.opts.observer.unwrap_or(&NullObserver)
     }
 
     /// `true` once the campaign should stop scheduling further work: its
     /// control was cancelled, or a stacked extra budget ran dry.
     fn interrupted(&self) -> bool {
-        self.control.as_ref().is_some_and(|c| c.is_cancelled())
-            || self.extra_budgets.iter().any(|b| b.exhausted())
+        self.opts.control.as_ref().is_some_and(|c| c.is_cancelled())
+            || self.opts.extra_budgets.iter().any(|b| b.exhausted())
     }
 
     /// Emits a typed event to the telemetry handle and the observer.
@@ -865,35 +726,37 @@ impl<'a> Campaign<'a> {
     /// never constructs the event — the NullObserver path stays
     /// byte-identical to a campaign without telemetry.
     fn emit(&self, source: u32, kind: impl FnOnce() -> EventKind) {
-        if self.telemetry.enabled() || self.observer.wants_events() {
-            let event = self.telemetry.emit(source, kind());
-            self.observer.on_event(&event);
+        let telemetry = &self.opts.telemetry;
+        if telemetry.enabled() || self.observer().wants_events() {
+            let event = telemetry.emit(source, kind());
+            self.observer().on_event(&event);
         }
     }
 
-    /// Runs the campaign with exact evaluation.
-    ///
-    /// `"exact"` specs (and spec-less campaigns) use the threaded-code
-    /// compiled engine; `"exact-interpreted"` specs run the interpreter
-    /// reference path — same results bit for bit.
+    /// Validates the spec, then runs it with exact evaluation on the
+    /// engine its backend names: `"exact"` uses the threaded-code
+    /// compiled engine, `"exact-interpreted"` the interpreter reference
+    /// path — same results bit for bit.
     ///
     /// # Errors
     ///
-    /// Fails if a benchmark cannot be prepared.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty benchmark list, empty agent roster or empty
-    /// seed range.
-    pub fn run(&self) -> Result<CampaignReport, VmError> {
-        use crate::campaign::spec::BackendSpec;
-        match self.spec_backend {
-            None | Some(BackendSpec::Exact) => self.run_with(&ExactProvider),
-            Some(BackendSpec::ExactInterpreted) => self.run_with(&InterpretedProvider),
+    /// Fails on a spec [`ExperimentSpec::validate`] rejects, or a
+    /// benchmark that cannot be prepared.
+    pub fn run(&self) -> Result<CampaignReport, RunSpecError> {
+        self.spec.validate()?;
+        Ok(self.run_valid()?)
+    }
+
+    /// [`Campaign::run`] on a spec already validated.
+    pub(super) fn run_valid(&self) -> Result<CampaignReport, VmError> {
+        match self.spec.backend {
+            BackendSpec::Exact => self.execute(&ExactProvider),
+            BackendSpec::ExactInterpreted => self.execute(&InterpretedProvider),
         }
     }
 
-    /// Runs the campaign through an arbitrary [`BackendProvider`].
+    /// Validates the spec, then runs it through an arbitrary
+    /// [`BackendProvider`].
     ///
     /// The global [`EvalBudget`] is split into per-cell sub-budgets (a
     /// [`CellLedger`]); every run charges its cell's budget *and* the
@@ -905,50 +768,38 @@ impl<'a> Campaign<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if a benchmark cannot be prepared.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty benchmark list, empty agent roster, empty seed
-    /// range or a budget policy that does not fit the grid (see
-    /// [`BudgetPolicy::check`]).
-    pub fn run_with<P: BackendProvider>(&self, provider: &P) -> Result<CampaignReport, VmError> {
-        assert!(
-            !self.benchmarks.is_empty(),
-            "campaign needs at least one benchmark"
-        );
-        assert!(
-            !self.agents.is_empty(),
-            "portfolio needs at least one agent"
-        );
-        assert!(self.seeds.count > 0, "need at least one seed");
-        assert!(
-            !self.objectives.is_empty(),
-            "campaign needs at least one objective"
-        );
+    /// Fails on a spec [`ExperimentSpec::validate`] rejects (an empty
+    /// grid, or a budget policy that does not fit it), or a benchmark that
+    /// cannot be prepared.
+    pub fn run_with<P: BackendProvider>(
+        &self,
+        provider: &P,
+    ) -> Result<CampaignReport, RunSpecError> {
+        self.spec.validate()?;
+        Ok(self.execute(provider)?)
+    }
+
+    /// Runs the validated spec through `provider`.
+    fn execute<P: BackendProvider>(&self, provider: &P) -> Result<CampaignReport, VmError> {
         // The input-seed axis: explicit seeds multiply the grid; the
         // empty default collapses to the single implicit seed, keeping
         // every pre-axis campaign byte-identical.
-        let input_seeds: Vec<u64> = if self.input_seeds.is_empty() {
-            vec![self.opts.input_seed]
+        let input_seeds: Vec<u64> = if self.spec.input_seeds.is_empty() {
+            vec![self.spec.explore.input_seed]
         } else {
-            self.input_seeds.clone()
+            self.spec.input_seeds.clone()
         };
-        let explicit_seeds = !self.input_seeds.is_empty();
-        let n_cells = self.benchmarks.len() * input_seeds.len() * self.agents.len();
-        self.policy
-            .check(n_cells, self.budget)
-            .unwrap_or_else(|e| panic!("{e}"));
-
-        let total_runs = n_cells as u64 * self.seeds.count;
+        let explicit_seeds = !self.spec.input_seeds.is_empty();
+        let n_cells = self.spec.n_cells();
+        let total_runs = n_cells as u64 * self.spec.seeds.count;
         self.emit(SOURCE_COORDINATOR, || EventKind::CampaignStart {
-            name: self.name.clone(),
+            name: self.spec.name.clone(),
             total_runs,
         });
 
-        let global = EvalBudget::new(self.budget);
+        let global = EvalBudget::new(self.spec.budget);
         let lib = Arc::new(self.lib.clone());
-        let cache = self.cache.clone().unwrap_or_default();
+        let cache = self.opts.cache.clone().unwrap_or_default();
 
         // One context per (benchmark, input seed) pair, benchmark-major —
         // with the implicit single-seed default this is exactly the old
@@ -956,19 +807,19 @@ impl<'a> Campaign<'a> {
         // compiled skeleton are built once, by its first context; the
         // contexts of its other input seeds derive from that one.
         let mut contexts: Vec<EvalContext> =
-            Vec::with_capacity(self.benchmarks.len() * input_seeds.len());
-        for workload in &self.benchmarks {
+            Vec::with_capacity(self.workloads.len() * input_seeds.len());
+        for workload in self.workloads {
             let first = contexts.len();
             for &iseed in &input_seeds {
                 let ctx = match contexts.get(first) {
-                    Some(base) => base.for_input_seed(*workload, iseed)?,
+                    Some(base) => base.for_input_seed(workload.as_ref(), iseed)?,
                     None => EvalContext::with_cache(
-                        *workload,
+                        workload.as_ref(),
                         Arc::clone(&lib),
                         iseed,
                         Arc::clone(&cache),
                     )?
-                    .with_telemetry(&self.telemetry),
+                    .with_telemetry(&self.opts.telemetry),
                 };
                 self.emit(SOURCE_COORDINATOR, || EventKind::BenchmarkReady {
                     benchmark: ctx.benchmark().to_owned(),
@@ -986,16 +837,16 @@ impl<'a> Campaign<'a> {
         // schedulers and the report read.
         let mut slots: Vec<RunSlot<P::Backend>> = Vec::with_capacity(total_runs as usize);
         for (b, ctx) in contexts.iter().enumerate() {
-            for (a, &kind) in self.agents.iter().enumerate() {
-                let cell = b * self.agents.len() + a;
-                for seed in self.seeds.iter() {
+            for (a, &kind) in self.spec.agents.iter().enumerate() {
+                let cell = b * self.spec.agents.len() + a;
+                for seed in self.spec.seeds.iter() {
                     let run_opts = ExploreOptions {
                         seed,
                         input_seed: ctx.input_seed(),
-                        ..self.opts
+                        ..self.spec.explore
                     };
                     let mut budgets = vec![Arc::clone(ledger.cell(cell)), Arc::clone(&global)];
-                    budgets.extend(self.extra_budgets.iter().cloned());
+                    budgets.extend(self.opts.extra_budgets.iter().cloned());
                     let backend = MeteredBackend::with_budgets(provider.spawn(ctx), budgets);
                     slots.push(RunSlot {
                         cell,
@@ -1027,15 +878,15 @@ impl<'a> Campaign<'a> {
 
         // Aggregate the grid back into cells and per-context (benchmark ×
         // input seed) portfolios.
-        let seeds_per_cell = self.seeds.count as usize;
-        let runs_per_ctx = self.agents.len() * seeds_per_cell;
+        let seeds_per_cell = self.spec.seeds.count as usize;
+        let runs_per_ctx = self.spec.agents.len() * seeds_per_cell;
         let mut cells = Vec::with_capacity(n_cells);
         let mut portfolios = Vec::with_capacity(contexts.len());
         let mut total_stopped = 0u64;
         for (b, ctx) in contexts.iter().enumerate() {
             let bench_outcomes = &outcomes[b * runs_per_ctx..(b + 1) * runs_per_ctx];
             let mut entries = Vec::with_capacity(runs_per_ctx);
-            for (a, &kind) in self.agents.iter().enumerate() {
+            for (a, &kind) in self.spec.agents.iter().enumerate() {
                 let cell = &bench_outcomes[a * seeds_per_cell..(a + 1) * seeds_per_cell];
                 let summary = summarize_outcomes(ctx.benchmark().to_owned(), cell);
                 let mut evaluations = 0;
@@ -1045,14 +896,14 @@ impl<'a> Campaign<'a> {
                     if outcome.stop_reason == StopReason::Stopped {
                         stopped += 1;
                     }
-                    if self.telemetry.enabled() {
+                    if self.opts.telemetry.enabled() {
                         for (name, value) in outcome.evaluator.telemetry_counters() {
-                            self.telemetry.counter_add(name, value);
+                            self.opts.telemetry.counter_add(name, value);
                         }
                     }
                 }
                 total_stopped += stopped;
-                for (outcome, seed) in cell.iter().zip(self.seeds.iter()) {
+                for (outcome, seed) in cell.iter().zip(self.spec.seeds.iter()) {
                     entries.push(portfolio_entry(kind, seed, outcome));
                 }
                 cells.push(CellReport {
@@ -1064,7 +915,7 @@ impl<'a> Campaign<'a> {
                     stopped_runs: stopped,
                     // The rung engine accumulated the lifetime best; no
                     // run advances after its last resume.
-                    best_score: cell_best[b * self.agents.len() + a].score,
+                    best_score: cell_best[b * self.spec.agents.len() + a].score,
                 });
             }
             let mut best = 0;
@@ -1094,29 +945,29 @@ impl<'a> Campaign<'a> {
         let front: Vec<ParetoPoint> = (0..n_cells)
             .filter(|&c| ranks[c] == 0)
             .map(|c| {
-                let ctx = &contexts[c / self.agents.len()];
+                let ctx = &contexts[c / self.spec.agents.len()];
                 ParetoPoint {
                     cell: c,
                     benchmark: ctx.benchmark().to_owned(),
                     input_seed: explicit_seeds.then(|| ctx.input_seed()),
-                    agent: self.agents[c % self.agents.len()],
+                    agent: self.spec.agents[c % self.spec.agents.len()],
                     values: points[c].clone(),
                     score: cell_best[c].score,
                 }
             })
             .collect();
-        let best_coords: Vec<f64> = (0..self.objectives.len())
+        let best_coords: Vec<f64> = (0..self.spec.objectives.len())
             .map(|m| points.iter().map(|p| p[m]).fold(f64::INFINITY, f64::min))
             .collect();
-        if self.ranking == Ranking::Pareto {
+        if self.spec.ranking == Ranking::Pareto {
             self.emit(SOURCE_COORDINATOR, || EventKind::ParetoFront {
                 front_size: front.len() as u64,
                 hypervolume,
             });
         }
         let pareto_summary = ParetoReport {
-            ranking: self.ranking,
-            objectives: self.objectives.clone(),
+            ranking: self.spec.ranking,
+            objectives: self.spec.objectives.clone(),
             reference,
             front,
             hypervolume,
@@ -1132,37 +983,47 @@ impl<'a> Campaign<'a> {
         // the summary. Everything here reads counters the layers below
         // already maintain — the hot paths were never instrumented with
         // per-evaluation telemetry calls.
-        let telemetry = self.telemetry.enabled().then(|| {
-            self.telemetry.counter_add("campaign.runs", total_runs);
-            self.telemetry.counter_add("campaign.cells", n_cells as u64);
-            self.telemetry.counter_add("cache.hits", cache.hits());
-            self.telemetry.counter_add("cache.misses", cache.misses());
-            self.telemetry
+        let telemetry = self.opts.telemetry.enabled().then(|| {
+            self.opts.telemetry.counter_add("campaign.runs", total_runs);
+            self.opts
+                .telemetry
+                .counter_add("campaign.cells", n_cells as u64);
+            self.opts.telemetry.counter_add("cache.hits", cache.hits());
+            self.opts
+                .telemetry
+                .counter_add("cache.misses", cache.misses());
+            self.opts
+                .telemetry
                 .counter_add("cache.evictions", cache.evictions());
-            self.telemetry
+            self.opts
+                .telemetry
                 .gauge_set("cache.entries", cache.len() as f64);
             if let Some(cap) = global.cap() {
-                self.telemetry.counter_add("budget.cap", cap);
+                self.opts.telemetry.counter_add("budget.cap", cap);
             }
-            self.telemetry
+            self.opts
+                .telemetry
                 .counter_add("budget.spent", global.spent_clamped());
-            self.telemetry
+            self.opts
+                .telemetry
                 .counter_add("budget.overshoot", global.overshoot());
-            self.telemetry
+            self.opts
+                .telemetry
                 .counter_add("budget.stopped_runs", total_stopped);
-            self.telemetry
+            self.opts
+                .telemetry
                 .counter_add("budget.cells_spent", ledger.cells_spent_total());
             let budget_invariant_ok = ledger.cells_spent_total() == global.spent()
                 && global.spent() == global.spent_clamped() + global.overshoot();
             TelemetrySummary {
-                events_emitted: self.telemetry.events_emitted(),
+                events_emitted: self.opts.telemetry.events_emitted(),
                 budget_invariant_ok,
-                metrics: self.telemetry.snapshot().unwrap_or_default(),
+                metrics: self.opts.telemetry.snapshot().unwrap_or_default(),
             }
         });
 
         Ok(CampaignReport {
-            name: self.name.clone(),
+            name: self.spec.name.clone(),
             cells,
             portfolios,
             budget: BudgetReport {
@@ -1181,7 +1042,8 @@ impl<'a> Campaign<'a> {
     /// minimised): per-design coordinates from the cell's best design,
     /// the evaluation count from the cell's budget ledger.
     fn objective_point(&self, best: &DesignObjectives, evals: u64) -> Vec<f64> {
-        self.objectives
+        self.spec
+            .objectives
             .iter()
             .map(|o| match o.kind {
                 Objective::QorError => best.qor_error,
@@ -1195,7 +1057,8 @@ impl<'a> Campaign<'a> {
     /// verbatim, the rest derived from the worst observed values (see
     /// [`pareto::resolve_reference`]).
     fn resolve_references(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        self.objectives
+        self.spec
+            .objectives
             .iter()
             .enumerate()
             .map(|(m, o)| pareto::resolve_reference(o.reference, points.iter().map(|p| p[m])))
@@ -1215,10 +1078,10 @@ impl<'a> Campaign<'a> {
         global: &Arc<EvalBudget>,
         runnable: &(dyn Fn(usize) -> bool + Sync),
     ) {
-        let observer = self.observer;
-        let telemetry = &self.telemetry;
-        let control = self.control.as_ref();
-        let extras = &self.extra_budgets;
+        let observer = self.observer();
+        let telemetry = &self.opts.telemetry;
+        let control = self.opts.control.as_ref();
+        let extras = &self.opts.extra_budgets;
         telemetry.counter_add("campaign.resume_passes", 1);
         // `self` holds non-`Sync` workload references, so the parallel
         // closure captures only the pieces it needs.
@@ -1270,7 +1133,7 @@ impl<'a> Campaign<'a> {
             };
             emit(slot.source(), kind);
         };
-        if self.sequential {
+        if self.spec.parallelism == Some(1) {
             for slot in slots.iter_mut() {
                 resume_one(slot);
             }
@@ -1302,7 +1165,7 @@ impl<'a> Campaign<'a> {
         contexts: &[EvalContext],
         cell_best: &mut [DesignObjectives],
     ) -> Vec<AllocationReport> {
-        let plan = Plan::new(&self.policy);
+        let plan = Plan::new(&self.spec.policy);
         let n_cells = ledger.len();
         let mut phase = vec![Phase::Running; n_cells];
         let mut resumable = vec![false; n_cells];
@@ -1316,7 +1179,7 @@ impl<'a> Campaign<'a> {
                 if self.interrupted() {
                     break;
                 }
-                self.telemetry.counter_add("sched.brackets", 1);
+                self.opts.telemetry.counter_add("sched.brackets", 1);
                 self.emit(SOURCE_COORDINATOR, || EventKind::BracketStart { bracket });
                 // Every bracket re-opens the whole grid: cells eliminated
                 // under an earlier bracket's schedule get another chance
@@ -1342,7 +1205,7 @@ impl<'a> Campaign<'a> {
                 // eliminated and finished cells fund the rest. Without a
                 // barrier, later rungs are funded by promotions instead.
                 if ladder.barrier {
-                    self.telemetry.counter_add("sched.rounds", 1);
+                    self.opts.telemetry.counter_add("sched.rounds", 1);
                 }
                 if (ladder.barrier || pass == 0) && global.cap().is_some() {
                     // Weighted shares map onto the whole grid.
@@ -1361,7 +1224,7 @@ impl<'a> Campaign<'a> {
                         for (&c, &units) in targets.iter().zip(&grants) {
                             ledger.grant(c, units);
                             table[pass][c].granted = units;
-                            self.telemetry.counter_add("sched.grants", 1);
+                            self.opts.telemetry.counter_add("sched.grants", 1);
                             self.emit(SOURCE_COORDINATOR, || EventKind::BudgetGrant {
                                 cell: c as u64,
                                 round: pass as u64,
@@ -1393,7 +1256,7 @@ impl<'a> Campaign<'a> {
                     .collect();
                 let points: Vec<Vec<f64>> = running
                     .iter()
-                    .map(|&c| match self.ranking {
+                    .map(|&c| match self.spec.ranking {
                         Ranking::Scalarised => Vec::new(),
                         Ranking::Pareto => {
                             self.objective_point(&cell_best[c], ledger.cell(c).spent())
@@ -1408,7 +1271,7 @@ impl<'a> Campaign<'a> {
                     if ladder.barrier {
                         continue;
                     }
-                    self.telemetry.counter_add("rung.records", 1);
+                    self.opts.telemetry.counter_add("rung.records", 1);
                     self.emit(SOURCE_COORDINATOR, || EventKind::RungRecorded {
                         cell: c as u64,
                         rung: r as u64,
@@ -1416,7 +1279,7 @@ impl<'a> Campaign<'a> {
                     });
                     if resumable[c] {
                         phase[c] = Phase::Parked;
-                        self.telemetry.counter_add("rung.parks", 1);
+                        self.opts.telemetry.counter_add("rung.parks", 1);
                         self.emit(SOURCE_COORDINATOR, || EventKind::CellParked {
                             cell: c as u64,
                             rung: r as u64,
@@ -1432,7 +1295,7 @@ impl<'a> Campaign<'a> {
                 // (at least one cell always survives).
                 if ladder.barrier {
                     if pass + 1 < rungs {
-                        if self.ranking == Ranking::Pareto {
+                        if self.spec.ranking == Ranking::Pareto {
                             self.emit(SOURCE_COORDINATOR, || {
                                 let fronts = pareto::non_dominated_ranks(&points);
                                 EventKind::ParetoFront {
@@ -1451,7 +1314,7 @@ impl<'a> Campaign<'a> {
                         }
                         for &c in &ranked[kept..] {
                             phase[c] = Phase::Out;
-                            self.telemetry.counter_add("sched.eliminations", 1);
+                            self.opts.telemetry.counter_add("sched.eliminations", 1);
                             self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
                                 cell: c as u64,
                                 round: pass as u64,
@@ -1508,7 +1371,7 @@ impl<'a> Campaign<'a> {
                             ledger.grant(c, units);
                             table[r + 1][c].granted += units;
                             phase[c] = Phase::Running;
-                            self.telemetry.counter_add("rung.promotions", 1);
+                            self.opts.telemetry.counter_add("rung.promotions", 1);
                             self.emit(SOURCE_COORDINATOR, || EventKind::RungPromoted {
                                 cell: c as u64,
                                 rung: (r + 1) as u64,
@@ -1532,7 +1395,7 @@ impl<'a> Campaign<'a> {
                     last.survived |= last.score.is_some();
                     if phase[c] == Phase::Parked && rung[c] + 1 < rungs {
                         phase[c] = Phase::Out;
-                        self.telemetry.counter_add("sched.eliminations", 1);
+                        self.opts.telemetry.counter_add("sched.eliminations", 1);
                         self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
                             cell: c as u64,
                             round: rung[c] as u64,
@@ -1552,12 +1415,12 @@ impl<'a> Campaign<'a> {
                             .iter()
                             .enumerate()
                             .map(|(c, cell)| {
-                                let ctx = &contexts[c / self.agents.len()];
+                                let ctx = &contexts[c / self.spec.agents.len()];
                                 CellAllocation {
                                     benchmark: ctx.benchmark().to_owned(),
-                                    input_seed: (!self.input_seeds.is_empty())
+                                    input_seed: (!self.spec.input_seeds.is_empty())
                                         .then(|| ctx.input_seed()),
-                                    agent: self.agents[c % self.agents.len()],
+                                    agent: self.spec.agents[c % self.spec.agents.len()],
                                     granted: cell.granted,
                                     spent: cell.spent.unwrap_or_else(|| ledger.cell(c).spent()),
                                     best_score: cell.score.unwrap_or(cell_best[c].score),
@@ -1721,33 +1584,38 @@ fn portfolio_entry<B: EvalBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::spec::{BackendSpec, BenchmarkSpec};
-    use ax_workloads::dot::DotProduct;
-    use ax_workloads::matmul::MatMul;
+    use crate::campaign::spec::BenchmarkSpec::{Dot, MatMul};
+    use crate::campaign::{run_spec, HalvingBracket, SeedRange};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn lib() -> OperatorLibrary {
-        OperatorLibrary::evoapprox()
-    }
-
-    fn quick_opts(steps: u64) -> ExploreOptions {
-        ExploreOptions {
+    /// A spec named `name` capping every run at `steps`; add benchmarks
+    /// and agents before running.
+    fn spec(name: &str, steps: u64) -> ExperimentSpec {
+        ExperimentSpec::new(name).explore(ExploreOptions {
             max_steps: steps,
             ..Default::default()
-        }
+        })
+    }
+
+    fn run(spec: &ExperimentSpec) -> CampaignReport {
+        run_spec(spec, RunSpecOptions::default()).unwrap()
+    }
+
+    /// The 2 benchmarks × 2 agents grid the budget-policy tests share.
+    fn grid(name: &str, steps: u64) -> ExperimentSpec {
+        spec(name, steps)
+            .benchmark(MatMul(4))
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
     }
 
     #[test]
     fn single_cell_campaign_reports_a_sweep() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let report = Campaign::new("sweep", &l)
-            .benchmark(&wl)
+        let report = run(&spec("sweep", 120)
+            .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
-            .seeds(SeedRange::new(0, 3))
-            .options(quick_opts(120))
-            .run()
-            .unwrap();
+            .seeds(SeedRange::new(0, 3)));
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].summary.seeds, 3);
         assert_eq!(report.portfolios.len(), 1);
@@ -1758,17 +1626,12 @@ mod tests {
 
     #[test]
     fn multi_benchmark_campaign_covers_the_grid() {
-        let l = lib();
-        let (wa, wb) = (DotProduct::new(8), MatMul::new(4));
-        let kinds = [AgentKind::QLearning, AgentKind::Sarsa];
-        let report = Campaign::new("grid", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
-            .agents(&kinds)
-            .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(100))
-            .run()
-            .unwrap();
+        let report = run(&spec("grid", 100)
+            .benchmark(Dot(8))
+            .benchmark(MatMul(4))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
+            .seeds(SeedRange::new(0, 2)));
         assert_eq!(report.cells.len(), 4);
         assert_eq!(report.portfolios.len(), 2);
         for p in &report.portfolios {
@@ -1789,18 +1652,12 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_without_budget() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let run = || {
-            Campaign::new("det", &l)
-                .benchmark(&wl)
-                .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-                .seeds(SeedRange::new(0, 2))
-                .options(quick_opts(100))
-                .run()
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
+        let det = spec("det", 100)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
+            .seeds(SeedRange::new(0, 2));
+        let (a, b) = (run(&det), run(&det));
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.summary, cb.summary);
             assert_eq!(ca.evaluations, cb.evaluations);
@@ -1814,36 +1671,21 @@ mod tests {
 
     #[test]
     fn sequential_equals_parallel() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let run = |sequential| {
-            Campaign::new("seq", &l)
-                .benchmark(&wl)
-                .agent(AgentKind::QLearning)
-                .seeds(SeedRange::new(0, 4))
-                .options(quick_opts(120))
-                .sequential(sequential)
-                .run()
-                .unwrap()
-        };
-        let (par, seq) = (run(false), run(true));
+        let par = spec("seq", 120)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .seeds(SeedRange::new(0, 4));
+        let seq = par.clone().parallelism(1);
+        let (par, seq) = (run(&par), run(&seq));
         assert_eq!(par.cells[0].summary, seq.cells[0].summary);
         assert_eq!(par.budget.spent, seq.budget.spent);
     }
 
     #[test]
     fn global_budget_stops_the_campaign() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let report = Campaign::new("budgeted", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
+        let report = run(&grid("budgeted", 5_000)
             .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(5_000))
-            .budget(60)
-            .run()
-            .unwrap();
+            .budget(60));
         assert!(report.budget.exhausted(), "{:?}", report.budget);
         assert_eq!(report.budget.spent, 60, "reported spend clamps to the cap");
         assert!(
@@ -1879,21 +1721,13 @@ mod tests {
     fn uniform_with_generous_budget_matches_the_unbounded_path() {
         // The budget-share scheduler with shares that never bind must be
         // byte-identical to the unbounded single-pool campaign.
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let run = |budget: Option<u64>| {
-            let mut c = Campaign::new("uniform", &l)
-                .benchmark(&wl)
-                .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-                .seeds(SeedRange::new(0, 2))
-                .options(quick_opts(150));
-            if let Some(b) = budget {
-                c = c.budget(b).policy(BudgetPolicy::Uniform);
-            }
-            c.run().unwrap()
-        };
-        let unbounded = run(None);
-        let capped = run(Some(1_000_000));
+        let uniform = spec("uniform", 150)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
+            .seeds(SeedRange::new(0, 2));
+        let unbounded = run(&uniform);
+        let capped = run(&uniform.budget(1_000_000).policy(BudgetPolicy::Uniform));
         for (a, b) in unbounded.cells.iter().zip(&capped.cells) {
             assert_eq!(a.summary, b.summary);
             assert_eq!(a.evaluations, b.evaluations);
@@ -1907,17 +1741,12 @@ mod tests {
 
     #[test]
     fn weighted_shares_skew_the_split() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let report = Campaign::new("weighted", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
+        let report = run(&spec("weighted", 5_000)
+            .benchmark(MatMul(4))
+            .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
-            .options(quick_opts(5_000))
             .budget(60)
-            .policy(BudgetPolicy::Weighted(vec![3.0, 1.0]))
-            .run()
-            .unwrap();
+            .policy(BudgetPolicy::Weighted(vec![3.0, 1.0])));
         let alloc = &report.allocations[0];
         assert_eq!(alloc.cells[0].granted, 45);
         assert_eq!(alloc.cells[1].granted, 15);
@@ -1932,21 +1761,13 @@ mod tests {
 
     #[test]
     fn successive_halving_eliminates_and_reallocates() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let report = Campaign::new("halving", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
+        let report = run(&grid("halving", 5_000)
             .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(5_000))
             .budget(120)
             .policy(BudgetPolicy::SuccessiveHalving {
                 rounds: 2,
                 keep_fraction: 0.5,
-            })
-            .run()
-            .unwrap();
+            }));
         assert_eq!(report.allocations.len(), 2);
         let (r0, r1) = (&report.allocations[0], &report.allocations[1]);
         // Round 0: all four cells alive, even split of the half-pool.
@@ -1987,19 +1808,15 @@ mod tests {
         // Every run completes naturally (tiny step cap) inside round 0 of
         // a 2-round halving campaign with a generous budget: round 1 must
         // grant nothing instead of stranding budget in complete cells.
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let report = Campaign::new("finished", &l)
-            .benchmark(&wl)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-            .options(quick_opts(50))
+        let report = run(&spec("finished", 50)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
             .budget(10_000)
             .policy(BudgetPolicy::SuccessiveHalving {
                 rounds: 2,
                 keep_fraction: 0.5,
-            })
-            .run()
-            .unwrap();
+            }));
         assert_eq!(report.allocations.len(), 2);
         assert!(
             report.allocations[0].cells.iter().all(|c| c.granted > 0),
@@ -2019,24 +1836,17 @@ mod tests {
 
     #[test]
     fn successive_halving_is_deterministic() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let wb = MatMul::new(4);
-        let run = || {
-            Campaign::new("halving-det", &l)
-                .benchmark(&wl)
-                .benchmark(&wb)
-                .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-                .options(quick_opts(2_000))
-                .budget(100)
-                .policy(BudgetPolicy::SuccessiveHalving {
-                    rounds: 3,
-                    keep_fraction: 0.5,
-                })
-                .run()
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
+        let halving = spec("halving-det", 2_000)
+            .benchmark(Dot(8))
+            .benchmark(MatMul(4))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
+            .budget(100)
+            .policy(BudgetPolicy::SuccessiveHalving {
+                rounds: 3,
+                keep_fraction: 0.5,
+            });
+        let (a, b) = (run(&halving), run(&halving));
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.summary, cb.summary);
             assert_eq!(ca.evaluations, cb.evaluations);
@@ -2051,21 +1861,13 @@ mod tests {
 
     #[test]
     fn asha_promotes_without_a_round_barrier() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let report = Campaign::new("asha", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
+        let report = run(&grid("asha", 5_000)
             .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(5_000))
             .budget(120)
             .policy(BudgetPolicy::AsyncHalving {
                 rungs: 2,
                 keep_fraction: 0.5,
-            })
-            .run()
-            .unwrap();
+            }));
         // One allocation report per rung, every cell admitted to rung 0.
         assert_eq!(report.allocations.len(), 2);
         let (r0, r1) = (&report.allocations[0], &report.allocations[1]);
@@ -2102,23 +1904,13 @@ mod tests {
 
     #[test]
     fn asha_is_deterministic() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let run = || {
-            Campaign::new("asha-det", &l)
-                .benchmark(&wa)
-                .benchmark(&wb)
-                .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-                .options(quick_opts(2_000))
-                .budget(100)
-                .policy(BudgetPolicy::AsyncHalving {
-                    rungs: 3,
-                    keep_fraction: 0.5,
-                })
-                .run()
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
+        let asha = grid("asha-det", 2_000)
+            .budget(100)
+            .policy(BudgetPolicy::AsyncHalving {
+                rungs: 3,
+                keep_fraction: 0.5,
+            });
+        let (a, b) = (run(&asha), run(&asha));
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.summary, cb.summary);
             assert_eq!(ca.evaluations, cb.evaluations);
@@ -2133,23 +1925,12 @@ mod tests {
 
     #[test]
     fn hyperband_sweeps_brackets_and_revives_eliminated_cells() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let report = Campaign::new("hyperband", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
+        let report = run(&grid("hyperband", 5_000)
             .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(5_000))
             .budget(240)
             .policy(BudgetPolicy::Hyperband {
-                brackets: vec![
-                    crate::campaign::HalvingBracket::new(2, 0.5),
-                    crate::campaign::HalvingBracket::new(1, 0.5),
-                ],
-            })
-            .run()
-            .unwrap();
+                brackets: vec![HalvingBracket::new(2, 0.5), HalvingBracket::new(1, 0.5)],
+            }));
         // One report per round of every bracket, tagged with its bracket.
         assert_eq!(report.allocations.len(), 3);
         assert_eq!(
@@ -2178,19 +1959,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "keep_fraction")]
     fn degenerate_halving_policy_is_rejected_before_running() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let _ = Campaign::new("bad", &l)
-            .benchmark(&wl)
+        let bad = ExperimentSpec::new("bad")
+            .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
             .budget(100)
             .policy(BudgetPolicy::SuccessiveHalving {
                 rounds: 2,
                 keep_fraction: 1.5,
-            })
-            .run();
+            });
+        let err = run_spec(&bad, RunSpecOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, RunSpecError::Spec(e) if e.0.contains("keep_fraction")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2225,14 +2007,14 @@ mod tests {
                 true
             }
         }
-        let l = lib();
-        let wl = DotProduct::new(8);
         let counting = Counting::default();
-        Campaign::new("observed", &l)
-            .benchmark(&wl)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-            .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(80))
+        let observed = spec("observed", 80)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa)
+            .seeds(SeedRange::new(0, 2));
+        let (lib, workloads) = (observed.library.build(), observed.build_workloads());
+        Campaign::from_spec(&lib, &observed, &workloads)
             .observe(&counting)
             .run()
             .unwrap();
@@ -2244,39 +2026,41 @@ mod tests {
 
     #[test]
     fn from_spec_builds_the_same_campaign() {
-        let l = lib();
-        let spec = ExperimentSpec::new("spec-driven")
-            .benchmark(BenchmarkSpec::Dot(8))
+        let spec = spec("spec-driven", 100)
+            .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
             .seeds(SeedRange::new(0, 2))
-            .explore(quick_opts(100))
             .backend(BackendSpec::Exact);
-        spec.validate().unwrap();
-        let workloads = spec.build_workloads();
-        let from_spec = Campaign::from_spec(&l, &spec, &workloads).run().unwrap();
-        let wl = DotProduct::new(8);
-        let by_hand = Campaign::new("spec-driven", &l)
-            .benchmark(&wl)
+        let (lib, workloads) = (spec.library.build(), spec.build_workloads());
+        let from_spec = Campaign::from_spec(&lib, &spec, &workloads).run().unwrap();
+        assert_eq!(from_spec.to_json_string(), run(&spec).to_json_string());
+    }
+
+    #[test]
+    fn from_spec_validates_before_running() {
+        // The path callers holding their own library and workloads take:
+        // a spec `validate` rejects is a typed error there too.
+        let spec = spec("repeated-input-seed", 100)
+            .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
-            .seeds(SeedRange::new(0, 2))
-            .options(quick_opts(100))
-            .run()
-            .unwrap();
-        assert_eq!(from_spec.cells[0].summary, by_hand.cells[0].summary);
+            .input_seed(42)
+            .input_seed(42);
+        let (lib, workloads) = (spec.library.build(), spec.build_workloads());
+        let campaign = Campaign::from_spec(&lib, &spec, &workloads);
+        assert!(matches!(campaign.run(), Err(RunSpecError::Spec(_))));
+        assert!(matches!(
+            campaign.run_with(&ExactProvider),
+            Err(RunSpecError::Spec(_))
+        ));
     }
 
     #[test]
     fn input_seeds_axis_expands_the_grid_and_labels_reports() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let report = Campaign::new("iseeds", &l)
-            .benchmark(&wl)
+        let report = run(&spec("iseeds", 100)
+            .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
             .input_seed(42)
-            .input_seed(43)
-            .options(quick_opts(100))
-            .run()
-            .unwrap();
+            .input_seed(43));
         assert_eq!(report.cells.len(), 2, "one cell per input seed");
         assert_eq!(report.portfolios.len(), 2);
         assert_eq!(report.cells[0].input_seed, Some(42));
@@ -2284,12 +2068,9 @@ mod tests {
         assert_eq!(report.portfolios[1].input_seed, Some(43));
         // The implicit default path carries no label — and the explicit
         // cell for the default seed (42) reproduces it bit for bit.
-        let default = Campaign::new("iseeds-default", &l)
-            .benchmark(&wl)
-            .agent(AgentKind::QLearning)
-            .options(quick_opts(100))
-            .run()
-            .unwrap();
+        let default = run(&spec("iseeds-default", 100)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning));
         assert_eq!(default.cells[0].input_seed, None);
         assert_eq!(default.portfolios[0].input_seed, None);
         assert_eq!(report.cells[0].summary, default.cells[0].summary);
@@ -2297,14 +2078,10 @@ mod tests {
 
     #[test]
     fn every_report_carries_the_pareto_section() {
-        let l = lib();
-        let wl = DotProduct::new(8);
-        let report = Campaign::new("front", &l)
-            .benchmark(&wl)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-            .options(quick_opts(120))
-            .run()
-            .unwrap();
+        let report = run(&spec("front", 120)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .agent(AgentKind::Sarsa));
         let p = &report.pareto;
         assert_eq!(p.ranking, Ranking::Scalarised, "the default ranking");
         assert_eq!(p.objectives, ObjectiveDecl::default_set());
@@ -2333,30 +2110,29 @@ mod tests {
         assert!(doc.get("pareto").unwrap().get("hypervolume").is_some());
     }
 
+    /// Halving or ASHA over [`grid`], ranked by the Pareto order of QoR
+    /// error and op cost.
+    fn pareto_grid(name: &str, policy: BudgetPolicy) -> ExperimentSpec {
+        grid(name, 5_000)
+            .budget(120)
+            .policy(policy)
+            .ranking(Ranking::Pareto)
+            .objectives(vec![
+                ObjectiveDecl::new(Objective::QorError),
+                ObjectiveDecl::new(Objective::OpCost),
+            ])
+    }
+
     #[test]
     fn pareto_ranked_halving_survives_by_front_membership() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let run = || {
-            Campaign::new("pareto-halving", &l)
-                .benchmark(&wa)
-                .benchmark(&wb)
-                .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-                .options(quick_opts(5_000))
-                .budget(120)
-                .policy(BudgetPolicy::SuccessiveHalving {
-                    rounds: 2,
-                    keep_fraction: 0.5,
-                })
-                .ranking(Ranking::Pareto)
-                .objectives(vec![
-                    ObjectiveDecl::new(Objective::QorError),
-                    ObjectiveDecl::new(Objective::OpCost),
-                ])
-                .run()
-                .unwrap()
-        };
-        let report = run();
+        let halving = pareto_grid(
+            "pareto-halving",
+            BudgetPolicy::SuccessiveHalving {
+                rounds: 2,
+                keep_fraction: 0.5,
+            },
+        );
+        let report = run(&halving);
         assert_eq!(report.pareto.ranking, Ranking::Pareto);
         assert_eq!(report.pareto.reference.len(), 2);
         assert_eq!(report.allocations.len(), 2);
@@ -2367,7 +2143,7 @@ mod tests {
         );
         assert!(!report.pareto.front.is_empty());
         // The Pareto schedule replays deterministically.
-        let again = run();
+        let again = run(&halving);
         for (ra, rb) in report.allocations.iter().zip(&again.allocations) {
             for (ca, cb) in ra.cells.iter().zip(&rb.cells) {
                 assert_eq!(ca.survived, cb.survived);
@@ -2379,25 +2155,13 @@ mod tests {
 
     #[test]
     fn pareto_ranked_asha_promotes_front_cells() {
-        let l = lib();
-        let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-        let report = Campaign::new("pareto-asha", &l)
-            .benchmark(&wa)
-            .benchmark(&wb)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-            .options(quick_opts(5_000))
-            .budget(120)
-            .policy(BudgetPolicy::AsyncHalving {
+        let report = run(&pareto_grid(
+            "pareto-asha",
+            BudgetPolicy::AsyncHalving {
                 rungs: 2,
                 keep_fraction: 0.5,
-            })
-            .ranking(Ranking::Pareto)
-            .objectives(vec![
-                ObjectiveDecl::new(Objective::QorError),
-                ObjectiveDecl::new(Objective::OpCost),
-            ])
-            .run()
-            .unwrap();
+            },
+        ));
         assert_eq!(report.allocations.len(), 2);
         assert!(report.allocations[0].survivors() >= 1);
         assert!(!report.pareto.front.is_empty());
@@ -2405,9 +2169,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one benchmark")]
     fn empty_campaign_rejected() {
-        let l = lib();
-        let _ = Campaign::new("empty", &l).agent(AgentKind::QLearning).run();
+        let empty = ExperimentSpec::new("empty").agent(AgentKind::QLearning);
+        let err = run_spec(&empty, RunSpecOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, RunSpecError::Spec(e) if e.0.contains("at least one benchmark")),
+            "{err}"
+        );
     }
 }

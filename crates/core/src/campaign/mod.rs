@@ -25,16 +25,20 @@
 //! `docs/spec_reference.md` for the complete JSON schema of every spec
 //! field and policy form.
 //!
-//! Every exploration entry point routes through this driver — a 1×1×N
-//! campaign is a seed sweep, a 1×M×1 campaign is a portfolio race — and
-//! specs checked in as JSON run end-to-end through [`run_spec`] (the
-//! engine behind `repro run <spec.json>`).
-//! Long-lived supervision rides the same machinery: a [`CampaignControl`]
-//! cancels or pauses a campaign cooperatively at step boundaries, extra
-//! stacked budgets ([`Campaign::extra_budget`]) let a [`GlobalScheduler`]
+//! The spec is the only description of a campaign, and it is validated
+//! once, when the campaign runs: every spec [`ExperimentSpec::validate`]
+//! rejects comes back as [`RunSpecError::Spec`], never a panic. Every
+//! exploration entry point routes through this driver — a 1×1×N campaign
+//! is a seed sweep, a 1×M×1 campaign is a portfolio race — and
+//! [`run_spec`] runs any spec end to end, building the library and
+//! benchmarks it names (the engine behind `repro run <spec.json>`).
+//! [`RunSpecOptions`] holds what a run attaches beyond the spec: a
+//! shared cache, an observer, telemetry, and long-lived supervision — a
+//! [`CampaignControl`] cancels or pauses a campaign cooperatively at step
+//! boundaries, and extra stacked budgets let a [`GlobalScheduler`]
 //! arbitrate one server-wide budget across many concurrent campaigns (the
-//! `ax-serve` daemon), and [`ExperimentSpec`]s submitted there produce
-//! reports byte-identical to a local `repro run`.
+//! `ax-serve` daemon), whose [`ExperimentSpec`]s produce reports
+//! byte-identical to a local `repro run`.
 
 #![warn(missing_docs)]
 
@@ -53,7 +57,7 @@ pub use driver::{
     ParetoPoint, ParetoReport, TelemetrySummary, WrapProvider,
 };
 pub use global::{GlobalScheduler, JobPhase, JobTicket};
-pub use run::{run_spec, run_spec_traced, run_spec_with, RunSpecError, RunSpecOptions};
+pub use run::{run_spec, RunSpecError, RunSpecOptions};
 // The telemetry vocabulary campaign observers speak, re-exported so
 // downstream crates need no direct `ax-telemetry` dependency.
 pub use ax_telemetry::{

@@ -279,16 +279,32 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// What the cursor is on, as an error message names it: `end of
+    /// input`, or the character in backticks. The cursor only stops
+    /// between tokens of the source text, so the rest decodes.
+    fn found(&self) -> String {
+        match self.peek() {
+            None => "end of input".into(),
+            Some(b) => {
+                let c = std::str::from_utf8(&self.bytes[self.pos..])
+                    .ok()
+                    .and_then(|rest| rest.chars().next())
+                    .unwrap_or(b as char);
+                format!("`{c}`")
+            }
+        }
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
             err(format!(
-                "expected `{}` at byte {}, found {:?}",
+                "expected `{}` at byte {}, found {}",
                 b as char,
                 self.pos,
-                self.peek().map(|b| b as char)
+                self.found()
             ))
         }
     }
@@ -311,11 +327,7 @@ impl Parser<'_> {
             Some(b'[') => self.nested(Self::array),
             Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
+            _ => err(format!("unexpected {} at byte {}", self.found(), self.pos)),
         }
     }
 
@@ -432,11 +444,11 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                other => {
+                _ => {
                     return err(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
+                        "expected `,` or `]` at byte {}, found {}",
                         self.pos,
-                        other.map(|b| b as char)
+                        self.found()
                     ))
                 }
             }
@@ -466,11 +478,11 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(pairs));
                 }
-                other => {
+                _ => {
                     return err(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
+                        "expected `,` or `}}` at byte {}, found {}",
                         self.pos,
-                        other.map(|b| b as char)
+                        self.found()
                     ))
                 }
             }
@@ -539,9 +551,31 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "{\"a\": ]}",
+            "[1 2]",
+            "{\"a\": 1",
+            "[é]",
+        ] {
+            let e = Json::parse(bad).expect_err(bad);
+            // The message names what it found, not a Rust `Option`.
+            assert!(
+                !e.0.contains("None") && !e.0.contains("Some("),
+                "{bad:?}: {e}"
+            );
         }
+        let message = |text: &str| Json::parse(text).unwrap_err().0;
+        assert!(message("{").contains("end of input"), "{}", message("{"));
+        assert_eq!(message("{\"a\": ]}"), "unexpected `]` at byte 6");
+        assert_eq!(message("[1 2]"), "expected `,` or `]` at byte 3, found `2`");
+        assert_eq!(message("[é]"), "unexpected `é` at byte 1");
     }
 
     #[test]

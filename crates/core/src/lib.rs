@@ -20,7 +20,8 @@
 //!
 //! [`campaign`] is the public face: a declarative
 //! [`campaign::ExperimentSpec`] (benchmarks × agent roster × seed range,
-//! backend choice, global evaluation budget) executed by one polymorphic
+//! backend choice, global evaluation budget) run by
+//! [`campaign::run_spec`] through one polymorphic
 //! [`campaign::Campaign`] driver that reproduces the paper's Table III and
 //! Figures 2–4 and scales to multi-benchmark portfolios. [`analysis`]
 //! post-processes traces (min/solution/max summaries, trend lines, reward
@@ -30,20 +31,15 @@
 //! removed in 0.2 — every entry point routes through the campaign driver.
 //!
 //! ```
-//! use ax_dse::campaign::{Campaign, SeedRange};
+//! use ax_dse::campaign::{run_spec, BenchmarkSpec, ExperimentSpec, SeedRange};
 //! use ax_dse::explore::{AgentKind, ExploreOptions};
-//! use ax_operators::OperatorLibrary;
-//! use ax_workloads::dot::DotProduct;
 //!
-//! let lib = OperatorLibrary::evoapprox();
-//! let wl = DotProduct::new(8);
-//! let report = Campaign::new("doc", &lib)
-//!     .benchmark(&wl)
+//! let spec = ExperimentSpec::new("doc")
+//!     .benchmark(BenchmarkSpec::Dot(8))
 //!     .agent(AgentKind::QLearning)
 //!     .seeds(SeedRange::new(0, 2))
-//!     .options(ExploreOptions { max_steps: 300, ..Default::default() })
-//!     .run()
-//!     .unwrap();
+//!     .explore(ExploreOptions { max_steps: 300, ..Default::default() });
+//! let report = run_spec(&spec, Default::default()).unwrap();
 //! assert_eq!(report.cells[0].summary.seeds, 2);
 //! assert!(report.portfolios[0].winner().summary.power.max
 //!     >= report.portfolios[0].winner().summary.power.min);

@@ -187,7 +187,7 @@ impl PortfolioOutcome {
 mod tests {
     use super::*;
     use crate::backend::{EvalContext, SharedCache};
-    use crate::campaign::{Campaign, SeedRange};
+    use crate::campaign::{run_spec, BenchmarkSpec, ExperimentSpec, RunSpecOptions, SeedRange};
     use crate::explore::ExploreOptions;
     use ax_operators::OperatorLibrary;
     use ax_vm::VmError;
@@ -208,42 +208,28 @@ mod tests {
         )
     }
 
-    /// A 1-benchmark × 1-agent × N-seed campaign — the canonical seed
-    /// sweep the removed `sweep_seeds*` wrappers delegated to.
-    fn sweep(
-        workload: &dyn Workload,
-        lib: &OperatorLibrary,
-        opts: &ExploreOptions,
-        kind: AgentKind,
-        seeds: u64,
-        sequential: bool,
-    ) -> SweepSummary {
-        let report = Campaign::new("sweep", lib)
-            .benchmark(workload)
+    /// A Dot(8) × 1-agent × N-seed campaign — the canonical seed sweep
+    /// the removed `sweep_seeds*` wrappers delegated to.
+    fn sweep(opts: &ExploreOptions, kind: AgentKind, seeds: u64, sequential: bool) -> SweepSummary {
+        let mut spec = ExperimentSpec::new("sweep")
+            .benchmark(BenchmarkSpec::Dot(8))
             .agent(kind)
             .seeds(SeedRange::new(0, seeds))
-            .options(*opts)
-            .sequential(sequential)
-            .run()
-            .expect("sweep campaign runs");
+            .explore(*opts);
+        spec.parallelism = sequential.then_some(1);
+        let report = run_spec(&spec, RunSpecOptions::default()).expect("sweep campaign runs");
         report.cells.into_iter().next().expect("one cell").summary
     }
 
-    /// A 1-benchmark × M-agent × 1-seed campaign — the canonical
-    /// portfolio race the removed `race_portfolio*` wrappers delegated to.
-    fn race(
-        workload: &dyn Workload,
-        lib: &OperatorLibrary,
-        opts: &ExploreOptions,
-        kinds: &[AgentKind],
-    ) -> PortfolioOutcome {
-        let report = Campaign::new("portfolio", lib)
-            .benchmark(workload)
-            .agents(kinds)
+    /// A Dot(8) × M-agent × 1-seed campaign — the canonical portfolio race
+    /// the removed `race_portfolio*` wrappers delegated to.
+    fn race(opts: &ExploreOptions, kinds: &[AgentKind]) -> PortfolioOutcome {
+        let mut spec = ExperimentSpec::new("portfolio")
+            .benchmark(BenchmarkSpec::Dot(8))
             .seeds(SeedRange::single(opts.seed))
-            .options(*opts)
-            .run()
-            .expect("portfolio campaign runs");
+            .explore(*opts);
+        spec.agents = kinds.to_vec();
+        let report = run_spec(&spec, RunSpecOptions::default()).expect("portfolio campaign runs");
         report.portfolios.into_iter().next().expect("one benchmark")
     }
 
@@ -265,19 +251,11 @@ mod tests {
 
     #[test]
     fn sweep_aggregates_across_seeds() {
-        let lib = OperatorLibrary::evoapprox();
         let opts = ExploreOptions {
             max_steps: 150,
             ..Default::default()
         };
-        let s = sweep(
-            &DotProduct::new(8),
-            &lib,
-            &opts,
-            AgentKind::QLearning,
-            4,
-            true,
-        );
+        let s = sweep(&opts, AgentKind::QLearning, 4, true);
         assert_eq!(s.seeds, 4);
         assert!(s.stop_step.mean > 0.0 && s.stop_step.mean <= 150.0);
         assert!(s.stop_step.min <= s.stop_step.max);
@@ -287,40 +265,23 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let lib = OperatorLibrary::evoapprox();
         let opts = ExploreOptions {
             max_steps: 100,
             ..Default::default()
         };
-        let a = sweep(
-            &DotProduct::new(8),
-            &lib,
-            &opts,
-            AgentKind::QLearning,
-            3,
-            true,
-        );
-        let b = sweep(
-            &DotProduct::new(8),
-            &lib,
-            &opts,
-            AgentKind::QLearning,
-            3,
-            true,
-        );
+        let a = sweep(&opts, AgentKind::QLearning, 3, true);
+        let b = sweep(&opts, AgentKind::QLearning, 3, true);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_sweep_equals_sequential() {
-        let lib = OperatorLibrary::evoapprox();
         let opts = ExploreOptions {
             max_steps: 120,
             ..Default::default()
         };
-        let wl = DotProduct::new(8);
-        let seq = sweep(&wl, &lib, &opts, AgentKind::QLearning, 8, true);
-        let par = sweep(&wl, &lib, &opts, AgentKind::QLearning, 8, false);
+        let seq = sweep(&opts, AgentKind::QLearning, 8, true);
+        let par = sweep(&opts, AgentKind::QLearning, 8, false);
         assert_eq!(
             seq, par,
             "cache sharing/parallelism must not change results"
@@ -351,7 +312,6 @@ mod tests {
 
     #[test]
     fn portfolio_races_all_kinds() {
-        let lib = OperatorLibrary::evoapprox();
         let opts = ExploreOptions {
             max_steps: 120,
             ..Default::default()
@@ -363,7 +323,7 @@ mod tests {
             AgentKind::DoubleQ,
             AgentKind::QLambda { lambda: 0.7 },
         ];
-        let p = race(&DotProduct::new(8), &lib, &opts, &kinds);
+        let p = race(&opts, &kinds);
         assert_eq!(p.entries.len(), kinds.len());
         assert!(p.best < p.entries.len());
         let best_score = p.winner().score;
@@ -387,7 +347,7 @@ mod tests {
             ..Default::default()
         };
         let kinds = [AgentKind::QLearning, AgentKind::Sarsa];
-        let p = race(&DotProduct::new(8), &lib, &opts, &kinds);
+        let p = race(&opts, &kinds);
         for (kind, entry) in kinds.iter().zip(&p.entries) {
             let ctx = EvalContext::new(&DotProduct::new(8), Arc::new(lib.clone()), opts.input_seed)
                 .unwrap();

@@ -13,7 +13,7 @@
 use crate::http::{Request, Response};
 use crate::job::{Job, JobState};
 use ax_dse::backend::SharedCache;
-use ax_dse::campaign::{run_spec_with, ExperimentSpec, GlobalScheduler, RunSpecOptions, Telemetry};
+use ax_dse::campaign::{run_spec, ExperimentSpec, GlobalScheduler, RunSpecOptions, Telemetry};
 use ax_dse::json::Json;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -85,11 +85,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails if the address cannot be bound or the cache file is corrupt.
+    /// Fails if the address cannot be bound or the cache file is corrupt;
+    /// the message names the address or the file.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = TcpListener::bind(&config.addr)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {}: {e}", config.addr)))?;
         let cache = match &config.cache_path {
-            Some(path) if std::path::Path::new(path).exists() => SharedCache::load(path)?,
+            Some(path) if std::path::Path::new(path).exists() => SharedCache::load(path)
+                .map_err(|e| io::Error::new(e.kind(), format!("cannot load cache {path}: {e}")))?,
             _ => SharedCache::new(),
         };
         let state = Arc::new(ServerState {
@@ -106,6 +109,13 @@ impl Server {
             config,
         });
         Ok(Server { listener, state })
+    }
+
+    /// Scopes of the loaded cache file that were skipped for want of a
+    /// fingerprint (see [`SharedCache::skipped_scopes`]); the next save
+    /// drops them from the file.
+    pub fn skipped_cache_scopes(&self) -> u64 {
+        self.state.cache.skipped_scopes()
     }
 
     /// The actually bound address (resolves an ephemeral port).
@@ -335,17 +345,14 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
     let opts = RunSpecOptions {
         cache: Some(Arc::clone(&state.cache)),
         observer: None,
-        telemetry: Some(job.telemetry().clone()),
+        telemetry: job.telemetry().clone(),
         control: Some(job.ticket().control().clone()),
         extra_budgets: vec![
             Arc::clone(job.ticket().budget()),
             Arc::clone(state.scheduler.server()),
         ],
     };
-    // Build the operator library the spec names (byte parity with a
-    // local `repro run` of the same spec, which does the same).
-    let lib = job.spec().library.build();
-    match run_spec_with(&lib, job.spec(), opts) {
+    match run_spec(job.spec(), opts) {
         Ok(mut report) => {
             // Strip the telemetry roll-up before serialising: its
             // wall-clock histograms are the one nondeterministic section,

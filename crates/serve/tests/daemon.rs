@@ -5,11 +5,10 @@
 
 use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
-    run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, LibrarySpec, NullObserver, SeedRange,
+    run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, LibrarySpec, RunSpecOptions, SeedRange,
 };
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
-use ax_operators::OperatorLibrary;
 use ax_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -102,12 +101,11 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
     // Local ground truth, computed independently of the daemon on the
     // sequential schedule every served job runs: where a binding budget
     // pauses a parallel run depends on thread interleaving.
-    let lib = OperatorLibrary::evoapprox();
     let baselines: Vec<String> = specs
         .iter()
         .map(|spec| {
             let spec = spec.clone().parallelism(1);
-            let report = run_spec(&lib, &spec, None, &NullObserver).expect("baseline runs");
+            let report = run_spec(&spec, RunSpecOptions::default()).expect("baseline runs");
             report.to_json_string()
         })
         .collect();
@@ -172,7 +170,7 @@ fn serve_in_turn_and_match_local_runs(specs: &[ExperimentSpec]) -> Json {
         ..ServeConfig::default()
     });
     for spec in specs {
-        let local = run_spec(&spec.library.build(), spec, None, &NullObserver)
+        let local = run_spec(spec, RunSpecOptions::default())
             .expect("local run")
             .to_json_string();
         let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
@@ -514,6 +512,35 @@ fn the_scope_bound_holds_in_memory_and_on_disk() {
     assert!(
         saved.scope_len(&scopes[1], input_seed) > 0,
         "the newest one"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A cache file `repro serve --cache` cannot use fails the bind with a
+/// message naming it; one saved before scopes had fingerprints loads with
+/// those scopes skipped, and the server reports how many.
+#[test]
+fn a_cache_file_is_loaded_or_named_in_the_error() {
+    let path = std::env::temp_dir().join(format!("ax_serve_old_cache_{}.json", std::process::id()));
+    let bind = |text: &str| {
+        std::fs::write(&path, text).unwrap();
+        Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            cache_path: Some(path.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
+        })
+    };
+    let old = r#"{"scopes": [{"benchmark": "matmul-4", "input_seed": 42, "entries": []}]}"#;
+    let server = bind(old).expect("an old-format file loads");
+    assert_eq!(server.skipped_cache_scopes(), 1);
+    drop(server);
+    let err = bind(r#"{"scopes": ["#)
+        .err()
+        .expect("a malformed file fails");
+    let message = err.to_string();
+    assert!(
+        message.starts_with(&format!("cannot load cache {}: ", path.display())),
+        "{message}"
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -6,13 +6,12 @@
 //!
 //! Loads `examples/campaign_matmul.json` — a multi-benchmark, multi-agent
 //! campaign racing under one global evaluation budget over one shared,
-//! class-keyed design cache — and executes it with the polymorphic
-//! [`ax_dse::campaign::Campaign`] driver, streaming progress through an
+//! class-keyed design cache — and executes it with
+//! [`ax_dse::campaign::run_spec`], streaming progress through an
 //! [`Observer`]. The same file runs from the CLI: `repro run
 //! examples/campaign_matmul.json`.
 
-use ax_dse::campaign::{run_spec, Event, EventKind, ExperimentSpec, Observer};
-use ax_operators::OperatorLibrary;
+use ax_dse::campaign::{run_spec, Event, EventKind, ExperimentSpec, Observer, RunSpecOptions};
 
 /// Prints one line per finished exploration.
 struct Progress;
@@ -46,8 +45,11 @@ fn main() {
     // Keep the example snappy; drop this line for the full experiment.
     spec.explore.max_steps = spec.explore.max_steps.min(400);
 
-    let lib = OperatorLibrary::evoapprox();
-    let report = run_spec(&lib, &spec, None, &Progress).expect("campaign runs");
+    let opts = RunSpecOptions {
+        observer: Some(&Progress),
+        ..Default::default()
+    };
+    let report = run_spec(&spec, opts).expect("campaign runs");
 
     println!(
         "\nbudget: {} of {:?} designs spent, {} run(s) budget-stopped",

@@ -3,9 +3,7 @@
 //! program, operator library and inputs, and a report counts only the
 //! classes its own runs resolved.
 
-use axdse_suite::ax_dse::campaign::{
-    run_spec, run_spec_traced, CampaignReport, ExperimentSpec, NullObserver,
-};
+use axdse_suite::ax_dse::campaign::{run_spec, CampaignReport, ExperimentSpec, RunSpecOptions};
 use axdse_suite::ax_dse::evaluator::SharedCache;
 use axdse_suite::ax_telemetry::Telemetry;
 use std::sync::Arc;
@@ -29,7 +27,11 @@ const Y: &str = r#"{"name": "y", "benchmarks": [{"kind": "matmul", "size": 4}],
 
 fn run(spec: &str, cache: Option<Arc<SharedCache>>) -> CampaignReport {
     let spec = ExperimentSpec::from_json_str(spec).unwrap();
-    run_spec(&spec.library.build(), &spec, cache, &NullObserver).unwrap()
+    let opts = RunSpecOptions {
+        cache,
+        ..Default::default()
+    };
+    run_spec(&spec, opts).unwrap()
 }
 
 fn report(spec: &str, cache: Option<Arc<SharedCache>>) -> String {
@@ -39,14 +41,12 @@ fn report(spec: &str, cache: Option<Arc<SharedCache>>) -> String {
 /// Designs executed by a traced run of `spec` on `cache`.
 fn executions(spec: &str, cache: Arc<SharedCache>) -> u64 {
     let spec = ExperimentSpec::from_json_str(spec).unwrap();
-    let report = run_spec_traced(
-        &spec.library.build(),
-        &spec,
-        Some(cache),
-        &NullObserver,
-        &Telemetry::new(),
-    )
-    .unwrap();
+    let opts = RunSpecOptions {
+        cache: Some(cache),
+        telemetry: Telemetry::new(),
+        ..Default::default()
+    };
+    let report = run_spec(&spec, opts).unwrap();
     let metrics = report.telemetry.expect("traced").metrics;
     metrics.counter("backend.executions").unwrap_or(0)
 }

@@ -5,23 +5,29 @@
 //! sweep stays under the cap.
 
 use axdse_suite::ax_dse::campaign::{
-    BudgetPolicy, Campaign, CampaignReport, HalvingBracket, Ranking, SeedRange,
+    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, ExperimentSpec, HalvingBracket, Ranking,
+    RunSpecOptions, SeedRange,
 };
 use axdse_suite::ax_dse::explore::{AgentKind, ExploreOptions};
-use axdse_suite::ax_operators::OperatorLibrary;
-use axdse_suite::ax_workloads::fir::Fir;
-use axdse_suite::ax_workloads::matmul::MatMul;
 use proptest::prelude::*;
 
-fn lib() -> OperatorLibrary {
-    OperatorLibrary::evoapprox()
+/// The MatMul × FIR-40 grid every campaign here races: Q-learning and
+/// SARSA on an `n`×`n` MatMul and a 40-sample FIR, at most `steps` steps
+/// a run.
+fn grid(name: &str, n: usize, steps: u64) -> ExperimentSpec {
+    ExperimentSpec::new(name)
+        .benchmark(BenchmarkSpec::MatMul(n))
+        .benchmark(BenchmarkSpec::Fir(40))
+        .agent(AgentKind::QLearning)
+        .agent(AgentKind::Sarsa)
+        .explore(ExploreOptions {
+            max_steps: steps,
+            ..Default::default()
+        })
 }
 
-fn opts(steps: u64) -> ExploreOptions {
-    ExploreOptions {
-        max_steps: steps,
-        ..Default::default()
-    }
+fn run(spec: &ExperimentSpec) -> CampaignReport {
+    run_spec(spec, RunSpecOptions::default()).unwrap()
 }
 
 fn best_score(report: &CampaignReport) -> f64 {
@@ -37,23 +43,9 @@ fn best_score(report: &CampaignReport) -> f64 {
 /// portfolio scores.
 #[test]
 fn uniform_policy_with_full_budget_matches_the_unbudgeted_campaign() {
-    let l = lib();
-    let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-    let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-    let run = |budget: Option<u64>| {
-        let mut c = Campaign::new("uniform-equivalence", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, 2))
-            .options(opts(200));
-        if let Some(b) = budget {
-            c = c.budget(b).policy(BudgetPolicy::Uniform);
-        }
-        c.run().unwrap()
-    };
-    let unbudgeted = run(None);
-    let full = run(Some(1_000_000));
+    let spec = grid("uniform-equivalence", 4, 200).seeds(SeedRange::new(0, 2));
+    let unbudgeted = run(&spec);
+    let full = run(&spec.budget(1_000_000).policy(BudgetPolicy::Uniform));
     assert_eq!(unbudgeted.cells.len(), full.cells.len());
     for (a, b) in unbudgeted.cells.iter().zip(&full.cells) {
         assert_eq!(a.summary, b.summary, "{}/{}", a.benchmark, a.agent.name());
@@ -80,34 +72,16 @@ fn uniform_policy_with_full_budget_matches_the_unbudgeted_campaign() {
 /// `bench_sweep --policy halving:2,0.5`.
 #[test]
 fn halving_matches_exhaustive_reward_at_a_fraction_of_the_evals() {
-    let l = lib();
-    let (matmul, fir) = (MatMul::new(6), Fir::new(40));
-    let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-    let campaign = |budget: Option<u64>, policy: Option<BudgetPolicy>| {
-        let mut c = Campaign::new("halving-acceptance", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, 2))
-            .options(opts(600));
-        if let Some(b) = budget {
-            c = c.budget(b);
-        }
-        if let Some(p) = policy {
-            c = c.policy(p);
-        }
-        c.run().unwrap()
-    };
+    let spec = grid("halving-acceptance", 6, 600).seeds(SeedRange::new(0, 2));
 
-    let exhaustive = campaign(None, None);
+    let exhaustive = run(&spec);
     let full_evals = exhaustive.budget.spent;
     let full_best = best_score(&exhaustive);
     assert!(full_evals > 0 && full_best.is_finite());
 
     let budget = full_evals * 55 / 100;
-    let halved = campaign(
-        Some(budget),
-        Some(BudgetPolicy::SuccessiveHalving {
+    let halved = run(
+        &spec.budget(budget).policy(BudgetPolicy::SuccessiveHalving {
             rounds: 2,
             keep_fraction: 0.5,
         }),
@@ -132,48 +106,26 @@ fn halving_matches_exhaustive_reward_at_a_fraction_of_the_evals() {
 /// recorded in `BENCH_sweep.json` by `bench_sweep --policy asha:2,0.5`.
 #[test]
 fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
-    let l = lib();
-    let (matmul, fir) = (MatMul::new(6), Fir::new(40));
-    let agents = [AgentKind::QLearning, AgentKind::Sarsa];
     // Sequential schedules make the charged evaluations deterministic: in
     // parallel, where a budgeted run pauses depends on thread interleaving.
-    let campaign = |budget: Option<u64>, policy: Option<BudgetPolicy>| {
-        let mut c = Campaign::new("asha-acceptance", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, 2))
-            .options(opts(600))
-            .sequential(true);
-        if let Some(b) = budget {
-            c = c.budget(b);
-        }
-        if let Some(p) = policy {
-            c = c.policy(p);
-        }
-        c.run().unwrap()
-    };
+    let spec = grid("asha-acceptance", 6, 600)
+        .seeds(SeedRange::new(0, 2))
+        .parallelism(1);
 
-    let exhaustive = campaign(None, None);
+    let exhaustive = run(&spec);
     let full_evals = exhaustive.budget.spent;
     let full_best = best_score(&exhaustive);
     assert!(full_evals > 0 && full_best.is_finite());
 
-    let budget = full_evals * 55 / 100;
-    let sync = campaign(
-        Some(budget),
-        Some(BudgetPolicy::SuccessiveHalving {
-            rounds: 2,
-            keep_fraction: 0.5,
-        }),
-    );
-    let asha = campaign(
-        Some(budget),
-        Some(BudgetPolicy::AsyncHalving {
-            rungs: 2,
-            keep_fraction: 0.5,
-        }),
-    );
+    let budgeted = spec.budget(full_evals * 55 / 100);
+    let sync = run(&budgeted.clone().policy(BudgetPolicy::SuccessiveHalving {
+        rounds: 2,
+        keep_fraction: 0.5,
+    }));
+    let asha = run(&budgeted.policy(BudgetPolicy::AsyncHalving {
+        rungs: 2,
+        keep_fraction: 0.5,
+    }));
     let (sync_evals, asha_evals) = (sync.budget.charged(), asha.budget.charged());
     assert!(
         asha_evals <= sync_evals,
@@ -194,23 +146,12 @@ fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
 /// byte-identical under either ranking.
 #[test]
 fn asha_with_a_single_rung_degenerates_to_the_uniform_path_byte_identically() {
-    let l = lib();
-    let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-    let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-    let run = |policy: &BudgetPolicy, ranking: Ranking| {
-        Campaign::new("asha-degenerate", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, 2))
-            .options(opts(400))
-            .budget(200)
-            .policy(policy.clone())
-            .ranking(ranking)
-            .sequential(true)
-            .run()
-            .unwrap()
-            .to_json_string()
+    let spec = grid("asha-degenerate", 4, 400)
+        .seeds(SeedRange::new(0, 2))
+        .budget(200)
+        .parallelism(1);
+    let report = |policy: &BudgetPolicy, ranking: Ranking| {
+        run(&spec.clone().policy(policy.clone()).ranking(ranking)).to_json_string()
     };
     let halving = BudgetPolicy::SuccessiveHalving {
         rounds: 3,
@@ -242,8 +183,8 @@ fn asha_with_a_single_rung_degenerates_to_the_uniform_path_byte_identically() {
     for ranking in [Ranking::Scalarised, Ranking::Pareto] {
         for (degenerate, general) in &pairs {
             assert_eq!(
-                run(degenerate, ranking),
-                run(general, ranking),
+                report(degenerate, ranking),
+                report(general, ranking),
                 "{degenerate:?} must equal {general:?} under {ranking:?}"
             );
         }
@@ -263,21 +204,12 @@ proptest! {
         rounds in 1u32..5,
         keep_pct in 25u32..80,
     ) {
-        let l = lib();
-        let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-        let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-        let report = Campaign::new("halving-cap", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .options(opts(2_000))
+        let report = run(&grid("halving-cap", 4, 2_000)
             .budget(budget)
             .policy(BudgetPolicy::SuccessiveHalving {
                 rounds,
                 keep_fraction: f64::from(keep_pct) / 100.0,
-            })
-            .run()
-            .unwrap();
+            }));
         prop_assert!(report.budget.spent <= budget);
         // 4 runs, one design per step: at most one distinct design per
         // run beyond the cap.
@@ -299,21 +231,12 @@ proptest! {
         rungs in 1u32..5,
         keep_pct in 25u32..80,
     ) {
-        let l = lib();
-        let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-        let agents = [AgentKind::QLearning, AgentKind::Sarsa];
-        let report = Campaign::new("asha-cap", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .options(opts(2_000))
+        let report = run(&grid("asha-cap", 4, 2_000)
             .budget(budget)
             .policy(BudgetPolicy::AsyncHalving {
                 rungs,
                 keep_fraction: f64::from(keep_pct) / 100.0,
-            })
-            .run()
-            .unwrap();
+            }));
         prop_assert!(report.budget.spent <= budget);
         prop_assert!(
             report.budget.overshoot <= 4,
@@ -333,24 +256,15 @@ proptest! {
         rounds_b in 1u32..3,
         keep_pct in 25u32..80,
     ) {
-        let l = lib();
-        let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-        let agents = [AgentKind::QLearning, AgentKind::Sarsa];
         let keep = f64::from(keep_pct) / 100.0;
-        let report = Campaign::new("hyperband-cap", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&agents)
-            .options(opts(2_000))
+        let report = run(&grid("hyperband-cap", 4, 2_000)
             .budget(budget)
             .policy(BudgetPolicy::Hyperband {
                 brackets: vec![
                     HalvingBracket::new(rounds_a, keep),
                     HalvingBracket::new(rounds_b, keep),
                 ],
-            })
-            .run()
-            .unwrap();
+            }));
         prop_assert!(report.budget.spent <= budget);
         prop_assert!(
             report.budget.overshoot <= 4,

@@ -4,7 +4,9 @@
 //! seeds must give bit-identical results at every layer, or the paper's
 //! experiments would not be reproducible run to run.
 
-use axdse_suite::ax_dse::campaign::{Campaign, SeedRange};
+use axdse_suite::ax_dse::campaign::{
+    run_spec, BenchmarkSpec, CampaignReport, ExperimentSpec, RunSpecOptions, SeedRange, Telemetry,
+};
 use axdse_suite::ax_dse::evaluator::{EvalContext, SharedCache};
 use axdse_suite::ax_dse::explore::AgentKind;
 use axdse_suite::ax_dse::explore::{ExplorationOutcome, ExploreOptions};
@@ -29,24 +31,29 @@ fn explore_exact(
     axdse_suite::ax_dse::campaign::explore(&ctx, opts, kind)
 }
 
-/// A 1-benchmark × 1-agent × N-seed campaign summary (the removed
+fn run(spec: &ExperimentSpec) -> CampaignReport {
+    run_spec(spec, RunSpecOptions::default()).unwrap()
+}
+
+/// Runs `spec` with `telemetry` attached.
+fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
+    let opts = RunSpecOptions {
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    run_spec(spec, opts).unwrap()
+}
+
+/// A MatMul-4 × 1-agent × N-seed campaign summary (the removed
 /// `sweep_seeds`/`sweep_seeds_parallel` wrappers, inlined).
-fn sweep(
-    workload: &dyn Workload,
-    lib: &OperatorLibrary,
-    opts: &ExploreOptions,
-    kind: AgentKind,
-    seeds: u64,
-    sequential: bool,
-) -> SweepSummary {
-    Campaign::new("determinism-sweep", lib)
-        .benchmark(workload)
+fn sweep(opts: &ExploreOptions, kind: AgentKind, seeds: u64, sequential: bool) -> SweepSummary {
+    let mut spec = ExperimentSpec::new("determinism-sweep")
+        .benchmark(BenchmarkSpec::MatMul(4))
         .agent(kind)
         .seeds(SeedRange::new(0, seeds))
-        .options(*opts)
-        .sequential(sequential)
-        .run()
-        .unwrap()
+        .explore(*opts);
+    spec.parallelism = sequential.then_some(1);
+    run(&spec)
         .cells
         .into_iter()
         .next()
@@ -88,7 +95,7 @@ fn class_keyed_shared_cache_sweep_matches_uncached_sweep() {
         ..Default::default()
     };
     let wl = MatMul::new(4);
-    let shared = sweep(&wl, &lib, &opts, AgentKind::QLearning, 3, true);
+    let shared = sweep(&opts, AgentKind::QLearning, 3, true);
     let outcomes: Vec<_> = (0..3)
         .map(|seed| {
             explore_exact(
@@ -147,14 +154,12 @@ fn rayon_sweep_is_byte_identical_to_sequential() {
     // The parallel engine's contract: fanning seeds out over the shared
     // cache changes cost, never results. Eight seeds, both paths, one
     // summary — compared field by field through `PartialEq`.
-    let lib = OperatorLibrary::evoapprox();
     let opts = ExploreOptions {
         max_steps: 200,
         ..Default::default()
     };
-    let wl = MatMul::new(4);
-    let seq = sweep(&wl, &lib, &opts, AgentKind::QLearning, 8, true);
-    let par = sweep(&wl, &lib, &opts, AgentKind::QLearning, 8, false);
+    let seq = sweep(&opts, AgentKind::QLearning, 8, true);
+    let par = sweep(&opts, AgentKind::QLearning, 8, false);
     assert_eq!(seq, par);
 }
 
@@ -243,18 +248,16 @@ fn campaign_exact_sweep_is_byte_identical_to_legacy() {
     let reference = summarize_outcomes(ctx.benchmark().to_owned(), &outcomes);
 
     // The campaign path.
-    let report = Campaign::new("equivalence", &lib)
-        .benchmark(&wl)
+    let report = run(&ExperimentSpec::new("equivalence")
+        .benchmark(BenchmarkSpec::MatMul(4))
         .agent(AgentKind::QLearning)
         .seeds(SeedRange::new(0, seeds))
-        .options(opts)
-        .run()
-        .unwrap();
+        .explore(opts));
     assert_eq!(report.cells[0].summary, reference);
 
     // And both execution modes of the campaign itself.
-    let seq = sweep(&wl, &lib, &opts, AgentKind::QLearning, seeds, true);
-    let par = sweep(&wl, &lib, &opts, AgentKind::QLearning, seeds, false);
+    let seq = sweep(&opts, AgentKind::QLearning, seeds, true);
+    let par = sweep(&opts, AgentKind::QLearning, seeds, false);
     assert_eq!(seq, reference);
     assert_eq!(par, reference);
 }
@@ -269,28 +272,22 @@ fn campaign_portfolio_is_byte_identical_to_legacy_race() {
     };
     let wl = MatMul::new(4);
     let kinds = [AgentKind::QLearning, AgentKind::Sarsa, AgentKind::DoubleQ];
+    let race = ExperimentSpec {
+        agents: kinds.to_vec(),
+        ..ExperimentSpec::new("race")
+    }
+    .benchmark(BenchmarkSpec::MatMul(4))
+    .seeds(SeedRange::single(opts.seed))
+    .explore(opts);
 
     // Sequential race as the hand-rolled reference; the parallel fan-out
     // must agree entry for entry (bit-exact scores included).
-    let legacy = Campaign::new("race", &lib)
-        .benchmark(&wl)
-        .agents(&kinds)
-        .seeds(SeedRange::single(opts.seed))
-        .options(opts)
-        .sequential(true)
-        .run()
-        .unwrap()
+    let legacy = run(&race.clone().parallelism(1))
         .portfolios
         .into_iter()
         .next()
         .expect("one benchmark");
-    let report = Campaign::new("race", &lib)
-        .benchmark(&wl)
-        .agents(&kinds)
-        .seeds(SeedRange::single(opts.seed))
-        .options(opts)
-        .run()
-        .unwrap();
+    let report = run(&race);
     let campaign = &report.portfolios[0];
 
     assert_eq!(legacy.benchmark, campaign.benchmark);
@@ -373,27 +370,27 @@ fn scalarised_campaign_reports_are_byte_identical_run_to_run() {
     // The pre-multi-objective pin: a scalar campaign serialises to the
     // same bytes run after run — and spelling out today's default
     // `Ranking::Scalarised` explicitly changes nothing.
-    let lib = OperatorLibrary::evoapprox();
     let opts = ExploreOptions {
         max_steps: 150,
         ..Default::default()
     };
-    let wl = MatMul::new(4);
-    let run = |explicit_ranking: bool| {
-        let mut c = Campaign::new("scalar-pin", &lib)
-            .benchmark(&wl)
-            .agent(AgentKind::QLearning)
-            .agent(AgentKind::Sarsa)
-            .seeds(SeedRange::new(0, 2))
-            .options(opts);
-        if explicit_ranking {
-            c = c.ranking(Ranking::Scalarised);
-        }
-        c.run().unwrap().to_json_string()
-    };
-    let a = run(false);
-    assert_eq!(a, run(false), "same campaign twice, same bytes");
-    assert_eq!(a, run(true), "explicit scalarised ranking is the default");
+    let spec = ExperimentSpec::new("scalar-pin")
+        .benchmark(BenchmarkSpec::MatMul(4))
+        .agent(AgentKind::QLearning)
+        .agent(AgentKind::Sarsa)
+        .seeds(SeedRange::new(0, 2))
+        .explore(opts);
+    let a = run(&spec).to_json_string();
+    assert_eq!(
+        a,
+        run(&spec).to_json_string(),
+        "same campaign twice, same bytes"
+    );
+    assert_eq!(
+        a,
+        run(&spec.ranking(Ranking::Scalarised)).to_json_string(),
+        "explicit scalarised ranking is the default"
+    );
     // Schema growth is tagged, not silent: consumers can tell a schema
     // change from byte drift.
     assert!(a.contains("\"report_version\": 3"));
@@ -460,6 +457,15 @@ fn shared_cache_persistence_round_trips_through_disk() {
     let _ = std::fs::remove_file(path);
 }
 
+/// All five agents: the roster of the golden campaigns.
+const ALL_AGENTS: [AgentKind; 5] = [
+    AgentKind::QLearning,
+    AgentKind::Sarsa,
+    AgentKind::ExpectedSarsa,
+    AgentKind::DoubleQ,
+    AgentKind::QLambda { lambda: 0.7 },
+];
+
 /// FNV-1a, 64-bit: a digest of report bytes with no per-process seed, so
 /// a recorded value compares across builds.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -470,7 +476,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// FNV-1a over a traced run's canonical event stream: each event's JSON
 /// line followed by a newline, in `(source, seq)` order.
-fn event_digest(telemetry: &axdse_suite::ax_dse::campaign::Telemetry) -> u64 {
+fn event_digest(telemetry: &Telemetry) -> u64 {
     let lines: String = telemetry
         .events()
         .iter()
@@ -481,8 +487,7 @@ fn event_digest(telemetry: &axdse_suite::ax_dse::campaign::Telemetry) -> u64 {
 
 #[test]
 fn campaign_reports_match_their_golden_digests() {
-    use axdse_suite::ax_dse::campaign::{BudgetPolicy, HalvingBracket, Ranking, Telemetry};
-    use axdse_suite::ax_workloads::dot::DotProduct;
+    use axdse_suite::ax_dse::campaign::{BudgetPolicy, HalvingBracket, Ranking};
     // Every other pin here compares two runs of one build, so a changed
     // RNG draw order, tie-break or floating-point operation order in an
     // agent would pass them all. These digests were recorded once: any
@@ -490,30 +495,21 @@ fn campaign_reports_match_their_golden_digests() {
     // policy is pinned under each ranking it can use, with its report
     // and the event stream of a traced run, so a drifted schedule fails
     // too.
-    let lib = OperatorLibrary::evoapprox();
-    let (matmul, dot) = (MatMul::new(4), DotProduct::new(8));
-    let agents = [
-        AgentKind::QLearning,
-        AgentKind::Sarsa,
-        AgentKind::ExpectedSarsa,
-        AgentKind::DoubleQ,
-        AgentKind::QLambda { lambda: 0.7 },
-    ];
-    let grid = || {
-        Campaign::new("golden", &lib)
-            .benchmark(&matmul)
-            .benchmark(&dot)
-            .agents(&agents)
-            .seeds(SeedRange::new(0, 2))
-            .options(ExploreOptions {
-                max_steps: 300,
-                ..Default::default()
-            })
-            // Budgeted schedules pause runs where the shared budget runs
-            // dry, which depends on thread interleaving unless sequential.
-            .sequential(true)
-    };
-    let uniform = grid().run().unwrap();
+    let grid = ExperimentSpec {
+        agents: ALL_AGENTS.to_vec(),
+        ..ExperimentSpec::new("golden")
+    }
+    .benchmark(BenchmarkSpec::MatMul(4))
+    .benchmark(BenchmarkSpec::Dot(8))
+    .seeds(SeedRange::new(0, 2))
+    .explore(ExploreOptions {
+        max_steps: 300,
+        ..Default::default()
+    })
+    // Budgeted schedules pause runs where the shared budget runs dry,
+    // which depends on thread interleaving unless sequential.
+    .parallelism(1);
+    let uniform = run(&grid);
     assert_eq!(uniform.budget.spent, 2958);
     assert_eq!(
         fnv1a64(uniform.to_json_string().as_bytes()),
@@ -521,7 +517,7 @@ fn campaign_reports_match_their_golden_digests() {
         "scalarised grid report drifted"
     );
     let traced = Telemetry::new();
-    grid().telemetry(&traced).run().unwrap();
+    run_traced(&grid, &traced);
     assert_eq!(
         event_digest(&traced),
         0x9659_e744_3069_e355,
@@ -614,16 +610,8 @@ fn campaign_reports_match_their_golden_digests() {
         ),
     ];
     for (label, policy, ranking, spent, report_digest, events_digest) in pinned {
-        let run = |telemetry: &Telemetry| {
-            grid()
-                .budget(1_200)
-                .policy(policy.clone())
-                .ranking(ranking)
-                .telemetry(telemetry)
-                .run()
-                .unwrap()
-        };
-        let report = run(&Telemetry::disabled());
+        let spec = grid.clone().budget(1_200).policy(policy).ranking(ranking);
+        let report = run(&spec);
         assert_eq!(report.budget.spent, spent, "{label} spend drifted");
         assert_eq!(
             fnv1a64(report.to_json_string().as_bytes()),
@@ -631,7 +619,7 @@ fn campaign_reports_match_their_golden_digests() {
             "{label} report drifted"
         );
         let traced = Telemetry::new();
-        run(&traced);
+        run_traced(&spec, &traced);
         assert_eq!(
             event_digest(&traced),
             events_digest,
@@ -647,35 +635,27 @@ fn campaign_schedule_shapes_match_their_golden_digest() {
     // and a constant α. This one pins the other two shapes an agent
     // evaluates per step, a linear ε and an exponential α, through all
     // five agents. Recorded once, like the digests above.
-    let lib = OperatorLibrary::evoapprox();
-    let matmul = MatMul::new(4);
-    let report = Campaign::new("golden-schedules", &lib)
-        .benchmark(&matmul)
-        .agents(&[
-            AgentKind::QLearning,
-            AgentKind::Sarsa,
-            AgentKind::ExpectedSarsa,
-            AgentKind::DoubleQ,
-            AgentKind::QLambda { lambda: 0.7 },
-        ])
-        .seeds(SeedRange::new(0, 2))
-        .options(ExploreOptions {
-            max_steps: 300,
-            epsilon: Schedule::Linear {
-                start: 0.5,
-                end: 0.02,
-                steps: 200,
-            },
-            alpha: Schedule::Exponential {
-                start: 0.6,
-                end: 0.1,
-                decay: 0.995,
-            },
-            ..Default::default()
-        })
-        .sequential(true)
-        .run()
-        .unwrap();
+    let report = run(&ExperimentSpec {
+        agents: ALL_AGENTS.to_vec(),
+        ..ExperimentSpec::new("golden-schedules")
+    }
+    .benchmark(BenchmarkSpec::MatMul(4))
+    .seeds(SeedRange::new(0, 2))
+    .explore(ExploreOptions {
+        max_steps: 300,
+        epsilon: Schedule::Linear {
+            start: 0.5,
+            end: 0.02,
+            steps: 200,
+        },
+        alpha: Schedule::Exponential {
+            start: 0.6,
+            end: 0.1,
+            decay: 0.995,
+        },
+        ..Default::default()
+    })
+    .parallelism(1));
     assert_eq!(
         fnv1a64(report.to_json_string().as_bytes()),
         0x271d_7eb8_54c8_08e6,

@@ -189,7 +189,7 @@ fn multiplier_ladder_is_monotone_in_power_on_matmul() {
 /// from the checked-in JSON spec that `repro run` executes.
 #[test]
 fn checked_in_campaign_spec_runs_end_to_end() {
-    use axdse_suite::ax_dse::campaign::{run_spec, BackendSpec, ExperimentSpec, NullObserver};
+    use axdse_suite::ax_dse::campaign::{run_spec, BackendSpec, ExperimentSpec};
 
     let text = std::fs::read_to_string("examples/campaign_matmul.json").unwrap();
     let mut spec = ExperimentSpec::from_json_str(&text).unwrap();
@@ -197,7 +197,7 @@ fn checked_in_campaign_spec_runs_end_to_end() {
     spec.explore.max_steps = spec.explore.max_steps.min(120);
     spec.seeds.count = spec.seeds.count.min(1);
 
-    let report = run_spec(&lib(), &spec, None, &NullObserver).unwrap();
+    let report = run_spec(&spec, Default::default()).unwrap();
     assert_eq!(
         report.cells.len(),
         spec.benchmarks.len() * spec.agents.len()
@@ -217,24 +217,20 @@ fn checked_in_campaign_spec_runs_end_to_end() {
 /// spending lands at the cap plus at most one in-flight step per run.
 #[test]
 fn global_budget_caps_a_multi_benchmark_campaign() {
-    use axdse_suite::ax_dse::campaign::{Campaign, SeedRange};
+    use axdse_suite::ax_dse::campaign::{run_spec, BenchmarkSpec, ExperimentSpec, SeedRange};
     use axdse_suite::ax_dse::explore::AgentKind;
-    use axdse_suite::ax_workloads::dot::DotProduct;
 
-    let l = lib();
-    let (wa, wb) = (MatMul::new(4), DotProduct::new(8));
-    let report = Campaign::new("budget-e2e", &l)
-        .benchmark(&wa)
-        .benchmark(&wb)
+    let spec = ExperimentSpec::new("budget-e2e")
+        .benchmark(BenchmarkSpec::MatMul(4))
+        .benchmark(BenchmarkSpec::Dot(8))
         .agent(AgentKind::QLearning)
         .seeds(SeedRange::new(0, 2))
-        .options(ExploreOptions {
+        .explore(ExploreOptions {
             max_steps: 10_000,
             ..Default::default()
         })
-        .budget(50)
-        .run()
-        .unwrap();
+        .budget(50);
+    let report = run_spec(&spec, Default::default()).unwrap();
     assert!(report.budget.exhausted());
     assert!(report.budget.stopped_runs > 0, "{:?}", report.budget);
     assert_eq!(report.budget.spent, 50, "reported spend clamps to the cap");

@@ -209,13 +209,12 @@ fn exact_and_interpreted_campaigns_agree() {
     // reference (`"exact-interpreted"`) must reproduce the compiled
     // engine's campaign exactly — a byte-identical report.
     use axdse_suite::ax_dse::campaign::{
-        run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, NullObserver, SeedRange,
+        run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, SeedRange,
     };
     use axdse_suite::ax_dse::explore::{AgentKind, ExploreOptions};
 
-    let lib = OperatorLibrary::evoapprox();
-    let mk = |backend| {
-        ExperimentSpec::new("engine-equivalence")
+    let run = |backend| {
+        let spec = ExperimentSpec::new("engine-equivalence")
             .benchmark(BenchmarkSpec::MatMul(4))
             .benchmark(BenchmarkSpec::Dot(8))
             .agent(AgentKind::QLearning)
@@ -225,17 +224,12 @@ fn exact_and_interpreted_campaigns_agree() {
                 max_steps: 150,
                 ..Default::default()
             })
-            .backend(backend)
+            .backend(backend);
+        run_spec(&spec, Default::default())
+            .unwrap()
+            .to_json_string()
     };
-    let compiled = run_spec(&lib, &mk(BackendSpec::Exact), None, &NullObserver).unwrap();
-    let interpreted = run_spec(
-        &lib,
-        &mk(BackendSpec::ExactInterpreted),
-        None,
-        &NullObserver,
-    )
-    .unwrap();
-    assert_eq!(compiled.to_json_string(), interpreted.to_json_string());
+    assert_eq!(run(BackendSpec::Exact), run(BackendSpec::ExactInterpreted));
 }
 
 proptest! {

@@ -7,25 +7,39 @@
 //! never change what a campaign computes.
 
 use axdse_suite::ax_dse::campaign::{
-    run_spec_traced, BudgetPolicy, Campaign, CampaignReport, EventKind, JsonlSink, SeedRange,
-    Telemetry,
+    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, EventKind, ExperimentSpec, JsonlSink,
+    RunSpecOptions, SeedRange, Telemetry,
 };
 use axdse_suite::ax_dse::explore::{AgentKind, ExploreOptions};
 use axdse_suite::ax_dse::json::Json;
-use axdse_suite::ax_operators::OperatorLibrary;
-use axdse_suite::ax_workloads::fir::Fir;
-use axdse_suite::ax_workloads::matmul::MatMul;
 use proptest::prelude::*;
-
-fn lib() -> OperatorLibrary {
-    OperatorLibrary::evoapprox()
-}
 
 fn opts(steps: u64) -> ExploreOptions {
     ExploreOptions {
         max_steps: steps,
         ..Default::default()
     }
+}
+
+/// The MatMul-4 × FIR-40 grid most campaigns here run: two agents, two
+/// seeds, at most `steps` steps a run.
+fn grid(name: &str, steps: u64) -> ExperimentSpec {
+    ExperimentSpec::new(name)
+        .benchmark(BenchmarkSpec::MatMul(4))
+        .benchmark(BenchmarkSpec::Fir(40))
+        .agent(AgentKind::QLearning)
+        .agent(AgentKind::Sarsa)
+        .seeds(SeedRange::new(0, 2))
+        .explore(opts(steps))
+}
+
+/// Runs `spec` with `telemetry` attached.
+fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
+    let opts = RunSpecOptions {
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    run_spec(spec, opts).unwrap()
 }
 
 /// Everything deterministic in a report: the telemetry section is
@@ -40,19 +54,10 @@ fn strip(r: &CampaignReport) -> String {
 /// An unbounded multi-seed campaign run with telemetry, sequentially or
 /// through the rayon fan-out.
 fn traced_campaign(sequential: bool) -> (CampaignReport, Telemetry) {
-    let l = lib();
-    let (matmul, fir) = (MatMul::new(4), Fir::new(40));
+    let mut spec = grid("telemetry-determinism", 150);
+    spec.parallelism = sequential.then_some(1);
     let telemetry = Telemetry::new();
-    let report = Campaign::new("telemetry-determinism", &l)
-        .benchmark(&matmul)
-        .benchmark(&fir)
-        .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-        .seeds(SeedRange::new(0, 2))
-        .options(opts(150))
-        .sequential(sequential)
-        .telemetry(&telemetry)
-        .run()
-        .unwrap();
+    let report = run_traced(&spec, &telemetry);
     (report, telemetry)
 }
 
@@ -80,25 +85,16 @@ fn parallel_campaign_emits_the_same_canonical_events_as_sequential() {
 /// fully determined: run twice, get byte-identical events and counters.
 #[test]
 fn budgeted_sequential_campaigns_are_repeatable() {
+    let spec = grid("telemetry-repeatable", 400)
+        .budget(300)
+        .policy(BudgetPolicy::SuccessiveHalving {
+            rounds: 2,
+            keep_fraction: 0.5,
+        })
+        .parallelism(1);
     let run = || {
-        let l = lib();
-        let (matmul, fir) = (MatMul::new(4), Fir::new(40));
         let telemetry = Telemetry::new();
-        let report = Campaign::new("telemetry-repeatable", &l)
-            .benchmark(&matmul)
-            .benchmark(&fir)
-            .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-            .seeds(SeedRange::new(0, 2))
-            .options(opts(400))
-            .budget(300)
-            .policy(BudgetPolicy::SuccessiveHalving {
-                rounds: 2,
-                keep_fraction: 0.5,
-            })
-            .sequential(true)
-            .telemetry(&telemetry)
-            .run()
-            .unwrap();
+        let report = run_traced(&spec, &telemetry);
         (report, telemetry)
     };
     let (report_a, t_a) = run();
@@ -118,7 +114,7 @@ fn budgeted_sequential_campaigns_are_repeatable() {
 /// ran) and wall-clock histograms may differ.
 #[test]
 fn compiled_and_interpreted_engines_agree_on_cache_and_budget_metrics() {
-    use axdse_suite::ax_dse::campaign::{BackendSpec, BenchmarkSpec, ExperimentSpec, NullObserver};
+    use axdse_suite::ax_dse::campaign::BackendSpec;
     let run = |backend: BackendSpec| {
         let spec = ExperimentSpec::new("engine-parity")
             .benchmark(BenchmarkSpec::MatMul(4))
@@ -128,7 +124,7 @@ fn compiled_and_interpreted_engines_agree_on_cache_and_budget_metrics() {
             .explore(opts(150))
             .backend(backend);
         let telemetry = Telemetry::new();
-        run_spec_traced(&lib(), &spec, None, &NullObserver, &telemetry).unwrap();
+        run_traced(&spec, &telemetry);
         telemetry.snapshot().unwrap()
     };
     let compiled = run(BackendSpec::Exact);
@@ -162,23 +158,13 @@ fn compiled_and_interpreted_engines_agree_on_cache_and_budget_metrics() {
 /// which splits into the clamped spend plus the cooperative overshoot.
 #[test]
 fn parallel_budgeted_campaign_reports_the_budget_invariant() {
-    let l = lib();
-    let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-    let telemetry = Telemetry::new();
-    let report = Campaign::new("telemetry-invariant", &l)
-        .benchmark(&matmul)
-        .benchmark(&fir)
-        .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-        .seeds(SeedRange::new(0, 2))
-        .options(opts(2_000))
+    let spec = grid("telemetry-invariant", 2_000)
         .budget(120)
         .policy(BudgetPolicy::AsyncHalving {
             rungs: 2,
             keep_fraction: 0.5,
-        })
-        .telemetry(&telemetry)
-        .run()
-        .unwrap();
+        });
+    let report = run_traced(&spec, &Telemetry::new());
     let summary = report.telemetry.expect("enabled telemetry is reported");
     assert!(summary.budget_invariant_ok);
     let snap = &summary.metrics;
@@ -194,19 +180,15 @@ fn parallel_budgeted_campaign_reports_the_budget_invariant() {
 #[test]
 fn jsonl_trace_lines_are_schema_valid() {
     let path = std::env::temp_dir().join(format!("ax_trace_{}.jsonl", std::process::id()));
-    let l = lib();
-    let matmul = MatMul::new(4);
+    let spec = ExperimentSpec::new("telemetry-jsonl")
+        .benchmark(BenchmarkSpec::MatMul(4))
+        .agent(AgentKind::QLearning)
+        .seeds(SeedRange::new(0, 2))
+        .explore(opts(150))
+        .budget(60);
     let telemetry = Telemetry::new();
     telemetry.add_sink(Box::new(JsonlSink::create(&path).unwrap()));
-    Campaign::new("telemetry-jsonl", &l)
-        .benchmark(&matmul)
-        .agents(&[AgentKind::QLearning])
-        .seeds(SeedRange::new(0, 2))
-        .options(opts(150))
-        .budget(60)
-        .telemetry(&telemetry)
-        .run()
-        .unwrap();
+    run_traced(&spec, &telemetry);
     telemetry.flush();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -262,28 +244,18 @@ proptest! {
         seeds in 1u64..3,
         halving in 0u32..2,
     ) {
-        let run = |telemetry: &Telemetry| {
-            let l = lib();
-            let (matmul, fir) = (MatMul::new(4), Fir::new(40));
-            let mut c = Campaign::new("tracing-transparency", &l)
-                .benchmark(&matmul)
-                .benchmark(&fir)
-                .agents(&[AgentKind::QLearning, AgentKind::Sarsa])
-                .seeds(SeedRange::new(0, seeds))
-                .options(opts(300))
-                .budget(budget)
-                .sequential(true)
-                .telemetry(telemetry);
-            if halving == 1 {
-                c = c.policy(BudgetPolicy::SuccessiveHalving {
-                    rounds: 2,
-                    keep_fraction: 0.5,
-                });
-            }
-            c.run().unwrap()
-        };
-        let plain = run(&Telemetry::disabled());
-        let traced = run(&Telemetry::new());
+        let mut spec = grid("tracing-transparency", 300)
+            .seeds(SeedRange::new(0, seeds))
+            .budget(budget)
+            .parallelism(1);
+        if halving == 1 {
+            spec.policy = BudgetPolicy::SuccessiveHalving {
+                rounds: 2,
+                keep_fraction: 0.5,
+            };
+        }
+        let plain = run_traced(&spec, &Telemetry::disabled());
+        let traced = run_traced(&spec, &Telemetry::new());
         prop_assert!(plain.telemetry.is_none());
         prop_assert!(traced.telemetry.is_some());
         prop_assert_eq!(strip(&plain), strip(&traced));
