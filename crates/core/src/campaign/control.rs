@@ -2,8 +2,8 @@
 //! campaign.
 //!
 //! A [`CampaignControl`] is a cheap cloneable handle threaded into a
-//! [`Campaign`](crate::campaign::Campaign) via
-//! [`Campaign::control`](crate::campaign::Campaign::control). The driver
+//! campaign through
+//! [`RunSpecOptions::control`](crate::campaign::RunSpecOptions::control). The driver
 //! polls it at the same step boundaries where budget exhaustion is
 //! polled, so the enforcement contract is identical to
 //! [`EvalBudget`](crate::campaign::EvalBudget)'s: **cooperative**, with at

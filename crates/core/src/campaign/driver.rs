@@ -608,10 +608,12 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 /// multi-benchmark × multi-agent × budgeted case is the grid neither of
 /// those can express.
 ///
-/// The spec is the whole configuration; a `Campaign` adds only what a run
-/// attaches (cache, observer, telemetry, control, stacked budgets).
-/// [`run_spec`](crate::campaign::run_spec) builds the spec's library and
-/// benchmarks itself; `from_spec` serves callers that already hold them.
+/// The spec is the whole configuration; a `Campaign` adds only a shared
+/// cache and telemetry. [`run_spec`](crate::campaign::run_spec) builds
+/// the spec's library and benchmarks itself and takes every attachment
+/// (observer, control and stacked budgets too) as one
+/// [`RunSpecOptions`]; `from_spec` serves callers that already hold the
+/// library and benchmarks.
 ///
 /// ```
 /// use ax_dse::campaign::{BenchmarkSpec, Campaign, ExperimentSpec, SeedRange};
@@ -669,13 +671,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Streams progress through `observer`.
-    #[must_use]
-    pub fn observe(mut self, observer: &'a dyn Observer) -> Self {
-        self.opts.observer = Some(observer);
-        self
-    }
-
     /// Records metrics and typed events into `telemetry` (a cheap shared
     /// handle — clone it to read events and snapshots afterwards). The
     /// default is [`Telemetry::disabled`]: no event is constructed, no
@@ -684,28 +679,6 @@ impl<'a> Campaign<'a> {
     #[must_use]
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.opts.telemetry = telemetry.clone();
-        self
-    }
-
-    /// Supervises the campaign through `control`: runs poll the handle at
-    /// the same step boundaries as budget exhaustion, so a cancel stops
-    /// every run cooperatively (with [`StopReason::Stopped`], at most one
-    /// step of overshoot per run) and a pause parks the campaign until
-    /// resumed. The default is an always-running handle.
-    #[must_use]
-    pub fn control(mut self, control: &CampaignControl) -> Self {
-        self.opts.control = Some(control.clone());
-        self
-    }
-
-    /// Stacks an additional budget every run charges alongside its cell's
-    /// sub-budget and the campaign's own global budget — the hook a
-    /// [`crate::campaign::GlobalScheduler`] uses to enforce one
-    /// server-wide cap across many concurrent campaigns. Exhaustion of an
-    /// extra budget pauses runs exactly like global-budget exhaustion.
-    #[must_use]
-    pub fn extra_budget(mut self, budget: Arc<EvalBudget>) -> Self {
-        self.opts.extra_budgets.push(budget);
         self
     }
 
@@ -2013,11 +1986,11 @@ mod tests {
             .agent(AgentKind::QLearning)
             .agent(AgentKind::Sarsa)
             .seeds(SeedRange::new(0, 2));
-        let (lib, workloads) = (observed.library.build(), observed.build_workloads());
-        Campaign::from_spec(&lib, &observed, &workloads)
-            .observe(&counting)
-            .run()
-            .unwrap();
+        let opts = RunSpecOptions {
+            observer: Some(&counting),
+            ..Default::default()
+        };
+        run_spec(&observed, opts).unwrap();
         assert_eq!(counting.starts.load(Ordering::Relaxed), 4);
         assert_eq!(counting.benches.load(Ordering::Relaxed), 1);
         assert_eq!(counting.runs.load(Ordering::Relaxed), 4);

@@ -6,7 +6,7 @@
 //! The accounting contract is the same stacked-budget scheme the campaign
 //! driver already uses: every evaluation of a job charges the job's own
 //! budget *and* the server-wide [`EvalBudget`] (via
-//! [`Campaign::extra_budget`](crate::campaign::Campaign::extra_budget)),
+//! [`RunSpecOptions::extra_budgets`](crate::campaign::RunSpecOptions::extra_budgets)),
 //! so the server cap stays the hard ceiling whatever the per-job split —
 //! cooperatively enforced, with the documented at-most-one-step overshoot
 //! per run. On top of the accounting, the scheduler arbitrates *admission*:
@@ -54,13 +54,13 @@ impl JobTicket {
 
     /// The per-job budget: cap = `min(requested, scheduler max_job_budget)`
     /// (unbounded only when both are). Stack it into the job's campaign
-    /// with [`Campaign::extra_budget`](crate::campaign::Campaign::extra_budget).
+    /// through [`RunSpecOptions::extra_budgets`](crate::campaign::RunSpecOptions::extra_budgets).
     pub fn budget(&self) -> &Arc<EvalBudget> {
         &self.budget
     }
 
-    /// The job's control handle; thread it into the campaign with
-    /// [`Campaign::control`](crate::campaign::Campaign::control).
+    /// The job's control handle; thread it into the campaign through
+    /// [`RunSpecOptions::control`](crate::campaign::RunSpecOptions::control).
     pub fn control(&self) -> &CampaignControl {
         &self.control
     }

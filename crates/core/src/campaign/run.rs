@@ -59,12 +59,17 @@ pub struct RunSpecOptions<'a> {
     /// default, [`Telemetry::disabled`], is byte-identical to no
     /// telemetry at all.
     pub telemetry: Telemetry,
-    /// Cooperative cancel/pause handle (see [`Campaign::control`]).
+    /// Cooperative cancel/pause handle: runs poll it at the same step
+    /// boundaries as budget exhaustion, so a cancel stops every run (with
+    /// [`StopReason::Stopped`](ax_agents::train::StopReason::Stopped), at
+    /// most one step of overshoot per run) and a pause parks the campaign
+    /// until resumed. `None` never interrupts.
     pub control: Option<CampaignControl>,
-    /// Budgets stacked on top of the spec's own (see
-    /// [`Campaign::extra_budget`]) — e.g. a
+    /// Budgets every run charges alongside its cell's sub-budget and the
+    /// spec's global one — e.g. a
     /// [`GlobalScheduler`](crate::campaign::GlobalScheduler) per-job
-    /// ticket and its server-wide cap.
+    /// ticket and its server-wide cap. Exhausting one pauses runs exactly
+    /// like global-budget exhaustion.
     pub extra_budgets: Vec<Arc<EvalBudget>>,
 }
 

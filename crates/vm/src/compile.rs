@@ -19,9 +19,13 @@
 //!    one class flags exactly the same instructions, so they share one
 //!    opcode vector, built on first use and `Arc`-shared by every
 //!    [`CompiledProgram`] on every thread that runs the program.
+//!    The skeleton also fuses every **multiply-accumulate chain** — two or
+//!    more consecutive `p ← (a·b) >> s; o ← p + o` pairs that one selection
+//!    flags alike (see [`CompiledSkeleton::new`]) — into one step, so
+//!    specialising decides each chain's two flags at once.
 //! 2. [`CompiledProgram`] — one `(Binding, VarMask)` design: the table's
-//!    opcode vector for the selection (each instruction an exact or
-//!    approximate opcode, so there is no `flags[pc]` branch at run time;
+//!    opcode vector for the selection (each instruction or chain an exact
+//!    or approximate opcode, so there is no `flags[pc]` branch at run time;
 //!    precise additions and multiplications compile to raw two's-complement
 //!    arithmetic, bypassing the operator models entirely), the binding's
 //!    two operator models, and the run's [`ArithProfile`], computed
@@ -31,7 +35,9 @@
 //! A run resolves both operator models once, through `with_add_kernel!` and
 //! `with_mul_kernel!`: each (adder kind, multiplier kind) pair monomorphises
 //! its own loop with both kernels inlined, so the loop is just loads, inline
-//! arithmetic and stores. Building a [`CompiledProgram`] is a table lookup,
+//! arithmetic and stores; a chain op keeps its product and accumulator in
+//! registers and stores both once, after its last link. Building a
+//! [`CompiledProgram`] is a table lookup,
 //! not a pass over the program: changing operators or selection allocates
 //! nothing once the selection's class has been specialised.
 //!
@@ -112,6 +118,100 @@ impl SkelOp {
     }
 }
 
+/// One step of a skeleton's run order: a single instruction, or a fused
+/// multiply-accumulate chain.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Op(SkelOp),
+    Chain {
+        /// Index into [`CompiledSkeleton`]'s chain table.
+        id: u32,
+        /// The touched-variable mask every multiply of the chain shares.
+        mul_touched: u64,
+        /// The touched-variable mask every add of the chain shares.
+        add_touched: u64,
+    },
+}
+
+/// A multiply-accumulate chain: `len ≥ 2` consecutive instruction pairs
+/// `prod ← (a·b) >> shift; acc ← prod + acc` (or `acc ← acc + prod`),
+/// every pair with the same `prod`, `acc`, `shift` and add order, and no
+/// operand `a` or `b` that the chain writes. It runs as a fold over its
+/// operand pairs that stores `prod` and `acc` once, at the end.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    prod: u32,
+    acc: u32,
+    shift: u32,
+    /// `true` for `acc ← acc + prod`, `false` for `acc ← prod + acc`:
+    /// approximate adders are not commutative (`PassB` copies `b`).
+    acc_first: bool,
+    /// Instruction index of the first multiply; the k-th multiply's is
+    /// `pc + 2k`, reported in its overflow error as the interpreter does.
+    pc: u32,
+    /// The chain's `(a, b)` offsets are `pairs[start..start + len]`.
+    start: u32,
+    len: u32,
+}
+
+/// One multiply and the add after it, when they form a link of a chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    prod: usize,
+    acc: usize,
+    shift: u32,
+    acc_first: bool,
+    mul_touched: u64,
+    add_touched: u64,
+}
+
+impl Link {
+    /// The link `mul` and `add` form, with its operand pair, if `mul`
+    /// multiplies into `prod` and `add` adds `prod` into a different cell
+    /// `acc`, with neither multiply operand in `{prod, acc}` — so the link
+    /// reads no cell a chain of it writes.
+    fn of(mul: SkelOp, add: SkelOp) -> Option<(Self, [u32; 2])> {
+        let SkelOp::Mul {
+            dst: prod,
+            a,
+            b,
+            shift,
+            touched: mul_touched,
+            ..
+        } = mul
+        else {
+            return None;
+        };
+        let SkelOp::Add {
+            dst: acc,
+            a: x,
+            b: y,
+            touched: add_touched,
+        } = add
+        else {
+            return None;
+        };
+        let acc_first = match (x == prod, y == prod) {
+            (true, false) if y == acc => false,
+            (false, true) if x == acc => true,
+            _ => return None,
+        };
+        let writes = [prod, acc];
+        if prod == acc || writes.contains(&a) || writes.contains(&b) {
+            return None;
+        }
+        let link = Self {
+            prod,
+            acc,
+            shift,
+            acc_first,
+            mul_touched,
+            add_touched,
+        };
+        Some((link, [a as u32, b as u32]))
+    }
+}
+
 /// Most specialised opcode vectors one skeleton keeps; past it the oldest
 /// is evicted first. MatMul, FIR, Conv2d, DCT and Dot have two flag
 /// classes (four canonical masks) and Sobel four (16), so every shipped
@@ -135,7 +235,12 @@ struct Specialisation {
 /// from it.
 #[derive(Debug)]
 pub struct CompiledSkeleton {
-    ops: Vec<SkelOp>,
+    /// The run order: every instruction outside a chain, and one step per
+    /// multiply-accumulate chain.
+    steps: Vec<Step>,
+    chains: Vec<Chain>,
+    /// Every chain's `(a, b)` multiply operand offsets, chain by chain.
+    pairs: Vec<[u32; 2]>,
     /// `(base, len)` of each output variable, in declaration order.
     outputs: Vec<(usize, usize)>,
     total_cells: usize,
@@ -181,7 +286,15 @@ struct FlagClass {
 }
 
 impl CompiledSkeleton {
-    /// Resolves `program` into its offset-resolved skeleton.
+    /// Resolves `program` into its offset-resolved skeleton, and fuses its
+    /// multiply-accumulate chains: every maximal run of at least two
+    /// consecutive pairs `Mul { dst: p, a, b, shift }`,
+    /// `Add { dst: o, a: p, b: o }` (or `a: o, b: p`) with equal `p`, `o`,
+    /// `shift`, add order and touched-variable masks, `p ≠ o`, and `a`,
+    /// `b` outside `{p, o}`. One selection flags a whole chain alike, and
+    /// no link reads a cell the chain writes, so the fused run is the
+    /// interpreter's run of the pairs. The fingerprint, the flag classes
+    /// and the operation counts come from the instructions, not the chains.
     ///
     /// # Panics
     ///
@@ -286,9 +399,12 @@ impl CompiledSkeleton {
             flag_classes[i].adds |= is_add;
             flag_classes[i].muls |= !is_add;
         }
+        let (steps, chains, pairs) = fuse_chains(&ops);
 
         Self {
-            ops,
+            steps,
+            chains,
+            pairs,
             outputs,
             total_cells: program.total_cells() as usize,
             output_cells,
@@ -394,22 +510,39 @@ impl CompiledSkeleton {
     }
 
     /// One pass over the skeleton: each arithmetic instruction becomes its
-    /// exact or approximate opcode under the selection `bits`.
+    /// exact or approximate opcode under the selection `bits`, and each
+    /// chain carries whether its multiplies and its adds are approximate.
     fn specialise(&self, bits: u64) -> Specialisation {
         let (mut adds_approx, mut muls_approx) = (0u64, 0u64);
         let ops = self
-            .ops
+            .steps
             .iter()
-            .map(|op| match *op {
-                SkelOp::Const { dst, value } => CompiledOp::Const {
+            .map(|step| match *step {
+                Step::Chain {
+                    id,
+                    mul_touched,
+                    add_touched,
+                } => {
+                    let len = u64::from(self.chains[id as usize].len);
+                    let (mul_approx, add_approx) =
+                        (mul_touched & bits != 0, add_touched & bits != 0);
+                    muls_approx += if mul_approx { len } else { 0 };
+                    adds_approx += if add_approx { len } else { 0 };
+                    CompiledOp::Chain {
+                        id,
+                        mul_approx,
+                        add_approx,
+                    }
+                }
+                Step::Op(SkelOp::Const { dst, value }) => CompiledOp::Const {
                     dst: dst as u32,
                     value,
                 },
-                SkelOp::Copy { dst, src } => CompiledOp::Copy {
+                Step::Op(SkelOp::Copy { dst, src }) => CompiledOp::Copy {
                     dst: dst as u32,
                     src: src as u32,
                 },
-                SkelOp::Add { dst, a, b, touched } => {
+                Step::Op(SkelOp::Add { dst, a, b, touched }) => {
                     let (dst, a, b) = (dst as u32, a as u32, b as u32);
                     if touched & bits != 0 {
                         adds_approx += 1;
@@ -418,14 +551,14 @@ impl CompiledSkeleton {
                         CompiledOp::AddExact { dst, a, b }
                     }
                 }
-                SkelOp::Mul {
+                Step::Op(SkelOp::Mul {
                     dst,
                     a,
                     b,
                     shift,
                     pc,
                     touched,
-                } => {
+                }) => {
                     let (dst, a, b) = (dst as u32, a as u32, b as u32);
                     if touched & bits != 0 {
                         muls_approx += 1;
@@ -461,12 +594,62 @@ impl CompiledSkeleton {
     }
 }
 
+/// Splits `ops` into run steps, fusing every multiply-accumulate chain (see
+/// [`CompiledSkeleton::new`]) into one step over the returned chain table
+/// and operand-pair table.
+fn fuse_chains(ops: &[SkelOp]) -> (Vec<Step>, Vec<Chain>, Vec<[u32; 2]>) {
+    let link_at = |pc: usize| match ops.get(pc..pc + 2) {
+        Some(&[mul, add]) => Link::of(mul, add),
+        _ => None,
+    };
+    let (mut steps, mut chains, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut pc = 0;
+    while pc < ops.len() {
+        let Some((link, first)) = link_at(pc) else {
+            steps.push(Step::Op(ops[pc]));
+            pc += 1;
+            continue;
+        };
+        let start = pairs.len();
+        pairs.push(first);
+        let mut end = pc + 2;
+        while let Some((_, pair)) = link_at(end).filter(|(next, _)| *next == link) {
+            pairs.push(pair);
+            end += 2;
+        }
+        if pairs.len() - start < 2 {
+            pairs.truncate(start);
+            steps.extend(ops[pc..end].iter().map(|&op| Step::Op(op)));
+        } else {
+            steps.push(Step::Chain {
+                id: chains.len() as u32,
+                mul_touched: link.mul_touched,
+                add_touched: link.add_touched,
+            });
+            chains.push(Chain {
+                prod: link.prod as u32,
+                acc: link.acc as u32,
+                shift: link.shift,
+                acc_first: link.acc_first,
+                pc: pc as u32,
+                start: start as u32,
+                len: (pairs.len() - start) as u32,
+            });
+        }
+        pc = end;
+    }
+    (steps, chains, pairs)
+}
+
 /// One opcode of a specialised program: the approximate/precise choice is
 /// baked into the variant, so the run loop has no flag lookup and no cost
 /// accounting. Operand offsets are `u32` deliberately — a sweep streams the
-/// opcode vector thousands of times, and the narrow encoding keeps whole
-/// programs resident in L1 (cell counts are bounded by the program IR's
-/// `u32` cell space, so the narrowing is lossless).
+/// opcode vector thousands of times, and the narrow encoding keeps an op at
+/// 24 bytes (cell counts are bounded by the program IR's `u32` cell space,
+/// so the narrowing is lossless). A chain is one op, whose 8-byte operand
+/// pairs the skeleton holds: FIR-100's 3,500 instructions run as 200 ops
+/// (4.8 KB) over a 13.6 KB pair table, where one op per instruction took
+/// 84 KB, more than L1d holds.
 #[derive(Debug, Clone, Copy)]
 enum CompiledOp {
     Const {
@@ -506,6 +689,13 @@ enum CompiledOp {
         b: u32,
         shift: u32,
         pc: u32,
+    },
+    /// A multiply-accumulate chain of the skeleton's chain table, each of
+    /// its two operations exact or through the design's model.
+    Chain {
+        id: u32,
+        mul_approx: bool,
+        add_approx: bool,
     },
 }
 
@@ -702,11 +892,7 @@ impl CompiledProgram {
 
         with_add_kernel!(self.add_model, skeleton.add_width, |add| {
             with_mul_kernel!(self.mul_model, skeleton.mul_width, |mul| exec_ops(
-                &self.ops,
-                skeleton.mul_width,
-                mem,
-                add,
-                mul
+                &self.ops, skeleton, mem, add, mul
             ))
         })?;
 
@@ -723,28 +909,16 @@ impl CompiledProgram {
 
 /// The monomorphised loop behind [`CompiledProgram::run`]: pure loads,
 /// arithmetic, and stores against `mem`, with `add` and `mul` the fully
-/// resolved approximate kernels.
+/// resolved approximate kernels and `skeleton` holding the chains.
 #[inline(always)]
 fn exec_ops(
     ops: &[CompiledOp],
-    mul_width: BitWidth,
+    skeleton: &CompiledSkeleton,
     mem: &mut [i64],
     add: impl Fn(i64, i64) -> i64,
     mul: impl Fn(i64, i64) -> i64,
 ) -> Result<(), VmError> {
-    let mul_mask = mul_width.mask();
-    let check = |x: i64, y: i64, pc: u32| -> Result<(), VmError> {
-        for v in [x, y] {
-            if v.unsigned_abs() > mul_mask {
-                return Err(VmError::OperandOverflow {
-                    pc: pc as usize,
-                    value: v,
-                    width_bits: mul_width.bits(),
-                });
-            }
-        }
-        Ok(())
-    };
+    let operands = OperandCheck::new(skeleton.mul_width);
     for op in ops {
         match *op {
             CompiledOp::Const { dst, value } => mem[dst as usize] = value,
@@ -763,7 +937,7 @@ fn exec_ops(
                 pc,
             } => {
                 let (x, y) = (mem[a as usize], mem[b as usize]);
-                check(x, y, pc)?;
+                operands.check(x, y, pc)?;
                 mem[dst as usize] = x.wrapping_mul(y) >> shift;
             }
             CompiledOp::MulApprox {
@@ -774,11 +948,131 @@ fn exec_ops(
                 pc,
             } => {
                 let (x, y) = (mem[a as usize], mem[b as usize]);
-                check(x, y, pc)?;
+                operands.check(x, y, pc)?;
                 mem[dst as usize] = mul(x, y) >> shift;
+            }
+            CompiledOp::Chain {
+                id,
+                mul_approx,
+                add_approx,
+            } => {
+                let chain = &skeleton.chains[id as usize];
+                let pairs = &skeleton.pairs[chain.start as usize..][..chain.len as usize];
+                let o = operands;
+                match (mul_approx, add_approx) {
+                    (false, false) => run_chain(chain, pairs, mem, o, exact_mul, exact_add),
+                    (false, true) => run_chain(chain, pairs, mem, o, exact_mul, &add),
+                    (true, false) => run_chain(chain, pairs, mem, o, &mul, exact_add),
+                    (true, true) => run_chain(chain, pairs, mem, o, &mul, &add),
+                }?;
             }
         }
     }
+    Ok(())
+}
+
+/// The multiplier width's operand check, with its magnitude mask resolved
+/// once per run rather than per multiply.
+#[derive(Clone, Copy)]
+struct OperandCheck {
+    mask: u64,
+    width: BitWidth,
+}
+
+impl OperandCheck {
+    fn new(width: BitWidth) -> Self {
+        Self {
+            mask: width.mask(),
+            width,
+        }
+    }
+
+    /// Fails with the interpreter's error if an operand of the multiply
+    /// at `pc` does not fit the multiplier width. `|v| ≤ mask` exactly
+    /// when `v + mask` lies in `[0, 2·mask]`, so each operand costs one
+    /// add and one unsigned compare (masks are at most 32 bits wide, so
+    /// nothing wraps into range), and both share one branch.
+    #[inline(always)]
+    fn check(self, x: i64, y: i64, pc: u32) -> Result<(), VmError> {
+        let outside = |v: i64| v.wrapping_add(self.mask as i64) as u64 > 2 * self.mask;
+        if outside(x) | outside(y) {
+            return Err(self.overflow(x, y, pc));
+        }
+        Ok(())
+    }
+
+    /// The interpreter's error for the multiply at `pc`: it names `x` if
+    /// `x` is out of range, else `y`.
+    #[cold]
+    fn overflow(self, x: i64, y: i64, pc: u32) -> VmError {
+        VmError::OperandOverflow {
+            pc: pc as usize,
+            value: if x.unsigned_abs() > self.mask { x } else { y },
+            width_bits: self.width.bits(),
+        }
+    }
+}
+
+/// The precise kernels of a chain. Free functions rather than closures, so
+/// a chain that is exact in one operation shares one copy of
+/// [`run_chain`] across every operator model of the other.
+fn exact_mul(x: i64, y: i64) -> i64 {
+    x.wrapping_mul(y)
+}
+
+/// See [`exact_mul`].
+fn exact_add(x: i64, y: i64) -> i64 {
+    x.wrapping_add(y)
+}
+
+/// Runs one chain on the kernels `mul` and `add` (exact or approximate),
+/// in its add order. Not inlined: one call per chain costs nothing
+/// measurable against its links, while inlining the four variants into
+/// each of the 70 `(adder, multiplier)` loops of [`exec_ops`] made a
+/// release rebuild of this crate about 2.6 times slower. Out of line, each
+/// variant exact in one operation is also one copy, shared by every model
+/// of the other.
+#[inline(never)]
+fn run_chain(
+    chain: &Chain,
+    pairs: &[[u32; 2]],
+    mem: &mut [i64],
+    operands: OperandCheck,
+    mul: impl Fn(i64, i64) -> i64,
+    add: impl Fn(i64, i64) -> i64,
+) -> Result<(), VmError> {
+    // `fold_chain` accumulates as `accumulate(acc, prod)`.
+    if chain.acc_first {
+        fold_chain(chain, pairs, mem, operands, mul, &add)
+    } else {
+        fold_chain(chain, pairs, mem, operands, mul, |acc, prod| add(prod, acc))
+    }
+}
+
+/// The links of `chain` with the product and the accumulator in
+/// registers: the k-th link checks its operands as the multiply at
+/// `chain.pc + 2k`, and both cells are stored once, after the last link.
+/// No link reads `prod` or `acc` from `mem`, so nothing observes the
+/// skipped stores; an error ends the run, so nothing observes them then
+/// either.
+#[inline(always)]
+fn fold_chain(
+    chain: &Chain,
+    pairs: &[[u32; 2]],
+    mem: &mut [i64],
+    operands: OperandCheck,
+    mul: impl Fn(i64, i64) -> i64,
+    accumulate: impl Fn(i64, i64) -> i64,
+) -> Result<(), VmError> {
+    let (mut prod, mut acc) = (mem[chain.prod as usize], mem[chain.acc as usize]);
+    for (k, &[a, b]) in (0u32..).zip(pairs) {
+        let (x, y) = (mem[a as usize], mem[b as usize]);
+        operands.check(x, y, chain.pc + 2 * k)?;
+        prod = mul(x, y) >> chain.shift;
+        acc = accumulate(acc, prod);
+    }
+    mem[chain.prod as usize] = prod;
+    mem[chain.acc as usize] = acc;
     Ok(())
 }
 
@@ -837,9 +1131,38 @@ mod tests {
         OperatorLibrary::evoapprox()
     }
 
+    /// [`lib`] plus a `PassB` adder at 8 and 16 bits: it copies its second
+    /// operand's low bits, so unlike `evoapprox`'s adders it is not
+    /// commutative, and a chain run with its add operands swapped differs.
+    fn lib_with_pass_b() -> OperatorLibrary {
+        let base = lib();
+        let mut builder = OperatorLibrary::builder();
+        for width in [BitWidth::W8, BitWidth::W16, BitWidth::W32] {
+            for e in base.adders(width) {
+                builder = builder.adder(e.spec.clone(), e.model);
+            }
+            for e in base.multipliers(width) {
+                builder = builder.multiplier(e.spec.clone(), e.model);
+            }
+        }
+        for width in [BitWidth::W8, BitWidth::W16] {
+            builder = builder.adder(
+                OperatorSpec::new(format!("PB{}", width.bits()), width, 1.0, 0.01, 0.2),
+                AdderModel::new(ax_operators::AdderKind::PassB { approx_bits: 3 }, width),
+            );
+        }
+        builder.build()
+    }
+
     /// dot product of two length-3 vectors on 8-bit operators (same shape
-    /// as the interpreter's test kernel).
+    /// as the interpreter's test kernel): one chain in `(acc, prod)` order.
     fn dot3() -> Program {
+        dot3_in_order(true)
+    }
+
+    /// [`dot3`] with its adds in `(acc, prod)` order if `acc_first`, else
+    /// in the shipped workloads' `(prod, acc)` order.
+    fn dot3_in_order(acc_first: bool) -> Program {
         let mut pb = ProgramBuilder::new("dot3", BitWidth::W8, BitWidth::W8);
         let x = pb.input("x", 3);
         let y = pb.input("y", 3);
@@ -848,9 +1171,47 @@ mod tests {
         pb.konst(acc.at(0), 0);
         for i in 0..3 {
             pb.mul(p.at(0), x.at(i), y.at(i), 0);
-            pb.add(acc.at(0), acc.at(0), p.at(0));
+            if acc_first {
+                pb.add(acc.at(0), acc.at(0), p.at(0));
+            } else {
+                pb.add(acc.at(0), p.at(0), acc.at(0));
+            }
         }
         pb.build().unwrap()
+    }
+
+    /// The number of chain ops in a design's opcode vector.
+    fn chain_ops(design: &CompiledProgram) -> usize {
+        design
+            .ops
+            .iter()
+            .filter(|op| matches!(op, CompiledOp::Chain { .. }))
+            .count()
+    }
+
+    /// Runs every design of `prog` over every operator pair of `evoapprox`
+    /// plus a `PassB` adder on both engines from `img`, and checks that
+    /// outcomes — outputs and profile, or the error — are equal.
+    fn assert_every_design_matches_the_interpreter(prog: &Program, img: &[i64]) {
+        let lib = lib_with_pass_b();
+        let skeleton = Arc::new(CompiledSkeleton::new(prog));
+        let mut mask = VarMask::none(prog);
+        let (mut scratch, mut compiled_scratch) = (ExecScratch::new(), ExecScratch::new());
+        for adder in 0..lib.adders(prog.add_width()).len() {
+            for mul in 0..lib.multipliers(prog.mul_width()).len() {
+                let binding = Binding::new(&lib, prog, AdderId(adder), MulId(mul)).unwrap();
+                for bits in 0..(1u64 << mask.len()) {
+                    mask.set_raw_bits(bits);
+                    let compiled = skeleton.compile(&binding, bits);
+                    let reference = run_from_image(prog, img, &binding, &mask, &mut scratch);
+                    let got = compiled.run(img, &mut compiled_scratch);
+                    if let Ok(reference) = &reference {
+                        assert_eq!(compiled.profile(), reference.profile);
+                    }
+                    assert_eq!(got, reference, "adder {adder}, mul {mul}, bits {bits:#b}");
+                }
+            }
+        }
     }
 
     fn image(prog: &Program, x: &[i64], y: &[i64]) -> Vec<i64> {
@@ -1128,5 +1489,222 @@ mod tests {
         assert_eq!(out.profile, compiled.profile());
         assert_eq!(out.profile.adds_total, 3);
         assert_eq!(out.profile.muls_total, 3);
+    }
+
+    #[test]
+    fn both_add_orders_fuse_and_match_the_interpreter() {
+        for acc_first in [true, false] {
+            let prog = dot3_in_order(acc_first);
+            let skeleton = CompiledSkeleton::new(&prog);
+            assert_eq!(skeleton.steps.len(), 2, "the const, then one chain");
+            assert_eq!(skeleton.chains.len(), 1);
+            let chain = skeleton.chains[0];
+            assert_eq!((chain.acc_first, chain.pc, chain.len), (acc_first, 1, 3));
+            assert_eq!(skeleton.pairs, [[0, 3], [1, 4], [2, 5]]);
+            for (x, y) in [
+                ([3, 5, 7], [11, 13, 2]),
+                ([-255, 255, 128], [255, -255, -1]),
+            ] {
+                assert_every_design_matches_the_interpreter(&prog, &image(&prog, &x, &y));
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_reading_a_cell_it_writes_is_not_fused() {
+        // acc ← acc · x[i], p ← p · x[i] and p == acc: each link reads a
+        // cell the chain writes.
+        for alias in 0..3 {
+            let mut pb = ProgramBuilder::new("alias", BitWidth::W8, BitWidth::W8);
+            let x = pb.input("x", 3);
+            let y = pb.input("y", 3);
+            let p = pb.temp("p", 1);
+            let acc = pb.output("acc", 1);
+            pb.konst(acc.at(0), 1);
+            pb.konst(p.at(0), 1);
+            for i in 0..3 {
+                let (p, acc) = (p.at(0), acc.at(0));
+                match alias {
+                    0 => pb.mul(p, acc, x.at(i), 0),
+                    1 => pb.mul(p, p, y.at(i), 0),
+                    _ => pb.mul(acc, x.at(i), y.at(i), 0),
+                };
+                match alias {
+                    0 | 1 => pb.add(acc, p, acc),
+                    _ => pb.add(acc, acc, acc),
+                };
+            }
+            let prog = pb.build().unwrap();
+            let skeleton = CompiledSkeleton::new(&prog);
+            assert!(skeleton.chains.is_empty(), "alias {alias}");
+            assert_eq!(skeleton.steps.len(), prog.instrs().len());
+            assert_every_design_matches_the_interpreter(
+                &prog,
+                &image(&prog, &[2, -3, 1], &[1, 2, -1]),
+            );
+        }
+    }
+
+    #[test]
+    fn a_change_of_touched_mask_splits_the_chain() {
+        // x·y then x·z into one accumulator: the multiplies touch {x, y, p}
+        // and then {x, z, p}, so one selection can flag one half only.
+        let mut pb = ProgramBuilder::new("split", BitWidth::W8, BitWidth::W8);
+        let x = pb.input("x", 3);
+        let y = pb.input("y", 3);
+        let z = pb.input("z", 3);
+        let p = pb.temp("p", 1);
+        let acc = pb.output("acc", 1);
+        pb.konst(acc.at(0), 0);
+        for w in [y, z] {
+            for i in 0..3 {
+                pb.mul(p.at(0), x.at(i), w.at(i), 0);
+                pb.add(acc.at(0), p.at(0), acc.at(0));
+            }
+        }
+        let prog = pb.build().unwrap();
+        let skeleton = CompiledSkeleton::new(&prog);
+        let chains: Vec<(u32, u32)> = skeleton.chains.iter().map(|c| (c.pc, c.len)).collect();
+        assert_eq!(chains, [(1, 3), (7, 3)]);
+        let img = Executor::new(&prog)
+            .with_input("x", &[3, -5, 7])
+            .and_then(|e| e.with_input("y", &[11, 13, -2]))
+            .and_then(|e| e.with_input("z", &[-100, 99, 42]))
+            .and_then(|e| e.initial_memory())
+            .unwrap();
+        assert_every_design_matches_the_interpreter(&prog, &img);
+    }
+
+    #[test]
+    fn an_overflow_in_a_middle_link_is_the_interpreters_error() {
+        for acc_first in [true, false] {
+            let prog = dot3_in_order(acc_first);
+            // The second multiply (pc 3) overflows on `y`.
+            let img = image(&prog, &[2, 4, 6], &[1, -300, 5]);
+            let skeleton = Arc::new(CompiledSkeleton::new(&prog));
+            let lib = lib();
+            for (adder, mul) in [(0, 0), (3, 4)] {
+                let binding = Binding::new(&lib, &prog, AdderId(adder), MulId(mul)).unwrap();
+                for bits in 0..16 {
+                    let mask = VarMask::with_bits(&prog, bits);
+                    let got = skeleton
+                        .compile(&binding, bits)
+                        .run(&img, &mut ExecScratch::new())
+                        .unwrap_err();
+                    let reference =
+                        run_from_image(&prog, &img, &binding, &mask, &mut ExecScratch::new())
+                            .unwrap_err();
+                    assert_eq!(
+                        got,
+                        VmError::OperandOverflow {
+                            pc: 3,
+                            value: -300,
+                            width_bits: 8
+                        }
+                    );
+                    assert_eq!(got, reference);
+                }
+            }
+        }
+    }
+
+    /// The shipped MatMul-n program, as `ax_workloads::matmul` builds it.
+    fn matmul(n: u32) -> Program {
+        let mut pb = ProgramBuilder::new("matmul", BitWidth::W8, BitWidth::W8);
+        let a = pb.input("a", n * n);
+        let b = pb.input("b", n * n);
+        let prod = pb.temp("prod", 1);
+        let c = pb.output("c", n * n);
+        for i in 0..n {
+            for j in 0..n {
+                let out = c.at(i * n + j);
+                pb.konst(out, 0);
+                for k in 0..n {
+                    pb.mul(prod.at(0), a.at(i * n + k), b.at(k * n + j), 0);
+                    pb.add(out, prod.at(0), out);
+                }
+            }
+        }
+        pb.build().unwrap()
+    }
+
+    /// The shipped FIR program over `samples` samples with 17 taps, as
+    /// `ax_workloads::fir` builds it.
+    fn fir(samples: u32) -> Program {
+        let taps = 17;
+        let mut pb = ProgramBuilder::new("fir", BitWidth::W16, BitWidth::W32);
+        let x = pb.input("x", samples + taps - 1);
+        let h = pb.input("h", taps);
+        let prod = pb.temp("prod", 1);
+        let y = pb.output("y", samples);
+        for i in 0..samples {
+            pb.konst(y.at(i), 0);
+            for k in 0..taps {
+                pb.mul(prod.at(0), h.at(k), x.at((taps - 1) + i - k), 15);
+                pb.add(y.at(i), prod.at(0), y.at(i));
+            }
+        }
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn matmul_10_and_fir_100_run_as_one_chain_op_per_output() {
+        // The fingerprints are the shipped workloads' (pinned against
+        // `ax_workloads` in the workspace's `tests/cache_identity.rs`), so
+        // these are the programs campaigns run.
+        for (prog, fingerprint, outputs, links) in [
+            (matmul(10), 0x1508_cdd1_864b_0018, 100, 10),
+            (fir(100), 0x9c53_591f_7b52_d905, 100, 17),
+        ] {
+            let skeleton = Arc::new(CompiledSkeleton::new(&prog));
+            assert_eq!(skeleton.fingerprint(), fingerprint);
+            assert!(skeleton.chains.iter().all(|c| c.len == links));
+            assert_eq!(
+                skeleton.steps.len(),
+                2 * outputs,
+                "a const and a chain each"
+            );
+            let lib = lib();
+            let n_vars = prog.approximable_vars().len();
+            for (adder, mul) in [(0, 0), (3, 3)] {
+                let binding = Binding::new(&lib, &prog, AdderId(adder), MulId(mul)).unwrap();
+                for bits in 0..(1u64 << n_vars) {
+                    assert_eq!(chain_ops(&skeleton.compile(&binding, bits)), outputs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_operand_check_is_the_interpreters_at_every_boundary() {
+        for width in [BitWidth::W8, BitWidth::W16, BitWidth::W32] {
+            let operands = OperandCheck::new(width);
+            let m = width.mask() as i64;
+            for v in [0, 1, -1, m, -m] {
+                assert_eq!(operands.check(v, -v, 7), Ok(()), "{v} on {width}");
+            }
+            for v in [
+                m + 1,
+                -m - 1,
+                i64::MAX,
+                i64::MIN,
+                i64::MAX - m,
+                i64::MIN + m,
+            ] {
+                let overflow = |value| VmError::OperandOverflow {
+                    pc: 7,
+                    value,
+                    width_bits: width.bits(),
+                };
+                assert_eq!(operands.check(v, 0, 7), Err(overflow(v)), "{v} on {width}");
+                assert_eq!(operands.check(m, v, 7), Err(overflow(v)), "{v} on {width}");
+                assert_eq!(operands.check(v, m + 2, 7), Err(overflow(v)), "x first");
+            }
+        }
+    }
+
+    #[test]
+    fn a_compiled_op_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<CompiledOp>(), 24);
     }
 }

@@ -422,7 +422,7 @@ impl ProgramBuilder {
     }
 
     fn push(&mut self, i: Instr) -> &mut Self {
-        for slot in self.slots_of(i) {
+        for slot in slots_of(i).into_iter().flatten() {
             if slot.var.index() >= self.vars.len() {
                 self.fail(VmError::UnknownVariable {
                     name: format!("{}", slot.var),
@@ -440,14 +440,6 @@ impl ProgramBuilder {
         }
         self.instrs.push(i);
         self
-    }
-
-    fn slots_of(&self, i: Instr) -> Vec<Slot> {
-        match i {
-            Instr::Const { dst, .. } => vec![dst],
-            Instr::Copy { dst, src } => vec![dst, src],
-            Instr::Add { dst, a, b } | Instr::Mul { dst, a, b, .. } => vec![dst, a, b],
-        }
     }
 
     fn fail(&mut self, e: VmError) {
@@ -485,6 +477,16 @@ impl ProgramBuilder {
             offsets,
             total_cells: total,
         })
+    }
+}
+
+/// The slots `i` names, destination first: the order [`ProgramBuilder`]
+/// checks them in, so the first error it reports names the earliest slot.
+fn slots_of(i: Instr) -> [Option<Slot>; 3] {
+    match i {
+        Instr::Const { dst, .. } => [Some(dst), None, None],
+        Instr::Copy { dst, src } => [Some(dst), Some(src), None],
+        Instr::Add { dst, a, b } | Instr::Mul { dst, a, b, .. } => [Some(dst), Some(a), Some(b)],
     }
 }
 
@@ -578,6 +580,24 @@ mod tests {
         let y = pb.output("y", 1);
         pb.copy(y.at(0), a.at(5)); // also out of bounds
         assert!(matches!(pb.build(), Err(VmError::DuplicateVariable { .. })));
+    }
+
+    #[test]
+    fn slot_errors_name_the_destination_then_a_then_b() {
+        let out_of_bounds = |dst: u32, a: u32, b: u32| {
+            let mut pb = ProgramBuilder::new("p", BitWidth::W8, BitWidth::W8);
+            let x = pb.input("x", 1);
+            let w = pb.input("w", 1);
+            let y = pb.output("y", 1);
+            pb.mul(y.at(dst), x.at(a), w.at(b), 0);
+            match pb.build() {
+                Err(VmError::IndexOutOfBounds { var, index, .. }) => (var, index),
+                other => panic!("expected an out-of-bounds slot, got {other:?}"),
+            }
+        };
+        assert_eq!(out_of_bounds(3, 5, 7), ("y".to_owned(), 3));
+        assert_eq!(out_of_bounds(0, 5, 7), ("x".to_owned(), 5));
+        assert_eq!(out_of_bounds(0, 0, 7), ("w".to_owned(), 7));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! * [`compile`] — the threaded-code compiler: specialises a
 //!   `(Program, Binding, VarMask)` triple into a pre-resolved
 //!   [`compile::CompiledProgram`] (offsets resolved, approximate/precise
-//!   choice baked per instruction, profile computed analytically at compile
-//!   time) — bit-identical to the interpreter, several times faster on DSE
+//!   choice baked per instruction, multiply-accumulate chains fused into
+//!   one op each, profile computed analytically at compile time) —
+//!   bit-identical to the interpreter, several times faster on DSE
 //!   sweeps;
 //! * [`fingerprint`] — a seedless 64-bit content digest, which keys cached
 //!   evaluation outcomes by the program, operators and inputs that produced

@@ -2,13 +2,18 @@
 //!
 //! A reference interpreter over plain `i64` arithmetic serves as the oracle
 //! for precise execution; approximate execution is checked against
-//! structural invariants (cost accounting, error confinement).
+//! structural invariants (cost accounting, error confinement), and the
+//! compiled engine against the interpreter on chain-shaped programs.
 
-use ax_operators::{AdderId, BitWidth, MulId, OperatorLibrary};
-use ax_vm::exec::{Binding, Executor};
+use ax_operators::{
+    AdderId, AdderKind, AdderModel, BitWidth, MulId, OperatorLibrary, OperatorSpec,
+};
+use ax_vm::exec::{run_from_image, Binding, ExecScratch, Executor};
 use ax_vm::instrument::{instruction_flags, VarMask};
 use ax_vm::ir::{Instr, Program, ProgramBuilder, Slot, VarId};
+use ax_vm::CompiledSkeleton;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A randomly generated program description: variable lengths plus an
 /// instruction recipe over them.
@@ -149,8 +154,159 @@ impl OffsetExt for Program {
     }
 }
 
+/// One segment of a multiply-accumulate-shaped program: `kind` 0 is a
+/// constant and 1 a copy between the chains; otherwise a run of
+/// `operands.len()` pairs `p ← (a·b) >> shift; o ← p + o` (or `o + p` if
+/// `acc_first` is odd), with `alias` 0 reading `o` as the middle link's
+/// `a` and `alias` 1 making `p` and `o` one cell.
+#[derive(Debug, Clone)]
+struct Segment {
+    kind: u8,
+    acc_first: u8,
+    alias: u8,
+    shift: u32,
+    p: u32,
+    o: u32,
+    operands: Vec<(u32, u32)>,
+}
+
+/// A chain-shaped program: its segments, then the inputs `x` and `w`.
+#[derive(Debug, Clone)]
+struct ChainProgramSpec {
+    segments: Vec<Segment>,
+    x: Vec<i64>,
+    w: Vec<i64>,
+}
+
+fn arb_segment() -> impl Strategy<Value = Segment> {
+    (
+        0u8..6,
+        0u8..2,
+        0u8..6,
+        0u32..3,
+        0u32..2,
+        0u32..4,
+        prop::collection::vec((0u32..8, 0u32..8), 1..7),
+    )
+        .prop_map(|(kind, acc_first, alias, shift, p, o, operands)| Segment {
+            kind,
+            acc_first,
+            alias,
+            shift,
+            p,
+            o,
+            operands,
+        })
+}
+
+fn arb_chain_program() -> impl Strategy<Value = ChainProgramSpec> {
+    (
+        prop::collection::vec(arb_segment(), 1..6),
+        prop::collection::vec(-40i64..40, 4),
+        prop::collection::vec(-40i64..40, 4),
+    )
+        .prop_map(|(segments, x, w)| ChainProgramSpec { segments, x, w })
+}
+
+/// Builds a chain-shaped program over inputs `x`, `w` (4 cells each) and
+/// outputs `t` (2 cells, which hold the products) and `y` (2 cells): every
+/// cell a chain writes is an output, so a product or sum stored wrong
+/// shows.
+fn build_chains(spec: &ChainProgramSpec) -> Program {
+    let mut pb = ProgramBuilder::new("chains", BitWidth::W8, BitWidth::W8);
+    let x = pb.input("x", 4);
+    let w = pb.input("w", 4);
+    let t = pb.output("t", 2);
+    let y = pb.output("y", 2);
+    let input = |i: u32| if i < 4 { x.at(i) } else { w.at(i - 4) };
+    // `o` ranges over t[1], y[0], y[1] and t[0]; `p` over t[0], t[1].
+    let cell = |i: u32| match i % 4 {
+        0 => t.at(1),
+        1 => y.at(0),
+        2 => y.at(1),
+        _ => t.at(0),
+    };
+    for seg in &spec.segments {
+        let p = t.at(seg.p);
+        let o = if seg.alias == 1 { p } else { cell(seg.o) };
+        match seg.kind {
+            0 => {
+                pb.konst(o, i64::from(seg.shift) - 1);
+            }
+            1 => {
+                pb.copy(o, input(seg.o));
+            }
+            _ => {
+                let middle = seg.operands.len() / 2;
+                for (k, &(a, b)) in seg.operands.iter().enumerate() {
+                    let a = if seg.alias == 0 && k == middle {
+                        o
+                    } else {
+                        input(a)
+                    };
+                    pb.mul(p, a, input(b), seg.shift);
+                    if seg.acc_first % 2 == 1 {
+                        pb.add(o, o, p);
+                    } else {
+                        pb.add(o, p, o);
+                    }
+                }
+            }
+        }
+    }
+    pb.build().expect("generated program is structurally valid")
+}
+
+/// `evoapprox` at 8 bits plus a `PassB` adder (index 6), which copies its
+/// second operand's low bits: the one adder here for which the order of a
+/// chain's add operands matters.
+fn lib_with_pass_b() -> OperatorLibrary {
+    let base = OperatorLibrary::evoapprox();
+    let mut builder = OperatorLibrary::builder();
+    for e in base.adders(BitWidth::W8) {
+        builder = builder.adder(e.spec.clone(), e.model);
+    }
+    for e in base.multipliers(BitWidth::W8) {
+        builder = builder.multiplier(e.spec.clone(), e.model);
+    }
+    builder
+        .adder(
+            OperatorSpec::new("PB3", BitWidth::W8, 1.0, 0.01, 0.2),
+            AdderModel::new(AdderKind::PassB { approx_bits: 3 }, BitWidth::W8),
+        )
+        .build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The compiled engine fuses multiply-accumulate chains; under every
+    /// selection it must still return the interpreter's outcome — outputs
+    /// and profile, or the same error.
+    #[test]
+    fn chain_shaped_programs_compile_to_the_interpreters_outcome(
+        spec in arb_chain_program(),
+        adder in 0usize..7,
+        mul in 0usize..6,
+    ) {
+        let program = build_chains(&spec);
+        let lib = lib_with_pass_b();
+        let binding = Binding::new(&lib, &program, AdderId(adder), MulId(mul)).unwrap();
+        let image = Executor::new(&program)
+            .with_input("x", &spec.x)
+            .and_then(|e| e.with_input("w", &spec.w))
+            .and_then(|e| e.initial_memory())
+            .unwrap();
+        let skeleton = Arc::new(CompiledSkeleton::new(&program));
+        let (mut scratch, mut compiled_scratch) = (ExecScratch::new(), ExecScratch::new());
+        let mut mask = VarMask::none(&program);
+        for bits in 0..(1u64 << mask.len()) {
+            mask.set_raw_bits(bits);
+            let reference = run_from_image(&program, &image, &binding, &mask, &mut scratch);
+            let got = skeleton.compile(&binding, bits).run(&image, &mut compiled_scratch);
+            prop_assert_eq!(got, reference);
+        }
+    }
 
     /// Precise execution of any generated program matches the i64 oracle.
     #[test]

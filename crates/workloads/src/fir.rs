@@ -44,7 +44,7 @@ pub struct Fir {
 }
 
 impl Fir {
-    /// A low-pass FIR over `samples` samples with the default 33-tap,
+    /// A low-pass FIR over `samples` samples with the default 17-tap
     /// 0.1-cutoff design (the paper uses 100 and 200 samples).
     ///
     /// # Panics

@@ -5,7 +5,13 @@
 
 use axdse_suite::ax_dse::campaign::{run_spec, CampaignReport, ExperimentSpec, RunSpecOptions};
 use axdse_suite::ax_dse::evaluator::SharedCache;
+use axdse_suite::ax_dse::{AxConfig, EvalContext};
+use axdse_suite::ax_operators::OperatorLibrary;
 use axdse_suite::ax_telemetry::Telemetry;
+use axdse_suite::ax_vm::CompiledSkeleton;
+use axdse_suite::ax_workloads::fir::Fir;
+use axdse_suite::ax_workloads::matmul::MatMul;
+use axdse_suite::ax_workloads::Workload;
 use std::sync::Arc;
 
 /// The same MatMul-4 Q-learning campaign on the extended library (`A`)
@@ -133,4 +139,46 @@ fn shared_distinct_does_not_depend_on_what_else_used_the_cache() {
         fresh.to_json_string(),
         "a second campaign on a used cache reports like a fresh one"
     );
+}
+
+#[test]
+fn the_shipped_programs_keep_their_fingerprints() {
+    // A saved scope matches only a context with its fingerprint, so a
+    // change to how the compiled engine digests a program would make every
+    // cache file saved before it miss without a word.
+    let lib = Arc::new(OperatorLibrary::evoapprox());
+    let pins: [(Box<dyn Workload>, u64, u64); 2] = [
+        (
+            Box::new(MatMul::new(10)),
+            0x1508_cdd1_864b_0018,
+            7_089_253_150_220_566_542,
+        ),
+        (
+            Box::new(Fir::new(100)),
+            0x9c53_591f_7b52_d905,
+            3_158_466_840_584_453_508,
+        ),
+    ];
+    for (workload, program_fingerprint, scope_fingerprint) in pins {
+        let program = workload.build().unwrap();
+        assert_eq!(
+            CompiledSkeleton::new(&program).fingerprint(),
+            program_fingerprint,
+            "{}",
+            workload.name()
+        );
+        let cache = SharedCache::new();
+        let ctx =
+            EvalContext::with_cache(&*workload, Arc::clone(&lib), 42, Arc::clone(&cache)).unwrap();
+        ctx.evaluator().evaluate(&AxConfig::precise()).unwrap();
+        let path = fresh_path(&format!("fingerprint_{}", workload.name()));
+        cache.save(&path, usize::MAX, None).unwrap();
+        let file = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert!(
+            file.contains(&format!("\"fingerprint\": {scope_fingerprint},")),
+            "{}: {file}",
+            workload.name()
+        );
+    }
 }
