@@ -6,11 +6,9 @@
 //!
 //! Each record compares a budgeted campaign over a MatMul×FIR grid with
 //! an exhaustive (unbudgeted) run of the same grid, in logical evaluation
-//! counts, so a record depends only on its arguments: both campaigns run
-//! their runs sequentially (a binding budget pauses parallel runs at
-//! points that depend on thread interleaving), and `threads` is the one
-//! field that records the machine. Each run *appends* its record to the
-//! file, which is the repo's history of these numbers.
+//! counts, so a record depends only on its arguments: `threads` is the
+//! one field that records the machine. Each run *appends* its record to
+//! the file, which is the repo's history of these numbers.
 //!
 //! `--policy P` (e.g. `halving:3,0.5` or `asha:2,0.5`) races the grid
 //! under that budget policy at 55 % of the evaluation spend of the
@@ -129,8 +127,7 @@ fn append_pareto_record(out: &str, steps: u64, seeds: u64) {
         .objectives(vec![
             ObjectiveDecl::new(Objective::QorError),
             ObjectiveDecl::new(Objective::OpCost),
-        ])
-        .parallelism(1);
+        ]);
 
     let exhaustive = run_or_exit(&grid);
     let exhaustive_evals = exhaustive.budget.spent;
@@ -244,8 +241,7 @@ fn append_policy_record(
         .explore(ExploreOptions {
             max_steps: steps,
             ..Default::default()
-        })
-        .parallelism(1);
+        });
     let best_of = |report: &CampaignReport| {
         report
             .cells

@@ -269,13 +269,22 @@ impl Observer for PrintObserver {
     }
 }
 
+/// A benchmark as `repro run` prints it: its name, followed by its input
+/// seed when the spec sweeps `input_seeds`.
+fn bench_label(benchmark: &str, input_seed: Option<u64>) -> String {
+    match input_seed {
+        Some(seed) => format!("{benchmark} (input seed {seed})"),
+        None => benchmark.to_owned(),
+    }
+}
+
 /// Prints a finished campaign as a table and writes it as CSV.
 fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
     let mut rows = Vec::new();
     for cell in &report.cells {
         let s = &cell.summary;
         rows.push(vec![
-            cell.benchmark.clone(),
+            bench_label(&cell.benchmark, cell.input_seed),
             cell.agent.name(),
             format!("{}/{}", s.reached_target + s.terminated, s.seeds),
             format!("{:.0} +/- {:.0}", s.stop_step.mean, s.stop_step.std_dev),
@@ -321,7 +330,7 @@ fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
             .map(|c| {
                 format!(
                     "{}/{} +{} ({}{})",
-                    c.benchmark,
+                    bench_label(&c.benchmark, c.input_seed),
                     c.agent.name(),
                     c.granted,
                     if c.survived { "alive" } else { "out" },
@@ -344,7 +353,7 @@ fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
         let w = p.winner();
         println!(
             "{}: winner {} (seed {}, score {:.3}) over {} distinct designs",
-            p.benchmark,
+            bench_label(&p.benchmark, p.input_seed),
             w.kind.name(),
             w.seed,
             w.score,
@@ -352,10 +361,11 @@ fn print_campaign_report(report: &CampaignReport, out: &OutputDir) {
         );
     }
     if let Some((i, best)) = report.best_overall() {
+        let p = &report.portfolios[i];
         println!(
             "best overall: {} on {} (score {:.3})",
             best.kind.name(),
-            report.portfolios[i].benchmark,
+            bench_label(&p.benchmark, p.input_seed),
             best.score
         );
     }

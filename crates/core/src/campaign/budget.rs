@@ -1,16 +1,18 @@
-//! Global and per-cell evaluation budgets, enforced cooperatively across
-//! workers.
+//! Per-cell and per-job evaluation budgets, and the campaign ledger that
+//! grants its cap to the cells.
 
 use crate::backend::{EvalBackend, EvalMetrics};
 use crate::config::{AxConfig, SpaceDims};
 use ax_vm::VmError;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel stored in [`EvalBudget`]'s atomic cap for "unbounded".
 const UNBOUNDED: u64 = u64::MAX;
 
-/// A shared campaign-wide (or per-cell) evaluation budget.
+/// An evaluation budget: a campaign cell's (see [`CellLedger`]), or a
+/// served job's and the server's (see
+/// [`RunSpecOptions::extra_budgets`](crate::campaign::RunSpecOptions::extra_budgets)).
 ///
 /// The unit is **distinct designs resolved per run**: every configuration a
 /// run's backend answers for the first time (execution or shared-cache hit
@@ -18,22 +20,19 @@ const UNBOUNDED: u64 = u64::MAX;
 /// unit, as measured by the growth of
 /// [`EvalBackend::distinct_evaluations`]. Enforcement is *cooperative*:
 /// [`MeteredBackend`] charges after the fact and the exploration loop polls
-/// [`EvalBudget::exhausted`] between steps, so each concurrent worker may
-/// overshoot the cap by at most one step's worth of evaluations —
-/// `charge` is post-hoc and `Relaxed`, so the *aggregate* overshoot is
-/// bounded by `workers × one step`, never unbounded. [`EvalBudget::spent`]
-/// reports the raw (overshooting) total; [`EvalBudget::spent_clamped`] and
-/// [`EvalBudget::overshoot`] split it against the cap.
+/// [`EvalBudget::exhausted`] between steps, so each run charging a budget
+/// may overshoot its cap by at most one step's worth of evaluations.
+/// [`EvalBudget::spent`] reports the raw (overshooting) total;
+/// [`EvalBudget::spent_clamped`] and [`EvalBudget::overshoot`] split it
+/// against the cap.
 ///
-/// The cap is adjustable: a round-based scheduler grants a cell more
-/// budget between rounds via [`EvalBudget::raise_cap`] (see
-/// [`CellLedger`]).
+/// The cap is adjustable: the campaign scheduler grants a cell more
+/// budget between passes via [`EvalBudget::raise_cap`].
 #[derive(Debug)]
 pub struct EvalBudget {
     /// The cap; [`UNBOUNDED`] means no cap.
     cap: AtomicU64,
     spent: AtomicU64,
-    tripped: AtomicBool,
 }
 
 impl EvalBudget {
@@ -42,7 +41,6 @@ impl EvalBudget {
         Arc::new(Self {
             cap: AtomicU64::new(cap.unwrap_or(UNBOUNDED)),
             spent: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
         })
     }
 
@@ -76,7 +74,7 @@ impl EvalBudget {
     }
 
     /// Units charged beyond the cap (0 for unbounded budgets). Bounded by
-    /// one step's worth of evaluations per concurrent worker.
+    /// one step's worth of evaluations per run charging the budget.
     pub fn overshoot(&self) -> u64 {
         self.cap().map_or(0, |cap| self.spent().saturating_sub(cap))
     }
@@ -92,54 +90,51 @@ impl EvalBudget {
     pub fn exhausted(&self) -> bool {
         self.cap().is_some_and(|cap| self.spent() >= cap)
     }
-
-    /// Like [`EvalBudget::exhausted`], but `true` only for the first
-    /// caller that observes exhaustion — the campaign driver's
-    /// fire-once observer notification.
-    pub fn trip(&self) -> bool {
-        self.exhausted() && !self.tripped.swap(true, Ordering::Relaxed)
-    }
 }
 
-/// Splits a global [`EvalBudget`] into per-cell sub-budgets.
+/// Grants a campaign's evaluation cap to its cells.
 ///
-/// A *cell* is one (benchmark, agent) pair of a campaign grid. Each cell
-/// owns an [`EvalBudget`] whose cap starts at zero (when the global budget
-/// is bounded) and grows by [`CellLedger::grant`] as the scheduler
-/// allocates rounds; every run charges its cell's budget *and* the global
-/// one (via [`MeteredBackend::with_budgets`]), so the global cap stays the
-/// hard ceiling whatever the per-cell split. When the global budget is
-/// unbounded, cells are unbounded too and the ledger only counts.
+/// A *cell* is one (benchmark, input seed, agent) triple of a campaign
+/// grid. Each cell owns an [`EvalBudget`] whose cap starts at zero (when
+/// the campaign has a cap) and grows by [`CellLedger::grant`] as the
+/// scheduler allocates rungs. A run charges and polls its cell's budget
+/// only, so a cell's runs never race another cell for budget. The
+/// campaign cap binds when budget is granted: the scheduler cuts every
+/// grant from [`CellLedger::remaining`], the cap minus what the cells
+/// have spent, so the cells together spend at most the cap plus one
+/// step's designs per run. When the campaign is unbounded, cells are
+/// unbounded too and the ledger only counts.
 ///
 /// Reallocation falls out of the accounting: a scheduler that grants each
-/// round from [`CellLedger::remaining_global`] automatically hands the
-/// unspent allocation of eliminated (or naturally finished) cells to the
-/// survivors of later rounds.
+/// rung from [`CellLedger::remaining`] automatically hands the unspent
+/// allocation of eliminated (or naturally finished) cells to the
+/// survivors of later rungs.
 #[derive(Debug)]
 pub struct CellLedger {
-    global: Arc<EvalBudget>,
+    cap: Option<u64>,
     cells: Vec<Arc<EvalBudget>>,
 }
 
 impl CellLedger {
-    /// A ledger over `n_cells` cells charging `global`.
+    /// A ledger over `n_cells` cells granting the campaign cap `cap`
+    /// (`None` = unbounded).
     ///
     /// # Panics
     ///
     /// Panics if `n_cells` is zero.
-    pub fn new(global: Arc<EvalBudget>, n_cells: usize) -> Self {
+    pub fn new(cap: Option<u64>, n_cells: usize) -> Self {
         assert!(n_cells > 0, "a ledger needs at least one cell");
-        let cell_cap = global.cap().map(|_| 0);
+        let cell_cap = cap.map(|_| 0);
         let cells = (0..n_cells).map(|_| EvalBudget::new(cell_cap)).collect();
-        Self { global, cells }
+        Self { cap, cells }
     }
 
-    /// The global budget the ledger splits.
-    pub fn global(&self) -> &Arc<EvalBudget> {
-        &self.global
+    /// The campaign cap, if any.
+    pub fn cap(&self) -> Option<u64> {
+        self.cap
     }
 
-    /// The sub-budget of cell `i`.
+    /// The budget of cell `i`.
     pub fn cell(&self, i: usize) -> &Arc<EvalBudget> {
         &self.cells[i]
     }
@@ -159,24 +154,22 @@ impl CellLedger {
         self.cells[i].raise_cap(units);
     }
 
-    /// Global budget still unallocated-or-unspent: `cap − spent`
-    /// (saturating; `None` when unbounded).
-    pub fn remaining_global(&self) -> Option<u64> {
-        self.global
-            .cap()
-            .map(|cap| cap.saturating_sub(self.global.spent()))
+    /// What the cells have spent, summed: the campaign's raw spend,
+    /// overshoot included. Every charge of a campaign run goes to
+    /// exactly one cell.
+    pub fn spent(&self) -> u64 {
+        self.cells.iter().map(|c| c.spent()).sum()
     }
 
-    /// Sum of the per-cell raw spends.
-    ///
-    /// Every campaign charge goes to exactly one cell budget *and* the
-    /// global budget (one [`MeteredBackend`] charging both with the same
-    /// delta), so this always equals the global's raw
-    /// [`EvalBudget::spent`] — equivalently, `spent_clamped() +
-    /// overshoot()`. The telemetry snapshot checks this invariant at
-    /// campaign end; see `budget_invariant_ok` in the campaign report.
-    pub fn cells_spent_total(&self) -> u64 {
-        self.cells.iter().map(|c| c.spent()).sum()
+    /// The cap the cells have not spent yet: `cap − spent` (saturating;
+    /// `None` when unbounded).
+    pub fn remaining(&self) -> Option<u64> {
+        self.cap.map(|cap| cap.saturating_sub(self.spent()))
+    }
+
+    /// `true` once the cells' spend has reached the campaign cap.
+    pub fn exhausted(&self) -> bool {
+        self.remaining() == Some(0)
     }
 
     /// Splits `total` into `n` near-equal integer grants; the first
@@ -380,8 +373,8 @@ impl RungLedger {
 /// Results are bit-identical to the inner backend's — metering observes,
 /// never intercepts — so wrapping an exact sweep in a `MeteredBackend`
 /// with an unbounded budget changes nothing but the accounting. The
-/// multi-budget form is how a campaign cell charges its own sub-budget and
-/// the global budget with one decorator.
+/// multi-budget form is how a run charges its cell's budget and a served
+/// job's stacked budgets with one decorator.
 #[derive(Debug)]
 pub struct MeteredBackend<B: EvalBackend> {
     inner: B,
@@ -396,7 +389,7 @@ impl<B: EvalBackend> MeteredBackend<B> {
     }
 
     /// Wraps `inner`, charging every budget in `budgets` (e.g. a cell's
-    /// sub-budget plus the campaign's global budget).
+    /// budget plus a served job's and the server's).
     pub fn with_budgets(inner: B, budgets: Vec<Arc<EvalBudget>>) -> Self {
         Self {
             inner,
@@ -413,12 +406,6 @@ impl<B: EvalBackend> MeteredBackend<B> {
     /// Units this backend has charged to each of its budgets.
     pub fn charged(&self) -> u64 {
         self.charged
-    }
-
-    /// `true` once any charged budget is exhausted — the stop signal a
-    /// metered run polls.
-    pub fn any_exhausted(&self) -> bool {
-        self.budgets.iter().any(|b| b.exhausted())
     }
 
     fn settle(&mut self, before: u64) {
@@ -527,30 +514,20 @@ mod tests {
     #[test]
     fn multi_budget_metering_charges_every_budget() {
         let cell = EvalBudget::new(Some(5));
-        let global = EvalBudget::new(Some(100));
+        let job = EvalBudget::new(Some(100));
         let mut metered =
-            MeteredBackend::with_budgets(exact(), vec![Arc::clone(&cell), Arc::clone(&global)]);
+            MeteredBackend::with_budgets(exact(), vec![Arc::clone(&cell), Arc::clone(&job)]);
         let configs = AxConfig::enumerate(metered.dims());
         for c in configs.iter().take(7) {
             metered.evaluate(c).unwrap();
         }
         assert_eq!(cell.spent(), 7);
-        assert_eq!(global.spent(), 7);
+        assert_eq!(job.spent(), 7);
         assert_eq!(metered.charged(), 7);
-        assert!(metered.any_exhausted(), "the cell budget is over its cap");
-        assert!(!global.exhausted());
+        assert!(cell.exhausted(), "the cell budget is over its cap");
+        assert!(!job.exhausted());
         assert_eq!(cell.spent_clamped(), 5);
         assert_eq!(cell.overshoot(), 2);
-    }
-
-    #[test]
-    fn trip_fires_once() {
-        let budget = EvalBudget::new(Some(1));
-        assert!(!budget.trip(), "not yet exhausted");
-        budget.charge(1);
-        assert!(budget.trip(), "first observation fires");
-        assert!(!budget.trip(), "second observation stays quiet");
-        assert!(budget.exhausted());
     }
 
     #[test]
@@ -609,43 +586,35 @@ mod tests {
     }
 
     #[test]
-    fn threaded_cell_sums_agree_with_the_global_ledger() {
-        // The report invariant behind `budget_invariant_ok`: when every
-        // worker charges its own cell *and* the global budget with the
-        // same delta (the `MeteredBackend::with_budgets` contract), the
-        // per-cell raw sums reconstruct the global's raw spend exactly —
-        // `spent_clamped() + overshoot()` — even under the cooperative
-        // <= 1-step-per-worker overshoot race.
+    fn ledger_sums_what_its_cells_spend_across_threads() {
+        // Each worker charges its own cell until the cell runs dry. The
+        // ledger's spend is their sum, overshoot included: the total the
+        // campaign report splits into `spent` and `overshoot`.
         const WORKERS: usize = 8;
         const STEP_COST: u64 = 3;
-        const CAP: u64 = 1_000;
-        let global = EvalBudget::new(Some(CAP));
-        let ledger = CellLedger::new(Arc::clone(&global), WORKERS);
+        let ledger = CellLedger::new(Some(800), WORKERS);
+        for (i, units) in CellLedger::split_even(800, WORKERS).into_iter().enumerate() {
+            ledger.grant(i, units);
+        }
         std::thread::scope(|s| {
             for i in 0..WORKERS {
-                let cell = Arc::clone(ledger.cell(i));
-                let global = Arc::clone(&global);
+                let cell = ledger.cell(i);
                 s.spawn(move || {
-                    while !global.exhausted() {
+                    while !cell.exhausted() {
                         cell.charge(STEP_COST);
-                        global.charge(STEP_COST);
                     }
                 });
             }
         });
-        let raw = global.spent();
-        assert!(raw >= CAP && raw <= CAP + WORKERS as u64 * STEP_COST);
-        assert_eq!(ledger.cells_spent_total(), raw);
-        assert_eq!(
-            ledger.cells_spent_total(),
-            global.spent_clamped() + global.overshoot()
-        );
+        // 100 units a cell in steps of 3: each cell stops at 102.
+        assert_eq!(ledger.spent(), WORKERS as u64 * 102);
+        assert!(ledger.exhausted());
+        assert_eq!(ledger.remaining(), Some(0));
     }
 
     #[test]
-    fn ledger_splits_and_rolls_up_to_the_global_budget() {
-        let global = EvalBudget::new(Some(100));
-        let ledger = CellLedger::new(Arc::clone(&global), 4);
+    fn ledger_grants_from_what_its_cells_have_not_spent() {
+        let ledger = CellLedger::new(Some(100), 4);
         assert_eq!(ledger.len(), 4);
         assert!(!ledger.is_empty());
         for (i, units) in CellLedger::split_even(100, 4).into_iter().enumerate() {
@@ -654,20 +623,23 @@ mod tests {
         for i in 0..4 {
             assert_eq!(ledger.cell(i).cap(), Some(25));
         }
-        // A cell's spending counts against the global pool.
+        // A cell's spending counts against the campaign cap.
         ledger.cell(0).charge(25);
-        global.charge(25);
         assert!(ledger.cell(0).exhausted());
-        assert_eq!(ledger.remaining_global(), Some(75));
+        assert_eq!(ledger.spent(), 25);
+        assert_eq!(ledger.remaining(), Some(75));
+        assert!(!ledger.exhausted());
     }
 
     #[test]
     fn unbounded_ledger_cells_are_unbounded() {
-        let ledger = CellLedger::new(EvalBudget::new(None), 3);
+        let ledger = CellLedger::new(None, 3);
         assert_eq!(ledger.cell(1).cap(), None);
-        assert_eq!(ledger.remaining_global(), None);
+        assert_eq!(ledger.remaining(), None);
         ledger.grant(1, 10);
         assert_eq!(ledger.cell(1).cap(), None);
+        ledger.cell(1).charge(10);
+        assert!(!ledger.exhausted());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The polymorphic campaign driver.
 
 use crate::backend::{EvalBackend, EvalContext, Evaluator, SharedCache};
-use crate::campaign::budget::{CellLedger, EvalBudget, MeteredBackend, RungLedger};
+use crate::campaign::budget::{CellLedger, MeteredBackend, RungLedger};
 use crate::campaign::control::CampaignControl;
 use crate::campaign::run::{RunSpecError, RunSpecOptions};
 use crate::campaign::spec::{BackendSpec, BudgetPolicy, ExperimentSpec};
@@ -149,16 +149,16 @@ pub struct CellReport {
 /// Budget accounting of a finished campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetReport {
-    /// The global cap, if one was set.
+    /// The campaign cap, if one was set.
     pub cap: Option<u64>,
     /// Units charged across all runs, **clamped to the cap**: what the
-    /// budget granted. The cooperative overshoot (post-hoc charging, one
-    /// step per worker at most) is reported separately in
-    /// [`BudgetReport::overshoot`], so `spent` never reads as a campaign
-    /// spending more than it was given.
+    /// budget granted. The cooperative overshoot is reported separately
+    /// in [`BudgetReport::overshoot`], so `spent` never reads as a
+    /// campaign spending more than it was given.
     pub spent: u64,
-    /// Units charged beyond the cap before the workers observed
-    /// exhaustion — bounded by one step's worth of evaluations per run.
+    /// Units charged beyond the cap. A run polls its cell's budget
+    /// between steps, so it may finish the step in which the budget ran
+    /// dry: at most one step's designs per run.
     pub overshoot: u64,
     /// Runs that ended with [`StopReason::Stopped`].
     pub stopped_runs: u64,
@@ -271,11 +271,11 @@ pub struct ParetoReport {
 pub struct TelemetrySummary {
     /// Total typed events the campaign emitted.
     pub events_emitted: u64,
-    /// `true` when the ledger's per-cell spends reconcile with the global
-    /// budget: `Σ cell.spent() == global.spent() == spent_clamped() +
-    /// overshoot()`. Always expected to hold — every charge goes to
-    /// exactly one cell and the global budget with the same delta; a
-    /// `false` here means the accounting itself is broken.
+    /// `true` when every cell's budget holds exactly what its runs
+    /// charged, so the cells' spends sum to the report's `spent +
+    /// overshoot`. Always expected to hold — every charge of a run goes
+    /// to its cell's budget; a `false` here means the accounting itself
+    /// is broken.
     pub budget_invariant_ok: bool,
     /// Every registered metric at campaign end: cache, budget, scheduler,
     /// backend and engine counters, plus latency histograms.
@@ -600,9 +600,10 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 ///
 /// A campaign is a grid — benchmarks × agent roster × seed range —
 /// executed concurrently over per-benchmark shared-cache contexts, with an
-/// optional **global evaluation budget** enforced cooperatively across all
-/// rayon workers, any [`BackendProvider`] supplying the evaluation
-/// backends, and [`Observer`] hooks for progress streaming. It is the one
+/// optional **evaluation budget** that a [`BudgetPolicy`] grants to the
+/// grid's cells, any [`BackendProvider`] supplying the evaluation
+/// backends, and [`Observer`] hooks for progress streaming. Its report is
+/// the same on any thread count, budgeted or not. It is the one
 /// entry point for sweeps and races: a 1-benchmark × 1-agent × N-seed
 /// spec is a seed sweep, a 1 × M × 1 spec is a portfolio race, and the
 /// multi-benchmark × multi-agent × budgeted case is the grid neither of
@@ -731,13 +732,16 @@ impl<'a> Campaign<'a> {
     /// Validates the spec, then runs it through an arbitrary
     /// [`BackendProvider`].
     ///
-    /// The global [`EvalBudget`] is split into per-cell sub-budgets (a
-    /// [`CellLedger`]); every run charges its cell's budget *and* the
-    /// global one, and pauses cooperatively at a step boundary when either
-    /// runs dry. The [`BudgetPolicy`] is a plan of rung ladders that one
-    /// engine runs, granting each rung and ranking cells on a
-    /// [`RungLedger`]. The runs are [`ResumableExploration`]s, so pausing
-    /// at a rung boundary changes nothing about a run's trajectory.
+    /// The spec's budget is granted to per-cell budgets (a
+    /// [`CellLedger`]); every run charges its cell's budget and pauses
+    /// cooperatively at a step boundary when it runs dry. The campaign
+    /// cap binds when budget is granted: each grant comes out of what the
+    /// cells have not spent, so the cells overshoot the cap by at most one
+    /// step's designs per run. The [`BudgetPolicy`] is a plan of rung
+    /// ladders that one engine runs, granting each rung and ranking cells
+    /// on a [`RungLedger`]. The runs are [`ResumableExploration`]s, so
+    /// pausing at a rung boundary changes nothing about a run's
+    /// trajectory.
     ///
     /// # Errors
     ///
@@ -770,7 +774,6 @@ impl<'a> Campaign<'a> {
             total_runs,
         });
 
-        let global = EvalBudget::new(self.spec.budget);
         let lib = Arc::new(self.lib.clone());
         let cache = self.opts.cache.clone().unwrap_or_default();
 
@@ -801,7 +804,7 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let ledger = CellLedger::new(Arc::clone(&global), n_cells);
+        let ledger = CellLedger::new(self.spec.budget, n_cells);
 
         // One resumable run per grid point, benchmark-major / agent /
         // seed — the order every report slice below relies on. Starting a
@@ -818,7 +821,7 @@ impl<'a> Campaign<'a> {
                         input_seed: ctx.input_seed(),
                         ..self.spec.explore
                     };
-                    let mut budgets = vec![Arc::clone(ledger.cell(cell)), Arc::clone(&global)];
+                    let mut budgets = vec![Arc::clone(ledger.cell(cell))];
                     budgets.extend(self.opts.extra_budgets.iter().cloned());
                     let backend = MeteredBackend::with_budgets(provider.spawn(ctx), budgets);
                     slots.push(RunSlot {
@@ -839,7 +842,7 @@ impl<'a> Campaign<'a> {
         }
 
         let mut cell_best = vec![DesignObjectives::none(); n_cells];
-        let allocations = self.run_plan(&mut slots, &ledger, &global, &contexts, &mut cell_best);
+        let allocations = self.run_plan(&mut slots, &ledger, &contexts, &mut cell_best);
 
         // Close out runs the scheduler never finished (budget-stopped,
         // eliminated or parked): every run notifies exactly once.
@@ -856,6 +859,7 @@ impl<'a> Campaign<'a> {
         let mut cells = Vec::with_capacity(n_cells);
         let mut portfolios = Vec::with_capacity(contexts.len());
         let mut total_stopped = 0u64;
+        let mut budget_invariant_ok = true;
         for (b, ctx) in contexts.iter().enumerate() {
             let bench_outcomes = &outcomes[b * runs_per_ctx..(b + 1) * runs_per_ctx];
             let mut entries = Vec::with_capacity(runs_per_ctx);
@@ -876,6 +880,8 @@ impl<'a> Campaign<'a> {
                     }
                 }
                 total_stopped += stopped;
+                let c = b * self.spec.agents.len() + a;
+                budget_invariant_ok &= evaluations == ledger.cell(c).spent();
                 for (outcome, seed) in cell.iter().zip(self.spec.seeds.iter()) {
                     entries.push(portfolio_entry(kind, seed, outcome));
                 }
@@ -888,7 +894,7 @@ impl<'a> Campaign<'a> {
                     stopped_runs: stopped,
                     // The rung engine accumulated the lifetime best; no
                     // run advances after its last resume.
-                    best_score: cell_best[b * self.spec.agents.len() + a].score,
+                    best_score: cell_best[c].score,
                 });
             }
             let mut best = 0;
@@ -947,51 +953,42 @@ impl<'a> Campaign<'a> {
             best: best_coords,
         };
 
+        let (cap, charged) = (ledger.cap(), ledger.spent());
+        let spent = cap.map_or(charged, |cap| charged.min(cap));
+        let budget = BudgetReport {
+            cap,
+            spent,
+            overshoot: charged - spent,
+            stopped_runs: total_stopped,
+        };
         self.emit(SOURCE_COORDINATOR, || EventKind::CampaignComplete {
-            spent: global.spent_clamped(),
-            overshoot: global.overshoot(),
+            spent: budget.spent,
+            overshoot: budget.overshoot,
         });
 
         // Harvest the campaign-wide metrics into the registry and freeze
         // the summary. Everything here reads counters the layers below
         // already maintain — the hot paths were never instrumented with
         // per-evaluation telemetry calls.
-        let telemetry = self.opts.telemetry.enabled().then(|| {
-            self.opts.telemetry.counter_add("campaign.runs", total_runs);
-            self.opts
-                .telemetry
-                .counter_add("campaign.cells", n_cells as u64);
-            self.opts.telemetry.counter_add("cache.hits", cache.hits());
-            self.opts
-                .telemetry
-                .counter_add("cache.misses", cache.misses());
-            self.opts
-                .telemetry
-                .counter_add("cache.evictions", cache.evictions());
-            self.opts
-                .telemetry
-                .gauge_set("cache.entries", cache.len() as f64);
-            if let Some(cap) = global.cap() {
-                self.opts.telemetry.counter_add("budget.cap", cap);
+        let telemetry = &self.opts.telemetry;
+        let summary = telemetry.enabled().then(|| {
+            telemetry.counter_add("campaign.runs", total_runs);
+            telemetry.counter_add("campaign.cells", n_cells as u64);
+            telemetry.counter_add("cache.hits", cache.hits());
+            telemetry.counter_add("cache.misses", cache.misses());
+            telemetry.counter_add("cache.evictions", cache.evictions());
+            telemetry.gauge_set("cache.entries", cache.len() as f64);
+            if let Some(cap) = budget.cap {
+                telemetry.counter_add("budget.cap", cap);
             }
-            self.opts
-                .telemetry
-                .counter_add("budget.spent", global.spent_clamped());
-            self.opts
-                .telemetry
-                .counter_add("budget.overshoot", global.overshoot());
-            self.opts
-                .telemetry
-                .counter_add("budget.stopped_runs", total_stopped);
-            self.opts
-                .telemetry
-                .counter_add("budget.cells_spent", ledger.cells_spent_total());
-            let budget_invariant_ok = ledger.cells_spent_total() == global.spent()
-                && global.spent() == global.spent_clamped() + global.overshoot();
+            telemetry.counter_add("budget.spent", budget.spent);
+            telemetry.counter_add("budget.overshoot", budget.overshoot);
+            telemetry.counter_add("budget.stopped_runs", total_stopped);
+            telemetry.counter_add("budget.cells_spent", charged);
             TelemetrySummary {
-                events_emitted: self.opts.telemetry.events_emitted(),
+                events_emitted: telemetry.events_emitted(),
                 budget_invariant_ok,
-                metrics: self.opts.telemetry.snapshot().unwrap_or_default(),
+                metrics: telemetry.snapshot().unwrap_or_default(),
             }
         });
 
@@ -999,15 +996,10 @@ impl<'a> Campaign<'a> {
             name: self.spec.name.clone(),
             cells,
             portfolios,
-            budget: BudgetReport {
-                cap: global.cap(),
-                spent: global.spent_clamped(),
-                overshoot: global.overshoot(),
-                stopped_runs: total_stopped,
-            },
+            budget,
             allocations,
             pareto: pareto_summary,
-            telemetry,
+            telemetry: summary,
         })
     }
 
@@ -1039,16 +1031,22 @@ impl<'a> Campaign<'a> {
     }
 
     /// One resume pass over every incomplete run of a `runnable` cell:
-    /// each run continues until its cell budget or the global budget runs
-    /// dry, or it finishes naturally. A run that has never stepped always
-    /// takes its first step (the cooperative overshoot contract, at most
-    /// one step per run), so every run has a last step. Emits the
-    /// budget-exhausted, run-paused and run-complete events.
+    /// each run continues until its cell's budget runs dry or it finishes
+    /// naturally. A run that has never stepped always takes its first
+    /// step (the cooperative overshoot contract, at most one step per
+    /// run), so every run has a last step. Emits the run-paused and
+    /// run-complete events, then the budget-exhausted event after the
+    /// pass in which the cells' spend reaches the campaign cap.
+    ///
+    /// Stacked budgets aside, a run polls no budget another cell charges,
+    /// so under a campaign cap the cells run in parallel and each cell's
+    /// runs in seed order on one thread: the pass is the sequential one
+    /// on any thread count. Without a cap no run polls a shared budget,
+    /// so the runs themselves run in parallel.
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
         ledger: &CellLedger,
-        global: &Arc<EvalBudget>,
         runnable: &(dyn Fn(usize) -> bool + Sync),
     ) {
         let observer = self.observer();
@@ -1075,7 +1073,6 @@ impl<'a> Campaign<'a> {
             let halted = || {
                 control.map(CampaignControl::checkpoint).unwrap_or(false)
                     || cell_budget.exhausted()
-                    || global.exhausted()
                     || extras.iter().any(|b| b.exhausted())
             };
             let fresh = slot.run.steps_taken() == 0;
@@ -1085,12 +1082,6 @@ impl<'a> Campaign<'a> {
             }
             if !wants_events {
                 return;
-            }
-            if global.trip() {
-                // The clamped cap: schedule-independent, unlike the raw
-                // overshooting counter.
-                let cap = global.cap().unwrap_or(0);
-                emit(SOURCE_COORDINATOR, EventKind::BudgetExhausted { cap });
             }
             // A run completes at most once, inside a pass.
             slot.notified = slot.run.is_complete();
@@ -1106,12 +1097,25 @@ impl<'a> Campaign<'a> {
             };
             emit(slot.source(), kind);
         };
+        let was_exhausted = ledger.exhausted();
         if self.spec.parallelism == Some(1) {
-            for slot in slots.iter_mut() {
-                resume_one(slot);
-            }
+            slots.iter_mut().for_each(resume_one);
+        } else if ledger.cap().is_some() {
+            // A cell's runs are contiguous slots.
+            let cells: Vec<&mut [RunSlot<B>]> = slots
+                .chunks_mut(self.spec.seeds.count as usize)
+                .filter(|runs| runnable(runs[0].cell))
+                .collect();
+            cells
+                .into_par_iter()
+                .for_each(|runs| runs.iter_mut().for_each(&resume_one));
         } else {
             slots.par_iter_mut().for_each(resume_one);
+        }
+        if !was_exhausted && ledger.exhausted() {
+            self.emit(SOURCE_COORDINATOR, || EventKind::BudgetExhausted {
+                cap: ledger.cap().unwrap_or(0),
+            });
         }
     }
 
@@ -1134,7 +1138,6 @@ impl<'a> Campaign<'a> {
         &self,
         slots: &mut [RunSlot<B>],
         ledger: &CellLedger,
-        global: &Arc<EvalBudget>,
         contexts: &[EvalContext],
         cell_best: &mut [DesignObjectives],
     ) -> Vec<AllocationReport> {
@@ -1180,7 +1183,7 @@ impl<'a> Campaign<'a> {
                 if ladder.barrier {
                     self.opts.telemetry.counter_add("sched.rounds", 1);
                 }
-                if (ladder.barrier || pass == 0) && global.cap().is_some() {
+                if (ladder.barrier || pass == 0) && ledger.cap().is_some() {
                     // Weighted shares map onto the whole grid.
                     let targets: Vec<usize> = (0..n_cells)
                         .filter(|&c| {
@@ -1189,7 +1192,7 @@ impl<'a> Campaign<'a> {
                         .collect();
                     if !targets.is_empty() {
                         let owed = (rungs - pass + owed_later) as u64;
-                        let pool = ledger.remaining_global().unwrap_or(0) / owed;
+                        let pool = ledger.remaining().unwrap_or(0) / owed;
                         let grants = match plan.shares {
                             Some(shares) => CellLedger::split_weighted(pool, shares),
                             None => CellLedger::split_even(pool, targets.len()),
@@ -1214,7 +1217,7 @@ impl<'a> Campaign<'a> {
                 }
 
                 // 2. Resume.
-                self.resume_runnable(slots, ledger, global, &|c| phase[c] == Phase::Running);
+                self.resume_runnable(slots, ledger, &|c| phase[c] == Phase::Running);
                 resumable.fill(false);
                 for slot in slots.iter() {
                     cell_best[slot.cell].fold(slot.run.best_objectives());
@@ -1312,21 +1315,17 @@ impl<'a> Campaign<'a> {
                 // the cell that just parked or one that a slow peer's
                 // arrival pushed over the growing cut. Quanta come from
                 // the budget no cell holds yet, so all grants together
-                // never exceed the cap and cell budgets bind before the
-                // global one, which keeps the schedule deterministic on
-                // many threads. A promotion that pool cannot fund is not
-                // taken: the cell stays parked. The quanta assume the
-                // keep fraction thins each rung geometrically.
+                // never exceed the cap. A promotion that pool cannot fund
+                // is not taken: the cell stays parked, and once the cells'
+                // spend reaches the cap no cell runs again. The quanta
+                // assume the keep fraction thins each rung geometrically.
                 let outstanding: u64 = (0..n_cells)
                     .map(|c| {
                         let b = ledger.cell(c);
                         b.cap().unwrap_or(0).saturating_sub(b.spent())
                     })
                     .sum();
-                let mut unallocated = ledger
-                    .remaining_global()
-                    .unwrap_or(0)
-                    .saturating_sub(outstanding);
+                let mut unallocated = ledger.remaining().unwrap_or(0).saturating_sub(outstanding);
                 for r in 0..rungs - 1 {
                     let pool = unallocated / (rungs - (r + 1)) as u64;
                     let expected = (n_cells as f64 * powi(ladder.keep_fraction, r as u64 + 1))
@@ -1353,7 +1352,7 @@ impl<'a> Campaign<'a> {
                         }
                     }
                 }
-                if global.exhausted() || self.interrupted() {
+                if self.interrupted() {
                     break;
                 }
             }
@@ -1379,7 +1378,7 @@ impl<'a> Campaign<'a> {
             }
             // An unbounded campaign has nothing to allocate. A cell that
             // never reported on a rung shows where it stands at the end.
-            if global.cap().is_some() {
+            if ledger.cap().is_some() {
                 allocations.extend(table.iter().enumerate().map(|(r, row)| {
                     AllocationReport {
                         round: r as u32,

@@ -3,13 +3,13 @@
 //! splitting a **server-wide** evaluation budget across whole *jobs*
 //! (campaigns) instead of cells.
 //!
-//! The accounting contract is the same stacked-budget scheme the campaign
-//! driver already uses: every evaluation of a job charges the job's own
-//! budget *and* the server-wide [`EvalBudget`] (via
+//! The accounting contract is a stacked-budget scheme: every evaluation
+//! of a job charges its cell's budget, the job's own budget *and* the
+//! server-wide [`EvalBudget`] (via
 //! [`RunSpecOptions::extra_budgets`](crate::campaign::RunSpecOptions::extra_budgets)),
-//! so the server cap stays the hard ceiling whatever the per-job split —
-//! cooperatively enforced, with the documented at-most-one-step overshoot
-//! per run. On top of the accounting, the scheduler arbitrates *admission*:
+//! and every run polls all three between steps, so the server cap stays
+//! the hard ceiling whatever the per-job split — cooperatively enforced,
+//! with the documented at-most-one-step overshoot per run. On top of the accounting, the scheduler arbitrates *admission*:
 //! at most `workers` jobs execute concurrently, highest priority first
 //! (FIFO within a priority), and when a higher-priority job arrives while
 //! every slot is busy the lowest-priority running job is **paused** at its
@@ -225,7 +225,7 @@ impl GlobalScheduler {
     }
 
     /// Sum of the per-job raw spends — mirrors
-    /// [`CellLedger::cells_spent_total`](crate::campaign::CellLedger::cells_spent_total):
+    /// [`CellLedger::spent`](crate::campaign::CellLedger::spent):
     /// when every job charges its own budget and the server budget with
     /// the same deltas, this reconstructs the server's raw spend.
     pub fn jobs_spent_total(&self) -> u64 {

@@ -8,15 +8,16 @@
 //! range, [`BackendSpec`] backend choice, budget and parallelism); the
 //! [`Campaign`] driver executes any such grid through any
 //! [`BackendProvider`], shares one design [`crate::backend::SharedCache`]
-//! across every run, enforces an optional global [`EvalBudget`]
-//! cooperatively across rayon workers, streams typed events to an
-//! [`Observer`] and returns a structured [`CampaignReport`].
+//! across every run, grants an optional evaluation budget to the grid's
+//! cells, streams typed events to an [`Observer`] and returns a
+//! structured [`CampaignReport`] — the same one on any thread count.
 //!
 //! Budgets are divided across (benchmark, agent) cells by a
 //! [`BudgetPolicy`], which the driver lowers to a plan of rung ladders
 //! run by one engine. Each pass grants a rung's share to the live cells
-//! ([`CellLedger`]), resumes their runs and records each cell on its
-//! rung ([`RungLedger`]). A ladder with a barrier then ranks the whole
+//! ([`CellLedger`]), resumes their runs — each run stops on its own
+//! cell's budget, so cells run in parallel and a cell's runs in seed
+//! order — and records each cell on its rung ([`RungLedger`]). A ladder with a barrier then ranks the whole
 //! rung and eliminates the losers; one without a barrier promotes each
 //! cell as soon as it ranks. Uniform and weighted shares are a single
 //! rung, successive halving is one ladder with a barrier, ASHA one
@@ -38,7 +39,8 @@
 //! boundaries, and extra stacked budgets let a [`GlobalScheduler`]
 //! arbitrate one server-wide budget across many concurrent campaigns (the
 //! `ax-serve` daemon), whose [`ExperimentSpec`]s produce reports
-//! byte-identical to a local `repro run`.
+//! byte-identical to a local `repro run` while neither the per-job nor
+//! the server-wide budget binds.
 
 #![warn(missing_docs)]
 

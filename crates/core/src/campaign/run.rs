@@ -65,11 +65,12 @@ pub struct RunSpecOptions<'a> {
     /// most one step of overshoot per run) and a pause parks the campaign
     /// until resumed. `None` never interrupts.
     pub control: Option<CampaignControl>,
-    /// Budgets every run charges alongside its cell's sub-budget and the
-    /// spec's global one — e.g. a
+    /// Budgets every run charges alongside its cell's budget — e.g. a
     /// [`GlobalScheduler`](crate::campaign::GlobalScheduler) per-job
-    /// ticket and its server-wide cap. Exhausting one pauses runs exactly
-    /// like global-budget exhaustion.
+    /// ticket and its server-wide cap. Unlike the spec's budget, which
+    /// binds when it is granted, these are polled at every step of every
+    /// run, so they bind an unbudgeted campaign too. Once one binds,
+    /// where the runs stop depends on the order they charged it in.
     pub extra_budgets: Vec<Arc<EvalBudget>>,
 }
 

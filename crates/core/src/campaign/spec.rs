@@ -737,14 +737,17 @@ pub struct ExperimentSpec {
     /// sorting over [`ExperimentSpec::objectives`] ([`Ranking::Pareto`]).
     pub ranking: Ranking,
     /// Global evaluation budget: distinct designs resolved across **all**
-    /// runs of the campaign; `None` = unbounded. Enforcement is
-    /// cooperative — see [`crate::campaign::EvalBudget`].
+    /// runs of the campaign; `None` = unbounded. It binds when the
+    /// [`BudgetPolicy`] grants it to cells, and each run stops on its
+    /// cell's budget — see [`crate::campaign::CellLedger`].
     pub budget: Option<u64>,
     /// How the budget is divided across (benchmark, agent) cells.
     pub policy: BudgetPolicy,
     /// Worker-thread request: `Some(1)` forces sequential execution;
     /// larger values are a hint recorded for the process-global rayon
-    /// pool (`AX_THREADS` / `ThreadPoolBuilder`).
+    /// pool (`AX_THREADS` / `ThreadPoolBuilder`). A budgeted pass runs on
+    /// at most as many threads as it has live cells. No report depends
+    /// on it.
     pub parallelism: Option<usize>,
 }
 

@@ -36,7 +36,8 @@ pub struct ServeConfig {
     /// Server-wide evaluation budget across *all* jobs (`None` =
     /// unbounded, counting only).
     pub server_budget: Option<u64>,
-    /// Hard per-job budget cap clamping every submission.
+    /// Hard per-job budget cap, polled at every step of a job's runs. A
+    /// spec's own budget binds inside its campaign, when it is granted.
     pub max_job_budget: Option<u64>,
     /// Keep at most this many cache scopes (one per benchmark, input seed
     /// and program-and-library fingerprint), in memory and in the cache
@@ -267,9 +268,8 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
     }
     // One campaign thread per job: the job runs sequentially and the
     // daemon's parallelism is *across* jobs (the scheduler's worker
-    // slots). Unbudgeted campaigns are pinned byte-identical across
-    // schedules; a budgeted job reports what `repro run` reports for the
-    // spec with `"parallelism": 1`.
+    // slots). No report depends on it while the job's stacked budgets
+    // do not bind.
     spec.parallelism = Some(1);
     let priority = match request.query_param("priority") {
         None => 0,
@@ -278,7 +278,11 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
             Err(e) => return Response::error(400, &format!("bad priority `{p}`: {e}")),
         },
     };
-    let ticket = state.scheduler.submit(priority, spec.budget);
+    // The ticket caps the job at `--max-job-budget` only. The spec's own
+    // budget binds inside the campaign, when budget is granted; a ticket
+    // capped by it too would stop runs mid-pass where `repro run` does
+    // not.
+    let ticket = state.scheduler.submit(priority, None);
     let job = Arc::new(Job::new(
         spec,
         ticket,
@@ -458,7 +462,7 @@ mod tests {
     use std::time::Duration;
 
     fn submit_job(state: &ServerState, spec: &ExperimentSpec) -> Arc<Job> {
-        let ticket = state.scheduler.submit(0, spec.budget);
+        let ticket = state.scheduler.submit(0, None);
         let job = Arc::new(Job::new(spec.clone(), ticket, 0, 64));
         state
             .jobs

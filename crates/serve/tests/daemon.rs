@@ -99,13 +99,11 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
         quick_spec("daemon-fir", BenchmarkSpec::Fir(16), BackendSpec::Exact).budget(300),
     ];
     // Local ground truth, computed independently of the daemon on the
-    // sequential schedule every served job runs: where a binding budget
-    // pauses a parallel run depends on thread interleaving.
+    // default thread count (served jobs run sequentially).
     let baselines: Vec<String> = specs
         .iter()
         .map(|spec| {
-            let spec = spec.clone().parallelism(1);
-            let report = run_spec(&spec, RunSpecOptions::default()).expect("baseline runs");
+            let report = run_spec(spec, RunSpecOptions::default()).expect("baseline runs");
             report.to_json_string()
         })
         .collect();
@@ -219,6 +217,24 @@ fn a_job_on_an_already_cached_benchmark_matches_its_local_run() {
         });
     let cache = serve_in_turn_and_match_local_runs(&[first, second]);
     assert_eq!(cache.get("scopes").unwrap().as_u64().unwrap(), 1);
+}
+
+/// A spec budget that binds mid-pass: each cell's first run spends the
+/// cell's whole grant, and its fresh second run steps past it. A served
+/// job stops each run on its cell's budget, as `repro run` does, so the
+/// reports match; a job ticket capped at the spec's budget would cut the
+/// second cell short.
+#[test]
+fn a_spec_budget_that_binds_mid_pass_serves_the_local_report() {
+    let spec = quick_spec(
+        "daemon-binding",
+        BenchmarkSpec::MatMul(4),
+        BackendSpec::Exact,
+    )
+    .budget(40);
+    let local = run_spec(&spec, RunSpecOptions::default()).expect("local run");
+    assert!(local.budget.overshoot > 0, "{:?}", local.budget);
+    serve_in_turn_and_match_local_runs(&[spec]);
 }
 
 /// Tenants on different operator libraries share the daemon's cache but

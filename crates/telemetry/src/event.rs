@@ -49,9 +49,9 @@ pub enum EventKind {
         /// Budget units granted.
         units: u64,
     },
-    /// The global evaluation budget was exhausted (fires once). Carries
-    /// the cap (= the clamped spend), not the raw overshooting counter,
-    /// so the event stream stays schedule-independent.
+    /// The cells' spend reached the campaign's evaluation cap (fires
+    /// once, after the resume pass in which it happened). Carries the cap
+    /// (= the clamped spend), not the raw overshooting counter.
     BudgetExhausted {
         /// The global cap that was reached.
         cap: u64,

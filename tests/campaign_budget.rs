@@ -106,11 +106,7 @@ fn halving_matches_exhaustive_reward_at_a_fraction_of_the_evals() {
 /// recorded in `BENCH_sweep.json` by `bench_sweep --policy asha:2,0.5`.
 #[test]
 fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
-    // Sequential schedules make the charged evaluations deterministic: in
-    // parallel, where a budgeted run pauses depends on thread interleaving.
-    let spec = grid("asha-acceptance", 6, 600)
-        .seeds(SeedRange::new(0, 2))
-        .parallelism(1);
+    let spec = grid("asha-acceptance", 6, 600).seeds(SeedRange::new(0, 2));
 
     let exhaustive = run(&spec);
     let full_evals = exhaustive.budget.spent;
@@ -148,8 +144,7 @@ fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
 fn asha_with_a_single_rung_degenerates_to_the_uniform_path_byte_identically() {
     let spec = grid("asha-degenerate", 4, 400)
         .seeds(SeedRange::new(0, 2))
-        .budget(200)
-        .parallelism(1);
+        .budget(200);
     let report = |policy: &BudgetPolicy, ranking: Ranking| {
         run(&spec.clone().policy(policy.clone()).ranking(ranking)).to_json_string()
     };

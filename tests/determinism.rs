@@ -35,13 +35,18 @@ fn run(spec: &ExperimentSpec) -> CampaignReport {
     run_spec(spec, RunSpecOptions::default()).unwrap()
 }
 
-/// Runs `spec` with `telemetry` attached.
+/// Runs `spec` with `telemetry` attached, and checks the budget ledger
+/// of a traced run: each cell's budget holds what its runs charged.
 fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
     let opts = RunSpecOptions {
         telemetry: telemetry.clone(),
         ..Default::default()
     };
-    run_spec(spec, opts).unwrap()
+    let report = run_spec(spec, opts).unwrap();
+    if let Some(t) = &report.telemetry {
+        assert!(t.budget_invariant_ok, "{}", spec.name);
+    }
+    report
 }
 
 /// A MatMul-4 × 1-agent × N-seed campaign summary (the removed
@@ -505,23 +510,38 @@ fn campaign_reports_match_their_golden_digests() {
     .explore(ExploreOptions {
         max_steps: 300,
         ..Default::default()
-    })
-    // Budgeted schedules pause runs where the shared budget runs dry,
-    // which depends on thread interleaving unless sequential.
-    .parallelism(1);
-    let uniform = run(&grid);
-    assert_eq!(uniform.budget.spent, 2958);
-    assert_eq!(
-        fnv1a64(uniform.to_json_string().as_bytes()),
+    });
+    // Each spec runs sequentially and on the default thread count against
+    // one digest: a run polls only its own cell's budget, so where it
+    // pauses cannot depend on the schedule.
+    let pin = |label: &str, spec: &ExperimentSpec, spent: u64, report: u64, events: u64| {
+        for parallelism in [Some(1), None] {
+            let spec = ExperimentSpec {
+                parallelism,
+                ..spec.clone()
+            };
+            let ran = run(&spec);
+            assert_eq!(ran.budget.spent, spent, "{label} spend drifted");
+            assert_eq!(
+                fnv1a64(ran.to_json_string().as_bytes()),
+                report,
+                "{label} report drifted (parallelism {parallelism:?})"
+            );
+            let traced = Telemetry::new();
+            run_traced(&spec, &traced);
+            assert_eq!(
+                event_digest(&traced),
+                events,
+                "{label} event stream drifted (parallelism {parallelism:?})"
+            );
+        }
+    };
+    pin(
+        "scalarised grid",
+        &grid,
+        2958,
         0xa7fd_f9c8_6f5e_28b7,
-        "scalarised grid report drifted"
-    );
-    let traced = Telemetry::new();
-    run_traced(&grid, &traced);
-    assert_eq!(
-        event_digest(&traced),
         0x9659_e744_3069_e355,
-        "scalarised grid event stream drifted"
     );
 
     // Every budgeted policy under about 40% of the unbounded grid's 2,958
@@ -549,16 +569,16 @@ fn campaign_reports_match_their_golden_digests() {
             BudgetPolicy::Uniform,
             scalar,
             1200,
-            0x9548_b926_3803_b08f,
-            0x3098_a742_63a2_4fa0,
+            0x9a69_e8fc_e1b8_4eb7,
+            0xbca3_00b3_22eb_9b2a,
         ),
         (
             "weighted",
             weighted,
             scalar,
             1200,
-            0x5b1f_07b4_3457_751a,
-            0xeb0f_7c7b_59ba_32d0,
+            0xb715_5ce7_a75c_275a,
+            0x080e_f2b1_87cc_4b0f,
         ),
         (
             "halving",
@@ -609,22 +629,9 @@ fn campaign_reports_match_their_golden_digests() {
             0xecb2_1ea3_83e2_c618,
         ),
     ];
-    for (label, policy, ranking, spent, report_digest, events_digest) in pinned {
+    for (label, policy, ranking, spent, report, events) in pinned {
         let spec = grid.clone().budget(1_200).policy(policy).ranking(ranking);
-        let report = run(&spec);
-        assert_eq!(report.budget.spent, spent, "{label} spend drifted");
-        assert_eq!(
-            fnv1a64(report.to_json_string().as_bytes()),
-            report_digest,
-            "{label} report drifted"
-        );
-        let traced = Telemetry::new();
-        run_traced(&spec, &traced);
-        assert_eq!(
-            event_digest(&traced),
-            events_digest,
-            "{label} event stream drifted"
-        );
+        pin(label, &spec, spent, report, events);
     }
 }
 

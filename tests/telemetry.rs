@@ -1,10 +1,10 @@
 //! Telemetry determinism contracts.
 //!
 //! Events are logical (no wall-clock data, sources are grid indices, not
-//! thread ids), so a parallel campaign must produce the same canonical
-//! event list as a sequential one; metric counters must agree between the
-//! compiled and interpreted exact engines; and turning tracing on must
-//! never change what a campaign computes.
+//! thread ids), so a parallel campaign, budgeted or not, must produce the
+//! same canonical event list as a sequential one; metric counters must
+//! agree between the compiled and interpreted exact engines; and turning
+//! tracing on must never change what a campaign computes.
 
 use axdse_suite::ax_dse::campaign::{
     run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, EventKind, ExperimentSpec, JsonlSink,
@@ -33,13 +33,18 @@ fn grid(name: &str, steps: u64) -> ExperimentSpec {
         .explore(opts(steps))
 }
 
-/// Runs `spec` with `telemetry` attached.
+/// Runs `spec` with `telemetry` attached, and checks the budget ledger
+/// of a traced run: each cell's budget holds what its runs charged.
 fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
     let opts = RunSpecOptions {
         telemetry: telemetry.clone(),
         ..Default::default()
     };
-    run_spec(spec, opts).unwrap()
+    let report = run_spec(spec, opts).unwrap();
+    if let Some(t) = &report.telemetry {
+        assert!(t.budget_invariant_ok, "{}", spec.name);
+    }
+    report
 }
 
 /// Everything deterministic in a report: the telemetry section is
@@ -80,30 +85,35 @@ fn parallel_campaign_emits_the_same_canonical_events_as_sequential() {
     assert_eq!(seq_snap.gauges, par_snap.gauges);
 }
 
-/// A budgeted campaign's pause points depend on worker interleaving, so
-/// cross-mode equality is out of reach — but the *sequential* schedule is
-/// fully determined: run twice, get byte-identical events and counters.
+/// A budgeted campaign pauses each run on its own cell's budget, so its
+/// schedule is as determined as an unbudgeted one's: run sequentially and
+/// on the default thread count, it gives the same canonical events,
+/// counters and report.
 #[test]
-fn budgeted_sequential_campaigns_are_repeatable() {
-    let spec = grid("telemetry-repeatable", 400)
-        .budget(300)
-        .policy(BudgetPolicy::SuccessiveHalving {
-            rounds: 2,
-            keep_fraction: 0.5,
-        })
-        .parallelism(1);
-    let run = || {
+fn budgeted_campaigns_match_across_schedules() {
+    let spec =
+        grid("telemetry-budgeted", 400)
+            .budget(300)
+            .policy(BudgetPolicy::SuccessiveHalving {
+                rounds: 2,
+                keep_fraction: 0.5,
+            });
+    let run = |parallelism| {
         let telemetry = Telemetry::new();
+        let spec = ExperimentSpec {
+            parallelism,
+            ..spec.clone()
+        };
         let report = run_traced(&spec, &telemetry);
         (report, telemetry)
     };
-    let (report_a, t_a) = run();
-    let (report_b, t_b) = run();
-    assert_eq!(t_a.events(), t_b.events());
-    let (snap_a, snap_b) = (t_a.snapshot().unwrap(), t_b.snapshot().unwrap());
-    assert_eq!(snap_a.counters, snap_b.counters);
-    assert_eq!(strip(&report_a), strip(&report_b));
-    let summary = report_a.telemetry.expect("enabled telemetry is reported");
+    let (seq_report, seq_t) = run(Some(1));
+    let (par_report, par_t) = run(None);
+    assert_eq!(seq_t.events(), par_t.events());
+    let (seq_snap, par_snap) = (seq_t.snapshot().unwrap(), par_t.snapshot().unwrap());
+    assert_eq!(seq_snap.counters, par_snap.counters);
+    assert_eq!(strip(&seq_report), strip(&par_report));
+    let summary = seq_report.telemetry.expect("enabled telemetry is reported");
     assert!(summary.budget_invariant_ok);
     assert!(summary.events_emitted > 0);
 }
@@ -154,8 +164,9 @@ fn compiled_and_interpreted_engines_agree_on_cache_and_budget_metrics() {
 }
 
 /// A parallel budgeted campaign still satisfies the ledger invariant the
-/// telemetry summary checks: per-cell spends sum to the global raw spend,
-/// which splits into the clamped spend plus the cooperative overshoot.
+/// telemetry summary checks: each cell's budget holds what its runs
+/// charged, and the cells' spends sum to the clamped spend plus the
+/// cooperative overshoot.
 #[test]
 fn parallel_budgeted_campaign_reports_the_budget_invariant() {
     let spec = grid("telemetry-invariant", 2_000)
@@ -246,8 +257,7 @@ proptest! {
     ) {
         let mut spec = grid("tracing-transparency", 300)
             .seeds(SeedRange::new(0, seeds))
-            .budget(budget)
-            .parallelism(1);
+            .budget(budget);
         if halving == 1 {
             spec.policy = BudgetPolicy::SuccessiveHalving {
                 rounds: 2,
