@@ -26,7 +26,7 @@
 //!   action or the end of an episode cuts them, keeping the target policy
 //!   greedy.
 
-use crate::qtable::QTable;
+use crate::qtable::{row_max, QTable};
 use crate::schedule::{PreparedSchedule, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,7 +133,10 @@ enum Rule {
     /// γλ, the factor every trace decays by per step; the live traces as
     /// `(Q-table cell, e)`, which decay and the floor keep few (at most ~23
     /// with γλ = 0.665), so a linear scan beats hashing; and whether the
-    /// last action was greedy w.r.t. the row it was chosen from.
+    /// last action was greedy w.r.t. the row it was chosen from. `observe`
+    /// sweeps the traces in one in-place compaction loop, keeping their
+    /// order, then truncates the list to the survivors, or empties it on a
+    /// cut.
     QLambda {
         decay: f64,
         traces: Vec<(usize, f64)>,
@@ -220,8 +223,7 @@ impl Agent {
         };
         // A greedy-branch action attains the maximum; an exploratory one
         // may still tie it. Only Q(λ) asks.
-        let greedy = !explored
-            || traced && row[action] == row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let greedy = !explored || traced && row[action] == row_max(row);
         match &mut self.rule {
             Rule::Sarsa { pending } => {
                 if let Some(t) = pending.take() {
@@ -263,7 +265,7 @@ impl Agent {
                 } else {
                     self.q.row_ref(t.next_state).map_or(0.0, |row| {
                         let eps = self.epsilon.value(self.step).clamp(0.0, 1.0);
-                        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                        let max = row_max(row);
                         let uniform = row.iter().sum::<f64>() / row.len() as f64;
                         gamma * ((1.0 - eps) * max + eps * uniform)
                     })
@@ -299,16 +301,19 @@ impl Agent {
                 let alpha_delta = alpha * (t.reward + bootstrap - values[cell]);
                 let (decay, cut) = (*decay, t.terminal || !*greedy);
                 // Each trace owns a distinct cell, so the sweep order is
-                // free, and a new trace can be swept after the others.
-                let mut traced = false;
-                traces.retain_mut(|(c, e)| {
-                    if *c == cell {
-                        (*e, traced) = (1.0, true);
-                    }
-                    values[*c] += alpha_delta * *e;
-                    *e *= decay;
-                    !cut && *e >= TRACE_FLOOR
-                });
+                // free, and a new trace can be swept after the others. The
+                // sweep compacts in place: every trace is written back at
+                // `live`, which counts only those at or above the floor.
+                let (mut traced, mut live) = (false, 0);
+                for i in 0..traces.len() {
+                    let (c, e) = traces[i];
+                    let e = if c == cell { 1.0 } else { e };
+                    traced |= c == cell;
+                    values[c] += alpha_delta * e;
+                    traces[live] = (c, e * decay);
+                    live += usize::from(e * decay >= TRACE_FLOOR);
+                }
+                traces.truncate(if cut { 0 } else { live });
                 if !traced {
                     values[cell] += alpha_delta;
                     if !cut && decay >= TRACE_FLOOR {
@@ -346,33 +351,33 @@ fn learn(q: &mut QTable, t: Transition, bootstrap: f64, alpha: f64) {
 /// The greedy action with uniform tie-breaking among maxima: one
 /// `gen_range(0..ties)` draw picks the k-th maximum in index order.
 ///
-/// One pass finds the maximum, the number of entries equal to it and the
-/// first of them; the row is walked again only when the draw picks a later
-/// one. NaN entries compare false and are never chosen, and `-0.0` ties
-/// `0.0`, as in a fold over `f64::max` followed by an `==` count.
+/// The maximum is [`row_max`]: NaN entries compare false and are never
+/// chosen, and `-0.0` ties `0.0`, as in a fold over `f64::max` followed by
+/// an `==` count. A row of at most 64 entries is then compared once more,
+/// into a bitmask of its maxima whose population is the tie count and whose
+/// k-th set bit is the pick, so neither scan branches on a value. A longer
+/// row counts its maxima, then walks to the k-th.
 ///
 /// # Panics
 ///
 /// Panics if no entry is comparable (an empty or all-NaN row).
 pub fn greedy_with_random_ties<R: Rng + ?Sized>(q_row: &[f64], rng: &mut R) -> usize {
-    let (mut max, mut ties, mut first) = (f64::NEG_INFINITY, 0usize, 0usize);
-    for (i, &v) in q_row.iter().enumerate() {
-        if v > max {
-            (max, ties, first) = (v, 1, i);
-        } else if v == max {
-            if ties == 0 {
-                first = i;
-            }
-            ties += 1;
+    let max = row_max(q_row);
+    if q_row.len() <= 64 {
+        let mut ties = q_row
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (i, &v)| mask | u64::from(v == max) << i);
+        for _ in 0..rng.gen_range(0..ties.count_ones() as usize) {
+            ties &= ties - 1;
         }
+        return ties.trailing_zeros() as usize;
     }
+    let ties = q_row.iter().filter(|&&v| v == max).count();
     let k = rng.gen_range(0..ties);
-    if k == 0 {
-        return first;
-    }
-    (first + 1..q_row.len())
+    (0..q_row.len())
         .filter(|&i| q_row[i] == max)
-        .nth(k - 1)
+        .nth(k)
         .expect("k indexes one of the maxima")
 }
 
@@ -776,6 +781,96 @@ mod tests {
         // gamma*lambda = 0.45: traces decay below 1e-4 within ~11 steps, so
         // the list stays short.
         assert!(traces(&a) < 15, "{} traces", traces(&a));
+    }
+
+    /// Q(λ)'s update as first written, sweeping its traces with
+    /// `retain_mut` and bootstrapping from a fold over `f64::max`: the
+    /// oracle of the compaction loop.
+    struct RetainSweep {
+        q: QTable,
+        traces: Vec<(usize, f64)>,
+        /// Transitions whose cell was already traced.
+        revisits: usize,
+    }
+
+    impl RetainSweep {
+        fn observe(&mut self, t: Transition, alpha: f64, gamma: f64, decay: f64, greedy: bool) {
+            let bootstrap = match self.q.row_ref(t.next_state) {
+                Some(row) if !t.terminal => {
+                    gamma * row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+                }
+                _ => 0.0,
+            };
+            let cell = self.q.cell(t.state, t.action);
+            let values = self.q.cells_mut();
+            let alpha_delta = alpha * (t.reward + bootstrap - values[cell]);
+            let cut = t.terminal || !greedy;
+            let mut traced = false;
+            self.traces.retain_mut(|(c, e)| {
+                if *c == cell {
+                    (*e, traced) = (1.0, true);
+                }
+                values[*c] += alpha_delta * *e;
+                *e *= decay;
+                !cut && *e >= TRACE_FLOOR
+            });
+            self.revisits += usize::from(traced);
+            if !traced {
+                values[cell] += alpha_delta;
+                if !cut && decay >= TRACE_FLOOR {
+                    self.traces.push((cell, decay));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn q_lambda_sweep_matches_the_retain_mut_sweep_bit_for_bit() {
+        let (n_states, n_actions, gamma, lambda) = (9, 4, 0.9, 0.95);
+        let alpha = Schedule::Exponential {
+            start: 0.5,
+            end: 0.05,
+            decay: 0.999,
+        };
+        let kind = AgentKind::QLambda { lambda };
+        let mut agent = Agent::new(kind, n_actions, alpha, gamma, Schedule::Constant(0.1), 11);
+        let mut oracle = RetainSweep {
+            q: QTable::new(n_actions),
+            traces: Vec::new(),
+            revisits: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(12);
+        let (mut state, mut cuts, mut terminals, mut longest) = (0, 0, 0, 0);
+        for step in 0..5_000 {
+            // Selection visits the state's row first, as it does the agent's.
+            oracle.q.row(state);
+            let action = agent.select_action(state);
+            let Rule::QLambda { greedy, .. } = agent.rule else {
+                unreachable!()
+            };
+            let reward = f64::from(rng.gen_range(-2..=3)) * 0.75;
+            let (next_state, terminal) = (rng.gen_range(0..n_states), rng.gen_bool(0.04));
+            let t = tr(state, action, reward, next_state, terminal);
+            let alpha = agent.alpha.value(agent.step);
+            agent.observe(t);
+            oracle.observe(t, alpha, gamma, gamma * lambda, greedy);
+            for s in 0..n_states {
+                for a in 0..n_actions {
+                    let (got, want) = (agent.q.value(s, a), oracle.q.value(s, a));
+                    assert_eq!(got.to_bits(), want.to_bits(), "step {step}: q({s}, {a})");
+                }
+            }
+            assert_eq!(traces(&agent), oracle.traces.len(), "step {step}");
+            cuts += usize::from(!greedy);
+            terminals += usize::from(terminal);
+            longest = longest.max(traces(&agent));
+            state = next_state;
+        }
+        let revisits = oracle.revisits;
+        assert!(
+            cuts > 50 && terminals > 50 && revisits > 500 && longest > 15,
+            "cuts {cuts}, terminals {terminals}, revisits {revisits}, longest {longest}"
+        );
     }
 
     #[test]

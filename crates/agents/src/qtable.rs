@@ -120,11 +120,10 @@ impl QTable {
         self.row_ref(state).map_or(0.0, |row| row[action])
     }
 
-    /// Greatest action value at `state`.
+    /// Greatest action value at `state`: [`row_max`] of its row, or 0 for
+    /// an unvisited state.
     pub fn max_value(&self, state: usize) -> f64 {
-        self.row_ref(state).map_or(0.0, |row| {
-            row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        })
+        self.row_ref(state).map_or(0.0, row_max)
     }
 
     /// Lowest-index action attaining the maximum value at `state`.
@@ -157,6 +156,28 @@ impl QTable {
         let cell = self.cell(state, action);
         self.values[cell] = value;
     }
+}
+
+/// The greatest entry of `row`, or −∞ if none is comparable: the value of
+/// a fold over `f64::max`, with the sign of a zero maximum unspecified.
+///
+/// Four running maxima over interleaved entries, each kept by a `>`
+/// select, so no step of the scan waits on the one before or branches on
+/// a value. NaN never compares greater and is never kept; `-0.0` and
+/// `0.0` compare equal, so whichever comes first stays.
+pub fn row_max(row: &[f64]) -> f64 {
+    let keep = |max: f64, v: f64| if v > max { v } else { max };
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let mut chunks = row.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (max, &v) in lanes.iter_mut().zip(chunk) {
+            *max = keep(*max, v);
+        }
+    }
+    for &v in chunks.remainder() {
+        lanes[0] = keep(lanes[0], v);
+    }
+    keep(keep(lanes[0], lanes[1]), keep(lanes[2], lanes[3]))
 }
 
 /// The lowest index attaining the row's maximum (deterministic greedy

@@ -52,7 +52,7 @@ impl Schedule {
     /// Panics on malformed schedules (zero-length linear horizon, decay
     /// outside `(0, 1)`).
     pub fn prepare(&self) -> PreparedSchedule {
-        let mut squares = [0.0; POWI_BITS];
+        let mut powers = Powers::of(1.0);
         let form = match *self {
             Schedule::Constant(v) => Form::Constant(v),
             Schedule::Linear { start, end, steps } => {
@@ -67,14 +67,14 @@ impl Schedule {
             }
             Schedule::Exponential { start, end, decay } => {
                 assert!(decay > 0.0 && decay < 1.0, "decay must lie in (0, 1)");
-                squares = squares_of(decay);
+                powers = Powers::of(decay);
                 Form::Exponential {
                     end,
                     gap: start - end,
                 }
             }
         };
-        PreparedSchedule { form, squares }
+        PreparedSchedule { form, powers }
     }
 }
 
@@ -82,54 +82,78 @@ impl Schedule {
 /// clamped to `i32::MAX` first.
 const POWI_BITS: usize = 31;
 
-/// `base^(2^i)` for every bit of a clamped exponent, each the square of
-/// the one before.
-fn squares_of(base: f64) -> [f64; POWI_BITS] {
-    let mut squares = [base; POWI_BITS];
-    for i in 1..POWI_BITS {
-        squares[i] = squares[i - 1] * squares[i - 1];
-    }
-    squares
+/// Low exponent bits whose products [`Powers`] tabulates.
+const LOW_BITS: usize = 6;
+
+/// The powers of one base that `f64::powi`'s square-and-multiply forms:
+/// `squares[i] = base^(2^i)`, each the square of the one before, and
+/// `low[j]` the product of `squares` over the set bits of `j`, in
+/// increasing order and starting from 1.
+///
+/// A power multiplies the squares over the set bits of the exponent in
+/// increasing order, so its first factors are those of the low bits:
+/// `low[j]` is the running product after them, and each table entry is
+/// the entry without its top bit times that bit's square, the very
+/// multiplication `powi` makes last.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Powers {
+    squares: [f64; POWI_BITS],
+    low: [f64; 1 << LOW_BITS],
 }
 
-/// The product of `squares` over the set bits of `min(exp, i32::MAX)`, in
-/// increasing order and starting from 1: `f64::powi`'s square-and-multiply
-/// sequence, so the result equals `base.powi(min(exp, i32::MAX) as i32)`
-/// bit for bit.
-fn power(squares: &[f64; POWI_BITS], exp: u64) -> f64 {
-    let mut bits = exp.min(i32::MAX as u64);
-    let mut power = 1.0;
-    while bits != 0 {
-        power *= squares[bits.trailing_zeros() as usize];
-        bits &= bits - 1;
+impl Powers {
+    fn of(base: f64) -> Self {
+        let mut squares = [base; POWI_BITS];
+        for i in 1..POWI_BITS {
+            squares[i] = squares[i - 1] * squares[i - 1];
+        }
+        let mut low = [1.0; 1 << LOW_BITS];
+        for j in 1..low.len() {
+            let top = j.ilog2() as usize;
+            low[j] = low[j - (1 << top)] * squares[top];
+        }
+        Self { squares, low }
     }
-    power
+
+    /// `base^min(exp, i32::MAX)` bit for bit as `f64::powi` computes it:
+    /// the product over the low bits from the table, then the squares of
+    /// the higher set bits in increasing order.
+    fn power(&self, exp: u64) -> f64 {
+        let exp = exp.min(i32::MAX as u64);
+        let mut power = self.low[(exp & ((1 << LOW_BITS) - 1)) as usize];
+        let mut bits = exp >> LOW_BITS << LOW_BITS;
+        while bits != 0 {
+            power *= self.squares[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        power
+    }
 }
 
 /// `base^min(exp, i32::MAX)` by the square-and-multiply of the
 /// exponential schedules, so equal bit for bit to
 /// `base.powi(min(exp, i32::MAX) as i32)`.
 pub fn powi(base: f64, exp: u64) -> f64 {
-    power(&squares_of(base), exp)
+    Powers::of(base).power(exp)
 }
 
 /// A [`Schedule`] with its step-independent terms computed once: the
-/// linear rise and horizon, and for exponential decay the squares
-/// `decay^(2^i)`.
+/// linear rise and horizon, and for exponential decay the powers of
+/// `decay` that `f64::powi` multiplies.
 ///
 /// [`PreparedSchedule::value`] is bit for bit the closed form of each
 /// shape, `start + (end - start) · (step / steps)` and
 /// `end + (start - end) · decay.powi(min(step, i32::MAX))`. An exponential
-/// schedule multiplies the squares over the set bits of
-/// `min(step, i32::MAX)` in increasing order, starting from 1: the exact
+/// schedule reads the product of `decay^(2^i)` over the low six bits of
+/// `min(step, i32::MAX)` from a 64-entry table, then multiplies in the
+/// squares of the higher set bits in increasing order: the exact
 /// multiplication sequence of `f64::powi` (square-and-multiply), without
-/// re-squaring on every call.
+/// re-squaring, and for steps below 64 without multiplying, on any call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedSchedule {
     form: Form,
-    /// `squares[i] = decay^(2^i)`, each the square of the one before; read
-    /// by the exponential form only.
-    squares: [f64; POWI_BITS],
+    /// The powers of `decay`; read by the exponential form only.
+    powers: Powers,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,7 +193,7 @@ impl PreparedSchedule {
                     start + rise * (step as f64 / horizon)
                 }
             }
-            Form::Exponential { end, gap } => end + gap * power(&self.squares, step),
+            Form::Exponential { end, gap } => end + gap * self.powers.power(step),
         }
     }
 }

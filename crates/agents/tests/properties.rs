@@ -1,7 +1,7 @@
 //! Property-based tests for agents, schedules and search primitives.
 
 use ax_agents::agent::{greedy_with_random_ties, Agent, AgentKind, Transition};
-use ax_agents::qtable::QTable;
+use ax_agents::qtable::{row_max, QTable};
 use ax_agents::schedule::{powi, Schedule};
 use ax_agents::search::{random_search, SearchSpace};
 use proptest::prelude::*;
@@ -21,24 +21,44 @@ fn greedy_collect_then_draw(q_row: &[f64], rng: &mut StdRng) -> usize {
     ties[rng.gen_range(0..ties.len())]
 }
 
+/// Few value levels force ties on most rows; -0.0 and 0.0 tie too. NaN
+/// never attains the maximum, and −∞ is the maximum of a row holding
+/// nothing else but NaN, as half the rows do.
+const LEVELS: [f64; 7] = [
+    f64::NAN,
+    f64::NEG_INFINITY,
+    -1.0,
+    -0.0,
+    0.0,
+    2.0,
+    f64::INFINITY,
+];
+
+/// The row `levels` picks from the first `palette` of [`LEVELS`].
+fn palette_row(levels: &[usize], palette: usize) -> Vec<f64> {
+    levels.iter().map(|&l| LEVELS[l % palette]).collect()
+}
+
 proptest! {
+    // The row primitives are cheap: enough cases that rows past 64 entries
+    // come up about a hundred times.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
     /// The tie-break picks the same action as the collect-then-draw
     /// reference and leaves the RNG in the same state, so agent
-    /// trajectories do not change.
+    /// trajectories do not change. Rows run past 64 entries, so the
+    /// bitmask path and the longer rows' walk both meet the reference.
     #[test]
     fn tie_break_matches_collect_then_draw(
-        levels in prop::collection::vec(0usize..6, 1..24),
+        levels in prop::collection::vec(0usize..7, 1..80),
         only_nan_and_infinity in 0u8..2,
-        comparable in 0usize..24,
+        comparable in 0usize..80,
         seed in 0u64..1_000_000,
     ) {
-        // Few value levels force ties on most rows; -0.0 and 0.0 tie too.
-        // NaN never attains the maximum, and −∞ is the maximum of a row
-        // holding nothing else but NaN, as half the rows do. One entry is
-        // kept comparable: an all-NaN row has no maximum to draw from.
-        const LEVELS: [f64; 6] = [f64::NAN, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 2.0];
+        // One entry is kept comparable: an all-NaN row has no maximum to
+        // draw from.
         let palette = if only_nan_and_infinity == 1 { 2 } else { LEVELS.len() };
-        let mut row: Vec<f64> = levels.iter().map(|&l| LEVELS[l % palette]).collect();
+        let mut row = palette_row(&levels, palette);
         let keep = comparable % row.len();
         if row[keep].is_nan() {
             row[keep] = f64::NEG_INFINITY;
@@ -54,6 +74,30 @@ proptest! {
         prop_assert_eq!(fast, reference);
     }
 
+    /// The row maximum is the value of a fold over `f64::max`, the sign of
+    /// a zero maximum aside (−∞ for an empty or all-NaN row), and
+    /// `QTable::max_value` reads it.
+    #[test]
+    fn row_max_is_the_f64_max_fold(
+        levels in prop::collection::vec(0usize..7, 0..80),
+        only_nan_and_infinity in 0u8..2,
+    ) {
+        let palette = if only_nan_and_infinity == 1 { 2 } else { LEVELS.len() };
+        let row = palette_row(&levels, palette);
+        let fold = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let max = row_max(&row);
+        prop_assert!(max == fold, "row_max {} against the fold {} of {:?}", max, fold, row);
+        if !row.is_empty() {
+            let mut q = QTable::new(row.len());
+            for (a, &v) in row.iter().enumerate() {
+                q.set(3, a, v);
+            }
+            prop_assert!(q.max_value(3) == fold, "max_value {} of {:?}", q.max_value(3), row);
+        }
+    }
+}
+
+proptest! {
     /// Linear schedules stay within [min(start, end), max(start, end)] and
     /// are monotone in the step.
     #[test]

@@ -99,13 +99,27 @@ pub trait SampleRange<T> {
     fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// `x % span` for the span of a range of a 64-bit or narrower type, in
+/// `1..=2^64`: a mask for a power of two, 2^64 included, and a 64-bit
+/// remainder for any other span, which then fits in 64 bits. Nothing
+/// divides in 128 bits.
+#[inline]
+fn reduce(x: u64, span: u128) -> u128 {
+    if span & (span - 1) == 0 {
+        u128::from(x) & (span - 1)
+    } else {
+        let span = u64::try_from(span).expect("only 2^64 exceeds u64, and it is a power of two");
+        u128::from(x % span)
+    }
+}
+
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
+                let v = reduce(rng.next_u64(), span);
                 (self.start as i128 + v as i128) as $t
             }
         }
@@ -114,7 +128,7 @@ macro_rules! int_sample_range {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty inclusive range in gen_range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
+                let v = reduce(rng.next_u64(), span);
                 (lo as i128 + v as i128) as $t
             }
         }
@@ -151,6 +165,11 @@ pub trait Rng {
     }
 
     /// Draws uniformly from a range.
+    ///
+    /// An integer range takes exactly one raw draw `x` and returns
+    /// `start + x % span`, where `span` is the number of values in the
+    /// range. A power-of-two span masks `x` and divides nothing; any other
+    /// span divides in 64 bits, never in 128.
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_from(self)
     }
@@ -207,6 +226,48 @@ mod tests {
             assert!((-2.5..4.5).contains(&f));
             let i = r.gen_range(-8i64..=8);
             assert!((-8..=8).contains(&i));
+        }
+    }
+
+    /// `gen_range` over `range` takes exactly one raw draw `x` and
+    /// returns `start + (x as u128 % span)`, checked on clones of `r`.
+    fn check_one_draw<T, S>(r: &mut StdRng, range: S, start: i128, span: u128)
+    where
+        T: TryInto<i128> + Copy + std::fmt::Debug,
+        S: SampleRange<T> + Clone + std::fmt::Debug,
+    {
+        for _ in 0..64 {
+            let mut raw = r.clone();
+            let x = raw.next_u64();
+            let v: T = r.gen_range(range.clone());
+            let want = start + (u128::from(x) % span) as i128;
+            assert_eq!(v.try_into().ok(), Some(want), "{range:?}, draw {x:#x}");
+            assert_eq!(*r, raw, "{range:?} took more than one draw");
+        }
+    }
+
+    #[test]
+    fn integer_ranges_take_one_draw_modulo_the_span() {
+        let mut r = StdRng::seed_from_u64(5);
+        // Spans of one, powers of two, odd and even non-powers.
+        for span in [1u64, 2, 3, 4, 6, 7, 10, 15, 16, 17, 64, 100, 1 << 40] {
+            check_one_draw::<u64, _>(&mut r, 0..span, 0, span.into());
+            check_one_draw::<i64, _>(&mut r, -5..span as i64 - 5, -5, span.into());
+            check_one_draw::<u64, _>(&mut r, 9..=span + 8, 9, span.into());
+        }
+        for span in [1u8, 2, 3, 16, 255] {
+            check_one_draw::<u8, _>(&mut r, 0..span, 0, span.into());
+        }
+        check_one_draw::<u8, _>(&mut r, 0..=u8::MAX, 0, 256);
+        check_one_draw::<i32, _>(&mut r, i32::MIN..=i32::MAX, i32::MIN.into(), 1 << 32);
+        // The full 64-bit spans: 2^64 masks, 2^64 − 1 is odd.
+        check_one_draw::<u64, _>(&mut r, 0..=u64::MAX, 0, 1 << 64);
+        check_one_draw::<i64, _>(&mut r, i64::MIN..=i64::MAX, i64::MIN.into(), 1 << 64);
+        check_one_draw::<i64, _>(&mut r, i64::MIN..i64::MAX, i64::MIN.into(), u64::MAX.into());
+        check_one_draw::<u64, _>(&mut r, 1..u64::MAX, 1, (u64::MAX - 1).into());
+        // usize, the agents' action and tie ranges.
+        for span in [1usize, 3, 5, 12, 16] {
+            check_one_draw::<usize, _>(&mut r, 0..span, 0, span as u128);
         }
     }
 
