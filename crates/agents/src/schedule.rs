@@ -52,7 +52,6 @@ impl Schedule {
     /// Panics on malformed schedules (zero-length linear horizon, decay
     /// outside `(0, 1)`).
     pub fn prepare(&self) -> PreparedSchedule {
-        let mut powers = Powers::of(1.0);
         let form = match *self {
             Schedule::Constant(v) => Form::Constant(v),
             Schedule::Linear { start, end, steps } => {
@@ -67,14 +66,14 @@ impl Schedule {
             }
             Schedule::Exponential { start, end, decay } => {
                 assert!(decay > 0.0 && decay < 1.0, "decay must lie in (0, 1)");
-                powers = Powers::of(decay);
                 Form::Exponential {
                     end,
                     gap: start - end,
+                    powers: Box::new(Powers::of(decay)),
                 }
             }
         };
-        PreparedSchedule { form, powers }
+        PreparedSchedule { form }
     }
 }
 
@@ -149,14 +148,13 @@ pub fn powi(base: f64, exp: u64) -> f64 {
 /// squares of the higher set bits in increasing order: the exact
 /// multiplication sequence of `f64::powi` (square-and-multiply), without
 /// re-squaring, and for steps below 64 without multiplying, on any call.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Only an exponential schedule holds that table.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedSchedule {
     form: Form,
-    /// The powers of `decay`; read by the exponential form only.
-    powers: Powers,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Form {
     Constant(f64),
     Linear {
@@ -172,6 +170,9 @@ enum Form {
         end: f64,
         /// `start - end`.
         gap: f64,
+        /// The powers of `decay`, boxed so that the other forms stay
+        /// small.
+        powers: Box<Powers>,
     },
 }
 
@@ -193,7 +194,11 @@ impl PreparedSchedule {
                     start + rise * (step as f64 / horizon)
                 }
             }
-            Form::Exponential { end, gap } => end + gap * self.powers.power(step),
+            Form::Exponential {
+                end,
+                gap,
+                ref powers,
+            } => end + gap * powers.power(step),
         }
     }
 }

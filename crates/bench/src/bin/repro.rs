@@ -20,9 +20,11 @@
 //!                         /campaigns over HTTP, GET byte-identical reports
 //!                         back (--addr HOST:PORT binds elsewhere; --workers N
 //!                         sets concurrent job slots; --cache FILE persists the
-//!                         shared design cache; --server-budget N caps
-//!                         evaluations across ALL jobs; --max-job-budget N
-//!                         clamps each job; --cache-scopes N prunes the oldest
+//!                         shared design cache; each job is granted a cap when
+//!                         it is admitted and runs as `run --budget CAP`
+//!                         would: --max-job-budget N caps every grant and
+//!                         --server-budget N what ALL jobs are granted and
+//!                         charge together; --cache-scopes N prunes the oldest
 //!                         cache scopes past N, in memory and in the file;
 //!                         --smoke shrinks every submitted spec for CI)
 //!   run SPEC.json         execute a checked-in campaign spec end-to-end
@@ -57,6 +59,7 @@ use ax_dse::explore::ExploreOptions;
 use ax_dse::report::ascii_table;
 use ax_workloads::matmul::MatMul;
 use ax_workloads::sobel::Sobel;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
 struct Args {
@@ -177,16 +180,18 @@ fn parse_args() -> Result<Args, String> {
                 server_budget = Some(
                     it.next()
                         .ok_or("--server-budget needs a number")?
-                        .parse()
-                        .map_err(|e| format!("bad --server-budget: {e}"))?,
+                        .parse::<NonZeroU64>()
+                        .map_err(|e| format!("bad --server-budget: {e}"))?
+                        .get(),
                 );
             }
             "--max-job-budget" => {
                 max_job_budget = Some(
                     it.next()
                         .ok_or("--max-job-budget needs a number")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-job-budget: {e}"))?,
+                        .parse::<NonZeroU64>()
+                        .map_err(|e| format!("bad --max-job-budget: {e}"))?
+                        .get(),
                 );
             }
             "--cache-scopes" => {
@@ -594,7 +599,9 @@ fn main() -> ExitCode {
                  [--server-budget N] [--max-job-budget N] [--cache-scopes N]\n               \
                  [--smoke]\n\n\
                  --cache-cap N bounds the saved --cache file to N designs by dropping\n\
-                 least-recently-used whole scopes."
+                 least-recently-used whole scopes. serve grants each job\n\
+                 min(spec budget, --max-job-budget, what --server-budget has left)\n\
+                 at admission and runs it as `run --budget` with that cap."
             );
             eprintln!(
                 "commands: table1 table2 table3 fig2 fig3 fig4 ablation-explorers \

@@ -45,49 +45,6 @@ pub fn run_or_exit(spec: &ExperimentSpec) -> CampaignReport {
     })
 }
 
-/// Appends one benchmark record to a `BENCH_*.json` perf-trajectory file.
-///
-/// The file holds a JSON array of run records (newest last); a legacy
-/// single-object file is wrapped into an array first, a missing or
-/// unreadable file starts a fresh one. This is how successive cold/warm
-/// sweep numbers accumulate instead of overwriting history.
-///
-/// # Errors
-///
-/// Propagates filesystem errors. A present-but-unparseable file is an
-/// error ([`std::io::ErrorKind::InvalidData`]), **not** a fresh start —
-/// the file is accumulated history, and overwriting it on a corrupt read
-/// would silently destroy every prior record.
-pub fn append_bench_record(
-    path: impl AsRef<std::path::Path>,
-    record: ax_dse::json::Json,
-) -> std::io::Result<()> {
-    use ax_dse::json::Json;
-    let path = path.as_ref();
-    let mut records = match std::fs::read_to_string(path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(Json::Arr(items)) => items,
-            Ok(obj @ Json::Obj(_)) => vec![obj],
-            Ok(other) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{} holds {other:?}, not a record array", path.display()),
-                ))
-            }
-            Err(e) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("refusing to overwrite unparseable {}: {e}", path.display()),
-                ))
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    records.push(record);
-    std::fs::write(path, Json::Arr(records).pretty())
-}
-
 /// Where CSV artefacts are written (`None` = stdout only).
 #[derive(Debug, Clone, Default)]
 pub struct OutputDir(pub Option<PathBuf>);

@@ -1,5 +1,5 @@
-//! Per-cell and per-job evaluation budgets, and the campaign ledger that
-//! grants its cap to the cells.
+//! Per-cell evaluation budgets, and the campaign ledger that grants its
+//! cap to the cells.
 
 use crate::backend::{EvalBackend, EvalMetrics};
 use crate::config::{AxConfig, SpaceDims};
@@ -10,9 +10,7 @@ use std::sync::Arc;
 /// Sentinel stored in [`EvalBudget`]'s atomic cap for "unbounded".
 const UNBOUNDED: u64 = u64::MAX;
 
-/// An evaluation budget: a campaign cell's (see [`CellLedger`]), or a
-/// served job's and the server's (see
-/// [`RunSpecOptions::extra_budgets`](crate::campaign::RunSpecOptions::extra_budgets)).
+/// A campaign cell's evaluation budget (see [`CellLedger`]).
 ///
 /// The unit is **distinct designs resolved per run**: every configuration a
 /// run's backend answers for the first time (execution or shared-cache hit
@@ -22,9 +20,7 @@ const UNBOUNDED: u64 = u64::MAX;
 /// [`MeteredBackend`] charges after the fact and the exploration loop polls
 /// [`EvalBudget::exhausted`] between steps, so each run charging a budget
 /// may overshoot its cap by at most one step's worth of evaluations.
-/// [`EvalBudget::spent`] reports the raw (overshooting) total;
-/// [`EvalBudget::spent_clamped`] and [`EvalBudget::overshoot`] split it
-/// against the cap.
+/// [`EvalBudget::spent`] reports the raw (overshooting) total.
 ///
 /// The cap is adjustable: the campaign scheduler grants a cell more
 /// budget between passes via [`EvalBudget::raise_cap`].
@@ -63,20 +59,6 @@ impl EvalBudget {
     /// the documented cooperative overshoot.
     pub fn spent(&self) -> u64 {
         self.spent.load(Ordering::Relaxed)
-    }
-
-    /// Units charged, clamped to the cap: what the budget *granted*.
-    pub fn spent_clamped(&self) -> u64 {
-        match self.cap() {
-            Some(cap) => self.spent().min(cap),
-            None => self.spent(),
-        }
-    }
-
-    /// Units charged beyond the cap (0 for unbounded budgets). Bounded by
-    /// one step's worth of evaluations per run charging the budget.
-    pub fn overshoot(&self) -> u64 {
-        self.cap().map_or(0, |cap| self.spent().saturating_sub(cap))
     }
 
     /// Charges `n` units.
@@ -137,16 +119,6 @@ impl CellLedger {
     /// The budget of cell `i`.
     pub fn cell(&self, i: usize) -> &Arc<EvalBudget> {
         &self.cells[i]
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `false`: a ledger always has at least one cell.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Grants cell `i` another `units` of budget.
@@ -367,43 +339,30 @@ impl RungLedger {
     }
 }
 
-/// An [`EvalBackend`] decorator that charges one or more [`EvalBudget`]s
-/// for every distinct design its inner backend resolves.
+/// An [`EvalBackend`] decorator that charges an [`EvalBudget`] for every
+/// distinct design its inner backend resolves.
 ///
 /// Results are bit-identical to the inner backend's — metering observes,
 /// never intercepts — so wrapping an exact sweep in a `MeteredBackend`
-/// with an unbounded budget changes nothing but the accounting. The
-/// multi-budget form is how a run charges its cell's budget and a served
-/// job's stacked budgets with one decorator.
+/// with an unbounded budget changes nothing but the accounting.
 #[derive(Debug)]
 pub struct MeteredBackend<B: EvalBackend> {
     inner: B,
-    budgets: Vec<Arc<EvalBudget>>,
+    budget: Arc<EvalBudget>,
     charged: u64,
 }
 
 impl<B: EvalBackend> MeteredBackend<B> {
     /// Wraps `inner`, charging `budget`.
     pub fn new(inner: B, budget: Arc<EvalBudget>) -> Self {
-        Self::with_budgets(inner, vec![budget])
-    }
-
-    /// Wraps `inner`, charging every budget in `budgets` (e.g. a cell's
-    /// budget plus a served job's and the server's).
-    pub fn with_budgets(inner: B, budgets: Vec<Arc<EvalBudget>>) -> Self {
         Self {
             inner,
-            budgets,
+            budget,
             charged: 0,
         }
     }
 
-    /// Unwraps the backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    /// Units this backend has charged to each of its budgets.
+    /// Units this backend has charged to its budget.
     pub fn charged(&self) -> u64 {
         self.charged
     }
@@ -411,9 +370,7 @@ impl<B: EvalBackend> MeteredBackend<B> {
     fn settle(&mut self, before: u64) {
         let delta = self.inner.distinct_evaluations().saturating_sub(before);
         self.charged += delta;
-        for budget in &self.budgets {
-            budget.charge(delta);
-        }
+        self.budget.charge(delta);
     }
 }
 
@@ -512,32 +469,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_budget_metering_charges_every_budget() {
-        let cell = EvalBudget::new(Some(5));
-        let job = EvalBudget::new(Some(100));
-        let mut metered =
-            MeteredBackend::with_budgets(exact(), vec![Arc::clone(&cell), Arc::clone(&job)]);
-        let configs = AxConfig::enumerate(metered.dims());
-        for c in configs.iter().take(7) {
-            metered.evaluate(c).unwrap();
-        }
-        assert_eq!(cell.spent(), 7);
-        assert_eq!(job.spent(), 7);
-        assert_eq!(metered.charged(), 7);
-        assert!(cell.exhausted(), "the cell budget is over its cap");
-        assert!(!job.exhausted());
-        assert_eq!(cell.spent_clamped(), 5);
-        assert_eq!(cell.overshoot(), 2);
-    }
-
-    #[test]
     fn unbounded_budget_never_exhausts() {
         let budget = EvalBudget::new(None);
         budget.charge(u64::MAX / 2);
         assert!(!budget.exhausted());
         assert_eq!(budget.cap(), None);
-        assert_eq!(budget.overshoot(), 0);
-        assert_eq!(budget.spent_clamped(), budget.spent());
         budget.raise_cap(10);
         assert_eq!(budget.cap(), None, "unbounded budgets stay unbounded");
     }
@@ -547,13 +483,10 @@ mod tests {
         let budget = EvalBudget::new(Some(0));
         budget.charge(3);
         assert!(budget.exhausted());
-        assert_eq!(budget.spent_clamped(), 0);
-        assert_eq!(budget.overshoot(), 3);
         budget.raise_cap(10);
         assert_eq!(budget.cap(), Some(10));
         assert!(!budget.exhausted());
-        assert_eq!(budget.spent_clamped(), 3);
-        assert_eq!(budget.overshoot(), 0);
+        assert_eq!(budget.spent(), 3);
     }
 
     #[test]
@@ -581,8 +514,6 @@ mod tests {
             raw <= CAP + WORKERS * STEP_COST,
             "aggregate overshoot {raw} exceeds the {WORKERS} x {STEP_COST} bound"
         );
-        assert_eq!(budget.spent_clamped(), CAP);
-        assert_eq!(budget.overshoot(), raw - CAP);
     }
 
     #[test]
@@ -615,8 +546,6 @@ mod tests {
     #[test]
     fn ledger_grants_from_what_its_cells_have_not_spent() {
         let ledger = CellLedger::new(Some(100), 4);
-        assert_eq!(ledger.len(), 4);
-        assert!(!ledger.is_empty());
         for (i, units) in CellLedger::split_even(100, 4).into_iter().enumerate() {
             ledger.grant(i, units);
         }

@@ -612,9 +612,8 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 /// The spec is the whole configuration; a `Campaign` adds only a shared
 /// cache and telemetry. [`run_spec`](crate::campaign::run_spec) builds
 /// the spec's library and benchmarks itself and takes every attachment
-/// (observer, control and stacked budgets too) as one
-/// [`RunSpecOptions`]; `from_spec` serves callers that already hold the
-/// library and benchmarks.
+/// (observer and control too) as one [`RunSpecOptions`]; `from_spec`
+/// serves callers that already hold the library and benchmarks.
 ///
 /// ```
 /// use ax_dse::campaign::{BenchmarkSpec, Campaign, ExperimentSpec, SeedRange};
@@ -689,10 +688,9 @@ impl<'a> Campaign<'a> {
     }
 
     /// `true` once the campaign should stop scheduling further work: its
-    /// control was cancelled, or a stacked extra budget ran dry.
+    /// control was cancelled.
     fn interrupted(&self) -> bool {
         self.opts.control.as_ref().is_some_and(|c| c.is_cancelled())
-            || self.opts.extra_budgets.iter().any(|b| b.exhausted())
     }
 
     /// Emits a typed event to the telemetry handle and the observer.
@@ -821,9 +819,8 @@ impl<'a> Campaign<'a> {
                         input_seed: ctx.input_seed(),
                         ..self.spec.explore
                     };
-                    let mut budgets = vec![Arc::clone(ledger.cell(cell))];
-                    budgets.extend(self.opts.extra_budgets.iter().cloned());
-                    let backend = MeteredBackend::with_budgets(provider.spawn(ctx), budgets);
+                    let backend =
+                        MeteredBackend::new(provider.spawn(ctx), Arc::clone(ledger.cell(cell)));
                     slots.push(RunSlot {
                         cell,
                         index: slots.len(),
@@ -1038,10 +1035,9 @@ impl<'a> Campaign<'a> {
     /// run-complete events, then the budget-exhausted event after the
     /// pass in which the cells' spend reaches the campaign cap.
     ///
-    /// Stacked budgets aside, a run polls no budget another cell charges,
-    /// so under a campaign cap the cells run in parallel and each cell's
-    /// runs in seed order on one thread: the pass is the sequential one
-    /// on any thread count. Without a cap no run polls a shared budget,
+    /// A run polls no budget another cell charges, so under a campaign
+    /// cap the cells run in parallel and each cell's runs in seed order
+    /// on one thread: the pass is the sequential one on any thread count. Without a cap no run polls a shared budget,
     /// so the runs themselves run in parallel.
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
@@ -1052,7 +1048,6 @@ impl<'a> Campaign<'a> {
         let observer = self.observer();
         let telemetry = &self.opts.telemetry;
         let control = self.opts.control.as_ref();
-        let extras = &self.opts.extra_budgets;
         telemetry.counter_add("campaign.resume_passes", 1);
         // `self` holds non-`Sync` workload references, so the parallel
         // closure captures only the pieces it needs.
@@ -1067,13 +1062,11 @@ impl<'a> Campaign<'a> {
             }
             let cell_budget = ledger.cell(slot.cell);
             // The full step-boundary stop test: pause/cancel checkpoint,
-            // then every budget this run charges. `checkpoint` blocks
+            // then the one budget this run charges. `checkpoint` blocks
             // while the campaign is paused, so a parked run costs its
             // thread but no evaluations.
             let halted = || {
-                control.map(CampaignControl::checkpoint).unwrap_or(false)
-                    || cell_budget.exhausted()
-                    || extras.iter().any(|b| b.exhausted())
+                control.map(CampaignControl::checkpoint).unwrap_or(false) || cell_budget.exhausted()
             };
             let fresh = slot.run.steps_taken() == 0;
             if fresh || !halted() {
@@ -1142,7 +1135,7 @@ impl<'a> Campaign<'a> {
         cell_best: &mut [DesignObjectives],
     ) -> Vec<AllocationReport> {
         let plan = Plan::new(&self.spec.policy);
-        let n_cells = ledger.len();
+        let n_cells = self.spec.n_cells();
         let mut phase = vec![Phase::Running; n_cells];
         let mut resumable = vec![false; n_cells];
         for slot in slots.iter() {

@@ -34,13 +34,14 @@
 //! [`run_spec`] runs any spec end to end, building the library and
 //! benchmarks it names (the engine behind `repro run <spec.json>`).
 //! [`RunSpecOptions`] holds what a run attaches beyond the spec: a
-//! shared cache, an observer, telemetry, and long-lived supervision — a
-//! [`CampaignControl`] cancels or pauses a campaign cooperatively at step
-//! boundaries, and extra stacked budgets let a [`GlobalScheduler`]
-//! arbitrate one server-wide budget across many concurrent campaigns (the
-//! `ax-serve` daemon), whose [`ExperimentSpec`]s produce reports
-//! byte-identical to a local `repro run` while neither the per-job nor
-//! the server-wide budget binds.
+//! shared cache, an observer, telemetry, and a [`CampaignControl`] that
+//! cancels or pauses a campaign cooperatively at step boundaries. A
+//! [`GlobalScheduler`] arbitrates one server-wide budget across many
+//! concurrent campaigns (the `ax-serve` daemon) by granting each job its
+//! cap when it admits the job; the job runs its spec with that cap as
+//! the spec's budget, so its report is byte-identical to a local
+//! `repro run --budget N` with the granted cap, whether or not the cap
+//! binds.
 
 #![warn(missing_docs)]
 

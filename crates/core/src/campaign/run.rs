@@ -1,10 +1,12 @@
 //! Executing a serialised [`ExperimentSpec`] end to end — the engine
-//! behind `repro run <spec.json>` and the `ax-serve` daemon's jobs.
+//! behind `repro run <spec.json>` and the `ax-serve` daemon's jobs. A
+//! served job runs here too, on its spec with its granted cap as the
+//! spec's `budget` (see [`GlobalScheduler`](crate::campaign::GlobalScheduler)),
+//! so its report is the one `repro run --budget N` gives.
 
 use crate::backend::SharedCache;
 use crate::campaign::{
-    Campaign, CampaignControl, CampaignReport, EvalBudget, ExperimentSpec, Observer, SpecError,
-    Telemetry,
+    Campaign, CampaignControl, CampaignReport, ExperimentSpec, Observer, SpecError, Telemetry,
 };
 use ax_vm::VmError;
 use std::fmt;
@@ -65,13 +67,6 @@ pub struct RunSpecOptions<'a> {
     /// most one step of overshoot per run) and a pause parks the campaign
     /// until resumed. `None` never interrupts.
     pub control: Option<CampaignControl>,
-    /// Budgets every run charges alongside its cell's budget — e.g. a
-    /// [`GlobalScheduler`](crate::campaign::GlobalScheduler) per-job
-    /// ticket and its server-wide cap. Unlike the spec's budget, which
-    /// binds when it is granted, these are polled at every step of every
-    /// run, so they bind an unbudgeted campaign too. Once one binds,
-    /// where the runs stop depends on the order they charged it in.
-    pub extra_budgets: Vec<Arc<EvalBudget>>,
 }
 
 /// Executes a whole [`ExperimentSpec`]: builds the operator library and

@@ -126,15 +126,10 @@ impl BenchmarkSpec {
         ])
     }
 
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let kind = v
-            .get("kind")
-            .ok_or_else(|| JsonError("benchmark needs a `kind`".into()))?
-            .as_str()?;
-        let size = v
-            .get("size")
-            .ok_or_else(|| JsonError(format!("benchmark `{kind}` needs a `size`")))?
-            .as_usize()?;
+    fn from_json(v: &Json, path: fmt::Arguments<'_>) -> Result<Self, JsonError> {
+        check_keys(v, path, &["kind", "size"])?;
+        let kind = required(v, path, "kind")?.as_str()?;
+        let size = required(v, path, "size")?.as_usize()?;
         Ok(match kind {
             "matmul" => BenchmarkSpec::MatMul(size),
             "fir" => BenchmarkSpec::Fir(size),
@@ -413,11 +408,10 @@ impl BudgetPolicy {
         }
     }
 
-    /// Parses the CLI shorthand shared by `repro run --policy` and
-    /// `bench_sweep --policy`: `uniform`, `weighted:S1,S2,…`,
-    /// `halving:ROUNDS,KEEP_FRACTION`, `asha:RUNGS,KEEP_FRACTION` or
-    /// `hyperband:R1,K1;R2,K2;…` (one `ROUNDS,KEEP` pair per bracket,
-    /// semicolon-separated).
+    /// Parses the CLI shorthand of `repro run --policy`: `uniform`,
+    /// `weighted:S1,S2,…`, `halving:ROUNDS,KEEP_FRACTION`,
+    /// `asha:RUNGS,KEEP_FRACTION` or `hyperband:R1,K1;R2,K2;…` (one
+    /// `ROUNDS,KEEP` pair per bracket, semicolon-separated).
     ///
     /// # Errors
     ///
@@ -537,6 +531,8 @@ impl BudgetPolicy {
                         "hyperband takes either `eta` or `brackets`, not both".into(),
                     ));
                 }
+                check_keys(v, "policy", &["hyperband"])?;
+                check_keys(h, "policy.hyperband", &["eta"])?;
                 let eta = eta.as_u64()?;
                 let eta = u32::try_from(eta)
                     .map_err(|_| SpecError(format!("hyperband eta {eta} overflows u32")))?;
@@ -597,6 +593,11 @@ impl BudgetPolicy {
         match v {
             Json::Str(s) if s == "uniform" => Ok(BudgetPolicy::Uniform),
             Json::Obj(_) => {
+                check_keys(
+                    v,
+                    "policy",
+                    &["weighted", "successive-halving", "asha", "hyperband"],
+                )?;
                 if let Some(shares) = v.get("weighted") {
                     let shares = shares.as_arr()?.iter().map(Json::as_f64).collect::<Result<
                         Vec<f64>,
@@ -605,51 +606,44 @@ impl BudgetPolicy {
                     )?;
                     return Ok(BudgetPolicy::Weighted(shares));
                 }
+                /// The `{rounds_key, "keep_fraction"}` object at `path`.
                 fn rounds_and_keep(
-                    what: &str,
-                    rounds_key: &str,
                     v: &Json,
+                    path: fmt::Arguments<'_>,
+                    rounds_key: &str,
                 ) -> Result<(u32, f64), JsonError> {
-                    let rounds = v
-                        .get(rounds_key)
-                        .ok_or_else(|| JsonError(format!("{what} needs `{rounds_key}`")))?
-                        .as_u64()?;
-                    Ok((
-                        u32::try_from(rounds).map_err(|_| {
-                            JsonError(format!("{rounds_key} {rounds} overflows u32"))
-                        })?,
-                        v.get("keep_fraction")
-                            .ok_or_else(|| JsonError(format!("{what} needs `keep_fraction`")))?
-                            .as_f64()?,
-                    ))
+                    check_keys(v, path, &[rounds_key, "keep_fraction"])?;
+                    let rounds = required(v, path, rounds_key)?.as_u64()?;
+                    let rounds = u32::try_from(rounds)
+                        .map_err(|_| JsonError(format!("{rounds_key} {rounds} overflows u32")))?;
+                    Ok((rounds, required(v, path, "keep_fraction")?.as_f64()?))
                 }
                 if let Some(h) = v.get("successive-halving") {
                     let (rounds, keep_fraction) =
-                        rounds_and_keep("successive-halving", "rounds", h)?;
+                        rounds_and_keep(h, format_args!("policy.successive-halving"), "rounds")?;
                     return Ok(BudgetPolicy::SuccessiveHalving {
                         rounds,
                         keep_fraction,
                     });
                 }
                 if let Some(a) = v.get("asha") {
-                    let (rungs, keep_fraction) = rounds_and_keep("asha", "rungs", a)?;
+                    let (rungs, keep_fraction) =
+                        rounds_and_keep(a, format_args!("policy.asha"), "rungs")?;
                     return Ok(BudgetPolicy::AsyncHalving {
                         rungs,
                         keep_fraction,
                     });
                 }
                 if let Some(h) = v.get("hyperband") {
-                    let brackets = h
-                        .get("brackets")
-                        .ok_or_else(|| JsonError("hyperband needs a `brackets` array".into()))?
+                    check_keys(h, "policy.hyperband", &["brackets"])?;
+                    let brackets = required(h, "policy.hyperband", "brackets")?
                         .as_arr()?
                         .iter()
-                        .map(|b| {
-                            rounds_and_keep("hyperband bracket", "rounds", b).map(
-                                |(rounds, keep_fraction)| {
-                                    HalvingBracket::new(rounds, keep_fraction)
-                                },
-                            )
+                        .enumerate()
+                        .map(|(i, b)| {
+                            let path = format_args!("policy.hyperband.brackets[{i}]");
+                            let (rounds, keep_fraction) = rounds_and_keep(b, path, "rounds")?;
+                            Ok(HalvingBracket::new(rounds, keep_fraction))
                         })
                         .collect::<Result<Vec<HalvingBracket>, JsonError>>()?;
                     return Ok(BudgetPolicy::Hyperband { brackets });
@@ -1058,23 +1052,41 @@ impl ExperimentSpec {
     ///
     /// Fails on schema violations or an unrunnable spec.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let name = v
-            .get("name")
-            .ok_or_else(|| SpecError("spec needs a `name`".into()))?
-            .as_str()?
-            .to_owned();
+        check_keys(
+            v,
+            "",
+            &[
+                "name",
+                "benchmarks",
+                "agents",
+                "seeds",
+                "explore",
+                "backend",
+                "input_seeds",
+                "library",
+                "objectives",
+                "ranking",
+                "budget",
+                "policy",
+                "parallelism",
+            ],
+        )?;
+        let name = required(v, "", "name")?.as_str()?.to_owned();
         let mut spec = ExperimentSpec::new(name);
         if let Some(benchmarks) = v.get("benchmarks") {
-            for b in benchmarks.as_arr()? {
-                spec.benchmarks.push(BenchmarkSpec::from_json(b)?);
+            for (i, b) in benchmarks.as_arr()?.iter().enumerate() {
+                let path = format_args!("benchmarks[{i}]");
+                spec.benchmarks.push(BenchmarkSpec::from_json(b, path)?);
             }
         }
         if let Some(agents) = v.get("agents") {
-            for a in agents.as_arr()? {
-                spec.agents.push(agent_from_json(a)?);
+            for (i, a) in agents.as_arr()?.iter().enumerate() {
+                spec.agents
+                    .push(agent_from_json(a, format_args!("agents[{i}]"))?);
             }
         }
         if let Some(seeds) = v.get("seeds") {
+            check_keys(seeds, "seeds", &["start", "count"])?;
             spec.seeds = SeedRange::new(
                 seeds.get("start").map_or(Ok(0), Json::as_u64)?,
                 seeds.get("count").map_or(Ok(1), Json::as_u64)?,
@@ -1112,7 +1124,8 @@ impl ExperimentSpec {
             spec.objectives = objectives
                 .as_arr()?
                 .iter()
-                .map(objective_from_json)
+                .enumerate()
+                .map(|(i, o)| objective_from_json(o, format_args!("objectives[{i}]")))
                 .collect::<Result<Vec<ObjectiveDecl>, SpecError>>()?;
         }
         if let Some(ranking) = v.get("ranking") {
@@ -1123,18 +1136,14 @@ impl ExperimentSpec {
                 ))
             })?;
         }
-        if let Some(budget) = v.get("budget") {
-            spec.budget = Some(budget.as_u64()?);
-        }
+        spec.budget = v.get("budget").map(Json::as_u64).transpose()?;
         if let Some(policy) = v.get("policy") {
             // Grid-aware: benchmarks, input seeds and agents are already
             // parsed, so the `{"hyperband": {"eta": N}}` shorthand can
             // see the cell count.
             spec.policy = BudgetPolicy::from_json_for_grid(policy, spec.n_cells())?;
         }
-        if let Some(parallelism) = v.get("parallelism") {
-            spec.parallelism = Some(parallelism.as_usize()?);
-        }
+        spec.parallelism = v.get("parallelism").map(Json::as_usize).transpose()?;
         spec.validate()?;
         Ok(spec)
     }
@@ -1159,7 +1168,7 @@ pub(crate) fn objective_to_json(o: ObjectiveDecl) -> Json {
     }
 }
 
-fn objective_from_json(v: &Json) -> Result<ObjectiveDecl, SpecError> {
+fn objective_from_json(v: &Json, path: fmt::Arguments<'_>) -> Result<ObjectiveDecl, SpecError> {
     let parse_kind = |name: &str| {
         Objective::from_name(name).ok_or_else(|| {
             SpecError(format!(
@@ -1171,11 +1180,8 @@ fn objective_from_json(v: &Json) -> Result<ObjectiveDecl, SpecError> {
     match v {
         Json::Str(name) => Ok(ObjectiveDecl::new(parse_kind(name)?)),
         Json::Obj(_) => {
-            let kind = parse_kind(
-                v.get("kind")
-                    .ok_or_else(|| SpecError("objective object needs a `kind`".into()))?
-                    .as_str()?,
-            )?;
+            check_keys(v, path, &["kind", "reference"])?;
+            let kind = parse_kind(required(v, path, "kind")?.as_str()?)?;
             let reference = match v.get("reference") {
                 Some(r) => Some(r.as_f64()?),
                 None => None,
@@ -1199,7 +1205,7 @@ fn agent_to_json(kind: AgentKind) -> Json {
     }
 }
 
-fn agent_from_json(v: &Json) -> Result<AgentKind, JsonError> {
+fn agent_from_json(v: &Json, path: fmt::Arguments<'_>) -> Result<AgentKind, JsonError> {
     match v {
         Json::Str(s) => match s.as_str() {
             "q-learning" => Ok(AgentKind::QLearning),
@@ -1209,10 +1215,8 @@ fn agent_from_json(v: &Json) -> Result<AgentKind, JsonError> {
             other => Err(JsonError(format!("unknown agent `{other}`"))),
         },
         Json::Obj(_) => {
-            let lambda = v
-                .get("q-lambda")
-                .ok_or_else(|| JsonError("agent object needs a `q-lambda` key".into()))?
-                .as_f64()?;
+            check_keys(v, path, &["q-lambda"])?;
+            let lambda = required(v, path, "q-lambda")?.as_f64()?;
             Ok(AgentKind::QLambda { lambda })
         }
         other => Err(JsonError(format!("bad agent {other:?}"))),
@@ -1241,45 +1245,61 @@ fn schedule_to_json(s: Schedule) -> Json {
     }
 }
 
-fn schedule_from_json(v: &Json) -> Result<Schedule, JsonError> {
+fn schedule_from_json(v: &Json, path: &str) -> Result<Schedule, JsonError> {
+    check_keys(v, path, &["constant", "linear", "exponential"])?;
     if let Some(c) = v.get("constant") {
         return Ok(Schedule::Constant(c.as_f64()?));
     }
     if let Some(l) = v.get("linear") {
+        let path = key_path(path, "linear");
+        check_keys(l, &path, &["start", "end", "steps"])?;
         return Ok(Schedule::Linear {
-            start: l
-                .get("start")
-                .ok_or_else(|| JsonError("linear schedule needs `start`".into()))?
-                .as_f64()?,
-            end: l
-                .get("end")
-                .ok_or_else(|| JsonError("linear schedule needs `end`".into()))?
-                .as_f64()?,
-            steps: l
-                .get("steps")
-                .ok_or_else(|| JsonError("linear schedule needs `steps`".into()))?
-                .as_u64()?,
+            start: required(l, &path, "start")?.as_f64()?,
+            end: required(l, &path, "end")?.as_f64()?,
+            steps: required(l, &path, "steps")?.as_u64()?,
         });
     }
     if let Some(e) = v.get("exponential") {
+        let path = key_path(path, "exponential");
+        check_keys(e, &path, &["start", "end", "decay"])?;
         return Ok(Schedule::Exponential {
-            start: e
-                .get("start")
-                .ok_or_else(|| JsonError("exponential schedule needs `start`".into()))?
-                .as_f64()?,
-            end: e
-                .get("end")
-                .ok_or_else(|| JsonError("exponential schedule needs `end`".into()))?
-                .as_f64()?,
-            decay: e
-                .get("decay")
-                .ok_or_else(|| JsonError("exponential schedule needs `decay`".into()))?
-                .as_f64()?,
+            start: required(e, &path, "start")?.as_f64()?,
+            end: required(e, &path, "end")?.as_f64()?,
+            decay: required(e, &path, "decay")?.as_f64()?,
         });
     }
     Err(JsonError(
         "schedule must be {constant|linear|exponential: …}".into(),
     ))
+}
+
+/// `key` of the object at `path`, spelt from the spec's root
+/// (`budget`, `explore.max_steps`).
+fn key_path(path: impl fmt::Display, key: &str) -> String {
+    match path.to_string() {
+        root if root.is_empty() => key.to_owned(),
+        path => format!("{path}.{key}"),
+    }
+}
+
+/// Rejects a key of the object `v` at `path` that `known` does not name:
+/// a misspelt key would otherwise leave its field at the default in
+/// silence. The path is formatted for the error only, so an indexed one
+/// costs nothing on a valid spec.
+fn check_keys(v: &Json, path: impl fmt::Display, known: &[&str]) -> Result<(), JsonError> {
+    let Json::Obj(pairs) = v else {
+        return Ok(());
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((key, _)) => Err(JsonError(format!("unknown key `{}`", key_path(path, key)))),
+        None => Ok(()),
+    }
+}
+
+/// The required `key` of the object `v` at `path`.
+fn required<'v>(v: &'v Json, path: impl fmt::Display, key: &str) -> Result<&'v Json, JsonError> {
+    v.get(key)
+        .ok_or_else(|| JsonError(format!("missing key `{}`", key_path(path, key))))
 }
 
 /// Checks the exploration parameters the agents, schedules and reward
@@ -1349,39 +1369,49 @@ fn explore_options_to_json(o: &ExploreOptions) -> Json {
 }
 
 fn explore_options_from_json(v: &Json) -> Result<ExploreOptions, JsonError> {
-    let mut o = ExploreOptions::default();
-    if let Some(x) = v.get("max_steps") {
-        o.max_steps = x.as_u64()?;
-    }
-    if let Some(x) = v.get("seed") {
-        o.seed = x.as_u64()?;
-    }
-    if let Some(x) = v.get("input_seed") {
-        o.input_seed = x.as_u64()?;
-    }
-    if let Some(x) = v.get("max_reward") {
-        o.max_reward = x.as_f64()?;
-    }
+    check_keys(
+        v,
+        "explore",
+        &[
+            "max_steps",
+            "seed",
+            "input_seed",
+            "max_reward",
+            "rule",
+            "alpha",
+            "gamma",
+            "epsilon",
+            "batch_neighborhood",
+        ],
+    )?;
+    let d = ExploreOptions::default();
+    let mut o = ExploreOptions {
+        max_steps: v.get("max_steps").map_or(Ok(d.max_steps), Json::as_u64)?,
+        seed: v.get("seed").map_or(Ok(d.seed), Json::as_u64)?,
+        input_seed: v.get("input_seed").map_or(Ok(d.input_seed), Json::as_u64)?,
+        max_reward: v.get("max_reward").map_or(Ok(d.max_reward), Json::as_f64)?,
+        gamma: v.get("gamma").map_or(Ok(d.gamma), Json::as_f64)?,
+        ..d
+    };
     if let Some(rule) = v.get("rule") {
+        check_keys(
+            rule,
+            "explore.rule",
+            &["power_frac", "time_frac", "acc_frac"],
+        )?;
+        let frac = |key, default| rule.get(key).map_or(Ok(default), Json::as_f64);
         let d = ThresholdRule::paper();
         o.rule = ThresholdRule {
-            power_frac: rule
-                .get("power_frac")
-                .map_or(Ok(d.power_frac), Json::as_f64)?,
-            time_frac: rule
-                .get("time_frac")
-                .map_or(Ok(d.time_frac), Json::as_f64)?,
-            acc_frac: rule.get("acc_frac").map_or(Ok(d.acc_frac), Json::as_f64)?,
+            power_frac: frac("power_frac", d.power_frac)?,
+            time_frac: frac("time_frac", d.time_frac)?,
+            acc_frac: frac("acc_frac", d.acc_frac)?,
         };
     }
     if let Some(x) = v.get("alpha") {
-        o.alpha = schedule_from_json(x)?;
-    }
-    if let Some(x) = v.get("gamma") {
-        o.gamma = x.as_f64()?;
+        o.alpha = schedule_from_json(x, "explore.alpha")?;
     }
     if let Some(x) = v.get("epsilon") {
-        o.epsilon = schedule_from_json(x)?;
+        o.epsilon = schedule_from_json(x, "explore.epsilon")?;
     }
     // Every spec written before the option's removal carries `false`.
     if let Some(x) = v.get("batch_neighborhood") {
@@ -2077,6 +2107,68 @@ mod tests {
             r#"{"name":"x","benchmarks":[{"kind":"matmul","size":4}],"agents":["nope"]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_naming_their_path() {
+        for (entries, path) in [
+            (r#""budjet": 4000"#, "budjet"),
+            (r#""explore": {"max_stepz": 5}"#, "explore.max_stepz"),
+            (r#""explore": {"rule": {"acc": 0.1}}"#, "explore.rule.acc"),
+            (
+                r#""explore": {"alpha": {"konstant": 0.1}}"#,
+                "explore.alpha.konstant",
+            ),
+            (
+                r#""explore": {"epsilon": {"linear": {"start": 1, "end": 0, "step": 9}}}"#,
+                "explore.epsilon.linear.step",
+            ),
+            (r#""seeds": {"begin": 3}"#, "seeds.begin"),
+            (
+                r#""objectives": [{"kind": "op-cost", "ref": 1}]"#,
+                "objectives[0].ref",
+            ),
+            (
+                r#""budget": 90, "policy": {"asha": {"rungs": 2, "keep": 0.5}}"#,
+                "policy.asha.keep",
+            ),
+            (
+                r#""budget": 90, "policy": {"hyperband": {"eta": 2, "rounds": 1}}"#,
+                "policy.hyperband.rounds",
+            ),
+            (
+                r#""budget": 90, "policy": {"hyperband": {"brackets": [{"rungs": 1}]}}"#,
+                "policy.hyperband.brackets[0].rungs",
+            ),
+        ] {
+            let text = format!(
+                r#"{{"name": "x", "benchmarks": [{{"kind": "dot", "size": 8}}],
+                    "agents": ["q-learning"], {entries}}}"#
+            );
+            let err = ExperimentSpec::from_json_str(&text).unwrap_err();
+            assert!(err.0.contains(&format!("unknown key `{path}`")), "{err}");
+        }
+        let err = ExperimentSpec::from_json_str(
+            r#"{"name": "x", "benchmarks": [{"kind": "dot", "size": 8, "n": 2}],
+                "agents": ["q-learning", {"q-lambda": 0.5, "lambda": 0.5}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("unknown key `benchmarks[0].n`"), "{err}");
+        let err = ExperimentSpec::from_json_str(
+            r#"{"name": "x", "benchmarks": [{"kind": "dot", "size": 8}],
+                "agents": ["q-learning", {"q-lambda": 0.5, "lambda": 0.5}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("unknown key `agents[1].lambda`"), "{err}");
+        let err = ExperimentSpec::from_json_str(
+            r#"{"name": "x", "benchmarks": [{"kind": "dot", "size": 8}], "agents": ["q-learning"],
+                "explore": {"alpha": {"linear": {"start": 1, "end": 0}}}}"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.0.contains("missing key `explore.alpha.linear.steps`"),
+            "{err}"
+        );
     }
 
     #[test]

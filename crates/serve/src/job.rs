@@ -4,7 +4,7 @@
 use ax_dse::campaign::JobTicket;
 use ax_dse::campaign::{ExperimentSpec, JobPhase, Telemetry};
 use ax_dse::json::Json;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The externally visible lifecycle of a job.
 ///
@@ -17,7 +17,8 @@ use std::sync::Mutex;
 ///                       ▼                    resume ▲│ pause
 ///                    cancelled ◀── DELETE ── running / preempted
 ///                                            (partial report kept)
-///                    failed  ◀── spec unrunnable / benchmark error
+///                    failed  ◀── spec unrunnable / benchmark error /
+///                                server budget exhausted at admission
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
@@ -31,7 +32,8 @@ pub enum JobState {
     Completed,
     /// Cooperatively cancelled; a partial report may still be stored.
     Cancelled,
-    /// The campaign could not run (bad spec, benchmark failure).
+    /// The campaign could not run (bad spec, benchmark failure, a zero
+    /// grant).
     Failed,
 }
 
@@ -60,6 +62,8 @@ pub struct Job {
     priority: u8,
     spec: ExperimentSpec,
     ticket: JobTicket,
+    /// The cap granted at admission; unset while queued or unbounded.
+    cap: OnceLock<u64>,
     telemetry: Telemetry,
     outcome: Mutex<Option<Outcome>>,
 }
@@ -79,6 +83,7 @@ impl Job {
             priority,
             spec,
             ticket,
+            cap: OnceLock::new(),
             telemetry: Telemetry::with_capacity(events_capacity),
             outcome: Mutex::new(None),
         }
@@ -99,9 +104,14 @@ impl Job {
         &self.spec
     }
 
-    /// The scheduler ticket (budget + control).
+    /// The scheduler ticket (id + control).
     pub fn ticket(&self) -> &JobTicket {
         &self.ticket
+    }
+
+    /// Records the cap the scheduler granted the job at admission.
+    pub(crate) fn set_cap(&self, cap: u64) {
+        let _ = self.cap.set(cap);
     }
 
     /// The job's bounded telemetry handle.
@@ -162,7 +172,6 @@ impl Job {
     /// The status document served at `GET /campaigns/{id}`.
     pub fn status_json(&self, phase: Option<JobPhase>) -> String {
         let state = self.state(phase);
-        let budget = self.ticket.budget();
         let mut pairs = vec![
             ("id", Json::u64(self.id())),
             ("name", Json::str(&self.name)),
@@ -170,11 +179,9 @@ impl Job {
             ("priority", Json::u64(u64::from(self.priority))),
             (
                 "budget",
-                Json::obj(vec![
-                    ("cap", budget.cap().map(Json::u64).unwrap_or(Json::Null)),
-                    ("spent", Json::u64(budget.spent_clamped())),
-                    ("overshoot", Json::u64(budget.overshoot())),
-                ]),
+                self.cap
+                    .get()
+                    .map_or(Json::Null, |&cap| Json::obj(vec![("cap", Json::u64(cap))])),
             ),
             ("events", Json::u64(self.telemetry.events_emitted())),
             (

@@ -34,10 +34,10 @@ pub struct ServeConfig {
     /// shutdown).
     pub cache_path: Option<String>,
     /// Server-wide evaluation budget across *all* jobs (`None` =
-    /// unbounded, counting only).
+    /// unbounded): each job is granted its cap out of what is left.
     pub server_budget: Option<u64>,
-    /// Hard per-job budget cap, polled at every step of a job's runs. A
-    /// spec's own budget binds inside its campaign, when it is granted.
+    /// The most any one job is granted; an unbudgeted spec served under
+    /// it runs with this budget.
     pub max_job_budget: Option<u64>,
     /// Keep at most this many cache scopes (one per benchmark, input seed
     /// and program-and-library fingerprint), in memory and in the cache
@@ -268,8 +268,7 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
     }
     // One campaign thread per job: the job runs sequentially and the
     // daemon's parallelism is *across* jobs (the scheduler's worker
-    // slots). No report depends on it while the job's stacked budgets
-    // do not bind.
+    // slots). No report depends on it.
     spec.parallelism = Some(1);
     let priority = match request.query_param("priority") {
         None => 0,
@@ -278,11 +277,7 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
             Err(e) => return Response::error(400, &format!("bad priority `{p}`: {e}")),
         },
     };
-    // The ticket caps the job at `--max-job-budget` only. The spec's own
-    // budget binds inside the campaign, when budget is granted; a ticket
-    // capped by it too would stop runs mid-pass where `repro run` does
-    // not.
-    let ticket = state.scheduler.submit(priority, None);
+    let ticket = state.scheduler.submit(priority, spec.budget);
     let job = Arc::new(Job::new(
         spec,
         ticket,
@@ -322,6 +317,8 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
 struct SlotGuard<'a> {
     state: &'a ServerState,
     job: &'a Job,
+    /// What the job charged, for the scheduler: its grant until it ends.
+    charged: u64,
 }
 
 impl Drop for SlotGuard<'_> {
@@ -333,30 +330,47 @@ impl Drop for SlotGuard<'_> {
             self.job.set_error("campaign panicked");
             self.state.telemetry.counter_add("serve.jobs_failed", 1);
         }
-        self.state.scheduler.finish(self.job.ticket());
+        self.state.scheduler.finish(self.job.ticket(), self.charged);
     }
 }
 
-/// The job worker: wait for admission, run the campaign under the job's
-/// control handle with the ticket and server budgets stacked in, store
-/// the report bytes, release the slot, persist the cache.
+/// The job worker: wait for admission, run the spec with its granted cap
+/// as its budget under the job's control handle, store the report bytes,
+/// release the slot, persist the cache.
 fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
-    let slot = SlotGuard { state, job };
-    if !state.scheduler.acquire(job.ticket()) {
+    let mut slot = SlotGuard {
+        state,
+        job,
+        charged: 0,
+    };
+    let Some(cap) = state.scheduler.acquire(job.ticket()) else {
         job.set_error("cancelled while queued");
         return;
+    };
+    if let Some(cap) = cap {
+        job.set_cap(cap);
+        slot.charged = cap;
     }
+    if cap == Some(0) {
+        job.set_error("server budget exhausted");
+        state.telemetry.counter_add("serve.jobs_failed", 1);
+        return;
+    }
+    // The grant is at most the spec's own budget, so this is the spec
+    // `repro run --budget N` runs for the granted N.
+    let spec = ExperimentSpec {
+        budget: cap,
+        ..job.spec().clone()
+    };
     let opts = RunSpecOptions {
         cache: Some(Arc::clone(&state.cache)),
         observer: None,
         telemetry: job.telemetry().clone(),
         control: Some(job.ticket().control().clone()),
-        extra_budgets: vec![
-            Arc::clone(job.ticket().budget()),
-            Arc::clone(state.scheduler.server()),
-        ],
     };
-    match run_spec(job.spec(), opts) {
+    let outcome = run_spec(&spec, opts);
+    slot.charged = outcome.as_ref().map_or(0, |r| r.budget.charged());
+    match outcome {
         Ok(mut report) => {
             // Strip the telemetry roll-up before serialising: its
             // wall-clock histograms are the one nondeterministic section,
@@ -410,7 +424,6 @@ fn list(state: &Arc<ServerState>) -> Response {
 
 fn metrics(state: &Arc<ServerState>) -> Response {
     let (queued, running, preempted, finished) = state.scheduler.counts();
-    let server = state.scheduler.server();
     let snapshot = state.telemetry.snapshot();
     let counter =
         |name: &str| Json::u64(snapshot.as_ref().and_then(|s| s.counter(name)).unwrap_or(0));
@@ -432,13 +445,8 @@ fn metrics(state: &Arc<ServerState>) -> Response {
         (
             "budget",
             Json::obj(vec![
-                ("cap", server.cap().map(Json::u64).unwrap_or(Json::Null)),
-                ("spent", Json::u64(server.spent_clamped())),
-                ("overshoot", Json::u64(server.overshoot())),
-                (
-                    "jobs_spent_total",
-                    Json::u64(state.scheduler.jobs_spent_total()),
-                ),
+                ("cap", state.scheduler.cap().map_or(Json::Null, Json::u64)),
+                ("committed", Json::u64(state.scheduler.committed())),
             ]),
         ),
         (
@@ -462,7 +470,7 @@ mod tests {
     use std::time::Duration;
 
     fn submit_job(state: &ServerState, spec: &ExperimentSpec) -> Arc<Job> {
-        let ticket = state.scheduler.submit(0, None);
+        let ticket = state.scheduler.submit(0, spec.budget);
         let job = Arc::new(Job::new(spec.clone(), ticket, 0, 64));
         state
             .jobs
@@ -493,10 +501,11 @@ mod tests {
         let crashed = {
             let (state, job) = (Arc::clone(&state), Arc::clone(&doomed));
             std::thread::spawn(move || {
-                assert!(state.scheduler.acquire(job.ticket()));
+                assert_eq!(state.scheduler.acquire(job.ticket()), Some(None));
                 let _slot = SlotGuard {
                     state: &state,
                     job: &job,
+                    charged: 0,
                 };
                 panic!("campaign panicked on purpose");
             })

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over a real ephemeral-port listener: report
 //! byte-parity with local runs, concurrent submission over one shared
-//! cache, cooperative cancellation with budget accounting, the
-//! server-wide budget ceiling, and the cache scope bound on disk.
+//! cache, cooperative cancellation with budget accounting, the per-job
+//! and server-wide grants, and the cache scope bound on disk.
 
 use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
@@ -298,55 +298,116 @@ fn delete_cancels_a_running_job_and_keeps_budget_accounting() {
     assert_eq!(status, 202, "{body}");
     let doc = await_terminal(addr, id);
     assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "cancelled");
-    // The cooperative stop still produced a (partial) report whose spend
-    // agrees with the ticket's accounting in the status document.
+    assert_eq!(
+        doc.get("budget"),
+        Some(&Json::Null),
+        "an unbounded job has no cap"
+    );
+    // The cooperative stop still produced a (partial) report, and what its
+    // campaign charged is what the server has committed for the job.
     let (status, report) = request(addr, "GET", &format!("/campaigns/{id}/report"), "");
     assert_eq!(status, 200, "a cancelled job keeps its partial report");
     let report = Json::parse(&report).expect("partial report is valid JSON");
-    let report_spent = report
-        .get("budget")
-        .unwrap()
-        .get("spent")
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    let status_spent = doc
-        .get("budget")
-        .unwrap()
-        .get("spent")
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    assert_eq!(
-        report_spent, status_spent,
-        "job ticket and campaign ledger charge the same deltas"
-    );
-    assert!(report_spent > 0, "the job ran before the cancel landed");
+    let charged = report_charged(&report);
+    assert!(charged > 0, "the job ran before the cancel landed");
     let (_, metrics) = request(addr, "GET", "/metrics", "");
-    let jobs = Json::parse(&metrics).unwrap();
-    let jobs = jobs.get("jobs").unwrap();
+    let metrics = Json::parse(&metrics).unwrap();
+    let committed = metrics.get("budget").unwrap().get("committed").unwrap();
+    assert_eq!(committed.as_u64().unwrap(), charged);
+    let jobs = metrics.get("jobs").unwrap();
     assert_eq!(jobs.get("cancelled").unwrap().as_u64().unwrap(), 1);
     assert_eq!(jobs.get("finished").unwrap().as_u64().unwrap(), 1);
     shutdown(addr, handle);
 }
 
-/// The server-wide budget is a hard ceiling across all jobs: clamped
-/// spend never exceeds the cap, whatever each job asked for.
+/// What a report's campaign charged: its spend plus its overshoot.
+fn report_charged(report: &Json) -> u64 {
+    let budget = report.get("budget").unwrap();
+    let field = |name| budget.get(name).unwrap().as_u64().unwrap();
+    field("spent") + field("overshoot")
+}
+
+/// Submits `spec`, waits for the job to end and returns its id and final
+/// status document.
+fn submit_and_await(addr: SocketAddr, spec: &ExperimentSpec) -> (u64, Json) {
+    let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
+    assert_eq!(status, 200, "submit failed: {body}");
+    let id = Json::parse(&body)
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    (id, await_terminal(addr, id))
+}
+
+/// Checks a completed job's served report against `run_spec` on its spec
+/// with the granted cap as its budget, and returns the report.
+fn assert_served_at_its_cap(addr: SocketAddr, spec: &ExperimentSpec, id: u64, doc: &Json) -> Json {
+    assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "completed");
+    let cap = doc
+        .get("budget")
+        .unwrap()
+        .get("cap")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    let local = run_spec(&spec.clone().budget(cap), RunSpecOptions::default()).expect("local run");
+    assert!(
+        local.budget.exhausted(),
+        "the cap {cap} binds: {:?}",
+        local.budget
+    );
+    let (status, served) = request(addr, "GET", &format!("/campaigns/{id}/report"), "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        served,
+        local.to_json_string(),
+        "served `{}` differs from its local run at budget {cap}",
+        spec.name
+    );
+    Json::parse(&served).unwrap()
+}
+
+/// A spec that asks for more than `--max-job-budget`, or for no budget at
+/// all, is granted the maximum and runs as a campaign with that budget:
+/// its report is the local run's at the maximum.
 #[test]
-fn server_budget_caps_aggregate_spend_across_jobs() {
-    const CAP: u64 = 250;
+fn a_binding_job_maximum_serves_the_local_report_at_the_maximum() {
+    const MAX: u64 = 60;
     let (addr, handle) = boot(ServeConfig {
-        server_budget: Some(CAP),
+        workers: 1,
+        max_job_budget: Some(MAX),
         ..ServeConfig::default()
     });
-    // Two unbudgeted jobs on different benchmarks, together wanting far
-    // more than CAP distinct evaluations.
-    let mut ids = Vec::new();
-    for (name, benchmark) in [
-        ("daemon-cap-a", BenchmarkSpec::MatMul(4)),
-        ("daemon-cap-b", BenchmarkSpec::Dot(8)),
-    ] {
-        let spec = ExperimentSpec::new(name)
+    let budgeted = quick_spec("over-max", BenchmarkSpec::MatMul(4), BackendSpec::Exact).budget(300);
+    let unbudgeted = quick_spec("no-budget", BenchmarkSpec::Dot(8), BackendSpec::Exact);
+    for spec in [budgeted, unbudgeted] {
+        let (id, doc) = submit_and_await(addr, &spec);
+        let cap = doc.get("budget").unwrap().get("cap").unwrap().as_u64();
+        assert_eq!(cap.unwrap(), MAX);
+        assert_served_at_its_cap(addr, &spec, id, &doc);
+    }
+    shutdown(addr, handle);
+}
+
+/// Under `--workers 1` each job is granted its cap when the one before
+/// it finishes: the first the job maximum, the second what the first
+/// left of the server budget, and the third, with nothing left, fails at
+/// once. Each completed report is the local run's at its cap.
+#[test]
+fn the_server_budget_grants_each_job_what_the_jobs_before_left() {
+    const CAP: u64 = 250;
+    const MAX: u64 = 150;
+    let (addr, handle) = boot(ServeConfig {
+        workers: 1,
+        server_budget: Some(CAP),
+        max_job_budget: Some(MAX),
+        ..ServeConfig::default()
+    });
+    // Unbudgeted jobs, each wanting far more than CAP distinct designs.
+    let spec = |name: &str, benchmark| {
+        ExperimentSpec::new(name)
             .benchmark(benchmark)
             .agent(AgentKind::QLearning)
             .agent(AgentKind::Sarsa)
@@ -354,29 +415,62 @@ fn server_budget_caps_aggregate_spend_across_jobs() {
             .explore(ExploreOptions {
                 max_steps: 5_000,
                 ..Default::default()
-            });
-        let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
-        assert_eq!(status, 200, "{body}");
-        ids.push(
+            })
+    };
+    let specs = [
+        spec("cap-a", BenchmarkSpec::MatMul(4)),
+        spec("cap-b", BenchmarkSpec::Dot(8)),
+        spec("cap-c", BenchmarkSpec::MatMul(4)),
+    ];
+    // Submitted together, so the second and third queue.
+    let ids: Vec<u64> = specs
+        .iter()
+        .map(|spec| {
+            let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
+            assert_eq!(status, 200, "submit failed: {body}");
             Json::parse(&body)
                 .unwrap()
                 .get("id")
                 .unwrap()
                 .as_u64()
-                .unwrap(),
-        );
-    }
-    for id in ids {
-        let doc = await_terminal(addr, id);
-        assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "completed");
-    }
+                .unwrap()
+        })
+        .collect();
+    let cap_of = |doc: &Json| {
+        doc.get("budget")
+            .unwrap()
+            .get("cap")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+    };
+    let first = await_terminal(addr, ids[0]);
+    assert_eq!(cap_of(&first), MAX);
+    let charged_first = report_charged(&assert_served_at_its_cap(addr, &specs[0], ids[0], &first));
+    let second = await_terminal(addr, ids[1]);
+    assert_eq!(
+        cap_of(&second),
+        CAP - charged_first,
+        "granted what the first left"
+    );
+    let charged_second =
+        report_charged(&assert_served_at_its_cap(addr, &specs[1], ids[1], &second));
+    let third = await_terminal(addr, ids[2]);
+    assert_eq!(third.get("state").unwrap().as_str().unwrap(), "failed");
+    assert_eq!(
+        third.get("error").unwrap().as_str().unwrap(),
+        "server budget exhausted"
+    );
+    assert_eq!(cap_of(&third), 0);
     let (_, metrics) = request(addr, "GET", "/metrics", "");
     let metrics = Json::parse(&metrics).unwrap();
     let budget = metrics.get("budget").unwrap();
     assert_eq!(budget.get("cap").unwrap().as_u64().unwrap(), CAP);
-    let spent = budget.get("spent").unwrap().as_u64().unwrap();
-    assert!(spent <= CAP, "clamped spend {spent} exceeds the cap {CAP}");
-    assert_eq!(spent, CAP, "both jobs together exhaust the server budget");
+    let committed = budget.get("committed").unwrap().as_u64().unwrap();
+    assert_eq!(committed, charged_first + charged_second);
+    let jobs = metrics.get("jobs").unwrap();
+    assert_eq!(jobs.get("completed").unwrap().as_u64().unwrap(), 2);
+    assert_eq!(jobs.get("failed").unwrap().as_u64().unwrap(), 1);
     shutdown(addr, handle);
 }
 
@@ -452,6 +546,19 @@ fn bad_requests_get_json_errors() {
         "the removed neighbourhood batching is a spec error"
     );
     assert!(body.contains("was removed"), "{body}");
+    // A misspelt key would run the job with its field at the default.
+    for (key, at) in [
+        ("budjet", r#""budjet": 4000"#),
+        ("explore.max_stepz", r#""explore": {"max_stepz": 5}"#),
+    ] {
+        let misspelt = format!(
+            r#"{{"name": "typo", "benchmarks": [{{"kind": "dot", "size": 8}}],
+                "agents": ["q-learning"], {at}}}"#
+        );
+        let (status, body) = request(addr, "POST", "/campaigns", &misspelt);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(&format!("unknown key `{key}`")), "{body}");
+    }
     // Nesting deep enough to overflow a recursive parser's stack.
     let (status, body) = request(addr, "POST", "/campaigns", &"[".repeat(1_000_000));
     assert_eq!(status, 400, "{body}");

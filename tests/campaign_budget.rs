@@ -1,12 +1,13 @@
 //! Budget-share scheduler contracts: uniform shares degrade to the plain
 //! campaign, successive halving respects the global cap and still finds
 //! the good designs at a fraction of the evaluation spend, asynchronous
-//! halving matches it with no round barrier, and Hyperband's bracket
-//! sweep stays under the cap.
+//! halving matches it with no round barrier, Pareto-ranked halving
+//! recovers the exhaustive front, and Hyperband's bracket sweep stays
+//! under the cap.
 
 use axdse_suite::ax_dse::campaign::{
-    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, ExperimentSpec, HalvingBracket, Ranking,
-    RunSpecOptions, SeedRange,
+    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, ExperimentSpec, HalvingBracket,
+    LibrarySpec, Objective, ObjectiveDecl, Ranking, RunSpecOptions, SeedRange,
 };
 use axdse_suite::ax_dse::explore::{AgentKind, ExploreOptions};
 use proptest::prelude::*;
@@ -65,11 +66,9 @@ fn uniform_policy_with_full_budget_matches_the_unbudgeted_campaign() {
     assert_eq!(full.budget.overshoot, 0, "a non-binding cap never trips");
 }
 
-/// The ISSUE acceptance scenario: a successive-halving campaign on
-/// MatMul×FIR must find a best design whose reward is within 1 % of the
-/// exhaustive (unbounded) run's, while spending at most 60 % of its
-/// evaluations. The same comparison is recorded in `BENCH_sweep.json` by
-/// `bench_sweep --policy halving:2,0.5`.
+/// A successive-halving campaign on MatMul×FIR must find a best design
+/// whose reward is within 1 % of the exhaustive (unbounded) run's, while
+/// spending at most 60 % of its evaluations.
 #[test]
 fn halving_matches_exhaustive_reward_at_a_fraction_of_the_evals() {
     let spec = grid("halving-acceptance", 6, 600).seeds(SeedRange::new(0, 2));
@@ -99,11 +98,10 @@ fn halving_matches_exhaustive_reward_at_a_fraction_of_the_evals() {
     assert_eq!(halved.allocations.len(), 2, "both rounds recorded");
 }
 
-/// The ISSUE 5 acceptance scenario: on the same MatMul×FIR grid and the
-/// same ≈55 % budget, ASHA must still reach the exhaustive run's best
-/// score while spending no more evaluations than synchronous successive
-/// halving does — the round barrier buys nothing. The same comparison is
-/// recorded in `BENCH_sweep.json` by `bench_sweep --policy asha:2,0.5`.
+/// On the same MatMul×FIR grid and the same ≈55 % budget, ASHA must
+/// still reach the exhaustive run's best score while spending no more
+/// evaluations than synchronous successive halving does — the round
+/// barrier buys nothing.
 #[test]
 fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
     let spec = grid("asha-acceptance", 6, 600).seeds(SeedRange::new(0, 2));
@@ -133,6 +131,57 @@ fn asha_reaches_the_exhaustive_best_within_the_sync_halving_evals() {
         "asha best reward {asha_best} trails the exhaustive {full_best} by more than 1%"
     );
     assert_eq!(asha.allocations.len(), 2, "one report per rung");
+}
+
+/// Multi-objective halving finds the whole exhaustive front for 70 % of
+/// the spend: on MatMul-10 × FIR-100 over the widened library (four agent
+/// kinds, enough for a front of more than two points), a Pareto-ranked
+/// successive-halving run of two rounds keeping half, granted 70 % of
+/// the exhaustive run's evaluations, must reach every exhaustive front
+/// point again — same cell, same (QoR error, op cost) vector. The counts
+/// are logical, so they are pinned: they equal the last record of
+/// `BENCH_sweep.json`.
+#[test]
+fn pareto_halving_recovers_the_exhaustive_front_at_70_percent_of_the_evals() {
+    let grid = ExperimentSpec::new("pareto-acceptance")
+        .benchmark(BenchmarkSpec::MatMul(10))
+        .benchmark(BenchmarkSpec::Fir(100))
+        .library(LibrarySpec::EvoApproxExtended)
+        .agent(AgentKind::QLearning)
+        .agent(AgentKind::Sarsa)
+        .agent(AgentKind::ExpectedSarsa)
+        .agent(AgentKind::DoubleQ)
+        .seeds(SeedRange::new(0, 2))
+        .explore(ExploreOptions {
+            max_steps: 300,
+            ..Default::default()
+        })
+        .objectives(vec![
+            ObjectiveDecl::new(Objective::QorError),
+            ObjectiveDecl::new(Objective::OpCost),
+        ]);
+    let exhaustive = run(&grid);
+    assert_eq!(exhaustive.budget.spent, 2_876);
+    let pareto = run(&grid
+        .budget(exhaustive.budget.spent * 70 / 100)
+        .policy(BudgetPolicy::SuccessiveHalving {
+            rounds: 2,
+            keep_fraction: 0.5,
+        })
+        .ranking(Ranking::Pareto));
+    assert_eq!(pareto.budget.charged(), 1_770);
+    let front = &exhaustive.pareto.front;
+    assert_eq!(front.len(), 4);
+    for point in front {
+        assert!(
+            pareto
+                .pareto
+                .front
+                .iter()
+                .any(|q| q.cell == point.cell && q.values == point.values),
+            "the budgeted front lost {point:?}"
+        );
+    }
 }
 
 /// Pinned-seed degeneration: each pair names one schedule twice. A

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests.
 
 use axdse_suite::ax_dse::backend::SharedCache;
-use axdse_suite::ax_dse::campaign::{ExperimentSpec, GlobalScheduler};
+use axdse_suite::ax_dse::campaign::{ExperimentSpec, GlobalScheduler, JobPhase};
 use axdse_suite::ax_dse::config::{AxConfig, SpaceDims};
 use axdse_suite::ax_dse::pareto::{dominates, hypervolume, non_dominated_ranks, rank_order};
 use axdse_suite::ax_dse::reward::{reward, RewardParams};
@@ -115,13 +115,14 @@ proptest! {
         prop_assert!(m.delta_acc >= 0.0);
     }
 
-    /// The server-wide budget stack of the campaign daemon: jobs with
-    /// arbitrary priorities, per-job caps and demands, drained through a
-    /// [`GlobalScheduler`], never push the aggregate spend past the
-    /// server cap or any job past its own cap — and the per-job ledger
-    /// reconstructs the server's spend exactly.
+    /// The campaign daemon's grants: jobs with arbitrary priorities,
+    /// requested budgets and demands, drained through a
+    /// [`GlobalScheduler`], are each granted at most what they asked for
+    /// and at most the job maximum; when the server cap binds, a grant is
+    /// exactly what the server has left. Jobs that spend within their
+    /// grants never commit more than the server cap.
     #[test]
-    fn global_scheduler_budget_stack_never_exceeds_any_cap(
+    fn global_scheduler_grants_never_exceed_any_cap(
         server_cap_raw in 0u64..150,
         max_job_budget_raw in 0u64..60,
         jobs_raw in prop::collection::vec((0u8..4, 0u64..50, 0u64..70), 1..8),
@@ -133,50 +134,49 @@ proptest! {
             .into_iter()
             .map(|(p, r, d)| (p, (r > 0).then_some(r), d))
             .collect();
+        let n = jobs.len();
         let sched = GlobalScheduler::new(server_cap, 2, max_job_budget);
-        let tickets: Vec<_> = jobs
-            .iter()
-            .map(|&(priority, requested, _)| sched.submit(priority, requested))
-            .collect();
-        // Drain in admission order (priority desc, id asc) so a single
-        // thread mirrors what the daemon's worker pool converges to. Each
-        // "evaluation" checks both stacked budgets before charging them
-        // with the same delta — exactly the campaign driver's contract.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        // Submit every job, then drain in admission order (priority desc,
+        // id asc), so a single thread mirrors what the daemon's worker
+        // pool converges to: each job, once reached, holds a slot.
+        let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(jobs[i].0), i));
-        let mut expected_total = 0u64;
-        for &i in &order {
-            prop_assert!(sched.acquire(&tickets[i]));
-            for _ in 0..jobs[i].2 {
-                if tickets[i].budget().exhausted() || sched.server().exhausted() {
-                    break;
-                }
-                tickets[i].budget().charge(1);
-                sched.server().charge(1);
+        let mut tickets = Vec::with_capacity(n);
+        let mut grants: Vec<Option<Option<u64>>> = vec![None; n];
+        let mut total_charged = 0;
+        for call in 0..2 * n {
+            if call < n {
+                tickets.push(sched.submit(jobs[call].0, jobs[call].1));
+            } else {
+                let i = order[call - n];
+                let grant = grants[i].expect("a job holding a slot was granted");
+                let charged = grant.map_or(jobs[i].2, |cap| jobs[i].2.min(cap));
+                sched.finish(&tickets[i], charged);
+                total_charged += charged;
             }
-            sched.finish(&tickets[i]);
-            // Sequentially, each job gets min(demand, own cap, what the
-            // server has left).
-            let own_cap = match (jobs[i].1, max_job_budget) {
-                (Some(r), Some(m)) => Some(r.min(m)),
-                (r, m) => r.or(m),
-            };
-            let mut want = jobs[i].2;
-            if let Some(cap) = own_cap {
-                want = want.min(cap);
+            // A call admits at most one queued job, so what the server had
+            // left when it granted the job is the cap minus everything
+            // else committed now.
+            for (i, ticket) in tickets.iter().enumerate() {
+                let admitted = matches!(
+                    sched.phase(ticket.id()),
+                    Some(JobPhase::Running | JobPhase::Preempted)
+                );
+                if admitted && grants[i].is_none() {
+                    let grant = sched.acquire(ticket).expect("an admitted job is granted");
+                    let others = sched.committed() - grant.unwrap_or(0);
+                    let left = server_cap.map(|cap| cap - others);
+                    let want = [jobs[i].1, max_job_budget, left].into_iter().flatten().min();
+                    prop_assert_eq!(grant, want, "job {} granted {:?}", i, grant);
+                    grants[i] = Some(grant);
+                }
             }
             if let Some(cap) = server_cap {
-                want = want.min(cap - expected_total);
+                prop_assert!(sched.committed() <= cap);
             }
-            prop_assert_eq!(tickets[i].budget().spent(), want);
-            expected_total += want;
         }
-        if let Some(cap) = server_cap {
-            prop_assert!(sched.server().spent() <= cap);
-        }
-        prop_assert_eq!(sched.server().spent(), expected_total);
-        prop_assert_eq!(sched.jobs_spent_total(), sched.server().spent());
-        prop_assert_eq!(sched.counts(), (0, 0, 0, jobs.len()));
+        prop_assert_eq!(sched.committed(), total_charged);
+        prop_assert_eq!(sched.counts(), (0, 0, 0, n));
     }
 
     /// Non-dominated sorting is sound: no rank-0 point is dominated by
