@@ -26,7 +26,7 @@
 //!   action or the end of an episode cuts them, keeping the target policy
 //!   greedy.
 
-use crate::qtable::{row_max, QTable};
+use crate::qtable::{self, row_max, QTable};
 use crate::schedule::{PreparedSchedule, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,6 +114,12 @@ pub struct Agent {
     rule: Rule,
 }
 
+/// The emptied buffers of an agent's Q-table, which
+/// [`Agent::release_tables`] fills and [`Agent::adopt_tables`] draws on: a
+/// chain of agents grows one Q-table instead of one per agent.
+#[derive(Debug, Default)]
+pub struct AgentTables(qtable::Buffers);
+
 /// What differs between the learners: the state each update rule keeps
 /// beyond the shared Q-table.
 #[derive(Debug, Clone)]
@@ -197,6 +203,40 @@ impl Agent {
     /// tables).
     pub fn q_table(&self) -> &QTable {
         &self.q
+    }
+
+    /// Forgets everything the agent learned: moves its Q-table's emptied
+    /// arena and slot vector into `spare`, for an agent that has not
+    /// stepped yet to [`adopt`](Agent::adopt_tables), and frees the rest
+    /// of its tables (Double Q's second table and summed-row buffer, Q(λ)'s
+    /// trace list). A Q-table `spare` already held is freed. The agent then
+    /// holds no table memory, so a finished run that keeps its agent costs
+    /// only the agent's fixed-size fields.
+    pub fn release_tables(&mut self, spare: &mut AgentTables) {
+        self.q.release(&mut spare.0);
+        match &mut self.rule {
+            Rule::DoubleQ { b, sum } => {
+                *b = QTable::new(b.n_actions());
+                *sum = Vec::new();
+            }
+            Rule::QLambda { traces, .. } => *traces = Vec::new(),
+            _ => {}
+        }
+    }
+
+    /// Takes the Q-table buffers in `spare`, so the table grows from the
+    /// capacity an earlier agent reached rather than from empty. Its
+    /// learning is unchanged: the table holds no value either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the agent has already selected an action.
+    pub fn adopt_tables(&mut self, spare: &mut AgentTables) {
+        assert_eq!(
+            self.step, 0,
+            "only an agent that has not stepped adopts tables"
+        );
+        self.q.adopt(&mut spare.0);
     }
 
     /// Chooses the action for `state`, ε-greedily: with probability ε a
@@ -871,6 +911,33 @@ mod tests {
             cuts > 50 && terminals > 50 && revisits > 500 && longest > 15,
             "cuts {cuts}, terminals {terminals}, revisits {revisits}, longest {longest}"
         );
+    }
+
+    #[test]
+    fn a_released_agent_holds_no_tables() {
+        let mut spare = AgentTables::default();
+        for kind in [AgentKind::DoubleQ, AgentKind::QLambda { lambda: 0.9 }] {
+            let mut a = agent(kind, 0.5, 0.9, 0.3);
+            for s in 0..40 {
+                let action = a.select_action(s);
+                a.observe(tr(s, action, 1.0, s + 1, false));
+            }
+            a.release_tables(&mut spare);
+            assert_eq!(a.q.n_states(), 0, "{kind:?}");
+            match &a.rule {
+                Rule::DoubleQ { b, sum } => assert_eq!((b.n_states(), sum.capacity()), (0, 0)),
+                Rule::QLambda { traces, .. } => assert_eq!(traces.capacity(), 0),
+                _ => unreachable!(),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only an agent that has not stepped adopts tables")]
+    fn a_stepped_agent_adopts_no_tables() {
+        let mut a = agent(AgentKind::QLearning, 0.5, 0.9, 0.3);
+        a.select_action(0);
+        a.adopt_tables(&mut AgentTables::default());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod search;
 mod toy;
 pub mod train;
 
-pub use agent::{Agent, AgentKind, Transition};
+pub use agent::{Agent, AgentKind, AgentTables, Transition};
 pub use qtable::QTable;
 pub use schedule::Schedule;
 pub use train::{TrainOptions, TrainSession};

@@ -156,6 +156,31 @@ impl QTable {
         let cell = self.cell(state, action);
         self.values[cell] = value;
     }
+
+    /// Forgets every row and moves the emptied slot vector and arena into
+    /// `spare`, freeing what `spare` held; the table then holds no memory.
+    pub(crate) fn release(&mut self, spare: &mut Buffers) {
+        spare.slots = std::mem::take(&mut self.slots);
+        spare.values = std::mem::take(&mut self.values);
+        spare.slots.clear();
+        spare.values.clear();
+    }
+
+    /// Takes `spare`'s buffers for a table that has no row yet, leaving
+    /// the table's own empty ones in `spare`.
+    pub(crate) fn adopt(&mut self, spare: &mut Buffers) {
+        debug_assert!(self.values.is_empty() && spare.values.is_empty());
+        std::mem::swap(&mut self.slots, &mut spare.slots);
+        std::mem::swap(&mut self.values, &mut spare.values);
+    }
+}
+
+/// The slot vector and arena of a [`QTable`] that holds no row: what
+/// [`QTable::release`] leaves for a later table to adopt.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    slots: Vec<u32>,
+    values: Vec<f64>,
 }
 
 /// The greatest entry of `row`, or −∞ if none is comparable: the value of
@@ -237,6 +262,30 @@ mod tests {
             assert_eq!(q.cell(state, 1), visit * 2 + 1);
         }
         assert_eq!(q.cell(2, 0), 2, "a revisit keeps its row");
+    }
+
+    #[test]
+    fn a_released_table_hands_its_buffers_to_an_adopting_one() {
+        let mut q = QTable::new(3);
+        for s in 0..100 {
+            q.set(s * 7, s % 3, 1.0);
+        }
+        let mut spare = Buffers::default();
+        q.release(&mut spare);
+        assert_eq!(q.n_states(), 0);
+        assert_eq!((q.slots.capacity(), q.values.capacity()), (0, 0));
+        let grown = (spare.slots.capacity(), spare.values.capacity());
+        assert!(grown.0 >= 694 && grown.1 >= 300, "{grown:?}");
+        assert!(spare.slots.is_empty() && spare.values.is_empty());
+
+        let mut next = QTable::new(5);
+        next.adopt(&mut spare);
+        assert_eq!((next.slots.capacity(), next.values.capacity()), grown);
+        assert_eq!((spare.slots.capacity(), spare.values.capacity()), (0, 0));
+        assert!(next.row_ref(0).is_none(), "an adopted table holds no row");
+        next.set(2, 4, 3.0);
+        assert_eq!(next.row_ref(2).unwrap(), &[0.0, 0.0, 0.0, 0.0, 3.0]);
+        assert_eq!(next.n_states(), 1);
     }
 
     #[test]

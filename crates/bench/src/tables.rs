@@ -140,7 +140,7 @@ pub fn table3(opts: &ExploreOptions, out: &OutputDir) -> Vec<ExplorationOutcome>
 
     let headers: Vec<&str> = {
         let mut h = vec!["metric"];
-        h.extend(outcomes.iter().map(|o| o.summary.benchmark.as_str()));
+        h.extend(outcomes.iter().map(|o| &*o.summary.benchmark));
         h
     };
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -164,10 +164,10 @@ pub fn table3(opts: &ExploreOptions, out: &OutputDir) -> Vec<ExplorationOutcome>
     for (label, f) in [
         (
             "adder type",
-            (|o: &ExplorationOutcome| o.summary.adder_name.clone())
+            (|o: &ExplorationOutcome| o.summary.adder_name.to_string())
                 as fn(&ExplorationOutcome) -> String,
         ),
-        ("multiplier type", |o| o.summary.mul_name.clone()),
+        ("multiplier type", |o| o.summary.mul_name.to_string()),
         ("steps", |o| o.summary.steps.to_string()),
         ("distinct configs", |o| o.distinct_configs.to_string()),
     ] {

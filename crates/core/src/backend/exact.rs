@@ -47,7 +47,7 @@ pub enum ExecEngine {
 /// class map too.
 #[derive(Debug, Clone)]
 pub struct EvalContext {
-    benchmark: String,
+    benchmark: Arc<str>,
     input_seed: u64,
     program: Arc<Program>,
     lib: Arc<OperatorLibrary>,
@@ -182,7 +182,7 @@ impl EvalContext {
         input_seed: u64,
         cache: Option<Arc<SharedCache>>,
     ) -> Result<Self, VmError> {
-        let benchmark = workload.name();
+        let benchmark: Arc<str> = workload.name().into();
         let program = workload.build()?;
         let n_add = lib.adders(program.add_width()).len();
         let n_mul = lib.multipliers(program.mul_width()).len();
@@ -265,7 +265,7 @@ impl EvalContext {
     ) -> Result<Self, VmError> {
         assert_eq!(
             workload.name(),
-            self.benchmark,
+            *self.benchmark,
             "a context derives only contexts of its own benchmark"
         );
         let reference = Reference::run(&self.program, &self.lib, &workload.inputs(input_seed))?;
@@ -299,6 +299,7 @@ impl EvalContext {
             ctx: self.clone(),
             slots: Vec::new(),
             memo: Vec::new(),
+            released: 0,
             hits: 0,
             shared_hits: 0,
         }
@@ -347,6 +348,12 @@ impl EvalContext {
 
     /// The benchmark's name.
     pub fn benchmark(&self) -> &str {
+        &self.benchmark
+    }
+
+    /// The benchmark's name as a shared handle, which every run of the
+    /// context reports without copying it.
+    pub fn shared_benchmark(&self) -> &Arc<str> {
         &self.benchmark
     }
 
@@ -453,6 +460,9 @@ pub struct Evaluator {
     slots: Vec<u16>,
     /// Every evaluated design with its metrics, in first-evaluation order.
     memo: Vec<(AxConfig, EvalMetrics)>,
+    /// Designs the memo held when it was released
+    /// ([`EvalBackend::release_memo`]); they still count as distinct.
+    released: u64,
     hits: u64,
     shared_hits: u64,
     runner: Runner,
@@ -460,6 +470,15 @@ pub struct Evaluator {
 
 /// The memo slot of a design not evaluated yet.
 const VACANT: u16 = u16::MAX;
+
+/// The emptied buffers of an [`Evaluator`]'s memo, which
+/// [`EvalBackend::release_memo`] fills and [`EvalBackend::adopt_memo`]
+/// draws on, so a chain of runs grows one memo instead of one per run.
+#[derive(Debug, Default)]
+pub struct MemoStorage {
+    slots: Vec<u16>,
+    memo: Vec<(AxConfig, EvalMetrics)>,
+}
 
 /// An evaluator's execution state: scratch buffers reused across designs,
 /// plus the execution count. The compiled engine keeps no per-evaluator
@@ -540,7 +559,8 @@ impl Evaluator {
     }
 
     /// All evaluated configurations with their metrics (for Pareto
-    /// analysis), in the order they were first evaluated.
+    /// analysis), in the order they were first evaluated. Empty once the
+    /// memo was released ([`EvalBackend::release_memo`]).
     pub fn evaluated(&self) -> Vec<(AxConfig, EvalMetrics)> {
         self.memo.clone()
     }
@@ -593,7 +613,26 @@ impl EvalBackend for Evaluator {
     }
 
     fn distinct_evaluations(&self) -> u64 {
-        self.memo.len() as u64
+        self.released + self.memo.len() as u64
+    }
+
+    fn release_memo(&mut self, spare: &mut MemoStorage) {
+        self.released += self.memo.len() as u64;
+        *spare = MemoStorage {
+            slots: std::mem::take(&mut self.slots),
+            memo: std::mem::take(&mut self.memo),
+        };
+        spare.slots.clear();
+        spare.memo.clear();
+    }
+
+    fn adopt_memo(&mut self, spare: &mut MemoStorage) {
+        assert!(
+            self.released == 0 && self.memo.is_empty(),
+            "only an evaluator that has evaluated nothing adopts a memo"
+        );
+        std::mem::swap(&mut self.slots, &mut spare.slots);
+        std::mem::swap(&mut self.memo, &mut spare.memo);
     }
 
     fn telemetry_counters(&self) -> Vec<(&'static str, u64)> {
@@ -753,6 +792,32 @@ mod tests {
             assert!(m.delta_power <= m_full.delta_power + 1e-9, "{c}");
         }
         assert!(m_full.delta_acc > 0.0);
+    }
+
+    #[test]
+    fn a_released_memo_keeps_its_counts_and_moves_to_an_adopting_evaluator() {
+        let mut ev = evaluator();
+        let configs = AxConfig::enumerate(ev.dims());
+        for c in configs.iter().take(40).chain(&configs[..10]) {
+            ev.evaluate(c).unwrap();
+        }
+        let counts = |ev: &Evaluator| (ev.distinct_evaluations(), ev.telemetry_counters());
+        let kept = counts(&ev);
+        assert_eq!(kept.0, 40);
+        let mut spare = MemoStorage::default();
+        ev.release_memo(&mut spare);
+        assert_eq!(counts(&ev), kept);
+        assert!(ev.evaluated().is_empty());
+        assert_eq!((ev.slots.capacity(), ev.memo.capacity()), (0, 0));
+        let grown = (spare.slots.capacity(), spare.memo.capacity());
+        assert!(grown.0 > 0 && grown.1 >= 40 && spare.memo.is_empty());
+
+        let mut next = evaluator();
+        next.adopt_memo(&mut spare);
+        assert_eq!((next.slots.capacity(), next.memo.capacity()), grown);
+        let fresh = evaluator().evaluate(&configs[7]).unwrap();
+        assert_eq!(next.evaluate(&configs[7]).unwrap(), fresh);
+        assert_eq!((next.distinct_evaluations(), next.cache_hits()), (1, 0));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod cache;
 pub mod exact;
 
 pub use cache::{CacheScope, SharedCache};
-pub use exact::{EvalContext, Evaluator, ExecEngine};
+pub use exact::{EvalContext, Evaluator, ExecEngine, MemoStorage};
 
 use crate::config::{AxConfig, SpaceDims};
 use ax_vm::VmError;
@@ -107,6 +107,27 @@ pub trait EvalBackend {
     fn distinct_evaluations(&self) -> u64 {
         0
     }
+
+    /// Frees the memo of a backend whose run is over and leaves its
+    /// buffers, emptied, in `spare` for a later run's backend to
+    /// [adopt](EvalBackend::adopt_memo); buffers `spare` held before are
+    /// freed. Every count the backend reports stays:
+    /// [`distinct_evaluations`](EvalBackend::distinct_evaluations) and its
+    /// [`telemetry_counters`](EvalBackend::telemetry_counters). A design
+    /// evaluated afterwards is resolved and counted again.
+    ///
+    /// The campaign driver releases each run's memo when the run
+    /// completes; single explorations keep theirs, which
+    /// [`Evaluator::evaluated`] lists. The default keeps the memo and
+    /// leaves `spare` alone; a wrapper backend forwards to its inner one.
+    fn release_memo(&mut self, _spare: &mut MemoStorage) {}
+
+    /// Takes `spare`'s buffers as the memo of a backend that has evaluated
+    /// nothing yet, so the memo grows from the capacity an earlier run
+    /// reached instead of from empty; `spare` gets the backend's empty
+    /// buffers in exchange. Results and counts are unchanged. The default
+    /// leaves `spare` alone.
+    fn adopt_memo(&mut self, _spare: &mut MemoStorage) {}
 
     /// The backend's internal counters as `(metric name, value)` pairs,
     /// harvested into the campaign's telemetry registry at run end.

@@ -1,7 +1,7 @@
 //! Per-cell evaluation budgets, and the campaign ledger that grants its
 //! cap to the cells.
 
-use crate::backend::{EvalBackend, EvalMetrics};
+use crate::backend::{EvalBackend, EvalMetrics, MemoStorage};
 use crate::config::{AxConfig, SpaceDims};
 use ax_vm::VmError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -367,6 +367,12 @@ impl<B: EvalBackend> MeteredBackend<B> {
         self.charged
     }
 
+    /// The wrapped backend.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &B {
+        &self.inner
+    }
+
     fn settle(&mut self, before: u64) {
         let delta = self.inner.distinct_evaluations().saturating_sub(before);
         self.charged += delta;
@@ -397,6 +403,14 @@ impl<B: EvalBackend> EvalBackend for MeteredBackend<B> {
 
     fn distinct_evaluations(&self) -> u64 {
         self.inner.distinct_evaluations()
+    }
+
+    fn release_memo(&mut self, spare: &mut MemoStorage) {
+        self.inner.release_memo(spare);
+    }
+
+    fn adopt_memo(&mut self, spare: &mut MemoStorage) {
+        self.inner.adopt_memo(spare);
     }
 
     fn telemetry_counters(&self) -> Vec<(&'static str, u64)> {

@@ -6,7 +6,7 @@ use crate::campaign::control::CampaignControl;
 use crate::campaign::run::{RunSpecError, RunSpecOptions};
 use crate::campaign::spec::{BackendSpec, BudgetPolicy, ExperimentSpec};
 use crate::explore::{
-    explore_backend, AgentKind, ExplorationOutcome, ExploreOptions, ResumableExploration,
+    explore_backend, AgentKind, ExplorationOutcome, ExploreOptions, ResumableExploration, RunTables,
 };
 use crate::json::Json;
 use crate::pareto::{self, DesignObjectives, Objective, ObjectiveDecl, Ranking};
@@ -593,7 +593,8 @@ impl CampaignReport {
 /// benchmark outside a campaign. Runs with the context's exact evaluator;
 /// use [`explore_backend`] directly for other backends.
 pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> ExplorationOutcome {
-    explore_backend(ctx.evaluator(), ctx.library(), ctx.benchmark(), opts, kind)
+    let benchmark = Arc::clone(ctx.shared_benchmark());
+    explore_backend(ctx.evaluator(), ctx.library(), benchmark, opts, kind)
 }
 
 /// The driver of one [`ExperimentSpec`].
@@ -806,9 +807,12 @@ impl<'a> Campaign<'a> {
 
         // One resumable run per grid point, benchmark-major / agent /
         // seed — the order every report slice below relies on. Starting a
-        // run evaluates nothing, so building the whole grid up front is
-        // free; runs keep no per-step record, only the fixed-size fold the
-        // schedulers and the report read.
+        // run evaluates nothing and allocates no table, so building the
+        // whole grid up front is cheap. Runs keep no per-step record. A
+        // live run holds a Q-table and a memo that grow with the designs
+        // it visits; a finished one holds only the fold and the counts
+        // the schedulers and the report read, because `resume_runnable`
+        // hands its tables to the next run.
         let mut slots: Vec<RunSlot<P::Backend>> = Vec::with_capacity(total_runs as usize);
         for (b, ctx) in contexts.iter().enumerate() {
             for (a, &kind) in self.spec.agents.iter().enumerate() {
@@ -828,7 +832,7 @@ impl<'a> Campaign<'a> {
                         seed,
                         run: ResumableExploration::start_unrecorded(
                             backend,
-                            ctx.benchmark(),
+                            Arc::clone(ctx.shared_benchmark()),
                             &run_opts,
                             kind,
                         ),
@@ -1037,8 +1041,15 @@ impl<'a> Campaign<'a> {
     ///
     /// A run polls no budget another cell charges, so under a campaign
     /// cap the cells run in parallel and each cell's runs in seed order
-    /// on one thread: the pass is the sequential one on any thread count. Without a cap no run polls a shared budget,
-    /// so the runs themselves run in parallel.
+    /// on one thread: the pass is the sequential one on any thread count.
+    /// Without a cap no run polls a shared budget, so the runs themselves
+    /// run in parallel.
+    ///
+    /// A run that completes in the pass releases its tables. On a
+    /// sequential chain (every run at `"parallelism": 1`, or one cell's
+    /// runs under a cap) the next run that has not stepped yet adopts
+    /// them, so the chain grows one set of tables; the runs of the
+    /// unbudgeted parallel path only free theirs.
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
@@ -1056,7 +1067,7 @@ impl<'a> Campaign<'a> {
             let event = telemetry.emit(source, kind);
             observer.on_event(&event);
         };
-        let resume_one = |slot: &mut RunSlot<B>| {
+        let resume_one = |slot: &mut RunSlot<B>, spare: &mut RunTables| {
             if !runnable(slot.cell) || slot.run.is_complete() {
                 return;
             }
@@ -1069,15 +1080,22 @@ impl<'a> Campaign<'a> {
                 control.map(CampaignControl::checkpoint).unwrap_or(false) || cell_budget.exhausted()
             };
             let fresh = slot.run.steps_taken() == 0;
+            if fresh {
+                slot.run.adopt_tables(spare);
+            }
             if fresh || !halted() {
                 telemetry.counter_add("campaign.run_resumes", 1);
                 slot.run.resume(halted);
             }
+            // A run completes at most once, inside a pass.
+            let complete = slot.run.is_complete();
+            if complete {
+                slot.run.release_tables(spare);
+            }
             if !wants_events {
                 return;
             }
-            // A run completes at most once, inside a pass.
-            slot.notified = slot.run.is_complete();
+            slot.notified = complete;
             let kind = if slot.notified {
                 slot.completion()
             } else {
@@ -1091,19 +1109,25 @@ impl<'a> Campaign<'a> {
             emit(slot.source(), kind);
         };
         let was_exhausted = ledger.exhausted();
+        let resume_chain = |runs: &mut [RunSlot<B>]| {
+            let mut spare = RunTables::default();
+            for slot in runs {
+                resume_one(slot, &mut spare);
+            }
+        };
         if self.spec.parallelism == Some(1) {
-            slots.iter_mut().for_each(resume_one);
+            resume_chain(slots);
         } else if ledger.cap().is_some() {
             // A cell's runs are contiguous slots.
             let cells: Vec<&mut [RunSlot<B>]> = slots
                 .chunks_mut(self.spec.seeds.count as usize)
                 .filter(|runs| runnable(runs[0].cell))
                 .collect();
-            cells
-                .into_par_iter()
-                .for_each(|runs| runs.iter_mut().for_each(&resume_one));
+            cells.into_par_iter().for_each(resume_chain);
         } else {
-            slots.par_iter_mut().for_each(resume_one);
+            slots
+                .par_iter_mut()
+                .for_each(|slot| resume_one(slot, &mut RunTables::default()));
         }
         if !was_exhausted && ledger.exhausted() {
             self.emit(SOURCE_COORDINATOR, || EventKind::BudgetExhausted {

@@ -145,7 +145,7 @@ impl<B: EvalBackend> DseEnv<B> {
 
     /// Keeps (the default) or drops the per-step [`StepTrace`] record. The
     /// [`RunSummary`] is folded either way, so a run that only needs its
-    /// summary — every campaign run — keeps O(1) state per run. Switching
+    /// summary — every campaign run — keeps nothing per step. Switching
     /// recording off discards the steps recorded so far; switching it on
     /// records from the next step.
     pub fn set_recording(&mut self, on: bool) {
@@ -206,6 +206,12 @@ impl<B: EvalBackend> DseEnv<B> {
     /// The underlying evaluation backend.
     pub fn evaluator(&self) -> &B {
         &self.evaluator
+    }
+
+    /// The underlying evaluation backend, mutably (for handing its memo
+    /// on, see [`crate::explore::ResumableExploration::release_tables`]).
+    pub(crate) fn evaluator_mut(&mut self) -> &mut B {
+        &mut self.evaluator
     }
 
     /// Consumes the environment, returning backend and trace (empty when

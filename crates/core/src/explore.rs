@@ -12,16 +12,17 @@
 //! (`explore_qlearning` and friends) were removed in 0.2.
 
 use crate::analysis::{FigureSeries, MetricSummary};
-use crate::backend::{EvalBackend, Evaluator};
+use crate::backend::{EvalBackend, Evaluator, MemoStorage};
 use crate::env::{DseEnv, StepTrace};
 use crate::pareto::DesignObjectives;
 use crate::reward::RewardParams;
 use crate::thresholds::{ThresholdRule, Thresholds};
-use ax_agents::agent::Agent;
 pub use ax_agents::agent::AgentKind;
+use ax_agents::agent::{Agent, AgentTables};
 use ax_agents::schedule::Schedule;
 use ax_agents::train::{StopReason, TrainOptions, TrainSession};
 use ax_operators::OperatorLibrary;
+use std::sync::Arc;
 
 /// Options of one exploration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,10 +77,15 @@ impl Default for ExploreOptions {
 }
 
 /// One Table III block: the summary of an exploration.
+///
+/// Its names are shared handles on the context's benchmark name and the
+/// library's operator names, so a summary and its clones copy no text: a
+/// campaign's report holds one summary per run without allocating for
+/// each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationSummary {
     /// Benchmark name.
-    pub benchmark: String,
+    pub benchmark: Arc<str>,
     /// Δ power consumption (mW): min / solution / max.
     pub power: MetricSummary,
     /// Δ computation time (ns): min / solution / max.
@@ -87,9 +93,9 @@ pub struct ExplorationSummary {
     /// Accuracy degradation (MAE): min / solution / max.
     pub accuracy: MetricSummary,
     /// Adder of the final configuration (paper's "Adder Type" row).
-    pub adder_name: String,
+    pub adder_name: Arc<str>,
     /// Multiplier of the final configuration ("Multiplier Type" row).
-    pub mul_name: String,
+    pub mul_name: Arc<str>,
     /// Steps taken before the exploration stopped.
     pub steps: u64,
 }
@@ -117,9 +123,13 @@ pub struct ExplorationOutcome<B: EvalBackend = Evaluator> {
     pub thresholds: Thresholds,
     /// The Table III style summary.
     pub summary: ExplorationSummary,
-    /// Distinct configurations the backend holds metrics for.
+    /// Distinct configurations the run resolved through its backend.
     pub distinct_configs: u64,
-    /// The backend (retains the evaluation cache for Pareto analysis).
+    /// The backend. A single exploration's keeps its memo, which
+    /// [`Evaluator::evaluated`] lists for Pareto analysis; a campaign run
+    /// hands its memo on when it completes
+    /// ([`ResumableExploration::release_tables`]), so its `evaluated()` is
+    /// empty and only the backend's counts remain.
     pub evaluator: B,
 }
 
@@ -145,7 +155,7 @@ impl<B: EvalBackend> ExplorationOutcome<B> {
 pub fn explore_backend<B: EvalBackend>(
     backend: B,
     lib: &OperatorLibrary,
-    benchmark: &str,
+    benchmark: impl Into<Arc<str>>,
     opts: &ExploreOptions,
     kind: AgentKind,
 ) -> ExplorationOutcome<B> {
@@ -178,7 +188,18 @@ pub struct ResumableExploration<B: EvalBackend> {
     session: TrainSession,
     train_opts: TrainOptions,
     thresholds: Thresholds,
-    benchmark: String,
+    benchmark: Arc<str>,
+}
+
+/// The emptied buffers of finished runs' tables, agent and memo alike:
+/// what [`ResumableExploration::release_tables`] fills and
+/// [`ResumableExploration::adopt_tables`] draws on. The campaign driver
+/// keeps one per sequential chain of runs, so the chain grows one set of
+/// tables instead of one per run.
+#[derive(Debug, Default)]
+pub struct RunTables {
+    agent: AgentTables,
+    memo: MemoStorage,
 }
 
 impl<B: EvalBackend> ResumableExploration<B> {
@@ -186,17 +207,26 @@ impl<B: EvalBackend> ResumableExploration<B> {
     /// precise run, builds environment and agent and seeds the first
     /// episode. No design is evaluated yet. The run records every step
     /// (the outcome's `trace`).
-    pub fn start(backend: B, benchmark: &str, opts: &ExploreOptions, kind: AgentKind) -> Self {
+    pub fn start(
+        backend: B,
+        benchmark: impl Into<Arc<str>>,
+        opts: &ExploreOptions,
+        kind: AgentKind,
+    ) -> Self {
         Self::open(backend, benchmark, opts, kind, true)
     }
 
-    /// [`ResumableExploration::start`] keeping no per-step record: the run
-    /// holds O(1) state however many steps it takes, and its outcome has
-    /// an empty `trace` but the same summary, last step, stop reason and
-    /// cumulative reward.
+    /// [`ResumableExploration::start`] keeping no per-step record: its
+    /// outcome has an empty `trace` but the same summary, last step, stop
+    /// reason and cumulative reward. What the run holds besides its
+    /// fixed-size fold grows with the designs it visits, not with its
+    /// steps: the agent's Q-table (one row per visited design) and the
+    /// backend's memo (one entry per distinct design). Once the run is
+    /// complete, [`ResumableExploration::release_tables`] frees both, and
+    /// the run holds its fold and counts only.
     pub fn start_unrecorded(
         backend: B,
-        benchmark: &str,
+        benchmark: impl Into<Arc<str>>,
         opts: &ExploreOptions,
         kind: AgentKind,
     ) -> Self {
@@ -205,7 +235,7 @@ impl<B: EvalBackend> ResumableExploration<B> {
 
     fn open(
         backend: B,
-        benchmark: &str,
+        benchmark: impl Into<Arc<str>>,
         opts: &ExploreOptions,
         kind: AgentKind,
         record: bool,
@@ -233,7 +263,7 @@ impl<B: EvalBackend> ResumableExploration<B> {
             session,
             train_opts,
             thresholds,
-            benchmark: benchmark.to_owned(),
+            benchmark: benchmark.into(),
         }
     }
 
@@ -306,6 +336,46 @@ impl<B: EvalBackend> ResumableExploration<B> {
         self.env.evaluator()
     }
 
+    /// Frees a complete run's tables and moves their emptied buffers into
+    /// `spare`, for the next run to [adopt](Self::adopt_tables): the
+    /// agent's ([`Agent::release_tables`]) and the backend's memo
+    /// ([`EvalBackend::release_memo`]). Everything [`Self::finish`] reads
+    /// stays: the fold, the session's reward and stop reason, and the
+    /// backend's distinct designs, hits, executions and charge. The
+    /// campaign driver releases each run when it completes; a run whose
+    /// outcome must list its evaluated designs keeps its memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is not complete: resumed without its tables, it
+    /// would learn from scratch.
+    pub fn release_tables(&mut self, spare: &mut RunTables) {
+        assert!(
+            self.is_complete(),
+            "only a complete run releases its tables"
+        );
+        self.agent.release_tables(&mut spare.agent);
+        self.env.evaluator_mut().release_memo(&mut spare.memo);
+    }
+
+    /// Takes `spare`'s buffers for the tables of a run that has not
+    /// stepped yet, so they grow from the capacity an earlier run reached
+    /// instead of from empty. The trajectory is unchanged: the tables hold
+    /// no value either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has taken a step.
+    pub fn adopt_tables(&mut self, spare: &mut RunTables) {
+        assert_eq!(
+            self.steps_taken(),
+            0,
+            "only a run that has not stepped adopts tables"
+        );
+        self.agent.adopt_tables(&mut spare.agent);
+        self.env.evaluator_mut().adopt_memo(&mut spare.memo);
+    }
+
     /// Closes the run into an [`ExplorationOutcome`]; `lib` supplies the
     /// operator names of the summary.
     ///
@@ -332,16 +402,12 @@ impl<B: EvalBackend> ResumableExploration<B> {
             power: run.power.summary(m.delta_power),
             time: run.time.summary(m.delta_time),
             accuracy: run.accuracy.summary(m.delta_acc),
-            adder_name: lib
-                .adder(add_width, last.config.adder)
-                .spec
-                .name()
-                .to_owned(),
-            mul_name: lib
-                .multiplier(mul_width, last.config.mul)
-                .spec
-                .name()
-                .to_owned(),
+            adder_name: Arc::clone(lib.adder(add_width, last.config.adder).spec.shared_name()),
+            mul_name: Arc::clone(
+                lib.multiplier(mul_width, last.config.mul)
+                    .spec
+                    .shared_name(),
+            ),
             steps: run.steps,
         };
 
@@ -630,6 +696,101 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A chain of runs handing tables on, as the campaign driver's
+    /// sequential chains do: Double Q on Dot-8 gives its Q-table and memo
+    /// to Q(λ) on MatMul-4 (another action count and design space), whose
+    /// tables go on to a second Double Q run. Each adopting run equals a
+    /// fresh one bit for bit, and each released run keeps every count the
+    /// report reads but no Q-table row and no memo.
+    #[test]
+    fn runs_on_adopted_tables_match_fresh_runs_and_released_runs_keep_their_counts() {
+        use crate::campaign::{EvalBudget, MeteredBackend};
+        type Run = ResumableExploration<MeteredBackend<Evaluator>>;
+        let l = lib();
+        let (dot, matmul) = (DotProduct::new(8), MatMul::new(4));
+        let dot = EvalContext::new(&dot, Arc::new(l.clone()), 42).unwrap();
+        let matmul = EvalContext::new(&matmul, Arc::new(l.clone()), 42).unwrap();
+        let opts = quick_opts(400);
+        let start = |ctx: &EvalContext, kind| -> Run {
+            let backend = MeteredBackend::new(ctx.evaluator(), EvalBudget::new(None));
+            ResumableExploration::start_unrecorded(backend, ctx.benchmark(), &opts, kind)
+        };
+        let counts = |run: &Run| {
+            let b = run.backend();
+            (
+                b.distinct_evaluations(),
+                b.telemetry_counters(),
+                b.charged(),
+            )
+        };
+        let q_bits = |run: &Run| -> Vec<u64> {
+            let q = run.agent.q_table();
+            let states = run.backend().dims().cardinality() as usize;
+            (0..states)
+                .flat_map(|s| (0..q.n_actions()).map(move |a| q.value(s, a).to_bits()))
+                .collect()
+        };
+        let chain = [
+            (&dot, AgentKind::DoubleQ),
+            (&matmul, AgentKind::QLambda { lambda: 0.7 }),
+            (&dot, AgentKind::DoubleQ),
+        ];
+        let mut spare = RunTables::default();
+        for (ctx, kind) in chain {
+            let what = format!("{} {}", ctx.benchmark(), kind.name());
+            let mut fresh = start(ctx, kind);
+            fresh.resume(|| false);
+            let mut adopted = start(ctx, kind);
+            adopted.adopt_tables(&mut spare);
+            adopted.resume(|| false);
+            assert!(adopted.is_complete(), "{what}");
+            assert_eq!(adopted.best_objectives(), fresh.best_objectives(), "{what}");
+            assert_eq!(q_bits(&adopted), q_bits(&fresh), "{what}: Q-values");
+            let kept = counts(&adopted);
+            assert_eq!(kept, counts(&fresh), "{what}");
+            assert!(kept.0 > 0 && kept.2 == kept.0, "{what}: {kept:?}");
+
+            adopted.release_tables(&mut spare);
+            assert_eq!(adopted.agent.q_table().n_states(), 0, "{what}: kept rows");
+            assert_eq!(
+                counts(&adopted),
+                kept,
+                "{what}: a released run lost a count"
+            );
+            let (out, reference) = (adopted.finish(&l), fresh.finish(&l));
+            assert_eq!(out.summary, reference.summary, "{what}");
+            assert_eq!(out.last_step, reference.last_step, "{what}");
+            assert_eq!(out.stop_reason, reference.stop_reason, "{what}");
+            assert_eq!(
+                out.total_reward.to_bits(),
+                reference.total_reward.to_bits(),
+                "{what}"
+            );
+            assert_eq!(out.distinct_configs, reference.distinct_configs, "{what}");
+            assert!(
+                out.evaluator.inner().evaluated().is_empty(),
+                "{what}: kept its memo"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only a complete run releases its tables")]
+    fn an_unfinished_run_keeps_its_tables() {
+        let l = lib();
+        let wl = DotProduct::new(8);
+        let ctx = EvalContext::new(&wl, Arc::new(l.clone()), 42).unwrap();
+        let opts = quick_opts(400);
+        let mut run =
+            ResumableExploration::start(ctx.evaluator(), ctx.benchmark(), &opts, AgentKind::Sarsa);
+        let mut polls = 0;
+        run.resume(|| {
+            polls += 1;
+            polls > 10
+        });
+        run.release_tables(&mut RunTables::default());
     }
 
     #[test]

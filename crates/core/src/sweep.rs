@@ -329,7 +329,7 @@ mod tests {
         let best_score = p.winner().score;
         for e in &p.entries {
             assert!(e.score <= best_score);
-            assert_eq!(e.summary.benchmark, p.benchmark);
+            assert_eq!(&*e.summary.benchmark, p.benchmark);
         }
         // Racing agents share the design cache: the union of distinct
         // designs is at most the sum of per-agent counts (strictly smaller

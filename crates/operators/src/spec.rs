@@ -2,6 +2,7 @@
 
 use crate::width::BitWidth;
 use std::fmt;
+use std::sync::Arc;
 
 /// Published characterisation record of one library operator.
 ///
@@ -19,7 +20,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
-    name: String,
+    name: Arc<str>,
     width: BitWidth,
     mred_pct: f64,
     power_mw: f64,
@@ -33,13 +34,13 @@ impl OperatorSpec {
     ///
     /// Panics if any metric is negative or non-finite, or the name is empty.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         width: BitWidth,
         mred_pct: f64,
         power_mw: f64,
         time_ns: f64,
     ) -> Self {
-        let name = name.into();
+        let name: Arc<str> = name.into();
         assert!(!name.is_empty(), "operator name must be non-empty");
         for (label, v) in [("mred", mred_pct), ("power", power_mw), ("time", time_ns)] {
             assert!(
@@ -58,6 +59,12 @@ impl OperatorSpec {
 
     /// Short operator name as used in the paper (e.g. `"00M"`, `"1JJQ"`).
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The same name as a shared handle: cloning it copies no text, so
+    /// every run that reports this operator shares one allocation.
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 

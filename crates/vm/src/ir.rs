@@ -422,14 +422,28 @@ impl ProgramBuilder {
     }
 
     fn push(&mut self, i: Instr) -> &mut Self {
+        let vars = &self.vars;
+        let in_bounds = |slot: Slot| vars.get(slot.var.index()).is_some_and(|d| slot.idx < d.len);
+        if !slots_of(i).into_iter().flatten().all(in_bounds) {
+            self.reject_slots(i);
+        }
+        self.instrs.push(i);
+        self
+    }
+
+    /// Records the error of `i`'s first bad slot, destination first (see
+    /// [`ProgramBuilder::fail`]). Out of line, so emitting a valid
+    /// instruction builds no error.
+    #[cold]
+    #[inline(never)]
+    fn reject_slots(&mut self, i: Instr) {
         for slot in slots_of(i).into_iter().flatten() {
-            if slot.var.index() >= self.vars.len() {
+            let Some(decl) = self.vars.get(slot.var.index()) else {
                 self.fail(VmError::UnknownVariable {
                     name: format!("{}", slot.var),
                 });
                 continue;
-            }
-            let decl = &self.vars[slot.var.index()];
+            };
             if slot.idx >= decl.len {
                 self.fail(VmError::IndexOutOfBounds {
                     var: decl.name.clone(),
@@ -438,8 +452,6 @@ impl ProgramBuilder {
                 });
             }
         }
-        self.instrs.push(i);
-        self
     }
 
     fn fail(&mut self, e: VmError) {

@@ -37,8 +37,8 @@ fn main() {
         vec!["acc-degr min".into(), fmt_metric(s.accuracy.min)],
         vec!["acc-degr solution".into(), fmt_metric(s.accuracy.solution)],
         vec!["acc-degr max".into(), fmt_metric(s.accuracy.max)],
-        vec!["adder type".into(), s.adder_name.clone()],
-        vec!["multiplier type".into(), s.mul_name.clone()],
+        vec!["adder type".into(), s.adder_name.to_string()],
+        vec!["multiplier type".into(), s.mul_name.to_string()],
         vec!["steps".into(), s.steps.to_string()],
     ];
     println!("{}", ascii_table(&["metric", "matmul-10x10"], &rows));

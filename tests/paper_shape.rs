@@ -101,7 +101,7 @@ fn matmul10_exploration_matches_paper_shape() {
         o.summary.steps
     );
     assert_eq!(
-        o.summary.mul_name, "17MJ",
+        &*o.summary.mul_name, "17MJ",
         "paper's matmul solutions use 17MJ"
     );
     // Solution respects all constraints (the paper's headline claim).
