@@ -492,7 +492,7 @@ mod tests {
     ) {
         let opts = TrainOptions::new(steps).seed(seed);
         let mut session = TrainSession::start(env, agent, &opts);
-        session.resume(env, agent, &opts, || false);
+        session.resume(env, agent, &opts, |_| false);
         assert_eq!(session.steps_taken(), steps);
     }
 

@@ -51,7 +51,7 @@
 //! let mut agent = Agent::new(AgentKind::QLearning, 2, Schedule::Constant(0.1), 0.9, epsilon, 1);
 //! let (mut env, opts) = (Chain(0), TrainOptions::new(4_000).seed(7));
 //! let mut session = TrainSession::start(&mut env, &mut agent, &opts);
-//! session.resume(&mut env, &mut agent, &opts, || false);
+//! session.resume(&mut env, &mut agent, &opts, |_| false);
 //! assert_eq!(session.steps_taken(), 4_000);
 //! // After training, the greedy policy walks right from the start state.
 //! assert_eq!(agent.q_table().best_action(0), 1);

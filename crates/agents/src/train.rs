@@ -68,7 +68,7 @@ pub enum StopReason {
     /// The environment terminated and `stop_on_terminate` was set.
     Terminated,
     /// The `should_stop` signal of [`TrainSession::resume`] fired — e.g. a
-    /// campaign's global evaluation budget ran out.
+    /// campaign cell's evaluation budget ran out.
     Stopped,
 }
 
@@ -143,12 +143,12 @@ impl TrainSession {
     /// returning why it paused. Resuming a complete session takes no step
     /// and reports the prior reason.
     ///
-    /// `should_stop` is polled after every step; when it returns `true`
-    /// the run pauses with [`StopReason::Stopped`]. Polling *after* the
-    /// step means a resume always takes at least one step — the seam
-    /// campaign drivers use to enforce a shared evaluation budget across
-    /// concurrent explorations without pre-empting any of them
-    /// mid-transition.
+    /// `should_stop` is polled with the environment after every step;
+    /// when it returns `true` the run pauses with [`StopReason::Stopped`].
+    /// Polling *after* the step means a resume always takes at least one
+    /// step — the seam campaign drivers use to stop a run on what its
+    /// environment has spent (a budget of distinct evaluations) without
+    /// pre-empting it mid-transition.
     pub fn resume<E, S>(
         &mut self,
         env: &mut E,
@@ -158,7 +158,7 @@ impl TrainSession {
     ) -> StopReason
     where
         E: Env<Obs = usize, Action = usize>,
-        S: FnMut() -> bool,
+        S: FnMut(&E) -> bool,
     {
         if self.is_complete(opts) {
             return self.stop_reason();
@@ -205,7 +205,7 @@ impl TrainSession {
                 stop_reason = StopReason::Terminated;
                 break;
             }
-            if should_stop() {
+            if should_stop(env) {
                 stop_reason = StopReason::Stopped;
                 break;
             }
@@ -241,7 +241,7 @@ mod tests {
     /// Runs a fresh session to completion in one resume.
     fn run(env: &mut LineWorld, agent: &mut Agent, opts: &TrainOptions) -> TrainSession {
         let mut session = TrainSession::start(env, agent, opts);
-        session.resume(env, agent, opts, || false);
+        session.resume(env, agent, opts, |_| false);
         session
     }
 
@@ -277,7 +277,7 @@ mod tests {
         let mut resumes = 0;
         while !session.is_complete(&opts) {
             let mut polls = 0u64;
-            session.resume(&mut env, &mut paused, &opts, || {
+            session.resume(&mut env, &mut paused, &opts, |_| {
                 polls += 1;
                 polls >= 37
             });
@@ -306,17 +306,17 @@ mod tests {
         let mut session = TrainSession::start(&mut env, &mut agent, &opts);
         assert_eq!(session.steps_taken(), 0);
         assert!(!session.is_complete(&opts));
-        let reason = session.resume(&mut env, &mut agent, &opts, || true);
+        let reason = session.resume(&mut env, &mut agent, &opts, |_| true);
         assert_eq!(reason, StopReason::Stopped);
         assert_eq!(session.steps_taken(), 1);
         assert!(!session.is_complete(&opts), "stopped sessions can resume");
-        let reason = session.resume(&mut env, &mut agent, &opts, || false);
+        let reason = session.resume(&mut env, &mut agent, &opts, |_| false);
         assert_eq!(reason, StopReason::MaxSteps);
         assert_eq!(session.steps_taken(), 50);
         assert!(session.is_complete(&opts));
         // Resuming a complete session takes no further step.
         assert_eq!(
-            session.resume(&mut env, &mut agent, &opts, || false),
+            session.resume(&mut env, &mut agent, &opts, |_| false),
             StopReason::MaxSteps
         );
         assert_eq!(session.steps_taken(), 50);
@@ -329,7 +329,7 @@ mod tests {
         let mut agent = agent(1);
         let mut session = TrainSession::start(&mut env, &mut agent, &opts);
         let mut polls = 0u64;
-        let reason = session.resume(&mut env, &mut agent, &opts, || {
+        let reason = session.resume(&mut env, &mut agent, &opts, |_| {
             polls += 1;
             polls >= 10
         });

@@ -152,8 +152,8 @@ pub fn reward_curve(trace: &[StepTrace], bin: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::EvalMetrics;
     use crate::config::AxConfig;
-    use crate::evaluator::EvalMetrics;
     use ax_operators::{AdderId, MulId};
 
     fn m(power: f64, time: f64, acc: f64) -> EvalMetrics {

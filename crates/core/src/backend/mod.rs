@@ -13,7 +13,7 @@
 //!
 //! * [`EvalBackend`] is the pluggable evaluation interface the environment,
 //!   search adapter and sweeps program against — the seam where wrappers
-//!   (budget metering, timing) or remote evaluation services slot in.
+//!   (timing, fault injection) or remote evaluation services slot in.
 //! * [`Evaluator`] ([`exact`]) is the exact backend: it runs the
 //!   instrumented program on the compiled engine (or, on request, the
 //!   reference interpreter), keeps a per-run memo table, and reuses
@@ -100,10 +100,13 @@ pub trait EvalBackend {
         configs.iter().map(|c| self.evaluate(c)).collect()
     }
 
-    /// Number of *distinct* configurations this backend holds metrics for.
+    /// Number of *distinct* configurations this backend has resolved,
+    /// starting from zero when it is built.
     ///
-    /// Backends without a memo table may return 0; the exploration drivers
-    /// report this as the "designs actually scored" count.
+    /// The exploration drivers report this as the "designs actually
+    /// scored" count, and a campaign run spends exactly this count of its
+    /// cell's budget. Backends without a memo table may return 0; such a
+    /// backend never spends a budget.
     fn distinct_evaluations(&self) -> u64 {
         0
     }
@@ -134,8 +137,8 @@ pub trait EvalBackend {
     ///
     /// Names follow `docs/telemetry_reference.md` (`backend.*`,
     /// `engine.*`); values are cumulative since construction. Wrapper
-    /// backends (metering) forward to their inner backend and append their
-    /// own counters. The default is empty — backends
+    /// backends forward to their inner backend and may append their own
+    /// counters. The default is empty — backends
     /// without instrumentation stay silent rather than reporting zeros.
     fn telemetry_counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()

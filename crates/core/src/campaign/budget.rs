@@ -1,91 +1,28 @@
-//! Per-cell evaluation budgets, and the campaign ledger that grants its
-//! cap to the cells.
+//! The campaign ledger that grants a campaign's evaluation cap to its
+//! cells, and the rung records every budget policy ranks cells on.
 
-use crate::backend::{EvalBackend, EvalMetrics, MemoStorage};
-use crate::config::{AxConfig, SpaceDims};
-use ax_vm::VmError;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Sentinel stored in [`EvalBudget`]'s atomic cap for "unbounded".
-const UNBOUNDED: u64 = u64::MAX;
-
-/// A campaign cell's evaluation budget (see [`CellLedger`]).
-///
-/// The unit is **distinct designs resolved per run**: every configuration a
-/// run's backend answers for the first time (execution or shared-cache hit
-/// alike) charges one
-/// unit, as measured by the growth of
-/// [`EvalBackend::distinct_evaluations`]. Enforcement is *cooperative*:
-/// [`MeteredBackend`] charges after the fact and the exploration loop polls
-/// [`EvalBudget::exhausted`] between steps, so each run charging a budget
-/// may overshoot its cap by at most one step's worth of evaluations.
-/// [`EvalBudget::spent`] reports the raw (overshooting) total.
-///
-/// The cap is adjustable: the campaign scheduler grants a cell more
-/// budget between passes via [`EvalBudget::raise_cap`].
-#[derive(Debug)]
-pub struct EvalBudget {
-    /// The cap; [`UNBOUNDED`] means no cap.
-    cap: AtomicU64,
-    spent: AtomicU64,
-}
-
-impl EvalBudget {
-    /// A budget with the given cap (`None` = unbounded, counting only).
-    pub fn new(cap: Option<u64>) -> Arc<Self> {
-        Arc::new(Self {
-            cap: AtomicU64::new(cap.unwrap_or(UNBOUNDED)),
-            spent: AtomicU64::new(0),
-        })
-    }
-
-    /// The cap, if any.
-    pub fn cap(&self) -> Option<u64> {
-        let cap = self.cap.load(Ordering::Relaxed);
-        (cap != UNBOUNDED).then_some(cap)
-    }
-
-    /// Raises the cap by `extra` units. No-op on an unbounded budget.
-    pub fn raise_cap(&self, extra: u64) {
-        let _ = self
-            .cap
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cap| {
-                (cap != UNBOUNDED).then(|| cap.saturating_add(extra).min(UNBOUNDED - 1))
-            });
-    }
-
-    /// Units charged so far — the raw total, which may exceed the cap by
-    /// the documented cooperative overshoot.
-    pub fn spent(&self) -> u64 {
-        self.spent.load(Ordering::Relaxed)
-    }
-
-    /// Charges `n` units.
-    pub fn charge(&self, n: u64) {
-        if n > 0 {
-            self.spent.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// `true` once spending has reached the cap.
-    pub fn exhausted(&self) -> bool {
-        self.cap().is_some_and(|cap| self.spent() >= cap)
-    }
-}
-
-/// Grants a campaign's evaluation cap to its cells.
+/// Grants a campaign's evaluation cap to its cells and keeps what they
+/// have spent.
 ///
 /// A *cell* is one (benchmark, input seed, agent) triple of a campaign
-/// grid. Each cell owns an [`EvalBudget`] whose cap starts at zero (when
-/// the campaign has a cap) and grows by [`CellLedger::grant`] as the
-/// scheduler allocates rungs. A run charges and polls its cell's budget
-/// only, so a cell's runs never race another cell for budget. The
-/// campaign cap binds when budget is granted: the scheduler cuts every
-/// grant from [`CellLedger::remaining`], the cap minus what the cells
-/// have spent, so the cells together spend at most the cap plus one
-/// step's designs per run. When the campaign is unbounded, cells are
-/// unbounded too and the ledger only counts.
+/// grid. The unit is **distinct designs resolved per run**: a run spends
+/// what its backend reports as
+/// [`EvalBackend::distinct_evaluations`](crate::backend::EvalBackend::distinct_evaluations),
+/// every configuration it answers for the first time (execution or
+/// shared-cache hit alike). A cell's cap is what it has been granted
+/// ([`CellLedger::grant`]); it starts at zero when the campaign has a cap.
+/// Enforcement is *cooperative*: a run tests its cell's spend against
+/// the cell's cap after each step, so each run may overshoot by at most
+/// one step's designs.
+///
+/// The ledger is the campaign coordinator's data. Runs read it during a
+/// resume pass; after each pass the coordinator [settles](CellLedger::settle)
+/// every cell's spend from its runs' counts. The campaign cap binds when
+/// budget is granted: the scheduler cuts every grant from
+/// [`CellLedger::remaining`], the cap minus what the cells have spent, so
+/// the cells together spend at most the cap plus one step's designs per
+/// run. When the campaign is unbounded, cells are uncapped too and the
+/// ledger only counts.
 ///
 /// Reallocation falls out of the accounting: a scheduler that grants each
 /// rung from [`CellLedger::remaining`] automatically hands the unspent
@@ -94,7 +31,10 @@ impl EvalBudget {
 #[derive(Debug)]
 pub struct CellLedger {
     cap: Option<u64>,
-    cells: Vec<Arc<EvalBudget>>,
+    /// Each cell's granted total.
+    granted: Vec<u64>,
+    /// Each cell's spend as of the last settle.
+    spent: Vec<u64>,
 }
 
 impl CellLedger {
@@ -106,9 +46,11 @@ impl CellLedger {
     /// Panics if `n_cells` is zero.
     pub fn new(cap: Option<u64>, n_cells: usize) -> Self {
         assert!(n_cells > 0, "a ledger needs at least one cell");
-        let cell_cap = cap.map(|_| 0);
-        let cells = (0..n_cells).map(|_| EvalBudget::new(cell_cap)).collect();
-        Self { cap, cells }
+        Self {
+            cap,
+            granted: vec![0; n_cells],
+            spent: vec![0; n_cells],
+        }
     }
 
     /// The campaign cap, if any.
@@ -116,21 +58,35 @@ impl CellLedger {
         self.cap
     }
 
-    /// The budget of cell `i`.
-    pub fn cell(&self, i: usize) -> &Arc<EvalBudget> {
-        &self.cells[i]
+    /// Cell `i`'s cap: everything it has been granted (`None` when the
+    /// campaign is unbounded).
+    pub fn cell_cap(&self, i: usize) -> Option<u64> {
+        self.cap.map(|_| self.granted[i])
+    }
+
+    /// What cell `i`'s runs had spent at the last settle.
+    pub fn cell_spent(&self, i: usize) -> u64 {
+        self.spent[i]
     }
 
     /// Grants cell `i` another `units` of budget.
-    pub fn grant(&self, i: usize, units: u64) {
-        self.cells[i].raise_cap(units);
+    pub fn grant(&mut self, i: usize, units: u64) {
+        self.granted[i] = self.granted[i].saturating_add(units);
+    }
+
+    /// Settles every cell's spend from its runs' counts: `runs` yields
+    /// each run's cell and the distinct designs its backend has resolved.
+    pub fn settle(&mut self, runs: impl IntoIterator<Item = (usize, u64)>) {
+        self.spent.fill(0);
+        for (cell, spent) in runs {
+            self.spent[cell] += spent;
+        }
     }
 
     /// What the cells have spent, summed: the campaign's raw spend,
-    /// overshoot included. Every charge of a campaign run goes to
-    /// exactly one cell.
+    /// overshoot included.
     pub fn spent(&self) -> u64 {
-        self.cells.iter().map(|c| c.spent()).sum()
+        self.spent.iter().sum()
     }
 
     /// The cap the cells have not spent yet: `cap − spent` (saturating;
@@ -173,8 +129,17 @@ impl CellLedger {
             "budget shares must be finite and positive"
         );
         let exact: Vec<f64> = shares.iter().map(|s| total as f64 * s / sum).collect();
-        let mut grants: Vec<u64> = exact.iter().map(|e| e.floor() as u64).collect();
-        let mut leftover = total - grants.iter().sum::<u64>();
+        // Above 2^53 a share can round up past the total, so no grant
+        // takes more than the earlier ones left.
+        let mut leftover = total;
+        let mut grants: Vec<u64> = exact
+            .iter()
+            .map(|e| {
+                let grant = (e.floor() as u64).min(leftover);
+                leftover -= grant;
+                grant
+            })
+            .collect();
         // Largest fractional parts first; stable sort keeps earlier cells
         // ahead on ties.
         let mut order: Vec<usize> = (0..shares.len()).collect();
@@ -339,249 +304,41 @@ impl RungLedger {
     }
 }
 
-/// An [`EvalBackend`] decorator that charges an [`EvalBudget`] for every
-/// distinct design its inner backend resolves.
-///
-/// Results are bit-identical to the inner backend's — metering observes,
-/// never intercepts — so wrapping an exact sweep in a `MeteredBackend`
-/// with an unbounded budget changes nothing but the accounting.
-#[derive(Debug)]
-pub struct MeteredBackend<B: EvalBackend> {
-    inner: B,
-    budget: Arc<EvalBudget>,
-    charged: u64,
-}
-
-impl<B: EvalBackend> MeteredBackend<B> {
-    /// Wraps `inner`, charging `budget`.
-    pub fn new(inner: B, budget: Arc<EvalBudget>) -> Self {
-        Self {
-            inner,
-            budget,
-            charged: 0,
-        }
-    }
-
-    /// Units this backend has charged to its budget.
-    pub fn charged(&self) -> u64 {
-        self.charged
-    }
-
-    /// The wrapped backend.
-    #[cfg(test)]
-    pub(crate) fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    fn settle(&mut self, before: u64) {
-        let delta = self.inner.distinct_evaluations().saturating_sub(before);
-        self.charged += delta;
-        self.budget.charge(delta);
-    }
-}
-
-impl<B: EvalBackend> EvalBackend for MeteredBackend<B> {
-    fn dims(&self) -> SpaceDims {
-        self.inner.dims()
-    }
-
-    fn program(&self) -> &ax_vm::Program {
-        self.inner.program()
-    }
-
-    fn precise_power(&self) -> f64 {
-        self.inner.precise_power()
-    }
-
-    fn precise_time(&self) -> f64 {
-        self.inner.precise_time()
-    }
-
-    fn mean_abs_output(&self) -> f64 {
-        self.inner.mean_abs_output()
-    }
-
-    fn distinct_evaluations(&self) -> u64 {
-        self.inner.distinct_evaluations()
-    }
-
-    fn release_memo(&mut self, spare: &mut MemoStorage) {
-        self.inner.release_memo(spare);
-    }
-
-    fn adopt_memo(&mut self, spare: &mut MemoStorage) {
-        self.inner.adopt_memo(spare);
-    }
-
-    fn telemetry_counters(&self) -> Vec<(&'static str, u64)> {
-        self.inner.telemetry_counters()
-    }
-
-    fn evaluate(&mut self, config: &AxConfig) -> Result<EvalMetrics, VmError> {
-        let before = self.inner.distinct_evaluations();
-        let result = self.inner.evaluate(config);
-        self.settle(before);
-        result
-    }
-
-    fn evaluate_batch(&mut self, configs: &[AxConfig]) -> Result<Vec<EvalMetrics>, VmError> {
-        let before = self.inner.distinct_evaluations();
-        let result = self.inner.evaluate_batch(configs);
-        self.settle(before);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Evaluator;
-    use ax_operators::OperatorLibrary;
-    use ax_workloads::matmul::MatMul;
-
-    fn exact() -> Evaluator {
-        Evaluator::new(&MatMul::new(4), &OperatorLibrary::evoapprox(), 11).unwrap()
-    }
-
-    #[test]
-    fn metering_preserves_results_and_counts_distinct_designs() {
-        let budget = EvalBudget::new(None);
-        let mut metered = MeteredBackend::new(exact(), Arc::clone(&budget));
-        let mut reference = exact();
-        let configs: Vec<AxConfig> = AxConfig::enumerate(reference.dims())
-            .into_iter()
-            .take(50)
-            .collect();
-        for c in &configs {
-            assert_eq!(metered.evaluate(c).unwrap(), reference.evaluate(c).unwrap());
-        }
-        // Repeats are memo hits in the inner backend: no further charge.
-        for c in configs.iter().take(10) {
-            metered.evaluate(c).unwrap();
-        }
-        assert_eq!(budget.spent(), 50);
-        assert_eq!(metered.charged(), 50);
-        assert!(!budget.exhausted());
-    }
-
-    #[test]
-    fn batch_evaluations_charge_once_per_distinct_design() {
-        let budget = EvalBudget::new(Some(10));
-        let mut metered = MeteredBackend::new(exact(), Arc::clone(&budget));
-        let configs: Vec<AxConfig> = AxConfig::enumerate(metered.dims())
-            .into_iter()
-            .take(8)
-            .collect();
-        let mut doubled = configs.clone();
-        doubled.extend_from_slice(&configs);
-        metered.evaluate_batch(&doubled).unwrap();
-        assert_eq!(budget.spent(), 8);
-        assert!(!budget.exhausted());
-        let more = AxConfig::enumerate(metered.dims());
-        metered.evaluate_batch(&more[..16]).unwrap();
-        assert!(budget.exhausted());
-    }
-
-    #[test]
-    fn unbounded_budget_never_exhausts() {
-        let budget = EvalBudget::new(None);
-        budget.charge(u64::MAX / 2);
-        assert!(!budget.exhausted());
-        assert_eq!(budget.cap(), None);
-        budget.raise_cap(10);
-        assert_eq!(budget.cap(), None, "unbounded budgets stay unbounded");
-    }
-
-    #[test]
-    fn raise_cap_extends_a_bounded_budget() {
-        let budget = EvalBudget::new(Some(0));
-        budget.charge(3);
-        assert!(budget.exhausted());
-        budget.raise_cap(10);
-        assert_eq!(budget.cap(), Some(10));
-        assert!(!budget.exhausted());
-        assert_eq!(budget.spent(), 3);
-    }
-
-    #[test]
-    fn concurrent_overshoot_is_bounded_by_one_step_per_worker() {
-        // The documented contract: post-hoc charging with a poll between
-        // steps lets every worker overshoot by at most one step's worth.
-        // Workers charge only after observing a non-exhausted budget, so
-        // the aggregate overshoot is <= workers x step_cost.
-        const WORKERS: u64 = 8;
-        const STEP_COST: u64 = 3;
-        const CAP: u64 = 1_000;
-        let budget = EvalBudget::new(Some(CAP));
-        std::thread::scope(|s| {
-            for _ in 0..WORKERS {
-                s.spawn(|| {
-                    while !budget.exhausted() {
-                        budget.charge(STEP_COST);
-                    }
-                });
-            }
-        });
-        let raw = budget.spent();
-        assert!(raw >= CAP, "every worker runs until exhaustion");
-        assert!(
-            raw <= CAP + WORKERS * STEP_COST,
-            "aggregate overshoot {raw} exceeds the {WORKERS} x {STEP_COST} bound"
-        );
-    }
-
-    #[test]
-    fn ledger_sums_what_its_cells_spend_across_threads() {
-        // Each worker charges its own cell until the cell runs dry. The
-        // ledger's spend is their sum, overshoot included: the total the
-        // campaign report splits into `spent` and `overshoot`.
-        const WORKERS: usize = 8;
-        const STEP_COST: u64 = 3;
-        let ledger = CellLedger::new(Some(800), WORKERS);
-        for (i, units) in CellLedger::split_even(800, WORKERS).into_iter().enumerate() {
-            ledger.grant(i, units);
-        }
-        std::thread::scope(|s| {
-            for i in 0..WORKERS {
-                let cell = ledger.cell(i);
-                s.spawn(move || {
-                    while !cell.exhausted() {
-                        cell.charge(STEP_COST);
-                    }
-                });
-            }
-        });
-        // 100 units a cell in steps of 3: each cell stops at 102.
-        assert_eq!(ledger.spent(), WORKERS as u64 * 102);
-        assert!(ledger.exhausted());
-        assert_eq!(ledger.remaining(), Some(0));
-    }
 
     #[test]
     fn ledger_grants_from_what_its_cells_have_not_spent() {
-        let ledger = CellLedger::new(Some(100), 4);
+        let mut ledger = CellLedger::new(Some(100), 4);
         for (i, units) in CellLedger::split_even(100, 4).into_iter().enumerate() {
             ledger.grant(i, units);
         }
         for i in 0..4 {
-            assert_eq!(ledger.cell(i).cap(), Some(25));
+            assert_eq!(ledger.cell_cap(i), Some(25));
         }
-        // A cell's spending counts against the campaign cap.
-        ledger.cell(0).charge(25);
-        assert!(ledger.cell(0).exhausted());
+        // A cell's spending, summed over its runs, counts against the
+        // campaign cap.
+        ledger.settle([(0, 20), (0, 5)]);
+        assert_eq!(ledger.cell_spent(0), 25);
         assert_eq!(ledger.spent(), 25);
         assert_eq!(ledger.remaining(), Some(75));
         assert!(!ledger.exhausted());
+        // A settle replaces the spend; it does not add to it.
+        ledger.settle([(0, 25), (1, 26), (2, 25), (3, 24)]);
+        assert_eq!(ledger.spent(), 100);
+        assert!(ledger.exhausted());
     }
 
     #[test]
     fn unbounded_ledger_cells_are_unbounded() {
-        let ledger = CellLedger::new(None, 3);
-        assert_eq!(ledger.cell(1).cap(), None);
+        let mut ledger = CellLedger::new(None, 3);
+        assert_eq!(ledger.cell_cap(1), None);
         assert_eq!(ledger.remaining(), None);
         ledger.grant(1, 10);
-        assert_eq!(ledger.cell(1).cap(), None);
-        ledger.cell(1).charge(10);
+        assert_eq!(ledger.cell_cap(1), None);
+        ledger.settle([(1, 10)]);
+        assert_eq!(ledger.spent(), 10);
         assert!(!ledger.exhausted());
     }
 
@@ -601,6 +358,17 @@ mod tests {
         let uneven = CellLedger::split_weighted(10, &[1.0, 1.0, 1.0]);
         assert_eq!(uneven.iter().sum::<u64>(), 10);
         assert_eq!(uneven, vec![4, 3, 3], "largest remainders win, ties first");
+        // Totals above 2^53, where `total as f64` rounds up.
+        let huge: [(u64, &[f64]); 3] = [
+            ((1 << 62) - 1, &[1.0]),
+            (u64::MAX - 1, &[1.0]),
+            (u64::MAX, &[3.0, 1.0]),
+        ];
+        for (total, shares) in huge {
+            let grants = CellLedger::split_weighted(total, shares);
+            let sum = grants.iter().try_fold(0u64, |sum, &g| sum.checked_add(g));
+            assert_eq!(sum, Some(total), "{total} over {shares:?}: {grants:?}");
+        }
     }
 
     #[test]

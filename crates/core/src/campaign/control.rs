@@ -4,9 +4,9 @@
 //! A [`CampaignControl`] is a cheap cloneable handle threaded into a
 //! campaign through
 //! [`RunSpecOptions::control`](crate::campaign::RunSpecOptions::control). The driver
-//! polls it at the same step boundaries where budget exhaustion is
-//! polled, so the enforcement contract is identical to
-//! [`EvalBudget`](crate::campaign::EvalBudget)'s: **cooperative**, with at
+//! polls it at the step boundaries where a run tests its cell's budget
+//! ([`CellLedger`](crate::campaign::CellLedger)), before that test, so
+//! the enforcement contract is the budget's: **cooperative**, with at
 //! most one step of overshoot per run after a cancel, and runs ending with
 //! [`StopReason::Stopped`](ax_agents::train::StopReason::Stopped) exactly as
 //! if a budget had run dry. Pausing *blocks* the run at its next step

@@ -1,7 +1,7 @@
 //! The polymorphic campaign driver.
 
 use crate::backend::{EvalBackend, EvalContext, Evaluator, SharedCache};
-use crate::campaign::budget::{CellLedger, MeteredBackend, RungLedger};
+use crate::campaign::budget::{CellLedger, RungLedger};
 use crate::campaign::control::CampaignControl;
 use crate::campaign::run::{RunSpecError, RunSpecOptions};
 use crate::campaign::spec::{BackendSpec, BudgetPolicy, ExperimentSpec};
@@ -53,15 +53,18 @@ impl Observer for NullObserver {}
 
 /// How a campaign obtains the [`EvalBackend`] of each run.
 ///
-/// The driver calls [`BackendProvider::spawn`] once per run (on worker
-/// threads) with the run's benchmark context. Cross-run sharing lives in
-/// the context's [`SharedCache`], which every spawned exact evaluator
-/// consults by execution class.
+/// The driver calls [`BackendProvider::spawn`] once per run with the
+/// run's benchmark context. Cross-run sharing lives in the context's
+/// [`SharedCache`], which every spawned exact evaluator consults by
+/// execution class.
 pub trait BackendProvider: Sync {
     /// The backend each run evaluates through.
     type Backend: EvalBackend + Send;
 
-    /// Spawns one run's backend.
+    /// Spawns one run's backend. It must start at zero
+    /// [`EvalBackend::distinct_evaluations`]: that count is what its run
+    /// spends of its cell's budget, so a backend that always reports 0
+    /// never spends one.
     fn spawn(&self, ctx: &EvalContext) -> Self::Backend;
 }
 
@@ -136,7 +139,8 @@ pub struct CellReport {
     pub agent: AgentKind,
     /// Aggregated sweep summary over the cell's seeds.
     pub summary: SweepSummary,
-    /// Budget units (distinct designs) this cell charged.
+    /// Budget units this cell spent: the distinct designs its runs
+    /// resolved, summed over their `distinct_configs`.
     pub evaluations: u64,
     /// Runs of this cell stopped by budget exhaustion (or elimination).
     pub stopped_runs: u64,
@@ -151,12 +155,12 @@ pub struct CellReport {
 pub struct BudgetReport {
     /// The campaign cap, if one was set.
     pub cap: Option<u64>,
-    /// Units charged across all runs, **clamped to the cap**: what the
+    /// Units spent across all runs, **clamped to the cap**: what the
     /// budget granted. The cooperative overshoot is reported separately
     /// in [`BudgetReport::overshoot`], so `spent` never reads as a
     /// campaign spending more than it was given.
     pub spent: u64,
-    /// Units charged beyond the cap. A run polls its cell's budget
+    /// Units spent beyond the cap. A run tests its cell's budget
     /// between steps, so it may finish the step in which the budget ran
     /// dry: at most one step's designs per run.
     pub overshoot: u64,
@@ -170,7 +174,7 @@ impl BudgetReport {
         self.cap.is_some_and(|cap| self.spent >= cap)
     }
 
-    /// Total units actually charged, overshoot included.
+    /// Total units actually spent, overshoot included.
     pub fn charged(&self) -> u64 {
         self.spent + self.overshoot
     }
@@ -189,7 +193,7 @@ pub struct CellAllocation {
     /// Budget units granted to this cell *this round* (0 for eliminated
     /// cells and unbounded campaigns).
     pub granted: u64,
-    /// Cumulative units the cell has charged by the end of the round.
+    /// Cumulative units the cell has spent by the end of the round.
     pub spent: u64,
     /// Best design solution score the cell's runs have observed so far.
     pub best_score: f64,
@@ -271,11 +275,11 @@ pub struct ParetoReport {
 pub struct TelemetrySummary {
     /// Total typed events the campaign emitted.
     pub events_emitted: u64,
-    /// `true` when every cell's budget holds exactly what its runs
-    /// charged, so the cells' spends sum to the report's `spent +
-    /// overshoot`. Always expected to hold — every charge of a run goes
-    /// to its cell's budget; a `false` here means the accounting itself
-    /// is broken.
+    /// `true` when every cell's spend, as the campaign's ledger settled
+    /// it, equals the sum of its runs' final `distinct_configs`, so the
+    /// cells' spends sum to the report's `spent + overshoot`. Always
+    /// expected to hold; a `false` here means the accounting itself is
+    /// broken.
     pub budget_invariant_ok: bool,
     /// Every registered metric at campaign end: cache, budget, scheduler,
     /// backend and engine counters, plus latency histograms.
@@ -731,9 +735,10 @@ impl<'a> Campaign<'a> {
     /// Validates the spec, then runs it through an arbitrary
     /// [`BackendProvider`].
     ///
-    /// The spec's budget is granted to per-cell budgets (a
-    /// [`CellLedger`]); every run charges its cell's budget and pauses
-    /// cooperatively at a step boundary when it runs dry. The campaign
+    /// The spec's budget is granted to the grid's cells (a
+    /// [`CellLedger`]); every run spends its backend's distinct designs
+    /// from its cell's budget and pauses cooperatively at a step boundary
+    /// when the cell's runs together have spent its grant. The campaign
     /// cap binds when budget is granted: each grant comes out of what the
     /// cells have not spent, so the cells overshoot the cap by at most one
     /// step's designs per run. The [`BudgetPolicy`] is a plan of rung
@@ -803,7 +808,7 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let ledger = CellLedger::new(self.spec.budget, n_cells);
+        let mut ledger = CellLedger::new(self.spec.budget, n_cells);
 
         // One resumable run per grid point, benchmark-major / agent /
         // seed — the order every report slice below relies on. Starting a
@@ -823,15 +828,13 @@ impl<'a> Campaign<'a> {
                         input_seed: ctx.input_seed(),
                         ..self.spec.explore
                     };
-                    let backend =
-                        MeteredBackend::new(provider.spawn(ctx), Arc::clone(ledger.cell(cell)));
                     slots.push(RunSlot {
                         cell,
                         index: slots.len(),
                         kind,
                         seed,
                         run: ResumableExploration::start_unrecorded(
-                            backend,
+                            provider.spawn(ctx),
                             Arc::clone(ctx.shared_benchmark()),
                             &run_opts,
                             kind,
@@ -843,14 +846,14 @@ impl<'a> Campaign<'a> {
         }
 
         let mut cell_best = vec![DesignObjectives::none(); n_cells];
-        let allocations = self.run_plan(&mut slots, &ledger, &contexts, &mut cell_best);
+        let allocations = self.run_plan(&mut slots, &mut ledger, &contexts, &mut cell_best);
 
         // Close out runs the scheduler never finished (budget-stopped,
         // eliminated or parked): every run notifies exactly once.
         for slot in slots.iter().filter(|s| !s.notified) {
             self.emit(slot.source(), || slot.completion());
         }
-        let outcomes: Vec<ExplorationOutcome<MeteredBackend<P::Backend>>> =
+        let outcomes: Vec<ExplorationOutcome<P::Backend>> =
             slots.into_iter().map(|s| s.run.finish(self.lib)).collect();
 
         // Aggregate the grid back into cells and per-context (benchmark ×
@@ -870,7 +873,7 @@ impl<'a> Campaign<'a> {
                 let mut evaluations = 0;
                 let mut stopped = 0;
                 for outcome in cell {
-                    evaluations += outcome.evaluator.charged();
+                    evaluations += outcome.distinct_configs;
                     if outcome.stop_reason == StopReason::Stopped {
                         stopped += 1;
                     }
@@ -882,7 +885,7 @@ impl<'a> Campaign<'a> {
                 }
                 total_stopped += stopped;
                 let c = b * self.spec.agents.len() + a;
-                budget_invariant_ok &= evaluations == ledger.cell(c).spent();
+                budget_invariant_ok &= evaluations == ledger.cell_spent(c);
                 for (outcome, seed) in cell.iter().zip(self.spec.seeds.iter()) {
                     entries.push(portfolio_entry(kind, seed, outcome));
                 }
@@ -917,7 +920,7 @@ impl<'a> Campaign<'a> {
         // computed for every ranking, so scalarised reports expose the
         // front too.
         let points: Vec<Vec<f64>> = (0..n_cells)
-            .map(|c| self.objective_point(&cell_best[c], ledger.cell(c).spent()))
+            .map(|c| self.objective_point(&cell_best[c], ledger.cell_spent(c)))
             .collect();
         let ranks = pareto::non_dominated_ranks(&points);
         let reference = self.resolve_references(&points);
@@ -1006,7 +1009,7 @@ impl<'a> Campaign<'a> {
 
     /// The objective vector of one cell, in declaration order (all
     /// minimised): per-design coordinates from the cell's best design,
-    /// the evaluation count from the cell's budget ledger.
+    /// the evaluation count from the cell's settled spend.
     fn objective_point(&self, best: &DesignObjectives, evals: u64) -> Vec<f64> {
         self.spec
             .objectives
@@ -1036,14 +1039,17 @@ impl<'a> Campaign<'a> {
     /// naturally. A run that has never stepped always takes its first
     /// step (the cooperative overshoot contract, at most one step per
     /// run), so every run has a last step. Emits the run-paused and
-    /// run-complete events, then the budget-exhausted event after the
-    /// pass in which the cells' spend reaches the campaign cap.
+    /// run-complete events, settles every cell's spend in `ledger`, then
+    /// emits the budget-exhausted event after the pass in which the
+    /// cells' spend reaches the campaign cap.
     ///
-    /// A run polls no budget another cell charges, so under a campaign
-    /// cap the cells run in parallel and each cell's runs in seed order
-    /// on one thread: the pass is the sequential one on any thread count.
-    /// Without a cap no run polls a shared budget, so the runs themselves
-    /// run in parallel.
+    /// A run stops once its cell's other runs and its own backend have
+    /// spent the cell's grant, and no other cell's run touches that sum.
+    /// So under a campaign cap the cells run in parallel and each cell's
+    /// runs in seed order on one thread, carrying the cell's running
+    /// spend: the pass is the sequential one on any thread count. Without
+    /// a cap no run tests a budget, so the runs themselves run in
+    /// parallel.
     ///
     /// A run that completes in the pass releases its tables. On a
     /// sequential chain (every run at `"parallelism": 1`, or one cell's
@@ -1053,7 +1059,7 @@ impl<'a> Campaign<'a> {
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
-        ledger: &CellLedger,
+        ledger: &mut CellLedger,
         runnable: &(dyn Fn(usize) -> bool + Sync),
     ) {
         let observer = self.observer();
@@ -1067,23 +1073,25 @@ impl<'a> Campaign<'a> {
             let event = telemetry.emit(source, kind);
             observer.on_event(&event);
         };
-        let resume_one = |slot: &mut RunSlot<B>, spare: &mut RunTables| {
+        // Resumes one run whose cell's other runs have spent `others`.
+        let resume_one = |slot: &mut RunSlot<B>, others: u64, spare: &mut RunTables| {
             if !runnable(slot.cell) || slot.run.is_complete() {
                 return;
             }
-            let cell_budget = ledger.cell(slot.cell);
+            let cap = ledger.cell_cap(slot.cell);
             // The full step-boundary stop test: pause/cancel checkpoint,
-            // then the one budget this run charges. `checkpoint` blocks
-            // while the campaign is paused, so a parked run costs its
-            // thread but no evaluations.
-            let halted = || {
-                control.map(CampaignControl::checkpoint).unwrap_or(false) || cell_budget.exhausted()
+            // then the cell's budget. `checkpoint` blocks while the
+            // campaign is paused, so a parked run costs its thread but no
+            // evaluations.
+            let halted = |backend: &B| {
+                control.map(CampaignControl::checkpoint).unwrap_or(false)
+                    || cap.is_some_and(|cap| others + backend.distinct_evaluations() >= cap)
             };
             let fresh = slot.run.steps_taken() == 0;
             if fresh {
                 slot.run.adopt_tables(spare);
             }
-            if fresh || !halted() {
+            if fresh || !halted(slot.run.backend()) {
                 telemetry.counter_add("campaign.run_resumes", 1);
                 slot.run.resume(halted);
             }
@@ -1108,27 +1116,41 @@ impl<'a> Campaign<'a> {
             };
             emit(slot.source(), kind);
         };
-        let was_exhausted = ledger.exhausted();
-        let resume_chain = |runs: &mut [RunSlot<B>]| {
-            let mut spare = RunTables::default();
+        // Resumes one cell's runs in seed order, carrying its spend.
+        let resume_cell = |runs: &mut [RunSlot<B>], spare: &mut RunTables| {
+            let mut spent = ledger.cell_spent(runs[0].cell);
             for slot in runs {
-                resume_one(slot, &mut spare);
+                let others = spent - slot.run.backend().distinct_evaluations();
+                resume_one(slot, others, spare);
+                spent = others + slot.run.backend().distinct_evaluations();
             }
         };
+        let was_exhausted = ledger.exhausted();
+        // A cell's runs are contiguous slots.
+        let per_cell = self.spec.seeds.count as usize;
         if self.spec.parallelism == Some(1) {
-            resume_chain(slots);
+            let mut spare = RunTables::default();
+            for runs in slots.chunks_mut(per_cell) {
+                resume_cell(runs, &mut spare);
+            }
         } else if ledger.cap().is_some() {
-            // A cell's runs are contiguous slots.
             let cells: Vec<&mut [RunSlot<B>]> = slots
-                .chunks_mut(self.spec.seeds.count as usize)
+                .chunks_mut(per_cell)
                 .filter(|runs| runnable(runs[0].cell))
                 .collect();
-            cells.into_par_iter().for_each(resume_chain);
+            cells
+                .into_par_iter()
+                .for_each(|runs| resume_cell(runs, &mut RunTables::default()));
         } else {
             slots
                 .par_iter_mut()
-                .for_each(|slot| resume_one(slot, &mut RunTables::default()));
+                .for_each(|slot| resume_one(slot, 0, &mut RunTables::default()));
         }
+        ledger.settle(
+            slots
+                .iter()
+                .map(|slot| (slot.cell, slot.run.backend().distinct_evaluations())),
+        );
         if !was_exhausted && ledger.exhausted() {
             self.emit(SOURCE_COORDINATOR, || EventKind::BudgetExhausted {
                 cap: ledger.cap().unwrap_or(0),
@@ -1154,7 +1176,7 @@ impl<'a> Campaign<'a> {
     fn run_plan<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
-        ledger: &CellLedger,
+        ledger: &mut CellLedger,
         contexts: &[EvalContext],
         cell_best: &mut [DesignObjectives],
     ) -> Vec<AllocationReport> {
@@ -1252,12 +1274,12 @@ impl<'a> Campaign<'a> {
                     .map(|&c| match self.spec.ranking {
                         Ranking::Scalarised => Vec::new(),
                         Ranking::Pareto => {
-                            self.objective_point(&cell_best[c], ledger.cell(c).spent())
+                            self.objective_point(&cell_best[c], ledger.cell_spent(c))
                         }
                     })
                     .collect();
                 for (&c, point) in running.iter().zip(&points) {
-                    let (r, score, spent) = (rung[c], cell_best[c].score, ledger.cell(c).spent());
+                    let (r, score, spent) = (rung[c], cell_best[c].score, ledger.cell_spent(c));
                     rung_ledger.record_vector(r, c, score, point.clone());
                     table[r][c].spent = Some(spent);
                     table[r][c].score = Some(score);
@@ -1338,8 +1360,10 @@ impl<'a> Campaign<'a> {
                 // assume the keep fraction thins each rung geometrically.
                 let outstanding: u64 = (0..n_cells)
                     .map(|c| {
-                        let b = ledger.cell(c);
-                        b.cap().unwrap_or(0).saturating_sub(b.spent())
+                        ledger
+                            .cell_cap(c)
+                            .unwrap_or(0)
+                            .saturating_sub(ledger.cell_spent(c))
                     })
                     .sum();
                 let mut unallocated = ledger.remaining().unwrap_or(0).saturating_sub(outstanding);
@@ -1411,7 +1435,7 @@ impl<'a> Campaign<'a> {
                                         .then(|| ctx.input_seed()),
                                     agent: self.spec.agents[c % self.spec.agents.len()],
                                     granted: cell.granted,
-                                    spent: cell.spent.unwrap_or_else(|| ledger.cell(c).spent()),
+                                    spent: cell.spent.unwrap_or_else(|| ledger.cell_spent(c)),
                                     best_score: cell.score.unwrap_or(cell_best[c].score),
                                     survived: cell.survived,
                                 }
@@ -1508,7 +1532,7 @@ struct RungCell {
     survived: bool,
 }
 
-/// One grid point of a running campaign: the cell it charges, its
+/// One grid point of a running campaign: the cell it spends from, its
 /// identity, and the pausable exploration itself.
 struct RunSlot<B: EvalBackend + Send> {
     cell: usize,
@@ -1516,7 +1540,7 @@ struct RunSlot<B: EvalBackend + Send> {
     index: usize,
     kind: AgentKind,
     seed: u64,
-    run: ResumableExploration<MeteredBackend<B>>,
+    run: ResumableExploration<B>,
     /// Its [`EventKind::RunComplete`] was emitted.
     notified: bool,
 }
@@ -1697,6 +1721,21 @@ mod tests {
             report.cells.iter().map(|c| c.evaluations).sum::<u64>(),
             "cell charges must roll up to the global total"
         );
+        // A cell spends exactly what its runs' backends resolved.
+        for cell in &report.cells {
+            let portfolio = report
+                .portfolios
+                .iter()
+                .find(|p| p.benchmark == cell.benchmark)
+                .expect("every cell's benchmark has a portfolio");
+            let resolved: u64 = portfolio
+                .entries
+                .iter()
+                .filter(|e| e.kind == cell.agent)
+                .map(|e| e.distinct_configs)
+                .sum();
+            assert_eq!(cell.evaluations, resolved, "{}", cell.benchmark);
+        }
         // With a cap set, the single round is recorded: every cell got an
         // even share of the 60-unit cap.
         assert_eq!(report.allocations.len(), 1);

@@ -12,14 +12,17 @@
 //! cells, streams typed events to an [`Observer`] and returns a
 //! structured [`CampaignReport`] — the same one on any thread count.
 //!
-//! Budgets are divided across (benchmark, agent) cells by a
-//! [`BudgetPolicy`], which the driver lowers to a plan of rung ladders
-//! run by one engine. Each pass grants a rung's share to the live cells
-//! ([`CellLedger`]), resumes their runs — each run stops on its own
-//! cell's budget, so cells run in parallel and a cell's runs in seed
-//! order — and records each cell on its rung ([`RungLedger`]). A ladder with a barrier then ranks the whole
-//! rung and eliminates the losers; one without a barrier promotes each
-//! cell as soon as it ranks. Uniform and weighted shares are a single
+//! Budgets count distinct designs and are divided across (benchmark,
+//! agent) cells by a [`BudgetPolicy`], which the driver lowers to a plan
+//! of rung ladders run by one engine. Each pass grants a rung's share to
+//! the live cells ([`CellLedger`]), resumes their runs and records each
+//! cell on its rung ([`RungLedger`]). A run spends what its own backend
+//! reports as distinct evaluations and stops once its cell's runs
+//! together have spent the cell's grant, so cells run in parallel and a
+//! cell's runs in seed order; after the pass the ledger settles each
+//! cell's spend from its runs' counts. A ladder with a barrier then ranks
+//! the whole rung and eliminates the losers; one without a barrier
+//! promotes each cell as soon as it ranks. Uniform and weighted shares are a single
 //! rung, successive halving is one ladder with a barrier, ASHA one
 //! without, and Hyperband a sequence of barrier ladders, one per
 //! bracket. Every rung is reported as an [`AllocationReport`]. See
@@ -52,7 +55,7 @@ pub mod global;
 pub mod run;
 pub mod spec;
 
-pub use budget::{CellLedger, EvalBudget, MeteredBackend, RungLedger};
+pub use budget::{CellLedger, RungLedger};
 pub use control::{CampaignControl, ControlState};
 pub use driver::{
     explore, AllocationReport, BackendProvider, BudgetReport, Campaign, CampaignReport,

@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn env_is_pluggable_over_any_backend() {
-        use crate::evaluator::EvalMetrics;
+        use crate::backend::EvalMetrics;
         use ax_operators::BitWidth;
         use ax_vm::ir::ProgramBuilder;
         use ax_vm::VmError;
@@ -443,7 +443,7 @@ mod tests {
             calls: u64,
         }
 
-        impl crate::evaluator::EvalBackend for StubBackend {
+        impl crate::backend::EvalBackend for StubBackend {
             fn dims(&self) -> crate::config::SpaceDims {
                 crate::config::SpaceDims {
                     n_add: 2,

@@ -16,8 +16,8 @@
 //! when it reaches the predefined maximum `R_cum >= R_max` (see
 //! [`ax_agents::train::TrainOptions::reward_target`]).
 
+use crate::backend::EvalMetrics;
 use crate::config::{AxConfig, SpaceDims};
-use crate::evaluator::EvalMetrics;
 use crate::thresholds::Thresholds;
 
 /// Parameters of the reward function.

@@ -8,7 +8,7 @@
 //! ablation) and [`ThresholdRule::calibrate`] produces the absolute
 //! [`Thresholds`] from a benchmark's precise run.
 
-use crate::evaluator::EvalBackend;
+use crate::backend::EvalBackend;
 
 /// Absolute thresholds used by the reward function (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +73,7 @@ impl ThresholdRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::Evaluator;
+    use crate::backend::Evaluator;
     use ax_operators::OperatorLibrary;
     use ax_workloads::matmul::MatMul;
 

@@ -4,8 +4,7 @@
 //! classes its own runs resolved.
 
 use axdse_suite::ax_dse::campaign::{run_spec, CampaignReport, ExperimentSpec, RunSpecOptions};
-use axdse_suite::ax_dse::evaluator::SharedCache;
-use axdse_suite::ax_dse::{AxConfig, EvalContext};
+use axdse_suite::ax_dse::{AxConfig, EvalContext, SharedCache};
 use axdse_suite::ax_operators::OperatorLibrary;
 use axdse_suite::ax_telemetry::Telemetry;
 use axdse_suite::ax_vm::CompiledSkeleton;

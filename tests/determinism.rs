@@ -7,10 +7,10 @@
 use axdse_suite::ax_dse::campaign::{
     run_spec, BenchmarkSpec, CampaignReport, ExperimentSpec, RunSpecOptions, SeedRange, Telemetry,
 };
-use axdse_suite::ax_dse::evaluator::{EvalContext, SharedCache};
 use axdse_suite::ax_dse::explore::AgentKind;
 use axdse_suite::ax_dse::explore::{ExplorationOutcome, ExploreOptions};
 use axdse_suite::ax_dse::sweep::SweepSummary;
+use axdse_suite::ax_dse::{EvalContext, SharedCache};
 use axdse_suite::ax_operators::{
     characterize_multiplier, BitWidth, CharacterizeMode, MulKind, MulModel, OperatorLibrary,
 };
