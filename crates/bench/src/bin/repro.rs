@@ -14,7 +14,7 @@
 //!   ablation-agents       Q-learning vs SARSA/Expected-SARSA/DoubleQ/Q(lambda)
 //!   ablation-epsilon      epsilon-schedule sensitivity
 //!   ablation-thresholds   threshold-rule sensitivity
-//!   sweep                 multi-seed robustness of the explorations (rayon + shared cache)
+//!   sweep                 multi-seed robustness of the explorations (parallel workers + shared cache)
 //!   portfolio             race every agent kind per benchmark over one shared cache
 //!   serve                 long-lived campaign daemon: POST specs to
 //!                         /campaigns over HTTP, GET byte-identical reports
@@ -421,13 +421,6 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
     if let Some(policy) = &args.policy {
         spec.policy = policy.clone();
         revalidate(&spec, "--policy")?;
-    }
-    if let Some(threads) = spec.parallelism {
-        // The in-tree rayon shim sizes its pool from AX_THREADS; honour the
-        // spec's request unless the operator already pinned it.
-        if std::env::var_os("AX_THREADS").is_none() {
-            std::env::set_var("AX_THREADS", threads.to_string());
-        }
     }
     if args.cache_cap.is_some() && args.cache.is_none() {
         return Err("--cache-cap bounds a saved cache file; pass --cache FILE too".into());

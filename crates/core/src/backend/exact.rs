@@ -39,10 +39,10 @@ pub enum ExecEngine {
 /// precise reference outputs and the operator library behind `Arc`s, plus
 /// (optionally) a [`SharedCache`] scope: the scope's table of outcome
 /// slots, laid out by a map from design ordinal to execution class.
-/// Cloning it and calling [`EvalContext::evaluator`] on each worker thread
-/// is how sweeps fan out: every evaluator shares the preparation work and
-/// the design cache, while keeping its own scratch buffers and local memo
-/// table. A context for another input seed of the same benchmark
+/// Calling [`EvalContext::evaluator`] once per run is how sweeps fan out
+/// over a campaign's workers: every evaluator shares the preparation work
+/// and the design cache, while keeping its own scratch buffers and local
+/// memo table. A context for another input seed of the same benchmark
 /// ([`EvalContext::for_input_seed`]) shares the program, skeleton and
 /// class map too.
 #[derive(Debug, Clone)]

@@ -17,15 +17,16 @@ use ax_operators::OperatorLibrary;
 use ax_telemetry::{Event, EventKind, MetricsSnapshot, Telemetry, SOURCE_COORDINATOR};
 use ax_vm::VmError;
 use ax_workloads::Workload;
-use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Progress hooks of a running campaign: it reports every transition as a
 /// typed [`Event`].
 ///
-/// Implementations must be `Sync`: run events fire on rayon worker
-/// threads. Both methods have defaults, so an observer implements only
-/// what it cares about; [`NullObserver`] is the do-nothing instance.
+/// Implementations must be `Sync`: run events fire on whichever of the
+/// campaign's workers resumed the run (see
+/// [`ExperimentSpec::parallelism`]), in the order the runs finish. Both
+/// methods have defaults, so an observer implements only what it cares
+/// about; [`NullObserver`] is the do-nothing instance.
 pub trait Observer: Sync {
     /// A typed campaign, scheduler or run transition (see [`EventKind`]):
     /// the campaign starting and completing, benchmarks ready, budget
@@ -608,7 +609,7 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 /// optional **evaluation budget** that a [`BudgetPolicy`] grants to the
 /// grid's cells, any [`BackendProvider`] supplying the evaluation
 /// backends, and [`Observer`] hooks for progress streaming. Its report is
-/// the same on any thread count, budgeted or not. It is the one
+/// the same at any worker count, budgeted or not. It is the one
 /// entry point for sweeps and races: a 1-benchmark × 1-agent × N-seed
 /// spec is a seed sweep, a 1 × M × 1 spec is a portfolio race, and the
 /// multi-benchmark × multi-agent × budgeted case is the grid neither of
@@ -1043,109 +1044,105 @@ impl<'a> Campaign<'a> {
     /// emits the budget-exhausted event after the pass in which the
     /// cells' spend reaches the campaign cap.
     ///
-    /// A run stops once its cell's other runs and its own backend have
-    /// spent the cell's grant, and no other cell's run touches that sum.
-    /// So under a campaign cap the cells run in parallel and each cell's
-    /// runs in seed order on one thread, carrying the cell's running
-    /// spend: the pass is the sequential one on any thread count. Without
-    /// a cap no run tests a budget, so the runs themselves run in
-    /// parallel.
+    /// The pass lists its units in slot order, and `min(parallelism,
+    /// units)` workers take them from one queue: the caller's thread and
+    /// scoped threads for the rest. Under a campaign cap a unit is a live
+    /// cell, whose runs resume in seed order carrying the cell's running
+    /// spend. A run stops once its cell's other runs and its own backend
+    /// have spent the cell's grant, and no other cell's run touches that
+    /// sum, so the pass is the one-worker pass at any worker count.
+    /// Without a cap no run tests a budget, so a unit is a single run.
     ///
-    /// A run that completes in the pass releases its tables. On a
-    /// sequential chain (every run at `"parallelism": 1`, or one cell's
-    /// runs under a cap) the next run that has not stepped yet adopts
-    /// them, so the chain grows one set of tables; the runs of the
-    /// unbudgeted parallel path only free theirs.
+    /// A run that completes in the pass releases its tables to its
+    /// worker, and the next run the worker takes that has not stepped yet
+    /// adopts them, so each worker is one chain that grows one set of
+    /// tables.
     fn resume_runnable<B: EvalBackend + Send>(
         &self,
         slots: &mut [RunSlot<B>],
         ledger: &mut CellLedger,
-        runnable: &(dyn Fn(usize) -> bool + Sync),
+        runnable: &dyn Fn(usize) -> bool,
     ) {
         let observer = self.observer();
         let telemetry = &self.opts.telemetry;
         let control = self.opts.control.as_ref();
         telemetry.counter_add("campaign.resume_passes", 1);
-        // `self` holds non-`Sync` workload references, so the parallel
+        // `self` holds non-`Sync` workload references, so the workers'
         // closure captures only the pieces it needs.
         let wants_events = telemetry.enabled() || observer.wants_events();
-        let emit = |source: u32, kind: EventKind| {
-            let event = telemetry.emit(source, kind);
-            observer.on_event(&event);
-        };
-        // Resumes one run whose cell's other runs have spent `others`.
-        let resume_one = |slot: &mut RunSlot<B>, others: u64, spare: &mut RunTables| {
-            if !runnable(slot.cell) || slot.run.is_complete() {
-                return;
-            }
-            let cap = ledger.cell_cap(slot.cell);
-            // The full step-boundary stop test: pause/cancel checkpoint,
-            // then the cell's budget. `checkpoint` blocks while the
-            // campaign is paused, so a parked run costs its thread but no
-            // evaluations.
-            let halted = |backend: &B| {
-                control.map(CampaignControl::checkpoint).unwrap_or(false)
-                    || cap.is_some_and(|cap| others + backend.distinct_evaluations() >= cap)
-            };
-            let fresh = slot.run.steps_taken() == 0;
-            if fresh {
-                slot.run.adopt_tables(spare);
-            }
-            if fresh || !halted(slot.run.backend()) {
-                telemetry.counter_add("campaign.run_resumes", 1);
-                slot.run.resume(halted);
-            }
-            // A run completes at most once, inside a pass.
-            let complete = slot.run.is_complete();
-            if complete {
-                slot.run.release_tables(spare);
-            }
-            if !wants_events {
-                return;
-            }
-            slot.notified = complete;
-            let kind = if slot.notified {
-                slot.completion()
-            } else {
-                EventKind::RunPaused {
-                    benchmark: slot.run.benchmark().to_owned(),
-                    agent: slot.kind.name().to_owned(),
-                    seed: slot.seed,
-                    steps: slot.run.steps_taken(),
-                }
-            };
-            emit(slot.source(), kind);
-        };
-        // Resumes one cell's runs in seed order, carrying its spend.
-        let resume_cell = |runs: &mut [RunSlot<B>], spare: &mut RunTables| {
+        // Resumes one unit's incomplete runs in seed order, carrying their
+        // cell's spend: `others` is what the cell's other runs have spent.
+        let resume_unit = |runs: &mut [RunSlot<B>], spare: &mut RunTables| {
+            let cap = ledger.cell_cap(runs[0].cell);
             let mut spent = ledger.cell_spent(runs[0].cell);
-            for slot in runs {
+            for slot in runs.iter_mut().filter(|slot| !slot.run.is_complete()) {
                 let others = spent - slot.run.backend().distinct_evaluations();
-                resume_one(slot, others, spare);
+                // The full step-boundary stop test: pause/cancel checkpoint,
+                // then the cell's budget. `checkpoint` blocks while the
+                // campaign is paused, so a parked run costs its worker but
+                // no evaluations.
+                let halted = |backend: &B| {
+                    control.map(CampaignControl::checkpoint).unwrap_or(false)
+                        || cap.is_some_and(|cap| others + backend.distinct_evaluations() >= cap)
+                };
+                let fresh = slot.run.steps_taken() == 0;
+                if fresh {
+                    slot.run.adopt_tables(spare);
+                }
+                if fresh || !halted(slot.run.backend()) {
+                    telemetry.counter_add("campaign.run_resumes", 1);
+                    slot.run.resume(halted);
+                }
+                // A run completes at most once, inside a pass.
+                let complete = slot.run.is_complete();
+                if complete {
+                    slot.run.release_tables(spare);
+                }
                 spent = others + slot.run.backend().distinct_evaluations();
+                if !wants_events {
+                    continue;
+                }
+                slot.notified = complete;
+                let kind = if complete {
+                    slot.completion()
+                } else {
+                    EventKind::RunPaused {
+                        benchmark: slot.run.benchmark().to_owned(),
+                        agent: slot.kind.name().to_owned(),
+                        seed: slot.seed,
+                        steps: slot.run.steps_taken(),
+                    }
+                };
+                observer.on_event(&telemetry.emit(slot.source(), kind));
             }
         };
         let was_exhausted = ledger.exhausted();
         // A cell's runs are contiguous slots.
-        let per_cell = self.spec.seeds.count as usize;
-        if self.spec.parallelism == Some(1) {
+        let unit_len = ledger.cap().map_or(1, |_| self.spec.seeds.count as usize);
+        let units: Vec<&mut [RunSlot<B>]> = slots
+            .chunks_mut(unit_len)
+            .filter(|runs| runnable(runs[0].cell))
+            .collect();
+        let available = || std::thread::available_parallelism().map_or(1, usize::from);
+        let requested = self.spec.parallelism.unwrap_or_else(available);
+        let workers = requested.min(units.len());
+        let queue = Mutex::new(units.into_iter());
+        // The guard drops when `next` returns: the lock is held only to
+        // take a unit, never across a resume.
+        let next = || queue.lock().expect("no panic while taking a unit").next();
+        let work = || {
             let mut spare = RunTables::default();
-            for runs in slots.chunks_mut(per_cell) {
-                resume_cell(runs, &mut spare);
+            while let Some(runs) = next() {
+                resume_unit(runs, &mut spare);
             }
-        } else if ledger.cap().is_some() {
-            let cells: Vec<&mut [RunSlot<B>]> = slots
-                .chunks_mut(per_cell)
-                .filter(|runs| runnable(runs[0].cell))
-                .collect();
-            cells
-                .into_par_iter()
-                .for_each(|runs| resume_cell(runs, &mut RunTables::default()));
-        } else {
-            slots
-                .par_iter_mut()
-                .for_each(|slot| resume_one(slot, 0, &mut RunTables::default()));
-        }
+        };
+        // `scope` joins every worker and re-raises a worker's panic.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
+        });
         ledger.settle(
             slots
                 .iter()
@@ -1684,14 +1681,16 @@ mod tests {
 
     #[test]
     fn sequential_equals_parallel() {
-        let par = spec("seq", 120)
+        let sweep = spec("seq", 120)
             .benchmark(Dot(8))
             .agent(AgentKind::QLearning)
             .seeds(SeedRange::new(0, 4));
-        let seq = par.clone().parallelism(1);
-        let (par, seq) = (run(&par), run(&seq));
-        assert_eq!(par.cells[0].summary, seq.cells[0].summary);
-        assert_eq!(par.budget.spent, seq.budget.spent);
+        let seq = run(&sweep.clone().parallelism(1));
+        for workers in [2, 4] {
+            let par = run(&sweep.clone().parallelism(workers));
+            assert_eq!(par.cells[0].summary, seq.cells[0].summary, "{workers}");
+            assert_eq!(par.budget.spent, seq.budget.spent, "{workers}");
+        }
     }
 
     #[test]
@@ -2009,8 +2008,9 @@ mod tests {
         struct Counting {
             starts: AtomicU64,
             benches: AtomicU64,
-            runs: AtomicU64,
             completes: AtomicU64,
+            /// The thread each `RunComplete` fired on.
+            runs: Mutex<Vec<std::thread::ThreadId>>,
         }
         impl Observer for Counting {
             fn on_event(&self, event: &Event) {
@@ -2022,7 +2022,7 @@ mod tests {
                         self.benches.fetch_add(1, Ordering::Relaxed);
                     }
                     EventKind::RunComplete { .. } => {
-                        self.runs.fetch_add(1, Ordering::Relaxed);
+                        self.runs.lock().unwrap().push(std::thread::current().id());
                     }
                     EventKind::CampaignComplete { .. } => {
                         self.completes.fetch_add(1, Ordering::Relaxed);
@@ -2035,21 +2035,61 @@ mod tests {
                 true
             }
         }
-        let counting = Counting::default();
-        let observed = spec("observed", 80)
-            .benchmark(Dot(8))
-            .agent(AgentKind::QLearning)
-            .agent(AgentKind::Sarsa)
-            .seeds(SeedRange::new(0, 2));
-        let opts = RunSpecOptions {
-            observer: Some(&counting),
-            ..Default::default()
-        };
-        run_spec(&observed, opts).unwrap();
-        assert_eq!(counting.starts.load(Ordering::Relaxed), 4);
-        assert_eq!(counting.benches.load(Ordering::Relaxed), 1);
-        assert_eq!(counting.runs.load(Ordering::Relaxed), 4);
-        assert_eq!(counting.completes.load(Ordering::Relaxed), 1);
+        // Unbudgeted and under a binding budget, on one worker and three.
+        for (budget, workers) in [(None, 1), (None, 3), (Some(40), 1), (Some(40), 3)] {
+            let mut observed = grid("observed", 400)
+                .seeds(SeedRange::new(0, 2))
+                .parallelism(workers);
+            observed.budget = budget;
+            let counting = Counting::default();
+            let opts = RunSpecOptions {
+                observer: Some(&counting),
+                ..Default::default()
+            };
+            let report = run_spec(&observed, opts).unwrap();
+            let case = format!("budget {budget:?}, {workers} worker(s)");
+            assert_eq!(report.budget.exhausted(), budget.is_some(), "{case}");
+            assert_eq!(counting.starts.load(Ordering::Relaxed), 8, "{case}");
+            assert_eq!(counting.benches.load(Ordering::Relaxed), 2, "{case}");
+            assert_eq!(counting.completes.load(Ordering::Relaxed), 1, "{case}");
+            let threads = counting.runs.into_inner().unwrap();
+            assert_eq!(threads.len(), 8, "{case}: one RunComplete per run");
+            if workers == 1 {
+                let caller = std::thread::current().id();
+                assert!(threads.iter().all(|&t| t == caller), "{case}");
+            }
+            let distinct: std::collections::HashSet<_> = threads.into_iter().collect();
+            assert!(distinct.len() <= workers, "{case}: {distinct:?}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_observer_reaches_the_caller() {
+        /// Panics on one run's completion.
+        struct Panicking;
+        impl Observer for Panicking {
+            fn on_event(&self, event: &Event) {
+                if let EventKind::RunComplete { seed: 1, .. } = event.kind {
+                    panic!("observer panic on seed 1");
+                }
+            }
+
+            fn wants_events(&self) -> bool {
+                true
+            }
+        }
+        for workers in [1, 4] {
+            let panicking = grid("panicking", 80)
+                .seeds(SeedRange::new(0, 2))
+                .parallelism(workers);
+            let opts = RunSpecOptions {
+                observer: Some(&Panicking),
+                ..Default::default()
+            };
+            let run = std::panic::AssertUnwindSafe(|| run_spec(&panicking, opts));
+            let ran = std::panic::catch_unwind(run);
+            assert!(ran.is_err(), "{workers} worker(s)");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`BackendProvider`], shares one design [`crate::backend::SharedCache`]
 //! across every run, grants an optional evaluation budget to the grid's
 //! cells, streams typed events to an [`Observer`] and returns a
-//! structured [`CampaignReport`] — the same one on any thread count.
+//! structured [`CampaignReport`] — the same one at any worker count.
 //!
 //! Budgets count distinct designs and are divided across (benchmark,
 //! agent) cells by a [`BudgetPolicy`], which the driver lowers to a plan
@@ -18,16 +18,16 @@
 //! the live cells ([`CellLedger`]), resumes their runs and records each
 //! cell on its rung ([`RungLedger`]). A run spends what its own backend
 //! reports as distinct evaluations and stops once its cell's runs
-//! together have spent the cell's grant, so cells run in parallel and a
-//! cell's runs in seed order; after the pass the ledger settles each
-//! cell's spend from its runs' counts. A ladder with a barrier then ranks
-//! the whole rung and eliminates the losers; one without a barrier
-//! promotes each cell as soon as it ranks. Uniform and weighted shares are a single
-//! rung, successive halving is one ladder with a barrier, ASHA one
-//! without, and Hyperband a sequence of barrier ladders, one per
-//! bracket. Every rung is reported as an [`AllocationReport`]. See
-//! `docs/spec_reference.md` for the complete JSON schema of every spec
-//! field and policy form.
+//! together have spent the cell's grant, so the pass's workers take whole
+//! cells and resume each cell's runs in seed order; after the pass the
+//! ledger settles each cell's spend from its runs' counts. A ladder with
+//! a barrier then ranks the whole rung and eliminates the losers; one
+//! without a barrier promotes each cell as soon as it ranks. Uniform and
+//! weighted shares are a single rung, successive halving is one ladder
+//! with a barrier, ASHA one without, and Hyperband a sequence of barrier
+//! ladders, one per bracket. Every rung is reported as an
+//! [`AllocationReport`]. See `docs/spec_reference.md` for the complete
+//! JSON schema of every spec field and policy form.
 //!
 //! The spec is the only description of a campaign, and it is validated
 //! once, when the campaign runs: every spec [`ExperimentSpec::validate`]

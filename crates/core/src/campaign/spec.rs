@@ -23,6 +23,11 @@ use std::fmt;
 /// huge seed count can exhaust memory.
 const MAX_RUNS: u64 = 1 << 14;
 
+/// The most workers one campaign may start. Each worker is a thread, so
+/// [`ExperimentSpec::validate`] bounds the count before a huge
+/// `parallelism` can start thousands of them.
+const MAX_WORKERS: usize = 256;
+
 /// A contiguous range of agent seeds: `start, start+1, …, start+count-1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedRange {
@@ -737,11 +742,11 @@ pub struct ExperimentSpec {
     pub budget: Option<u64>,
     /// How the budget is divided across (benchmark, agent) cells.
     pub policy: BudgetPolicy,
-    /// Worker-thread request: `Some(1)` forces sequential execution;
-    /// larger values are a hint recorded for the process-global rayon
-    /// pool (`AX_THREADS` / `ThreadPoolBuilder`). A budgeted pass runs on
-    /// at most as many threads as it has live cells. No report depends
-    /// on it.
+    /// How many workers run each resume pass: the caller's thread and
+    /// `n − 1` scoped threads. `None` uses
+    /// [`std::thread::available_parallelism`]. A pass starts no more
+    /// workers than it has units to resume: live cells under a budget,
+    /// runs without one. At most 256. No report depends on it.
     pub parallelism: Option<usize>,
 }
 
@@ -843,10 +848,10 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the worker-thread request.
+    /// Sets the worker count.
     #[must_use]
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads);
+    pub fn parallelism(mut self, workers: usize) -> Self {
+        self.parallelism = Some(workers);
         self
     }
 
@@ -870,12 +875,12 @@ impl ExperimentSpec {
     ///
     /// Fails on an empty benchmark list, empty agent roster, empty seed
     /// range, a seed range whose end overflows `u64`, a grid of more than
-    /// 16,384 runs, zero budget, zero parallelism, zero exploration
-    /// steps, or a budget policy that does not fit the campaign shape (see
-    /// [`BudgetPolicy::check`]) — an empty seed range or a zero budget
-    /// would otherwise make the budget-share scheduler divide the cap over
-    /// zero runs, and a degenerate halving policy would divide by zero
-    /// cells or rounds.
+    /// 16,384 runs, zero budget, zero or more than 256 workers, zero
+    /// exploration steps, or a budget policy that does not fit the
+    /// campaign shape (see [`BudgetPolicy::check`]) — an empty seed range
+    /// or a zero budget would otherwise make the budget-share scheduler
+    /// divide the cap over zero runs, and a degenerate halving policy
+    /// would divide by zero cells or rounds.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.benchmarks.is_empty() {
             return Err(SpecError("need at least one benchmark".into()));
@@ -937,8 +942,10 @@ impl ExperimentSpec {
                 "a zero budget cannot run anything: every cell's share would be zero".into(),
             ));
         }
-        if self.parallelism == Some(0) {
-            return Err(SpecError("parallelism must be at least one thread".into()));
+        if let Some(n) = self.parallelism.filter(|n| !(1..=MAX_WORKERS).contains(n)) {
+            return Err(SpecError(format!(
+                "parallelism must lie in 1..={MAX_WORKERS} workers, got {n}"
+            )));
         }
         for (i, s) in self.input_seeds.iter().enumerate() {
             if self.input_seeds[..i].contains(s) {
@@ -1703,6 +1710,15 @@ mod tests {
             .budget(0);
         assert!(zero_budget.validate().is_err());
         assert!(ExperimentSpec::from_json_str("{\"name\": \"empty\"}").is_err());
+        // Validation bounds the worker count; it starts no worker.
+        let workers = |n| {
+            let spec = ExperimentSpec::new("x").benchmark(BenchmarkSpec::MatMul(4));
+            spec.agent(AgentKind::QLearning).parallelism(n).validate()
+        };
+        for n in [0, MAX_WORKERS + 1] {
+            assert!(workers(n).unwrap_err().0.contains("parallelism"), "{n}");
+        }
+        workers(MAX_WORKERS).unwrap();
     }
 
     /// Each learning parameter the agents, schedules or reward would panic

@@ -194,8 +194,8 @@ pub struct ResumableExploration<B: EvalBackend> {
 /// The emptied buffers of finished runs' tables, agent and memo alike:
 /// what [`ResumableExploration::release_tables`] fills and
 /// [`ResumableExploration::adopt_tables`] draws on. The campaign driver
-/// keeps one per sequential chain of runs, so the chain grows one set of
-/// tables instead of one per run.
+/// keeps one per worker of a resume pass, so each worker's chain of runs
+/// grows one set of tables instead of one per run.
 #[derive(Debug, Default)]
 pub struct RunTables {
     agent: AgentTables,
@@ -725,8 +725,8 @@ mod tests {
         }
     }
 
-    /// A chain of runs handing tables on, as the campaign driver's
-    /// sequential chains do: Double Q on Dot-8 gives its Q-table and memo
+    /// A chain of runs handing tables on, as each worker of a campaign
+    /// pass does: Double Q on Dot-8 gives its Q-table and memo
     /// to Q(λ) on MatMul-4 (another action count and design space), whose
     /// tables go on to a second Double Q run. Each adopting run equals a
     /// fresh one bit for bit, and each released run keeps every count the

@@ -4,12 +4,12 @@
 //! exploration across agent seeds and aggregates stop behaviour and solution
 //! quality, quantifying how much of the reported behaviour is luck.
 //!
-//! Sweeps fan out with rayon over clones of a `Send + Sync`
-//! [`crate::backend::EvalContext`] handle sharing one
-//! [`crate::backend::SharedCache`]: every seed owns its
-//! agent RNG, so per-seed traces are bit-identical to a sequential run —
-//! cache sharing changes only the cost (designs another seed already
-//! executed come back for a hash lookup instead of an interpreter run).
+//! A campaign's workers (its `parallelism`) share one `Send + Sync`
+//! [`crate::backend::EvalContext`] handle per benchmark over one
+//! [`crate::backend::SharedCache`]: every seed owns its agent RNG, so
+//! per-seed traces are bit-identical at any worker count — cache sharing
+//! changes only the cost (designs another seed already executed come back
+//! for a hash lookup instead of an interpreter run).
 //!
 //! Since the campaign layer landed, the sweeps themselves live in
 //! [`crate::campaign::Campaign`] — a 1-benchmark × 1-agent × N-seed
@@ -208,15 +208,16 @@ mod tests {
         )
     }
 
-    /// A Dot(8) × 1-agent × N-seed campaign — the canonical seed sweep
-    /// the removed `sweep_seeds*` wrappers delegated to.
-    fn sweep(opts: &ExploreOptions, kind: AgentKind, seeds: u64, sequential: bool) -> SweepSummary {
-        let mut spec = ExperimentSpec::new("sweep")
+    /// A Dot(8) × 1-agent × N-seed campaign on `workers` workers — the
+    /// canonical seed sweep the removed `sweep_seeds*` wrappers delegated
+    /// to.
+    fn sweep(opts: &ExploreOptions, kind: AgentKind, seeds: u64, workers: usize) -> SweepSummary {
+        let spec = ExperimentSpec::new("sweep")
             .benchmark(BenchmarkSpec::Dot(8))
             .agent(kind)
             .seeds(SeedRange::new(0, seeds))
-            .explore(*opts);
-        spec.parallelism = sequential.then_some(1);
+            .explore(*opts)
+            .parallelism(workers);
         let report = run_spec(&spec, RunSpecOptions::default()).expect("sweep campaign runs");
         report.cells.into_iter().next().expect("one cell").summary
     }
@@ -255,7 +256,7 @@ mod tests {
             max_steps: 150,
             ..Default::default()
         };
-        let s = sweep(&opts, AgentKind::QLearning, 4, true);
+        let s = sweep(&opts, AgentKind::QLearning, 4, 1);
         assert_eq!(s.seeds, 4);
         assert!(s.stop_step.mean > 0.0 && s.stop_step.mean <= 150.0);
         assert!(s.stop_step.min <= s.stop_step.max);
@@ -269,8 +270,8 @@ mod tests {
             max_steps: 100,
             ..Default::default()
         };
-        let a = sweep(&opts, AgentKind::QLearning, 3, true);
-        let b = sweep(&opts, AgentKind::QLearning, 3, true);
+        let a = sweep(&opts, AgentKind::QLearning, 3, 1);
+        let b = sweep(&opts, AgentKind::QLearning, 3, 1);
         assert_eq!(a, b);
     }
 
@@ -280,12 +281,14 @@ mod tests {
             max_steps: 120,
             ..Default::default()
         };
-        let seq = sweep(&opts, AgentKind::QLearning, 8, true);
-        let par = sweep(&opts, AgentKind::QLearning, 8, false);
-        assert_eq!(
-            seq, par,
-            "cache sharing/parallelism must not change results"
-        );
+        let seq = sweep(&opts, AgentKind::QLearning, 8, 1);
+        for workers in [2, 4] {
+            let par = sweep(&opts, AgentKind::QLearning, 8, workers);
+            assert_eq!(
+                seq, par,
+                "cache sharing across {workers} workers must not change results"
+            );
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
         quick_spec("daemon-fir", BenchmarkSpec::Fir(16), BackendSpec::Exact).budget(300),
     ];
     // Local ground truth, computed independently of the daemon on the
-    // default thread count (served jobs run sequentially).
+    // default worker count (served jobs run on one worker).
     let baselines: Vec<String> = specs
         .iter()
         .map(|spec| {

@@ -49,15 +49,15 @@ fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
     report
 }
 
-/// A MatMul-4 × 1-agent × N-seed campaign summary (the removed
-/// `sweep_seeds`/`sweep_seeds_parallel` wrappers, inlined).
-fn sweep(opts: &ExploreOptions, kind: AgentKind, seeds: u64, sequential: bool) -> SweepSummary {
-    let mut spec = ExperimentSpec::new("determinism-sweep")
+/// A MatMul-4 × 1-agent × N-seed campaign summary on `workers` workers
+/// (the removed `sweep_seeds`/`sweep_seeds_parallel` wrappers, inlined).
+fn sweep(opts: &ExploreOptions, kind: AgentKind, seeds: u64, workers: usize) -> SweepSummary {
+    let spec = ExperimentSpec::new("determinism-sweep")
         .benchmark(BenchmarkSpec::MatMul(4))
         .agent(kind)
         .seeds(SeedRange::new(0, seeds))
-        .explore(*opts);
-    spec.parallelism = sequential.then_some(1);
+        .explore(*opts)
+        .parallelism(workers);
     run(&spec)
         .cells
         .into_iter()
@@ -100,7 +100,7 @@ fn class_keyed_shared_cache_sweep_matches_uncached_sweep() {
         ..Default::default()
     };
     let wl = MatMul::new(4);
-    let shared = sweep(&opts, AgentKind::QLearning, 3, true);
+    let shared = sweep(&opts, AgentKind::QLearning, 3, 1);
     let outcomes: Vec<_> = (0..3)
         .map(|seed| {
             explore_exact(
@@ -155,17 +155,19 @@ fn agent_seed_changes_trajectory_but_not_environment_truth() {
 }
 
 #[test]
-fn rayon_sweep_is_byte_identical_to_sequential() {
-    // The parallel engine's contract: fanning seeds out over the shared
-    // cache changes cost, never results. Eight seeds, both paths, one
+fn parallel_sweep_is_byte_identical_to_sequential() {
+    // The workers' contract: fanning seeds out over the shared cache
+    // changes cost, never results. Eight seeds on 1, 2 and 4 workers, one
     // summary — compared field by field through `PartialEq`.
     let opts = ExploreOptions {
         max_steps: 200,
         ..Default::default()
     };
-    let seq = sweep(&opts, AgentKind::QLearning, 8, true);
-    let par = sweep(&opts, AgentKind::QLearning, 8, false);
-    assert_eq!(seq, par);
+    let seq = sweep(&opts, AgentKind::QLearning, 8, 1);
+    for workers in [2, 4] {
+        let par = sweep(&opts, AgentKind::QLearning, 8, workers);
+        assert_eq!(seq, par, "{workers} workers");
+    }
 }
 
 #[test]
@@ -260,11 +262,11 @@ fn campaign_exact_sweep_is_byte_identical_to_legacy() {
         .explore(opts));
     assert_eq!(report.cells[0].summary, reference);
 
-    // And both execution modes of the campaign itself.
-    let seq = sweep(&opts, AgentKind::QLearning, seeds, true);
-    let par = sweep(&opts, AgentKind::QLearning, seeds, false);
-    assert_eq!(seq, reference);
-    assert_eq!(par, reference);
+    // And the campaign itself on 1, 2 and 4 workers.
+    for workers in [1, 2, 4] {
+        let swept = sweep(&opts, AgentKind::QLearning, seeds, workers);
+        assert_eq!(swept, reference, "{workers} worker(s)");
+    }
 }
 
 #[test]
@@ -285,32 +287,36 @@ fn campaign_portfolio_is_byte_identical_to_legacy_race() {
     .seeds(SeedRange::single(opts.seed))
     .explore(opts);
 
-    // Sequential race as the hand-rolled reference; the parallel fan-out
-    // must agree entry for entry (bit-exact scores included).
-    let legacy = run(&race.clone().parallelism(1))
-        .portfolios
-        .into_iter()
-        .next()
-        .expect("one benchmark");
-    let report = run(&race);
-    let campaign = &report.portfolios[0];
-
-    assert_eq!(legacy.benchmark, campaign.benchmark);
-    assert_eq!(legacy.best, campaign.best);
-    assert_eq!(legacy.shared_distinct, campaign.shared_distinct);
-    assert_eq!(legacy.entries.len(), campaign.entries.len());
-    for (l, c) in legacy.entries.iter().zip(&campaign.entries) {
-        assert_eq!(l.kind, c.kind);
-        assert_eq!(l.seed, c.seed);
-        assert_eq!(l.summary, c.summary);
-        assert_eq!(l.stop_reason, c.stop_reason);
-        assert_eq!(l.distinct_configs, c.distinct_configs);
-        assert_eq!(l.feasible, c.feasible);
-        assert_eq!(l.score.to_bits(), c.score.to_bits(), "{}", l.kind.name());
+    // The one-worker race as the hand-rolled reference; races on 2 and 4
+    // workers must agree entry for entry (bit-exact scores included).
+    let portfolio = |workers| {
+        run(&race.clone().parallelism(workers))
+            .portfolios
+            .into_iter()
+            .next()
+            .expect("one benchmark")
+    };
+    let legacy = portfolio(1);
+    for workers in [2, 4] {
+        let campaign = portfolio(workers);
+        assert_eq!(legacy.benchmark, campaign.benchmark);
+        assert_eq!(legacy.best, campaign.best);
+        assert_eq!(legacy.shared_distinct, campaign.shared_distinct);
+        assert_eq!(legacy.entries.len(), campaign.entries.len());
+        for (l, c) in legacy.entries.iter().zip(&campaign.entries) {
+            assert_eq!(l.kind, c.kind);
+            assert_eq!(l.seed, c.seed);
+            assert_eq!(l.summary, c.summary);
+            assert_eq!(l.stop_reason, c.stop_reason);
+            assert_eq!(l.distinct_configs, c.distinct_configs);
+            assert_eq!(l.feasible, c.feasible);
+            let name = l.kind.name();
+            assert_eq!(l.score.to_bits(), c.score.to_bits(), "{name}, {workers}");
+        }
     }
 
     // Every raced entry still equals a stand-alone exploration.
-    for (kind, entry) in kinds.iter().zip(&campaign.entries) {
+    for (kind, entry) in kinds.iter().zip(&legacy.entries) {
         let ctx = EvalContext::new(&wl, Arc::new(lib.clone()), opts.input_seed).unwrap();
         let solo = axdse_suite::ax_dse::campaign::explore(&ctx, &opts, *kind);
         assert_eq!(entry.summary, solo.summary, "{}", kind.name());
@@ -511,11 +517,11 @@ fn campaign_reports_match_their_golden_digests() {
         max_steps: 300,
         ..Default::default()
     });
-    // Each spec runs sequentially and on the default thread count against
-    // one digest: a run polls only its own cell's budget, so where it
-    // pauses cannot depend on the schedule.
+    // Each spec runs on 1, 2 and 4 workers against one digest: a run
+    // polls only its own cell's budget, so where it pauses cannot depend
+    // on the schedule.
     let pin = |label: &str, spec: &ExperimentSpec, spent: u64, report: u64, events: u64| {
-        for parallelism in [Some(1), None] {
+        for parallelism in [Some(1), Some(2), Some(4)] {
             let spec = ExperimentSpec {
                 parallelism,
                 ..spec.clone()

@@ -56,11 +56,10 @@ fn strip(r: &CampaignReport) -> String {
     )
 }
 
-/// An unbounded multi-seed campaign run with telemetry, sequentially or
-/// through the rayon fan-out.
-fn traced_campaign(sequential: bool) -> (CampaignReport, Telemetry) {
-    let mut spec = grid("telemetry-determinism", 150);
-    spec.parallelism = sequential.then_some(1);
+/// An unbounded multi-seed campaign run with telemetry on `workers`
+/// workers.
+fn traced_campaign(workers: usize) -> (CampaignReport, Telemetry) {
+    let spec = grid("telemetry-determinism", 150).parallelism(workers);
     let telemetry = Telemetry::new();
     let report = run_traced(&spec, &telemetry);
     (report, telemetry)
@@ -71,24 +70,25 @@ fn traced_campaign(sequential: bool) -> (CampaignReport, Telemetry) {
 /// events, same sources, same per-source sequence numbers.
 #[test]
 fn parallel_campaign_emits_the_same_canonical_events_as_sequential() {
-    let (seq_report, seq_t) = traced_campaign(true);
-    let (par_report, par_t) = traced_campaign(false);
+    let (seq_report, seq_t) = traced_campaign(1);
     let seq_events = seq_t.events();
-    let par_events = par_t.events();
     assert!(!seq_events.is_empty());
-    assert_eq!(seq_events, par_events);
-    assert_eq!(strip(&seq_report), strip(&par_report));
-    // Counters and gauges are logical too; only the latency histograms
-    // may differ between the two modes.
-    let (seq_snap, par_snap) = (seq_t.snapshot().unwrap(), par_t.snapshot().unwrap());
-    assert_eq!(seq_snap.counters, par_snap.counters);
-    assert_eq!(seq_snap.gauges, par_snap.gauges);
+    let seq_snap = seq_t.snapshot().unwrap();
+    for workers in [2, 4] {
+        let (par_report, par_t) = traced_campaign(workers);
+        assert_eq!(seq_events, par_t.events(), "{workers}");
+        assert_eq!(strip(&seq_report), strip(&par_report), "{workers}");
+        // Counters and gauges are logical too; only the latency
+        // histograms may differ between worker counts.
+        let par_snap = par_t.snapshot().unwrap();
+        assert_eq!(seq_snap.counters, par_snap.counters, "{workers}");
+        assert_eq!(seq_snap.gauges, par_snap.gauges, "{workers}");
+    }
 }
 
 /// A budgeted campaign pauses each run on its own cell's budget, so its
-/// schedule is as determined as an unbudgeted one's: run sequentially and
-/// on the default thread count, it gives the same canonical events,
-/// counters and report.
+/// schedule is as determined as an unbudgeted one's: run on 1, 2 and 4
+/// workers, it gives the same canonical events, counters and report.
 #[test]
 fn budgeted_campaigns_match_across_schedules() {
     let spec =
@@ -98,21 +98,20 @@ fn budgeted_campaigns_match_across_schedules() {
                 rounds: 2,
                 keep_fraction: 0.5,
             });
-    let run = |parallelism| {
+    let run = |workers| {
         let telemetry = Telemetry::new();
-        let spec = ExperimentSpec {
-            parallelism,
-            ..spec.clone()
-        };
-        let report = run_traced(&spec, &telemetry);
+        let report = run_traced(&spec.clone().parallelism(workers), &telemetry);
         (report, telemetry)
     };
-    let (seq_report, seq_t) = run(Some(1));
-    let (par_report, par_t) = run(None);
-    assert_eq!(seq_t.events(), par_t.events());
-    let (seq_snap, par_snap) = (seq_t.snapshot().unwrap(), par_t.snapshot().unwrap());
-    assert_eq!(seq_snap.counters, par_snap.counters);
-    assert_eq!(strip(&seq_report), strip(&par_report));
+    let (seq_report, seq_t) = run(1);
+    let seq_snap = seq_t.snapshot().unwrap();
+    for workers in [2, 4] {
+        let (par_report, par_t) = run(workers);
+        assert_eq!(seq_t.events(), par_t.events(), "{workers}");
+        let par_snap = par_t.snapshot().unwrap();
+        assert_eq!(seq_snap.counters, par_snap.counters, "{workers}");
+        assert_eq!(strip(&seq_report), strip(&par_report), "{workers}");
+    }
     let summary = seq_report.telemetry.expect("enabled telemetry is reported");
     assert!(summary.budget_invariant_ok);
     assert!(summary.events_emitted > 0);
@@ -235,7 +234,7 @@ fn jsonl_trace_lines_are_schema_valid() {
 /// and run sources interleave arbitrarily during emission.
 #[test]
 fn canonical_event_order_groups_by_source() {
-    let (_, t) = traced_campaign(false);
+    let (_, t) = traced_campaign(2);
     let events = t.events();
     let keys: Vec<(u32, u64)> = events.iter().map(|e| (e.source, e.seq)).collect();
     let mut sorted = keys.clone();
