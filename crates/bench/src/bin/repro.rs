@@ -42,9 +42,10 @@
 //!                         --front-json FILE writes the report's Pareto
 //!                         section (front membership, hypervolume,
 //!                         per-objective bests) and fails on an empty
-//!                         front; --trace FILE streams structured events
-//!                         as JSONL and --metrics FILE writes the final
-//!                         metrics snapshot as JSON)
+//!                         front; --trace FILE streams every structured
+//!                         event as JSONL and leaves the report as it is;
+//!                         --metrics FILE writes the final metrics snapshot
+//!                         as JSON and adds the report's telemetry section)
 //!   all                   everything above
 //! ```
 
@@ -245,11 +246,17 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Streams campaign progress to stderr as runs finish.
-struct PrintObserver;
+/// Streams campaign progress to stderr as runs finish, and every event to
+/// the `--trace` file when there is one.
+struct PrintObserver {
+    trace: Option<JsonlSink>,
+}
 
 impl Observer for PrintObserver {
     fn on_event(&self, event: &Event) {
+        if let Some(trace) = &self.trace {
+            trace.on_event(event);
+        }
         match &event.kind {
             EventKind::CampaignStart { name, total_runs } => {
                 eprintln!("campaign `{name}`: {total_runs} runs");
@@ -267,10 +274,6 @@ impl Observer for PrintObserver {
             }
             _ => {}
         }
-    }
-
-    fn wants_events(&self) -> bool {
-        true
     }
 }
 
@@ -410,8 +413,7 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("{flag} does not fit {path}: {e}"))
     };
     if args.smoke {
-        spec.explore.max_steps = spec.explore.max_steps.min(150);
-        spec.seeds.count = spec.seeds.count.min(2);
+        spec = spec.smoke();
         revalidate(&spec, "--smoke")?;
     }
     if let Some(budget) = args.budget {
@@ -453,34 +455,39 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
             Err(e) => return Err(format!("cannot load cache {p}: {e}")),
         },
     };
-    // --trace/--metrics turn telemetry on; otherwise the campaign runs
-    // with the zero-overhead disabled handle.
-    let telemetry = if args.trace.is_some() || args.metrics.is_some() {
-        let t = Telemetry::new();
-        if let Some(path) = &args.trace {
-            let sink = JsonlSink::create(path)
-                .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
-            t.add_sink(Box::new(sink));
-        }
-        t
+    // Only --metrics turns metrics on; otherwise the campaign runs with
+    // the zero-overhead disabled handle, traced or not.
+    let telemetry = if args.metrics.is_some() {
+        Telemetry::new()
     } else {
         Telemetry::disabled()
     };
+    let trace = args.trace.as_ref().map(|path| {
+        JsonlSink::create(path).map_err(|e| format!("cannot create trace file {path}: {e}"))
+    });
+    let observer = PrintObserver {
+        trace: trace.transpose()?,
+    };
     let opts = RunSpecOptions {
         cache: cache.clone(),
-        observer: Some(&PrintObserver),
+        observer: Some(&observer),
         telemetry: telemetry.clone(),
         ..Default::default()
     };
     let report = run_spec(&spec, opts).map_err(|e| format!("campaign failed: {e}"))?;
     print_campaign_report(&report, &args.out);
-    telemetry.flush();
-    if let Some(path) = &args.trace {
-        eprintln!(
-            "wrote {} structured events to {path}",
-            telemetry.events_emitted()
-        );
-    }
+    // A trace that could not be written is reported last, once the other
+    // outputs and the cache are saved.
+    let traced = match (&args.trace, &observer.trace) {
+        (Some(path), Some(trace)) => match trace.flush() {
+            Ok(()) => {
+                eprintln!("wrote {} structured events to {path}", trace.emitted());
+                Ok(())
+            }
+            Err(e) => Err(format!("cannot write trace file {path}: {e}")),
+        },
+        _ => Ok(()),
+    };
     if let Some(path) = &args.metrics {
         let snapshot = telemetry.snapshot().expect("telemetry is enabled");
         std::fs::write(path, snapshot.to_json_string())
@@ -521,7 +528,7 @@ fn run_spec_file(args: &Args) -> Result<(), String> {
         }
         eprintln!("saved {} cached designs to {path}", cache.len());
     }
-    Ok(())
+    traced
 }
 
 /// Says how many scopes of the cache file at `path` were skipped for want

@@ -14,51 +14,19 @@ use crate::sweep::{summarize_outcomes, PortfolioEntry, PortfolioOutcome, SweepSu
 use ax_agents::schedule::powi;
 use ax_agents::train::StopReason;
 use ax_operators::OperatorLibrary;
-use ax_telemetry::{Event, EventKind, MetricsSnapshot, Telemetry, SOURCE_COORDINATOR};
+use ax_telemetry::{Event, EventKind, MetricsSnapshot, Observer, Telemetry, SOURCE_COORDINATOR};
 use ax_vm::VmError;
 use ax_workloads::Workload;
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
-
-/// Progress hooks of a running campaign: it reports every transition as a
-/// typed [`Event`].
-///
-/// Implementations must be `Sync`: run events fire on whichever of the
-/// campaign's workers resumed the run (see
-/// [`ExperimentSpec::parallelism`]), in the order the runs finish. Both
-/// methods have defaults, so an observer implements only what it cares
-/// about; [`NullObserver`] is the do-nothing instance.
-pub trait Observer: Sync {
-    /// A typed campaign, scheduler or run transition (see [`EventKind`]):
-    /// the campaign starting and completing, benchmarks ready, budget
-    /// grants and exhaustion, rung records, promotions, parks,
-    /// eliminations, bracket revivals, and runs pausing and completing.
-    /// Fires for every event the campaign's [`Telemetry`] handle records,
-    /// and (when [`Observer::wants_events`] opts in) even with telemetry
-    /// disabled.
-    fn on_event(&self, _event: &Event) {}
-
-    /// Opt-in for [`Observer::on_event`] when the campaign runs without an
-    /// enabled [`Telemetry`] handle. The default `false` keeps the
-    /// disabled-telemetry fast path allocation-free: no event is even
-    /// constructed.
-    fn wants_events(&self) -> bool {
-        false
-    }
-}
-
-/// The do-nothing [`Observer`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {}
 
 /// How a campaign obtains the [`EvalBackend`] of each run.
 ///
 /// The driver calls [`BackendProvider::spawn`] once per run with the
-/// run's benchmark context. Cross-run sharing lives in the context's
-/// [`SharedCache`], which every spawned exact evaluator consults by
-/// execution class.
-pub trait BackendProvider: Sync {
+/// run's benchmark context, on the campaign's calling thread, before any
+/// run starts. Cross-run sharing lives in the context's [`SharedCache`],
+/// which every spawned exact evaluator consults by execution class.
+pub trait BackendProvider {
     /// The backend each run evaluates through.
     type Backend: EvalBackend + Send;
 
@@ -118,7 +86,7 @@ impl<F> WrapProvider<F> {
 impl<B, F> BackendProvider for WrapProvider<F>
 where
     B: EvalBackend + Send,
-    F: Fn(Evaluator) -> B + Sync,
+    F: Fn(Evaluator) -> B,
 {
     type Backend = B;
 
@@ -274,7 +242,8 @@ pub struct ParetoReport {
 /// an enabled [`Telemetry`] handle.
 #[derive(Debug, Clone)]
 pub struct TelemetrySummary {
-    /// Total typed events the campaign emitted.
+    /// Total typed events the campaign emitted: those its [`Observer`]
+    /// received, or would have received had one been attached.
     pub events_emitted: u64,
     /// `true` when every cell's spend, as the campaign's ledger settled
     /// it, equals the sum of its runs' final `distinct_configs`, so the
@@ -608,7 +577,7 @@ pub fn explore(ctx: &EvalContext, opts: &ExploreOptions, kind: AgentKind) -> Exp
 /// executed concurrently over per-benchmark shared-cache contexts, with an
 /// optional **evaluation budget** that a [`BudgetPolicy`] grants to the
 /// grid's cells, any [`BackendProvider`] supplying the evaluation
-/// backends, and [`Observer`] hooks for progress streaming. Its report is
+/// backends, and an [`Observer`] receiving its events. Its report is
 /// the same at any worker count, budgeted or not. It is the one
 /// entry point for sweeps and races: a 1-benchmark × 1-agent × N-seed
 /// spec is a seed sweep, a 1 × M × 1 spec is a portfolio race, and the
@@ -641,6 +610,9 @@ pub struct Campaign<'a> {
     /// The spec's benchmarks, built in its order.
     pub(super) workloads: &'a [Box<dyn Workload>],
     pub(super) opts: RunSpecOptions<'a>,
+    /// The coordinator's next event sequence number. Only the calling
+    /// thread emits coordinator events; each run slot counts its own.
+    pub(super) seq: Cell<u64>,
 }
 
 impl<'a> Campaign<'a> {
@@ -665,6 +637,7 @@ impl<'a> Campaign<'a> {
             spec,
             workloads,
             opts: RunSpecOptions::default(),
+            seq: Cell::new(0),
         }
     }
 
@@ -677,20 +650,15 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Records metrics and typed events into `telemetry` (a cheap shared
-    /// handle — clone it to read events and snapshots afterwards). The
-    /// default is [`Telemetry::disabled`]: no event is constructed, no
-    /// metric registered, and the run's outputs are byte-identical to a
-    /// campaign without telemetry.
+    /// Records metrics into `telemetry` (a cheap shared handle — clone it
+    /// to read snapshots afterwards), and adds the report's telemetry
+    /// section. The default is [`Telemetry::disabled`]: no metric is
+    /// registered, and the report carries no telemetry section. Events go
+    /// to the observer either way.
     #[must_use]
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.opts.telemetry = telemetry.clone();
         self
-    }
-
-    /// The attached observer, or the do-nothing one.
-    fn observer(&self) -> &'a dyn Observer {
-        self.opts.observer.unwrap_or(&NullObserver)
     }
 
     /// `true` once the campaign should stop scheduling further work: its
@@ -699,15 +667,17 @@ impl<'a> Campaign<'a> {
         self.opts.control.as_ref().is_some_and(|c| c.is_cancelled())
     }
 
-    /// Emits a typed event to the telemetry handle and the observer.
-    /// `kind` is a closure so the disabled default pays one branch and
-    /// never constructs the event — the NullObserver path stays
-    /// byte-identical to a campaign without telemetry.
-    fn emit(&self, source: u32, kind: impl FnOnce() -> EventKind) {
-        let telemetry = &self.opts.telemetry;
-        if telemetry.enabled() || self.observer().wants_events() {
-            let event = telemetry.emit(source, kind());
-            self.observer().on_event(&event);
+    /// Stamps a coordinator event with the coordinator's next sequence
+    /// number and hands it to the observer. `kind` is a closure, so an
+    /// unobserved campaign never builds the event.
+    fn emit(&self, kind: impl FnOnce() -> EventKind) {
+        let seq = self.seq.replace(self.seq.get() + 1);
+        if let Some(observer) = self.opts.observer {
+            observer.on_event(&Event {
+                source: SOURCE_COORDINATOR,
+                seq,
+                kind: kind(),
+            });
         }
     }
 
@@ -774,7 +744,8 @@ impl<'a> Campaign<'a> {
         let explicit_seeds = !self.spec.input_seeds.is_empty();
         let n_cells = self.spec.n_cells();
         let total_runs = n_cells as u64 * self.spec.seeds.count;
-        self.emit(SOURCE_COORDINATOR, || EventKind::CampaignStart {
+        self.seq.set(0);
+        self.emit(|| EventKind::CampaignStart {
             name: self.spec.name.clone(),
             total_runs,
         });
@@ -802,7 +773,7 @@ impl<'a> Campaign<'a> {
                     )?
                     .with_telemetry(&self.opts.telemetry),
                 };
-                self.emit(SOURCE_COORDINATOR, || EventKind::BenchmarkReady {
+                self.emit(|| EventKind::BenchmarkReady {
                     benchmark: ctx.benchmark().to_owned(),
                 });
                 contexts.push(ctx);
@@ -840,7 +811,7 @@ impl<'a> Campaign<'a> {
                             &run_opts,
                             kind,
                         ),
-                        notified: false,
+                        seq: 0,
                     });
                 }
             }
@@ -850,9 +821,14 @@ impl<'a> Campaign<'a> {
         let allocations = self.run_plan(&mut slots, &mut ledger, &contexts, &mut cell_best);
 
         // Close out runs the scheduler never finished (budget-stopped,
-        // eliminated or parked): every run notifies exactly once.
-        for slot in slots.iter().filter(|s| !s.notified) {
-            self.emit(slot.source(), || slot.completion());
+        // eliminated or parked): every run completes exactly once, and a
+        // run completes only inside a pass, which emits its completion.
+        let mut run_events = 0;
+        for slot in &mut slots {
+            if !slot.run.is_complete() {
+                slot.emit(self.opts.observer, true);
+            }
+            run_events += slot.seq;
         }
         let outcomes: Vec<ExplorationOutcome<P::Backend>> =
             slots.into_iter().map(|s| s.run.finish(self.lib)).collect();
@@ -944,7 +920,7 @@ impl<'a> Campaign<'a> {
             .map(|m| points.iter().map(|p| p[m]).fold(f64::INFINITY, f64::min))
             .collect();
         if self.spec.ranking == Ranking::Pareto {
-            self.emit(SOURCE_COORDINATOR, || EventKind::ParetoFront {
+            self.emit(|| EventKind::ParetoFront {
                 front_size: front.len() as u64,
                 hypervolume,
             });
@@ -966,7 +942,7 @@ impl<'a> Campaign<'a> {
             overshoot: charged - spent,
             stopped_runs: total_stopped,
         };
-        self.emit(SOURCE_COORDINATOR, || EventKind::CampaignComplete {
+        self.emit(|| EventKind::CampaignComplete {
             spent: budget.spent,
             overshoot: budget.overshoot,
         });
@@ -991,7 +967,7 @@ impl<'a> Campaign<'a> {
             telemetry.counter_add("budget.stopped_runs", total_stopped);
             telemetry.counter_add("budget.cells_spent", charged);
             TelemetrySummary {
-                events_emitted: telemetry.events_emitted(),
+                events_emitted: self.seq.get() + run_events,
                 budget_invariant_ok,
                 metrics: telemetry.snapshot().unwrap_or_default(),
             }
@@ -1063,13 +1039,12 @@ impl<'a> Campaign<'a> {
         ledger: &mut CellLedger,
         runnable: &dyn Fn(usize) -> bool,
     ) {
-        let observer = self.observer();
+        let observer = self.opts.observer;
         let telemetry = &self.opts.telemetry;
         let control = self.opts.control.as_ref();
         telemetry.counter_add("campaign.resume_passes", 1);
         // `self` holds non-`Sync` workload references, so the workers'
         // closure captures only the pieces it needs.
-        let wants_events = telemetry.enabled() || observer.wants_events();
         // Resumes one unit's incomplete runs in seed order, carrying their
         // cell's spend: `others` is what the cell's other runs have spent.
         let resume_unit = |runs: &mut [RunSlot<B>], spare: &mut RunTables| {
@@ -1099,21 +1074,7 @@ impl<'a> Campaign<'a> {
                     slot.run.release_tables(spare);
                 }
                 spent = others + slot.run.backend().distinct_evaluations();
-                if !wants_events {
-                    continue;
-                }
-                slot.notified = complete;
-                let kind = if complete {
-                    slot.completion()
-                } else {
-                    EventKind::RunPaused {
-                        benchmark: slot.run.benchmark().to_owned(),
-                        agent: slot.kind.name().to_owned(),
-                        seed: slot.seed,
-                        steps: slot.run.steps_taken(),
-                    }
-                };
-                observer.on_event(&telemetry.emit(slot.source(), kind));
+                slot.emit(observer, complete);
             }
         };
         let was_exhausted = ledger.exhausted();
@@ -1149,7 +1110,7 @@ impl<'a> Campaign<'a> {
                 .map(|slot| (slot.cell, slot.run.backend().distinct_evaluations())),
         );
         if !was_exhausted && ledger.exhausted() {
-            self.emit(SOURCE_COORDINATOR, || EventKind::BudgetExhausted {
+            self.emit(|| EventKind::BudgetExhausted {
                 cap: ledger.cap().unwrap_or(0),
             });
         }
@@ -1192,13 +1153,13 @@ impl<'a> Campaign<'a> {
                     break;
                 }
                 self.opts.telemetry.counter_add("sched.brackets", 1);
-                self.emit(SOURCE_COORDINATOR, || EventKind::BracketStart { bracket });
+                self.emit(|| EventKind::BracketStart { bracket });
                 // Every bracket re-opens the whole grid: cells eliminated
                 // under an earlier bracket's schedule get another chance
                 // under this one.
                 for (c, p) in phase.iter_mut().enumerate() {
                     if *p == Phase::Out {
-                        self.emit(SOURCE_COORDINATOR, || EventKind::CellRevived {
+                        self.emit(|| EventKind::CellRevived {
                             cell: c as u64,
                             bracket,
                         });
@@ -1237,7 +1198,7 @@ impl<'a> Campaign<'a> {
                             ledger.grant(c, units);
                             table[pass][c].granted = units;
                             self.opts.telemetry.counter_add("sched.grants", 1);
-                            self.emit(SOURCE_COORDINATOR, || EventKind::BudgetGrant {
+                            self.emit(|| EventKind::BudgetGrant {
                                 cell: c as u64,
                                 round: pass as u64,
                                 bracket,
@@ -1284,7 +1245,7 @@ impl<'a> Campaign<'a> {
                         continue;
                     }
                     self.opts.telemetry.counter_add("rung.records", 1);
-                    self.emit(SOURCE_COORDINATOR, || EventKind::RungRecorded {
+                    self.emit(|| EventKind::RungRecorded {
                         cell: c as u64,
                         rung: r as u64,
                         score,
@@ -1292,7 +1253,7 @@ impl<'a> Campaign<'a> {
                     if resumable[c] {
                         phase[c] = Phase::Parked;
                         self.opts.telemetry.counter_add("rung.parks", 1);
-                        self.emit(SOURCE_COORDINATOR, || EventKind::CellParked {
+                        self.emit(|| EventKind::CellParked {
                             cell: c as u64,
                             rung: r as u64,
                         });
@@ -1308,7 +1269,7 @@ impl<'a> Campaign<'a> {
                 if ladder.barrier {
                     if pass + 1 < rungs {
                         if self.spec.ranking == Ranking::Pareto {
-                            self.emit(SOURCE_COORDINATOR, || {
+                            self.emit(|| {
                                 let fronts = pareto::non_dominated_ranks(&points);
                                 EventKind::ParetoFront {
                                     front_size: fronts.iter().filter(|&&r| r == 0).count() as u64,
@@ -1327,7 +1288,7 @@ impl<'a> Campaign<'a> {
                         for &c in &ranked[kept..] {
                             phase[c] = Phase::Out;
                             self.opts.telemetry.counter_add("sched.eliminations", 1);
-                            self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
+                            self.emit(|| EventKind::CellEliminated {
                                 cell: c as u64,
                                 round: pass as u64,
                                 bracket,
@@ -1382,7 +1343,7 @@ impl<'a> Campaign<'a> {
                             table[r + 1][c].granted += units;
                             phase[c] = Phase::Running;
                             self.opts.telemetry.counter_add("rung.promotions", 1);
-                            self.emit(SOURCE_COORDINATOR, || EventKind::RungPromoted {
+                            self.emit(|| EventKind::RungPromoted {
                                 cell: c as u64,
                                 rung: (r + 1) as u64,
                                 units,
@@ -1406,7 +1367,7 @@ impl<'a> Campaign<'a> {
                     if phase[c] == Phase::Parked && rung[c] + 1 < rungs {
                         phase[c] = Phase::Out;
                         self.opts.telemetry.counter_add("sched.eliminations", 1);
-                        self.emit(SOURCE_COORDINATOR, || EventKind::CellEliminated {
+                        self.emit(|| EventKind::CellEliminated {
                             cell: c as u64,
                             round: rung[c] as u64,
                             bracket,
@@ -1538,26 +1499,47 @@ struct RunSlot<B: EvalBackend + Send> {
     kind: AgentKind,
     seed: u64,
     run: ResumableExploration<B>,
-    /// Its [`EventKind::RunComplete`] was emitted.
-    notified: bool,
+    /// The run's next event sequence number. Only the worker resuming the
+    /// slot, or the calling thread after the last pass, emits its events,
+    /// so the count needs no lock.
+    seq: u64,
 }
 
 impl<B: EvalBackend + Send> RunSlot<B> {
-    /// The run's event source: its grid index + 1, a schedule-independent
-    /// logical id (never a thread id).
-    fn source(&self) -> u32 {
-        self.index as u32 + 1
-    }
-
-    /// The run's [`EventKind::RunComplete`], in whatever state it stopped.
-    fn completion(&self) -> EventKind {
-        EventKind::RunComplete {
-            benchmark: self.run.benchmark().to_owned(),
-            agent: self.kind.name().to_owned(),
-            seed: self.seed,
-            stop: format!("{:?}", self.run.stop_reason()),
-            steps: self.run.steps_taken(),
+    /// Stamps the run's next event, [`EventKind::RunComplete`] in
+    /// whatever state the run stopped when `complete`, else
+    /// [`EventKind::RunPaused`], and hands it to `observer`. Its source is
+    /// the grid index + 1, a schedule-independent logical id (never a
+    /// thread id). Builds nothing without an observer.
+    fn emit(&mut self, observer: Option<&dyn Observer>, complete: bool) {
+        if let Some(observer) = observer {
+            let (benchmark, agent) = (self.run.benchmark().to_owned(), self.kind.name().to_owned());
+            let (seed, steps) = (self.seed, self.run.steps_taken());
+            let kind = if complete {
+                let stop = format!("{:?}", self.run.stop_reason());
+                EventKind::RunComplete {
+                    benchmark,
+                    agent,
+                    seed,
+                    stop,
+                    steps,
+                }
+            } else {
+                EventKind::RunPaused {
+                    benchmark,
+                    agent,
+                    seed,
+                    steps,
+                }
+            };
+            let source = self.index as u32 + 1;
+            observer.on_event(&Event {
+                source,
+                seq: self.seq,
+                kind,
+            });
         }
+        self.seq += 1;
     }
 }
 
@@ -2030,10 +2012,6 @@ mod tests {
                     _ => {}
                 }
             }
-
-            fn wants_events(&self) -> bool {
-                true
-            }
         }
         // Unbudgeted and under a binding budget, on one worker and three.
         for (budget, workers) in [(None, 1), (None, 3), (Some(40), 1), (Some(40), 3)] {
@@ -2073,10 +2051,6 @@ mod tests {
                     panic!("observer panic on seed 1");
                 }
             }
-
-            fn wants_events(&self) -> bool {
-                true
-            }
         }
         for workers in [1, 4] {
             let panicking = grid("panicking", 80)
@@ -2090,6 +2064,28 @@ mod tests {
             let ran = std::panic::catch_unwind(run);
             assert!(ran.is_err(), "{workers} worker(s)");
         }
+    }
+
+    #[test]
+    fn a_provider_closure_need_not_be_sync() {
+        // `spawn` runs only on the calling thread, before any run starts,
+        // so a closure counting in a `Cell` serves a two-worker campaign.
+        let spawned = Cell::new(0u32);
+        let provider = WrapProvider::new(|evaluator: Evaluator| {
+            spawned.set(spawned.get() + 1);
+            evaluator
+        });
+        let spec = spec("unsync-provider", 80)
+            .benchmark(Dot(8))
+            .agent(AgentKind::QLearning)
+            .seeds(SeedRange::new(0, 2))
+            .parallelism(2);
+        let (lib, workloads) = (spec.library.build(), spec.build_workloads());
+        let report = Campaign::from_spec(&lib, &spec, &workloads)
+            .run_with(&provider)
+            .unwrap();
+        assert_eq!(spawned.get(), 2);
+        assert_eq!(report.to_json_string(), run(&spec).to_json_string());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`Campaign`] driver executes any such grid through any
 //! [`BackendProvider`], shares one design [`crate::backend::SharedCache`]
 //! across every run, grants an optional evaluation budget to the grid's
-//! cells, streams typed events to an [`Observer`] and returns a
+//! cells, hands its typed events to an [`Observer`] and returns a
 //! structured [`CampaignReport`] — the same one at any worker count.
 //!
 //! Budgets count distinct designs and are divided across (benchmark,
@@ -59,15 +59,15 @@ pub use budget::{CellLedger, RungLedger};
 pub use control::{CampaignControl, ControlState};
 pub use driver::{
     explore, AllocationReport, BackendProvider, BudgetReport, Campaign, CampaignReport,
-    CellAllocation, CellReport, ExactProvider, InterpretedProvider, NullObserver, Observer,
-    ParetoPoint, ParetoReport, TelemetrySummary, WrapProvider,
+    CellAllocation, CellReport, ExactProvider, InterpretedProvider, ParetoPoint, ParetoReport,
+    TelemetrySummary, WrapProvider,
 };
 pub use global::{GlobalScheduler, JobPhase, JobTicket};
 pub use run::{run_spec, RunSpecError, RunSpecOptions};
 // The telemetry vocabulary campaign observers speak, re-exported so
 // downstream crates need no direct `ax-telemetry` dependency.
 pub use ax_telemetry::{
-    Event, EventKind, EventSink, JsonlSink, MetricsSnapshot, RingBuffer, Telemetry,
+    Event, EventKind, JsonlSink, MetricsSnapshot, Observer, RingBuffer, Telemetry,
     SOURCE_COORDINATOR,
 };
 pub use spec::{

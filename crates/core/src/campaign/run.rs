@@ -46,20 +46,23 @@ impl From<VmError> for RunSpecError {
 
 /// What a run attaches to a campaign beyond its spec — the supervision
 /// surface a long-lived daemon needs. Every field is optional: the
-/// default runs on a fresh cache, unobserved, untraced and unsupervised.
+/// default runs on a fresh cache, unobserved, without metrics and
+/// unsupervised.
 #[derive(Default)]
 pub struct RunSpecOptions<'a> {
     /// Pre-loaded design cache shared across runs (and, in a daemon,
     /// across jobs — each benchmark, input seed and program-and-library
     /// fingerprint is its own scope).
     pub cache: Option<Arc<SharedCache>>,
-    /// Progress observer; defaults to no observation.
+    /// Receives the campaign's typed events, each stamped with its source
+    /// and per-source sequence number: the one way they leave the
+    /// campaign. `None`, the default, builds no event.
     pub observer: Option<&'a dyn Observer>,
-    /// Telemetry handle: when enabled the campaign streams structured
-    /// events to its sinks and the report carries a `telemetry` section
-    /// (metrics snapshot, event count, budget-invariant check). The
-    /// default, [`Telemetry::disabled`], is byte-identical to no
-    /// telemetry at all.
+    /// Metrics handle: when enabled the campaign records its metrics
+    /// there and the report carries a `telemetry` section (metrics
+    /// snapshot, event count, budget-invariant check). The default,
+    /// [`Telemetry::disabled`], records nothing; either way the rest of
+    /// the report is the same.
     pub telemetry: Telemetry,
     /// Cooperative cancel/pause handle: runs poll it at the same step
     /// boundaries as budget exhaustion, so a cancel stops every run (with
@@ -89,10 +92,8 @@ pub fn run_spec(
     let lib = spec.library.build();
     let workloads = spec.build_workloads();
     let campaign = Campaign {
-        lib: &lib,
-        spec,
-        workloads: &workloads,
         opts,
+        ..Campaign::from_spec(&lib, spec, &workloads)
     };
     Ok(campaign.run_valid()?)
 }

@@ -855,6 +855,15 @@ impl ExperimentSpec {
         self
     }
 
+    /// Shrinks the spec for a smoke run, as `repro run --smoke` and
+    /// `repro serve --smoke` do: at most 150 steps a run and two seeds.
+    #[must_use]
+    pub fn smoke(mut self) -> Self {
+        self.explore.max_steps = self.explore.max_steps.min(150);
+        self.seeds.count = self.seeds.count.min(2);
+        self
+    }
+
     /// Total runs of the campaign grid.
     pub fn total_runs(&self) -> u64 {
         self.benchmarks.len() as u64

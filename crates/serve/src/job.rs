@@ -1,8 +1,8 @@
-//! One submitted campaign: its spec, its scheduler ticket, its telemetry
-//! ring and — eventually — its serialised report.
+//! One submitted campaign: its spec, its scheduler ticket, its event ring
+//! and — eventually — its serialised report.
 
 use ax_dse::campaign::JobTicket;
-use ax_dse::campaign::{ExperimentSpec, JobPhase, Telemetry};
+use ax_dse::campaign::{ExperimentSpec, JobPhase, RingBuffer};
 use ax_dse::json::Json;
 use std::sync::{Mutex, OnceLock};
 
@@ -64,13 +64,13 @@ pub struct Job {
     ticket: JobTicket,
     /// The cap granted at admission; unset while queued or unbounded.
     cap: OnceLock<u64>,
-    telemetry: Telemetry,
+    events: RingBuffer,
     outcome: Mutex<Option<Outcome>>,
 }
 
 impl Job {
-    /// A fresh job around an admitted ticket. The telemetry ring is
-    /// bounded to `events_capacity` events so long-lived daemons cannot
+    /// A fresh job around an admitted ticket. The event ring is bounded
+    /// to `events_capacity` events so long-lived daemons cannot
     /// accumulate unbounded history per job.
     pub fn new(
         spec: ExperimentSpec,
@@ -84,7 +84,7 @@ impl Job {
             spec,
             ticket,
             cap: OnceLock::new(),
-            telemetry: Telemetry::with_capacity(events_capacity),
+            events: RingBuffer::new(events_capacity),
             outcome: Mutex::new(None),
         }
     }
@@ -114,9 +114,9 @@ impl Job {
         let _ = self.cap.set(cap);
     }
 
-    /// The job's bounded telemetry handle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The job's bounded event ring: its campaign's observer.
+    pub fn events(&self) -> &RingBuffer {
+        &self.events
     }
 
     /// Stores the finished report's exact serialised bytes.
@@ -183,7 +183,7 @@ impl Job {
                     .get()
                     .map_or(Json::Null, |&cap| Json::obj(vec![("cap", Json::u64(cap))])),
             ),
-            ("events", Json::u64(self.telemetry.events_emitted())),
+            ("events", Json::u64(self.events.emitted())),
             (
                 "report_ready",
                 Json::Bool(matches!(

@@ -11,7 +11,7 @@
 //! | `GET /campaigns` | list jobs and states |
 //! | `GET /campaigns/{id}` | status + granted cap |
 //! | `GET /campaigns/{id}/report` | the finished `CampaignReport`, byte-identical to `repro run --budget` at the granted cap |
-//! | `GET /campaigns/{id}/events` | the job's telemetry events as JSONL |
+//! | `GET /campaigns/{id}/events` | the job's events as JSONL, from its ring observer |
 //! | `DELETE /campaigns/{id}` | cooperative cancel |
 //! | `GET /healthz`, `GET /metrics` | liveness, scheduler/cache gauges |
 //! | `POST /shutdown` | drain, persist the cache, exit |

@@ -45,7 +45,7 @@ pub struct ServeConfig {
     pub cache_max_scopes: Option<usize>,
     /// Shrink every submitted spec like `repro run --smoke` (CI).
     pub smoke: bool,
-    /// Per-job telemetry ring capacity (events kept for `/events`).
+    /// Per-job event ring capacity (events kept for `/events`).
     pub events_capacity: usize,
 }
 
@@ -214,7 +214,7 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Response {
         }),
         ("GET", ["campaigns", id, "events"]) => with_job(state, id, |job| {
             let mut body = String::new();
-            for event in job.telemetry().events() {
+            for event in job.events().events() {
                 body.push_str(&event.to_json_line());
                 body.push('\n');
             }
@@ -263,8 +263,7 @@ fn submit(state: &Arc<ServerState>, request: &Request) -> Response {
         Err(e) => return Response::error(400, &e.to_string()),
     };
     if state.config.smoke {
-        spec.explore.max_steps = spec.explore.max_steps.min(150);
-        spec.seeds.count = spec.seeds.count.min(2);
+        spec = spec.smoke();
     }
     // One campaign thread per job: the job runs sequentially and the
     // daemon's parallelism is *across* jobs (the scheduler's worker
@@ -362,21 +361,18 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>) {
         budget: cap,
         ..job.spec().clone()
     };
+    // Without metrics, as `repro run` runs without `--metrics`: the report
+    // has no telemetry section, so its bytes equal a local run's.
     let opts = RunSpecOptions {
         cache: Some(Arc::clone(&state.cache)),
-        observer: None,
-        telemetry: job.telemetry().clone(),
+        observer: Some(job.events()),
         control: Some(job.ticket().control().clone()),
+        ..Default::default()
     };
     let outcome = run_spec(&spec, opts);
     slot.charged = outcome.as_ref().map_or(0, |r| r.budget.charged());
     match outcome {
-        Ok(mut report) => {
-            // Strip the telemetry roll-up before serialising: its
-            // wall-clock histograms are the one nondeterministic section,
-            // and `repro run` (telemetry off) has `telemetry: null` too —
-            // this is what makes the stored bytes equal a local run's.
-            report.telemetry = None;
+        Ok(report) => {
             job.set_report(report.to_json_string());
             state.telemetry.counter_add("serve.jobs_completed", 1);
         }

@@ -5,7 +5,8 @@
 
 use ax_dse::backend::SharedCache;
 use ax_dse::campaign::{
-    run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, LibrarySpec, RunSpecOptions, SeedRange,
+    run_spec, BackendSpec, BenchmarkSpec, ExperimentSpec, LibrarySpec, RingBuffer, RunSpecOptions,
+    SeedRange,
 };
 use ax_dse::explore::{AgentKind, ExploreOptions};
 use ax_dse::json::Json;
@@ -86,7 +87,8 @@ fn quick_spec(name: &str, benchmark: BenchmarkSpec, backend: BackendSpec) -> Exp
 
 /// Three concurrent campaigns over disjoint cache scopes, all sharing the
 /// daemon's one cache, must each return a report byte-identical to a plain
-/// local `run_spec`.
+/// local `run_spec`, and serve the event lines that run hands an
+/// observer.
 #[test]
 fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
     let specs = [
@@ -98,13 +100,21 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
         quick_spec("daemon-dot", BenchmarkSpec::Dot(8), BackendSpec::Exact),
         quick_spec("daemon-fir", BenchmarkSpec::Fir(16), BackendSpec::Exact).budget(300),
     ];
-    // Local ground truth, computed independently of the daemon on the
-    // default worker count (served jobs run on one worker).
-    let baselines: Vec<String> = specs
+    // Local ground truth, computed independently of the daemon: each
+    // report on the default worker count (served jobs run on one worker),
+    // and each canonical event list, one JSONL line per event, on one.
+    let baselines: Vec<(String, String)> = specs
         .iter()
         .map(|spec| {
             let report = run_spec(spec, RunSpecOptions::default()).expect("baseline runs");
-            report.to_json_string()
+            let ring = RingBuffer::new(usize::MAX);
+            let observed = RunSpecOptions {
+                observer: Some(&ring),
+                ..Default::default()
+            };
+            run_spec(&spec.clone().parallelism(1), observed).expect("baseline runs");
+            let events = ring.events().into_iter().map(|e| e.to_json_line() + "\n");
+            (report.to_json_string(), events.collect())
         })
         .collect();
     let (addr, handle) = boot(ServeConfig {
@@ -131,15 +141,25 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
             .collect();
         submits.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for (&id, baseline) in ids.iter().zip(&baselines) {
+    for (&id, (report, events)) in ids.iter().zip(&baselines) {
         let doc = await_terminal(addr, id);
         assert_eq!(doc.get("state").unwrap().as_str().unwrap(), "completed");
         let (status, served) = request(addr, "GET", &format!("/campaigns/{id}/report"), "");
         assert_eq!(status, 200);
         assert_eq!(
-            &served, baseline,
+            &served, report,
             "daemon report for job {id} must be byte-identical to a local run"
         );
+        // The job's ring observer holds every event of its campaign, in
+        // canonical order.
+        let (status, served) = request(addr, "GET", &format!("/campaigns/{id}/events"), "");
+        assert_eq!(status, 200);
+        assert_eq!(
+            &served, events,
+            "job {id}'s events differ from a local run's"
+        );
+        let count = doc.get("events").unwrap().as_u64().unwrap();
+        assert_eq!(count, served.lines().count() as u64);
     }
     // The jobs shared one cache: three disjoint scopes landed in it.
     let (_, metrics) = request(addr, "GET", "/metrics", "");
@@ -149,12 +169,6 @@ fn concurrent_jobs_share_a_cache_and_match_local_runs_byte_for_byte() {
     assert!(cache.get("entries").unwrap().as_u64().unwrap() > 0);
     let jobs = metrics.get("jobs").unwrap();
     assert_eq!(jobs.get("completed").unwrap().as_u64().unwrap(), 3);
-    // The job's telemetry events stream as JSONL even though the stored
-    // report (deliberately) carries no telemetry section.
-    let (status, events) = request(addr, "GET", &format!("/campaigns/{}/events", ids[0]), "");
-    assert_eq!(status, 200);
-    assert!(events.lines().count() > 0);
-    assert!(events.lines().all(|l| Json::parse(l).is_ok()));
     shutdown(addr, handle);
 }
 

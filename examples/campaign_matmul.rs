@@ -32,10 +32,6 @@ impl Observer for Progress {
             _ => {}
         }
     }
-
-    fn wants_events(&self) -> bool {
-        true
-    }
 }
 
 fn main() {

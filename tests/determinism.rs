@@ -5,7 +5,8 @@
 //! experiments would not be reproducible run to run.
 
 use axdse_suite::ax_dse::campaign::{
-    run_spec, BenchmarkSpec, CampaignReport, ExperimentSpec, RunSpecOptions, SeedRange, Telemetry,
+    run_spec, BenchmarkSpec, CampaignReport, Event, ExperimentSpec, RingBuffer, RunSpecOptions,
+    SeedRange, Telemetry,
 };
 use axdse_suite::ax_dse::explore::AgentKind;
 use axdse_suite::ax_dse::explore::{ExplorationOutcome, ExploreOptions};
@@ -35,18 +36,16 @@ fn run(spec: &ExperimentSpec) -> CampaignReport {
     run_spec(spec, RunSpecOptions::default()).unwrap()
 }
 
-/// Runs `spec` with `telemetry` attached, and checks the budget ledger
-/// of a traced run: each cell's budget holds what its runs charged.
-fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
+/// Runs `spec` with `telemetry` attached, its events read through a ring
+/// observer, and returns its report and its canonical event list.
+fn run_observed(spec: &ExperimentSpec, telemetry: &Telemetry) -> (CampaignReport, Vec<Event>) {
+    let ring = RingBuffer::new(usize::MAX);
     let opts = RunSpecOptions {
+        observer: Some(&ring),
         telemetry: telemetry.clone(),
         ..Default::default()
     };
-    let report = run_spec(spec, opts).unwrap();
-    if let Some(t) = &report.telemetry {
-        assert!(t.budget_invariant_ok, "{}", spec.name);
-    }
-    report
+    (run_spec(spec, opts).unwrap(), ring.events())
 }
 
 /// A MatMul-4 × 1-agent × N-seed campaign summary on `workers` workers
@@ -485,14 +484,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// FNV-1a over a traced run's canonical event stream: each event's JSON
-/// line followed by a newline, in `(source, seq)` order.
-fn event_digest(telemetry: &Telemetry) -> u64 {
-    let lines: String = telemetry
-        .events()
-        .iter()
-        .map(|e| e.to_json_line() + "\n")
-        .collect();
+/// FNV-1a over a canonical event stream: each event's JSON line followed
+/// by a newline, in `(source, seq)` order.
+fn event_digest(events: &[Event]) -> u64 {
+    let lines: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
     fnv1a64(lines.as_bytes())
 }
 
@@ -504,8 +499,9 @@ fn campaign_reports_match_their_golden_digests() {
     // agent would pass them all. These digests were recorded once: any
     // such change moves a report byte and fails this test. Each budget
     // policy is pinned under each ranking it can use, with its report
-    // and the event stream of a traced run, so a drifted schedule fails
-    // too.
+    // and the event stream an observer reads, so a drifted schedule fails
+    // too; a run with metrics on must give the same events and checks
+    // the budget ledger.
     let grid = ExperimentSpec {
         agents: ALL_AGENTS.to_vec(),
         ..ExperimentSpec::new("golden")
@@ -533,12 +529,38 @@ fn campaign_reports_match_their_golden_digests() {
                 report,
                 "{label} report drifted (parallelism {parallelism:?})"
             );
-            let traced = Telemetry::new();
-            run_traced(&spec, &traced);
+            // Observed without metrics: the campaign stamps every event
+            // itself, and observing changes no report byte.
+            let (observed, stream) = run_observed(&spec, &Telemetry::disabled());
             assert_eq!(
-                event_digest(&traced),
+                observed.to_json_string(),
+                ran.to_json_string(),
+                "{label} observed report (parallelism {parallelism:?})"
+            );
+            assert_eq!(
+                event_digest(&stream),
                 events,
                 "{label} event stream drifted (parallelism {parallelism:?})"
+            );
+            // Observed with metrics: each cell's budget holds what its runs
+            // charged, the report counts the events the observer got, and
+            // metrics change neither the event list nor any report byte
+            // outside the `telemetry` section.
+            let (mut metered, metered_stream) = run_observed(&spec, &Telemetry::new());
+            let summary = metered.telemetry.take().expect("metrics are on");
+            assert!(
+                summary.budget_invariant_ok,
+                "{label} budget ledger (parallelism {parallelism:?})"
+            );
+            assert_eq!(summary.events_emitted, stream.len() as u64, "{label}");
+            assert_eq!(
+                metered.to_json_string(),
+                ran.to_json_string(),
+                "{label} metered report (parallelism {parallelism:?})"
+            );
+            assert!(
+                metered_stream == stream,
+                "{label} events depend on metrics (parallelism {parallelism:?})"
             );
         }
     };

@@ -1,14 +1,17 @@
 //! Telemetry determinism contracts.
 //!
 //! Events are logical (no wall-clock data, sources are grid indices, not
-//! thread ids), so a parallel campaign, budgeted or not, must produce the
-//! same canonical event list as a sequential one; metric counters must
-//! agree between the compiled and interpreted exact engines; and turning
-//! tracing on must never change what a campaign computes.
+//! thread ids), so a parallel campaign, budgeted or not, must hand its
+//! observer the same canonical event list as a sequential one (that the
+//! list is the same with metrics off and on is pinned for every budget
+//! policy by `campaign_reports_match_their_golden_digests` in
+//! `tests/determinism.rs`); metric counters must agree between the
+//! compiled and interpreted exact engines; and neither an observer nor
+//! metrics may change what a campaign computes.
 
 use axdse_suite::ax_dse::campaign::{
-    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, EventKind, ExperimentSpec, JsonlSink,
-    RunSpecOptions, SeedRange, Telemetry,
+    run_spec, BenchmarkSpec, BudgetPolicy, CampaignReport, Event, EventKind, ExperimentSpec,
+    JsonlSink, MetricsSnapshot, RingBuffer, RunSpecOptions, SeedRange, Telemetry,
 };
 use axdse_suite::ax_dse::explore::{AgentKind, ExploreOptions};
 use axdse_suite::ax_dse::json::Json;
@@ -33,18 +36,23 @@ fn grid(name: &str, steps: u64) -> ExperimentSpec {
         .explore(opts(steps))
 }
 
-/// Runs `spec` with `telemetry` attached, and checks the budget ledger
-/// of a traced run: each cell's budget holds what its runs charged.
-fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> CampaignReport {
+/// Runs `spec` with `telemetry` attached and a ring observer reading its
+/// events; returns the report and the canonical event list. With metrics
+/// on it checks the report's roll-up: each cell's budget holds what its
+/// runs charged, and the event count is what the observer received.
+fn run_traced(spec: &ExperimentSpec, telemetry: &Telemetry) -> (CampaignReport, Vec<Event>) {
+    let ring = RingBuffer::new(usize::MAX);
     let opts = RunSpecOptions {
+        observer: Some(&ring),
         telemetry: telemetry.clone(),
         ..Default::default()
     };
     let report = run_spec(spec, opts).unwrap();
     if let Some(t) = &report.telemetry {
         assert!(t.budget_invariant_ok, "{}", spec.name);
+        assert_eq!(t.events_emitted, ring.emitted(), "{}", spec.name);
     }
-    report
+    (report, ring.events())
 }
 
 /// Everything deterministic in a report: the telemetry section is
@@ -56,13 +64,15 @@ fn strip(r: &CampaignReport) -> String {
     )
 }
 
-/// An unbounded multi-seed campaign run with telemetry on `workers`
-/// workers.
-fn traced_campaign(workers: usize) -> (CampaignReport, Telemetry) {
-    let spec = grid("telemetry-determinism", 150).parallelism(workers);
+/// `spec` observed with metrics on `workers` workers: its report, its
+/// canonical events and its final metrics.
+fn traced_campaign(
+    spec: &ExperimentSpec,
+    workers: usize,
+) -> (CampaignReport, Vec<Event>, MetricsSnapshot) {
     let telemetry = Telemetry::new();
-    let report = run_traced(&spec, &telemetry);
-    (report, telemetry)
+    let (report, events) = run_traced(&spec.clone().parallelism(workers), &telemetry);
+    (report, events, telemetry.snapshot().unwrap())
 }
 
 /// With no budget in play, the only schedule freedom is thread
@@ -70,17 +80,15 @@ fn traced_campaign(workers: usize) -> (CampaignReport, Telemetry) {
 /// events, same sources, same per-source sequence numbers.
 #[test]
 fn parallel_campaign_emits_the_same_canonical_events_as_sequential() {
-    let (seq_report, seq_t) = traced_campaign(1);
-    let seq_events = seq_t.events();
+    let spec = grid("telemetry-determinism", 150);
+    let (seq_report, seq_events, seq_snap) = traced_campaign(&spec, 1);
     assert!(!seq_events.is_empty());
-    let seq_snap = seq_t.snapshot().unwrap();
     for workers in [2, 4] {
-        let (par_report, par_t) = traced_campaign(workers);
-        assert_eq!(seq_events, par_t.events(), "{workers}");
+        let (par_report, par_events, par_snap) = traced_campaign(&spec, workers);
+        assert_eq!(seq_events, par_events, "{workers}");
         assert_eq!(strip(&seq_report), strip(&par_report), "{workers}");
         // Counters and gauges are logical too; only the latency
         // histograms may differ between worker counts.
-        let par_snap = par_t.snapshot().unwrap();
         assert_eq!(seq_snap.counters, par_snap.counters, "{workers}");
         assert_eq!(seq_snap.gauges, par_snap.gauges, "{workers}");
     }
@@ -98,17 +106,10 @@ fn budgeted_campaigns_match_across_schedules() {
                 rounds: 2,
                 keep_fraction: 0.5,
             });
-    let run = |workers| {
-        let telemetry = Telemetry::new();
-        let report = run_traced(&spec.clone().parallelism(workers), &telemetry);
-        (report, telemetry)
-    };
-    let (seq_report, seq_t) = run(1);
-    let seq_snap = seq_t.snapshot().unwrap();
+    let (seq_report, seq_events, seq_snap) = traced_campaign(&spec, 1);
     for workers in [2, 4] {
-        let (par_report, par_t) = run(workers);
-        assert_eq!(seq_t.events(), par_t.events(), "{workers}");
-        let par_snap = par_t.snapshot().unwrap();
+        let (par_report, par_events, par_snap) = traced_campaign(&spec, workers);
+        assert_eq!(seq_events, par_events, "{workers}");
         assert_eq!(seq_snap.counters, par_snap.counters, "{workers}");
         assert_eq!(strip(&seq_report), strip(&par_report), "{workers}");
     }
@@ -174,7 +175,7 @@ fn parallel_budgeted_campaign_reports_the_budget_invariant() {
             rungs: 2,
             keep_fraction: 0.5,
         });
-    let report = run_traced(&spec, &Telemetry::new());
+    let (report, _) = run_traced(&spec, &Telemetry::new());
     let summary = report.telemetry.expect("enabled telemetry is reported");
     assert!(summary.budget_invariant_ok);
     let snap = &summary.metrics;
@@ -186,7 +187,9 @@ fn parallel_budgeted_campaign_reports_the_budget_invariant() {
 }
 
 /// Every JSONL trace line must parse as a JSON object carrying the stable
-/// envelope keys, and the `kind` strings must come from the schema.
+/// envelope keys, and the `kind` strings must come from the schema. With
+/// metrics on, the report counts exactly the trace's lines and its budget
+/// ledger holds.
 #[test]
 fn jsonl_trace_lines_are_schema_valid() {
     let path = std::env::temp_dir().join(format!("ax_trace_{}.jsonl", std::process::id()));
@@ -196,10 +199,15 @@ fn jsonl_trace_lines_are_schema_valid() {
         .seeds(SeedRange::new(0, 2))
         .explore(opts(150))
         .budget(60);
-    let telemetry = Telemetry::new();
-    telemetry.add_sink(Box::new(JsonlSink::create(&path).unwrap()));
-    run_traced(&spec, &telemetry);
-    telemetry.flush();
+    let sink = JsonlSink::create(&path).unwrap();
+    let opts = RunSpecOptions {
+        observer: Some(&sink),
+        telemetry: Telemetry::new(),
+        ..Default::default()
+    };
+    let summary = run_spec(&spec, opts).unwrap().telemetry.unwrap();
+    assert!(summary.budget_invariant_ok);
+    sink.flush().unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let known = [
@@ -226,7 +234,8 @@ fn jsonl_trace_lines_are_schema_valid() {
         assert!(known.contains(&kind.as_str()), "unknown kind {kind}");
         lines += 1;
     }
-    assert_eq!(lines, telemetry.events_emitted());
+    assert_eq!(lines, sink.emitted());
+    assert_eq!(lines, summary.events_emitted);
     assert!(text.lines().any(|l| l.contains("\"campaign_complete\"")));
 }
 
@@ -234,8 +243,7 @@ fn jsonl_trace_lines_are_schema_valid() {
 /// and run sources interleave arbitrarily during emission.
 #[test]
 fn canonical_event_order_groups_by_source() {
-    let (_, t) = traced_campaign(2);
-    let events = t.events();
+    let (_, events, _) = traced_campaign(&grid("telemetry-order", 150), 2);
     let keys: Vec<(u32, u64)> = events.iter().map(|e| (e.source, e.seq)).collect();
     let mut sorted = keys.clone();
     sorted.sort();
@@ -246,8 +254,9 @@ fn canonical_event_order_groups_by_source() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Enabling tracing must never change what a campaign computes: the
-    /// reports agree on everything except the `telemetry` section itself.
+    /// Observing a campaign with metrics on must never change what it
+    /// computes: the reports agree on everything except the `telemetry`
+    /// section itself.
     #[test]
     fn tracing_never_changes_the_campaign_report(
         budget in 40u64..200,
@@ -263,8 +272,8 @@ proptest! {
                 keep_fraction: 0.5,
             };
         }
-        let plain = run_traced(&spec, &Telemetry::disabled());
-        let traced = run_traced(&spec, &Telemetry::new());
+        let plain = run_spec(&spec, RunSpecOptions::default()).unwrap();
+        let (traced, _) = run_traced(&spec, &Telemetry::new());
         prop_assert!(plain.telemetry.is_none());
         prop_assert!(traced.telemetry.is_some());
         prop_assert_eq!(strip(&plain), strip(&traced));
