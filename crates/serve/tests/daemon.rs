@@ -279,13 +279,16 @@ fn tenants_on_different_libraries_match_their_local_runs() {
 #[test]
 fn delete_cancels_a_running_job_and_keeps_budget_accounting() {
     let (addr, handle) = boot(ServeConfig::default());
-    // A deliberately long job: 8 seeds x 50k steps, sequential.
+    // A job that cannot end before the DELETE: Sobel-8x8 runs do not reach
+    // the reward target (seeds 0-7 each ran out a 1,000,000-step cap), so
+    // only their step cap ends them, and 8 runs of 10^9 steps take minutes
+    // even in a release build. Runs poll the cancel at every step.
     let spec = ExperimentSpec::new("daemon-cancel")
-        .benchmark(BenchmarkSpec::MatMul(10))
+        .benchmark(BenchmarkSpec::Sobel(8))
         .agent(AgentKind::QLearning)
         .seeds(SeedRange::new(0, 8))
         .explore(ExploreOptions {
-            max_steps: 50_000,
+            max_steps: 1_000_000_000,
             ..Default::default()
         });
     let (status, body) = request(addr, "POST", "/campaigns", &spec.to_json_string());
@@ -302,8 +305,12 @@ fn delete_cancels_a_running_job_and_keeps_budget_accounting() {
         let (_, body) = request(addr, "GET", &format!("/campaigns/{id}"), "");
         let state = Json::parse(&body).unwrap();
         let state = state.get("state").unwrap().as_str().unwrap().to_owned();
-        if state == "running" {
-            break;
+        match state.as_str() {
+            "running" => break,
+            "completed" | "cancelled" | "failed" => {
+                panic!("job ended before it was seen running: {state}")
+            }
+            _ => {}
         }
         assert!(Instant::now() < deadline, "job never started: {state}");
         std::thread::sleep(Duration::from_millis(10));

@@ -36,17 +36,22 @@
 //! `with_mul_kernel!`: each (adder kind, multiplier kind) pair monomorphises
 //! its own loop with both kernels inlined, so the loop is just loads, inline
 //! arithmetic and stores; a chain op keeps its product and accumulator in
-//! registers and stores both once, after its last link. Building a
-//! [`CompiledProgram`] is a table lookup,
+//! registers and stores both once, after its last link. An approximate add
+//! is one 64-bit expression, `((x >> k) + (y >> k) + c) << k | low`: every
+//! adder kind changes only the low `k` bits of the sum and the carry `c`
+//! into bit `k`, so the interpreter's adder slice plus its exact upper part
+//! folds into that form (each kind's `k`, `c` and `low` are listed at
+//! `with_add_kernel!`). Building a [`CompiledProgram`] is a table lookup,
 //! not a pass over the program: changing operators or selection allocates
 //! nothing once the selection's class has been specialised.
 //!
 //! Equivalence with the interpreter is bit-exact, for outputs *and*
 //! profiles: the precise opcodes are algebraically identical to the
 //! interpreter's precise model path (see `exact_add`/`exact_mul` notes),
-//! the approximate kernels embed the models exactly as the interpreter
-//! does, and both engines derive power/time through the single
-//! [`ArithProfile::from_counts`] formula.
+//! each approximate add is the closed form of the interpreter's sliced add
+//! (the `AddApprox` note), the multiplier kernels embed the models exactly
+//! as the interpreter does, and both engines derive power/time through the
+//! single [`ArithProfile::from_counts`] formula.
 
 use crate::cost::{ArithCounts, ArithProfile};
 use crate::error::VmError;
@@ -703,51 +708,75 @@ enum CompiledOp {
 /// and runs `$body` with it bound to `$add` — the adder-kind `match` is
 /// hoisted out of the execution loops, so each kind monomorphises its loop
 /// with the kernel inlined (no per-instruction operator dispatch survives
-/// to run time). The embedding is bit-identical to the interpreter's
-/// [`sliced_add`]; `AdderKind::Precise` shortcuts to `wrapping_add`, which
-/// the exactness notes prove equal to the precise sliced path.
+/// to run time).
+///
+/// Each closure is one 64-bit expression, [`upper_sum`]`(x, y, k, c, low)`
+/// = `((x >> k) + (y >> k) + c) << k | low`, bit-identical to the
+/// interpreter's [`sliced_add`] for every `i64` pair. Every kind replaces
+/// the low `k` sum bits by `low` and the carry into bit `k` by `c`, and
+/// adds the bits above `k` exactly; `low` and `c` read operand bits below
+/// `k` only. Write `x = X·2^w + xₗ` with `X = x >> w` at the add width
+/// `w`. The slice's adder returns `((xₗ >> k) + (yₗ >> k) + c)·2^k + low`,
+/// carry-out included, and [`sliced_add`] adds `(X + Y)·2^w` to it. As
+/// `x >> k = X·2^(w−k) + (xₗ >> k)` for `k ≤ w`, that total is the
+/// expression above, modulo 2^64. Per kind (`m = 2^k − 1`):
+///
+/// | kind | `k` | `c` | `low` |
+/// |---|---|---|---|
+/// | `Trunc` | `cut_bits` | 0 | 0 |
+/// | `SetOne` | `cut_bits` | 0 | `m` |
+/// | `SetMid` | `cut_bits` | 0 | `2^(k−1)` |
+/// | `Loa` | `approx_bits` | bit `k − 1` of `x & y`; 0 if `k = w` | `(x \| y) & m` |
+/// | `PassB` | `approx_bits` | bit `k − 1` of `x`; 0 if `k = w` | `y & m` |
+/// | `CarryCut` | `cut` | carry out of the `window` bits below `k` | `(x + y) & m` |
+///
+/// At `k = w`, `Loa` and `PassB` return the slice's `a | b` and `b`, with
+/// no carry out; the closure captures `keep` (1 below the width, 0 at it)
+/// and masks `c` with it, so that case costs no extra arm or kernel copy.
+/// `AdderKind::Precise` shortcuts to `wrapping_add`, which the exactness
+/// notes prove equal to the precise sliced path.
 macro_rules! with_add_kernel {
     ($model:expr, $w:expr, |$add:ident| $body:expr) => {{
-        use ax_operators::adders as kernel;
         use ax_operators::AdderKind as K;
-        let w = $w;
+        let bits = $w.bits();
+        let low_mask = |k: u32| (1i64 << k) - 1;
         match $model.kind() {
             K::Precise => {
                 let $add = |x: i64, y: i64| x.wrapping_add(y);
                 $body
             }
-            K::Loa { approx_bits } => {
-                let $add =
-                    move |x: i64, y: i64| sliced(x, y, w, |a, b| kernel::loa(a, b, w, approx_bits));
-                $body
-            }
-            K::Trunc { cut_bits } => {
-                let $add =
-                    move |x: i64, y: i64| sliced(x, y, w, |a, b| kernel::trunc(a, b, w, cut_bits));
-                $body
-            }
-            K::SetOne { cut_bits } => {
+            K::Loa { approx_bits: k } => {
+                let (m, keep) = (low_mask(k), i64::from(k < bits));
                 let $add = move |x: i64, y: i64| {
-                    sliced(x, y, w, |a, b| kernel::set_one(a, b, w, cut_bits))
+                    upper_sum(x, y, k, ((x & y) >> (k - 1)) & keep, (x | y) & m)
                 };
                 $body
             }
-            K::SetMid { cut_bits } => {
-                let $add = move |x: i64, y: i64| {
-                    sliced(x, y, w, |a, b| kernel::set_mid(a, b, w, cut_bits))
-                };
+            K::Trunc { cut_bits: k } => {
+                let $add = move |x: i64, y: i64| upper_sum(x, y, k, 0, 0);
+                $body
+            }
+            K::SetOne { cut_bits: k } => {
+                let m = low_mask(k);
+                let $add = move |x: i64, y: i64| upper_sum(x, y, k, 0, m);
+                $body
+            }
+            K::SetMid { cut_bits: k } => {
+                let mid = 1i64 << (k - 1);
+                let $add = move |x: i64, y: i64| upper_sum(x, y, k, 0, mid);
                 $body
             }
             K::CarryCut { cut, window } => {
+                let (m, wm, s) = (low_mask(cut), low_mask(window), cut - window);
                 let $add = move |x: i64, y: i64| {
-                    sliced(x, y, w, |a, b| kernel::carry_cut(a, b, w, cut, window))
+                    let c = (((x >> s) & wm) + ((y >> s) & wm)) >> window;
+                    upper_sum(x, y, cut, c, x.wrapping_add(y) & m)
                 };
                 $body
             }
-            K::PassB { approx_bits } => {
-                let $add = move |x: i64, y: i64| {
-                    sliced(x, y, w, |a, b| kernel::pass_b(a, b, w, approx_bits))
-                };
+            K::PassB { approx_bits: k } => {
+                let (m, keep) = (low_mask(k), i64::from(k < bits));
+                let $add = move |x: i64, y: i64| upper_sum(x, y, k, (x >> (k - 1)) & keep, y & m);
                 $body
             }
         }
@@ -1076,18 +1105,13 @@ fn fold_chain(
     Ok(())
 }
 
-/// The sliced-ALU embedding of [`sliced_add`], generic over the low-part
-/// adder kernel so each [`ax_operators::AdderKind`] monomorphises into a
-/// branch-free inline sequence. Must stay structurally identical to
-/// [`sliced_add`] — the differential tests pin the equivalence.
+/// `((x >> k) + (y >> k) + carry) << k | low`, with arithmetic shifts and
+/// wrapping adds: `x + y` with its low `k` bits replaced by `low` (below
+/// `2^k`) and `carry` in place of the carry into bit `k`. Every approximate
+/// adder kind is this expression (see [`with_add_kernel!`]).
 #[inline(always)]
-fn sliced(a: i64, b: i64, width: BitWidth, low_add: impl Fn(u64, u64) -> u64) -> i64 {
-    let bits = width.bits();
-    let mask = width.mask();
-    let low = low_add((a as u64) & mask, (b as u64) & mask);
-    let carry = (low >> bits) as i64;
-    let high = (a >> bits).wrapping_add(b >> bits).wrapping_add(carry);
-    (high << bits) | (low & mask) as i64
+fn upper_sum(x: i64, y: i64, k: u32, carry: i64, low: i64) -> i64 {
+    ((x >> k).wrapping_add(y >> k).wrapping_add(carry) << k) | low
 }
 
 /// The sign-magnitude embedding of
@@ -1113,6 +1137,13 @@ fn signed(x: i64, y: i64, magnitude: impl Fn(u64, u64) -> u64) -> i64 {
 ///   `wrapping_add`, then reassembles. That is the standard carry
 ///   decomposition of two's-complement addition — equal to
 ///   `a.wrapping_add(b)` for **all** `i64` pairs.
+/// * **`AddApprox` ≡ approximate sliced add.** Every approximate adder
+///   kind changes only the low `k` sum bits and the carry into bit `k`, so
+///   the slice plus the exact upper part is one [`upper_sum`] expression,
+///   `((a >> k) + (b >> k) + c) << k | low`, for **all** `i64` pairs;
+///   [`with_add_kernel!`] derives it and gives each kind's `c` and `low`.
+///   `every_adder_kind_matches_the_interpreter_at_every_parameter` checks
+///   every kind at every legal parameter on all three widths.
 /// * **`MulExact` ≡ precise sign-magnitude mul.** The interpreter's precise
 ///   path computes `|a|·|b|` exactly in `u64` (operands are pre-checked to
 ///   the multiplier width, so the product cannot wrap `u64`) and applies
@@ -1121,11 +1152,11 @@ fn signed(x: i64, y: i64, magnitude: impl Fn(u64, u64) -> u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_from_image, Executor};
+    use crate::exec::{run_from_image, sliced_add, Executor};
     use crate::instrument::VarMask;
     use crate::ir::ProgramBuilder;
     use ax_operators::multipliers::Po2Mode;
-    use ax_operators::{MulKind, OperatorLibrary, OperatorSpec};
+    use ax_operators::{AdderKind, MulKind, OperatorLibrary, OperatorSpec};
 
     fn lib() -> OperatorLibrary {
         OperatorLibrary::evoapprox()
@@ -1455,6 +1486,72 @@ mod tests {
             .collect();
         assert!(pairs.contains(&(-(1 << 31), 1 << 15)));
         check_signed_products(BitWidth::W32, &pairs);
+    }
+
+    /// Every [`AdderKind`] at `width`, at every parameter valid there.
+    fn every_adder_kind(width: BitWidth) -> Vec<AdderKind> {
+        let bits = width.bits();
+        let mut kinds = vec![AdderKind::Precise];
+        for k in 1..=bits {
+            kinds.extend([
+                AdderKind::Loa { approx_bits: k },
+                AdderKind::Trunc { cut_bits: k },
+                AdderKind::SetOne { cut_bits: k },
+                AdderKind::SetMid { cut_bits: k },
+                AdderKind::PassB { approx_bits: k },
+            ]);
+        }
+        for cut in 1..bits {
+            kinds.extend((1..=cut).map(|window| AdderKind::CarryCut { cut, window }));
+        }
+        kinds
+    }
+
+    /// Every pair of the edge operands — 0, ±1, ±2, `i64::MIN`, `i64::MAX`
+    /// and, at each width `w`, ±2^(w−1) and ±2^w with their neighbours —
+    /// then a seeded sample of signed pairs of every magnitude: each
+    /// operand is a random word shifted right by a random 0 to 63 bits.
+    fn adder_operand_pairs() -> Vec<(i64, i64)> {
+        let mut edges = vec![0, 1, -1, 2, -2, i64::MIN, i64::MAX];
+        for width in [BitWidth::W8, BitWidth::W16, BitWidth::W32] {
+            for v in [1i64 << (width.bits() - 1), 1 << width.bits()] {
+                edges.extend([v - 1, v, v + 1, 1 - v, -v, -v - 1]);
+            }
+        }
+        let mut pairs: Vec<(i64, i64)> = edges
+            .iter()
+            .flat_map(|&x| edges.iter().map(move |&y| (x, y)))
+            .collect();
+        // SplitMix64.
+        let mut state = 0x0123_4567_89ab_cdef_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut operand = || (next() as i64) >> (next() % 64);
+        pairs.extend((0..4096).map(|_| (operand(), operand())));
+        pairs
+    }
+
+    #[test]
+    fn every_adder_kind_matches_the_interpreter_at_every_parameter() {
+        let pairs = adder_operand_pairs();
+        for width in [BitWidth::W8, BitWidth::W16, BitWidth::W32] {
+            for kind in every_adder_kind(width) {
+                let model = AdderModel::new(kind, width);
+                with_add_kernel!(model, width, |add| {
+                    for &(x, y) in &pairs {
+                        assert_eq!(
+                            add(x, y),
+                            sliced_add(&model, x, y, width),
+                            "{kind} on {width}: {x} + {y}"
+                        );
+                    }
+                });
+            }
+        }
     }
 
     #[test]

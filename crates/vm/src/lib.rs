@@ -36,8 +36,17 @@
 //! operands through the (possibly approximate) adder slice and adds the upper
 //! bits exactly, propagating the slice's carry — the standard "approximate
 //! low-part ALU" construction, which handles two's-complement signs
-//! transparently. A `Mul` at width `W` requires operand magnitudes to fit
-//! `W` bits and uses the sign-magnitude embedding.
+//! transparently. Every adder kind changes only the low `k ≤ W` bits of the
+//! sum and the carry into bit `k`, so the compiled engine computes the same
+//! value as one 64-bit expression, `((x >> k) + (y >> k) + c) << k | low`:
+//! truncation and the constant-low adders have `c = 0` and a constant
+//! `low`; LOA takes `c` from bit `k − 1` of `x & y` and `low` from
+//! `x | y`; the pass-through adder takes `c` from bit `k − 1` of `x` and
+//! `low` from `y` (both with `c = 0` at `k = W`); and the carry-cut adder
+//! takes `c` from its look-back window and `low` from the exact sum. The
+//! interpreter keeps the sliced form as the reference. A `Mul` at width `W`
+//! requires operand magnitudes to fit `W` bits and uses the sign-magnitude
+//! embedding.
 //!
 //! ```
 //! use ax_vm::ir::ProgramBuilder;
